@@ -2,7 +2,8 @@
 
 v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Upper
-rungs warm-start from the rung below.  Expect each metric to improve
+rungs warm-start from the rung below, and refine_ladder returns every
+rung of a frame's instances from one batched pass.  Expect each metric to improve
 down the ladder; small per-seed wobble on the last link is normal at
 this sample size.
 """
@@ -17,7 +18,7 @@ from vehicle3d import (
     ap_bev,
     generate_scene,
     pose_to_label,
-    refine_ablation,
+    refine_ladder,
 )
 
 params = SceneParams(n_instances=5)
@@ -27,10 +28,10 @@ per_variant = {v: [] for v in ABLATION_VARIANTS}
 for index in range(frames):
     _, measurements, labels = generate_scene(params, STANDARD_NOISE, [777, index])
     gts = tuple(labels)
+    rungs = refine_ladder(measurements, CAR_MODEL)
     for variant in ABLATION_VARIANTS:
         dets = []
-        for meas in measurements:
-            result = refine_ablation(meas, CAR_MODEL, variant)
+        for result in rungs[variant]:
             score = 1.0 / (1.0 + result.final_energy)
             dets.append(pose_to_label(result.vars.pose(), KITTI_CAMERA, score=score))
         per_variant[variant].append((tuple(dets), gts))

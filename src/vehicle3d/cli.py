@@ -14,9 +14,11 @@ the --config file, then the built-in default.  The effective configuration
 is echoed to <out>/manifest.cfg by every run that writes files.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
-every file is written to a temp name and renamed into place, and parallel
-work is collected in frame order, so reruns are byte-identical for a fixed
-seed at any --jobs setting.
+every file is written to a temp name and renamed into place.  fit and
+ablate pool a dataset's instances into fixed-size blocks, one batched
+solve per block; an instance's result does not depend on which block it
+lands in, and blocks are collected in dataset order, so reruns are
+byte-identical for a fixed seed at any --jobs setting.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration, I/O,
 mismatched frame sets, or per-instance fit failures -- the run still
@@ -35,7 +37,10 @@ import numpy as np
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
 from .geometry import BehindCameraError, Box2D, CameraIntrinsics, GroundPlane, footprint
 from .metrics import DIFFICULTIES, alp, ap_2d_aos, ap_3d, ap_bev, pr_curve
-from .refine import InitializationError, SolverOptions, refine_ablation
+from .refine import InitializationError, SolverOptions, refine_ladder
+# Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
+# external profilers wrap.
+from .refine import refine_ablation  # noqa: F401
 from .scene_io import (
     CAR_MODEL,
     GenerationError,
@@ -348,50 +353,58 @@ def cmd_synth(effective: dict, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fit (worker runs per frame; parent writes in frame order)
+# fit (workers solve fixed-size blocks of instances; parent writes in frame order)
 # ---------------------------------------------------------------------------
 
-def _fit_frame_task(task):
-    frame_id, meas_text, variant, model, lambdas, max_iterations = task
-    cam, _, measurements = _measurements_from_text(meas_text)
+# Instances per batched solve.  Larger blocks amortize more per-call numpy
+# overhead but hold more per-iteration temporaries; results do not depend
+# on it.
+_FIT_BLOCK = 64
+
+
+def _instance_outcome(meas: Measurement, outcome):
+    """(label record or None, diag entries without the instance prefix)."""
+    if isinstance(outcome, InitializationError):
+        return None, {"error": str(outcome)}
+    score = 1.0 / (1.0 + outcome.final_energy)
+    try:
+        record = pose_to_label(outcome.vars.pose(), meas.cam, score=score)
+    except BehindCameraError:
+        return None, {"error": "refined box projects behind the camera"}
+    except ValueError as exc:
+        return None, {"error": f"refined box has no valid image box: {exc}"}
+    diag = {
+        "converged": _fmt_value(bool(outcome.converged)),
+        "iterations": str(outcome.iterations),
+        "reason": outcome.reason,
+        "energy": repr(float(outcome.final_energy)),
+    }
+    for term, value in outcome.breakdown.items():
+        diag["energy_" + term] = repr(float(value))
+    return record, diag
+
+
+def _fit_block_task(task):
+    measurements, variants, model, lambdas, max_iterations = task
     base = EnergyConfig(
         lambda1=lambdas[0], lambda2=lambdas[1], lambda3=lambdas[2], lambda4=lambdas[3]
     )
     opts = SolverOptions(max_iterations=max_iterations)
-    records = []
-    diag = {"variant": variant}
-    failures = 0
-    for i, meas in enumerate(measurements):
-        prefix = f"i{i}."
-        try:
-            result = refine_ablation(meas, model, variant, opts=opts, base=base)
-        except (InitializationError, ValueError) as exc:
-            diag[prefix + "error"] = str(exc)
-            failures += 1
-            continue
-        pose = result.vars.pose()
-        score = 1.0 / (1.0 + result.final_energy)
-        try:
-            records.append(pose_to_label(pose, cam, score=score))
-        except BehindCameraError:
-            diag[prefix + "error"] = "refined box projects behind the camera"
-            failures += 1
-            continue
-        diag[prefix + "converged"] = _fmt_value(bool(result.converged))
-        diag[prefix + "iterations"] = str(result.iterations)
-        diag[prefix + "reason"] = result.reason
-        diag[prefix + "energy"] = repr(float(result.final_energy))
-        for term, value in sorted(result.breakdown.items()):
-            diag[prefix + "energy_" + term] = repr(float(value))
-    diag["failures"] = str(failures)
-    return frame_id, emit_labels(records), format_config(diag), failures
+    top = max(variants, key=ABLATION_VARIANTS.index)
+    rungs = refine_ladder(measurements, model, top, opts=opts, base=base)
+    return [
+        {v: _instance_outcome(meas, rungs[v][i]) for v in variants}
+        for i, meas in enumerate(measurements)
+    ]
 
 
 def _parallel_map(fn, tasks, jobs: int):
-    if jobs > 1 and len(tasks) > 1:
+    """fn over an iterable of tasks, results yielded in task order."""
+    if jobs > 1:
         with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-            return pool.map(fn, tasks, chunksize=1)
-    return [fn(task) for task in tasks]
+            yield from pool.imap(fn, tasks, chunksize=1)
+    else:
+        yield from map(fn, tasks)
 
 
 def _load_fit_model(model_path):
@@ -403,28 +416,67 @@ def _load_fit_model(model_path):
     return CAR_MODEL
 
 
-def _run_fit(effective: dict, out_dir: Path, variant: str) -> int:
+def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
+    """Write one frame's labels and diag for every rung; returns its failures."""
+    failures = 0
+    for variant, out_dir in out_dirs.items():
+        records, diag = [], {"variant": variant}
+        for i, outcome in enumerate(outcomes):
+            record, entries = outcome[variant]
+            if record is not None:
+                records.append(record)
+            diag.update({f"i{i}.{key}": value for key, value in entries.items()})
+        diag["failures"] = str(len(outcomes) - len(records))
+        failures += len(outcomes) - len(records)
+        _atomic_write(out_dir / "labels" / (frame_id + ".txt"), emit_labels(records))
+        _atomic_write(out_dir / "diag" / (frame_id + ".cfg"), format_config(diag))
+    return failures
+
+
+def _run_fit(effective: dict, out_dirs: dict) -> int:
+    """Fit every instance of the dataset up to the highest requested rung
+    and write labels/ and diag/ of each rung into out_dirs[variant].
+
+    Instances are pooled across frames in dataset order and solved in
+    blocks of _FIT_BLOCK.  A frame is written as soon as its last instance
+    is solved, so memory stays bounded by a few blocks, not the dataset.
+    """
     data = Path(effective["data"])
     meas_files = sorted((data / "meas").glob("*.cfg"))
     if not meas_files:
         raise CLIError(f"no measurement files under {data / 'meas'}")
     model = _load_fit_model(effective.get("model"))
-    lambdas = tuple(effective[f"lambda{k}"] for k in (1, 2, 3, 4))
-    tasks = [
-        (path.stem, path.read_text(encoding="utf-8"), variant, model, lambdas,
-         effective["max_iterations"])
-        for path in meas_files
-    ]
-    results = _parallel_map(_fit_frame_task, tasks, effective["jobs"])
-    labels_dir = out_dir / "labels"
-    diag_dir = out_dir / "diag"
-    labels_dir.mkdir(parents=True, exist_ok=True)
-    diag_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for frame_id, labels_text, diag_text, frame_failures in results:
-        _atomic_write(labels_dir / (frame_id + ".txt"), labels_text)
-        _atomic_write(diag_dir / (frame_id + ".cfg"), diag_text)
-        failures += frame_failures
+    settings = (tuple(out_dirs), model, tuple(effective[f"lambda{k}"] for k in (1, 2, 3, 4)),
+                effective["max_iterations"])
+    for out_dir in out_dirs.values():
+        (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+        (out_dir / "diag").mkdir(parents=True, exist_ok=True)
+    # (frame id, instance count), appended as the files are parsed.  Under
+    # a worker pool blocks() runs in the pool's task thread; each frame is
+    # appended before any block holding its instances is handed out.
+    frames = []
+
+    def blocks():
+        pending = []
+        for path in meas_files:
+            measurements = _measurements_from_text(path.read_text(encoding="utf-8"))[2]
+            frames.append((path.stem, len(measurements)))
+            pending += measurements
+            while len(pending) >= _FIT_BLOCK:
+                yield (pending[:_FIT_BLOCK], *settings)
+                pending = pending[_FIT_BLOCK:]
+        # last, possibly empty: it also releases frames parsed after the
+        # last full block
+        yield (pending, *settings)
+
+    failures, written, solved = 0, 0, []
+    for outcomes in _parallel_map(_fit_block_task, blocks(), effective["jobs"]):
+        solved += outcomes
+        while written < len(frames) and frames[written][1] <= len(solved):
+            frame_id, count = frames[written]
+            failures += _write_frame(out_dirs, frame_id, solved[:count])
+            del solved[:count]
+            written += 1
     return failures
 
 
@@ -432,7 +484,7 @@ def cmd_fit(effective: dict, out_dir: Path) -> int:
     _require(effective, "fit", "data")
     if effective["variant"] not in ABLATION_VARIANTS:
         raise CLIError(f"unknown variant {effective['variant']!r}")
-    failures = _run_fit(effective, out_dir, effective["variant"])
+    failures = _run_fit(effective, {effective["variant"]: out_dir})
     _write_manifest(out_dir, "fit", effective)
     print(f"fit complete: {failures} instance failure(s); outputs in {out_dir}")
     return 1 if failures else 0
@@ -583,13 +635,13 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
 def cmd_ablate(effective: dict, out_dir: Path) -> int:
     _require(effective, "ablate", "data")
     gt_dir = _labels_dir(effective["data"])
-    total_failures = 0
-    per_variant = {}
-    for variant in ABLATION_VARIANTS:
-        variant_dir = out_dir / f"fit_{variant}"
-        total_failures += _run_fit(effective, variant_dir, variant)
-        _, frames = _paired_frames(variant_dir / "labels", gt_dir)
-        per_variant[variant] = frames
+    total_failures = _run_fit(
+        effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
+    )
+    per_variant = {
+        variant: _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir)[1]
+        for variant in ABLATION_VARIANTS
+    }
     points = effective["points"]
     tables = []
     for title, fn in (

@@ -10,21 +10,29 @@ sqrt(weight) when stacked.
 Optimization variables are (theta, T, sigma, alpha): yaw, bottom-face
 center, log box extents, and shape coefficients.  The parameter vector
 layout is [theta, T(3), sigma(3), alpha(N)].
+
+The kernel evaluates a block of B instances at once (block_residuals):
+parameters are a (B, D) array, points (B, n, 3) stacks, and residuals and
+Jacobians (B, m) and (B, m, D) stacks whose row layout depends only on the
+config and model sizes (term_rows).  No value is reduced across
+instances, so an instance's rows are bit-identical whatever block it is
+evaluated in.  The single-instance functions (residual_*, total_energy,
+stacked_residuals, jacobian) are the B=1 case of the same kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
+    EPS_Z,
+    BehindCameraError,
     Box2D,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
-    project,
-    rot_y,
-    rot_y_deriv,
     wrap_angle,
     UNIT_CORNERS,
 )
@@ -156,79 +164,270 @@ class Variables:
     def pose(self) -> PoseBox3D:
         return PoseBox3D(theta=wrap_angle(self.theta), T=self.T, sigma=self.sigma)
 
-    @property
-    def dim(self) -> int:
-        return 7 + self.alpha.size
 
+class MeasurementBlock(NamedTuple):
+    """B measurements stacked into arrays for the batched kernel.
 
-# ---------------------------------------------------------------------------
-# Projection helpers shared by residuals and Jacobians.  Corner positions:
-# X_i(theta, T, sigma) = R(theta) @ (u_i * exp(sigma)) + T with u_i the unit
-# corners; landmark positions use model points instead of u_i plus the
-# basis-coefficient dependency.
-# ---------------------------------------------------------------------------
-
-def _camera_points_and_grads(vars: Variables, local_pts, basis_pts=None):
-    """Camera-frame points plus their derivatives w.r.t. the variables.
-
-    local_pts: (n, 3) model/unit points to be scaled by exp(sigma).
-    basis_pts: optional (N, n, 3) linear dependence of local_pts on alpha;
-    when absent the alpha columns are zero (points do not move with alpha).
-    Returns (X, dX) with dX of shape (n, 3, vars.dim).
+    Instances without a crop depth carry depth 0 and has_depth False; their
+    depth row stays in the residual stack with value and gradient zero.
     """
-    n = len(local_pts)
-    N = vars.alpha.size
-    if basis_pts is not None and len(basis_pts) != N:
-        raise ValueError("basis count does not match coefficient count")
-    dims = np.exp(vars.sigma)
-    R = rot_y(vars.theta)
-    dR = rot_y_deriv(vars.theta)
-    scaled = local_pts * dims
-    X = scaled @ R.T + vars.T
 
-    dX = np.zeros((n, 3, 7 + N))
-    dX[:, :, 0] = scaled @ dR.T
-    dX[:, 0, 1] = 1.0
-    dX[:, 1, 2] = 1.0
-    dX[:, 2, 3] = 1.0
+    box: np.ndarray  # (B, 4) measured tx, ty, w, h
+    uv: np.ndarray  # (B, K, 2) landmark pixels
+    visible: np.ndarray  # (B, K) bool
+    depth: np.ndarray  # (B,) crop depth, 0 where none was measured
+    has_depth: np.ndarray  # (B,) bool
+    ground: np.ndarray  # (B, 3) ground-plane normals
+    cam: np.ndarray  # (B, 4) fx, fy, cx, cy
+
+    @staticmethod
+    def stack(measurements) -> "MeasurementBlock":
+        """Stack measurements that share one landmark count."""
+        ms = list(measurements)
+        B, K = len(ms), (ms[0].K if ms else 0)
+        return MeasurementBlock(
+            box=np.array([[m.box2d.tx, m.box2d.ty, m.box2d.w, m.box2d.h] for m in ms],
+                         dtype=float).reshape(B, 4),
+            uv=np.array([m.landmarks_uv for m in ms], dtype=float).reshape(B, K, 2),
+            visible=np.array([m.landmarks_visible for m in ms], dtype=bool).reshape(B, K),
+            depth=np.array([0.0 if m.depth_zb is None else m.depth_zb for m in ms], dtype=float),
+            has_depth=np.array([m.depth_zb is not None for m in ms], dtype=bool),
+            ground=np.array([m.ground.N for m in ms], dtype=float).reshape(B, 3),
+            cam=np.array([[m.cam.fx, m.cam.fy, m.cam.cx, m.cam.cy] for m in ms],
+                         dtype=float).reshape(B, 4),
+        )
+
+    def take(self, index) -> "MeasurementBlock":
+        """The sub-block of the instances selected by `index`."""
+        return MeasurementBlock(*(a[index] for a in self))
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel.  x is a (B, D) stack of parameter vectors.  Corner positions
+# are X_i(theta, T, sigma) = R(theta) @ (u_i * exp(sigma)) + T with u_i the unit
+# corners; landmark positions use model points instead of u_i plus the
+# basis-coefficient dependency.  Every array keeps the instance axis first and
+# nothing is reduced across it: products of small matrices go through stacked
+# matmul, which runs the same per-instance routine at any B.
+# ---------------------------------------------------------------------------
+
+def rowdot(a: np.ndarray) -> np.ndarray:
+    """Per-row dot product a[b] . a[b] of a (B, m) stack: the same BLAS
+    dot per row as a one-row call, at any B."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+def _camera_points(x, local, basis=None):
+    """Camera-frame points (B, n, 3) and their derivatives (B, n, 3, D).
+
+    local: (n, 3) or (B, n, 3) model/unit points to be scaled by exp(sigma).
+    basis: optional (N, n, 3) linear dependence of local on alpha; when
+    absent the alpha columns are zero (points do not move with alpha).
+    """
+    B, D = x.shape
+    dims = np.exp(x[:, 4:7])
+    c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
+    zero, one = np.zeros(B), np.ones(B)
+    R = np.stack([c, zero, s, zero, one, zero, -s, zero, c], axis=1).reshape(B, 3, 3)
+    Rt = R.transpose(0, 2, 1)
+    scaled = local * dims[:, None, :]
+    X = scaled @ Rt + x[:, None, 1:4]
+    dR = np.stack([-s, zero, c, zero, zero, zero, -c, zero, -s], axis=1).reshape(B, 3, 3)
+    dX = np.zeros(X.shape + (D,))
+    dX[..., 0] = scaled @ dR.transpose(0, 2, 1)
+    dX[:, :, 0, 1] = 1.0
+    dX[:, :, 1, 2] = 1.0
+    dX[:, :, 2, 3] = 1.0
     for j in range(3):
         # d/dsigma_j scales the j-th local coordinate: R[:, j] * p_j * e^s_j.
-        dX[:, :, 4 + j] = np.outer(local_pts[:, j] * dims[j], R[:, j])
-    if basis_pts is not None:
-        for nidx in range(N):
-            dX[:, :, 7 + nidx] = (basis_pts[nidx] * dims) @ R.T
+        dX[..., 4 + j] = (local[..., j] * dims[:, None, j])[:, :, None] * R[:, None, :, j]
+    if basis is not None and len(basis):
+        moved = (basis * dims[:, None, None, :]) @ Rt[:, None]  # (B, N, n, 3)
+        dX[..., 7:] = moved.transpose(0, 2, 3, 1)
     return X, dX
 
 
-def _project_with_grad(cam: CameraIntrinsics, X, dX):
-    """Pixel positions and d(uv)/d(vars) given camera points and their grads."""
-    uv = project(cam, X)
-    z = X[:, 2]
+def _project(block: MeasurementBlock, X, dX):
+    """Pixels (B, n, 2), their derivatives (B, n, 2, D) and a (B,) mask of
+    instances with a point at Z <= EPS_Z, whose values are meaningless.
+
+    The derivatives are written over dX (u and v rows), which saves a
+    (B, n, 2, D) temporary per evaluation.
+    """
+    fx, fy, cx, cy = (block.cam[:, i, None] for i in range(4))
+    z = X[..., 2]
+    uv = np.empty(X.shape[:2] + (2,))
+    uv[..., 0] = fx * X[..., 0] / z + cx
+    uv[..., 1] = fy * X[..., 1] / z + cy
     # duv/dX rows: (fx/z, 0, -fx x/z^2), (0, fy/z, -fy y/z^2).
-    duv = np.zeros((len(X), 2, dX.shape[2]))
-    duv[:, 0, :] = (cam.fx / z)[:, None] * dX[:, 0, :] - (
-        cam.fx * X[:, 0] / z**2
-    )[:, None] * dX[:, 2, :]
-    duv[:, 1, :] = (cam.fy / z)[:, None] * dX[:, 1, :] - (
-        cam.fy * X[:, 1] / z**2
-    )[:, None] * dX[:, 2, :]
-    return uv, duv
+    dX[:, :, 0] *= (fx / z)[..., None]
+    dX[:, :, 0] -= (fx * X[..., 0] / z**2)[..., None] * dX[:, :, 2]
+    dX[:, :, 1] *= (fy / z)[..., None]
+    dX[:, :, 1] -= (fy * X[..., 1] / z**2)[..., None] * dX[:, :, 2]
+    return uv, dX[:, :, :2], np.any(z <= EPS_Z, axis=1)
 
 
-def _box_from_projected(uv):
-    """Center/log-size parameters of the tight hull plus argmin/argmax info."""
-    i_l, i_t = np.argmin(uv, axis=0)
-    i_r, i_b = np.argmax(uv, axis=0)
-    left, right = uv[i_l, 0], uv[i_r, 0]
-    top, bottom = uv[i_t, 1], uv[i_b, 1]
-    return (i_l, i_t, i_r, i_b), np.array(
+def _box_term(x, block):
+    """Measured minus projected 2D box (B, 4), its Jacobian, and the behind mask."""
+    X, dX = _camera_points(x, UNIT_CORNERS)
+    uv, duv, behind = _project(block, X, dX)
+    # hull extremes: left/top are argmins, right/bottom argmaxes of (u, v)
+    i_l, i_t = np.argmin(uv, axis=1).T
+    i_r, i_b = np.argmax(uv, axis=1).T
+    rows = np.arange(len(x))
+    left, right = uv[rows, i_l, 0], uv[rows, i_r, 0]
+    top, bottom = uv[rows, i_t, 1], uv[rows, i_b, 1]
+    proj = np.stack([0.5 * (left + right), 0.5 * (top + bottom),
+                     np.log(right - left), np.log(bottom - top)], axis=1)
+    r = block.box - proj
+    # d log(right-left) = (duv_r - duv_l) / width; residual sign flips it.
+    J = np.stack(
         [
-            0.5 * (left + right),
-            0.5 * (top + bottom),
-            np.log(right - left),
-            np.log(bottom - top),
-        ]
+            -0.5 * (duv[rows, i_l, 0] + duv[rows, i_r, 0]),
+            -0.5 * (duv[rows, i_t, 1] + duv[rows, i_b, 1]),
+            -(duv[rows, i_r, 0] - duv[rows, i_l, 0]) / np.exp(proj[:, 2, None]),
+            -(duv[rows, i_b, 1] - duv[rows, i_t, 1]) / np.exp(proj[:, 3, None]),
+        ],
+        axis=1,
     )
+    return r, J, behind
+
+
+def _landmark_term(x, block, model: MorphableModel):
+    """Landmark reprojection residuals (B, 2K), interleaved u, v; occluded
+    entries are zero.  Returns the Jacobian and the behind mask too."""
+    B = len(x)
+    N = x.shape[1] - 7
+    if N != model.n_basis:
+        raise ValueError("basis count does not match coefficient count")
+    pts = model.mean_points() + (
+        0.0 if N == 0 else (x[:, None, 7:] @ model.basis).reshape(B, model.K, 3)
+    )
+    X, dX = _camera_points(x, pts, model.basis_points())
+    uv, duv, behind = _project(block, X, dX)
+    vis = block.visible[..., None]
+    r = np.where(vis, block.uv - uv, 0.0).reshape(B, 2 * model.K)
+    J = np.where(vis[..., None], np.negative(duv, out=duv), 0.0).reshape(B, 2 * model.K, x.shape[1])
+    return r, J, behind
+
+
+def _depth_term(x, block):
+    """Signed depth innovation T_z - Z_b (B, 1); zero without a measured depth."""
+    r = np.where(block.has_depth, x[:, 3] - block.depth, 0.0)[:, None]
+    J = np.zeros((len(x), 1, x.shape[1]))
+    J[:, 0, 3] = block.has_depth
+    return r, J
+
+
+def _ground_term(x, block):
+    """Ground-plane incidence N.T - 1 (B, 1); affine in T with gradient exactly N."""
+    r = (block.ground[:, None, :] @ x[:, 1:4, None])[:, 0] - 1.0
+    J = np.zeros((len(x), 1, x.shape[1]))
+    J[:, 0, 1:4] = block.ground
+    return r, J
+
+
+def _shape_term(x, cfg: EnergyConfig):
+    """Coefficient deviation from the configured center (B, N)."""
+    alpha = x[:, 7:]
+    N = alpha.shape[1]
+    if cfg.shape_prior_center == "instance_mean" and N:
+        r = alpha - np.mean(alpha, axis=1, keepdims=True)
+        d_alpha = np.eye(N) - 1.0 / N
+    else:
+        r = alpha.copy()
+        d_alpha = np.eye(N)
+    J = np.zeros((len(x), N, x.shape[1]))
+    J[:, :, 7:] = d_alpha
+    return r, J
+
+
+def term_rows(cfg: EnergyConfig, n_landmarks: int, n_alpha: int) -> list:
+    """(name, weight, row slice) of every enabled term in stacking order.
+
+    The layout depends on the configuration and model sizes only, never on
+    the instance: the depth row is present whenever its term is enabled.
+    """
+    out, start = [], 0
+    for name, weight, size, enabled in (
+        ("2d3d", 1.0, 4, cfg.enable_2d3d),
+        ("lp", cfg.lambda1, 2 * n_landmarks, cfg.enable_lp),
+        ("md", cfg.lambda2, 1, cfg.enable_md),
+        ("gp", cfg.lambda3, 1, cfg.enable_gp),
+        ("s", cfg.lambda4, n_alpha, cfg.enable_s),
+    ):
+        if enabled:
+            out.append((name, weight, slice(start, start + size)))
+            start += size
+    return out
+
+
+class BlockResiduals(NamedTuple):
+    r: np.ndarray  # (B, m) residuals scaled by sqrt(weight)
+    J: np.ndarray  # (B, m, D) their Jacobian
+    unweighted: np.ndarray  # (B, m) the same rows before the sqrt(weight) scaling
+    behind: np.ndarray  # (B,) a projected point lies behind the camera
+
+
+def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
+                    cfg: EnergyConfig) -> BlockResiduals:
+    """Weighted residual stacks of B instances at the (B, D) points x.
+
+    Row layout follows term_rows.  Rows of an instance flagged `behind`, or
+    of a point far enough out to overflow, are not meaningful; callers
+    mask them out rather than stop the block.
+    """
+    B, D = x.shape
+    behind = np.zeros(B, dtype=bool)
+    terms = []  # (weight, residual, jacobian)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for name, weight, _ in term_rows(cfg, model.K, D - 7):
+            if name == "2d3d":
+                r, J, out = _box_term(x, block)
+                scale = np.asarray(cfg.box_component_scale, dtype=float)
+                r, J = r * scale, J * scale[:, None]
+                behind |= out
+            elif name == "lp":
+                r, J, out = _landmark_term(x, block, model)
+                behind |= out
+            elif name == "md":
+                r, J = _depth_term(x, block)
+            elif name == "gp":
+                r, J = _ground_term(x, block)
+            else:
+                r, J = _shape_term(x, cfg)
+            terms.append((weight, r, J))
+        if not terms:
+            return BlockResiduals(np.zeros((B, 0)), np.zeros((B, 0, D)), np.zeros((B, 0)), behind)
+        unweighted = np.concatenate([r for _, r, _ in terms], axis=1)
+        sw = np.concatenate([np.full(r.shape[1], np.sqrt(w)) for w, r, _ in terms])
+        J = np.concatenate([J for _, _, J in terms], axis=1)
+        J *= sw[:, None]
+    return BlockResiduals(unweighted * sw, J, unweighted, behind)
+
+
+def block_energy(unweighted, cfg: EnergyConfig, n_landmarks: int, n_alpha: int):
+    """Total energy (B,) and per-term energies {name: (B,)} read from the
+    unweighted residual rows of block_residuals."""
+    total = 0.0
+    parts = {}
+    for name, weight, rows in term_rows(cfg, n_landmarks, n_alpha):
+        parts[name] = weight * rowdot(unweighted[:, rows])
+        total = total + parts[name]
+    return np.broadcast_to(total, len(unweighted)), parts
+
+
+# ---------------------------------------------------------------------------
+# Single-instance API: each function is the B=1 case of the kernel above.
+# ---------------------------------------------------------------------------
+
+def _one(vars: Variables, meas: Measurement):
+    return vars.to_vector()[None, :], MeasurementBlock.stack([meas])
+
+
+def _check_in_front(behind) -> None:
+    if behind[0]:
+        raise BehindCameraError("point behind camera")
 
 
 def residual_2d3d(vars: Variables, meas: Measurement, with_grad: bool = False):
@@ -237,156 +436,65 @@ def residual_2d3d(vars: Variables, meas: Measurement, with_grad: bool = False):
     Translation entries are pixels; size entries are log-scale differences
     (the exponential-coordinate distance on the 2D box group).
     """
-    X, dX = _camera_points_and_grads(vars, UNIT_CORNERS)
-    uv, duv = _project_with_grad(meas.cam, X, dX)
-    (i_l, i_t, i_r, i_b), proj_params = _box_from_projected(uv)
-    measured = np.array([meas.box2d.tx, meas.box2d.ty, meas.box2d.w, meas.box2d.h])
-    r = measured - proj_params
-    if not with_grad:
-        return r
-    width = np.exp(proj_params[2])
-    height = np.exp(proj_params[3])
-    J = np.zeros((4, dX.shape[2]))
-    J[0] = -0.5 * (duv[i_l, 0] + duv[i_r, 0])
-    J[1] = -0.5 * (duv[i_t, 1] + duv[i_b, 1])
-    # d log(right-left) = (duv_r - duv_l) / width; residual sign flips it.
-    J[2] = -(duv[i_r, 0] - duv[i_l, 0]) / width
-    J[3] = -(duv[i_b, 1] - duv[i_t, 1]) / height
-    return r, J
+    r, J, behind = _box_term(*_one(vars, meas))
+    _check_in_front(behind)
+    return (r[0], J[0]) if with_grad else r[0]
 
 
 def residual_lp(vars: Variables, meas: Measurement, model: MorphableModel, with_grad: bool = False):
     """Stacked landmark reprojection residuals; occluded entries are zero."""
-    pts = model.mean_points() + (
-        0.0 if model.n_basis == 0 else np.tensordot(vars.alpha, model.basis_points(), axes=1)
-    )
-    X, dX = _camera_points_and_grads(vars, pts, model.basis_points())
-    uv, duv = _project_with_grad(meas.cam, X, dX)
-    vis = meas.landmarks_visible
-    r = np.zeros(2 * meas.K)
-    diff = meas.landmarks_uv - uv
-    r[0::2] = np.where(vis, diff[:, 0], 0.0)
-    r[1::2] = np.where(vis, diff[:, 1], 0.0)
-    if not with_grad:
-        return r
-    J = np.zeros((2 * meas.K, dX.shape[2]))
-    J[0::2] = np.where(vis[:, None], -duv[:, 0, :], 0.0)
-    J[1::2] = np.where(vis[:, None], -duv[:, 1, :], 0.0)
-    return r, J
+    r, J, behind = _landmark_term(*_one(vars, meas), model)
+    _check_in_front(behind)
+    return (r[0], J[0]) if with_grad else r[0]
 
 
 def residual_md(vars: Variables, meas: Measurement, with_grad: bool = False):
     """Signed depth innovation T_z - Z_b; zero when no depth was measured."""
-    r = 0.0 if meas.depth_zb is None else float(vars.T[2] - meas.depth_zb)
-    if not with_grad:
-        return r
-    J = np.zeros(vars.dim)
-    if meas.depth_zb is not None:
-        J[3] = 1.0
-    return r, J
+    r, J = _depth_term(*_one(vars, meas))
+    return (float(r[0, 0]), J[0, 0]) if with_grad else float(r[0, 0])
 
 
 def residual_gp(vars: Variables, meas: Measurement, with_grad: bool = False):
     """Ground-plane incidence N.T - 1; affine in T with gradient exactly N."""
-    r = float(meas.ground.N @ vars.T - 1.0)
-    if not with_grad:
-        return r
-    J = np.zeros(vars.dim)
-    J[1:4] = meas.ground.N
-    return r, J
+    r, J = _ground_term(*_one(vars, meas))
+    return (float(r[0, 0]), J[0, 0]) if with_grad else float(r[0, 0])
 
 
 def residual_s(vars: Variables, cfg: EnergyConfig | None = None, with_grad: bool = False):
     """Coefficient deviation from the configured center."""
-    cfg = cfg or EnergyConfig()
-    N = vars.alpha.size
-    if N == 0:
-        r = np.zeros(0)
-        return (r, np.zeros((0, vars.dim))) if with_grad else r
-    if cfg.shape_prior_center == "instance_mean":
-        center = float(np.mean(vars.alpha))
-        r = vars.alpha - center
-        if not with_grad:
-            return r
-        J = np.zeros((N, vars.dim))
-        J[:, 7:] = np.eye(N) - 1.0 / N
-        return r, J
-    r = vars.alpha.copy()
-    if not with_grad:
-        return r
-    J = np.zeros((N, vars.dim))
-    J[:, 7:] = np.eye(N)
-    return r, J
+    r, J = _shape_term(vars.to_vector()[None, :], cfg or EnergyConfig())
+    return (r[0], J[0]) if with_grad else r[0]
 
 
-def _term_list(vars, meas, model, cfg, with_grad):
-    """(name, weight, residual, jacobian) for every enabled term."""
-    scale = np.asarray(cfg.box_component_scale, dtype=float)
-    out = []
-    if cfg.enable_2d3d:
-        if with_grad:
-            r, J = residual_2d3d(vars, meas, with_grad=True)
-            out.append(("2d3d", 1.0, r * scale, J * scale[:, None]))
-        else:
-            out.append(("2d3d", 1.0, residual_2d3d(vars, meas) * scale, None))
-    if cfg.enable_lp:
-        if with_grad:
-            r, J = residual_lp(vars, meas, model, with_grad=True)
-        else:
-            r, J = residual_lp(vars, meas, model), None
-        out.append(("lp", cfg.lambda1, r, J))
-    if cfg.enable_md and meas.depth_zb is not None:
-        if with_grad:
-            r, J = residual_md(vars, meas, with_grad=True)
-            out.append(("md", cfg.lambda2, np.array([r]), J[None, :]))
-        else:
-            out.append(("md", cfg.lambda2, np.array([residual_md(vars, meas)]), None))
-    if cfg.enable_gp:
-        if with_grad:
-            r, J = residual_gp(vars, meas, with_grad=True)
-            out.append(("gp", cfg.lambda3, np.array([r]), J[None, :]))
-        else:
-            out.append(("gp", cfg.lambda3, np.array([residual_gp(vars, meas)]), None))
-    if cfg.enable_s:
-        if with_grad:
-            r, J = residual_s(vars, cfg, with_grad=True)
-        else:
-            r, J = residual_s(vars, cfg), None
-        out.append(("s", cfg.lambda4, r, J))
-    return out
+def _evaluate_one(vars, meas, model, cfg):
+    res = block_residuals(*_one(vars, meas), model, cfg)
+    _check_in_front(res.behind)
+    return res
 
 
 def total_energy(vars: Variables, meas: Measurement, model: MorphableModel, cfg: EnergyConfig):
     """Weighted sum of squared residual norms, with a per-term breakdown."""
-    breakdown = {}
-    total = 0.0
-    for name, w, r, _ in _term_list(vars, meas, model, cfg, with_grad=False):
-        contrib = float(w * np.dot(r, r))
-        breakdown[name] = contrib
-        total += contrib
-    return total, breakdown
+    res = _evaluate_one(vars, meas, model, cfg)
+    total, parts = block_energy(res.unweighted, cfg, meas.K, vars.alpha.size)
+    if meas.depth_zb is None:
+        parts.pop("md", None)
+    return float(total[0]), {name: float(value[0]) for name, value in parts.items()}
 
 
 def stacked_residuals(vars, meas, model, cfg, with_grad: bool = False):
     """All enabled residuals scaled by sqrt(weight), optionally with Jacobian.
 
     The stacked vector r satisfies total_energy = r.r, so a least-squares
-    step on r minimizes the energy directly.
+    step on r minimizes the energy directly.  Without a measured depth the
+    depth row is left out.
     """
-    terms = _term_list(vars, meas, model, cfg, with_grad)
-    rs, Js = [], []
-    for _, w, r, J in terms:
-        sw = np.sqrt(w)
-        rs.append(sw * r)
-        if with_grad:
-            Js.append(sw * J)
-    if not rs:
-        r = np.zeros(0)
-        return (r, np.zeros((0, vars.dim))) if with_grad else r
-    r = np.concatenate(rs)
-    if not with_grad:
-        return r
-    return r, np.vstack(Js)
+    res = _evaluate_one(vars, meas, model, cfg)
+    r, J = res.r[0], res.J[0]
+    if meas.depth_zb is None:
+        depth_row = [rows.start for name, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
+                     if name == "md"]
+        r, J = np.delete(r, depth_row), np.delete(J, depth_row, axis=0)
+    return (r, J) if with_grad else r
 
 
 def jacobian(vars, meas, model, cfg) -> np.ndarray:

@@ -125,12 +125,6 @@ def rot_y(theta: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rot_y_deriv(theta: float) -> np.ndarray:
-    """d rot_y(theta) / d theta."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-
-
 def project(cam: CameraIntrinsics, X: np.ndarray) -> np.ndarray:
     """Central perspective map; accepts a single point or an (n, 3) stack."""
     X = np.asarray(X, dtype=float)

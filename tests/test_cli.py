@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import vehicle3d.cli
 from vehicle3d.cli import (
     _measurements_from_text,
     _measurements_text,
@@ -15,14 +16,17 @@ from vehicle3d.cli import (
 )
 from vehicle3d.geometry import wrap_pi
 from vehicle3d.metrics import alp
-from vehicle3d.refine import initialize
+from vehicle3d.refine import initialize, refine_ablation
 from vehicle3d.scene_io import (
     CAR_MODEL,
     NoiseSpec,
     SceneParams,
+    emit_labels,
+    format_config,
     generate_scene,
     parse_config_text,
     parse_labels,
+    pose_to_label,
 )
 from vehicle3d.shape import load_model
 
@@ -141,6 +145,55 @@ def test_fit_diagnostics_parse(dataset, tmp_path):
     assert diag["i0.converged"] in ("true", "false")
     assert int(diag["i0.iterations"]) >= 1
     float(diag["i0.energy"])  # parses
+
+
+def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 3, "--instances", 3) == 0
+    path = data / "meas" / "000001.cfg"
+    mapping = parse_config_text(path.read_text())
+    # i0: a NaN in a visible landmark
+    visible = mapping["i0.visible"].split()
+    landmarks = mapping["i0.landmarks"].split()
+    landmarks[2 * visible.index("1")] = "nan"
+    mapping["i0.landmarks"] = " ".join(landmarks)
+    # i1: no depth, and a box center above the horizon, so its ray meets the
+    # ground behind the camera
+    del mapping["i1.depth"]
+    mapping["i1.box"] = "500.0 60.0 560.0 100.0"
+    path.write_text(format_config(mapping))
+    # a trailing frame without instances
+    empty = {key: mapping[key] for key in ("camera", "ground")}
+    (data / "meas" / "000003.cfg").write_text(format_config({**empty, "instances": "0"}))
+
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--out", out) == 1
+    assert (out / "labels" / "000003.txt").read_text() == ""
+    assert parse_config_text((out / "diag" / "000003.cfg").read_text())["failures"] == "0"
+    diag = parse_config_text((out / "diag" / "000001.cfg").read_text())
+    assert diag["failures"] == "2"
+    assert "non-finite" in diag["i0.error"]
+    assert "behind the camera" in diag["i1.error"]
+    assert "i2.error" not in diag
+    for meas_path in sorted((data / "meas").glob("*.cfg")):
+        cam, _, measurements = _measurements_from_text(meas_path.read_text())
+        expected = []
+        for i, meas in enumerate(measurements):
+            if meas_path.stem == "000001" and i < 2:
+                continue
+            solo = refine_ablation(meas, CAR_MODEL, "v4")
+            expected.append(pose_to_label(solo.vars.pose(), cam,
+                                          score=1.0 / (1.0 + solo.final_energy)))
+        labels = (out / "labels" / (meas_path.stem + ".txt")).read_text()
+        assert labels == emit_labels(expected)
+
+    # blocks that straddle frames, serial or in a worker pool, write the same
+    # files; 9 instances fill three blocks before the empty frame is read
+    monkeypatch.setattr(vehicle3d.cli, "_FIT_BLOCK", 3)
+    for jobs in (1, 2):
+        small = tmp_path / f"blocks_of_3_jobs_{jobs}"
+        assert run_cli("fit", "--data", data, "--out", small, "--jobs", jobs) == 1
+        assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
 
 
 def test_fit_rejects_unknown_variant(dataset, tmp_path, capsys):

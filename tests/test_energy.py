@@ -510,4 +510,3 @@ def test_variables_vector_round_trip():
     np.testing.assert_array_equal(back.T, vars.T)
     np.testing.assert_array_equal(back.sigma, vars.sigma)
     np.testing.assert_array_equal(back.alpha, vars.alpha)
-    assert vars.dim == 10

@@ -15,7 +15,6 @@ from vehicle3d.geometry import (
     project,
     project_box3d,
     rot_y,
-    rot_y_deriv,
     wrap_angle,
 )
 from tests.oracles import mc_iou_3d, mc_iou_bev, random_pose_pairs
@@ -47,13 +46,6 @@ class TestRotY:
 
     def test_axis_fixed(self):
         assert np.allclose(rot_y(1.234) @ [0, 1, 0], [0, 1, 0])
-
-    def test_deriv_matches_fd(self):
-        rng = np.random.default_rng(2)
-        h = 1e-7
-        for theta in rng.uniform(0, 2 * np.pi, size=20):
-            fd = (rot_y(theta + h) - rot_y(theta - h)) / (2 * h)
-            assert np.allclose(rot_y_deriv(theta), fd, atol=1e-8)
 
 
 class TestProject:

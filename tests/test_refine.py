@@ -3,7 +3,7 @@ instances, monotonicity, determinism, and the ablation ladder."""
 import numpy as np
 import pytest
 
-from vehicle3d.energy import EnergyConfig, Measurement, Variables
+from vehicle3d.energy import EnergyConfig, Measurement, Variables, ablation_config
 from vehicle3d.geometry import (
     Box2D,
     CameraIntrinsics,
@@ -16,10 +16,14 @@ from vehicle3d.refine import (
     InitializationError,
     RefineResult,
     SolverOptions,
+    _damped_steps,
     initialize,
     refine,
     refine_ablation,
+    refine_batch,
+    refine_ladder,
 )
+from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate, place_in_camera
 
 CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
@@ -325,5 +329,100 @@ def test_unusable_initial_point_raises():
     behind = Variables(
         theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3), alpha=np.zeros(2)
     )
-    with pytest.raises(InitializationError):
+    with pytest.raises(InitializationError, match="behind the camera"):
         refine(meas, model, initial=behind)
+    # a NaN in a visible landmark is reported as such, not as a camera problem
+    uv = meas.landmarks_uv.copy()
+    uv[np.flatnonzero(meas.landmarks_visible)[0], 0] = np.nan
+    nan_meas = Measurement(
+        box2d=meas.box2d, landmarks_uv=uv, landmarks_visible=meas.landmarks_visible,
+        theta0=meas.theta0, sigma0=meas.sigma0, ground=GROUND, cam=CAM,
+        depth_zb=meas.depth_zb,
+    )
+    with pytest.raises(InitializationError, match="non-finite"):
+        refine(nan_meas, model)
+
+
+# ---------------------------------------------------------------------------
+# Block batching
+# ---------------------------------------------------------------------------
+
+def _seed7_frames(n_frames=4):
+    return [generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]
+            for index in range(n_frames)]
+
+
+def _fingerprint(outcome):
+    if isinstance(outcome, InitializationError):
+        return str(outcome)
+    return (outcome.vars.to_vector().tobytes(), outcome.iterations, outcome.reason,
+            outcome.converged, outcome.energy_path.tobytes())
+
+
+def _ladder_in_blocks(blocks):
+    """{(variant, instance id): fingerprint} from one ladder pass per block of
+    (instance id, measurement) pairs."""
+    out = {}
+    for block in blocks:
+        rungs = refine_ladder([meas for _, meas in block], CAR_MODEL, "v4")
+        for variant, outcomes in rungs.items():
+            for (key, _), outcome in zip(block, outcomes):
+                out[variant, key] = _fingerprint(outcome)
+    return out
+
+
+@pytest.mark.parametrize("grouping", ["per_frame", "one_block", "reversed"])
+def test_results_do_not_depend_on_the_block(grouping):
+    frames = _seed7_frames()
+    instances = [((f, i), meas) for f, frame in enumerate(frames)
+                 for i, meas in enumerate(frame)]
+    alone = _ladder_in_blocks([[pair] for pair in instances])
+    blocks = {
+        "per_frame": [[((f, i), meas) for i, meas in enumerate(frame)]
+                      for f, frame in enumerate(frames)],
+        "one_block": [instances],
+        "reversed": [instances[::-1]],
+    }[grouping]
+    assert _ladder_in_blocks(blocks) == alone
+    # the single-instance entry points are the same computation
+    (f, i), meas = instances[-1]
+    for variant in ("v1", "v2", "v3", "v4"):
+        assert _fingerprint(refine_ablation(meas, CAR_MODEL, variant)) == alone[variant, (f, i)]
+
+
+def test_explicit_initial_starts_the_rung_directly():
+    meas = _seed7_frames(1)[0][0]
+    rungs = refine_ladder([meas], CAR_MODEL, "v3")
+    from_v2 = refine_ablation(meas, CAR_MODEL, "v3", initial=rungs["v2"][0].vars)
+    assert _fingerprint(from_v2) == _fingerprint(rungs["v3"][0])
+    start = initialize(meas, CAR_MODEL)
+    direct = refine_ablation(meas, CAR_MODEL, "v3", initial=start)
+    assert _fingerprint(direct) == _fingerprint(
+        refine(meas, CAR_MODEL, ablation_config("v3"), initial=start))
+    assert _fingerprint(direct) != _fingerprint(rungs["v3"][0])
+
+
+def test_failing_instance_leaves_its_block_alone():
+    frame = _seed7_frames(1)[0]
+    good = refine_batch(frame, CAR_MODEL)
+    behind = Variables(theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3),
+                       alpha=np.zeros(CAR_MODEL.n_basis))
+    starts = [initialize(meas, CAR_MODEL) for meas in frame]
+    starts[2] = behind
+    mixed = refine_batch(frame, CAR_MODEL, initial=starts)
+    assert isinstance(mixed[2], InitializationError)
+    assert "behind the camera" in str(mixed[2])
+    for i in (0, 1, 3, 4):
+        assert _fingerprint(mixed[i]) == _fingerprint(good[i])
+
+
+def test_singular_system_fails_only_its_own_instance():
+    rng = np.random.default_rng(34)
+    A = rng.standard_normal((3, 4, 4))
+    H = A @ A.transpose(0, 2, 1)
+    H[1] = 0.0  # singular without damping
+    g = rng.standard_normal((3, 4))
+    dx, solved = _damped_steps(H, g, np.zeros(3))
+    np.testing.assert_array_equal(solved, [True, False, True])
+    for i in (0, 2):
+        np.testing.assert_array_equal(dx[i], np.linalg.solve(H[i], -g[i]))
