@@ -20,9 +20,10 @@ solve per block; an instance's result does not depend on which block it
 lands in, and blocks are collected in dataset order, so reruns are
 byte-identical for a fixed seed at any --jobs setting.
 
-Exit status: 0 on full success; 1 on any failure (bad configuration, I/O,
-mismatched frame sets, or per-instance fit failures -- the run still
-completes and records what it can); 2 for command-line usage errors.
+Exit status: 0 on full success; 1 on any failure (bad configuration or
+out-of-range option values, I/O, malformed measurement files, mismatched
+frame sets, or per-instance fit failures -- the run still completes and
+records what it can); 2 for command-line usage errors.
 """
 from __future__ import annotations
 
@@ -30,12 +31,14 @@ import argparse
 import multiprocessing
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
-from .geometry import BehindCameraError, Box2D, CameraIntrinsics, GroundPlane, footprint
+from .geometry import BehindCameraError, footprint
 from .metrics import DIFFICULTIES, alp, ap_2d_aos, ap_3d, ap_bev, pr_curve
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
@@ -43,16 +46,19 @@ from .refine import InitializationError, SolverOptions, refine_ladder
 from .refine import refine_ablation  # noqa: F401
 from .scene_io import (
     CAR_MODEL,
+    STANDARD_NOISE,
     GenerationError,
     LabelFormatError,
+    MeasurementFormatError,
     NoiseSpec,
     SceneParams,
     emit_labels,
+    emit_measurements,
     format_config,
     generate_scene,
     label_to_pose,
-    parse_config_text,
     parse_labels,
+    parse_measurements,
     pose_to_label,
     read_config,
 )
@@ -64,8 +70,8 @@ class CLIError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Option plumbing: one table per subcommand, shared by argparse and the
-# config-file reader so precedence is uniform.
+# Option plumbing: one option table per subcommand (_COMMANDS, at the end),
+# shared by argparse and the config-file reader so precedence is uniform.
 # ---------------------------------------------------------------------------
 
 def _as_bool(text: str) -> bool:
@@ -101,99 +107,74 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-# (name, converter, default, help); name uses underscores, the flag dashes
-_COMMON_FIT = [
-    ("variant", str, "v4", "energy variant v1..v4"),
-    ("jobs", int, 1, "worker processes for per-frame work"),
-    ("lambda1", float, 0.3, "landmark term weight"),
-    ("lambda2", float, 0.001, "depth term weight"),
-    ("lambda3", float, 10.0, "ground-plane term weight"),
-    ("lambda4", float, 8.0, "shape-regularity term weight"),
-    ("max_iterations", int, 50, "solver iteration cap"),
-]
+class Option(NamedTuple):
+    name: str  # underscores; the flag uses dashes
+    conv: Callable
+    default: object
+    help: str
+    field: str | None = None  # "config.field" the value sets, see _CONFIGS
+    minimum: int | None = None
+    required: bool = False
 
-_OPTIONS = {
-    "synth": [
-        ("seed", int, None, "dataset seed (required)"),
-        ("frames", int, 50, "number of frames to generate"),
-        ("instances", int, 5, "instances per frame"),
-        ("with_depth", _as_bool, True, "include a crop-depth pseudo-measurement"),
-        ("landmark_px", float, 2.0, "landmark noise, pixels"),
-        ("occlusion_rate", float, 0.2, "landmark drop probability"),
-        ("box_px", float, 3.0, "2D box corner noise, pixels"),
-        ("theta_deg", float, 8.0, "yaw hypothesis noise, degrees"),
-        ("sigma_log", float, 0.1, "log-extent hypothesis noise"),
-        ("depth_rel", float, 0.07, "relative depth noise"),
-    ],
-    "shape-learn": [
-        ("data", str, None, "dataset directory from synth (required)"),
-        ("basis", int, 2, "number of basis shapes"),
-        ("max_iterations", int, 500, "EM iteration cap"),
-        ("tol", float, 1e-6, "relative log-likelihood stop"),
-    ],
-    "fit": [("data", str, None, "dataset directory from synth (required)"),
-            ("model", str, None, "morphable model file (default: built-in)")]
-    + _COMMON_FIT,
-    "eval": [
-        ("pred", str, None, "predicted labels: directory or fit output (required)"),
-        ("gt", str, None, "ground-truth labels: directory or dataset (required)"),
-        ("alp_thresholds", _as_float_list, (1.0, 2.0, 3.0), "ALP meters, comma-separated"),
-        ("iou3d_thresholds", _as_float_list, (0.25, 0.5, 0.7), "3D IoU thresholds"),
-        ("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds"),
-        ("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold"),
-        ("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'"),
-        ("points", int, 11, "AP interpolation points (11 or 41)"),
-        ("curves", _as_bool, False, "write PR curve point files"),
-        ("plot_data", _as_bool, False, "write footprint/wireframe polylines"),
-    ],
-    "ablate": [
-        ("data", str, None, "dataset directory from synth (required)"),
-        ("model", str, None, "morphable model file (default: built-in)"),
-        ("jobs", int, 1, "worker processes"),
-        ("lambda1", float, 0.3, "landmark term weight"),
-        ("lambda2", float, 0.001, "depth term weight"),
-        ("lambda3", float, 10.0, "ground-plane term weight"),
-        ("lambda4", float, 8.0, "shape-regularity term weight"),
-        ("max_iterations", int, 50, "solver iteration cap"),
-        ("alp_threshold", float, 1.0, "ALP distance for the table, meters"),
-        ("iou3d_threshold", float, 0.25, "3D IoU for the table"),
-        ("bev_threshold", float, 0.5, "bird's-eye IoU for the table"),
-        ("points", int, 11, "AP interpolation points"),
-    ],
+
+# The config objects behind options: a field option takes its default and
+# converter from the field's value here, and its value is set on a copy.
+_CONFIGS = {
+    "energy": EnergyConfig(),
+    "solver": SolverOptions(),
+    "noise": STANDARD_NOISE,
+    "scene": SceneParams(),
+    "learn": LearnOptions(),
 }
+_CONVERTERS = {bool: _as_bool, int: int, float: float}
 
 
-def _resolve_options(command: str, args) -> dict:
-    table = _OPTIONS[command]
+def _field_option(name: str, field: str, help_text: str) -> Option:
+    config, attr = field.split(".")
+    default = getattr(_CONFIGS[config], attr)
+    return Option(name, _CONVERTERS[type(default)], default, help_text, field)
+
+
+def _resolve_options(command: str, args):
+    """(effective option values, config objects) of one run.
+
+    Each value comes from its flag, else the --config file, else the
+    default.  Required options, minimums and the config objects' own
+    checks are all applied here, before anything is written.
+    """
     file_cfg = {}
     if args.config:
         try:
             file_cfg = read_config(args.config)
         except (OSError, ValueError) as exc:
             raise CLIError(f"cannot read config {args.config}: {exc}")
-    known = {name for name, _, _, _ in table} | {"command", "out"}
-    unknown = sorted(set(file_cfg) - known)
+    table = _COMMANDS[command].options
+    unknown = sorted(set(file_cfg) - {opt.name for opt in table} - {"command", "out"})
     if unknown:
         raise CLIError(f"unknown config keys: {', '.join(unknown)}")
-    effective = {}
-    for name, conv, default, _ in table:
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            effective[name] = cli_value
-        elif name in file_cfg:
+    effective, configs = {}, {}
+    for opt in table:
+        if hasattr(args, opt.name):
+            value = getattr(args, opt.name)
+        elif opt.name in file_cfg:
             try:
-                effective[name] = conv(file_cfg[name])
+                value = opt.conv(file_cfg[opt.name])
             except ValueError as exc:
-                raise CLIError(f"config key {name}: {exc}")
+                raise CLIError(f"config key {opt.name}: {exc}")
         else:
-            effective[name] = default
-    return effective
-
-
-def _require(effective: dict, command: str, *names):
-    for name in names:
-        if effective.get(name) is None:
-            raise CLIError(f"{command} requires --{name.replace('_', '-')}")
+            value = opt.default
+        if opt.required and value is None:
+            raise CLIError(f"{command} requires --{opt.name.replace('_', '-')}")
+        if opt.minimum is not None and value < opt.minimum:
+            raise CLIError(f"{opt.name} must be at least {opt.minimum}")
+        if opt.field is not None:
+            config, attr = opt.field.split(".")
+            try:
+                configs[config] = replace(configs.get(config, _CONFIGS[config]), **{attr: value})
+            except ValueError as exc:
+                raise CLIError(f"{opt.name} = {_fmt_value(value)}: {exc}")
+        effective[opt.name] = value
+    return effective, configs
 
 
 # ---------------------------------------------------------------------------
@@ -221,68 +202,14 @@ def _labels_dir(path_text: str) -> Path:
     raise CLIError(f"no label directory at {path}")
 
 
-def _read_label_file(path: Path):
+def _read_data_file(path: Path, parse):
+    """parse(the file's text); a malformed file or an I/O error is a CLIError."""
     try:
-        return parse_labels(path.read_text(encoding="utf-8"))
-    except LabelFormatError as exc:
+        return parse(path.read_text(encoding="utf-8"))
+    except (LabelFormatError, MeasurementFormatError) as exc:
         raise CLIError(f"{path}: {exc}")
     except OSError as exc:
         raise CLIError(str(exc))
-
-
-# ---------------------------------------------------------------------------
-# Measurement files: one per frame, carrying the camera, ground plane and
-# each instance's pseudo-measurements in `key = value` form.
-# ---------------------------------------------------------------------------
-
-def _measurements_text(cam: CameraIntrinsics, ground: GroundPlane, measurements) -> str:
-    payload = {
-        "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
-        "ground": " ".join(repr(float(v)) for v in ground.N),
-        "instances": str(len(measurements)),
-    }
-    for i, meas in enumerate(measurements):
-        prefix = f"i{i}."
-        corners = meas.box2d.corners()
-        payload[prefix + "box"] = " ".join(repr(float(v)) for v in corners)
-        payload[prefix + "theta0"] = repr(float(meas.theta0))
-        payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in meas.sigma0)
-        payload[prefix + "landmarks"] = " ".join(
-            repr(float(v)) for v in meas.landmarks_uv.reshape(-1)
-        )
-        payload[prefix + "visible"] = " ".join(
-            "1" if v else "0" for v in meas.landmarks_visible
-        )
-        if meas.depth_zb is not None:
-            payload[prefix + "depth"] = repr(float(meas.depth_zb))
-    return format_config(payload)
-
-
-def _measurements_from_text(text: str):
-    mapping = parse_config_text(text)
-    fx, fy, cx, cy = (float(v) for v in mapping["camera"].split())
-    cam = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
-    ground = GroundPlane(N=np.array([float(v) for v in mapping["ground"].split()]))
-    measurements = []
-    for i in range(int(mapping["instances"])):
-        prefix = f"i{i}."
-        left, top, right, bottom = (float(v) for v in mapping[prefix + "box"].split())
-        uv = np.array([float(v) for v in mapping[prefix + "landmarks"].split()])
-        visible = np.array([v == "1" for v in mapping[prefix + "visible"].split()])
-        depth = float(mapping[prefix + "depth"]) if prefix + "depth" in mapping else None
-        measurements.append(
-            Measurement(
-                box2d=Box2D.from_corners(left, top, right, bottom),
-                landmarks_uv=uv.reshape(-1, 2),
-                landmarks_visible=visible,
-                theta0=float(mapping[prefix + "theta0"]),
-                sigma0=np.array([float(v) for v in mapping[prefix + "sigma0"].split()]),
-                ground=ground,
-                cam=cam,
-                depth_zb=depth,
-            )
-        )
-    return cam, ground, measurements
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +244,15 @@ def render_table(title: str, headers, rows) -> str:
 # synth
 # ---------------------------------------------------------------------------
 
-def cmd_synth(effective: dict, out_dir: Path) -> int:
-    _require(effective, "synth", "seed")
-    noise = NoiseSpec(
-        landmark_px_sigma=effective["landmark_px"],
-        landmark_occlusion_rate=effective["occlusion_rate"],
-        box_px_sigma=effective["box_px"],
-        theta_sigma_deg=effective["theta_deg"],
-        sigma_log_sigma=effective["sigma_log"],
-        depth_rel_sigma=effective["depth_rel"],
-    )
-    params = SceneParams(
-        n_instances=effective["instances"], with_depth=effective["with_depth"]
-    )
+def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneParams) -> int:
     labels_dir = out_dir / "labels"
     meas_dir = out_dir / "meas"
     labels_dir.mkdir(parents=True, exist_ok=True)
     meas_dir.mkdir(parents=True, exist_ok=True)
     for index in range(effective["frames"]):
         try:
-            scene, measurements, labels = generate_scene(
-                params, noise, [effective["seed"], index]
+            frame, measurements, labels = generate_scene(
+                scene, noise, [effective["seed"], index]
             )
         except GenerationError as exc:
             raise CLIError(f"frame {index}: {exc}")
@@ -345,7 +260,7 @@ def cmd_synth(effective: dict, out_dir: Path) -> int:
         _atomic_write(labels_dir / (name + ".txt"), emit_labels(labels))
         _atomic_write(
             meas_dir / (name + ".cfg"),
-            _measurements_text(scene.camera, scene.ground, measurements),
+            emit_measurements(frame.camera, frame.ground, measurements),
         )
     _write_manifest(out_dir, "synth", effective)
     print(f"wrote {effective['frames']} frames to {out_dir}")
@@ -385,13 +300,9 @@ def _instance_outcome(meas: Measurement, outcome):
 
 
 def _fit_block_task(task):
-    measurements, variants, model, lambdas, max_iterations = task
-    base = EnergyConfig(
-        lambda1=lambdas[0], lambda2=lambdas[1], lambda3=lambdas[2], lambda4=lambdas[3]
-    )
-    opts = SolverOptions(max_iterations=max_iterations)
+    measurements, variants, model, energy, solver = task
     top = max(variants, key=ABLATION_VARIANTS.index)
-    rungs = refine_ladder(measurements, model, top, opts=opts, base=base)
+    rungs = refine_ladder(measurements, model, top, opts=solver, base=energy)
     return [
         {v: _instance_outcome(meas, rungs[v][i]) for v in variants}
         for i, meas in enumerate(measurements)
@@ -405,6 +316,14 @@ def _parallel_map(fn, tasks, jobs: int):
             yield from pool.imap(fn, tasks, chunksize=1)
     else:
         yield from map(fn, tasks)
+
+
+def _measurement_files(data_text: str) -> list:
+    meas_dir = Path(data_text) / "meas"
+    paths = sorted(meas_dir.glob("*.cfg"))
+    if not paths:
+        raise CLIError(f"no measurement files under {meas_dir}")
+    return paths
 
 
 def _load_fit_model(model_path):
@@ -433,7 +352,7 @@ def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
     return failures
 
 
-def _run_fit(effective: dict, out_dirs: dict) -> int:
+def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: SolverOptions) -> int:
     """Fit every instance of the dataset up to the highest requested rung
     and write labels/ and diag/ of each rung into out_dirs[variant].
 
@@ -441,25 +360,21 @@ def _run_fit(effective: dict, out_dirs: dict) -> int:
     blocks of _FIT_BLOCK.  A frame is written as soon as its last instance
     is solved, so memory stays bounded by a few blocks, not the dataset.
     """
-    data = Path(effective["data"])
-    meas_files = sorted((data / "meas").glob("*.cfg"))
-    if not meas_files:
-        raise CLIError(f"no measurement files under {data / 'meas'}")
-    model = _load_fit_model(effective.get("model"))
-    settings = (tuple(out_dirs), model, tuple(effective[f"lambda{k}"] for k in (1, 2, 3, 4)),
-                effective["max_iterations"])
+    meas_files = _measurement_files(effective["data"])
+    settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
     for out_dir in out_dirs.values():
         (out_dir / "labels").mkdir(parents=True, exist_ok=True)
         (out_dir / "diag").mkdir(parents=True, exist_ok=True)
     # (frame id, instance count), appended as the files are parsed.  Under
     # a worker pool blocks() runs in the pool's task thread; each frame is
-    # appended before any block holding its instances is handed out.
+    # appended before any block holding its instances is handed out, and a
+    # malformed file's CLIError reaches this thread in block order.
     frames = []
 
     def blocks():
         pending = []
         for path in meas_files:
-            measurements = _measurements_from_text(path.read_text(encoding="utf-8"))[2]
+            measurements = _read_data_file(path, parse_measurements)[2]
             frames.append((path.stem, len(measurements)))
             pending += measurements
             while len(pending) >= _FIT_BLOCK:
@@ -480,11 +395,10 @@ def _run_fit(effective: dict, out_dirs: dict) -> int:
     return failures
 
 
-def cmd_fit(effective: dict, out_dir: Path) -> int:
-    _require(effective, "fit", "data")
+def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
     if effective["variant"] not in ABLATION_VARIANTS:
         raise CLIError(f"unknown variant {effective['variant']!r}")
-    failures = _run_fit(effective, {effective["variant"]: out_dir})
+    failures = _run_fit(effective, {effective["variant"]: out_dir}, energy, solver)
     _write_manifest(out_dir, "fit", effective)
     print(f"fit complete: {failures} instance failure(s); outputs in {out_dir}")
     return 1 if failures else 0
@@ -512,8 +426,8 @@ def _paired_frames(pred_dir: Path, gt_dir: Path):
     order = sorted(gt_ids)
     for frame_id in order:
         frames.append(
-            (tuple(_read_label_file(pred_ids[frame_id])),
-             tuple(_read_label_file(gt_ids[frame_id])))
+            (tuple(_read_data_file(pred_ids[frame_id], parse_labels)),
+             tuple(_read_data_file(gt_ids[frame_id], parse_labels)))
         )
     return order, frames
 
@@ -609,9 +523,6 @@ def _write_plot_data(order, frames, out_dir: Path) -> None:
 
 
 def cmd_eval(effective: dict, out_dir: Path | None) -> int:
-    _require(effective, "eval", "pred", "gt")
-    if effective["points"] < 2:
-        raise CLIError("points must be at least 2")
     order, frames = _paired_frames(
         _labels_dir(effective["pred"]), _labels_dir(effective["gt"])
     )
@@ -632,11 +543,11 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def cmd_ablate(effective: dict, out_dir: Path) -> int:
-    _require(effective, "ablate", "data")
+def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
     gt_dir = _labels_dir(effective["data"])
     total_failures = _run_fit(
-        effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
+        effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS},
+        energy, solver,
     )
     per_variant = {
         variant: _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir)[1]
@@ -668,24 +579,14 @@ def cmd_ablate(effective: dict, out_dir: Path) -> int:
 # shape-learn
 # ---------------------------------------------------------------------------
 
-def cmd_shape_learn(effective: dict, out_dir: Path) -> int:
-    _require(effective, "shape-learn", "data")
-    data = Path(effective["data"])
-    meas_files = sorted((data / "meas").glob("*.cfg"))
-    if not meas_files:
-        raise CLIError(f"no measurement files under {data / 'meas'}")
-    observations = []
-    for path in meas_files:
-        _, _, measurements = _measurements_from_text(path.read_text(encoding="utf-8"))
-        for meas in measurements:
-            observations.append(
-                LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
-            )
-    opts = LearnOptions(
-        tol=effective["tol"], max_iterations=effective["max_iterations"]
-    )
+def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
+    observations = [
+        LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
+        for path in _measurement_files(effective["data"])
+        for meas in _read_data_file(path, parse_measurements)[2]
+    ]
     try:
-        result = learn_em(observations, effective["basis"], opts)
+        result = learn_em(observations, effective["basis"], learn)
     except InsufficientDataError as exc:
         raise CLIError(str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -713,54 +614,109 @@ def cmd_shape_learn(effective: dict, out_dir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class Command(NamedTuple):
+    summary: str
+    handler: Callable  # (effective, out_dir, **configs) -> exit status
+    needs_out: bool
+    options: tuple
+
+
+_DATA = Option("data", str, None, "dataset directory from synth", required=True)
+_MODEL = Option("model", str, None, "morphable model file (default: built-in)")
+_JOBS = Option("jobs", int, 1, "worker processes", minimum=1)
+_POINTS = Option("points", int, 11, "AP interpolation points", minimum=2)
+_SOLVE = (
+    _field_option("lambda1", "energy.lambda1", "landmark term weight"),
+    _field_option("lambda2", "energy.lambda2", "depth term weight"),
+    _field_option("lambda3", "energy.lambda3", "ground-plane term weight"),
+    _field_option("lambda4", "energy.lambda4", "shape-regularity term weight"),
+    _field_option("max_iterations", "solver.max_iterations", "solver iteration cap"),
+)
+
+_COMMANDS = {
+    "synth": Command("generate a synthetic labeled dataset", cmd_synth, True, (
+        Option("seed", int, None, "dataset seed", required=True),
+        Option("frames", int, 50, "number of frames to generate"),
+        _field_option("instances", "scene.n_instances", "instances per frame"),
+        _field_option("with_depth", "scene.with_depth", "include a crop-depth pseudo-measurement"),
+        _field_option("landmark_px", "noise.landmark_px_sigma", "landmark noise, pixels"),
+        _field_option("occlusion_rate", "noise.landmark_occlusion_rate", "landmark drop probability"),
+        _field_option("box_px", "noise.box_px_sigma", "2D box corner noise, pixels"),
+        _field_option("theta_deg", "noise.theta_sigma_deg", "yaw hypothesis noise, degrees"),
+        _field_option("sigma_log", "noise.sigma_log_sigma", "log-extent hypothesis noise"),
+        _field_option("depth_rel", "noise.depth_rel_sigma", "relative depth noise"),
+    )),
+    "shape-learn": Command("learn a morphable model from annotated landmarks", cmd_shape_learn, True, (
+        _DATA,
+        Option("basis", int, 2, "number of basis shapes", minimum=0),
+        _field_option("max_iterations", "learn.max_iterations", "EM iteration cap"),
+        _field_option("tol", "learn.tol", "relative log-likelihood stop"),
+    )),
+    "fit": Command("refine 3D boxes for every frame of a dataset", cmd_fit, True, (
+        _DATA,
+        _MODEL,
+        Option("variant", str, "v4", "energy variant v1..v4"),
+        _JOBS._replace(help="worker processes for per-frame work"),
+        *_SOLVE,
+    )),
+    "eval": Command("score predictions against ground truth", cmd_eval, False, (
+        Option("pred", str, None, "predicted labels: directory or fit output", required=True),
+        Option("gt", str, None, "ground-truth labels: directory or dataset", required=True),
+        Option("alp_thresholds", _as_float_list, (1.0, 2.0, 3.0), "ALP meters, comma-separated"),
+        Option("iou3d_thresholds", _as_float_list, (0.25, 0.5, 0.7), "3D IoU thresholds"),
+        Option("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds"),
+        Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold"),
+        Option("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'"),
+        _POINTS._replace(help="AP interpolation points (11 or 41)"),
+        Option("curves", _as_bool, False, "write PR curve point files"),
+        Option("plot_data", _as_bool, False, "write footprint/wireframe polylines"),
+    )),
+    "ablate": Command("run all energy variants and tabulate the metrics", cmd_ablate, True, (
+        _DATA,
+        _MODEL,
+        _JOBS,
+        *_SOLVE,
+        Option("alp_threshold", float, 1.0, "ALP distance for the table, meters"),
+        Option("iou3d_threshold", float, 0.25, "3D IoU for the table"),
+        Option("bev_threshold", float, 0.5, "bird's-eye IoU for the table"),
+        _POINTS,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vehicle3d",
         description="synthetic 3D vehicle pose benchmark: generate, fit, evaluate",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    needs_out = {"synth": True, "shape-learn": True, "fit": True,
-                 "eval": False, "ablate": True}
-    summaries = {
-        "synth": "generate a synthetic labeled dataset",
-        "shape-learn": "learn a morphable model from annotated landmarks",
-        "fit": "refine 3D boxes for every frame of a dataset",
-        "eval": "score predictions against ground truth",
-        "ablate": "run all energy variants and tabulate the metrics",
-    }
-    for command, table in _OPTIONS.items():
-        sub = subparsers.add_parser(command, help=summaries[command])
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.summary)
         sub.add_argument("--config", default=None, help="key = value option file")
-        sub.add_argument("--out", default=None, required=needs_out[command],
+        sub.add_argument("--out", default=None, required=command.needs_out,
                          help="output directory")
-        for name, conv, default, help_text in table:
+        for opt in command.options:
+            required = " (required)" if opt.required else ""
             sub.add_argument(
-                "--" + name.replace("_", "-"),
-                dest=name,
-                type=conv,
-                default=None,
-                help=f"{help_text} (default: {_fmt_value(default)})",
+                "--" + opt.name.replace("_", "-"),
+                dest=opt.name,
+                type=opt.conv,
+                # unset flags stay off the namespace, so a flag given as
+                # 'none' still beats the config file
+                default=argparse.SUPPRESS,
+                help=f"{opt.help}{required} (default: {_fmt_value(opt.default)})",
             )
     return parser
-
-
-_HANDLERS = {
-    "synth": cmd_synth,
-    "shape-learn": cmd_shape_learn,
-    "fit": cmd_fit,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        effective = _resolve_options(args.command, args)
+        effective, configs = _resolve_options(args.command, args)
         out_dir = Path(args.out) if args.out else None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](effective, out_dir)
+        return _COMMANDS[args.command].handler(effective, out_dir, **configs)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

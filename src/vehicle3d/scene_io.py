@@ -9,6 +9,8 @@ underlying scene realization at every noise level.
 Labels use the standard 15/16-token object text format (type, truncation,
 occlusion, observation angle, 2D box, dimensions, location, yaw, optional
 score), one object per line.
+Measurement files hold one frame's camera, ground plane and per-instance
+pseudo-measurements as `key = value` lines.
 """
 from __future__ import annotations
 
@@ -272,28 +274,92 @@ def label_to_pose(record: LabelRecord) -> PoseBox3D:
     )
 
 
-def label_to_measurement(
-    record: LabelRecord,
-    cam: CameraIntrinsics,
-    ground: GroundPlane,
-    n_landmarks: int = LANDMARK_COUNT,
-) -> Measurement:
-    """Measurement with the label as hypothesis source: box from bbox,
-    yaw/log-extent guesses from rotation_y/dimensions, depth from the
-    location, and no landmark evidence."""
-    h, w, l = record.dimensions
-    if min(h, w, l) <= 0:
-        raise ValueError("dimensions must be positive to form hypotheses")
-    return Measurement(
-        box2d=record.box2d(),
-        landmarks_uv=np.zeros((n_landmarks, 2)),
-        landmarks_visible=np.zeros(n_landmarks, dtype=bool),
-        theta0=wrap_angle(record.rotation_y),
-        sigma0=np.log([l, h, w]),
-        ground=ground,
-        cam=cam,
-        depth_zb=float(record.location[2]) if record.location[2] > 0 else None,
-    )
+# ---------------------------------------------------------------------------
+# Measurement files: one per frame, carrying the camera, ground plane and
+# each instance's pseudo-measurements in `key = value` form.
+# ---------------------------------------------------------------------------
+
+
+class MeasurementFormatError(ValueError):
+    """Malformed measurement text; the message names the offending key."""
+
+
+def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, measurements) -> str:
+    """One frame's measurement file; floats in shortest round-trip form."""
+    payload = {
+        "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
+        "ground": " ".join(repr(float(v)) for v in ground.N),
+        "instances": str(len(measurements)),
+    }
+    for i, meas in enumerate(measurements):
+        prefix = f"i{i}."
+        corners = meas.box2d.corners()
+        payload[prefix + "box"] = " ".join(repr(float(v)) for v in corners)
+        payload[prefix + "theta0"] = repr(float(meas.theta0))
+        payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in meas.sigma0)
+        payload[prefix + "landmarks"] = " ".join(
+            repr(float(v)) for v in meas.landmarks_uv.reshape(-1)
+        )
+        payload[prefix + "visible"] = " ".join(
+            "1" if v else "0" for v in meas.landmarks_visible
+        )
+        if meas.depth_zb is not None:
+            payload[prefix + "depth"] = repr(float(meas.depth_zb))
+    return format_config(payload)
+
+
+def _flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {token!r}")
+    return token == "1"
+
+
+def _field(mapping: dict, key: str, count: int | None = None, make=list, conv=float):
+    """make([conv(token), ...]) over the tokens of one key; any failure
+    raises MeasurementFormatError naming the key."""
+    if key not in mapping:
+        raise MeasurementFormatError(f"missing key {key}")
+    tokens = mapping[key].split()
+    if count is not None and len(tokens) != count:
+        raise MeasurementFormatError(f"{key}: expected {count} values, found {len(tokens)}")
+    try:
+        return make([conv(token) for token in tokens])
+    except ValueError as err:
+        raise MeasurementFormatError(f"{key}: {err}") from None
+
+
+def parse_measurements(text: str):
+    """(camera, ground, [Measurement]) from one frame's measurement file.
+
+    Raises MeasurementFormatError naming the missing or malformed key.
+    """
+    try:
+        mapping = parse_config_text(text)
+    except ValueError as err:
+        raise MeasurementFormatError(str(err)) from None
+    count = _field(mapping, "instances", 1, lambda v: v[0], int)
+    if count < 0:
+        raise MeasurementFormatError(f"instances: negative count {count}")
+    cam = _field(mapping, "camera", 4, lambda v: CameraIntrinsics(*v))
+    ground = _field(mapping, "ground", 3, lambda v: GroundPlane(N=np.array(v)))
+    measurements = []
+    for i in range(count):
+        prefix = f"i{i}."
+        visible = _field(mapping, prefix + "visible", None, np.array, _flag)
+        depth = prefix + "depth"
+        fields = dict(
+            box2d=_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v)),
+            landmarks_uv=_field(mapping, prefix + "landmarks", 2 * len(visible), np.array),
+            landmarks_visible=visible,
+            theta0=_field(mapping, prefix + "theta0", 1)[0],
+            sigma0=_field(mapping, prefix + "sigma0", 3, np.array),
+            depth_zb=_field(mapping, depth, 1)[0] if depth in mapping else None,
+        )
+        try:
+            measurements.append(Measurement(ground=ground, cam=cam, **fields))
+        except ValueError as err:
+            raise MeasurementFormatError(f"i{i}: {err}") from None
+    return cam, ground, measurements
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ class LearnOptions:
     max_iterations: int = 500
     min_visible: int = 6  # instances with fewer visible landmarks are dropped
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+
 
 @dataclass
 class LearnResult:
@@ -670,36 +674,6 @@ def learn_em(
         reproj_rmse=reproj_rmse,
         used_mask=used,
     )
-
-
-def fit_coefficients(
-    model: MorphableModel,
-    obs: LandmarkObservations,
-    pose: OrthoCamPose,
-    noise_var: float = 1e-8,
-):
-    """Posterior-mean coefficients for one instance at a fixed camera pose.
-
-    Returns (coefficients, low_confidence).  With fewer than n_basis / 2
-    visible landmarks the prior mean (zeros) is returned and the flag set.
-    """
-    N = model.n_basis
-    vis = obs.visible
-    if N == 0:
-        return ShapeCoefficients(alpha=np.zeros(0)), False
-    if int(vis.sum()) < 0.5 * N:
-        return ShapeCoefficients(alpha=np.zeros(N)), True
-    d = pose.c * pose.R @ pose.t
-    mu, _, _ = _posterior(
-        model.mean_points()[vis],
-        model.basis_points()[:, vis],
-        pose.c,
-        pose.R,
-        d,
-        obs.uv[vis],
-        max(noise_var, _MIN_NOISE_VAR),
-    )
-    return ShapeCoefficients(alpha=mu), False
 
 
 # ---------------------------------------------------------------------------

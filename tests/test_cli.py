@@ -8,24 +8,17 @@ import numpy as np
 import pytest
 
 import vehicle3d.cli
-from vehicle3d.cli import (
-    _measurements_from_text,
-    _measurements_text,
-    main,
-    render_table,
-)
+from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import wrap_pi
 from vehicle3d.metrics import alp
 from vehicle3d.refine import initialize, refine_ablation
 from vehicle3d.scene_io import (
     CAR_MODEL,
-    NoiseSpec,
-    SceneParams,
     emit_labels,
     format_config,
-    generate_scene,
     parse_config_text,
     parse_labels,
+    parse_measurements,
     pose_to_label,
 )
 from vehicle3d.shape import load_model
@@ -84,27 +77,6 @@ def test_synth_requires_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_measurement_text_roundtrip():
-    scene, measurements, _ = generate_scene(
-        SceneParams(n_instances=3), NoiseSpec(landmark_px_sigma=1.0), seed=11
-    )
-    text = _measurements_text(scene.camera, scene.ground, measurements)
-    cam, ground, back = _measurements_from_text(text)
-    assert (cam.fx, cam.fy, cam.cx, cam.cy) == (
-        scene.camera.fx, scene.camera.fy, scene.camera.cx, scene.camera.cy
-    )
-    np.testing.assert_array_equal(ground.N, scene.ground.N)
-    assert len(back) == 3
-    for orig, copy in zip(measurements, back):
-        # repr floats round-trip exactly
-        np.testing.assert_array_equal(copy.box2d.corners(), orig.box2d.corners())
-        np.testing.assert_array_equal(copy.landmarks_uv, orig.landmarks_uv)
-        np.testing.assert_array_equal(copy.landmarks_visible, orig.landmarks_visible)
-        assert copy.theta0 == orig.theta0
-        np.testing.assert_array_equal(copy.sigma0, orig.sigma0)
-        assert copy.depth_zb == orig.depth_zb
-
-
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -113,7 +85,7 @@ def test_fit_v1_is_the_initialization(dataset, tmp_path):
     out = tmp_path / "v1"
     assert run_cli("fit", "--data", dataset, "--out", out, "--variant", "v1") == 0
     for meas_path in sorted((dataset / "meas").glob("*.cfg")):
-        _, _, measurements = _measurements_from_text(meas_path.read_text())
+        _, _, measurements = parse_measurements(meas_path.read_text())
         records = parse_labels((out / "labels" / (meas_path.stem + ".txt")).read_text())
         assert len(records) == len(measurements)
         # predictions sort by score; v1 scores are uniform so file order holds
@@ -176,7 +148,7 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     assert "behind the camera" in diag["i1.error"]
     assert "i2.error" not in diag
     for meas_path in sorted((data / "meas").glob("*.cfg")):
-        cam, _, measurements = _measurements_from_text(meas_path.read_text())
+        cam, _, measurements = parse_measurements(meas_path.read_text())
         expected = []
         for i, meas in enumerate(measurements):
             if meas_path.stem == "000001" and i < 2:
@@ -194,6 +166,33 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         small = tmp_path / f"blocks_of_3_jobs_{jobs}"
         assert run_cli("fit", "--data", data, "--out", small, "--jobs", jobs) == 1
         assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda mapping: mapping.pop("i0.theta0"), "i0.theta0"),
+    (lambda mapping: mapping.update(camera="1 2 3"), "camera"),
+    (lambda mapping: mapping.update({"i1.sigma0": "0.1 0.2 abc"}), "i1.sigma0"),
+], ids=["missing_key", "short_camera", "non_numeric"])
+@pytest.mark.parametrize("argv", [
+    ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
+], ids=lambda argv: "_".join(map(str, argv)))
+def test_malformed_measurement_file_is_a_data_error(
+    dataset, tmp_path, capfd, monkeypatch, edit, key, argv
+):
+    data = tmp_path / "data"
+    (data / "meas").mkdir(parents=True)
+    for path in (dataset / "meas").glob("*.cfg"):
+        (data / "meas" / path.name).write_bytes(path.read_bytes())
+    bad = data / "meas" / "000002.cfg"
+    mapping = parse_config_text(bad.read_text())
+    edit(mapping)
+    bad.write_text(format_config(mapping))
+    # blocks of 2 are handed to the workers before the bad frame is parsed
+    monkeypatch.setattr(vehicle3d.cli, "_FIT_BLOCK", 2)
+    assert run_cli(argv[0], "--data", data, "--out", tmp_path / "out", *argv[1:]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and key in err
+    assert "Traceback" not in err
 
 
 def test_fit_rejects_unknown_variant(dataset, tmp_path, capsys):
@@ -325,6 +324,34 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("framez = 3\n")
     assert run_cli("synth", "--config", cfg, "--out", tmp_path / "out", "--seed", 5) == 1
     assert "framez" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--seed", 1, "--instances", 0), "need at least one instance"),
+    (("synth", "--seed", 1, "--landmark-px", -1), "landmark_px_sigma must be non-negative"),
+    (("fit", "--data", "d", "--lambda1", -1), "lambda1 must be non-negative"),
+    (("fit", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
+    (("fit", "--data", "d", "--jobs", 0), "jobs must be at least 1"),
+    (("shape-learn", "--data", "d", "--basis", -1), "basis must be at least 0"),
+    (("shape-learn", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
+    (("ablate", "--data", "d", "--points", 0), "points must be at least 2"),
+], ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_out_of_range_options_fail_before_any_output(tmp_path, capfd, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--out", out, *argv[1:]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_none_flag_beats_the_config_file(dataset, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alp_gate = 0.5\n")
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--pred", dataset, "--gt", dataset, "--out", out,
+                   "--config", cfg, "--alp-gate", "none") == 0
+    assert parse_config_text((out / "manifest.cfg").read_text())["alp_gate"] == "none"
 
 
 def test_usage_errors_exit_2():

@@ -1,5 +1,5 @@
-"""Label text round-trips, pose/label conversion, synthetic generation,
-and the key-value config format."""
+"""Label and measurement text round-trips, pose/label conversion, synthetic
+generation, and the key-value config format."""
 import numpy as np
 import pytest
 
@@ -7,22 +7,23 @@ from vehicle3d.geometry import PoseBox3D, project, project_box3d, wrap_pi
 from vehicle3d.refine import initialize
 from vehicle3d.scene_io import (
     CAR_MODEL,
-    FLAT_GROUND,
     KITTI_CAMERA,
     GenerationError,
     LabelFormatError,
     LabelRecord,
+    MeasurementFormatError,
     NoiseSpec,
     SceneParams,
     STANDARD_NOISE,
     format_config,
     generate_scene,
-    label_to_measurement,
     label_to_pose,
     parse_config_text,
     parse_labels,
     pose_to_label,
     emit_labels,
+    emit_measurements,
+    parse_measurements,
     self_occlusion_mask,
 )
 from vehicle3d.shape import instantiate, place_in_camera
@@ -170,21 +171,51 @@ def test_pose_label_round_trip():
         np.testing.assert_allclose(back.sigma, pose.sigma, atol=1e-12)
 
 
-def test_label_to_measurement_hypotheses():
-    rec = parse_labels(SAMPLE)[0]
-    meas = label_to_measurement(rec, KITTI_CAMERA, FLAT_GROUND)
-    assert meas.box2d.corners() == pytest.approx(list(rec.bbox))
-    assert meas.depth_zb == 46.70
-    assert meas.theta0 == pytest.approx(-1.59 + 2 * np.pi)
-    np.testing.assert_allclose(np.exp(meas.sigma0), [3.64, 1.65, 1.67])  # L, H, W
-    assert meas.landmarks_visible.sum() == 0
-    dontcare = LabelRecord(
-        type="DontCare", truncated=-1, occluded=-1, alpha=-10,
-        bbox=(500, 150, 600, 200), dimensions=(-1, -1, -1),
-        location=(-1000, -1000, -1000), rotation_y=-10,
+# ---------------------------------------------------------------------------
+# Measurement files
+# ---------------------------------------------------------------------------
+
+def test_measurement_text_roundtrip():
+    scene, measurements, _ = generate_scene(
+        SceneParams(n_instances=3), NoiseSpec(landmark_px_sigma=1.0), seed=11
     )
-    with pytest.raises(ValueError):
-        label_to_measurement(dontcare, KITTI_CAMERA, FLAT_GROUND)
+    text = emit_measurements(scene.camera, scene.ground, measurements)
+    cam, ground, back = parse_measurements(text)
+    assert (cam.fx, cam.fy, cam.cx, cam.cy) == (
+        scene.camera.fx, scene.camera.fy, scene.camera.cx, scene.camera.cy
+    )
+    np.testing.assert_array_equal(ground.N, scene.ground.N)
+    assert len(back) == 3
+    for orig, copy in zip(measurements, back):
+        # repr floats round-trip exactly
+        np.testing.assert_array_equal(copy.box2d.corners(), orig.box2d.corners())
+        np.testing.assert_array_equal(copy.landmarks_uv, orig.landmarks_uv)
+        np.testing.assert_array_equal(copy.landmarks_visible, orig.landmarks_visible)
+        assert copy.theta0 == orig.theta0
+        np.testing.assert_array_equal(copy.sigma0, orig.sigma0)
+        assert copy.depth_zb == orig.depth_zb
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("i1.theta0", None, "missing key i1.theta0"),
+    ("camera", "1 2 3", "camera: expected 4 values, found 3"),
+    ("i0.sigma0", "0.1 x 0.2", "i0.sigma0: could not convert"),
+    ("instances", "two", "instances: invalid literal"),
+    ("i1.visible", "1 2", "i1.visible: expected 0 or 1"),
+    ("i0.landmarks", "1.0 2.0 3.0", "i0.landmarks: expected 28 values, found 3"),
+    ("i0.box", "10 10 5 20", "i0.box: degenerate 2D box"),
+    ("i1.depth", "-2.0", "i1: depth hypothesis must be positive"),
+    ("camera", "0 700 600 170", "camera: focal lengths must be positive"),
+])
+def test_malformed_measurements_name_the_key(key, value, message):
+    scene, measurements, _ = generate_scene(SceneParams(n_instances=2), STANDARD_NOISE, seed=5)
+    mapping = parse_config_text(emit_measurements(scene.camera, scene.ground, measurements))
+    if value is None:
+        del mapping[key]
+    else:
+        mapping[key] = value
+    with pytest.raises(MeasurementFormatError, match=message):
+        parse_measurements(format_config(mapping))
 
 
 # ---------------------------------------------------------------------------

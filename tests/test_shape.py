@@ -9,7 +9,6 @@ from vehicle3d.shape import (
     MorphableModel,
     OrthoCamPose,
     ShapeCoefficients,
-    fit_coefficients,
     instantiate,
     learn_em,
     load_model,
@@ -231,42 +230,6 @@ class TestLearnEM:
         )
         assert not result.converged
         assert result.iterations == 2
-
-
-class TestFitCoefficients:
-    def setup_method(self):
-        rng = np.random.default_rng(35)
-        mean, basis = toy_true_model(2, rng)
-        self.model = MorphableModel(mean=mean.reshape(-1), basis=basis.reshape(2, -1))
-        self.rng = rng
-
-    def _observe(self, alpha, visible=None):
-        pts = instantiate(self.model, alpha)
-        R = random_orthonormal_rows(self.rng)
-        pose = OrthoCamPose(c=90.0, R=R, t=np.array([1.0, 2.0, -0.5]))
-        uv = ortho_project(pose, pts)
-        if visible is None:
-            visible = np.ones(len(uv), dtype=bool)
-        return LandmarkObservations(uv=uv, visible=visible), pose
-
-    def test_noise_free_recovery(self):
-        alpha = np.array([0.7, -1.2])
-        obs, pose = self._observe(alpha)
-        coef, low = fit_coefficients(self.model, obs, pose, noise_var=1e-10)
-        assert not low
-        assert np.allclose(coef.alpha, alpha, atol=1e-6)
-
-    def test_zero_visible_gives_prior_mean(self):
-        obs, pose = self._observe(np.array([1.0, 1.0]), visible=np.zeros(14, bool))
-        coef, low = fit_coefficients(self.model, obs, pose)
-        assert low
-        assert np.allclose(coef.alpha, 0.0)
-
-    def test_large_noise_shrinks_to_zero(self):
-        alpha = np.array([0.9, 0.4])
-        obs, pose = self._observe(alpha)
-        coef, _ = fit_coefficients(self.model, obs, pose, noise_var=1e12)
-        assert np.linalg.norm(coef.alpha) < 1e-3
 
 
 class TestPersistence:
