@@ -1,10 +1,11 @@
 """Learn the morphable landmark model from 2D annotations alone.
 
-The learner runs EM under a weak-perspective camera: E-step fits
-per-instance pose and shape coefficients, M-step updates the mean,
-basis, and noise variance.  Trained on the synthetic generator's own
-landmark output, it should reproduce the generator's model up to the
-pose-absorbable gauge directions.
+The learner runs EM under a weak-perspective camera: the E-step infers
+per-instance shape coefficients, the M-step updates the mean, basis,
+per-instance poses and noise variance, and a polish phase with the shape
+frozen re-settles the poses and noise.  Trained on the synthetic
+generator's own landmark output, it should reproduce the generator's
+model up to the pose-absorbable gauge directions.
 """
 import numpy as np
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
 from .geometry import BehindCameraError, footprint
-from .metrics import DIFFICULTIES, alp, ap_2d_aos, ap_3d, ap_bev, pr_curve
+from .metrics import DIFFICULTIES, alp, ap_3d, ap_bev, pr_curve
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
@@ -115,6 +115,7 @@ class Option(NamedTuple):
     field: str | None = None  # "config.field" the value sets, see _CONFIGS
     minimum: int | None = None
     required: bool = False
+    choices: tuple | None = None  # the allowed values, checked like minimum
 
 
 # The config objects behind options: a field option takes its default and
@@ -167,6 +168,8 @@ def _resolve_options(command: str, args):
             raise CLIError(f"{command} requires --{opt.name.replace('_', '-')}")
         if opt.minimum is not None and value < opt.minimum:
             raise CLIError(f"{opt.name} must be at least {opt.minimum}")
+        if opt.choices is not None and value not in opt.choices:
+            raise CLIError(f"unknown {opt.name} {value!r}")
         if opt.field is not None:
             config, attr = opt.field.split(".")
             try:
@@ -396,8 +399,6 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
 
 
 def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
-    if effective["variant"] not in ABLATION_VARIANTS:
-        raise CLIError(f"unknown variant {effective['variant']!r}")
     failures = _run_fit(effective, {effective["variant"]: out_dir}, energy, solver)
     _write_manifest(out_dir, "fit", effective)
     print(f"fit complete: {failures} instance failure(s); outputs in {out_dir}")
@@ -432,71 +433,76 @@ def _paired_frames(pred_dir: Path, gt_dir: Path):
     return order, frames
 
 
-def _metric_tables(frames, effective: dict):
-    points = effective["points"]
-    gate = effective["alp_gate"]
-    header = ["", *DIFFICULTIES]
-    blocks = []
-    rows = []
-    for threshold in effective["alp_thresholds"]:
-        rows.append((f"{threshold:g} m", [
-            alp(frames, threshold, d, gate_iou=gate, points=points)
-            for d in DIFFICULTIES
-        ]))
-    blocks.append(render_table("average localization precision (3D center distance)",
-                               header, rows))
-    rows = []
-    for threshold in effective["iou3d_thresholds"]:
-        rows.append((f"IoU {threshold:g}", [
-            ap_3d(frames, threshold, d, points=points) for d in DIFFICULTIES
-        ]))
-    blocks.append(render_table("average precision, 3D IoU", header, rows))
-    rows = []
-    for threshold in effective["bev_thresholds"]:
-        rows.append((f"IoU {threshold:g}", [
-            ap_bev(frames, threshold, d, points=points) for d in DIFFICULTIES
-        ]))
-    blocks.append(render_table("average precision, bird's-eye IoU", header, rows))
-    threshold = effective["iou2d_threshold"]
-    pairs = {d: ap_2d_aos(frames, threshold, d, points=points) for d in DIFFICULTIES}
-    rows = [
-        (f"AP  IoU {threshold:g}", [pairs[d][0] for d in DIFFICULTIES]),
-        (f"AOS IoU {threshold:g}", [pairs[d][1] for d in DIFFICULTIES]),
+# Eval tables of AP-style metrics: metric -> (title, row label format).
+_AP_TABLES = {
+    "alp": ("average localization precision (3D center distance)", "{:g} m"),
+    "ap3d": ("average precision, 3D IoU", "IoU {:g}"),
+    "apbev": ("average precision, bird's-eye IoU", "IoU {:g}"),
+}
+
+
+def _curve_jobs(effective: dict) -> list:
+    """(metric, threshold, ALP gate) of every eval table row, in table order."""
+    return [
+        *[("alp", t, effective["alp_gate"]) for t in effective["alp_thresholds"]],
+        *[("ap3d", t, None) for t in effective["iou3d_thresholds"]],
+        *[("apbev", t, None) for t in effective["bev_thresholds"]],
+        ("ap2d", effective["iou2d_threshold"], None),
     ]
-    blocks.append(render_table("2D detection", header, rows))
+
+
+def _eval_curves(frames, jobs, points: int) -> dict:
+    """(metric, threshold, difficulty) -> PR curve, or None without valid
+    ground truth; each curve is computed once for the tables and the files."""
+    return {
+        (metric, threshold, difficulty): pr_curve(
+            frames, metric, threshold, difficulty, gate_iou=gate, points=points
+        )
+        for metric, threshold, gate in jobs
+        for difficulty in DIFFICULTIES
+    }
+
+
+def _metric_tables(jobs, curves: dict) -> str:
+    def row(metric, threshold, field):
+        cells = (curves[metric, threshold, d] for d in DIFFICULTIES)
+        return [None if curve is None else getattr(curve, field) for curve in cells]
+
+    header = ["", *DIFFICULTIES]
+    blocks = [
+        render_table(title, header, [
+            (label.format(threshold), row(metric, threshold, "ap"))
+            for job_metric, threshold, _ in jobs if job_metric == metric
+        ])
+        for metric, (title, label) in _AP_TABLES.items()
+    ]
+    threshold = next(t for metric, t, _ in jobs if metric == "ap2d")
+    blocks.append(render_table("2D detection", header, [
+        (f"AP  IoU {threshold:g}", row("ap2d", threshold, "ap")),
+        (f"AOS IoU {threshold:g}", row("ap2d", threshold, "aos")),
+    ]))
     return "\n".join(blocks)
 
 
-def _write_curves(frames, effective: dict, out_dir: Path) -> None:
+def _write_curves(curves: dict, out_dir: Path) -> None:
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for threshold in effective["alp_thresholds"]:
-        jobs.append(("alp", threshold, effective["alp_gate"]))
-    for threshold in effective["iou3d_thresholds"]:
-        jobs.append(("ap3d", threshold, None))
-    for threshold in effective["bev_thresholds"]:
-        jobs.append(("apbev", threshold, None))
-    jobs.append(("ap2d", effective["iou2d_threshold"], None))
-    for metric, threshold, gate in jobs:
-        for difficulty in DIFFICULTIES:
-            curve = pr_curve(frames, metric, threshold, difficulty,
-                             gate_iou=gate, points=effective["points"])
-            if curve is None:
-                continue
-            payload = {
-                "metric": metric,
-                "threshold": repr(float(threshold)),
-                "difficulty": difficulty,
-                "ap": repr(float(curve.ap)),
-                "aos": repr(float(curve.aos)),
-                "thresholds": " ".join(repr(float(v)) for v in curve.thresholds),
-                "recall": " ".join(repr(float(v)) for v in curve.recall),
-                "precision": " ".join(repr(float(v)) for v in curve.precision),
-                "similarity": " ".join(repr(float(v)) for v in curve.similarity),
-            }
-            name = f"{metric}_{threshold:g}_{difficulty}.cfg"
-            _atomic_write(curve_dir / name, format_config(payload))
+    for (metric, threshold, difficulty), curve in curves.items():
+        if curve is None:
+            continue
+        payload = {
+            "metric": metric,
+            "threshold": repr(float(threshold)),
+            "difficulty": difficulty,
+            "ap": repr(float(curve.ap)),
+            "aos": repr(float(curve.aos)),
+            "thresholds": " ".join(repr(float(v)) for v in curve.thresholds),
+            "recall": " ".join(repr(float(v)) for v in curve.recall),
+            "precision": " ".join(repr(float(v)) for v in curve.precision),
+            "similarity": " ".join(repr(float(v)) for v in curve.similarity),
+        }
+        name = f"{metric}_{threshold:g}_{difficulty}.cfg"
+        _atomic_write(curve_dir / name, format_config(payload))
 
 
 def _record_plot_entries(payload: dict, prefix: str, record) -> None:
@@ -526,13 +532,15 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
     order, frames = _paired_frames(
         _labels_dir(effective["pred"]), _labels_dir(effective["gt"])
     )
-    text = _metric_tables(frames, effective)
+    jobs = _curve_jobs(effective)
+    curves = _eval_curves(frames, jobs, effective["points"])
+    text = _metric_tables(jobs, curves)
     print(text, end="")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(out_dir / "eval.txt", text)
         if effective["curves"]:
-            _write_curves(frames, effective, out_dir)
+            _write_curves(curves, out_dir)
         if effective["plot_data"]:
             _write_plot_data(order, frames, out_dir)
         _write_manifest(out_dir, "eval", effective)
@@ -636,7 +644,7 @@ _SOLVE = (
 _COMMANDS = {
     "synth": Command("generate a synthetic labeled dataset", cmd_synth, True, (
         Option("seed", int, None, "dataset seed", required=True),
-        Option("frames", int, 50, "number of frames to generate"),
+        Option("frames", int, 50, "number of frames to generate", minimum=1),
         _field_option("instances", "scene.n_instances", "instances per frame"),
         _field_option("with_depth", "scene.with_depth", "include a crop-depth pseudo-measurement"),
         _field_option("landmark_px", "noise.landmark_px_sigma", "landmark noise, pixels"),
@@ -655,7 +663,7 @@ _COMMANDS = {
     "fit": Command("refine 3D boxes for every frame of a dataset", cmd_fit, True, (
         _DATA,
         _MODEL,
-        Option("variant", str, "v4", "energy variant v1..v4"),
+        Option("variant", str, "v4", "energy variant v1..v4", choices=ABLATION_VARIANTS),
         _JOBS._replace(help="worker processes for per-frame work"),
         *_SOLVE,
     )),

@@ -7,7 +7,10 @@ p_k = c * R * (P_k + t) + noise with scalar scale c, row-orthonormal
 2x3 R, and latent coefficients alpha ~ N(0, I).  Learning is EM with
 the exact Gaussian posterior over alpha in the E-step; M-step updates
 are conditional maximizations, so the observed-data log-likelihood is
-non-decreasing by construction.
+non-decreasing by construction.  The EM loop is followed by a polish
+phase with the shape frozen, which re-settles poses and the noise level.
+The reported reprojection RMSE is per image coordinate (u and v each
+count once), not per landmark.
 """
 from __future__ import annotations
 
@@ -156,7 +159,7 @@ class LearnResult:
     converged: bool
     iterations: int
     noise_var: float
-    reproj_rmse: float
+    reproj_rmse: float  # px, RMS per image coordinate
     used_mask: np.ndarray  # which input instances participated
 
 
@@ -307,26 +310,102 @@ def _weak_family(mean_flat: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _expected_sq_residual(mean_vis, basis_vis, c, R, d, p_vis, mu, Sig):
+def _expected_points(mean_vis, basis_vis, mu):
+    """E[q] = mean + sum_n mu_n basis_n over one instance's visible landmarks."""
+    return mean_vis if mu.size == 0 else mean_vis + np.einsum("n,nvj->vj", mu, basis_vis)
+
+
+def _expected_sq_residual(Eq, basis_vis, Sig, pose, p_vis):
     """E||p - c R q - d||^2 summed over this instance's visible landmarks."""
+    c, R, d = pose
     A = c * R
-    pts = mean_vis if mu.size == 0 else mean_vis + np.einsum(
-        "n,nvj->vj", mu, basis_vis
-    )
-    resid = p_vis - (pts @ A.T + d)
+    resid = p_vis - (Eq @ A.T + d)
     total = float(np.sum(resid * resid))
-    if mu.size:
+    if Sig.size:
         # Variance term: sum_k tr(A V_k Sig V_k^T A^T).
         AV = np.einsum("ij,nvj->nvi", A, basis_vis)  # (N, V, 2)
         total += float(np.einsum("nvi,nm,mvi->", AV, Sig, AV))
     return total
 
 
+def _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var):
+    """Exact Gaussian posterior per instance: (mus, Sigs, total log-likelihood)."""
+    mus, Sigs = [], []
+    total_ll = 0.0
+    for (c, R, d), vi, p in zip(poses, vis_idx, p_vis):
+        mu, Sig, ll = _posterior(mean_pts[vi], basis_pts[:, vi], c, R, d, p, noise_var)
+        mus.append(mu)
+        Sigs.append(Sig)
+        total_ll += ll
+    return mus, Sigs, total_ll
+
+
+def _update_pose(pose, Eq, basis_vis, Sig, p, refresh_current):
+    """Conditional M-step for one instance's (c, R, d).
+
+    Candidates are the current pose, then (c, d) refreshed in closed form
+    at trial rotations: the current R (only with refresh_current), the SVD
+    projection of the cross-covariance, and the projection of the
+    unconstrained affine optimum.  The smallest expected squared residual
+    wins, ties going to the first, so the step never worsens the expected
+    objective.  Returns (pose, its expected squared residual).
+    """
+    pbar, qbar = p.mean(axis=0), Eq.mean(axis=0)
+    dp, dq = p - pbar, Eq - qbar
+    C_pq = dp.T @ dq  # (2, 3)
+    C_qq = dq.T @ dq
+    if Sig.size:
+        # Posterior covariance adds Cov[q_k] = B_k Sig B_k^T per point.
+        C_qq = C_qq + np.einsum("nvj,nm,mvl->jl", basis_vis, Sig, basis_vis)
+    trial_Rs = [pose[1]] if refresh_current else []
+    if np.linalg.norm(C_pq) > 0:
+        U, _, Vt = np.linalg.svd(C_pq, full_matrices=False)
+        trial_Rs.append(U @ Vt)
+        # The unconstrained affine optimum accounts for the posterior
+        # covariance (C_qq anisotropy); its projection is usually the
+        # strongest candidate.
+        Astar, *_ = np.linalg.lstsq(C_qq, C_pq.T, rcond=None)
+        if np.all(np.isfinite(Astar)) and np.linalg.norm(Astar) > 0:
+            trial_Rs.append(_orthonormalize_rows(Astar.T))
+    best, best_obj = pose, _expected_sq_residual(Eq, basis_vis, Sig, pose, p)
+    for R in trial_Rs:
+        denom = float(np.trace(R @ C_qq @ R.T))
+        if denom <= 0:
+            continue
+        c = float(np.trace(R @ C_pq.T)) / denom
+        if c <= 1e-12:
+            continue
+        cand = (c, R, pbar - c * (R @ qbar))
+        obj = _expected_sq_residual(Eq, basis_vis, Sig, cand, p)
+        if obj < best_obj:
+            best, best_obj = cand, obj
+    return best, best_obj
+
+
+def _pose_noise_step(poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
+                     refresh_current):
+    """Update every pose, then the noise variance (floored) at the new poses:
+    the mean expected squared residual per image coordinate."""
+    new_poses = []
+    total_sq = 0.0
+    for pose, vi, p, mu, Sig in zip(poses, vis_idx, p_vis, mus, Sigs):
+        bvis = basis_pts[:, vi]
+        Eq = _expected_points(mean_pts[vi], bvis, mu)
+        pose, sq = _update_pose(pose, Eq, bvis, Sig, p, refresh_current)
+        new_poses.append(pose)
+        total_sq += sq
+    return new_poses, max(total_sq / n_coords, _MIN_NOISE_VAR)
+
+
+def _settled(prev, cur, tol):
+    """Relative log-likelihood change within tol."""
+    return abs(cur - prev) <= tol * max(abs(prev), 1.0)
+
+
 def learn_em(
     observations,
     n_basis: int,
     opts: LearnOptions | None = None,
-    warm_start=None,
 ) -> LearnResult:
     """Fit the morphable model to 2D landmark annotations by EM.
 
@@ -334,9 +413,10 @@ def learn_em(
     excluded (reported via used_mask).  Raises InsufficientDataError when
     fewer than max(3, 10 * n_basis) instances remain.
 
-    warm_start, when given, bypasses the built-in initialization: a tuple
-    (mean_flat (3K,), basis (N, 3K), poses [(c, R, d)], noise_var) over the
-    participating instances in input order.
+    The EM loop alternates the E-step with a shape M-step, a pose update
+    and a noise update.  A polish phase with the shape frozen then
+    re-settles poses and noise.  reproj_rmse is the RMS residual per image
+    coordinate at the posterior-mean shapes.
     """
     opts = opts or LearnOptions()
     if n_basis < 0:
@@ -360,47 +440,37 @@ def learn_em(
     M = len(uvs)
 
     n_coords = int(sum(2 * v.sum() for v in vises))
-    if warm_start is not None:
-        mean_flat, basis, poses, noise_var = warm_start
-        mean_flat = np.asarray(mean_flat, dtype=float).reshape(3 * K)
-        basis = np.asarray(basis, dtype=float).reshape(n_basis, 3 * K)
-        poses = [(float(c), np.array(R, dtype=float), np.array(d, dtype=float)) for c, R, d in poses]
-        mean_pts = mean_flat.reshape(K, 3)
-        noise_var = max(float(noise_var), _MIN_NOISE_VAR)
-    else:
-        mean_flat, poses = _rigid_init(uvs, vises, K)
-        mean_pts = mean_flat.reshape(K, 3)
+    mean_flat, poses = _rigid_init(uvs, vises, K)
+    mean_pts = mean_flat.reshape(K, 3)
 
-        # Rigid residuals seed both the noise level and the deformation basis.
-        resid_shapes = np.zeros((M, 3 * K))
-        sq_sum = 0.0
-        for m in range(M):
-            c, R, d = poses[m]
-            vis = vises[m]
-            r2 = uvs[m][vis] - _project_affine(c, R, d, mean_pts[vis])
-            sq_sum += float(np.sum(r2 * r2))
-            # Lift image residuals to model space through the pose pseudo-inverse.
-            lifted = r2 @ (R / c)  # (V, 3); (cR)^+ = R^T / c applied row-wise
-            full = np.zeros((K, 3))
-            full[vis] = lifted
-            resid_shapes[m] = full.reshape(-1)
-        noise_var = max(sq_sum / max(n_coords, 1), 1e-4)
+    # Rigid residuals seed both the noise level and the deformation basis.
+    resid_shapes = np.zeros((M, 3 * K))
+    sq_sum = 0.0
+    for m in range(M):
+        c, R, d = poses[m]
+        vis = vises[m]
+        r2 = uvs[m][vis] - _project_affine(c, R, d, mean_pts[vis])
+        sq_sum += float(np.sum(r2 * r2))
+        # Lift image residuals to model space through the pose pseudo-inverse.
+        lifted = r2 @ (R / c)  # (V, 3); (cR)^+ = R^T / c applied row-wise
+        full = np.zeros((K, 3))
+        full[vis] = lifted
+        resid_shapes[m] = full.reshape(-1)
+    noise_var = max(sq_sum / max(n_coords, 1), 1e-4)
 
-        if n_basis > 0:
-            _, sv, Vt = np.linalg.svd(resid_shapes - resid_shapes.mean(axis=0), full_matrices=False)
-            basis = np.zeros((n_basis, 3 * K))
-            n_avail = min(n_basis, len(sv))
-            scale = sv[:n_avail] / np.sqrt(M)
-            basis[:n_avail] = Vt[:n_avail] * scale[:, None]
-            # Degenerate directions get a small deterministic seed so the EM
-            # update cannot stall on an exactly zero basis row.
-            rms = float(np.sqrt(np.mean(mean_flat**2)))
-            init_rng = np.random.default_rng(0)
-            for n in range(n_basis):
-                if np.linalg.norm(basis[n]) < 1e-9 * max(rms, 1.0):
-                    basis[n] = init_rng.normal(size=3 * K) * 1e-3 * max(rms, 1e-3)
-        else:
-            basis = np.zeros((0, 3 * K))
+    basis = np.zeros((n_basis, 3 * K))
+    if n_basis > 0:
+        _, sv, Vt = np.linalg.svd(resid_shapes - resid_shapes.mean(axis=0), full_matrices=False)
+        n_avail = min(n_basis, len(sv))
+        scale = sv[:n_avail] / np.sqrt(M)
+        basis[:n_avail] = Vt[:n_avail] * scale[:, None]
+        # Degenerate directions get a small deterministic seed so the EM
+        # update cannot stall on an exactly zero basis row.
+        rms = float(np.sqrt(np.mean(mean_flat**2)))
+        init_rng = np.random.default_rng(0)
+        for n in range(n_basis):
+            if np.linalg.norm(basis[n]) < 1e-9 * max(rms, 1.0):
+                basis[n] = init_rng.normal(size=3 * K) * 1e-3 * max(rms, 1e-3)
 
     vis_idx = [np.flatnonzero(v) for v in vises]
     p_vis = [uvs[m][vis_idx[m]] for m in range(M)]
@@ -410,142 +480,58 @@ def learn_em(
     it = 0
     for it in range(1, opts.max_iterations + 1):
         basis_pts = basis.reshape(n_basis, K, 3)
-
-        # E-step: exact Gaussian posterior per instance.
-        mus, Sigs = [], []
-        total_ll = 0.0
-        for m in range(M):
-            c, R, d = poses[m]
-            vi = vis_idx[m]
-            mu, Sig, ll = _posterior(
-                mean_pts[vi], basis_pts[:, vi], c, R, d, p_vis[m], noise_var
-            )
-            mus.append(mu)
-            Sigs.append(Sig)
-            total_ll += ll
+        mus, Sigs, total_ll = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
         logliks.append(total_ll)
-        if len(logliks) > 1:
-            prev = logliks[-2]
-            if abs(total_ll - prev) <= opts.tol * max(abs(prev), 1.0):
-                converged = True
-                break
+        if len(logliks) > 1 and _settled(logliks[-2], total_ll, opts.tol):
+            converged = True
+            break
 
         # M-step part 1: per-landmark shape update (mean and basis jointly).
         # With abar = [1, alpha], G = E[abar abar^T], solve for each landmark
         # the 3x(N+1) block W_k from sum_m (A^T A) W_k G_m = A^T y E[abar]^T.
-        Gs, abars = [], []
+        dim = 3 * (n_basis + 1)
+        lhs = np.zeros((K, dim, dim))
+        rhs = np.zeros((K, dim))
         for m in range(M):
-            mu, Sig = mus[m], Sigs[m]
+            mu = mus[m]
             abar = np.concatenate([[1.0], mu])
             G = np.zeros((n_basis + 1, n_basis + 1))
             G[0, 0] = 1.0
             if n_basis:
                 G[0, 1:] = mu
                 G[1:, 0] = mu
-                G[1:, 1:] = Sig + np.outer(mu, mu)
-            Gs.append(G)
-            abars.append(abar)
-
-        dim = 3 * (n_basis + 1)
-        lhs = np.zeros((K, dim, dim))
-        rhs = np.zeros((K, dim))
-        for m in range(M):
+                G[1:, 1:] = Sigs[m] + np.outer(mu, mu)
             c, R, d = poses[m]
             A = c * R
-            AtA = A.T @ A
-            block = np.kron(AtA, Gs[m])  # row-major vec of (3,(N+1)) blocks
+            block = np.kron(A.T @ A, G)  # row-major vec of (3,(N+1)) blocks
             y = p_vis[m] - d
             Aty = y @ A  # (V, 3)
-            contrib = np.einsum("vi,j->vij", Aty, abars[m]).reshape(len(y), dim)
+            contrib = np.einsum("vi,j->vij", Aty, abar).reshape(len(y), dim)
             for row, k in enumerate(vis_idx[m]):
                 lhs[k] += block
                 rhs[k] += contrib[row]
-        Wk = np.zeros((K, 3, n_basis + 1))
-        prev_W = np.concatenate(
-            [mean_pts[:, :, None], basis.reshape(n_basis, K, 3).transpose(1, 2, 0)],
-            axis=2,
-        )
+        # C order: the basis below is a view of Wk, and einsum's summation
+        # order (so the last bits of every result) follows operand strides.
+        Wk = np.empty((K, 3, n_basis + 1))
+        Wk[:, :, 0] = mean_pts
+        Wk[:, :, 1:] = basis_pts.transpose(1, 2, 0)
         for k in range(K):
             if np.linalg.norm(rhs[k]) == 0.0:
-                Wk[k] = prev_W[k]  # landmark never observed: keep
-                continue
+                continue  # landmark never observed: keep
             sol = np.linalg.solve(
                 lhs[k] + 1e-12 * np.eye(dim) * max(np.trace(lhs[k]) / dim, 1e-12),
                 rhs[k],
             )
             Wk[k] = sol.reshape(3, n_basis + 1)
         mean_pts = Wk[:, :, 0]
-        mean_flat = mean_pts.reshape(-1)
-        if n_basis:
-            basis = Wk[:, :, 1:].transpose(2, 0, 1).reshape(n_basis, 3 * K)
+        basis = Wk[:, :, 1:].transpose(2, 0, 1).reshape(n_basis, 3 * K)
         basis_pts = basis.reshape(n_basis, K, 3)
 
-        # M-step part 2: per-instance pose.  Candidate from SVD projection of
-        # the unconstrained affine optimum, kept only if it does not worsen
-        # the expected objective versus refreshing (c, d) at the old R.
-        new_poses = []
-        for m in range(M):
-            c0, R0, d0 = poses[m]
-            vi = vis_idx[m]
-            mvis = mean_pts[vi]
-            bvis = basis_pts[:, vi]
-            mu, Sig = mus[m], Sigs[m]
-            Eq = mvis if n_basis == 0 else mvis + np.einsum("n,nvj->vj", mu, bvis)
-            p = p_vis[m]
-            V = len(vi)
-            pbar = p.mean(axis=0)
-            qbar = Eq.mean(axis=0)
-            dp = p - pbar
-            dq = Eq - qbar
-            C_pq = dp.T @ dq  # (2, 3)
-            C_qq = dq.T @ dq
-            if n_basis:
-                # Posterior covariance adds Cov[q_k] = B_k Sig B_k^T per point.
-                C_qq = C_qq + np.einsum("nvj,nm,mvl->jl", bvis, Sig, bvis)
-
-            def refreshed(R):
-                denom = float(np.trace(R @ C_qq @ R.T))
-                if denom <= 0:
-                    return None
-                c = float(np.trace(R @ C_pq.T)) / denom
-                if c <= 1e-12:
-                    return None
-                d = pbar - c * (R @ qbar)
-                return c, R, d
-
-            trial_Rs = [R0]
-            if np.linalg.norm(C_pq) > 0:
-                U, _, Vt2 = np.linalg.svd(C_pq, full_matrices=False)
-                trial_Rs.append(U @ Vt2)
-                # The unconstrained affine optimum accounts for the posterior
-                # covariance (C_qq anisotropy); its projection is usually the
-                # strongest candidate.
-                Astar, *_ = np.linalg.lstsq(C_qq, C_pq.T, rcond=None)
-                if np.all(np.isfinite(Astar)) and np.linalg.norm(Astar) > 0:
-                    trial_Rs.append(_orthonormalize_rows(Astar.T))
-            candidates = [(c0, R0, d0)]
-            for R in trial_Rs:
-                cand = refreshed(R)
-                if cand is not None:
-                    candidates.append(cand)
-            best = min(
-                candidates,
-                key=lambda crd: _expected_sq_residual(
-                    mvis, bvis, crd[0], crd[1], crd[2], p, mu, Sig
-                ),
-            )
-            new_poses.append(best)
-        poses = new_poses
-
-        # M-step part 3: noise variance (floored).
-        total_sq = 0.0
-        for m in range(M):
-            c, R, d = poses[m]
-            vi = vis_idx[m]
-            total_sq += _expected_sq_residual(
-                mean_pts[vi], basis_pts[:, vi], c, R, d, p_vis[m], mus[m], Sigs[m]
-            )
-        noise_var = max(total_sq / n_coords, _MIN_NOISE_VAR)
+        # M-step parts 2 and 3: per-instance pose, then the noise variance.
+        poses, noise_var = _pose_noise_step(
+            poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
+            refresh_current=True,
+        )
 
         # Parameter-expanded acceleration: fit the coefficient prior
         # covariance, then absorb its Cholesky factor into the basis.  This
@@ -574,60 +560,14 @@ def learn_em(
         basis_pts = basis.reshape(n_basis, K, 3)
         last_ll = None
         for _ in range(100):
-            mus, Sigs = [], []
-            total_ll = 0.0
-            for m in range(M):
-                c, R, d = poses[m]
-                vi = vis_idx[m]
-                mu, Sig, ll = _posterior(
-                    mean_pts[vi], basis_pts[:, vi], c, R, d, p_vis[m], noise_var
-                )
-                mus.append(mu)
-                Sigs.append(Sig)
-                total_ll += ll
-            if last_ll is not None and abs(total_ll - last_ll) <= opts.tol * max(
-                abs(last_ll), 1.0
-            ):
+            mus, Sigs, total_ll = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
+            if last_ll is not None and _settled(last_ll, total_ll, opts.tol):
                 break
             last_ll = total_ll
-            new_poses = []
-            for m in range(M):
-                c0, R0, d0 = poses[m]
-                vi = vis_idx[m]
-                mvis, bvis = mean_pts[vi], basis_pts[:, vi]
-                mu, Sig = mus[m], Sigs[m]
-                Eq = mvis + np.einsum("n,nvj->vj", mu, bvis)
-                p = p_vis[m]
-                pbar, qbar = p.mean(axis=0), Eq.mean(axis=0)
-                dp, dq = p - pbar, Eq - qbar
-                C_pq = dp.T @ dq
-                C_qq = dq.T @ dq + np.einsum("nvj,nm,mvl->jl", bvis, Sig, bvis)
-                best = (c0, R0, d0)
-                best_obj = _expected_sq_residual(mvis, bvis, c0, R0, d0, p, mu, Sig)
-                if np.linalg.norm(C_pq) > 0:
-                    Astar, *_ = np.linalg.lstsq(C_qq, C_pq.T, rcond=None)
-                    U, _, Vt2 = np.linalg.svd(C_pq, full_matrices=False)
-                    for R in (U @ Vt2, _orthonormalize_rows(Astar.T)):
-                        denom = float(np.trace(R @ C_qq @ R.T))
-                        if denom <= 0:
-                            continue
-                        c = float(np.trace(R @ C_pq.T)) / denom
-                        if c <= 1e-12:
-                            continue
-                        d = pbar - c * (R @ qbar)
-                        obj = _expected_sq_residual(mvis, bvis, c, R, d, p, mu, Sig)
-                        if obj < best_obj:
-                            best, best_obj = (c, R, d), obj
-                new_poses.append(best)
-            poses = new_poses
-            total_sq = 0.0
-            for m in range(M):
-                c, R, d = poses[m]
-                vi = vis_idx[m]
-                total_sq += _expected_sq_residual(
-                    mean_pts[vi], basis_pts[:, vi], c, R, d, p_vis[m], mus[m], Sigs[m]
-                )
-            noise_var = max(total_sq / n_coords, _MIN_NOISE_VAR)
+            poses, noise_var = _pose_noise_step(
+                poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
+                refresh_current=False,
+            )
 
     # Remaining gauge moves are exactly likelihood-preserving: center the
     # mean (absorbed into the image offsets) and rotate the basis rows to
@@ -635,43 +575,30 @@ def learn_em(
     centroid = mean_pts.mean(axis=0)
     mean_pts = mean_pts - centroid
     poses = [(c, R, d + c * (R @ centroid)) for (c, R, d) in poses]
-    mean_flat = mean_pts.reshape(-1)
     if n_basis:
         # basis' = S V^T from the SVD keeps span and prior (alpha' = U^T alpha
         # is still standard normal), so the likelihood is unchanged.
         _, sv, Vt = np.linalg.svd(basis, full_matrices=False)
         basis = sv[:, None] * Vt
-
     basis_pts = basis.reshape(n_basis, K, 3)
-    model = MorphableModel(mean=mean_flat, basis=basis)
+    model = MorphableModel(mean=mean_pts.reshape(-1), basis=basis)
 
     # Final posterior pass for the reported coefficients and residuals.
-    coeffs, out_poses = [], []
+    mus, _, _ = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
     sq_sum = 0.0
-    for m in range(M):
-        c, R, d = poses[m]
-        vi = vis_idx[m]
-        mu, Sig, _ = _posterior(
-            mean_pts[vi], basis_pts[:, vi], c, R, d, p_vis[m], noise_var
-        )
-        coeffs.append(ShapeCoefficients(alpha=mu))
-        out_poses.append(OrthoCamPose(c=c, R=R, t=R.T @ d / c))
-        pts = mean_pts[vi] if n_basis == 0 else mean_pts[vi] + np.einsum(
-            "n,nvj->vj", mu, basis_pts[:, vi]
-        )
-        r = p_vis[m] - _project_affine(c, R, d, pts)
+    for (c, R, d), vi, p, mu in zip(poses, vis_idx, p_vis, mus):
+        r = p - _project_affine(c, R, d, _expected_points(mean_pts[vi], basis_pts[:, vi], mu))
         sq_sum += float(np.sum(r * r))
-    reproj_rmse = float(np.sqrt(sq_sum / n_coords))
 
     return LearnResult(
         model=model,
-        poses=out_poses,
-        coeffs=coeffs,
+        poses=[OrthoCamPose(c=c, R=R, t=R.T @ d / c) for c, R, d in poses],
+        coeffs=[ShapeCoefficients(alpha=mu) for mu in mus],
         loglik_path=np.array(logliks),
         converged=converged,
         iterations=it,
         noise_var=float(noise_var),
-        reproj_rmse=reproj_rmse,
+        reproj_rmse=float(np.sqrt(sq_sum / n_coords)),
         used_mask=used,
     )
 

@@ -149,6 +149,14 @@ class TestLearnEM:
             pts = instantiate(result.model, coef)
             errs.extend(np.linalg.norm(ortho_project(pose, pts)[vis] - uv[vis], axis=1))
         assert np.mean(errs) <= 0.75
+        # reproj_rmse is the RMS over image coordinates (u and v separately)
+        # of the final posterior-mean reprojections.
+        sq, n_coords = 0.0, 0
+        for (uv, vis), pose, coef in zip(raw, result.poses, result.coeffs):
+            r = ortho_project(pose, instantiate(result.model, coef))[vis] - uv[vis]
+            sq += float(np.sum(r * r))
+            n_coords += r.size
+        assert result.reproj_rmse == pytest.approx(np.sqrt(sq / n_coords), rel=1e-9)
         angles = subspace_angles_deg(
             result.model.basis,
             basis.reshape(2, -1),
