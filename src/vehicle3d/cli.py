@@ -28,6 +28,7 @@ records what it can); 2 for command-line usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import os
 import sys
@@ -39,7 +40,7 @@ import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
 from .geometry import BehindCameraError, footprint
-from .metrics import DIFFICULTIES, alp, ap_3d, ap_bev, pr_curve
+from .metrics import DIFFICULTIES, EvalPair, alp, ap_3d, ap_bev, pr_curve
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
@@ -116,6 +117,13 @@ class Option(NamedTuple):
     minimum: int | None = None
     required: bool = False
     choices: tuple | None = None  # the allowed values, checked like minimum
+    within: tuple | None = None  # (predicate, message) each given value must pass
+
+
+# Ranges of metric thresholds: an IoU threshold or gate at or below 0 would
+# let disjoint boxes match, and a NaN one would match nothing.
+_IOU_RANGE = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+_DISTANCE_RANGE = (lambda v: math.isfinite(v) and v > 0.0, "must be finite and positive")
 
 
 # The config objects behind options: a field option takes its default and
@@ -140,8 +148,9 @@ def _resolve_options(command: str, args):
     """(effective option values, config objects) of one run.
 
     Each value comes from its flag, else the --config file, else the
-    default.  Required options, minimums and the config objects' own
-    checks are all applied here, before anything is written.
+    default.  Required options, minimums, choices, value ranges and
+    the config objects' own checks are all applied here, before anything
+    is written.
     """
     file_cfg = {}
     if args.config:
@@ -170,6 +179,10 @@ def _resolve_options(command: str, args):
             raise CLIError(f"{opt.name} must be at least {opt.minimum}")
         if opt.choices is not None and value not in opt.choices:
             raise CLIError(f"unknown {opt.name} {value!r}")
+        if opt.within is not None and value is not None:
+            valid, message = opt.within
+            if not all(map(valid, value if isinstance(value, tuple) else (value,))):
+                raise CLIError(f"{opt.name} = {_fmt_value(value)}: {message}")
         if opt.field is not None:
             config, attr = opt.field.split(".")
             try:
@@ -423,13 +436,12 @@ def _paired_frames(pred_dir: Path, gt_dir: Path):
         raise CLIError("frame sets differ; " + "; ".join(parts))
     if not gt_ids:
         raise CLIError(f"no label files under {gt_dir}")
-    frames = []
     order = sorted(gt_ids)
-    for frame_id in order:
-        frames.append(
-            (tuple(_read_data_file(pred_ids[frame_id], parse_labels)),
-             tuple(_read_data_file(gt_ids[frame_id], parse_labels)))
-        )
+    frames = [
+        EvalPair(_read_data_file(pred_ids[frame_id], parse_labels),
+                 _read_data_file(gt_ids[frame_id], parse_labels))
+        for frame_id in order
+    ]
     return order, frames
 
 
@@ -519,11 +531,11 @@ def _record_plot_entries(payload: dict, prefix: str, record) -> None:
 def _write_plot_data(order, frames, out_dir: Path) -> None:
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    for frame_id, (dets, gts) in zip(order, frames):
+    for frame_id, pair in zip(order, frames):
         payload = {}
-        for i, det in enumerate(dets):
+        for i, det in enumerate(pair.detections):
             _record_plot_entries(payload, f"pred{i}.", det)
-        for i, gt in enumerate(gts):
+        for i, gt in enumerate(pair.ground_truth):
             _record_plot_entries(payload, f"gt{i}.", gt)
         _atomic_write(plot_dir / (frame_id + ".cfg"), format_config(payload))
 
@@ -557,26 +569,26 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
         effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS},
         energy, solver,
     )
-    per_variant = {
-        variant: _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir)[1]
-        for variant in ABLATION_VARIANTS
-    }
     points = effective["points"]
-    tables = []
-    for title, fn in (
+    metrics = (
         (f"ALP @ {effective['alp_threshold']:g} m",
          lambda fr, d: alp(fr, effective["alp_threshold"], d, points=points)),
         (f"AP 3D IoU @ {effective['iou3d_threshold']:g}",
          lambda fr, d: ap_3d(fr, effective["iou3d_threshold"], d, points=points)),
         (f"AP bird's-eye IoU @ {effective['bev_threshold']:g}",
          lambda fr, d: ap_bev(fr, effective["bev_threshold"], d, points=points)),
-    ):
-        rows = [
-            (variant, [fn(per_variant[variant], d) for d in DIFFICULTIES])
-            for variant in ABLATION_VARIANTS
-        ]
-        tables.append(render_table(title, ["", *DIFFICULTIES], rows))
-    text = "\n".join(tables)
+    )
+    # One variant's frames (and the pair values they keep) at a time.
+    rows = {}  # (metric title, variant) -> values by difficulty
+    for variant in ABLATION_VARIANTS:
+        frames = _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir)[1]
+        for title, fn in metrics:
+            rows[title, variant] = [fn(frames, d) for d in DIFFICULTIES]
+    text = "\n".join(
+        render_table(title, ["", *DIFFICULTIES],
+                     [(variant, rows[title, variant]) for variant in ABLATION_VARIANTS])
+        for title, _ in metrics
+    )
     print(text, end="")
     _atomic_write(out_dir / "ablation.txt", text)
     _write_manifest(out_dir, "ablate", effective)
@@ -604,7 +616,7 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
         "instances_used": str(int(result.used_mask.sum())),
         "converged": _fmt_value(bool(result.converged)),
         "iterations": str(result.iterations),
-        "final_loglik": repr(float(result.loglik_path[-1])),
+        "final_loglik": repr(result.loglik),
         "noise_var": repr(float(result.noise_var)),
         "reproj_rmse_px": repr(float(result.reproj_rmse)),
     }
@@ -670,11 +682,15 @@ _COMMANDS = {
     "eval": Command("score predictions against ground truth", cmd_eval, False, (
         Option("pred", str, None, "predicted labels: directory or fit output", required=True),
         Option("gt", str, None, "ground-truth labels: directory or dataset", required=True),
-        Option("alp_thresholds", _as_float_list, (1.0, 2.0, 3.0), "ALP meters, comma-separated"),
-        Option("iou3d_thresholds", _as_float_list, (0.25, 0.5, 0.7), "3D IoU thresholds"),
-        Option("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds"),
-        Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold"),
-        Option("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'"),
+        Option("alp_thresholds", _as_float_list, (1.0, 2.0, 3.0), "ALP meters, comma-separated",
+               within=_DISTANCE_RANGE),
+        Option("iou3d_thresholds", _as_float_list, (0.25, 0.5, 0.7), "3D IoU thresholds",
+               within=_IOU_RANGE),
+        Option("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds",
+               within=_IOU_RANGE),
+        Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold", within=_IOU_RANGE),
+        Option("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'",
+               within=_IOU_RANGE),
         _POINTS._replace(help="AP interpolation points (11 or 41)"),
         Option("curves", _as_bool, False, "write PR curve point files"),
         Option("plot_data", _as_bool, False, "write footprint/wireframe polylines"),
@@ -684,9 +700,10 @@ _COMMANDS = {
         _MODEL,
         _JOBS,
         *_SOLVE,
-        Option("alp_threshold", float, 1.0, "ALP distance for the table, meters"),
-        Option("iou3d_threshold", float, 0.25, "3D IoU for the table"),
-        Option("bev_threshold", float, 0.5, "bird's-eye IoU for the table"),
+        Option("alp_threshold", float, 1.0, "ALP distance for the table, meters",
+               within=_DISTANCE_RANGE),
+        Option("iou3d_threshold", float, 0.25, "3D IoU for the table", within=_IOU_RANGE),
+        Option("bev_threshold", float, 0.5, "bird's-eye IoU for the table", within=_IOU_RANGE),
         _POINTS,
     )),
 }

@@ -17,14 +17,23 @@ Matching protocol (shared by all metric families):
     curve equals what per-threshold rematching would produce.
 
 A bucket with no valid ground truth yields None (absent), never zero.
+
+Match once: each (detection, ground truth) pair value -- 3D IoU, BEV IoU,
+2D IoU (also ALP's gate) and center distance -- is computed at most once
+per EvalPair, on first use, and reused by every metric threshold and
+difficulty; so are the score and content orders.  Pass the same EvalPair
+list to every curve to reuse them (a (detections, ground truth) tuple is
+wrapped afresh on each call).  Pairs whose footprints' bounding boxes
+are apart score a 3D/BEV IoU of exactly 0 without a polygon clip.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box2D, iou_2d, iou_3d, iou_bev
+from .geometry import Box2D, footprint, iou_2d, iou_3d, iou_bev
 from .scene_io import LabelRecord, label_to_pose
 
 DIFFICULTIES = ("easy", "moderate", "hard")
@@ -42,10 +51,18 @@ _RANK = {"easy": 0, "moderate": 1, "hard": 2, "ignored": 3}
 # region covers at least this fraction of the detection box
 _DONTCARE_COVERAGE = 0.5
 
+# Footprint bounding boxes count as apart only beyond this gap, relative to
+# the frame's largest coordinate, far above the clipper's rounding.
+_APART_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EvalPair:
-    """One frame: scored detections against annotated ground truth."""
+    """One frame: scored detections against annotated ground truth.
+
+    The matching orders and each pair value are computed on first use and
+    kept on the instance, so every curve over it reuses them.
+    """
 
     detections: tuple
     ground_truth: tuple
@@ -56,6 +73,75 @@ class EvalPair:
         for det in self.detections:
             if det.score is not None and not np.isfinite(det.score):
                 raise ValueError("detection scores must be finite")
+
+    @cached_property
+    def _det_order(self) -> list:
+        """Detection indices by descending score, ties by content."""
+        dets = self.detections
+        return sorted(range(len(dets)),
+                      key=lambda i: (-_score(dets[i]),) + _content_key(dets[i]))
+
+    @cached_property
+    def _gt_order(self) -> list:
+        gts = self.ground_truth
+        return sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
+
+    @cached_property
+    def _poses_and_apart(self):
+        """(detection poses, ground-truth poses, apart): a pose is None
+        unless the record's dimensions are positive; apart[i, j] marks the
+        pairs whose footprints' bounding boxes are disjoint."""
+        poses = [
+            [None if min(rec.dimensions) <= 0 else label_to_pose(rec) for rec in records]
+            for records in (self.detections, self.ground_truth)
+        ]
+        det_b, gt_b = (_footprint_bounds(side) for side in poses)
+        # per axis, the gap between the boxes (negative where they overlap)
+        gap = np.maximum(gt_b[None, :, :2] - det_b[:, None, 2:],
+                         det_b[:, None, :2] - gt_b[None, :, 2:])
+        scale = 1.0 + max(np.abs(b[np.isfinite(b)]).max(initial=0.0) for b in (det_b, gt_b))
+        return poses[0], poses[1], (gap > _APART_RTOL * scale).any(axis=2)
+
+    @cached_property
+    def _values(self) -> dict:
+        """(kind, detection index, ground-truth index) -> pair value."""
+        return {}
+
+    def _value(self, kind: str, i: int, j: int):
+        """Detection i against ground truth j, computed once: kind is
+        "iou_3d" or "iou_bev" (None unless both dimensions are positive),
+        "iou_2d" or "center_distance"."""
+        key = (kind, i, j)
+        values = self._values
+        if key not in values:
+            values[key] = self._compute(kind, i, j)
+        return values[key]
+
+    def _compute(self, kind: str, i: int, j: int):
+        det, gt = self.detections[i], self.ground_truth[j]
+        if kind == "iou_2d":
+            return iou_2d(_box(det), _box(gt))
+        if kind == "center_distance":
+            return center_distance(det, gt)
+        det_poses, gt_poses, apart = self._poses_and_apart
+        if det_poses[i] is None or gt_poses[j] is None:
+            return None
+        if apart[i, j]:
+            return 0.0
+        iou = iou_3d if kind == "iou_3d" else iou_bev
+        return iou(det_poses[i], gt_poses[j])
+
+
+def _footprint_bounds(poses) -> np.ndarray:
+    """(n, 4) rows (min x, min z, max x, max z) of each footprint; NaN for
+    a missing pose or a non-finite footprint, which is never apart."""
+    bounds = np.full((len(poses), 4), np.nan)
+    for k, pose in enumerate(poses):
+        if pose is not None:
+            feet = footprint(pose)
+            if np.isfinite(feet).all():
+                bounds[k] = (*feet.min(axis=0), *feet.max(axis=0))
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -120,10 +206,10 @@ def center_distance(a: LabelRecord, b: LabelRecord) -> float:
 
 
 def _alp_criterion(threshold_m: float, gate_iou: float | None):
-    def passes(det, gt):
-        if gate_iou is not None and iou_2d(_box(det), _box(gt)) < gate_iou:
+    def passes(pair, i, j):
+        if gate_iou is not None and pair._value("iou_2d", i, j) < gate_iou:
             return None
-        dist = center_distance(det, gt)
+        dist = pair._value("center_distance", i, j)
         if dist >= threshold_m:
             return None
         return -dist  # closer is better
@@ -131,30 +217,10 @@ def _alp_criterion(threshold_m: float, gate_iou: float | None):
     return passes
 
 
-def _iou3d_criterion(threshold: float):
-    def passes(det, gt):
-        if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
-            return None
-        value = iou_3d(label_to_pose(det), label_to_pose(gt))
-        return value if value >= threshold else None
-
-    return passes
-
-
-def _bev_criterion(threshold: float):
-    def passes(det, gt):
-        if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
-            return None
-        value = iou_bev(label_to_pose(det), label_to_pose(gt))
-        return value if value >= threshold else None
-
-    return passes
-
-
-def _iou2d_criterion(threshold: float):
-    def passes(det, gt):
-        value = iou_2d(_box(det), _box(gt))
-        return value if value >= threshold else None
+def _iou_criterion(kind: str, threshold: float):
+    def passes(pair, i, j):
+        value = pair._value(kind, i, j)
+        return value if value is not None and value >= threshold else None
 
     return passes
 
@@ -179,19 +245,18 @@ def _match_frame(pair: EvalPair, passes, difficulty: str, object_type: str):
         else:
             valid.append(_RANK[difficulty_bucket(gt)] <= rank)
 
-    dets = sorted(
-        (d for d in pair.detections if d.type == object_type),
-        key=lambda d: (-_score(d),) + _content_key(d),
-    )
-    gt_order = sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
+    gt_order = pair._gt_order
     taken = [False] * len(gts)
     flags = []
-    for det in dets:
+    for i in pair._det_order:
+        det = pair.detections[i]
+        if det.type != object_type:
+            continue
         best = None  # (quality, position in gt content order)
         for j in gt_order:
             if taken[j] or not valid[j]:
                 continue
-            quality = passes(det, gts[j])
+            quality = passes(pair, i, j)
             if quality is not None and (best is None or quality > best[0]):
                 best = (quality, j)
         if best is not None:
@@ -204,7 +269,7 @@ def _match_frame(pair: EvalPair, passes, difficulty: str, object_type: str):
         for j in gt_order:
             if taken[j] or valid[j] or gts[j].type == DONT_CARE_TYPE:
                 continue
-            if passes(det, gts[j]) is not None:
+            if passes(pair, i, j) is not None:
                 taken[j] = True  # matched an ignored ground truth
                 absorbed = True
                 break
@@ -259,9 +324,9 @@ def pr_curve(
         raise ValueError(f"unknown difficulty {difficulty!r}")
     criteria = {
         "alp": lambda: _alp_criterion(threshold, gate_iou),
-        "ap3d": lambda: _iou3d_criterion(threshold),
-        "apbev": lambda: _bev_criterion(threshold),
-        "ap2d": lambda: _iou2d_criterion(threshold),
+        "ap3d": lambda: _iou_criterion("iou_3d", threshold),
+        "apbev": lambda: _iou_criterion("iou_bev", threshold),
+        "ap2d": lambda: _iou_criterion("iou_2d", threshold),
     }
     if metric not in criteria:
         raise ValueError(f"unknown metric {metric!r}")

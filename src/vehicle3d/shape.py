@@ -155,12 +155,13 @@ class LearnResult:
     model: MorphableModel
     poses: list  # OrthoCamPose per instance
     coeffs: list  # ShapeCoefficients per instance (posterior means)
-    loglik_path: np.ndarray
+    loglik_path: np.ndarray  # per EM-loop iteration
     converged: bool
     iterations: int
     noise_var: float
     reproj_rmse: float  # px, RMS per image coordinate
     used_mask: np.ndarray  # which input instances participated
+    loglik: float  # log-likelihood of the returned model, poses and noise
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def learn_em(
     model = MorphableModel(mean=mean_pts.reshape(-1), basis=basis)
 
     # Final posterior pass for the reported coefficients and residuals.
-    mus, _, _ = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
+    mus, _, loglik = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
     sq_sum = 0.0
     for (c, R, d), vi, p, mu in zip(poses, vis_idx, p_vis, mus):
         r = p - _project_affine(c, R, d, _expected_points(mean_pts[vi], basis_pts[:, vi], mu))
@@ -600,6 +601,7 @@ def learn_em(
         noise_var=float(noise_var),
         reproj_rmse=float(np.sqrt(sq_sum / n_coords)),
         used_mask=used,
+        loglik=float(loglik),
     )
 
 

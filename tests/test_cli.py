@@ -332,6 +332,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (("shape-learn", "--data", "d", "--basis", -1), "basis must be at least 0"),
     (("shape-learn", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
     (("ablate", "--data", "d", "--points", 0), "points must be at least 2"),
+    (("eval", "--pred", "d", "--gt", "d", "--iou3d-thresholds", "nan"),
+     "iou3d_thresholds = nan: must be in (0, 1]"),
+    (("eval", "--pred", "d", "--gt", "d", "--iou3d-thresholds", -1),
+     "iou3d_thresholds = -1.0: must be in (0, 1]"),
+    (("eval", "--pred", "d", "--gt", "d", "--bev-thresholds", "0.5,1.5"),
+     "bev_thresholds = 0.5,1.5: must be in (0, 1]"),
+    (("eval", "--pred", "d", "--gt", "d", "--alp-thresholds", 0),
+     "alp_thresholds = 0.0: must be finite and positive"),
+    (("eval", "--pred", "d", "--gt", "d", "--alp-gate", -3), "alp_gate = -3.0: must be in (0, 1]"),
+    (("ablate", "--data", "d", "--iou3d-threshold", "nan"), "iou3d_threshold = nan: must be in (0, 1]"),
 ], ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_out_of_range_options_fail_before_any_output(tmp_path, capfd, argv, message):
     out = tmp_path / "out"

@@ -18,6 +18,7 @@ from vehicle3d.metrics import (
     ap_2d_aos,
     ap_3d,
     ap_bev,
+    center_distance,
     difficulty_bucket,
     pr_curve,
 )
@@ -113,7 +114,12 @@ def oracle_iou_criterion(kind, threshold):
 
 
 def compare_with_oracle(frames, points=11):
-    """Assert all four metric families equal the rematching oracle."""
+    """Assert all four metric families equal the rematching oracle.
+
+    frames are (detections, ground truth) tuples or EvalPairs."""
+    oracle_frames = [
+        (f.detections, f.ground_truth) if isinstance(f, EvalPair) else f for f in frames
+    ]
     cases = [
         ("alp", 1.0, 0.7, oracle_alp_criterion(1.0, 0.7)),
         ("ap3d", 0.25, None, oracle_iou_criterion("3d", 0.25)),
@@ -125,7 +131,7 @@ def compare_with_oracle(frames, points=11):
             curve = pr_curve(frames, metric, threshold, difficulty,
                              gate_iou=gate, points=points)
             want_ap, want_aos = oracle_pr_metrics(
-                frames, criterion, difficulty, points=points
+                oracle_frames, criterion, difficulty, points=points
             )
             if curve is None:
                 assert want_ap is None, (metric, difficulty)
@@ -584,3 +590,104 @@ def test_ground_truth_self_evaluation_is_perfect():
     assert ap_3d(frames, 0.7, difficulty="hard") == 100.0
     assert ap_bev(frames, 0.7, difficulty="hard") == 100.0
     assert ap_2d_aos(frames, 0.7, difficulty="hard") == (100.0, 100.0)
+
+
+# ---------------------------------------------------------------------------
+# Match once: the pair values an EvalPair keeps for its curves.
+# ---------------------------------------------------------------------------
+
+def scalar_pair_value(kind, det, gt):
+    """The scalar kernel behind one EvalPair table entry."""
+    if kind == "iou_2d":
+        return iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
+    if kind == "center_distance":
+        return center_distance(det, gt)
+    if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
+        return None
+    fn = iou_3d if kind == "iou_3d" else iou_bev
+    return fn(label_to_pose(det), label_to_pose(gt))
+
+
+def check_reused_tables(frames) -> int:
+    """Run every curve over one EvalPair list, then require each pair value
+    a curve read to equal its scalar kernel exactly.  Returns how many 3D
+    or BEV entries came from the apart-footprints shortcut."""
+    pairs = [EvalPair(*frame) for frame in frames]
+    compare_with_oracle(pairs)
+    shortcuts = 0
+    for pair in pairs:
+        apart = pair._poses_and_apart[2] if "_poses_and_apart" in vars(pair) else None
+        for (kind, i, j), value in pair._values.items():
+            want = scalar_pair_value(kind, pair.detections[i], pair.ground_truth[j])
+            assert value == want and type(value) is type(want), (kind, i, j, value, want)
+            if kind in ("iou_3d", "iou_bev") and apart[i, j]:
+                assert value == 0.0
+                shortcuts += 1
+    return shortcuts
+
+
+def hand_frames():
+    """The acceptance suite's hand cases: perfect, miss, tie, don't-care
+    region with dimensions -1, foreign type, empty detections, empty
+    ground truth."""
+    gt = rec()
+    return [
+        ((rec(score=0.9),), (gt,)),
+        ((shift(gt, dx=5.0, score=0.8),), (gt,)),
+        ((rec(score=0.5), shift(gt, du=300.0, score=0.5)), (gt, shift(gt, du=300.0))),
+        (
+            (rec(score=0.7), shift(gt, du=500.0, score=0.6)),
+            (gt, rec(type="DontCare", bbox=(590.0, 90.0, 720.0, 170.0),
+                     truncated=-1.0, occluded=-1, dimensions=(-1.0, -1.0, -1.0))),
+        ),
+        ((rec(score=0.4), rec(type="Van", score=0.9)), (rec(type="Van"), gt)),
+        ((), (gt,)),
+        ((rec(score=0.3),), ()),
+    ]
+
+
+def test_reused_tables_equal_the_scalar_kernels():
+    check_reused_tables(hand_frames())
+    shortcuts = sum(
+        check_reused_tables(random_frames(np.random.default_rng(seed)))
+        for seed in range(150)
+    )
+    assert shortcuts > 0  # apart pairs were read, each at exactly 0.0
+
+
+def test_each_pair_value_is_computed_once(monkeypatch):
+    import vehicle3d.metrics as metrics
+
+    calls = []
+
+    def counted(name):
+        inner = getattr(metrics, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("iou_3d", "iou_bev", "iou_2d", "center_distance", "label_to_pose"):
+        monkeypatch.setattr(metrics, name, counted(name))
+    pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
+    jobs = [(metric, threshold, difficulty)
+            for metric, thresholds in (("alp", (1.0, 2.0)), ("ap3d", (0.25, 0.7)),
+                                       ("apbev", (0.5, 0.7)), ("ap2d", (0.5, 0.7)))
+            for threshold in thresholds for difficulty in DIFFICULTIES]
+    for job in jobs:
+        pr_curve(pairs, *job)
+    first = len(calls)
+    for job in jobs:
+        pr_curve(pairs, *job)
+    assert len(calls) == first > 0  # a second sweep scores nothing
+    for kind in ("iou_3d", "iou_bev", "iou_2d", "center_distance"):
+        scored = sum(
+            1 for pair in pairs for (k, i, j), value in pair._values.items()
+            if k == kind and value is not None
+            and not (kind in ("iou_3d", "iou_bev") and pair._poses_and_apart[2][i, j])
+        )
+        assert calls.count(kind) == scored, kind
+    records = sum(len(p.detections) + len(p.ground_truth) for p in pairs)
+    assert calls.count("label_to_pose") <= records

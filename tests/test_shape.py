@@ -165,6 +165,37 @@ class TestLearnEM:
         )
         assert angles.max() < 5.0
 
+    def test_report_final_loglik_is_the_returned_models(self, tmp_path):
+        from vehicle3d.cli import main
+        from vehicle3d.scene_io import parse_config_text, parse_measurements
+
+        data, out = tmp_path / "data", tmp_path / "model"
+        assert main(["synth", "--out", str(data), "--seed", "7", "--frames", "8"]) == 0
+        assert main(["shape-learn", "--data", str(data), "--out", str(out),
+                     "--basis", "2", "--max-iterations", "40"]) == 0
+        observations = [
+            LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
+            for path in sorted((data / "meas").glob("*.cfg"))
+            for meas in parse_measurements(path.read_text())[2]
+        ]
+        result = learn_em(observations, 2, LearnOptions(max_iterations=40))
+        report = parse_config_text((out / "report.cfg").read_text())
+        assert report["final_loglik"] == repr(result.loglik)
+        # loglik is the marginal log-likelihood of the used observations
+        # under the returned model, poses and noise (alpha ~ N(0, I)):
+        # p ~ N(cR(mean + B alpha) + c R t, noise_var I), per instance.
+        used = [o for o, u in zip(observations, result.used_mask) if u]
+        mean, basis = result.model.mean_points(), result.model.basis_points()
+        want = 0.0
+        for obs, pose in zip(used, result.poses):
+            vis = obs.visible
+            r = (obs.uv[vis] - ortho_project(pose, mean[vis])).reshape(-1)
+            design = np.stack([(b[vis] @ (pose.c * pose.R).T).reshape(-1) for b in basis], axis=1)
+            cov = result.noise_var * np.eye(r.size) + design @ design.T
+            _, logdet = np.linalg.slogdet(cov)
+            want -= 0.5 * (r.size * np.log(2 * np.pi) + logdet + r @ np.linalg.solve(cov, r))
+        assert result.loglik == pytest.approx(want, rel=1e-9)
+
     def test_rigid_factorization_n0(self):
         rng = np.random.default_rng(28)
         mean, _ = toy_true_model(0, rng)
