@@ -31,7 +31,8 @@ for index in range(40):
 result = learn_em(observations, n_basis=2)
 
 print(f"{len(observations)} instances, {int(result.used_mask.sum())} usable")
-print(f"converged = {result.converged} after {result.iterations} EM iterations")
+print(f"converged = {result.converged} after {result.iterations} EM iterations, "
+      f"then {result.polish_iterations} polish steps")
 # the generator projects with a full perspective camera, so the
 # weak-perspective learner keeps a residual beyond the annotation noise
 print(f"reprojection RMSE: {result.reproj_rmse:.3f} px "

@@ -63,7 +63,7 @@ from .scene_io import (
     pose_to_label,
     read_config,
 )
-from .shape import InsufficientDataError, LandmarkObservations, LearnOptions, learn_em, load_model, save_model
+from .shape import LandmarkObservations, LearnOptions, learn_em, load_model, save_model
 
 
 class CLIError(RuntimeError):
@@ -607,7 +607,7 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
     ]
     try:
         result = learn_em(observations, effective["basis"], learn)
-    except InsufficientDataError as exc:
+    except ValueError as exc:  # too few usable instances, a non-finite landmark
         raise CLIError(str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out_dir / "model.txt")
@@ -616,6 +616,7 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
         "instances_used": str(int(result.used_mask.sum())),
         "converged": _fmt_value(bool(result.converged)),
         "iterations": str(result.iterations),
+        "polish_iterations": str(result.polish_iterations),
         "final_loglik": repr(result.loglik),
         "noise_var": repr(float(result.noise_var)),
         "reproj_rmse_px": repr(float(result.reproj_rmse)),
@@ -624,7 +625,9 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
     _write_manifest(out_dir, "shape-learn", effective)
     print(
         f"learned {effective['basis']}-basis model from "
-        f"{int(result.used_mask.sum())} instances; "
+        f"{int(result.used_mask.sum())} instances in {result.iterations} EM iterations "
+        f"({'converged' if result.converged else 'not converged'}) + "
+        f"{result.polish_iterations} polish steps; "
         f"reprojection RMSE {result.reproj_rmse:.3f} px"
     )
     return 0

@@ -9,6 +9,7 @@ then free and optimizers can treat every variable as unconstrained.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,15 @@ class BehindCameraError(ValueError):
     """Raised when a point with Z <= EPS_Z is pushed through the projection."""
 
 
+def require_finite(*values) -> None:
+    """Raise ValueError("non-finite value") unless every value is finite.
+
+    Checked ahead of range checks, which a NaN fails with a wrong cause.
+    """
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole camera: focal lengths and principal point, all in pixels."""
@@ -34,6 +44,7 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        require_finite(self.fx, self.fy, self.cx, self.cy)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
@@ -62,6 +73,7 @@ class Box2D:
 
     @staticmethod
     def from_corners(left: float, top: float, right: float, bottom: float) -> "Box2D":
+        require_finite(left, top, right, bottom)
         if not (right > left and bottom > top):
             raise ValueError("degenerate 2D box: need right > left and bottom > top")
         return Box2D(
@@ -114,6 +126,7 @@ class GroundPlane:
 
     def __post_init__(self):
         n = np.asarray(self.N, dtype=float).reshape(3)
+        require_finite(*n)
         if not np.linalg.norm(n) > 0:
             raise ValueError("ground plane normal must be nonzero")
         object.__setattr__(self, "N", n)

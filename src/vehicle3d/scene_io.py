@@ -26,6 +26,7 @@ from .geometry import (
     PoseBox3D,
     project,
     project_box3d,
+    require_finite,
     rot_y,
     wrap_angle,
     wrap_pi,
@@ -159,6 +160,7 @@ class LabelRecord:
         if len(self.bbox) != 4 or len(self.dimensions) != 3 or len(self.location) != 3:
             raise ValueError("bbox/dimensions/location arity is 4/3/3")
         left, top, right, bottom = self.bbox
+        require_finite(*self.bbox)
         if not (right > left and bottom > top):
             raise ValueError("degenerate 2D box: need right > left and bottom > top")
         if self.occluded not in _OCCLUSION_CODES:

@@ -157,7 +157,8 @@ class LearnResult:
     coeffs: list  # ShapeCoefficients per instance (posterior means)
     loglik_path: np.ndarray  # per EM-loop iteration
     converged: bool
-    iterations: int
+    iterations: int  # EM-loop iterations
+    polish_iterations: int  # pose and noise steps of the polish phase
     noise_var: float
     reproj_rmse: float  # px, RMS per image coordinate
     used_mask: np.ndarray  # which input instances participated
@@ -165,22 +166,30 @@ class LearnResult:
 
 
 # ---------------------------------------------------------------------------
-# Internal helpers for the EM learner.  Poses are carried as (c, R, d) with
-# d the 2D image offset; the public OrthoCamPose lifts d back to a 3-vector
-# t = R^T d / c, which reproduces the same projection.
+# Internal state of the EM learner, batched over the M used instances.  The
+# poses are stacked arrays c (M,), R (M, 2, 3) and d (M, 2), with d the 2D
+# image offset; the public OrthoCamPose lifts d back to a 3-vector
+# t = R^T d / c, which reproduces the same projection.  The observations are
+# P (M, K, 2), zero-filled where invisible, and the (M, K) boolean
+# visibility mask vis; every sum over landmarks skips invisible entries.
+# Anything derived from P is masked with np.where, never by a product with
+# the mask: nan * 0 is nan, so an invisible value would leak.
 # ---------------------------------------------------------------------------
 
-def _project_affine(c, R, d, pts):
-    return c * pts @ R.T + d
-
-
 def _orthonormalize_rows(A: np.ndarray) -> np.ndarray:
-    """Nearest row-orthonormal 2x3 matrix in Frobenius norm (via SVD)."""
+    """Nearest row-orthonormal matrix in Frobenius norm (via SVD), for each
+    2x3 matrix of a stack."""
     U, _, Vt = np.linalg.svd(A, full_matrices=False)
     return U @ Vt
 
 
-def _rigid_init(uvs, vises, K):
+def _residuals(A, d, pts, P, vis):
+    """p - (A q + d) per landmark, zero where invisible.  A (..., 2, 3) and
+    d (..., 2) broadcast against pts (..., K, 3), P (..., K, 2), vis (..., K)."""
+    return np.where(vis[..., None], P - (pts @ np.swapaxes(A, -1, -2) + d[..., None, :]), 0.0)
+
+
+def _rigid_init(P, vis):
     """Rank-3 factorization of centered landmarks -> mean shape + poses.
 
     Missing entries are imputed with the instance's visible centroid
@@ -188,16 +197,13 @@ def _rigid_init(uvs, vises, K):
     Q = G G^T that makes every instance's motion rows equal-norm and
     orthogonal, in least squares.
     """
-    M = len(uvs)
-    D = np.zeros((2 * M, K))
-    centroids = np.zeros((M, 2))
-    for m, (uv, vis) in enumerate(zip(uvs, vises)):
-        cen = uv[vis].mean(axis=0)
-        centroids[m] = cen
-        centered = uv - cen
-        centered[~vis] = 0.0  # mean-imputed after centering
-        D[2 * m] = centered[:, 0]
-        D[2 * m + 1] = centered[:, 1]
+    M, K, _ = P.shape
+    centroids = P.sum(axis=1) / vis.sum(axis=1)[:, None]
+    # Mean-imputed after centering.  A product with the mask would also leave
+    # -0.0 entries, which change the signs LAPACK picks for the SVD below
+    # (and so the frame of the learned model).
+    centered = np.where(vis[..., None], P - centroids[:, None], 0.0)
+    D = centered.transpose(0, 2, 1).reshape(2 * M, K)
 
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
     r = 3
@@ -206,9 +212,10 @@ def _rigid_init(uvs, vises, K):
 
     # Metric upgrade: x Q x^T = y Q y^T, x Q y^T = 0 per instance, plus a
     # scale-fixing row sum(x Q x^T) = M, all linear in the 6 entries of Q.
-    def quad_row(a, b):
-        # coefficients of [Q11,Q22,Q33,Q12,Q13,Q23] in a Q b^T
-        return np.array(
+    def quad_rows(a, b):
+        # coefficients of [Q11,Q22,Q33,Q12,Q13,Q23] in a Q b^T, one row per
+        # column of the (3, M) operands
+        return np.stack(
             [
                 a[0] * b[0],
                 a[1] * b[1],
@@ -216,21 +223,16 @@ def _rigid_init(uvs, vises, K):
                 a[0] * b[1] + a[1] * b[0],
                 a[0] * b[2] + a[2] * b[0],
                 a[1] * b[2] + a[2] * b[1],
-            ]
+            ],
+            axis=-1,
         )
 
-    rows, rhs = [], []
-    scale_row = np.zeros(6)
-    for m in range(M):
-        x, y = Mhat[2 * m], Mhat[2 * m + 1]
-        rows.append(quad_row(x, x) - quad_row(y, y))
-        rhs.append(0.0)
-        rows.append(quad_row(x, y))
-        rhs.append(0.0)
-        scale_row += quad_row(x, x)
-    rows.append(scale_row)
-    rhs.append(float(M))
-    q, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    x, y = Mhat[0::2].T, Mhat[1::2].T
+    xx = quad_rows(x, x)
+    rows = np.stack([xx - quad_rows(y, y), quad_rows(x, y)], axis=1).reshape(2 * M, 6)
+    rhs = np.zeros(2 * M + 1)
+    rhs[-1] = M
+    q, *_ = np.linalg.lstsq(np.vstack([rows, xx.sum(axis=0)]), rhs, rcond=None)
     Q = np.array(
         [
             [q[0], q[3], q[4]],
@@ -243,44 +245,11 @@ def _rigid_init(uvs, vises, K):
     evals = np.maximum(evals, 1e-8 * max(evals.max(), 1e-12))
     G = evecs @ np.diag(np.sqrt(evals))
 
-    motion = Mhat @ G
+    motion = (Mhat @ G).reshape(M, 2, 3)
     shape0 = np.linalg.solve(G, Shat)  # (3, K)
-
-    poses = []
-    for m in range(M):
-        A = motion[2 * m : 2 * m + 2]
-        c = float(np.sqrt(0.5 * (A[0] @ A[0] + A[1] @ A[1])))
-        c = max(c, 1e-9)
-        R = _orthonormalize_rows(A)
-        poses.append((c, R, centroids[m].copy()))
-    return shape0.T.reshape(-1), poses  # mean as (3K,), landmark-major
-
-
-def _posterior(mean_vis, basis_vis, c, R, d, p_vis, noise_var):
-    """Gaussian posterior over alpha for one instance; returns stats."""
-    A = c * R
-    V = len(mean_vis)
-    b = mean_vis @ A.T + d  # (V, 2)
-    r = (p_vis - b).reshape(-1)
-    N = basis_vis.shape[0]
-    if N == 0:
-        mu = np.zeros(0)
-        Sig = np.zeros((0, 0))
-        Mt_r = np.zeros(0)
-        quad = r @ r / noise_var
-        logdet_sig = 0.0
-    else:
-        # Mdes[2v:2v+2, n] = A @ basis_vis[n, v]
-        proj = np.einsum("ij,nvj->vin", A, basis_vis)  # (V, 2, N)
-        Mdes = proj.reshape(2 * V, N)
-        F = Mdes.T @ Mdes
-        Sig = np.linalg.inv(np.eye(N) + F / noise_var)
-        Mt_r = Mdes.T @ r
-        mu = Sig @ Mt_r / noise_var
-        quad = (r @ r - Mt_r @ (Sig @ Mt_r) / noise_var) / noise_var
-        sign, logdet_sig = np.linalg.slogdet(Sig)
-    loglik = -0.5 * (2 * V * np.log(2 * np.pi * noise_var) - logdet_sig + quad)
-    return mu, Sig, float(loglik)
+    c = np.maximum(np.sqrt(0.5 * np.sum(motion * motion, axis=(1, 2))), 1e-9)
+    pose = (c, _orthonormalize_rows(motion), centroids)
+    return shape0.T.reshape(-1), pose  # mean as (3K,), landmark-major
 
 
 def _weak_family(mean_flat: np.ndarray) -> np.ndarray:
@@ -311,91 +280,100 @@ def _weak_family(mean_flat: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _expected_points(mean_vis, basis_vis, mu):
-    """E[q] = mean + sum_n mu_n basis_n over one instance's visible landmarks."""
-    return mean_vis if mu.size == 0 else mean_vis + np.einsum("n,nvj->vj", mu, basis_vis)
+def _affine(pose):
+    c, R, _ = pose
+    return c[..., None, None] * R
 
 
-def _expected_sq_residual(Eq, basis_vis, Sig, pose, p_vis):
-    """E||p - c R q - d||^2 summed over this instance's visible landmarks."""
-    c, R, d = pose
-    A = c * R
-    resid = p_vis - (Eq @ A.T + d)
-    total = float(np.sum(resid * resid))
-    if Sig.size:
-        # Variance term: sum_k tr(A V_k Sig V_k^T A^T).
-        AV = np.einsum("ij,nvj->nvi", A, basis_vis)  # (N, V, 2)
-        total += float(np.einsum("nvi,nm,mvi->", AV, Sig, AV))
-    return total
+def _expected_points(mean_pts, basis_pts, mu):
+    """E[q] = mean + sum_n mu_n basis_n for every instance: (M, K, 3)."""
+    N, K, _ = basis_pts.shape
+    return mean_pts + (mu @ basis_pts.reshape(N, 3 * K)).reshape(-1, K, 3)
 
 
-def _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var):
-    """Exact Gaussian posterior per instance: (mus, Sigs, total log-likelihood)."""
-    mus, Sigs = [], []
-    total_ll = 0.0
-    for (c, R, d), vi, p in zip(poses, vis_idx, p_vis):
-        mu, Sig, ll = _posterior(mean_pts[vi], basis_pts[:, vi], c, R, d, p, noise_var)
-        mus.append(mu)
-        Sigs.append(Sig)
-        total_ll += ll
-    return mus, Sigs, total_ll
+def _e_step(mean_pts, basis_pts, pose, P, vis, noise_var):
+    """Exact Gaussian posterior of every instance's alpha:
+    (mu (M, N), Sig (M, N, N), total log-likelihood)."""
+    M, K, _ = P.shape
+    N = basis_pts.shape[0]
+    A = _affine(pose)
+    r = _residuals(A, pose[2], mean_pts, P, vis).reshape(M, 2 * K)
+    # Design rows Mdes[m, 2k+i, n] = (A_m basis_n,k)_i, zero where invisible.
+    Mdes = (basis_pts.reshape(N * K, 3) @ A.transpose(0, 2, 1)).reshape(M, N, K, 2)
+    Mdes = (Mdes * vis[:, None, :, None]).transpose(0, 2, 3, 1).reshape(M, 2 * K, N)
+    MdesT = Mdes.transpose(0, 2, 1)
+    Sig = np.linalg.inv(np.eye(N) + MdesT @ Mdes / noise_var)
+    Mt_r = (MdesT @ r[..., None])[..., 0]
+    mu = (Sig @ Mt_r[..., None])[..., 0] / noise_var
+    quad = (np.sum(r * r, axis=1) - np.sum(Mt_r * mu, axis=1)) / noise_var
+    _, logdet_sig = np.linalg.slogdet(Sig)
+    n_coords = 2 * vis.sum(axis=1)
+    loglik = -0.5 * (n_coords * np.log(2 * np.pi * noise_var) - logdet_sig + quad)
+    return mu, Sig, float(loglik.sum())
 
 
-def _update_pose(pose, Eq, basis_vis, Sig, p, refresh_current):
-    """Conditional M-step for one instance's (c, R, d).
+def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current):
+    """Conditional M-step for every instance's (c, R, d), then the noise
+    variance (floored) at the new poses: the mean expected squared residual
+    per image coordinate.
 
     Candidates are the current pose, then (c, d) refreshed in closed form
     at trial rotations: the current R (only with refresh_current), the SVD
     projection of the cross-covariance, and the projection of the
     unconstrained affine optimum.  The smallest expected squared residual
     wins, ties going to the first, so the step never worsens the expected
-    objective.  Returns (pose, its expected squared residual).
+    objective.
     """
-    pbar, qbar = p.mean(axis=0), Eq.mean(axis=0)
-    dp, dq = p - pbar, Eq - qbar
-    C_pq = dp.T @ dq  # (2, 3)
-    C_qq = dq.T @ dq
-    if Sig.size:
-        # Posterior covariance adds Cov[q_k] = B_k Sig B_k^T per point.
-        C_qq = C_qq + np.einsum("nvj,nm,mvl->jl", basis_vis, Sig, basis_vis)
-    trial_Rs = [pose[1]] if refresh_current else []
-    if np.linalg.norm(C_pq) > 0:
-        U, _, Vt = np.linalg.svd(C_pq, full_matrices=False)
-        trial_Rs.append(U @ Vt)
-        # The unconstrained affine optimum accounts for the posterior
-        # covariance (C_qq anisotropy); its projection is usually the
-        # strongest candidate.
-        Astar, *_ = np.linalg.lstsq(C_qq, C_pq.T, rcond=None)
-        if np.all(np.isfinite(Astar)) and np.linalg.norm(Astar) > 0:
-            trial_Rs.append(_orthonormalize_rows(Astar.T))
-    best, best_obj = pose, _expected_sq_residual(Eq, basis_vis, Sig, pose, p)
-    for R in trial_Rs:
-        denom = float(np.trace(R @ C_qq @ R.T))
-        if denom <= 0:
-            continue
-        c = float(np.trace(R @ C_pq.T)) / denom
-        if c <= 1e-12:
-            continue
-        cand = (c, R, pbar - c * (R @ qbar))
-        obj = _expected_sq_residual(Eq, basis_vis, Sig, cand, p)
-        if obj < best_obj:
-            best, best_obj = cand, obj
-    return best, best_obj
+    M, K, _ = P.shape
+    N = basis_pts.shape[0]
+    c, R, d = pose
+    Eq = _expected_points(mean_pts, basis_pts, mu)
+    mask = vis[..., None]
+    n_vis = vis.sum(axis=1)[:, None]
+    pbar = P.sum(axis=1) / n_vis
+    qbar = np.where(mask, Eq, 0.0).sum(axis=1) / n_vis
+    dp = np.where(mask, P - pbar[:, None], 0.0)
+    dq = np.where(mask, Eq - qbar[:, None], 0.0)
+    C_pq = dp.transpose(0, 2, 1) @ dq  # (M, 2, 3)
+    # Posterior covariance adds Cov[q_k] = B_k^T Sig B_k per visible point,
+    # with B_k the (N, 3) basis rows of landmark k.
+    BB = np.einsum("nkj,lkh->knljh", basis_pts, basis_pts).reshape(K, N * N * 9)
+    Vq = (Sig.reshape(M, 1, N * N) @ (vis @ BB).reshape(M, N * N, 9)).reshape(M, 3, 3)
+    C_qq = dq.transpose(0, 2, 1) @ dq + Vq
 
+    trials, usable = ([R], [np.ones(M, dtype=bool)]) if refresh_current else ([], [])
+    has_pq = np.linalg.norm(C_pq, axis=(1, 2)) > 0
+    trials.append(_orthonormalize_rows(C_pq))
+    usable.append(has_pq)
+    # The unconstrained affine optimum accounts for the posterior covariance
+    # (C_qq anisotropy); its projection is usually the strongest candidate.
+    # pinv at lstsq's own cutoff keeps lstsq's minimum-norm rank handling.
+    Astar = np.linalg.pinv(C_qq, rcond=3 * np.finfo(float).eps) @ C_pq.transpose(0, 2, 1)
+    ok = has_pq & np.all(np.isfinite(Astar), axis=(1, 2)) & (np.linalg.norm(Astar, axis=(1, 2)) > 0)
+    trials.append(_orthonormalize_rows(np.where(ok[:, None, None], Astar.transpose(0, 2, 1), 0.0)))
+    usable.append(ok)
 
-def _pose_noise_step(poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
-                     refresh_current):
-    """Update every pose, then the noise variance (floored) at the new poses:
-    the mean expected squared residual per image coordinate."""
-    new_poses = []
-    total_sq = 0.0
-    for pose, vi, p, mu, Sig in zip(poses, vis_idx, p_vis, mus, Sigs):
-        bvis = basis_pts[:, vi]
-        Eq = _expected_points(mean_pts[vi], bvis, mu)
-        pose, sq = _update_pose(pose, Eq, bvis, Sig, p, refresh_current)
-        new_poses.append(pose)
-        total_sq += sq
-    return new_poses, max(total_sq / n_coords, _MIN_NOISE_VAR)
+    Rt = np.stack(trials, axis=1)  # (M, T, 2, 3)
+    denom = np.sum((Rt @ C_qq[:, None]) * Rt, axis=(2, 3))
+    ct = np.sum(Rt * C_pq[:, None], axis=(2, 3)) / np.where(denom > 0, denom, np.inf)
+    usable = np.stack(usable, axis=1) & (ct > 1e-12)
+    dt = pbar[:, None] - ct[..., None] * (Rt @ qbar[:, None, :, None])[..., 0]
+
+    cands = (
+        np.concatenate([c[:, None], ct], axis=1),
+        np.concatenate([R[:, None], Rt], axis=1),
+        np.concatenate([d[:, None], dt], axis=1),
+    )
+    A = _affine(cands)
+    resid = _residuals(A, cands[2], Eq[:, None], P[:, None], vis[:, None])
+    # E||p - A q - d||^2 = squared residual at E[q] + tr(A Vq A^T).
+    obj = np.sum(resid * resid, axis=(2, 3)) + np.sum((A @ Vq[:, None]) * A, axis=(2, 3))
+    obj[:, 1:][~usable] = np.inf
+    obj[~np.isfinite(obj)] = np.inf
+    best = np.argmin(obj, axis=1)
+    rows = np.arange(M)
+    new_pose = tuple(arr[rows, best] for arr in cands)
+    return new_pose, max(float(obj[rows, best].sum()) / n_coords, _MIN_NOISE_VAR)
 
 
 def _settled(prev, cur, tol):
@@ -412,7 +390,8 @@ def learn_em(
 
     Instances with fewer than opts.min_visible visible landmarks are
     excluded (reported via used_mask).  Raises InsufficientDataError when
-    fewer than max(3, 10 * n_basis) instances remain.
+    fewer than max(3, 10 * n_basis) instances remain, and ValueError when a
+    visible landmark is not finite.
 
     The EM loop alternates the E-step with a shape M-step, a pose update
     and a noise update.  A polish phase with the shape frozen then
@@ -429,6 +408,9 @@ def learn_em(
     for o in obs:
         if o.K != K:
             raise InsufficientDataError("inconsistent landmark counts")
+    for i, o in enumerate(obs):
+        if not np.all(np.isfinite(o.uv[o.visible])):
+            raise ValueError(f"instance {i}: non-finite visible landmark")
     used = np.array([o.n_visible >= opts.min_visible for o in obs])
     needed = max(3, 10 * n_basis)
     if int(used.sum()) < needed:
@@ -436,31 +418,24 @@ def learn_em(
             f"need at least {needed} instances with >= {opts.min_visible} "
             f"visible landmarks, have {int(used.sum())}"
         )
-    uvs = [obs[i].uv for i in np.flatnonzero(used)]
-    vises = [obs[i].visible for i in np.flatnonzero(used)]
-    M = len(uvs)
+    vis = np.array([o.visible for o in obs])[used]
+    P = np.where(vis[..., None], np.array([o.uv for o in obs])[used], 0.0)
+    M = len(P)
 
-    n_coords = int(sum(2 * v.sum() for v in vises))
-    mean_flat, poses = _rigid_init(uvs, vises, K)
+    n_coords = int(2 * vis.sum())
+    mean_flat, pose = _rigid_init(P, vis)
     mean_pts = mean_flat.reshape(K, 3)
 
     # Rigid residuals seed both the noise level and the deformation basis.
-    resid_shapes = np.zeros((M, 3 * K))
-    sq_sum = 0.0
-    for m in range(M):
-        c, R, d = poses[m]
-        vis = vises[m]
-        r2 = uvs[m][vis] - _project_affine(c, R, d, mean_pts[vis])
-        sq_sum += float(np.sum(r2 * r2))
-        # Lift image residuals to model space through the pose pseudo-inverse.
-        lifted = r2 @ (R / c)  # (V, 3); (cR)^+ = R^T / c applied row-wise
-        full = np.zeros((K, 3))
-        full[vis] = lifted
-        resid_shapes[m] = full.reshape(-1)
-    noise_var = max(sq_sum / max(n_coords, 1), 1e-4)
+    c, R, _ = pose
+    r2 = _residuals(_affine(pose), pose[2], mean_pts, P, vis)
+    noise_var = max(float(np.sum(r2 * r2)) / max(n_coords, 1), 1e-4)
 
     basis = np.zeros((n_basis, 3 * K))
     if n_basis > 0:
+        # Lift image residuals to model space through the pose pseudo-inverse:
+        # (cR)^+ = R^T / c applied row-wise.
+        resid_shapes = (r2 @ (R / c[:, None, None])).reshape(M, 3 * K)
         _, sv, Vt = np.linalg.svd(resid_shapes - resid_shapes.mean(axis=0), full_matrices=False)
         n_avail = min(n_basis, len(sv))
         scale = sv[:n_avail] / np.sqrt(M)
@@ -473,15 +448,14 @@ def learn_em(
             if np.linalg.norm(basis[n]) < 1e-9 * max(rms, 1.0):
                 basis[n] = init_rng.normal(size=3 * K) * 1e-3 * max(rms, 1e-3)
 
-    vis_idx = [np.flatnonzero(v) for v in vises]
-    p_vis = [uvs[m][vis_idx[m]] for m in range(M)]
-
     logliks = []
     converged = False
     it = 0
+    nb = n_basis + 1
+    dim = 3 * nb
     for it in range(1, opts.max_iterations + 1):
         basis_pts = basis.reshape(n_basis, K, 3)
-        mus, Sigs, total_ll = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
+        mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
         logliks.append(total_ll)
         if len(logliks) > 1 and _settled(logliks[-2], total_ll, opts.tol):
             converged = True
@@ -489,49 +463,30 @@ def learn_em(
 
         # M-step part 1: per-landmark shape update (mean and basis jointly).
         # With abar = [1, alpha], G = E[abar abar^T], solve for each landmark
-        # the 3x(N+1) block W_k from sum_m (A^T A) W_k G_m = A^T y E[abar]^T.
-        dim = 3 * (n_basis + 1)
-        lhs = np.zeros((K, dim, dim))
-        rhs = np.zeros((K, dim))
-        for m in range(M):
-            mu = mus[m]
-            abar = np.concatenate([[1.0], mu])
-            G = np.zeros((n_basis + 1, n_basis + 1))
-            G[0, 0] = 1.0
-            if n_basis:
-                G[0, 1:] = mu
-                G[1:, 0] = mu
-                G[1:, 1:] = Sigs[m] + np.outer(mu, mu)
-            c, R, d = poses[m]
-            A = c * R
-            block = np.kron(A.T @ A, G)  # row-major vec of (3,(N+1)) blocks
-            y = p_vis[m] - d
-            Aty = y @ A  # (V, 3)
-            contrib = np.einsum("vi,j->vij", Aty, abar).reshape(len(y), dim)
-            for row, k in enumerate(vis_idx[m]):
-                lhs[k] += block
-                rhs[k] += contrib[row]
-        # C order: the basis below is a view of Wk, and einsum's summation
-        # order (so the last bits of every result) follows operand strides.
-        Wk = np.empty((K, 3, n_basis + 1))
-        Wk[:, :, 0] = mean_pts
-        Wk[:, :, 1:] = basis_pts.transpose(1, 2, 0)
-        for k in range(K):
-            if np.linalg.norm(rhs[k]) == 0.0:
-                continue  # landmark never observed: keep
-            sol = np.linalg.solve(
-                lhs[k] + 1e-12 * np.eye(dim) * max(np.trace(lhs[k]) / dim, 1e-12),
-                rhs[k],
-            )
-            Wk[k] = sol.reshape(3, n_basis + 1)
+        # the 3x(N+1) block W_k from sum_m (A^T A) W_k G_m = A^T y E[abar]^T,
+        # summed over the instances that see landmark k.
+        A = _affine(pose)
+        abar = np.concatenate([np.ones((M, 1)), mu], axis=1)
+        G = abar[:, :, None] * abar[:, None, :]
+        G[:, 1:, 1:] += Sig
+        AtA = A.transpose(0, 2, 1) @ A
+        # kron(A^T A, G) per instance: entry (i nb + a, j nb + b) is AtA_ij G_ab.
+        block = np.einsum("mij,mab->miajb", AtA, G).reshape(M, dim * dim)
+        lhs = (vis.T @ block).reshape(K, dim, dim)
+        Aty = np.where(vis[..., None], (P - pose[2][:, None]) @ A, 0.0)  # (M, K, 3)
+        rhs = (Aty.transpose(1, 2, 0) @ abar).reshape(K, dim)
+        Wk = np.concatenate([mean_pts[:, :, None], basis_pts.transpose(1, 2, 0)], axis=2)
+        seen = np.linalg.norm(rhs, axis=1) != 0.0  # a landmark never observed keeps its rows
+        reg = 1e-12 * np.maximum(np.trace(lhs[seen], axis1=1, axis2=2) / dim, 1e-12)
+        sol = np.linalg.solve(lhs[seen] + reg[:, None, None] * np.eye(dim), rhs[seen][..., None])
+        Wk[seen] = sol.reshape(-1, 3, nb)
         mean_pts = Wk[:, :, 0]
         basis = Wk[:, :, 1:].transpose(2, 0, 1).reshape(n_basis, 3 * K)
         basis_pts = basis.reshape(n_basis, K, 3)
 
-        # M-step parts 2 and 3: per-instance pose, then the noise variance.
-        poses, noise_var = _pose_noise_step(
-            poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
-            refresh_current=True,
+        # M-step parts 2 and 3: every pose, then the noise variance.
+        pose, noise_var = _pose_noise_step(
+            pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current=True,
         )
 
         # Parameter-expanded acceleration: fit the coefficient prior
@@ -540,10 +495,7 @@ def learn_em(
         # observed likelihood cannot decrease, and it removes the classic
         # slow crawl of EM along basis-scale directions.
         if n_basis:
-            Gamma = np.zeros((n_basis, n_basis))
-            for m in range(M):
-                Gamma += Sigs[m] + np.outer(mus[m], mus[m])
-            Gamma /= M
+            Gamma = (Sig.sum(axis=0) + mu.T @ mu) / M
             try:
                 L = np.linalg.cholesky(Gamma)
                 basis = L.T @ basis
@@ -552,30 +504,35 @@ def learn_em(
 
     # Canonical gauge: drop basis components that per-instance poses absorb
     # to first order (see _weak_family); the likelihood is nearly flat along
-    # them, so they are noise-driven if left in.  A short polish phase with
-    # the shape frozen then re-settles poses and the noise level; each polish
-    # step is a conditional maximization, so it is monotone on its own.
+    # them, so they are noise-driven if left in.  This projection does not
+    # preserve the likelihood, so the returned model's loglik can end below
+    # loglik_path[-1] (seed 7, 8 frames, --basis 2: -1197.81 at the end of
+    # the EM loop, -1214.75 returned).  A short polish phase with the shape
+    # frozen then re-settles poses and the noise level; each polish step is
+    # a conditional maximization, so it is monotone on its own.
+    polish_iterations = 0
     if n_basis:
         Qw = _weak_family(mean_pts.reshape(-1))
         basis = basis - (basis @ Qw) @ Qw.T
         basis_pts = basis.reshape(n_basis, K, 3)
         last_ll = None
         for _ in range(100):
-            mus, Sigs, total_ll = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
+            mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
             if last_ll is not None and _settled(last_ll, total_ll, opts.tol):
                 break
             last_ll = total_ll
-            poses, noise_var = _pose_noise_step(
-                poses, mean_pts, basis_pts, vis_idx, p_vis, mus, Sigs, n_coords,
-                refresh_current=False,
+            pose, noise_var = _pose_noise_step(
+                pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current=False,
             )
+            polish_iterations += 1
 
     # Remaining gauge moves are exactly likelihood-preserving: center the
     # mean (absorbed into the image offsets) and rotate the basis rows to
     # mutual orthogonality (absorbed into the coefficients).
     centroid = mean_pts.mean(axis=0)
     mean_pts = mean_pts - centroid
-    poses = [(c, R, d + c * (R @ centroid)) for (c, R, d) in poses]
+    c, R, d = pose
+    pose = (c, R, d + c[:, None] * (R @ centroid))
     if n_basis:
         # basis' = S V^T from the SVD keeps span and prior (alpha' = U^T alpha
         # is still standard normal), so the likelihood is unchanged.
@@ -585,21 +542,19 @@ def learn_em(
     model = MorphableModel(mean=mean_pts.reshape(-1), basis=basis)
 
     # Final posterior pass for the reported coefficients and residuals.
-    mus, _, loglik = _e_step(mean_pts, basis_pts, poses, vis_idx, p_vis, noise_var)
-    sq_sum = 0.0
-    for (c, R, d), vi, p, mu in zip(poses, vis_idx, p_vis, mus):
-        r = p - _project_affine(c, R, d, _expected_points(mean_pts[vi], basis_pts[:, vi], mu))
-        sq_sum += float(np.sum(r * r))
+    mu, _, loglik = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
+    r = _residuals(_affine(pose), pose[2], _expected_points(mean_pts, basis_pts, mu), P, vis)
 
     return LearnResult(
         model=model,
-        poses=[OrthoCamPose(c=c, R=R, t=R.T @ d / c) for c, R, d in poses],
-        coeffs=[ShapeCoefficients(alpha=mu) for mu in mus],
+        poses=[OrthoCamPose(c=float(cm), R=Rm, t=Rm.T @ dm / cm) for cm, Rm, dm in zip(*pose)],
+        coeffs=[ShapeCoefficients(alpha=a) for a in mu],
         loglik_path=np.array(logliks),
         converged=converged,
         iterations=it,
+        polish_iterations=polish_iterations,
         noise_var=float(noise_var),
-        reproj_rmse=float(np.sqrt(sq_sum / n_coords)),
+        reproj_rmse=float(np.sqrt(np.sum(r * r) / n_coords)),
         used_mask=used,
         loglik=float(loglik),
     )

@@ -172,7 +172,10 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     (lambda mapping: mapping.pop("i0.theta0"), "i0.theta0"),
     (lambda mapping: mapping.update(camera="1 2 3"), "camera"),
     (lambda mapping: mapping.update({"i1.sigma0": "0.1 0.2 abc"}), "i1.sigma0"),
-], ids=["missing_key", "short_camera", "non_numeric"])
+    (lambda mapping: mapping.update({"i0.box": "nan 100 200 300"}), "i0.box: non-finite value"),
+    (lambda mapping: mapping.update(ground="nan 0 0"), "ground: non-finite value"),
+    (lambda mapping: mapping.update(camera="nan 700 600 170"), "camera: non-finite value"),
+], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera"])
 @pytest.mark.parametrize("argv", [
     ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
 ], ids=lambda argv: "_".join(map(str, argv)))
@@ -193,6 +196,30 @@ def test_malformed_measurement_file_is_a_data_error(
     err = capfd.readouterr().err
     assert err.startswith(f"error: {bad}: ") and key in err
     assert "Traceback" not in err
+
+
+def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capfd):
+    data = tmp_path / "data"
+    (data / "meas").mkdir(parents=True)
+    for path in (dataset / "meas").glob("*.cfg"):
+        (data / "meas" / path.name).write_bytes(path.read_bytes())
+    # frame 1's i1 is the fourth instance shape-learn reads
+    bad = data / "meas" / "000001.cfg"
+    mapping = parse_config_text(bad.read_text())
+    visible = mapping["i1.visible"].split()
+    landmarks = mapping["i1.landmarks"].split()
+    landmarks[2 * visible.index("0")] = "nan"  # an invisible NaN is ignored
+    mapping["i1.landmarks"] = " ".join(landmarks)
+    bad.write_text(format_config(mapping))
+    assert run_cli("shape-learn", "--data", data, "--out", tmp_path / "ok", "--basis", 0) == 0
+    landmarks[2 * visible.index("1") + 1] = "nan"
+    mapping["i1.landmarks"] = " ".join(landmarks)
+    bad.write_text(format_config(mapping))
+    capfd.readouterr()
+    assert run_cli("shape-learn", "--data", data, "--out", tmp_path / "bad", "--basis", 0) == 1
+    err = capfd.readouterr().err
+    assert err == "error: instance 3: non-finite visible landmark\n"
+    assert not (tmp_path / "bad" / "model.txt").exists()
 
 
 def test_fit_missing_data(tmp_path, capsys):

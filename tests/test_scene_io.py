@@ -71,6 +71,8 @@ def test_parse_rejects_bad_values():
         parse_labels(SAMPLE.replace(" 0 ", " 7 ", 1))  # occlusion enum
     with pytest.raises(LabelFormatError, match="line 1"):
         parse_labels(SAMPLE.replace("0.00", "1.50", 1))  # truncation range
+    with pytest.raises(LabelFormatError, match="line 1: non-finite value"):
+        parse_labels(SAMPLE.replace("614.12", "nan", 1))  # not "degenerate 2D box"
     swapped = SAMPLE.replace("587.01 173.33 614.12", "614.12 173.33 587.01")
     with pytest.raises(LabelFormatError, match="line 1"):
         parse_labels(swapped)

@@ -271,6 +271,67 @@ class TestLearnEM:
         assert result.iterations == 2
 
 
+def test_invisible_landmarks_never_reach_the_result():
+    rng = np.random.default_rng(37)
+    mean, basis = toy_true_model(2, rng)
+    raw, _ = make_ortho_dataset(mean, basis, 30, 0.5, 0.3, rng)
+    # one instance below min_visible, so it is dropped
+    raw[4] = (raw[4][0], np.arange(14) < 3)
+    fills = np.array([np.nan, 1e300, -1e300])
+    poisoned = []
+    for uv, vis in raw:
+        uv = uv.copy()
+        hidden = np.flatnonzero(~vis)
+        uv[hidden] = fills[np.arange(len(hidden)) % 3][:, None]
+        poisoned.append((uv, vis))
+    opts = LearnOptions(max_iterations=60)
+    clean, dirty = (learn_em(obs_list(r), n_basis=2, opts=opts) for r in (raw, poisoned))
+    assert np.array_equal(clean.model.mean, dirty.model.mean)
+    assert np.array_equal(clean.model.basis, dirty.model.basis)
+    for a, b in zip(clean.poses, dirty.poses):
+        assert a.c == b.c and np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
+    for a, b in zip(clean.coeffs, dirty.coeffs):
+        assert np.array_equal(a.alpha, b.alpha)
+    assert np.array_equal(clean.loglik_path, dirty.loglik_path)
+    assert clean.loglik == dirty.loglik
+    assert clean.iterations == dirty.iterations
+    assert clean.polish_iterations == dirty.polish_iterations
+    assert clean.noise_var == dirty.noise_var
+    assert clean.reproj_rmse == dirty.reproj_rmse
+    assert np.array_equal(clean.used_mask, dirty.used_mask) and not clean.used_mask[4]
+
+
+def test_non_finite_visible_landmark_is_named():
+    rng = np.random.default_rng(38)
+    mean, basis = toy_true_model(1, rng)
+    raw, _ = make_ortho_dataset(mean, basis, 12, 0.0, 0.2, rng)
+    uv, vis = raw[3]
+    uv = uv.copy()
+    uv[np.flatnonzero(vis)[0], 1] = np.inf
+    raw[3] = (uv, vis)
+    with pytest.raises(ValueError, match="instance 3: non-finite visible landmark"):
+        learn_em(obs_list(raw), n_basis=1)
+
+
+def test_shape_learn_keeps_the_per_instance_learners_numbers(tmp_path):
+    """Seed 7, 8 frames, 40 EM iterations, against the values of the
+    per-instance EM loop the batched one replaced.  Summation order differs
+    between the two, so the values agree to a tolerance, not bit for bit."""
+    from vehicle3d.cli import main
+    from vehicle3d.scene_io import parse_config_text
+
+    data, out = tmp_path / "data", tmp_path / "model"
+    assert main(["synth", "--out", str(data), "--seed", "7", "--frames", "8"]) == 0
+    assert main(["shape-learn", "--data", str(data), "--out", str(out),
+                 "--basis", "2", "--max-iterations", "40"]) == 0
+    report = parse_config_text((out / "report.cfg").read_text())
+    assert report["iterations"] == "40"
+    assert report["converged"] == "false"
+    assert float(report["final_loglik"]) == pytest.approx(-1236.0278505816996, rel=1e-9)
+    assert float(report["noise_var"]) == pytest.approx(2.224115376419328, rel=1e-9)
+    assert float(report["reproj_rmse_px"]) == pytest.approx(1.402251364836654, rel=1e-9)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(36)
