@@ -600,14 +600,16 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 # ---------------------------------------------------------------------------
 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
-    observations = [
-        LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
-        for path in _measurement_files(effective["data"])
-        for meas in _read_data_file(path, parse_measurements)[2]
-    ]
+    observations = []
+    for path in _measurement_files(effective["data"]):
+        for i, meas in enumerate(_read_data_file(path, parse_measurements)[2]):
+            if not np.isfinite(meas.landmarks_uv[meas.landmarks_visible]).all():
+                raise CLIError(f"{path}: i{i}.landmarks: non-finite visible landmark")
+            observations.append(
+                LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible))
     try:
         result = learn_em(observations, effective["basis"], learn)
-    except ValueError as exc:  # too few usable instances, a non-finite landmark
+    except ValueError as exc:  # too few usable instances
         raise CLIError(str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out_dir / "model.txt")
@@ -694,7 +696,7 @@ _COMMANDS = {
         Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold", within=_IOU_RANGE),
         Option("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'",
                within=_IOU_RANGE),
-        _POINTS._replace(help="AP interpolation points (11 or 41)"),
+        _POINTS._replace(help="AP interpolation points, recall 0 to 1 inclusive"),
         Option("curves", _as_bool, False, "write PR curve point files"),
         Option("plot_data", _as_bool, False, "write footprint/wireframe polylines"),
     )),

@@ -16,8 +16,9 @@ parameters are a (B, D) array, points (B, n, 3) stacks, and residuals and
 Jacobians (B, m) and (B, m, D) stacks whose row layout depends only on the
 config and model sizes (term_rows).  No value is reduced across
 instances, so an instance's rows are bit-identical whatever block it is
-evaluated in.  The single-instance functions (residual_*, total_energy,
-stacked_residuals, jacobian) are the B=1 case of the same kernel.
+evaluated in.  The single-instance functions (total_energy,
+stacked_residuals, jacobian) are the B=1 case of the same kernel; a
+single term's rows are a term_rows slice of block_residuals.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .geometry import (
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
+    require_finite,
     wrap_angle,
     UNIT_CORNERS,
 )
@@ -43,9 +45,7 @@ from .shape import MorphableModel
 class EnergyConfig:
     """Term weights and toggles.
 
-    Weights multiply squared residual norms.  box_component_scale allows
-    reweighting the four 2D-box residual components (pixels vs log units)
-    without touching the term weight.
+    Weights multiply squared residual norms.
     """
 
     # Defaults are calibrated on the synthetic benchmark so that each term
@@ -63,10 +63,6 @@ class EnergyConfig:
     enable_md: bool = True
     enable_gp: bool = True
     enable_s: bool = True
-    # Log-extent components of the box residual get a smaller scale: the
-    # 2D box constrains far-side size only weakly, and full weight lets
-    # the solver absorb box noise with large size moves.
-    box_component_scale: tuple = (1.0, 1.0, 0.3, 0.3)
     # Center of the shape-regularity pull: the within-instance coefficient
     # mean, or the learning prior's zero.
     shape_prior_center: str = "zero"
@@ -129,8 +125,10 @@ class Measurement:
         object.__setattr__(self, "landmarks_uv", uv)
         object.__setattr__(self, "landmarks_visible", vis)
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float).reshape(3))
-        if self.depth_zb is not None and not self.depth_zb > 0:
-            raise ValueError("depth hypothesis must be positive")
+        if self.depth_zb is not None:
+            require_finite(self.depth_zb)
+            if not self.depth_zb > 0:
+                raise ValueError("depth hypothesis must be positive")
 
     @property
     def K(self) -> int:
@@ -210,6 +208,13 @@ class MeasurementBlock(NamedTuple):
 # nothing is reduced across it: products of small matrices go through stacked
 # matmul, which runs the same per-instance routine at any B.
 # ---------------------------------------------------------------------------
+
+# Scale of the four 2D-box residual components (tx, ty in pixels, then log
+# width and height).  The log-extent components get a smaller scale: the 2D
+# box constrains far-side size only weakly, and full weight lets the solver
+# absorb box noise with large size moves.
+_BOX_COMPONENT_SCALE = np.array([1.0, 1.0, 0.3, 0.3])
+
 
 def rowdot(a: np.ndarray) -> np.ndarray:
     """Per-row dot product a[b] . a[b] of a (B, m) stack: the same BLAS
@@ -384,8 +389,7 @@ def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
         for name, weight, _ in term_rows(cfg, model.K, D - 7):
             if name == "2d3d":
                 r, J, out = _box_term(x, block)
-                scale = np.asarray(cfg.box_component_scale, dtype=float)
-                r, J = r * scale, J * scale[:, None]
+                r, J = r * _BOX_COMPONENT_SCALE, J * _BOX_COMPONENT_SCALE[:, None]
                 behind |= out
             elif name == "lp":
                 r, J, out = _landmark_term(x, block, model)
@@ -421,54 +425,10 @@ def block_energy(unweighted, cfg: EnergyConfig, n_landmarks: int, n_alpha: int):
 # Single-instance API: each function is the B=1 case of the kernel above.
 # ---------------------------------------------------------------------------
 
-def _one(vars: Variables, meas: Measurement):
-    return vars.to_vector()[None, :], MeasurementBlock.stack([meas])
-
-
-def _check_in_front(behind) -> None:
-    if behind[0]:
-        raise BehindCameraError("point behind camera")
-
-
-def residual_2d3d(vars: Variables, meas: Measurement, with_grad: bool = False):
-    """Measured minus projected 2D box, as (dtx, dty, dw, dh).
-
-    Translation entries are pixels; size entries are log-scale differences
-    (the exponential-coordinate distance on the 2D box group).
-    """
-    r, J, behind = _box_term(*_one(vars, meas))
-    _check_in_front(behind)
-    return (r[0], J[0]) if with_grad else r[0]
-
-
-def residual_lp(vars: Variables, meas: Measurement, model: MorphableModel, with_grad: bool = False):
-    """Stacked landmark reprojection residuals; occluded entries are zero."""
-    r, J, behind = _landmark_term(*_one(vars, meas), model)
-    _check_in_front(behind)
-    return (r[0], J[0]) if with_grad else r[0]
-
-
-def residual_md(vars: Variables, meas: Measurement, with_grad: bool = False):
-    """Signed depth innovation T_z - Z_b; zero when no depth was measured."""
-    r, J = _depth_term(*_one(vars, meas))
-    return (float(r[0, 0]), J[0, 0]) if with_grad else float(r[0, 0])
-
-
-def residual_gp(vars: Variables, meas: Measurement, with_grad: bool = False):
-    """Ground-plane incidence N.T - 1; affine in T with gradient exactly N."""
-    r, J = _ground_term(*_one(vars, meas))
-    return (float(r[0, 0]), J[0, 0]) if with_grad else float(r[0, 0])
-
-
-def residual_s(vars: Variables, cfg: EnergyConfig | None = None, with_grad: bool = False):
-    """Coefficient deviation from the configured center."""
-    r, J = _shape_term(vars.to_vector()[None, :], cfg or EnergyConfig())
-    return (r[0], J[0]) if with_grad else r[0]
-
-
 def _evaluate_one(vars, meas, model, cfg):
-    res = block_residuals(*_one(vars, meas), model, cfg)
-    _check_in_front(res.behind)
+    res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
+    if res.behind[0]:
+        raise BehindCameraError("point behind camera")
     return res
 
 

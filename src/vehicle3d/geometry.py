@@ -287,14 +287,3 @@ def iou_3d(a: PoseBox3D, b: PoseBox3D) -> float:
     if union <= 0.0:
         return 0.0
     return float(min(max(inter / union, 0.0), 1.0))
-
-
-def box_contains(pose: PoseBox3D, X: np.ndarray, atol: float = 1e-9) -> bool:
-    """Whether a camera-frame point lies inside the box (inclusive)."""
-    local = rot_y(pose.theta).T @ (np.asarray(X, dtype=float) - pose.T)
-    L, H, W = pose.dims
-    return bool(
-        abs(local[0]) <= 0.5 * L + atol
-        and -H - atol <= local[1] <= atol
-        and abs(local[2]) <= 0.5 * W + atol
-    )

@@ -297,6 +297,14 @@ def _cover_fraction(det_bbox, region_bbox) -> float:
 
 
 def _interpolated_ap(recall, values, points: int) -> float:
+    """Mean over `points` evenly spaced recall levels from 0 to 1 inclusive
+    of the best value at or above each level, in percent.
+
+    The grid always includes recall 0, so points=41 is not AP|R40
+    (Simonelli et al., Disentangling Monocular 3D Object Detection, ICCV
+    2019), which samples the 40 levels 1/40..1; points=11 is the 11-point
+    interpolated AP of the original KITTI benchmark.
+    """
     grid = np.linspace(0.0, 1.0, points)
     total = 0.0
     for g in grid:
@@ -410,19 +418,3 @@ def ap_bev(
         frames, "apbev", iou_threshold, difficulty, None, points, object_type
     )
     return None if curve is None else curve.ap
-
-
-def ap_2d_aos(
-    frames,
-    iou_threshold: float = 0.7,
-    difficulty: str = "moderate",
-    points: int = 11,
-    object_type: str = "Car",
-):
-    """(AP, AOS) percentages, or (None, None) without valid ground truth."""
-    curve = pr_curve(
-        frames, "ap2d", iou_threshold, difficulty, None, points, object_type
-    )
-    if curve is None:
-        return None, None
-    return curve.ap, curve.aos

@@ -14,6 +14,10 @@ instance leaves the active set when it stops, and no quantity is reduced
 across instances, so each result is bit-identical whether the instance is
 solved alone or in any block.  `refine` and `refine_ablation` are the B=1
 case of this code.
+
+The stopping tolerances and initial damping are the usual textbook
+constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
+Squares Problems, 2004); only the iteration cap is an option.
 """
 from __future__ import annotations
 
@@ -38,13 +42,9 @@ from .energy import stacked_residuals, total_energy  # noqa: F401
 from .geometry import wrap_angle
 from .shape import MorphableModel
 
-_BLOCK_SLICES = {
-    "theta": slice(0, 1),
-    "T": slice(1, 4),
-    "sigma": slice(4, 7),
-    "alpha": slice(7, None),
-}
-
+_FTOL = 1e-8  # relative energy decrease, against max(E, 1)
+_XTOL = 1e-10  # relative step size
+_DAMPING_INIT = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
 
@@ -56,19 +56,10 @@ class InitializationError(ValueError):
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 50
-    ftol: float = 1e-8  # relative energy decrease, against max(E, 1)
-    xtol: float = 1e-10  # relative step size
-    damping_init: float = 1e-3
-    freeze: tuple = ()  # any of "theta", "T", "sigma", "alpha"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (self.ftol > 0 and self.xtol > 0 and self.damping_init > 0):
-            raise ValueError("tolerances and damping must be positive")
-        unknown = set(self.freeze) - set(_BLOCK_SLICES)
-        if unknown:
-            raise ValueError(f"unknown freeze blocks {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -114,13 +105,6 @@ def initialize(meas: Measurement, model: MorphableModel) -> Variables:
         sigma=meas.sigma0.copy(),
         alpha=np.zeros(model.n_basis),
     )
-
-
-def _free_indices(dim: int, freeze) -> np.ndarray:
-    mask = np.ones(dim, dtype=bool)
-    for name in freeze:
-        mask[_BLOCK_SLICES[name]] = False
-    return np.flatnonzero(mask)
 
 
 def _usable(res) -> np.ndarray:
@@ -175,9 +159,9 @@ def refine_batch(
 
     Trial steps solve the damped normal equations; an instance's damping
     is multiplied by 10 when its trial fails to decrease its energy and
-    halved on acceptance.  Frozen blocks keep their initial values.
-    `initial`, when given, holds one start per measurement; an
-    InitializationError in place of a start is passed through.
+    halved on acceptance.  `initial`, when given, holds one start per
+    measurement; an InitializationError in place of a start is passed
+    through.
 
     Entry i of the result is instance i's RefineResult, or the
     InitializationError that stopped it: a start that cannot be computed,
@@ -196,44 +180,42 @@ def refine_batch(
     block = MeasurementBlock.stack([measurements[i] for i in live])
     x = np.array([out[i].to_vector() for i in live])
     B, D = x.shape
-    free = _free_indices(D, opts.freeze)
 
     res = block_residuals(x, block, model, cfg)
     usable = _usable(res)
     r, J, unweighted = res.r, res.J, res.unweighted
     energy = rowdot(r)
     paths = [[e] for e in energy.tolist()]
-    lam = np.full(B, opts.damping_init)
+    lam = np.full(B, _DAMPING_INIT)
     iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     reasons = np.full(B, "max_iterations", dtype=object)
     # the depth row carries nothing for an instance without a measured depth
     rows = r.shape[1] - (~block.has_depth & cfg.enable_md)
-    idle = (rows == 0) | (free.size == 0)
+    idle = rows == 0
     converged[idle], reasons[idle] = True, "nothing to optimize"
     active = np.flatnonzero(usable & ~idle)
 
     while active.size:
         iterations[active] += 1
-        # J^T of the free columns, one copy with each instance's columns
-        # contiguous: the memory layout a one-instance J[:, free] has, so
-        # the BLAS products below round the same way at any B
-        JfT = J.transpose(0, 2, 1)[active[:, None], free]
-        dx, solved = _damped_steps(JfT @ JfT.transpose(0, 2, 1),
-                                   (JfT @ r[active][:, :, None])[:, :, 0], lam[active])
-        del JfT  # release before the trial evaluation allocates its own
+        # J^T as one C-contiguous copy, each instance's columns contiguous:
+        # the memory layout decides how the BLAS products below round, and
+        # this is the layout a one-instance J^T has, at any B
+        JT = np.ascontiguousarray(J[active].transpose(0, 2, 1))
+        dx, solved = _damped_steps(JT @ JT.transpose(0, 2, 1),
+                                   (JT @ r[active][:, :, None])[:, :, 0], lam[active])
+        del JT  # release before the trial evaluation allocates its own
         # a singular system skips its trial and only raises its damping
         lam[active[~solved]] = np.minimum(lam[active[~solved]] * 10.0, _DAMPING_MAX)
         tried, dx = active[solved], dx[solved]
         x_trial = x[tried]
-        small_step = np.sqrt(rowdot(dx)) <= opts.xtol * (
-            np.sqrt(rowdot(x_trial[:, free])) + opts.xtol)
-        x_trial[:, free] += dx
+        small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
+        x_trial += dx
         trial = block_residuals(x_trial, block.take(tried), model, cfg)
         trial_energy = rowdot(trial.r)
         accept = _usable(trial) & (trial_energy < energy[tried])
         ftol_stop = accept & (energy[tried] - trial_energy
-                              <= opts.ftol * np.maximum(trial_energy, 1.0))
+                              <= _FTOL * np.maximum(trial_energy, 1.0))
         up, down = tried[accept], tried[~accept]
         x[up], r[up], J[up], unweighted[up], energy[up] = (
             x_trial[accept], trial.r[accept], trial.J[accept], trial.unweighted[accept],
@@ -315,16 +297,10 @@ def refine_ablation(
     variant: str,
     opts: SolverOptions | None = None,
     base: EnergyConfig | None = None,
-    initial: Variables | None = None,
 ) -> RefineResult:
     """One rung of the term-ablation ladder for one instance (refine_ladder
-    with B=1); v1 skips optimization.  Passing `initial` starts the
-    requested rung there directly instead of climbing the rungs below."""
-    if initial is None:
-        return _first_or_raise(refine_ladder([meas], model, variant, opts, base)[variant])
-    if variant == "v1":
-        return _initialization_result(initial)
-    return refine(meas, model, ablation_config(variant, base), opts, initial)
+    with B=1); v1 skips optimization."""
+    return _first_or_raise(refine_ladder([meas], model, variant, opts, base)[variant])
 
 
 def _first_or_raise(outcomes) -> RefineResult:

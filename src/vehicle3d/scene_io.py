@@ -170,9 +170,6 @@ class LabelRecord:
         if self.score is not None and not np.isfinite(self.score):
             raise ValueError("score must be finite")
 
-    def box2d(self) -> Box2D:
-        return Box2D.from_corners(*self.bbox)
-
 
 class LabelFormatError(ValueError):
     """Malformed label text; carries the 1-based line number."""

@@ -26,6 +26,9 @@ LANDMARK_COUNT = 14
 # Noise variance floor (px^2): keeps the likelihood finite on noise-free data.
 _MIN_NOISE_VAR = 1e-12
 
+# Instances with fewer visible landmarks are left out of learning.
+_MIN_VISIBLE = 6
+
 
 class InsufficientDataError(ValueError):
     """Raised when too few usable instances are supplied to the learner."""
@@ -143,11 +146,12 @@ def ortho_project(pose: OrthoCamPose, points: np.ndarray) -> np.ndarray:
 class LearnOptions:
     tol: float = 1e-6  # relative log-likelihood change
     max_iterations: int = 500
-    min_visible: int = 6  # instances with fewer visible landmarks are dropped
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not self.tol >= 0:  # a NaN or negative tol never stops EM
+            raise ValueError("tol must be a non-negative number")
 
 
 @dataclass
@@ -388,7 +392,7 @@ def learn_em(
 ) -> LearnResult:
     """Fit the morphable model to 2D landmark annotations by EM.
 
-    Instances with fewer than opts.min_visible visible landmarks are
+    Instances with fewer than 6 visible landmarks (_MIN_VISIBLE) are
     excluded (reported via used_mask).  Raises InsufficientDataError when
     fewer than max(3, 10 * n_basis) instances remain, and ValueError when a
     visible landmark is not finite.
@@ -411,11 +415,11 @@ def learn_em(
     for i, o in enumerate(obs):
         if not np.all(np.isfinite(o.uv[o.visible])):
             raise ValueError(f"instance {i}: non-finite visible landmark")
-    used = np.array([o.n_visible >= opts.min_visible for o in obs])
+    used = np.array([o.n_visible >= _MIN_VISIBLE for o in obs])
     needed = max(3, 10 * n_basis)
     if int(used.sum()) < needed:
         raise InsufficientDataError(
-            f"need at least {needed} instances with >= {opts.min_visible} "
+            f"need at least {needed} instances with >= {_MIN_VISIBLE} "
             f"visible landmarks, have {int(used.sum())}"
         )
     vis = np.array([o.visible for o in obs])[used]

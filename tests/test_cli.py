@@ -175,7 +175,9 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     (lambda mapping: mapping.update({"i0.box": "nan 100 200 300"}), "i0.box: non-finite value"),
     (lambda mapping: mapping.update(ground="nan 0 0"), "ground: non-finite value"),
     (lambda mapping: mapping.update(camera="nan 700 600 170"), "camera: non-finite value"),
-], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera"])
+    (lambda mapping: mapping.update({"i0.depth": "nan"}), "i0: non-finite value"),
+], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera",
+        "nan_depth"])
 @pytest.mark.parametrize("argv", [
     ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
 ], ids=lambda argv: "_".join(map(str, argv)))
@@ -203,7 +205,6 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     (data / "meas").mkdir(parents=True)
     for path in (dataset / "meas").glob("*.cfg"):
         (data / "meas" / path.name).write_bytes(path.read_bytes())
-    # frame 1's i1 is the fourth instance shape-learn reads
     bad = data / "meas" / "000001.cfg"
     mapping = parse_config_text(bad.read_text())
     visible = mapping["i1.visible"].split()
@@ -218,7 +219,7 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     capfd.readouterr()
     assert run_cli("shape-learn", "--data", data, "--out", tmp_path / "bad", "--basis", 0) == 1
     err = capfd.readouterr().err
-    assert err == "error: instance 3: non-finite visible landmark\n"
+    assert err == f"error: {bad}: i1.landmarks: non-finite visible landmark\n"
     assert not (tmp_path / "bad" / "model.txt").exists()
 
 
@@ -358,6 +359,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (("fit", "--data", "d", "--variant", "v9"), "unknown variant 'v9'"),
     (("shape-learn", "--data", "d", "--basis", -1), "basis must be at least 0"),
     (("shape-learn", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
+    (("shape-learn", "--data", "d", "--tol", "nan"), "tol = nan: tol must be a non-negative number"),
+    (("shape-learn", "--data", "d", "--tol", -1), "tol = -1.0: tol must be a non-negative number"),
     (("ablate", "--data", "d", "--points", 0), "points must be at least 2"),
     (("eval", "--pred", "d", "--gt", "d", "--iou3d-thresholds", "nan"),
      "iou3d_thresholds = nan: must be in (0, 1]"),

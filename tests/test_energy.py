@@ -4,6 +4,8 @@ The Jacobian is checked against central finite differences; box-hull
 configurations with near-tied extreme corners are resampled because the
 analytic form differentiates through the active corner only.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,13 @@ from vehicle3d.energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
     Measurement,
+    MeasurementBlock,
     Variables,
     ablation_config,
+    block_residuals,
     jacobian,
-    residual_2d3d,
-    residual_gp,
-    residual_lp,
-    residual_md,
-    residual_s,
     stacked_residuals,
+    term_rows,
     total_energy,
 )
 from vehicle3d.geometry import (
@@ -36,6 +36,14 @@ from vehicle3d.shape import MorphableModel, ShapeCoefficients, instantiate, plac
 CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
 HULL_GAP_PX = 1e-2  # min spacing between hull-extreme corner competitors
+BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's component scale
+TERMS = ("2d3d", "lp", "md", "gp", "s")
+# A measurement without landmarks, for the terms that do not read them.
+BLANK = Measurement(
+    box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((0, 2)),
+    landmarks_visible=np.zeros(0, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
+    ground=GROUND, cam=CAM,
+)
 
 
 def random_model(n_basis, rng, K=14):
@@ -84,6 +92,19 @@ def measurement_for(vars, model, rng, with_depth=True, exact=False):
     )
 
 
+def term(name, vars, meas=BLANK, model=None, cfg=None):
+    """One term's unweighted residual rows and Jacobian rows, read from
+    block_residuals through term_rows with only that term enabled, at unit
+    weight.  The box rows carry the component scale BOX_SCALE."""
+    cfg = replace(cfg or EnergyConfig(), lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=1.0,
+                  **{"enable_" + n: n == name for n in TERMS})
+    model = model or random_model(0, np.random.default_rng(0))  # read by "lp" only
+    res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
+    assert not res.behind[0]
+    [(_, _, rows)] = term_rows(cfg, model.K, vars.alpha.size)
+    return res.unweighted[0, rows], res.J[0, rows]
+
+
 # ---------------------------------------------------------------------------
 # 2D box consistency
 # ---------------------------------------------------------------------------
@@ -92,7 +113,7 @@ def test_box_residual_zero_when_consistent():
     rng = np.random.default_rng(0)
     vars = random_vars(rng, 0)
     meas = measurement_for(vars, random_model(0, rng), rng, exact=True)
-    np.testing.assert_allclose(residual_2d3d(vars, meas), 0.0, atol=1e-12)
+    np.testing.assert_allclose(term("2d3d", vars, meas)[0], 0.0, atol=1e-12)
 
 
 def test_box_residual_pure_translation():
@@ -112,7 +133,7 @@ def test_box_residual_pure_translation():
         depth_zb=meas.depth_zb,
     )
     # residual convention is measured minus projected
-    np.testing.assert_allclose(residual_2d3d(vars, meas2), [5.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(term("2d3d", vars, meas2)[0], [5.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_box_residual_matches_geometry_recompute():
@@ -129,16 +150,18 @@ def test_box_residual_matches_geometry_recompute():
                 meas.box2d.h - proj.h,
             ]
         )
-        np.testing.assert_allclose(residual_2d3d(vars, meas), expected, atol=1e-10)
+        np.testing.assert_allclose(term("2d3d", vars, meas)[0], expected * BOX_SCALE, atol=1e-10)
 
 
 def test_box_residual_behind_camera_raises():
     rng = np.random.default_rng(3)
     vars = random_vars(rng, 0)
-    meas = measurement_for(vars, random_model(0, rng), rng)
+    model = random_model(0, rng)
+    meas = measurement_for(vars, model, rng)
     bad = Variables(theta=vars.theta, T=np.array([0.0, 1.0, -5.0]), sigma=vars.sigma, alpha=vars.alpha)
+    box_only = EnergyConfig(enable_lp=False, enable_md=False, enable_gp=False, enable_s=False)
     with pytest.raises(BehindCameraError):
-        residual_2d3d(bad, meas)
+        stacked_residuals(bad, meas, model, box_only)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +173,7 @@ def test_landmark_residual_zero_on_forward_projection():
     model = random_model(2, rng)
     vars = random_vars(rng, 2)
     meas = measurement_for(vars, model, rng, exact=True)
-    np.testing.assert_allclose(residual_lp(vars, meas, model), 0.0, atol=1e-10)
+    np.testing.assert_allclose(term("lp", vars, meas, model)[0], 0.0, atol=1e-10)
 
 
 def test_landmark_residual_visibility_gating():
@@ -171,7 +194,7 @@ def test_landmark_residual_visibility_gating():
         cam=meas.cam,
         depth_zb=meas.depth_zb,
     )
-    r, J = residual_lp(vars, gated, model, with_grad=True)
+    r, J = term("lp", vars, gated, model)
     for k in (3, 7):
         assert r[2 * k] == 0.0 and r[2 * k + 1] == 0.0
         assert np.all(J[2 * k] == 0.0) and np.all(J[2 * k + 1] == 0.0)
@@ -183,7 +206,7 @@ def test_landmark_energy_matches_loop():
         model = random_model(3, rng)
         vars = random_vars(rng, 3)
         meas = measurement_for(vars, model, rng)
-        r = residual_lp(vars, meas, model)
+        r = term("lp", vars, meas, model)[0]
         placed = place_in_camera(instantiate(model, ShapeCoefficients(alpha=vars.alpha)), vars.pose())
         total = 0.0
         for k in range(meas.K):
@@ -206,14 +229,14 @@ def test_depth_residual_values():
         box2d=meas.box2d, landmarks_uv=meas.landmarks_uv, landmarks_visible=meas.landmarks_visible,
         theta0=0.0, sigma0=np.zeros(3), ground=GROUND, cam=CAM, depth_zb=12.0,
     )
-    assert residual_md(vars, m12) == -2.0
+    assert term("md", vars, m12)[0] == [-2.0]
     m10 = Measurement(
         box2d=meas.box2d, landmarks_uv=meas.landmarks_uv, landmarks_visible=meas.landmarks_visible,
         theta0=0.0, sigma0=np.zeros(3), ground=GROUND, cam=CAM, depth_zb=10.0,
     )
-    assert residual_md(vars, m10) == 0.0
-    r, J = residual_md(vars, m12, with_grad=True)
-    np.testing.assert_array_equal(J, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    assert term("md", vars, m10)[0] == [0.0]
+    r, J = term("md", vars, m12)
+    np.testing.assert_array_equal(J, [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
 
 
 def test_depth_term_absent_or_disabled():
@@ -221,7 +244,7 @@ def test_depth_term_absent_or_disabled():
     model = random_model(2, rng)
     vars = random_vars(rng, 2)
     meas_nd = measurement_for(vars, model, rng, with_depth=False)
-    assert residual_md(vars, meas_nd) == 0.0
+    assert term("md", vars, meas_nd, model)[0] == [0.0]
     cfg = EnergyConfig()
     _, breakdown = total_energy(vars, meas_nd, model, cfg)
     assert "md" not in breakdown
@@ -238,42 +261,37 @@ def test_depth_term_absent_or_disabled():
 
 def test_ground_residual():
     vars = Variables(theta=0.0, T=np.array([4.0, 1.65, 20.0]), sigma=np.zeros(3), alpha=np.zeros(0))
-    meas = Measurement(
-        box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((0, 2)),
-        landmarks_visible=np.zeros(0, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
-        ground=GROUND, cam=CAM,
-    )
-    assert residual_gp(vars, meas) == pytest.approx(0.0, abs=1e-15)
+    assert term("gp", vars)[0] == pytest.approx([0.0], abs=1e-15)
     origin = Variables(theta=0.0, T=np.zeros(3), sigma=np.zeros(3), alpha=np.zeros(0))
-    assert residual_gp(origin, meas) == -1.0
-    r, J = residual_gp(vars, meas, with_grad=True)
-    np.testing.assert_array_equal(J[1:4], GROUND.N)
-    assert np.all(J[[0, 4, 5, 6]] == 0.0)
+    assert term("gp", origin)[0] == [-1.0]
+    r, J = term("gp", vars)
+    np.testing.assert_array_equal(J[0, 1:4], GROUND.N)
+    assert np.all(J[0, [0, 4, 5, 6]] == 0.0)
     # affine in T: finite displacement reproduces N . d exactly
     rng = np.random.default_rng(9)
     d = rng.normal(size=3)
     moved = Variables(theta=0.0, T=vars.T + d, sigma=np.zeros(3), alpha=np.zeros(0))
-    assert residual_gp(moved, meas) - residual_gp(vars, meas) == pytest.approx(GROUND.N @ d, rel=1e-12)
+    assert term("gp", moved)[0] - term("gp", vars)[0] == pytest.approx([GROUND.N @ d], rel=1e-12)
 
 
 def test_shape_residual_instance_mean():
     cfg = EnergyConfig(shape_prior_center="instance_mean")
     same = Variables(theta=0.0, T=np.array([0, 1, 10.0]), sigma=np.zeros(3), alpha=np.array([0.7, 0.7, 0.7]))
-    np.testing.assert_allclose(residual_s(same, cfg), 0.0, atol=1e-15)
+    np.testing.assert_allclose(term("s", same, cfg=cfg)[0], 0.0, atol=1e-15)
     v = Variables(theta=0.0, T=np.array([0, 1, 10.0]), sigma=np.zeros(3), alpha=np.array([1.0, -1.0]))
-    r = residual_s(v, cfg)
+    r = term("s", v, cfg=cfg)[0]
     np.testing.assert_allclose(r, [1.0, -1.0])
     assert float(r @ r) == pytest.approx(2.0)
     # mean-centering makes the residual invariant to a constant shift
     shifted = Variables(theta=0.0, T=v.T, sigma=v.sigma, alpha=v.alpha + 3.25)
-    np.testing.assert_allclose(residual_s(shifted, cfg), r, atol=1e-12)
+    np.testing.assert_allclose(term("s", shifted, cfg=cfg)[0], r, atol=1e-12)
 
 
 def test_shape_residual_zero_center():
     # the default: pull coefficients toward the learning prior's origin
     v = Variables(theta=0.0, T=np.array([0, 1, 10.0]), sigma=np.zeros(3), alpha=np.array([1.0, -1.0]))
-    np.testing.assert_allclose(residual_s(v), [1.0, -1.0])
-    r, J = residual_s(v, with_grad=True)
+    np.testing.assert_allclose(term("s", v)[0], [1.0, -1.0])
+    r, J = term("s", v)
     np.testing.assert_array_equal(J[:, 7:], np.eye(2))
 
 
@@ -289,7 +307,7 @@ def brute_energy(vars, meas, model, cfg):
         p = project_box3d(meas.cam, pose)
         d = np.array(
             [meas.box2d.tx - p.tx, meas.box2d.ty - p.ty, meas.box2d.w - p.w, meas.box2d.h - p.h]
-        ) * np.asarray(cfg.box_component_scale, dtype=float)
+        ) * BOX_SCALE
         E += float(d @ d)
     if cfg.enable_lp:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
@@ -436,7 +454,6 @@ def test_jacobian_matches_finite_differences():
             lambda2=float(rng.uniform(0.1, 5)),
             lambda3=float(rng.uniform(0.1, 20)),
             lambda4=float(rng.uniform(0.01, 1)),
-            box_component_scale=(1.0, 1.0, 1.0, 1.0) if checked % 2 else (1.0, 1.0, 50.0, 50.0),
             shape_prior_center="zero" if checked % 3 == 0 else "instance_mean",
         )
         J = jacobian(vars, meas, model, cfg)

@@ -8,7 +8,6 @@ from vehicle3d.geometry import (
     GroundPlane,
     PoseBox3D,
     box3d_corners,
-    box_contains,
     iou_2d,
     iou_3d,
     iou_bev,
@@ -22,6 +21,14 @@ from tests.oracles import mc_iou_3d, mc_iou_bev, random_pose_pairs
 
 def make_pose(theta, T, dims):
     return PoseBox3D(theta=theta, T=np.asarray(T, float), sigma=np.log(dims))
+
+
+def inside_box(pose, X, atol=1e-9):
+    """Whether a camera-frame point lies in the box (inclusive): its
+    box-frame coordinates rot_y(theta)^T (X - T) against the extents."""
+    x, y, z = rot_y(pose.theta).T @ (np.asarray(X, dtype=float) - pose.T)
+    L, H, W = pose.dims
+    return abs(x) <= 0.5 * L + atol and -H - atol <= y <= atol and abs(z) <= 0.5 * W + atol
 
 
 class TestRotY:
@@ -115,7 +122,7 @@ class TestBox3DCorners:
                 rng.uniform(0.5, 5.0, size=3),
             )
             for corner in box3d_corners(pose):
-                assert box_contains(pose, corner)
+                assert inside_box(pose, corner)
 
     def test_random_interior_points_contained(self):
         rng = np.random.default_rng(6)
@@ -123,8 +130,8 @@ class TestBox3DCorners:
         R = rot_y(pose.theta)
         for _ in range(200):
             local = rng.uniform([-0.5, -1, -0.5], [0.5, 0, 0.5]) * [3.9, 1.6, 1.6]
-            assert box_contains(pose, R @ local + pose.T)
-        assert not box_contains(pose, pose.T + np.array([0, -5.0, 0]))
+            assert inside_box(pose, R @ local + pose.T)
+        assert not inside_box(pose, pose.T + np.array([0, -5.0, 0]))
 
 
 class TestProjectBox3D:

@@ -15,7 +15,6 @@ from vehicle3d.metrics import (
     DIFFICULTIES,
     EvalPair,
     alp,
-    ap_2d_aos,
     ap_3d,
     ap_bev,
     center_distance,
@@ -31,6 +30,12 @@ from vehicle3d.scene_io import (
 )
 
 from tests.oracles import oracle_bucket, oracle_pr_metrics
+
+
+def ap2d_aos(frames, iou_threshold, difficulty="moderate"):
+    """(AP, AOS) of the 2D curve, or (None, None) without valid ground truth."""
+    curve = pr_curve(frames, "ap2d", iou_threshold, difficulty)
+    return (None, None) if curve is None else (curve.ap, curve.aos)
 
 
 def rec(**kw):
@@ -182,7 +187,7 @@ def test_single_perfect_match_scores_100():
     assert alp(frames, 1.0) == 100.0
     assert ap_3d(frames, 0.7) == 100.0
     assert ap_bev(frames, 0.7) == 100.0
-    assert ap_2d_aos(frames, 0.7) == (100.0, 100.0)
+    assert ap2d_aos(frames, 0.7) == (100.0, 100.0)
 
 
 def test_center_miss_scores_zero():
@@ -236,7 +241,7 @@ def test_aos_orientation_extremes():
     exact = [
         ((shift(gt1, score=0.9), shift(gt2, score=0.8)), (gt1, gt2)),
     ]
-    ap, aos = ap_2d_aos(exact, 0.7)
+    ap, aos = ap2d_aos(exact, 0.7)
     assert ap == 100.0 and aos == ap
     flipped = [
         (
@@ -247,7 +252,7 @@ def test_aos_orientation_extremes():
             (gt1, gt2),
         )
     ]
-    ap, aos = ap_2d_aos(flipped, 0.7)
+    ap, aos = ap2d_aos(flipped, 0.7)
     assert ap == 100.0 and aos == 0.0
 
 
@@ -260,7 +265,7 @@ def test_aos_two_detection_hand_table():
     det1 = shift(gt1, score=0.9)
     det2 = shift(gt2, score=0.6, alpha=gt2.alpha + np.pi / 2)
     frames = [((det1,), (gt1,)), ((det2,), (gt2,))]
-    ap, aos = ap_2d_aos(frames, 0.7)
+    ap, aos = ap2d_aos(frames, 0.7)
     assert ap == 100.0
     assert aos == 100.0 * (6 + 5 * 0.75) / 11
     compare_with_oracle(frames)
@@ -276,7 +281,7 @@ def test_score_tie_uses_content_order_not_input_order():
     winner = shift(gt, score=0.5)
     loser = shift(gt, score=0.5, alpha=gt.alpha + np.pi)
     for dets in ((winner, loser), (loser, winner)):
-        ap, aos = ap_2d_aos([(dets, (gt,))], 0.7)
+        ap, aos = ap2d_aos([(dets, (gt,))], 0.7)
         assert ap == 50.0
         assert aos == 50.0
 
@@ -291,7 +296,7 @@ def test_ground_truth_tie_uses_content_order():
     gt_neg = shift(rec(), dx=-0.5)
     gt_pos = shift(rec(), dx=+0.5, alpha=rec().alpha + np.pi)
     frames = [((det,), (gt_neg, gt_pos))]
-    ap, aos = ap_2d_aos(frames, 0.7)
+    ap, aos = ap2d_aos(frames, 0.7)
     assert ap == 100.0 * 6 / 11
     assert aos == ap
     compare_with_oracle(frames)
@@ -357,7 +362,7 @@ def test_other_type_records_are_ignored_not_penalized():
     # the Van ground truth absorbs its detection; the Van detection is
     # dropped entirely; only the Car pair is scored
     assert alp(frames, 1.0) == 100.0
-    assert ap_2d_aos(frames, 0.5) == (100.0, 100.0)
+    assert ap2d_aos(frames, 0.5) == (100.0, 100.0)
     compare_with_oracle(frames)
 
 
@@ -377,7 +382,7 @@ def test_no_valid_ground_truth_reports_absent():
     assert alp(frames, 1.0) is None
     assert ap_3d(frames, 0.25) is None
     assert ap_bev(frames, 0.5) is None
-    assert ap_2d_aos(frames, 0.5) == (None, None)
+    assert ap2d_aos(frames, 0.5) == (None, None)
     # easy bucket empty while moderate is populated
     mod = rec(bbox=(100.0, 100.0, 180.0, 130.0), occluded=1)
     frames = [((shift(mod, truncated=-1.0, occluded=-1, score=0.9),), (mod,))]
@@ -390,7 +395,7 @@ def test_empty_detections_score_zero():
     assert alp(frames, 1.0) == 0.0
     assert ap_3d(frames, 0.25) == 0.0
     assert ap_bev(frames, 0.5) == 0.0
-    assert ap_2d_aos(frames, 0.5) == (0.0, 0.0)
+    assert ap2d_aos(frames, 0.5) == (0.0, 0.0)
 
 
 def test_validation_errors():
@@ -535,7 +540,7 @@ def test_aos_never_exceeds_ap():
         rng = np.random.default_rng(600 + seed)
         frames = random_frames(rng)
         for difficulty in DIFFICULTIES:
-            ap, aos = ap_2d_aos(frames, 0.5, difficulty)
+            ap, aos = ap2d_aos(frames, 0.5, difficulty)
             if ap is not None:
                 assert 0.0 <= aos <= ap <= 100.0
 
@@ -589,7 +594,7 @@ def test_ground_truth_self_evaluation_is_perfect():
     assert alp(frames, 1.0, difficulty="hard") == 100.0
     assert ap_3d(frames, 0.7, difficulty="hard") == 100.0
     assert ap_bev(frames, 0.7, difficulty="hard") == 100.0
-    assert ap_2d_aos(frames, 0.7, difficulty="hard") == (100.0, 100.0)
+    assert ap2d_aos(frames, 0.7, difficulty="hard") == (100.0, 100.0)
 
 
 # ---------------------------------------------------------------------------

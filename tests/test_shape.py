@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vehicle3d.geometry import PoseBox3D, box_contains, rot_y
+from vehicle3d.geometry import PoseBox3D, rot_y
 from vehicle3d.shape import (
     InsufficientDataError,
     LandmarkObservations,
@@ -17,6 +17,7 @@ from vehicle3d.shape import (
     save_model,
 )
 from tests.oracles import make_ortho_dataset, random_orthonormal_rows, subspace_angles_deg
+from tests.test_geometry import inside_box
 
 
 def toy_true_model(n_basis, rng, K=14):
@@ -108,7 +109,7 @@ class TestPlaceInCamera:
                 (-1 <= pts[:, 1]) & (pts[:, 1] <= 0)
             ) and np.all(np.abs(pts[:, 2]) <= 0.5):
                 for p in place_in_camera(pts, pose):
-                    assert box_contains(pose, p, atol=1e-9)
+                    assert inside_box(pose, p)
 
 
 class TestOrthoProject:
@@ -275,7 +276,7 @@ def test_invisible_landmarks_never_reach_the_result():
     rng = np.random.default_rng(37)
     mean, basis = toy_true_model(2, rng)
     raw, _ = make_ortho_dataset(mean, basis, 30, 0.5, 0.3, rng)
-    # one instance below min_visible, so it is dropped
+    # one instance with fewer than 6 visible landmarks, so it is dropped
     raw[4] = (raw[4][0], np.arange(14) < 3)
     fills = np.array([np.nan, 1e300, -1e300])
     poisoned = []
