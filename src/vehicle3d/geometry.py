@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # Points closer than this to the image plane are treated as behind the camera.
 EPS_Z = 1e-6
-
-# Vertices closer than this are merged during polygon clipping.
-_VERTEX_EPS = 1e-9
 
 
 class BehindCameraError(ValueError):
@@ -197,93 +195,95 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     return float(inter / union)
 
 
+class BoxStack(NamedTuple):
+    """Stacked gravity-aligned boxes: ground footprints (n, 4, 2) as
+    footprint() gives them, and vertical spans [top, bottom] = [T_y - e^H,
+    T_y] (n,) each (Y points down, the box extends upward)."""
+
+    feet: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @classmethod
+    def of(cls, poses) -> "BoxStack":
+        theta = np.array([pose.theta for pose in poses], dtype=float)
+        T = np.array([pose.T for pose in poses], dtype=float).reshape(-1, 3)
+        dims = np.exp(np.array([pose.sigma for pose in poses], dtype=float).reshape(-1, 3))
+        c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
+        # rot_y(theta).T per pose, so each footprint equals box3d_corners' own
+        rot_t = np.stack([c, zero, -s, zero, zero + 1.0, zero, s, zero, c], axis=1)
+        feet = (UNIT_CORNERS[:4] * dims[:, None]) @ rot_t.reshape(-1, 3, 3) + T[:, None]
+        return cls(feet[:, :, [0, 2]], T[:, 1] - dims[:, 1], T[:, 1])
+
+
 def footprint(pose: PoseBox3D) -> np.ndarray:
     """Ground-plane rectangle of the box as 4 (x, z) vertices, counterclockwise."""
-    corners = box3d_corners(pose)[:4]
-    return corners[:, [0, 2]]
+    return BoxStack.of([pose]).feet[0]
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as (n, 2) vertices."""
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clipping of a convex subject by a convex clip polygon.
-
-    Both polygons must be counterclockwise.  Returns the intersection
-    polygon, possibly empty.
-    """
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        edge = b - a
-        if not output:
-            break
-        input_pts = output
-        output = []
+def _clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clipping of P convex ccw polygons (P, n, 2) by P
+    others, one clip edge at a time over all rows: the intersections as rows
+    (P, m, 2), each padded with copies of its last vertex."""
+    P, rows = len(subject), np.arange(len(subject))[:, None]
+    poly, count = subject, np.full(P, subject.shape[1])
+    for e in range(clip.shape[1]):
+        a = clip[:, e, None]
+        ex, ey = np.moveaxis(clip[:, (e + 1) % clip.shape[1], None] - a, -1, 0)
         # Inside a ccw clip polygon = left of each directed edge (cross >= 0).
-        prev = input_pts[-1]
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0.0
-        for cur in input_pts:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0.0
-            if cur_in != prev_in:
-                # Edge crossing: interpolate the intersection point.
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                if abs(denom) > 0.0:
-                    t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                    output.append(prev + t * d)
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    if not output:
-        return np.empty((0, 2))
-    # Merge near-coincident vertices introduced by clipping.
-    merged = [output[0]]
-    for p in output[1:]:
-        if np.linalg.norm(p - merged[-1]) > _VERTEX_EPS:
-            merged.append(p)
-    if len(merged) > 1 and np.linalg.norm(merged[0] - merged[-1]) <= _VERTEX_EPS:
-        merged.pop()
-    return np.array(merged)
+        side = ex * (poly[..., 1] - a[..., 1]) - ey * (poly[..., 0] - a[..., 0])
+        prev = np.roll(poly, 1, axis=1)  # cyclic within each row, given the padding
+        d = poly - prev
+        denom = ex * d[..., 1] - ey * d[..., 0]
+        t = -np.roll(side, 1, axis=1) / np.where(denom == 0.0, 1.0, denom)
+        valid = np.arange(poly.shape[1]) < count[:, None]
+        # Each vertex emits the crossing into it, if any, then itself if inside.
+        inside = side >= 0.0
+        emit = np.stack([valid & (inside != np.roll(inside, 1, axis=1)) & (denom != 0.0),
+                         valid & inside], axis=2).reshape(P, 2 * poly.shape[1])
+        points = np.stack([prev + t[..., None] * d, poly], axis=2).reshape(P, 2 * poly.shape[1], 2)
+        count = emit.sum(axis=1)
+        slots = np.minimum(np.arange(count.max(initial=0)), count[:, None] - 1)
+        poly = points[rows, np.argsort(~emit, axis=1, kind="stable")[rows, slots]]
+    return poly
+
+
+def _area(poly: np.ndarray) -> np.ndarray:
+    """Shoelace areas of polygon rows (P, n, 2) that may repeat vertices;
+    exactly 0 for a row with fewer than 3 distinct vertices."""
+    step = poly - np.roll(poly, 1, axis=1)
+    distinct = ((step * step).sum(axis=2) > 1e-18).sum(axis=1)  # 1e-9 apart counts as one
+    # About the first vertex (less cancellation); repeats add exact zeros,
+    # summed column by column, so a row's sum ignores the batch's width.
+    rel = poly - poly[:, :1]
+    cross = rel[:, :-1, 0] * rel[:, 1:, 1] - rel[:, :-1, 1] * rel[:, 1:, 0]
+    return np.where(distinct >= 3, 0.5 * np.abs(sum(cross.T, np.zeros(len(poly)))), 0.0)
+
+
+def _ratio(inter, size_a, size_b) -> np.ndarray:
+    """inter / union clamped to [0, 1]; 0 unless both sizes and the union are positive."""
+    union = size_a + size_b - inter
+    ok = (size_a > 0.0) & (size_b > 0.0) & (union > 0.0)
+    return np.where(ok, np.clip(inter / np.where(ok, union, 1.0), 0.0, 1.0), 0.0)
+
+
+def box_ious(boxes: BoxStack, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """(3D IoU, BEV IoU) of each pair (boxes[i[p]], boxes[j[p]]) from one
+    footprint clip: BEV from the overlap area, 3D from it times the vertical
+    overlap; sizes use the same arithmetic, so identical boxes give exactly 1."""
+    area = _area(boxes.feet)
+    volume = area * (boxes.bottom - boxes.top)
+    inter = _area(_clip(boxes.feet[i], boxes.feet[j]))
+    dy = np.minimum(boxes.bottom[i], boxes.bottom[j]) - np.maximum(boxes.top[i], boxes.top[j])
+    return (_ratio(inter * np.maximum(dy, 0.0), volume[i], volume[j]),
+            _ratio(inter, area[i], area[j]))
 
 
 def iou_bev(a: PoseBox3D, b: PoseBox3D) -> float:
-    """IoU of the two ground-plane footprints via convex polygon clipping."""
-    dims_a, dims_b = a.dims, b.dims
-    area_a = dims_a[0] * dims_a[2]
-    area_b = dims_b[0] * dims_b[2]
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    inter = _polygon_area(_clip_polygon(footprint(a), footprint(b)))
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
+    """IoU of the two ground-plane footprints: box_ious for one pair."""
+    return float(box_ious(BoxStack.of([a, b]), [0], [1])[1][0])
 
 
 def iou_3d(a: PoseBox3D, b: PoseBox3D) -> float:
-    """3D IoU; the vertical axis factorizes since both boxes are gravity-aligned."""
-    dims_a, dims_b = a.dims, b.dims
-    vol_a = float(np.prod(dims_a))
-    vol_b = float(np.prod(dims_b))
-    if vol_a <= 0.0 or vol_b <= 0.0:
-        return 0.0
-    # Vertical spans are [T_y - e^H, T_y] (Y points down, box extends upward).
-    y_lo = max(a.T[1] - dims_a[1], b.T[1] - dims_b[1])
-    y_hi = min(a.T[1], b.T[1])
-    dy = y_hi - y_lo
-    if dy <= 0.0:
-        return 0.0
-    inter_bev = _polygon_area(_clip_polygon(footprint(a), footprint(b)))
-    inter = inter_bev * dy
-    union = vol_a + vol_b - inter
-    if union <= 0.0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
+    """3D IoU of two gravity-aligned boxes: box_ious for one pair."""
+    return float(box_ious(BoxStack.of([a, b]), [0], [1])[0][0])

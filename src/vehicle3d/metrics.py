@@ -20,20 +20,25 @@ A bucket with no valid ground truth yields None (absent), never zero.
 
 Match once: each (detection, ground truth) pair value -- 3D IoU, BEV IoU,
 2D IoU (also ALP's gate) and center distance -- is computed at most once
-per EvalPair, on first use, and reused by every metric threshold and
-difficulty; so are the score and content orders.  Pass the same EvalPair
-list to every curve to reuse them (a (detections, ground truth) tuple is
-wrapped afresh on each call).  Pairs whose footprints' bounding boxes
-are apart score a 3D/BEV IoU of exactly 0 without a polygon clip.
+per EvalPair and reused by every metric threshold and difficulty; so are
+the score and content orders.  Pass the same EvalPair list to every curve
+to reuse them (a (detections, ground truth) tuple is wrapped afresh on
+each call).  The first 3D or BEV curve over a list scores every frame not
+yet scored with one footprint clip per pair and one geometry.box_ious call
+for the whole list, giving each pair its 3D and BEV IoU together; pairs
+whose footprints' bounding boxes are apart score exactly 0 without a clip.
+2D IoU and center distance are computed on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
-from .geometry import Box2D, footprint, iou_2d, iou_3d, iou_bev
+# iou_3d and iou_bev are not called here; perfbench's trace wraps these names.
+from .geometry import Box2D, BoxStack, box_ious, iou_2d, iou_3d, iou_bev  # noqa: F401
 from .scene_io import LabelRecord, label_to_pose
 
 DIFFICULTIES = ("easy", "moderate", "hard")
@@ -52,7 +57,7 @@ _RANK = {"easy": 0, "moderate": 1, "hard": 2, "ignored": 3}
 _DONTCARE_COVERAGE = 0.5
 
 # Footprint bounding boxes count as apart only beyond this gap, relative to
-# the frame's largest coordinate, far above the clipper's rounding.
+# the pair's largest coordinate, far above the clipper's rounding.
 _APART_RTOL = 1e-9
 
 
@@ -60,8 +65,8 @@ _APART_RTOL = 1e-9
 class EvalPair:
     """One frame: scored detections against annotated ground truth.
 
-    The matching orders and each pair value are computed on first use and
-    kept on the instance, so every curve over it reuses them.
+    The matching orders and each pair value are computed once and kept on
+    the instance, so every curve over it reuses them.
     """
 
     detections: tuple
@@ -70,9 +75,6 @@ class EvalPair:
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
         object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
-        for det in self.detections:
-            if det.score is not None and not np.isfinite(det.score):
-                raise ValueError("detection scores must be finite")
 
     @cached_property
     def _det_order(self) -> list:
@@ -87,61 +89,64 @@ class EvalPair:
         return sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
 
     @cached_property
-    def _poses_and_apart(self):
-        """(detection poses, ground-truth poses, apart): a pose is None
-        unless the record's dimensions are positive; apart[i, j] marks the
-        pairs whose footprints' bounding boxes are disjoint."""
-        poses = [
-            [None if min(rec.dimensions) <= 0 else label_to_pose(rec) for rec in records]
-            for records in (self.detections, self.ground_truth)
-        ]
-        det_b, gt_b = (_footprint_bounds(side) for side in poses)
-        # per axis, the gap between the boxes (negative where they overlap)
-        gap = np.maximum(gt_b[None, :, :2] - det_b[:, None, 2:],
-                         det_b[:, None, :2] - gt_b[None, :, 2:])
-        scale = 1.0 + max(np.abs(b[np.isfinite(b)]).max(initial=0.0) for b in (det_b, gt_b))
-        return poses[0], poses[1], (gap > _APART_RTOL * scale).any(axis=2)
-
-    @cached_property
     def _values(self) -> dict:
         """(kind, detection index, ground-truth index) -> pair value."""
         return {}
 
     def _value(self, kind: str, i: int, j: int):
-        """Detection i against ground truth j, computed once: kind is
-        "iou_3d" or "iou_bev" (None unless both dimensions are positive),
-        "iou_2d" or "center_distance"."""
+        """Detection i against ground truth j: kind is "iou_3d" or "iou_bev"
+        (filled in by _score_boxes; None unless both dimensions are
+        positive), or "iou_2d" or "center_distance" (computed once, here)."""
         key = (kind, i, j)
         values = self._values
         if key not in values:
-            values[key] = self._compute(kind, i, j)
+            det, gt = self.detections[i], self.ground_truth[j]
+            values[key] = (iou_2d(_box(det), _box(gt)) if kind == "iou_2d"
+                           else center_distance(det, gt))
         return values[key]
 
-    def _compute(self, kind: str, i: int, j: int):
-        det, gt = self.detections[i], self.ground_truth[j]
-        if kind == "iou_2d":
-            return iou_2d(_box(det), _box(gt))
-        if kind == "center_distance":
-            return center_distance(det, gt)
-        det_poses, gt_poses, apart = self._poses_and_apart
-        if det_poses[i] is None or gt_poses[j] is None:
-            return None
-        if apart[i, j]:
-            return 0.0
-        iou = iou_3d if kind == "iou_3d" else iou_bev
-        return iou(det_poses[i], gt_poses[j])
 
+def _score_boxes(pairs) -> None:
+    """Give every (detection, ground truth) pair of the frames not yet
+    scored its 3D and BEV IoU, with one box_ious call across those frames.
 
-def _footprint_bounds(poses) -> np.ndarray:
-    """(n, 4) rows (min x, min z, max x, max z) of each footprint; NaN for
-    a missing pose or a non-finite footprint, which is never apart."""
-    bounds = np.full((len(poses), 4), np.nan)
-    for k, pose in enumerate(poses):
-        if pose is not None:
-            feet = footprint(pose)
-            if np.isfinite(feet).all():
-                bounds[k] = (*feet.min(axis=0), *feet.max(axis=0))
-    return bounds
+    Each record with positive dimensions becomes a box once.  A pair
+    without two boxes scores None; a pair whose footprints' bounding boxes
+    are apart scores 0.0 without a clip, and its frame's `_apart` mask,
+    which also marks the frame scored, says so.
+    """
+    todo = [pair for pair in pairs if "_apart" not in vars(pair)]
+    if not todo:
+        return
+    records = [rec for pair in todo for rec in (*pair.detections, *pair.ground_truth)]
+    posed = [k for k, rec in enumerate(records) if min(rec.dimensions) > 0]
+    boxes = BoxStack.of([label_to_pose(records[k]) for k in posed])
+    row = dict(zip(posed, range(len(posed))))  # record index -> box row
+    keys, i, j = [], [], []  # the pairs of two boxes
+    start = 0
+    for pair in todo:
+        n_det, n_gt = len(pair.detections), len(pair.ground_truth)
+        vars(pair)["_apart"] = np.zeros((n_det, n_gt), dtype=bool)
+        for di, gj in product(range(n_det), range(n_gt)):
+            a, b = row.get(start + di), row.get(start + n_det + gj)
+            if a is None or b is None:
+                pair._values["iou_3d", di, gj] = pair._values["iou_bev", di, gj] = None
+            else:
+                keys.append((pair, di, gj))
+                i.append(a)
+                j.append(b)
+        start += n_det + n_gt
+    i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+    lo, hi = boxes.feet.min(axis=1), boxes.feet.max(axis=1)
+    reach = 1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
+    # per axis, the gap between the boxes (negative where they overlap)
+    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j])
+    apart = (gap > _APART_RTOL * np.maximum(reach[i], reach[j])[:, None]).any(axis=1)
+    iou3, iou_b = np.zeros(len(i)), np.zeros(len(i))
+    iou3[~apart], iou_b[~apart] = box_ious(boxes, i[~apart], j[~apart])
+    for (pair, di, gj), v3, vb, off in zip(keys, iou3.tolist(), iou_b.tolist(), apart.tolist()):
+        pair._values["iou_3d", di, gj], pair._values["iou_bev", di, gj] = v3, vb
+        pair._apart[di, gj] = off
 
 
 @dataclass(frozen=True)
@@ -340,11 +345,12 @@ def pr_curve(
         raise ValueError(f"unknown metric {metric!r}")
     passes = criteria[metric]()
 
+    pairs = [pair if isinstance(pair, EvalPair) else EvalPair(*pair) for pair in frames]
+    if metric in ("ap3d", "apbev"):
+        _score_boxes(pairs)
     flags = []
     n_gt = 0
-    for pair in frames:
-        if not isinstance(pair, EvalPair):
-            pair = EvalPair(*pair)
+    for pair in pairs:
         frame_flags, frame_gt = _match_frame(pair, passes, difficulty, object_type)
         flags.extend(frame_flags)
         n_gt += frame_gt

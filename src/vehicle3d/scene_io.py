@@ -160,15 +160,14 @@ class LabelRecord:
         if len(self.bbox) != 4 or len(self.dimensions) != 3 or len(self.location) != 3:
             raise ValueError("bbox/dimensions/location arity is 4/3/3")
         left, top, right, bottom = self.bbox
-        require_finite(*self.bbox)
+        require_finite(*self.bbox, *self.dimensions, *self.location, self.rotation_y,
+                       self.alpha, self.truncated, 0.0 if self.score is None else self.score)
         if not (right > left and bottom > top):
             raise ValueError("degenerate 2D box: need right > left and bottom > top")
         if self.occluded not in _OCCLUSION_CODES:
             raise ValueError(f"occlusion code {self.occluded} outside {-1}..3")
         if not (self.truncated == -1.0 or 0.0 <= self.truncated <= 1.0):
             raise ValueError("truncation must be in [0, 1] or the unknown marker -1")
-        if self.score is not None and not np.isfinite(self.score):
-            raise ValueError("score must be finite")
 
 
 class LabelFormatError(ValueError):
@@ -196,9 +195,10 @@ def parse_labels(text: str) -> list:
         except ValueError as err:
             raise LabelFormatError(line_number, f"non-numeric field: {err}") from None
         occ_f = values[1]
-        if occ_f != int(occ_f):
-            raise LabelFormatError(line_number, f"occlusion code {occ_f} is not integral")
         try:
+            require_finite(occ_f)
+            if occ_f != int(occ_f):
+                raise ValueError(f"occlusion code {occ_f} is not integral")
             records.append(
                 LabelRecord(
                     type=tokens[0],

@@ -91,6 +91,35 @@ def mc_iou_bev(a, b, unit_samples: np.ndarray) -> float:
     return float(np.count_nonzero(in_a & in_b) / n_either)
 
 
+def loop_clip_ious(a, b) -> tuple:
+    """(3D IoU, BEV IoU) from a vertex-by-vertex Sutherland-Hodgman clip of
+    one footprint by the other, with box areas and volumes from the extents."""
+    def feet(pose):
+        theta, T, L, _, W = _box_params(pose)
+        c, s = np.cos(theta), np.sin(theta)
+        return [(c * x + s * z + T[0], -s * x + c * z + T[2])
+                for x, z in ((L / 2, W / 2), (-L / 2, W / 2), (-L / 2, -W / 2), (L / 2, -W / 2))]
+
+    poly, clip = feet(a), feet(b)
+    for (ax, az), (bx, bz) in zip(clip, clip[1:] + clip[:1]):
+        def side(p):  # >= 0 on the inner (left) side of the edge
+            return (bx - ax) * (p[1] - az) - (bz - az) * (p[0] - ax)
+
+        out = []
+        for prev, cur in zip(poly[-1:] + poly[:-1], poly):
+            if (side(cur) >= 0) != (side(prev) >= 0):
+                t = side(prev) / (side(prev) - side(cur))
+                out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if side(cur) >= 0:
+                out.append(cur)
+        poly = out
+    inter = 0.5 * abs(sum(x0 * z1 - x1 * z0 for (x0, z0), (x1, z1) in zip(poly, poly[1:] + poly[:1])))
+    (_, Ta, La, Ha, Wa), (_, Tb, Lb, Hb, Wb) = _box_params(a), _box_params(b)
+    dy = max(0.0, min(Ta[1], Tb[1]) - max(Ta[1] - Ha, Tb[1] - Hb))
+    return (inter * dy / (La * Ha * Wa + Lb * Hb * Wb - inter * dy),
+            inter / (La * Wa + Lb * Wb - inter))
+
+
 # ---------------------------------------------------------------------------
 # Weak-perspective landmark dataset with known ground truth, for testing the
 # shape learner.  Written directly from the generative story.

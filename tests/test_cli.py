@@ -258,6 +258,26 @@ def test_eval_matches_library_numbers(dataset, tmp_path, capsys):
     assert f"{expected:.4f}" in row
 
 
+@pytest.mark.parametrize("index, value", [
+    (1, "nan"), (2, "nan"), (3, "inf"), (8, "nan"), (10, "-inf"), (11, "nan"), (13, "inf"),
+    (14, "nan"),
+], ids=["truncated", "occluded", "alpha", "height", "length", "x", "z", "rotation_y"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_non_finite_label_field_is_a_data_error(dataset, tmp_path, capfd, index, value, side):
+    for name in ("pred", "gt"):
+        (tmp_path / name).mkdir()
+        for path in (dataset / "labels").glob("*.txt"):
+            (tmp_path / name / path.name).write_bytes(path.read_bytes())
+    bad = tmp_path / side / "000001.txt"
+    lines = bad.read_text().splitlines()
+    tokens = lines[1].split()
+    tokens[index] = value
+    lines[1] = " ".join(tokens)
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt") == 1
+    assert capfd.readouterr().err == f"error: {bad}: line 2: non-finite value\n"
+
+
 def test_eval_frame_mismatch(dataset, tmp_path, capsys):
     partial = tmp_path / "partial" / "labels"
     partial.mkdir(parents=True)

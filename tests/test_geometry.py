@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vehicle3d.geometry import (
     BehindCameraError,
     Box2D,
+    BoxStack,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
     box3d_corners,
+    box_ious,
+    footprint,
     iou_2d,
     iou_3d,
     iou_bev,
@@ -16,7 +20,7 @@ from vehicle3d.geometry import (
     rot_y,
     wrap_angle,
 )
-from tests.oracles import mc_iou_3d, mc_iou_bev, random_pose_pairs
+from tests.oracles import loop_clip_ious, mc_iou_3d, mc_iou_bev, random_pose_pairs
 
 
 def make_pose(theta, T, dims):
@@ -265,6 +269,93 @@ class TestIoU3D:
         for a, b in random_pose_pairs(60, rng):
             assert abs(iou_3d(a, b) - mc_iou_3d(a, b, samples3)) < 2e-2
             assert abs(iou_bev(a, b) - mc_iou_bev(a, b, samples2)) < 2e-2
+
+
+def derived_pose(base, case, tweak):
+    """A second box for `base`: a perturbed copy ("random") or one of the
+    hand cases, each with its known IoUs (None where not closed-form)."""
+    theta, T, (L, H, W) = base.theta, base.T, base.dims
+    along = rot_y(theta) @ np.array([1.0, 0.0, 0.0])
+    if case == "identical":
+        return base, (1.0, 1.0)
+    if case == "touching":  # shares the +x face
+        return make_pose(theta, T + L * along, base.dims), (0.0, 0.0)
+    if case == "contained":  # half-size, same bottom center: a quarter footprint
+        return make_pose(theta, T, base.dims / 2), (1 / 8, 1 / 4)
+    if case == "quarter_turn":  # overlap is the min(L, W) square
+        m2 = min(L, W) ** 2
+        return make_pose(theta + np.pi / 2, T, base.dims), (m2 / (2 * L * W - m2),) * 2
+    if case == "sliver":  # overlap is a strip 1e-6 L wide
+        return make_pose(theta, T + L * (1 - 1e-6) * along, base.dims), (1e-6 / (2 - 1e-6),) * 2
+    dtheta, dx, dz, scale = tweak
+    return make_pose(theta + dtheta, T + np.array([dx, 0.0, dz]), base.dims * scale), (None, None)
+
+
+HAND_CASES = ("identical", "touching", "contained", "quarter_turn", "sliver")
+base_poses = st.builds(
+    make_pose,
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+    st.tuples(st.floats(-20, 20), st.floats(0.5, 2.5), st.floats(5, 60)),
+    st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0), st.floats(0.5, 5.0)).map(np.array),
+)
+pose_pairs = st.builds(
+    lambda base, case, tweak: (base, derived_pose(base, case, tweak)[0]),
+    base_poses,
+    st.sampled_from(("random",) + HAND_CASES),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+              st.floats(0.7, 1.4)),
+)
+
+
+class TestBoxIous:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(pose_pairs, min_size=1, max_size=12), st.randoms())
+    def test_pair_values_ignore_their_batch(self, pairs, random):
+        boxes = BoxStack.of([pose for pair in pairs for pose in pair])
+        i, j = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
+        batch = box_ious(boxes, i, j)
+        order = list(range(len(pairs)))
+        random.shuffle(order)
+        shuffled = box_ious(boxes, i[order], j[order])
+        for p, (a, b) in enumerate(pairs):
+            alone = box_ious(BoxStack.of([a, b]), [0], [1])
+            assert (alone[0][0], alone[1][0]) == (iou_3d(a, b), iou_bev(a, b))
+            assert (batch[0][p], batch[1][p]) == (iou_3d(a, b), iou_bev(a, b))
+            k = order.index(p)
+            assert (shuffled[0][k], shuffled[1][k]) == (batch[0][p], batch[1][p])
+
+    @settings(max_examples=200, deadline=None)
+    @given(base_poses, st.sampled_from(HAND_CASES))
+    def test_hand_cases(self, a, case):
+        b, (want_3d, want_bev) = derived_pose(a, case, None)
+        got_3d, got_bev = iou_3d(a, b), iou_bev(a, b)
+        if case in ("identical", "touching"):
+            assert (got_3d, got_bev) == (want_3d, want_bev)
+        else:
+            assert np.isclose(got_bev, want_bev, rtol=1e-6, atol=0.0)
+            assert np.isclose(got_3d, want_3d, rtol=1e-6, atol=0.0)
+
+    def test_matches_the_loop_clip(self):
+        # Shoelace sums over coordinates up to ~60 m lose at most ~1e-11 m^2
+        # in float64; 1e-9 on the IoU leaves room for that and nothing more.
+        rng = np.random.default_rng(14)
+        pairs = random_pose_pairs(400, rng)
+        pairs += [(a, derived_pose(a, case, None)[0]) for a, _ in pairs[:40]
+                  for case in HAND_CASES]
+        for a, b in pairs:
+            want = loop_clip_ious(a, b)
+            assert abs(iou_3d(a, b) - want[0]) < 1e-9
+            assert abs(iou_bev(a, b) - want[1]) < 1e-9
+
+    def test_footprint_matches_the_box_corners(self):
+        for a, b in random_pose_pairs(50, np.random.default_rng(13)):
+            assert np.array_equal(footprint(a), box3d_corners(a)[:4][:, [0, 2]])
+            assert np.array_equal(BoxStack.of([b, a]).feet[1], footprint(a))
+
+    def test_empty_batch(self):
+        empty = np.zeros(0, dtype=int)
+        iou3, iou_b = box_ious(BoxStack.of([]), empty, empty)
+        assert iou3.shape == iou_b.shape == (0,)
 
 
 class TestWrap:

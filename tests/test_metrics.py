@@ -621,7 +621,7 @@ def check_reused_tables(frames) -> int:
     compare_with_oracle(pairs)
     shortcuts = 0
     for pair in pairs:
-        apart = pair._poses_and_apart[2] if "_poses_and_apart" in vars(pair) else None
+        apart = vars(pair).get("_apart")
         for (kind, i, j), value in pair._values.items():
             want = scalar_pair_value(kind, pair.detections[i], pair.ground_truth[j])
             assert value == want and type(value) is type(want), (kind, i, j, value, want)
@@ -664,17 +664,21 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     import vehicle3d.metrics as metrics
 
     calls = []
+    sizes = []  # P, the pair count, of each box_ious call
 
     def counted(name):
         inner = getattr(metrics, name)
 
         def wrapper(*args):
             calls.append(name)
+            if name == "box_ious":
+                sizes.append(len(args[1]))
             return inner(*args)
 
         return wrapper
 
-    for name in ("iou_3d", "iou_bev", "iou_2d", "center_distance", "label_to_pose"):
+    for name in ("box_ious", "iou_3d", "iou_bev", "iou_2d", "center_distance",
+                 "label_to_pose"):
         monkeypatch.setattr(metrics, name, counted(name))
     pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
     jobs = [(metric, threshold, difficulty)
@@ -684,15 +688,27 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     for job in jobs:
         pr_curve(pairs, *job)
     first = len(calls)
+    assert calls.count("box_ious") == 1 and sizes[0] > 0  # one call for the sweep
     for job in jobs:
         pr_curve(pairs, *job)
     assert len(calls) == first > 0  # a second sweep scores nothing
-    for kind in ("iou_3d", "iou_bev", "iou_2d", "center_distance"):
-        scored = sum(
-            1 for pair in pairs for (k, i, j), value in pair._values.items()
+
+    def scored(kind, frames):
+        return sum(
+            1 for pair in frames for (k, i, j), value in pair._values.items()
             if k == kind and value is not None
-            and not (kind in ("iou_3d", "iou_bev") and pair._poses_and_apart[2][i, j])
+            and not (kind in ("iou_3d", "iou_bev") and pair._apart[i, j])
         )
-        assert calls.count(kind) == scored, kind
-    records = sum(len(p.detections) + len(p.ground_truth) for p in pairs)
-    assert calls.count("label_to_pose") <= records
+
+    for kind in ("iou_2d", "center_distance"):
+        assert calls.count(kind) == scored(kind, pairs), kind
+    for kind in ("iou_3d", "iou_bev"):
+        assert calls.count(kind) == 0, kind  # the kernel scores both at once
+        assert sum(sizes) == scored(kind, pairs), kind
+    posed = sum(1 for p in pairs for rec in (*p.detections, *p.ground_truth)
+                if min(rec.dimensions) > 0)
+    assert calls.count("label_to_pose") == posed
+    # scored and new frames in one list: one call, over the new frames only
+    fresh = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(8))]
+    pr_curve(pairs + fresh, "apbev", 0.5)
+    assert calls.count("box_ious") == 2 and sizes[1] == scored("iou_bev", fresh) > 0

@@ -76,6 +76,15 @@ def test_parse_rejects_bad_values():
     swapped = SAMPLE.replace("587.01 173.33 614.12", "614.12 173.33 587.01")
     with pytest.raises(LabelFormatError, match="line 1"):
         parse_labels(swapped)
+    # a non-finite field is named as such, ahead of any range check
+    fields = {"truncated": 1, "occluded": 2, "alpha": 3, "height": 8, "width": 9,
+              "length": 10, "x": 11, "y": 12, "z": 13, "rotation_y": 14, "score": 15}
+    for name, index in fields.items():
+        for value in ("nan", "inf", "-inf"):
+            tokens = (SAMPLE + " 0.5").split()
+            tokens[index] = value
+            with pytest.raises(LabelFormatError, match="^line 1: non-finite value$"):
+                parse_labels(" ".join(tokens))
 
 
 def test_parse_accepts_score_and_unknown_type():
