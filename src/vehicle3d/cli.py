@@ -422,7 +422,9 @@ def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: Sol
 # eval
 # ---------------------------------------------------------------------------
 
-def _paired_frames(pred_dir: Path, gt_dir: Path):
+def _paired_frames(pred_dir: Path, gt_dir: Path, gt_records: dict):
+    """(sorted frame ids, one EvalPair per frame).  gt_records (frame id ->
+    parsed ground truth) keeps each file parsed once across calls."""
     pred_ids = {p.stem: p for p in pred_dir.glob("*.txt")}
     gt_ids = {p.stem: p for p in gt_dir.glob("*.txt")}
     missing_pred = sorted(set(gt_ids) - set(pred_ids))
@@ -437,11 +439,12 @@ def _paired_frames(pred_dir: Path, gt_dir: Path):
     if not gt_ids:
         raise CLIError(f"no label files under {gt_dir}")
     order = sorted(gt_ids)
-    frames = [
-        EvalPair(_read_data_file(pred_ids[frame_id], parse_labels),
-                 _read_data_file(gt_ids[frame_id], parse_labels))
-        for frame_id in order
-    ]
+    frames = []
+    for frame_id in order:
+        detections = _read_data_file(pred_ids[frame_id], parse_labels)
+        if frame_id not in gt_records:
+            gt_records[frame_id] = _read_data_file(gt_ids[frame_id], parse_labels)
+        frames.append(EvalPair(detections, gt_records[frame_id]))
     return order, frames
 
 
@@ -542,7 +545,7 @@ def _write_plot_data(order, frames, out_dir: Path) -> None:
 
 def cmd_eval(effective: dict, out_dir: Path | None) -> int:
     order, frames = _paired_frames(
-        _labels_dir(effective["pred"]), _labels_dir(effective["gt"])
+        _labels_dir(effective["pred"]), _labels_dir(effective["gt"]), {}
     )
     jobs = _curve_jobs(effective)
     curves = _eval_curves(frames, jobs, effective["points"])
@@ -578,10 +581,11 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
         (f"AP bird's-eye IoU @ {effective['bev_threshold']:g}",
          lambda fr, d: ap_bev(fr, effective["bev_threshold"], d, points=points)),
     )
-    # One variant's frames (and the pair values they keep) at a time.
+    # One variant's frames (and the pair tables they keep) at a time.
     rows = {}  # (metric title, variant) -> values by difficulty
+    gt_records = {}  # parsed once, shared by every variant's frames
     for variant in ABLATION_VARIANTS:
-        frames = _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir)[1]
+        frames = _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir, gt_records)[1]
         for title, fn in metrics:
             rows[title, variant] = [fn(frames, d) for d in DIFFICULTIES]
     text = "\n".join(

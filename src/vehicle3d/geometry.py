@@ -181,18 +181,23 @@ def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> Box2D:
     return Box2D.from_corners(left, top, right, bottom)
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two axis-aligned boxes."""
-    al, at, ar, ab = a.corners()
-    bl, bt, br, bb = b.corners()
-    iw = min(ar, br) - max(al, bl)
-    ih = min(ab, bb) - max(at, bt)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def box2d_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each pair of axis-aligned boxes (a[p], b[p]), rows (P, 4) of
+    (left, top, right, bottom); 0 where the boxes do not overlap."""
+    al, at, ar, ab = a.T
+    bl, bt, br, bb = b.T
+    iw = np.minimum(ar, br) - np.maximum(al, bl)
+    ih = np.minimum(ab, bb) - np.maximum(at, bt)
     inter = iw * ih
     # Areas from the same corner arithmetic so identical boxes give exactly 1.
     union = (ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter
-    return float(inter / union)
+    overlap = (iw > 0.0) & (ih > 0.0)
+    return np.where(overlap, inter / np.where(overlap, union, 1.0), 0.0)
+
+
+def iou_2d(a: Box2D, b: Box2D) -> float:
+    """Intersection over union of two axis-aligned boxes: box2d_ious for one pair."""
+    return float(box2d_ious(a.corners()[None], b.corners()[None])[0])
 
 
 class BoxStack(NamedTuple):

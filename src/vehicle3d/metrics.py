@@ -9,8 +9,9 @@ Matching protocol (shared by all metric families):
   - each detection greedily takes the best still-unmatched ground truth
     that passes the metric criterion (quality ties again broken by the
     ground truth's content key);
-  - ground truth outside the evaluated difficulty (or of another type)
-    is "ignored": matching it costs nothing and earns nothing;
+  - ground truth outside the evaluated difficulty (or of a type other
+    than OBJECT_TYPE) is "ignored": matching it costs nothing and earns
+    nothing; detections of other types are skipped;
   - unmatched detections covered by a don't-care region are dropped,
     the rest are false positives;
   - PR points are recorded at each distinct score threshold, so the
@@ -18,31 +19,34 @@ Matching protocol (shared by all metric families):
 
 A bucket with no valid ground truth yields None (absent), never zero.
 
-Match once: each (detection, ground truth) pair value -- 3D IoU, BEV IoU,
-2D IoU (also ALP's gate) and center distance -- is computed at most once
-per EvalPair and reused by every metric threshold and difficulty; so are
-the score and content orders.  Pass the same EvalPair list to every curve
-to reuse them (a (detections, ground truth) tuple is wrapped afresh on
-each call).  The first 3D or BEV curve over a list scores every frame not
-yet scored with one footprint clip per pair and one geometry.box_ious call
-for the whole list, giving each pair its 3D and BEV IoU together; pairs
-whose footprints' bounding boxes are apart score exactly 0 without a clip.
-2D IoU and center distance are computed on first use.
+Match once: the first curve over an EvalPair list scores every frame of
+it not yet scored in one vectorized pass, filling four dense (detections x
+ground truth) tables per frame -- 3D IoU, BEV IoU, 2D IoU (also ALP's gate)
+and center distance -- that every later curve, threshold and difficulty
+reads through a threshold mask; the score and content orders are kept the
+same way.  Pass the same EvalPair list to every curve to reuse them (a
+(detections, ground truth) tuple is wrapped, and so scored, afresh on each
+call).  3D and BEV IoU come from one geometry.box_ious call for the whole
+list, one footprint clip per pair; pairs whose footprints' bounding boxes
+are apart score exactly 0 without a clip, and pairs without two boxes of
+positive dimensions score NaN.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-# iou_3d and iou_bev are not called here; perfbench's trace wraps these names.
-from .geometry import Box2D, BoxStack, box_ious, iou_2d, iou_3d, iou_bev  # noqa: F401
+# iou_2d, iou_3d and iou_bev are not called here; perfbench's trace wraps these names.
+from .geometry import BoxStack, box2d_ious, box_ious, iou_2d, iou_3d, iou_bev  # noqa: F401
 from .scene_io import LabelRecord, label_to_pose
 
 DIFFICULTIES = ("easy", "moderate", "hard")
 DONT_CARE_TYPE = "DontCare"
+OBJECT_TYPE = "Car"  # the one class every curve evaluates
 
 # difficulty -> (min projected height px, max occlusion, max truncation)
 _DIFFICULTY_RULES = {
@@ -61,11 +65,22 @@ _DONTCARE_COVERAGE = 0.5
 _APART_RTOL = 1e-9
 
 
+class PairTable(NamedTuple):
+    """Every (detection, ground truth) value of one frame, (n_det, n_gt)
+    each; NaN IoU where the pair lacks two boxes of positive dimensions."""
+
+    iou_3d: np.ndarray
+    iou_bev: np.ndarray
+    iou_2d: np.ndarray
+    distance: np.ndarray
+    apart: np.ndarray  # footprints apart: 3D and BEV IoU 0.0 without a clip
+
+
 @dataclass(frozen=True)
 class EvalPair:
     """One frame: scored detections against annotated ground truth.
 
-    The matching orders and each pair value are computed once and kept on
+    The matching orders and the pair table are computed once and kept on
     the instance, so every curve over it reuses them.
     """
 
@@ -88,65 +103,75 @@ class EvalPair:
         gts = self.ground_truth
         return sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
 
-    @cached_property
-    def _values(self) -> dict:
-        """(kind, detection index, ground-truth index) -> pair value."""
-        return {}
 
-    def _value(self, kind: str, i: int, j: int):
-        """Detection i against ground truth j: kind is "iou_3d" or "iou_bev"
-        (filled in by _score_boxes; None unless both dimensions are
-        positive), or "iou_2d" or "center_distance" (computed once, here)."""
-        key = (kind, i, j)
-        values = self._values
-        if key not in values:
-            det, gt = self.detections[i], self.ground_truth[j]
-            values[key] = (iou_2d(_box(det), _box(gt)) if kind == "iou_2d"
-                           else center_distance(det, gt))
-        return values[key]
+def _corners(records) -> np.ndarray:
+    """(n, 4) pixel boxes through Box2D's log/exp round trip, so the 2D
+    IoU table equals iou_2d of Box2D.from_corners(*rec.bbox) bit for bit."""
+    left, top, right, bottom = np.array([rec.bbox for rec in records]).reshape(-1, 4).T
+    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
+    hw, hh = 0.5 * np.exp(np.log(right - left)), 0.5 * np.exp(np.log(bottom - top))
+    return np.stack([tx - hw, ty - hh, tx + hw, ty + hh], axis=1)
 
 
-def _score_boxes(pairs) -> None:
-    """Give every (detection, ground truth) pair of the frames not yet
-    scored its 3D and BEV IoU, with one box_ious call across those frames.
+def _centers(records) -> np.ndarray:
+    """(n, 3) true 3D box centers: half a height above the bottom-face anchor."""
+    centers = np.array([rec.location for rec in records]).reshape(-1, 3)
+    centers[:, 1] -= np.array([rec.dimensions[0] for rec in records]) / 2.0
+    return centers
 
-    Each record with positive dimensions becomes a box once.  A pair
-    without two boxes scores None; a pair whose footprints' bounding boxes
-    are apart scores 0.0 without a clip, and its frame's `_apart` mask,
-    which also marks the frame scored, says so.
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each pair of rows (P, 3)."""
+    d = a - b
+    return np.sqrt((d[:, None] @ d[:, :, None])[:, 0, 0])
+
+
+def center_distance(a: LabelRecord, b: LabelRecord) -> float:
+    """Distance between true 3D box centers: _distances for one pair."""
+    return float(_distances(_centers([a]), _centers([b]))[0])
+
+
+def _score_frames(pairs) -> None:
+    """Give every frame not yet scored its PairTable, in one vectorized pass
+    over those frames' pairs and one box_ious call.
+
+    Each record with positive dimensions becomes a box once.  A pair whose
+    footprints' bounding boxes are apart scores 0.0 without a clip.
     """
-    todo = [pair for pair in pairs if "_apart" not in vars(pair)]
+    todo = [pair for pair in pairs if "_table" not in vars(pair)]
     if not todo:
         return
     records = [rec for pair in todo for rec in (*pair.detections, *pair.ground_truth)]
-    posed = [k for k, rec in enumerate(records) if min(rec.dimensions) > 0]
-    boxes = BoxStack.of([label_to_pose(records[k]) for k in posed])
-    row = dict(zip(posed, range(len(posed))))  # record index -> box row
-    keys, i, j = [], [], []  # the pairs of two boxes
-    start = 0
+    i, j, start = [], [], 0  # record indices of each frame's pairs, detection-major
     for pair in todo:
         n_det, n_gt = len(pair.detections), len(pair.ground_truth)
-        vars(pair)["_apart"] = np.zeros((n_det, n_gt), dtype=bool)
-        for di, gj in product(range(n_det), range(n_gt)):
-            a, b = row.get(start + di), row.get(start + n_det + gj)
-            if a is None or b is None:
-                pair._values["iou_3d", di, gj] = pair._values["iou_bev", di, gj] = None
-            else:
-                keys.append((pair, di, gj))
-                i.append(a)
-                j.append(b)
+        di, gj = np.indices((n_det, n_gt)).reshape(2, -1)
+        i.append(start + di)
+        j.append(start + n_det + gj)
         start += n_det + n_gt
-    i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+    bounds = np.cumsum([len(frame) for frame in i])[:-1]  # where each frame's pairs end
+    i, j = np.concatenate(i), np.concatenate(j)
+    posed = np.array([min(rec.dimensions) > 0 for rec in records], dtype=bool)
+    boxes = BoxStack.of([label_to_pose(rec) for rec, ok in zip(records, posed) if ok])
+    row = np.cumsum(posed) - 1  # record index -> box row, where posed
+    two = posed[i] & posed[j]
+    a, b = row[i[two]], row[j[two]]
     lo, hi = boxes.feet.min(axis=1), boxes.feet.max(axis=1)
     reach = 1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
     # per axis, the gap between the boxes (negative where they overlap)
-    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j])
-    apart = (gap > _APART_RTOL * np.maximum(reach[i], reach[j])[:, None]).any(axis=1)
-    iou3, iou_b = np.zeros(len(i)), np.zeros(len(i))
-    iou3[~apart], iou_b[~apart] = box_ious(boxes, i[~apart], j[~apart])
-    for (pair, di, gj), v3, vb, off in zip(keys, iou3.tolist(), iou_b.tolist(), apart.tolist()):
-        pair._values["iou_3d", di, gj], pair._values["iou_bev", di, gj] = v3, vb
-        pair._apart[di, gj] = off
+    gap = np.maximum(lo[b] - hi[a], lo[a] - hi[b])
+    apart = np.zeros(len(i), dtype=bool)
+    apart[two] = (gap > _APART_RTOL * np.maximum(reach[a], reach[b])[:, None]).any(axis=1)
+    iou3, iou_b = np.full(len(i), np.nan), np.full(len(i), np.nan)
+    iou3[two], iou_b[two] = 0.0, 0.0
+    clip = two & ~apart
+    iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
+    corners, centers = _corners(records), _centers(records)
+    values = (iou3, iou_b, box2d_ious(corners[i], corners[j]),
+              _distances(centers[i], centers[j]), apart)
+    for pair, *frame in zip(todo, *(np.split(v, bounds) for v in values)):
+        shape = (len(pair.detections), len(pair.ground_truth))
+        vars(pair)["_table"] = PairTable(*(v.reshape(shape) for v in frame))
 
 
 @dataclass(frozen=True)
@@ -162,16 +187,14 @@ class PRCurve:
     aos: float | None = None
 
 
-def difficulty_bucket(gt: LabelRecord, projected_height_px: float | None = None) -> str:
+def difficulty_bucket(gt: LabelRecord) -> str:
     """Finest difficulty the ground truth qualifies for, else "ignored".
 
     Unknown occlusion/truncation (-1) never qualifies.
     """
     if gt.type == DONT_CARE_TYPE:
         return "ignored"
-    height = projected_height_px
-    if height is None:
-        height = gt.bbox[3] - gt.bbox[1]
+    height = gt.bbox[3] - gt.bbox[1]
     if gt.occluded < 0 or gt.truncated < 0:
         return "ignored"
     for name in DIFFICULTIES:
@@ -195,75 +218,50 @@ def _content_key(rec: LabelRecord):
             rec.alpha, rec.type)
 
 
-def _box(rec: LabelRecord) -> Box2D:
-    return Box2D.from_corners(*rec.bbox)
+# metric -> the PairTable field its IoU criterion reads
+_IOU_FIELD = {"ap3d": "iou_3d", "apbev": "iou_bev", "ap2d": "iou_2d"}
 
 
-def _center(rec: LabelRecord) -> np.ndarray:
-    x, y, z = rec.location
-    return np.array([x, y - rec.dimensions[0] / 2.0, z])
-
-
-def center_distance(a: LabelRecord, b: LabelRecord) -> float:
-    """Distance between true 3D box centers (half a height above the
-    bottom-face anchor)."""
-    return float(np.linalg.norm(_center(a) - _center(b)))
-
-
-def _alp_criterion(threshold_m: float, gate_iou: float | None):
-    def passes(pair, i, j):
-        if gate_iou is not None and pair._value("iou_2d", i, j) < gate_iou:
-            return None
-        dist = pair._value("center_distance", i, j)
-        if dist >= threshold_m:
-            return None
-        return -dist  # closer is better
-
-    return passes
-
-
-def _iou_criterion(kind: str, threshold: float):
-    def passes(pair, i, j):
-        value = pair._value(kind, i, j)
-        return value if value is not None and value >= threshold else None
-
-    return passes
+def _quality(table: PairTable, metric: str, threshold: float, gate_iou: float | None):
+    """Match quality of every pair (higher is better), NaN where the pair
+    fails the metric's criterion: for ALP the negated center distance below
+    `threshold` meters with 2D IoU at least `gate_iou`, else the IoU at
+    least `threshold`."""
+    if metric == "alp":
+        passes = table.distance < threshold
+        if gate_iou is not None:
+            passes &= table.iou_2d >= gate_iou
+        return np.where(passes, -table.distance, np.nan)  # closer is better
+    iou = getattr(table, _IOU_FIELD[metric])
+    return np.where(iou >= threshold, iou, np.nan)
 
 
 def _orientation_similarity(det: LabelRecord, gt: LabelRecord) -> float:
     return (1.0 + np.cos(gt.alpha - det.alpha)) / 2.0
 
 
-def _match_frame(pair: EvalPair, passes, difficulty: str, object_type: str):
+def _match_frame(pair: EvalPair, quality: np.ndarray, difficulty: str):
     """Flags per kept detection: (score, is_tp, similarity); plus the
-    count of valid ground truth."""
+    count of valid ground truth.  quality is _quality's matrix."""
     rank = _RANK[difficulty]
     gts = pair.ground_truth
-    valid = []
-    dontcare_boxes = []
-    for gt in gts:
-        if gt.type == DONT_CARE_TYPE:
-            dontcare_boxes.append(gt.bbox)
-            valid.append(False)
-        elif gt.type != object_type:
-            valid.append(False)
-        else:
-            valid.append(_RANK[difficulty_bucket(gt)] <= rank)
-
+    valid = [gt.type == OBJECT_TYPE and _RANK[difficulty_bucket(gt)] <= rank for gt in gts]
+    dontcare_boxes = [gt.bbox for gt in gts if gt.type == DONT_CARE_TYPE]
     gt_order = pair._gt_order
+    quality = quality.tolist()
     taken = [False] * len(gts)
     flags = []
     for i in pair._det_order:
         det = pair.detections[i]
-        if det.type != object_type:
+        if det.type != OBJECT_TYPE:
             continue
         best = None  # (quality, position in gt content order)
         for j in gt_order:
             if taken[j] or not valid[j]:
                 continue
-            quality = passes(pair, i, j)
-            if quality is not None and (best is None or quality > best[0]):
-                best = (quality, j)
+            q = quality[i][j]
+            if not math.isnan(q) and (best is None or q > best[0]):
+                best = (q, j)
         if best is not None:
             taken[best[1]] = True
             flags.append((_score(det), True,
@@ -274,7 +272,7 @@ def _match_frame(pair: EvalPair, passes, difficulty: str, object_type: str):
         for j in gt_order:
             if taken[j] or valid[j] or gts[j].type == DONT_CARE_TYPE:
                 continue
-            if passes(pair, i, j) is not None:
+            if not math.isnan(quality[i][j]):
                 taken[j] = True  # matched an ignored ground truth
                 absorbed = True
                 break
@@ -325,7 +323,6 @@ def pr_curve(
     difficulty: str = "moderate",
     gate_iou: float | None = 0.7,
     points: int = 11,
-    object_type: str = "Car",
 ) -> PRCurve | None:
     """Match every frame, sweep score thresholds, interpolate.
 
@@ -335,23 +332,16 @@ def pr_curve(
     """
     if difficulty not in _RANK or difficulty == "ignored":
         raise ValueError(f"unknown difficulty {difficulty!r}")
-    criteria = {
-        "alp": lambda: _alp_criterion(threshold, gate_iou),
-        "ap3d": lambda: _iou_criterion("iou_3d", threshold),
-        "apbev": lambda: _iou_criterion("iou_bev", threshold),
-        "ap2d": lambda: _iou_criterion("iou_2d", threshold),
-    }
-    if metric not in criteria:
+    if metric != "alp" and metric not in _IOU_FIELD:
         raise ValueError(f"unknown metric {metric!r}")
-    passes = criteria[metric]()
 
     pairs = [pair if isinstance(pair, EvalPair) else EvalPair(*pair) for pair in frames]
-    if metric in ("ap3d", "apbev"):
-        _score_boxes(pairs)
+    _score_frames(pairs)
     flags = []
     n_gt = 0
     for pair in pairs:
-        frame_flags, frame_gt = _match_frame(pair, passes, difficulty, object_type)
+        quality = _quality(pair._table, metric, threshold, gate_iou)
+        frame_flags, frame_gt = _match_frame(pair, quality, difficulty)
         flags.extend(frame_flags)
         n_gt += frame_gt
     if n_gt == 0:
@@ -392,11 +382,8 @@ def alp(
     difficulty: str = "moderate",
     gate_iou: float | None = 0.7,
     points: int = 11,
-    object_type: str = "Car",
 ) -> float | None:
-    curve = pr_curve(
-        frames, "alp", threshold_m, difficulty, gate_iou, points, object_type
-    )
+    curve = pr_curve(frames, "alp", threshold_m, difficulty, gate_iou, points)
     return None if curve is None else curve.ap
 
 
@@ -405,11 +392,8 @@ def ap_3d(
     iou_threshold: float = 0.25,
     difficulty: str = "moderate",
     points: int = 11,
-    object_type: str = "Car",
 ) -> float | None:
-    curve = pr_curve(
-        frames, "ap3d", iou_threshold, difficulty, None, points, object_type
-    )
+    curve = pr_curve(frames, "ap3d", iou_threshold, difficulty, None, points)
     return None if curve is None else curve.ap
 
 
@@ -418,9 +402,6 @@ def ap_bev(
     iou_threshold: float = 0.5,
     difficulty: str = "moderate",
     points: int = 11,
-    object_type: str = "Car",
 ) -> float | None:
-    curve = pr_curve(
-        frames, "apbev", iou_threshold, difficulty, None, points, object_type
-    )
+    curve = pr_curve(frames, "apbev", iou_threshold, difficulty, None, points)
     return None if curve is None else curve.ap

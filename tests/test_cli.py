@@ -326,6 +326,22 @@ def test_ablate_table_matches_direct_evaluation(dataset, tmp_path, capsys):
     assert v4_row.split()[1 + column] == (f"{expected:.4f}" if expected is not None else "-")
 
 
+def test_ablate_parses_each_ground_truth_file_once(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7) == 0
+    frames = len(list((data / "labels").glob("*.txt")))
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_labels(text)
+
+    monkeypatch.setattr(vehicle3d.cli, "parse_labels", counted)
+    assert run_cli("ablate", "--data", data, "--out", tmp_path / "ablate") == 0
+    # each variant's predictions, plus the ground truth once
+    assert frames == 50 and len(parsed) == 4 * frames + frames
+
+
 # ---------------------------------------------------------------------------
 # shape-learn
 # ---------------------------------------------------------------------------

@@ -166,8 +166,6 @@ def test_difficulty_buckets():
     assert difficulty_bucket(gt(50, 0, -1.0)) == "ignored"
     dc = rec(type="DontCare", occluded=-1, truncated=-1.0)
     assert difficulty_bucket(dc) == "ignored"
-    # explicit projected height wins over the pixel box
-    assert difficulty_bucket(gt(20, 0, 0.0), projected_height_px=45.0) == "easy"
     # oracle table agrees everywhere
     for h in (20, 24.9, 25, 30, 39.9, 40, 50):
         for occ in (-1, 0, 1, 2, 3):
@@ -598,8 +596,13 @@ def test_ground_truth_self_evaluation_is_perfect():
 
 
 # ---------------------------------------------------------------------------
-# Match once: the pair values an EvalPair keeps for its curves.
+# Match once: the pair table an EvalPair keeps for its curves.
 # ---------------------------------------------------------------------------
+
+# PairTable field -> the scalar kernel behind its entries
+TABLE_KERNELS = (("iou_3d", "iou_3d"), ("iou_bev", "iou_bev"),
+                 ("iou_2d", "iou_2d"), ("distance", "center_distance"))
+
 
 def scalar_pair_value(kind, det, gt):
     """The scalar kernel behind one EvalPair table entry."""
@@ -614,20 +617,29 @@ def scalar_pair_value(kind, det, gt):
 
 
 def check_reused_tables(frames) -> int:
-    """Run every curve over one EvalPair list, then require each pair value
-    a curve read to equal its scalar kernel exactly.  Returns how many 3D
-    or BEV entries came from the apart-footprints shortcut."""
+    """Run every curve over one EvalPair list, then require every entry of
+    each frame's four tables to equal its scalar kernel exactly, NaN where
+    the kernel gives None.  Returns how many 3D or BEV entries came from
+    the apart-footprints shortcut."""
     pairs = [EvalPair(*frame) for frame in frames]
     compare_with_oracle(pairs)
     shortcuts = 0
     for pair in pairs:
-        apart = vars(pair).get("_apart")
-        for (kind, i, j), value in pair._values.items():
-            want = scalar_pair_value(kind, pair.detections[i], pair.ground_truth[j])
-            assert value == want and type(value) is type(want), (kind, i, j, value, want)
-            if kind in ("iou_3d", "iou_bev") and apart[i, j]:
-                assert value == 0.0
-                shortcuts += 1
+        table = pair._table
+        shape = (len(pair.detections), len(pair.ground_truth))
+        assert table.apart.shape == shape
+        for field, kind in TABLE_KERNELS:
+            values = getattr(table, field)
+            assert values.shape == shape and values.dtype == np.float64, field
+            for (i, j), value in np.ndenumerate(values):
+                want = scalar_pair_value(kind, pair.detections[i], pair.ground_truth[j])
+                if want is None:
+                    assert math.isnan(value), (field, i, j, value)
+                else:
+                    assert value == want, (field, i, j, value, want)
+                if field in ("iou_3d", "iou_bev") and table.apart[i, j]:
+                    assert value == 0.0
+                    shortcuts += 1
     return shortcuts
 
 
@@ -660,26 +672,37 @@ def test_reused_tables_equal_the_scalar_kernels():
     assert shortcuts > 0  # apart pairs were read, each at exactly 0.0
 
 
-def test_each_pair_value_is_computed_once(monkeypatch):
+def count_metric_calls(monkeypatch, names):
+    """Wrap each named metrics global; returns the list of (name, args) calls."""
     import vehicle3d.metrics as metrics
 
     calls = []
-    sizes = []  # P, the pair count, of each box_ious call
 
     def counted(name):
         inner = getattr(metrics, name)
 
         def wrapper(*args):
-            calls.append(name)
-            if name == "box_ious":
-                sizes.append(len(args[1]))
+            calls.append((name, args))
             return inner(*args)
 
         return wrapper
 
-    for name in ("box_ious", "iou_3d", "iou_bev", "iou_2d", "center_distance",
-                 "label_to_pose"):
+    for name in names:
         monkeypatch.setattr(metrics, name, counted(name))
+    return calls
+
+
+def test_each_pair_value_is_computed_once(monkeypatch):
+    log = count_metric_calls(monkeypatch, (
+        "box_ious", "box2d_ious", "_distances", "iou_3d", "iou_bev", "iou_2d",
+        "center_distance", "label_to_pose"))
+
+    def count(name):
+        return sum(1 for called, _ in log if called == name)
+
+    def sizes(kernel):  # P, the pair count, of each call of a batched kernel
+        return [len(args[1]) for called, args in log if called == kernel]
+
     pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
     jobs = [(metric, threshold, difficulty)
             for metric, thresholds in (("alp", (1.0, 2.0)), ("ap3d", (0.25, 0.7)),
@@ -687,28 +710,42 @@ def test_each_pair_value_is_computed_once(monkeypatch):
             for threshold in thresholds for difficulty in DIFFICULTIES]
     for job in jobs:
         pr_curve(pairs, *job)
-    first = len(calls)
-    assert calls.count("box_ious") == 1 and sizes[0] > 0  # one call for the sweep
+    first = len(log)
+    assert count("box_ious") == 1 and sizes("box_ious")[0] > 0  # one call for the sweep
     for job in jobs:
         pr_curve(pairs, *job)
-    assert len(calls) == first > 0  # a second sweep scores nothing
+    assert len(log) == first > 0  # a second sweep scores nothing
 
-    def scored(kind, frames):
-        return sum(
-            1 for pair in frames for (k, i, j), value in pair._values.items()
-            if k == kind and value is not None
-            and not (kind in ("iou_3d", "iou_bev") and pair._apart[i, j])
-        )
+    def clipped(frames):  # 3D/BEV entries of two boxes whose footprints are not apart
+        return sum(int((~np.isnan(p._table.iou_bev) & ~p._table.apart).sum()) for p in frames)
 
-    for kind in ("iou_2d", "center_distance"):
-        assert calls.count(kind) == scored(kind, pairs), kind
-    for kind in ("iou_3d", "iou_bev"):
-        assert calls.count(kind) == 0, kind  # the kernel scores both at once
-        assert sum(sizes) == scored(kind, pairs), kind
+    n_pairs = sum(len(p.detections) * len(p.ground_truth) for p in pairs)
+    for kernel in ("box2d_ious", "_distances"):  # every pair, in one call
+        assert sizes(kernel) == [n_pairs] and n_pairs > 0, kernel
+    for kind in ("iou_2d", "center_distance", "iou_3d", "iou_bev"):
+        assert count(kind) == 0, kind  # the batched kernels score every pair
+    assert sizes("box_ious") == [clipped(pairs)]
     posed = sum(1 for p in pairs for rec in (*p.detections, *p.ground_truth)
                 if min(rec.dimensions) > 0)
-    assert calls.count("label_to_pose") == posed
+    assert count("label_to_pose") == posed
     # scored and new frames in one list: one call, over the new frames only
     fresh = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(8))]
     pr_curve(pairs + fresh, "apbev", 0.5)
-    assert calls.count("box_ious") == 2 and sizes[1] == scored("iou_bev", fresh) > 0
+    assert count("box_ious") == 2 and sizes("box_ious")[1] == clipped(fresh) > 0
+
+
+def test_alp_sweep_fills_every_table(monkeypatch):
+    log = count_metric_calls(monkeypatch, ("iou_2d", "center_distance"))
+    pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
+    for threshold in (1.0, 2.0):
+        for difficulty in DIFFICULTIES:
+            pr_curve(pairs, "alp", threshold, difficulty)
+    assert log == []  # no scalar 2D IoU or distance
+    for pair in pairs:
+        shape = (len(pair.detections), len(pair.ground_truth))
+        for field, _ in TABLE_KERNELS:
+            assert getattr(pair._table, field).shape == shape, field
+        assert not np.isnan(pair._table.iou_2d).any()
+        assert not np.isnan(pair._table.distance).any()
+    # the 3D and BEV tables were filled by the same pass
+    assert any((~np.isnan(p._table.iou_3d)).any() for p in pairs)
