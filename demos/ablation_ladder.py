@@ -2,10 +2,10 @@
 
 v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Upper
-rungs warm-start from the rung below, and refine_ladder returns every
-rung of a frame's instances from one batched pass.  Expect each metric to improve
-down the ladder; small per-seed wobble on the last link is normal at
-this sample size.
+rungs warm-start from the rung below, and refine_ladder yields every rung
+of a frame's instances, one at a time, from one batched pass; dict()
+collects them.  Expect each metric to improve down the ladder; small
+per-seed wobble on the last link is normal at this sample size.
 """
 from vehicle3d import (
     ABLATION_VARIANTS,
@@ -28,7 +28,7 @@ per_variant = {v: [] for v in ABLATION_VARIANTS}
 for index in range(frames):
     _, measurements, labels = generate_scene(params, STANDARD_NOISE, [777, index])
     gts = tuple(labels)
-    rungs = refine_ladder(measurements, CAR_MODEL)
+    rungs = dict(refine_ladder(measurements, CAR_MODEL))
     for variant in ABLATION_VARIANTS:
         dets = []
         for result in rungs[variant]:

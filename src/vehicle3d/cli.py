@@ -15,9 +15,9 @@ is echoed to <out>/manifest.cfg by every run that writes files.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
 every file is written to a temp name and renamed into place.  fit and
-ablate pool a dataset's instances into fixed-size blocks, one batched
-solve per block; an instance's result does not depend on which block it
-lands in, and blocks are collected in dataset order, so reruns are
+ablate pool a dataset's instances into fixed-size tasks, one batched
+ladder pass per task; an instance's result does not depend on which task
+it lands in, and tasks are collected in dataset order, so reruns are
 byte-identical for a fixed seed at any --jobs setting.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
@@ -284,13 +284,14 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 
 
 # ---------------------------------------------------------------------------
-# fit (workers solve fixed-size blocks of instances; parent writes in frame order)
+# fit (workers solve fixed-size tasks of instances; parent writes in frame order)
 # ---------------------------------------------------------------------------
 
-# Instances per batched solve.  Larger blocks amortize more per-call numpy
-# overhead but hold more per-iteration temporaries; results do not depend
-# on it.
-_FIT_BLOCK = 64
+# Instances per task handed to refine_ladder (and to each --jobs worker).
+# It bounds the parsed measurements and the outcomes one task holds; the
+# solver's arrays are bounded by refine._ACTIVE, the instances it keeps in
+# flight.  Results do not depend on either.
+_FIT_BLOCK = 256
 
 
 def _instance_outcome(meas: Measurement, outcome):
@@ -318,11 +319,13 @@ def _instance_outcome(meas: Measurement, outcome):
 def _fit_block_task(task):
     measurements, variants, model, energy, solver = task
     top = max(variants, key=ABLATION_VARIANTS.index)
-    rungs = refine_ladder(measurements, model, top, opts=solver, base=energy)
-    return [
-        {v: _instance_outcome(meas, rungs[v][i]) for v in variants}
-        for i, meas in enumerate(measurements)
-    ]
+    done = [{} for _ in measurements]
+    # each written rung becomes labels and diag entries as soon as it completes
+    for variant, outcomes in refine_ladder(measurements, model, top, opts=solver, base=energy):
+        if variant in variants:
+            for entries, meas, outcome in zip(done, measurements, outcomes):
+                entries[variant] = _instance_outcome(meas, outcome)
+    return done
 
 
 def _parallel_map(fn, tasks, jobs: int):
@@ -373,8 +376,8 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
     and write labels/ and diag/ of each rung into out_dirs[variant].
 
     Instances are pooled across frames in dataset order and solved in
-    blocks of _FIT_BLOCK.  A frame is written as soon as its last instance
-    is solved, so memory stays bounded by a few blocks, not the dataset.
+    tasks of _FIT_BLOCK.  A frame is written as soon as its last instance
+    is solved, so memory stays bounded by a few tasks, not the dataset.
     """
     meas_files = _measurement_files(effective["data"])
     settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
@@ -382,12 +385,12 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
         (out_dir / "labels").mkdir(parents=True, exist_ok=True)
         (out_dir / "diag").mkdir(parents=True, exist_ok=True)
     # (frame id, instance count), appended as the files are parsed.  Under
-    # a worker pool blocks() runs in the pool's task thread; each frame is
-    # appended before any block holding its instances is handed out, and a
-    # malformed file's CLIError reaches this thread in block order.
+    # a worker pool tasks() runs in the pool's task thread; each frame is
+    # appended before any task holding its instances is handed out, and a
+    # malformed file's CLIError reaches this thread in task order.
     frames = []
 
-    def blocks():
+    def tasks():
         pending = []
         for path in meas_files:
             measurements = _read_data_file(path, parse_measurements)[2]
@@ -397,11 +400,11 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
                 yield (pending[:_FIT_BLOCK], *settings)
                 pending = pending[_FIT_BLOCK:]
         # last, possibly empty: it also releases frames parsed after the
-        # last full block
+        # last full task
         yield (pending, *settings)
 
     failures, written, solved = 0, 0, []
-    for outcomes in _parallel_map(_fit_block_task, blocks(), effective["jobs"]):
+    for outcomes in _parallel_map(_fit_block_task, tasks(), effective["jobs"]):
         solved += outcomes
         while written < len(frames) and frames[written][1] <= len(solved):
             frame_id, count = frames[written]
@@ -424,7 +427,8 @@ def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: Sol
 
 def _paired_frames(pred_dir: Path, gt_dir: Path, gt_records: dict):
     """(sorted frame ids, one EvalPair per frame).  gt_records (frame id ->
-    parsed ground truth) keeps each file parsed once across calls."""
+    parsed ground truth and its pose cache) keeps each file parsed, and
+    each of its records posed, once across calls."""
     pred_ids = {p.stem: p for p in pred_dir.glob("*.txt")}
     gt_ids = {p.stem: p for p in gt_dir.glob("*.txt")}
     missing_pred = sorted(set(gt_ids) - set(pred_ids))
@@ -443,8 +447,8 @@ def _paired_frames(pred_dir: Path, gt_dir: Path, gt_records: dict):
     for frame_id in order:
         detections = _read_data_file(pred_ids[frame_id], parse_labels)
         if frame_id not in gt_records:
-            gt_records[frame_id] = _read_data_file(gt_ids[frame_id], parse_labels)
-        frames.append(EvalPair(detections, gt_records[frame_id]))
+            gt_records[frame_id] = _read_data_file(gt_ids[frame_id], parse_labels), {}
+        frames.append(EvalPair(detections, *gt_records[frame_id]))
     return order, frames
 
 
@@ -583,7 +587,7 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     )
     # One variant's frames (and the pair tables they keep) at a time.
     rows = {}  # (metric title, variant) -> values by difficulty
-    gt_records = {}  # parsed once, shared by every variant's frames
+    gt_records = {}  # parsed and posed once, shared by every variant's frames
     for variant in ABLATION_VARIANTS:
         frames = _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir, gt_records)[1]
         for title, fn in metrics:

@@ -34,7 +34,7 @@ positive dimensions score NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,12 +80,16 @@ class PairTable(NamedTuple):
 class EvalPair:
     """One frame: scored detections against annotated ground truth.
 
-    The matching orders and the pair table are computed once and kept on
-    the instance, so every curve over it reuses them.
+    The matching orders, the ground truths' difficulty ranks and the pair
+    table are computed once and kept on the instance, so every curve over
+    it reuses them.  `gt_poses` maps a ground-truth record to its pose;
+    pairs that share one dict (say, one frame's ground truth against
+    several detectors' output) pose each such record once.
     """
 
     detections: tuple
     ground_truth: tuple
+    gt_poses: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
@@ -102,6 +106,12 @@ class EvalPair:
     def _gt_order(self) -> list:
         gts = self.ground_truth
         return sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
+
+    @cached_property
+    def _gt_rank(self) -> list:
+        """Each ground truth's difficulty rank; "ignored" for other types."""
+        return [_RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
+                for gt in self.ground_truth]
 
 
 def _corners(records) -> np.ndarray:
@@ -135,8 +145,9 @@ def _score_frames(pairs) -> None:
     """Give every frame not yet scored its PairTable, in one vectorized pass
     over those frames' pairs and one box_ious call.
 
-    Each record with positive dimensions becomes a box once.  A pair whose
-    footprints' bounding boxes are apart scores 0.0 without a clip.
+    Each record with positive dimensions becomes a box once; a ground
+    truth already posed in its pair's gt_poses is not posed again.  A pair
+    whose footprints' bounding boxes are apart scores 0.0 without a clip.
     """
     todo = [pair for pair in pairs if "_table" not in vars(pair)]
     if not todo:
@@ -152,7 +163,15 @@ def _score_frames(pairs) -> None:
     bounds = np.cumsum([len(frame) for frame in i])[:-1]  # where each frame's pairs end
     i, j = np.concatenate(i), np.concatenate(j)
     posed = np.array([min(rec.dimensions) > 0 for rec in records], dtype=bool)
-    boxes = BoxStack.of([label_to_pose(rec) for rec, ok in zip(records, posed) if ok])
+    poses = []
+    for pair in todo:
+        poses += [label_to_pose(det) for det in pair.detections if min(det.dimensions) > 0]
+        for gt in pair.ground_truth:
+            if min(gt.dimensions) > 0:
+                if gt not in pair.gt_poses:
+                    pair.gt_poses[gt] = label_to_pose(gt)
+                poses.append(pair.gt_poses[gt])
+    boxes = BoxStack.of(poses)
     row = np.cumsum(posed) - 1  # record index -> box row, where posed
     two = posed[i] & posed[j]
     a, b = row[i[two]], row[j[two]]
@@ -245,7 +264,7 @@ def _match_frame(pair: EvalPair, quality: np.ndarray, difficulty: str):
     count of valid ground truth.  quality is _quality's matrix."""
     rank = _RANK[difficulty]
     gts = pair.ground_truth
-    valid = [gt.type == OBJECT_TYPE and _RANK[difficulty_bucket(gt)] <= rank for gt in gts]
+    valid = [gt_rank <= rank for gt_rank in pair._gt_rank]
     dontcare_boxes = [gt.bbox for gt in gts if gt.type == DONT_CARE_TYPE]
     gt_order = pair._gt_order
     quality = quality.tolist()

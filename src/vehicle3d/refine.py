@@ -1,5 +1,5 @@
-"""Pose-shape estimation by damped nonlinear least squares, a block of
-instances at a time.
+"""Pose-shape estimation by damped nonlinear least squares, many instances
+at a time.
 
 The optimization state is initialized from the measurement hypotheses
 (yaw and log-extent guesses, 2D box, optional crop depth) and polished
@@ -7,13 +7,17 @@ with Levenberg-Marquardt on the stacked weighted residuals.  Energy is
 monotone over accepted steps by construction; rejected trial steps only
 raise the damping.
 
-One solve handles B instances as stacked arrays: one residual/Jacobian
-evaluation and one batched linear solve per iteration, with damping,
-acceptance, stop reason and iteration count kept per instance.  An
-instance leaves the active set when it stops, and no quantity is reduced
-across instances, so each result is bit-identical whether the instance is
-solved alone or in any block.  `refine` and `refine_ablation` are the B=1
-case of this code.
+One solve takes any number of instances and keeps at most _ACTIVE of them
+in flight as stacked arrays: each iteration makes one batched linear solve
+over the instances in flight and one residual/Jacobian evaluation of their
+trial points plus the start points of the waiting instances admitted, in
+input order, into the slots that stopped instances freed.  Damping,
+acceptance, stop reason and iteration count are kept per instance, with
+the normal equations J^T J and J^T r of its current point in place of the
+Jacobian.  No quantity is reduced across instances, so each result is
+bit-identical whether the instance is solved alone or among any others,
+under any in-flight cap.  `refine` and `refine_ablation` are the
+one-instance case of this code.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -35,6 +39,7 @@ from .energy import (
     block_energy,
     block_residuals,
     rowdot,
+    term_rows,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
 # external profilers wrap.
@@ -47,6 +52,7 @@ _XTOL = 1e-10  # relative step size
 _DAMPING_INIT = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
+_ACTIVE = 64  # instances in flight: bounds the per-iteration arrays
 
 
 class InitializationError(ValueError):
@@ -147,6 +153,15 @@ def _initialization_result(start: Variables) -> RefineResult:
     )
 
 
+def _normal_equations(J, r):
+    """H = J^T J and g = J^T r of a (B, m, D) Jacobian stack and its (B, m)
+    residuals.  J^T is one C-contiguous copy, each instance's columns
+    contiguous: the memory layout decides how the BLAS products round, and
+    this is the layout a one-instance J^T has, at any B."""
+    JT = np.ascontiguousarray(J.transpose(0, 2, 1))
+    return JT @ JT.transpose(0, 2, 1), (JT @ r[:, :, None])[:, :, 0]
+
+
 def refine_batch(
     measurements,
     model: MorphableModel,
@@ -154,8 +169,8 @@ def refine_batch(
     opts: SolverOptions | None = None,
     initial=None,
 ) -> list:
-    """Levenberg-Marquardt minimization of the enabled energy terms for a
-    block of instances at once.
+    """Levenberg-Marquardt minimization of the enabled energy terms for any
+    number of instances, at most _ACTIVE of them in flight.
 
     Trial steps solve the damped normal equations; an instance's damping
     is multiplied by 10 when its trial fails to decrease its energy and
@@ -163,11 +178,20 @@ def refine_batch(
     measurement; an InitializationError in place of a start is passed
     through.
 
+    Each iteration solves one damped step for every instance in flight,
+    admits waiting instances, in input order, into the slots freed by
+    instances that stopped, and evaluates the trial points and the
+    newcomers' start points in one block_residuals call.  Per instance the
+    state is its point, the normal equations H = J^T J and g = J^T r built
+    once at each accepted point (a rejected step re-solves from them), its
+    unweighted residual rows, energy, damping and counters; no Jacobian
+    outlives the evaluation that produced it.
+
     Entry i of the result is instance i's RefineResult, or the
     InitializationError that stopped it: a start that cannot be computed,
     a landmark count the model does not have, or a start that projects
     behind the camera or evaluates to non-finite residuals.  Failures are
-    returned, not raised, so the rest of the block is unaffected.
+    returned, not raised, so the other instances are unaffected.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
     out = [_start(m, model) for m in measurements] if initial is None else list(initial)
@@ -177,49 +201,45 @@ def refine_batch(
     live = [i for i, start in enumerate(out) if isinstance(start, Variables)]
     if not live:
         return out
+    # per-instance state, indexed by position in `live`
     block = MeasurementBlock.stack([measurements[i] for i in live])
     x = np.array([out[i].to_vector() for i in live])
     B, D = x.shape
-
-    res = block_residuals(x, block, model, cfg)
-    usable = _usable(res)
-    r, J, unweighted = res.r, res.J, res.unweighted
-    energy = rowdot(r)
-    paths = [[e] for e in energy.tolist()]
+    m = sum(rows.stop - rows.start for _, _, rows in term_rows(cfg, model.K, D - 7))
+    H, g = np.empty((B, D, D)), np.empty((B, D))
+    unweighted, energy = np.zeros((B, m)), np.zeros(B)
+    paths = [[] for _ in range(B)]
     lam = np.full(B, _DAMPING_INIT)
     iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     reasons = np.full(B, "max_iterations", dtype=object)
+    failed = {}  # b -> the InitializationError of an unusable start
     # the depth row carries nothing for an instance without a measured depth
-    rows = r.shape[1] - (~block.has_depth & cfg.enable_md)
-    idle = rows == 0
-    converged[idle], reasons[idle] = True, "nothing to optimize"
-    active = np.flatnonzero(usable & ~idle)
+    idle = m - (~block.has_depth & cfg.enable_md) == 0
 
-    while active.size:
+    active, admitted = np.zeros(0, dtype=int), 0
+    while active.size or admitted < B:
         iterations[active] += 1
-        # J^T as one C-contiguous copy, each instance's columns contiguous:
-        # the memory layout decides how the BLAS products below round, and
-        # this is the layout a one-instance J^T has, at any B
-        JT = np.ascontiguousarray(J[active].transpose(0, 2, 1))
-        dx, solved = _damped_steps(JT @ JT.transpose(0, 2, 1),
-                                   (JT @ r[active][:, :, None])[:, :, 0], lam[active])
-        del JT  # release before the trial evaluation allocates its own
+        dx, solved = _damped_steps(H[active], g[active], lam[active])
         # a singular system skips its trial and only raises its damping
         lam[active[~solved]] = np.minimum(lam[active[~solved]] * 10.0, _DAMPING_MAX)
         tried, dx = active[solved], dx[solved]
         x_trial = x[tried]
         small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
         x_trial += dx
-        trial = block_residuals(x_trial, block.take(tried), model, cfg)
-        trial_energy = rowdot(trial.r)
-        accept = _usable(trial) & (trial_energy < energy[tried])
+        new = np.arange(admitted, min(B, admitted + _ACTIVE - active.size))
+        admitted += new.size
+        ids, n = np.concatenate([tried, new]), tried.size  # rows: n trials, then newcomers
+        res = block_residuals(np.concatenate([x_trial, x[new]]), block.take(ids), model, cfg)
+        usable = _usable(res)
+
+        trial_energy = rowdot(res.r[:n])
+        accept = usable[:n] & (trial_energy < energy[tried])
         ftol_stop = accept & (energy[tried] - trial_energy
                               <= _FTOL * np.maximum(trial_energy, 1.0))
         up, down = tried[accept], tried[~accept]
-        x[up], r[up], J[up], unweighted[up], energy[up] = (
-            x_trial[accept], trial.r[accept], trial.J[accept], trial.unweighted[accept],
-            trial_energy[accept])
+        x[up], unweighted[up], energy[up] = (
+            x_trial[accept], res.unweighted[:n][accept], trial_energy[accept])
         for i, e in zip(up.tolist(), trial_energy[accept].tolist()):
             paths[i].append(e)
         lam[up] = np.maximum(lam[up] * 0.5, _DAMPING_MIN)
@@ -230,14 +250,26 @@ def refine_batch(
         converged[tried[ftol_stop | xtol_stop]] = True
         stop = iterations[active] >= opts.max_iterations
         stop[solved] |= ftol_stop | xtol_stop
-        active = active[~stop]
+        # newcomers: an unusable start fails, an idle one stops at once
+        for row in n + np.flatnonzero(~usable[n:]):
+            failed[int(ids[row])] = InitializationError(
+                "initial point projects behind the camera" if res.behind[row] else
+                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
+        unweighted[new], energy[new] = res.unweighted[n:], rowdot(res.r[n:])
+        for b, e in zip(new.tolist(), energy[new].tolist()):
+            paths[b].append(e)
+        converged[new[idle[new]]], reasons[new[idle[new]]] = True, "nothing to optimize"
+        starting = usable[n:] & ~idle[new]
+        # normal equations at each point an instance goes on from: the
+        # accepted trials that did not stop, and the newcomers' starts
+        go_on = np.concatenate([accept & ~stop[solved], starting])
+        H[ids[go_on]], g[ids[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
+        active = np.concatenate([active[~stop], new[starting]])
 
     total, parts = block_energy(unweighted, cfg, model.K, D - 7)
     for b, i in enumerate(live):
-        if not usable[b]:
-            out[i] = InitializationError(
-                "initial point projects behind the camera" if res.behind[b] else
-                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
+        if b in failed:
+            out[i] = failed[b]
             continue
         out[i] = RefineResult(
             vars=replace(Variables.from_vector(x[b], D - 7), theta=wrap_angle(x[b, 0])),
@@ -270,25 +302,26 @@ def refine_ladder(
     top: str = "v4",
     opts: SolverOptions | None = None,
     base: EnergyConfig | None = None,
-) -> dict:
-    """Every rung v1..top of the term-ablation ladder in one pass over a block.
+):
+    """Every rung v1..top of the term-ablation ladder in one pass over a list
+    of instances.
 
     v1 is the initialization; v2 is solved from it and each rung above
     warm-starts from the rung below (a coarse-to-fine schedule: box+ground
     first, then landmarks+shape, then measured depth), so each added term
-    polishes rather than re-solves from scratch.  Returns {variant: list
-    of per-instance outcomes} as in refine_batch; an instance that fails
-    on one rung carries that error up every rung above.
+    polishes rather than re-solves from scratch.  Yields (variant, list of
+    per-instance outcomes as in refine_batch) one rung at a time, as each
+    completes; dict(refine_ladder(...)) holds them all.  An instance that
+    fails on one rung carries that error up every rung above.
     """
     ablation_config(top)  # rejects an unknown variant
     starts = [_start(m, model) for m in measurements]
-    rungs = {"v1": [s if isinstance(s, InitializationError) else _initialization_result(s)
-                    for s in starts]}
+    yield "v1", [s if isinstance(s, InitializationError) else _initialization_result(s)
+                 for s in starts]
     for variant in ABLATION_VARIANTS[1: ABLATION_VARIANTS.index(top) + 1]:
-        rungs[variant] = refine_batch(measurements, model, ablation_config(variant, base),
-                                      opts, starts)
-        starts = [o.vars if isinstance(o, RefineResult) else o for o in rungs[variant]]
-    return rungs
+        outcomes = refine_batch(measurements, model, ablation_config(variant, base), opts, starts)
+        yield variant, outcomes
+        starts = [o.vars if isinstance(o, RefineResult) else o for o in outcomes]
 
 
 def refine_ablation(
@@ -299,8 +332,8 @@ def refine_ablation(
     base: EnergyConfig | None = None,
 ) -> RefineResult:
     """One rung of the term-ablation ladder for one instance (refine_ladder
-    with B=1); v1 skips optimization."""
-    return _first_or_raise(refine_ladder([meas], model, variant, opts, base)[variant])
+    of one instance); v1 skips optimization."""
+    return _first_or_raise(dict(refine_ladder([meas], model, variant, opts, base))[variant])
 
 
 def _first_or_raise(outcomes) -> RefineResult:

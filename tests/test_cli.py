@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vehicle3d.cli
+import vehicle3d.metrics
 from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import wrap_pi
 from vehicle3d.metrics import alp
@@ -326,20 +327,55 @@ def test_ablate_table_matches_direct_evaluation(dataset, tmp_path, capsys):
     assert v4_row.split()[1 + column] == (f"{expected:.4f}" if expected is not None else "-")
 
 
-def test_ablate_parses_each_ground_truth_file_once(tmp_path, monkeypatch):
-    data = tmp_path / "data"
-    assert run_cli("synth", "--out", data, "--seed", 7) == 0
+@pytest.fixture(scope="module")
+def counted_ablate(tmp_path_factory):
+    """(dataset, ablate output, {name: arguments of each call}) of one seed-7
+    ablate, counting the ground-truth parses, poses and difficulty buckets."""
+    root = tmp_path_factory.mktemp("counted")
+    assert run_cli("synth", "--out", root / "data", "--seed", 7) == 0
+    calls = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((vehicle3d.cli, "parse_labels"),
+                             (vehicle3d.metrics, "label_to_pose"),
+                             (vehicle3d.metrics, "difficulty_bucket")):
+            def counted(arg, log=calls.setdefault(name, []), fn=getattr(module, name)):
+                log.append(arg)
+                return fn(arg)
+
+            patch.setattr(module, name, counted)
+        assert run_cli("ablate", "--data", root / "data", "--out", root / "ablate") == 0
+    return root / "data", root / "ablate", calls
+
+
+def _label_files(labels_dir):
+    return [parse_labels(path.read_text()) for path in sorted(labels_dir.glob("*.txt"))]
+
+
+def test_ablate_parses_each_ground_truth_file_once(counted_ablate):
+    data, _, calls = counted_ablate
     frames = len(list((data / "labels").glob("*.txt")))
-    parsed = []
-
-    def counted(text):
-        parsed.append(text)
-        return parse_labels(text)
-
-    monkeypatch.setattr(vehicle3d.cli, "parse_labels", counted)
-    assert run_cli("ablate", "--data", data, "--out", tmp_path / "ablate") == 0
     # each variant's predictions, plus the ground truth once
-    assert frames == 50 and len(parsed) == 4 * frames + frames
+    assert frames == 50 and len(calls["parse_labels"]) == 4 * frames + frames
+
+
+def test_ablate_poses_each_ground_truth_record_once(counted_ablate):
+    data, out, calls = counted_ablate
+    ground_truth = [rec for records in _label_files(data / "labels") for rec in records
+                    if min(rec.dimensions) > 0]
+    predicted = [rec for variant in ("v1", "v2", "v3", "v4")
+                 for records in _label_files(out / f"fit_{variant}" / "labels")
+                 for rec in records if min(rec.dimensions) > 0]
+    # every predicted record once per variant, every ground truth once in all
+    assert len(calls["label_to_pose"]) == len(predicted) + len(ground_truth)
+    posed_truth = [rec for rec in calls["label_to_pose"] if rec.score is None]
+    assert sorted(map(repr, posed_truth)) == sorted(map(repr, ground_truth))
+
+
+def test_ablate_buckets_each_ground_truth_once_per_variant(counted_ablate):
+    data, _, calls = counted_ablate
+    records = sum(map(len, _label_files(data / "labels")))
+    # at most once per record and variant (1,000), not once per curve (9,000)
+    assert records == 250 and len(calls["difficulty_bucket"]) <= 4 * records
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Solver tests: initialization geometry, convergence on synthetic
 instances, monotonicity, determinism, and the ablation ladder."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ from vehicle3d.refine import (
 )
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate, place_in_camera
+
+# the module, not the package's `refine` function of the same name
+REFINE = importlib.import_module("vehicle3d.refine")
 
 CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
@@ -345,15 +350,20 @@ def _ladder_in_blocks(blocks):
     (instance id, measurement) pairs."""
     out = {}
     for block in blocks:
-        rungs = refine_ladder([meas for _, meas in block], CAR_MODEL, "v4")
+        rungs = dict(refine_ladder([meas for _, meas in block], CAR_MODEL, "v4"))
         for variant, outcomes in rungs.items():
             for (key, _), outcome in zip(block, outcomes):
                 out[variant, key] = _fingerprint(outcome)
     return out
 
 
-@pytest.mark.parametrize("grouping", ["per_frame", "one_block", "reversed"])
-def test_results_do_not_depend_on_the_block(grouping):
+@pytest.mark.parametrize("grouping, active", [
+    pytest.param(grouping, active, id=grouping + ("" if active is None else f"-active{active}"))
+    for active in (None, 1, 3) for grouping in ("per_frame", "one_block", "reversed")
+])
+def test_results_do_not_depend_on_the_block(grouping, active, monkeypatch):
+    if active is not None:  # None: the module's own in-flight cap
+        monkeypatch.setattr(REFINE, "_ACTIVE", active)
     frames = _seed7_frames()
     instances = [((f, i), meas) for f, frame in enumerate(frames)
                  for i, meas in enumerate(frame)]
@@ -373,14 +383,16 @@ def test_results_do_not_depend_on_the_block(grouping):
 
 def test_explicit_initial_starts_the_rung_directly():
     meas = _seed7_frames(1)[0][0]
-    rungs = refine_ladder([meas], CAR_MODEL, "v3")
+    rungs = dict(refine_ladder([meas], CAR_MODEL, "v3"))
     from_v2 = refine(meas, CAR_MODEL, ablation_config("v3"), initial=rungs["v2"][0].vars)
     assert _fingerprint(from_v2) == _fingerprint(rungs["v3"][0])
     direct = refine(meas, CAR_MODEL, ablation_config("v3"), initial=initialize(meas, CAR_MODEL))
     assert _fingerprint(direct) != _fingerprint(rungs["v3"][0])
 
 
-def test_failing_instance_leaves_its_block_alone():
+def test_failing_instance_leaves_its_block_alone(monkeypatch):
+    # two in flight: the behind-camera start arrives as a refill
+    monkeypatch.setattr(REFINE, "_ACTIVE", 2)
     frame = _seed7_frames(1)[0]
     good = refine_batch(frame, CAR_MODEL)
     behind = Variables(theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3),
@@ -404,3 +416,32 @@ def test_singular_system_fails_only_its_own_instance():
     np.testing.assert_array_equal(solved, [True, False, True])
     for i in (0, 2):
         np.testing.assert_array_equal(dx[i], np.linalg.solve(H[i], -g[i]))
+
+
+def test_full_evaluations_while_instances_wait(monkeypatch):
+    """Every evaluation made while instances still wait carries _ACTIVE rows,
+    and the waiting instances are admitted in input order."""
+    monkeypatch.setattr(REFINE, "_ACTIVE", 4)
+    measurements = [meas for frame in _seed7_frames(2) for meas in frame]
+    starts = [initialize(meas, CAR_MODEL).to_vector().tobytes() for meas in measurements]
+    calls = []  # (rows, instances admitted so far)
+    admitted = 0
+    evaluate = REFINE.block_residuals
+
+    def recorded(x, block, model, cfg):
+        nonlocal admitted
+        # a newcomer's row is its start point; a trial point differs from every start
+        for row in x:
+            if admitted < len(starts) and row.tobytes() == starts[admitted]:
+                admitted += 1
+        calls.append((len(x), admitted))
+        return evaluate(x, block, model, cfg)
+
+    monkeypatch.setattr(REFINE, "block_residuals", recorded)
+    capped = [_fingerprint(o) for o in refine_batch(measurements, CAR_MODEL)]
+    assert admitted == len(measurements)  # every start, in input order
+    waiting = [rows for rows, done in calls if done < len(measurements)]
+    assert len(waiting) > 1 and waiting == [4] * len(waiting)
+    assert all(rows <= 4 for rows, _ in calls)
+    monkeypatch.undo()
+    assert [_fingerprint(o) for o in refine_batch(measurements, CAR_MODEL)] == capped
