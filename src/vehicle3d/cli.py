@@ -41,7 +41,7 @@ import numpy as np
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
 from .geometry import BehindCameraError, footprint
 from .metrics import DIFFICULTIES, EvalPair, alp, ap_3d, ap_bev, pr_curve
-from .refine import InitializationError, SolverOptions, refine_ladder
+from .refine import _ACTIVE, InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
 from .refine import refine_ablation  # noqa: F401
@@ -116,7 +116,6 @@ class Option(NamedTuple):
     field: str | None = None  # "config.field" the value sets, see _CONFIGS
     minimum: int | None = None
     required: bool = False
-    choices: tuple | None = None  # the allowed values, checked like minimum
     within: tuple | None = None  # (predicate, message) each given value must pass
 
 
@@ -135,7 +134,7 @@ _CONFIGS = {
     "scene": SceneParams(),
     "learn": LearnOptions(),
 }
-_CONVERTERS = {bool: _as_bool, int: int, float: float}
+_CONVERTERS = {bool: _as_bool, int: int, float: float, str: str}
 
 
 def _field_option(name: str, field: str, help_text: str) -> Option:
@@ -148,9 +147,8 @@ def _resolve_options(command: str, args):
     """(effective option values, config objects) of one run.
 
     Each value comes from its flag, else the --config file, else the
-    default.  Required options, minimums, choices, value ranges and
-    the config objects' own checks are all applied here, before anything
-    is written.
+    default.  Required options, minimums, value ranges and the config
+    objects' own checks are all applied here, before anything is written.
     """
     file_cfg = {}
     if args.config:
@@ -177,8 +175,6 @@ def _resolve_options(command: str, args):
             raise CLIError(f"{command} requires --{opt.name.replace('_', '-')}")
         if opt.minimum is not None and value < opt.minimum:
             raise CLIError(f"{opt.name} must be at least {opt.minimum}")
-        if opt.choices is not None and value not in opt.choices:
-            raise CLIError(f"unknown {opt.name} {value!r}")
         if opt.within is not None and value is not None:
             valid, message = opt.within
             if not all(map(valid, value if isinstance(value, tuple) else (value,))):
@@ -287,10 +283,12 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 # fit (workers solve fixed-size tasks of instances; parent writes in frame order)
 # ---------------------------------------------------------------------------
 
-# Instances per task handed to refine_ladder (and to each --jobs worker).
-# It bounds the parsed measurements and the outcomes one task holds; the
-# solver's arrays are bounded by refine._ACTIVE, the instances it keeps in
-# flight.  Results do not depend on either.
+# Instances per task handed to refine_ladder.  It bounds the parsed
+# measurements and the outcomes one task holds; the solver's arrays are
+# bounded by refine._ACTIVE, the instances it keeps in flight.  Under
+# --jobs N a task is _FIT_BLOCK // N instances, but at least _ACTIVE, so
+# every worker gets a share of a small dataset.  Results depend on none of
+# these sizes.
 _FIT_BLOCK = 256
 
 
@@ -376,11 +374,13 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
     and write labels/ and diag/ of each rung into out_dirs[variant].
 
     Instances are pooled across frames in dataset order and solved in
-    tasks of _FIT_BLOCK.  A frame is written as soon as its last instance
-    is solved, so memory stays bounded by a few tasks, not the dataset.
+    tasks of at most _FIT_BLOCK.  A frame is written as soon as its last
+    instance is solved, so memory stays bounded by a few tasks, not the
+    dataset.
     """
     meas_files = _measurement_files(effective["data"])
     settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
+    size = min(_FIT_BLOCK, max(_ACTIVE, _FIT_BLOCK // effective["jobs"]))
     for out_dir in out_dirs.values():
         (out_dir / "labels").mkdir(parents=True, exist_ok=True)
         (out_dir / "diag").mkdir(parents=True, exist_ok=True)
@@ -396,9 +396,9 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
             measurements = _read_data_file(path, parse_measurements)[2]
             frames.append((path.stem, len(measurements)))
             pending += measurements
-            while len(pending) >= _FIT_BLOCK:
-                yield (pending[:_FIT_BLOCK], *settings)
-                pending = pending[_FIT_BLOCK:]
+            while len(pending) >= size:
+                yield (pending[:size], *settings)
+                pending = pending[size:]
         # last, possibly empty: it also releases frames parsed after the
         # last full task
         yield (pending, *settings)
@@ -688,7 +688,7 @@ _COMMANDS = {
     "fit": Command("refine 3D boxes for every frame of a dataset", cmd_fit, True, (
         _DATA,
         _MODEL,
-        Option("variant", str, "v4", "energy variant v1..v4", choices=ABLATION_VARIANTS),
+        _field_option("variant", "energy.variant", "energy variant v1..v4"),
         _JOBS._replace(help="worker processes for per-frame work"),
         *_SOLVE,
     )),

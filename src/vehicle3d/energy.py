@@ -41,9 +41,22 @@ from .geometry import (
 from .shape import MorphableModel
 
 
+# Terms each rung of the ablation ladder turns on.  v1 is initialization
+# only (no optimization; handled by the refiner), v2 enables box
+# consistency + ground plane, v3 adds landmarks + shape regularity, v4 adds
+# measured depth.
+RUNG_TERMS = {
+    "v1": (),
+    "v2": ("2d3d", "gp"),
+    "v3": ("2d3d", "gp", "lp", "s"),
+    "v4": ("2d3d", "gp", "lp", "s", "md"),
+}
+ABLATION_VARIANTS = tuple(RUNG_TERMS)
+
+
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Term weights and toggles.
+    """Term weights and the ablation rung whose terms are enabled.
 
     Weights multiply squared residual norms.
     """
@@ -58,50 +71,19 @@ class EnergyConfig:
     lambda2: float = 0.001  # measured depth
     lambda3: float = 10.0  # ground plane
     lambda4: float = 8.0  # shape regularity
-    enable_2d3d: bool = True
-    enable_lp: bool = True
-    enable_md: bool = True
-    enable_gp: bool = True
-    enable_s: bool = True
-    # Center of the shape-regularity pull: the within-instance coefficient
-    # mean, or the learning prior's zero.
-    shape_prior_center: str = "zero"
+    variant: str = "v4"  # a RUNG_TERMS key
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.shape_prior_center not in ("instance_mean", "zero"):
-            raise ValueError("shape_prior_center must be 'instance_mean' or 'zero'")
-
-
-ABLATION_VARIANTS = ("v1", "v2", "v3", "v4")
+        if self.variant not in RUNG_TERMS:
+            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 def ablation_config(variant: str, base: EnergyConfig | None = None) -> EnergyConfig:
-    """Term toggles for the ablation ladder.
-
-    v1 is initialization-only (no optimization; handled by the refiner),
-    v2 enables box consistency + ground plane, v3 adds landmarks + shape
-    regularity, v4 adds measured depth.
-    """
-    base = base or EnergyConfig()
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    on = {
-        "v1": (),
-        "v2": ("2d3d", "gp"),
-        "v3": ("2d3d", "gp", "lp", "s"),
-        "v4": ("2d3d", "gp", "lp", "s", "md"),
-    }[variant]
-    return replace(
-        base,
-        enable_2d3d="2d3d" in on,
-        enable_lp="lp" in on,
-        enable_md="md" in on,
-        enable_gp="gp" in on,
-        enable_s="s" in on,
-    )
+    """base (default weights when absent) at one rung of the ablation ladder."""
+    return replace(base or EnergyConfig(), variant=variant)
 
 
 @dataclass(frozen=True)
@@ -332,19 +314,12 @@ def _ground_term(x, block):
     return r, J
 
 
-def _shape_term(x, cfg: EnergyConfig):
-    """Coefficient deviation from the configured center (B, N)."""
-    alpha = x[:, 7:]
-    N = alpha.shape[1]
-    if cfg.shape_prior_center == "instance_mean" and N:
-        r = alpha - np.mean(alpha, axis=1, keepdims=True)
-        d_alpha = np.eye(N) - 1.0 / N
-    else:
-        r = alpha.copy()
-        d_alpha = np.eye(N)
+def _shape_term(x):
+    """Coefficient deviation from the learning prior's zero (B, N)."""
+    N = x.shape[1] - 7
     J = np.zeros((len(x), N, x.shape[1]))
-    J[:, :, 7:] = d_alpha
-    return r, J
+    J[:, :, 7:] = np.eye(N)
+    return x[:, 7:].copy(), J
 
 
 def term_rows(cfg: EnergyConfig, n_landmarks: int, n_alpha: int) -> list:
@@ -353,15 +328,15 @@ def term_rows(cfg: EnergyConfig, n_landmarks: int, n_alpha: int) -> list:
     The layout depends on the configuration and model sizes only, never on
     the instance: the depth row is present whenever its term is enabled.
     """
-    out, start = [], 0
-    for name, weight, size, enabled in (
-        ("2d3d", 1.0, 4, cfg.enable_2d3d),
-        ("lp", cfg.lambda1, 2 * n_landmarks, cfg.enable_lp),
-        ("md", cfg.lambda2, 1, cfg.enable_md),
-        ("gp", cfg.lambda3, 1, cfg.enable_gp),
-        ("s", cfg.lambda4, n_alpha, cfg.enable_s),
+    out, start, enabled = [], 0, RUNG_TERMS[cfg.variant]
+    for name, weight, size in (
+        ("2d3d", 1.0, 4),
+        ("lp", cfg.lambda1, 2 * n_landmarks),
+        ("md", cfg.lambda2, 1),
+        ("gp", cfg.lambda3, 1),
+        ("s", cfg.lambda4, n_alpha),
     ):
-        if enabled:
+        if name in enabled:
             out.append((name, weight, slice(start, start + size)))
             start += size
     return out
@@ -399,7 +374,7 @@ def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
             elif name == "gp":
                 r, J = _ground_term(x, block)
             else:
-                r, J = _shape_term(x, cfg)
+                r, J = _shape_term(x)
             terms.append((weight, r, J))
         if not terms:
             return BlockResiduals(np.zeros((B, 0)), np.zeros((B, 0, D)), np.zeros((B, 0)), behind)

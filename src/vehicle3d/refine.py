@@ -34,6 +34,7 @@ from .energy import (
     EnergyConfig,
     Measurement,
     MeasurementBlock,
+    RUNG_TERMS,
     Variables,
     ablation_config,
     block_energy,
@@ -215,7 +216,7 @@ def refine_batch(
     reasons = np.full(B, "max_iterations", dtype=object)
     failed = {}  # b -> the InitializationError of an unusable start
     # the depth row carries nothing for an instance without a measured depth
-    idle = m - (~block.has_depth & cfg.enable_md) == 0
+    idle = m - (~block.has_depth & ("md" in RUNG_TERMS[cfg.variant])) == 0
 
     active, admitted = np.zeros(0, dtype=int), 0
     while active.size or admitted < B:

@@ -327,6 +327,12 @@ def _field(mapping: dict, key: str, count: int | None = None, make=list, conv=fl
         raise MeasurementFormatError(f"{key}: {err}") from None
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    require_finite(value)
+    return value
+
+
 def parse_measurements(text: str):
     """(camera, ground, [Measurement]) from one frame's measurement file.
 
@@ -350,8 +356,8 @@ def parse_measurements(text: str):
             box2d=_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v)),
             landmarks_uv=_field(mapping, prefix + "landmarks", 2 * len(visible), np.array),
             landmarks_visible=visible,
-            theta0=_field(mapping, prefix + "theta0", 1)[0],
-            sigma0=_field(mapping, prefix + "sigma0", 3, np.array),
+            theta0=_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0],
+            sigma0=_field(mapping, prefix + "sigma0", 3, np.array, _finite_float),
             depth_zb=_field(mapping, depth, 1)[0] if depth in mapping else None,
         )
         try:

@@ -14,6 +14,7 @@ count once), not per landmark.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -576,8 +577,11 @@ def save_model(model: MorphableModel, path) -> None:
     for block in model.basis_points():
         for row in block:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
+    # written to a temp name and renamed into place: never a partial file
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
 
 
 def load_model(path) -> MorphableModel:

@@ -80,7 +80,6 @@ def test_01_jacobian_matches_finite_differences():
                 lambda2=float(rng.uniform(0.001, 5)),
                 lambda3=float(rng.uniform(0.1, 20)),
                 lambda4=float(rng.uniform(0.01, 10)),
-                shape_prior_center="zero" if checked % 2 else "instance_mean",
             )
         J = jacobian(vars, meas, model, cfg)
         J_fd = fd_jacobian(vars, meas, model, cfg)

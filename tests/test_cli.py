@@ -109,6 +109,29 @@ def test_fit_byte_identical_across_jobs_and_reruns(dataset, tmp_path):
     assert tree_bytes(serial) == tree_bytes(rerun)
 
 
+def test_jobs_split_a_small_dataset_across_workers(tmp_path, monkeypatch):
+    # 250 instances fit in one task of _FIT_BLOCK; two workers get one each
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7) == 0
+    sizes = []
+    parallel_map = vehicle3d.cli._parallel_map
+
+    def recorded(fn, tasks, jobs):
+        def handed_out():
+            for task in tasks:
+                sizes.append(len(task[0]))
+                yield task
+        return parallel_map(fn, handed_out(), jobs)
+
+    monkeypatch.setattr(vehicle3d.cli, "_parallel_map", recorded)
+    assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs2", "--jobs", 2) == 0
+    assert sum(sizes) == 250 and len([size for size in sizes if size]) > 1
+    monkeypatch.undo()
+    assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs1", "--jobs", 1) == 0
+    assert (tree_bytes(tmp_path / "jobs2", skip=("manifest.cfg",))
+            == tree_bytes(tmp_path / "jobs1", skip=("manifest.cfg",)))
+
+
 def test_fit_diagnostics_parse(dataset, tmp_path):
     out = tmp_path / "diag"
     assert run_cli("fit", "--data", dataset, "--out", out, "--variant", "v2") == 0
@@ -177,8 +200,10 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     (lambda mapping: mapping.update(ground="nan 0 0"), "ground: non-finite value"),
     (lambda mapping: mapping.update(camera="nan 700 600 170"), "camera: non-finite value"),
     (lambda mapping: mapping.update({"i0.depth": "nan"}), "i0: non-finite value"),
+    (lambda mapping: mapping.update({"i0.theta0": "nan"}), "i0.theta0: non-finite value"),
+    (lambda mapping: mapping.update({"i1.sigma0": "0.1 inf 0.3"}), "i1.sigma0: non-finite value"),
 ], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera",
-        "nan_depth"])
+        "nan_depth", "nan_theta0", "inf_sigma0"])
 @pytest.mark.parametrize("argv", [
     ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
 ], ids=lambda argv: "_".join(map(str, argv)))

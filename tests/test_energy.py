@@ -4,13 +4,12 @@ The Jacobian is checked against central finite differences; box-hull
 configurations with near-tied extreme corners are resampled because the
 analytic form differentiates through the active corner only.
 """
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from vehicle3d.energy import (
     ABLATION_VARIANTS,
+    RUNG_TERMS,
     EnergyConfig,
     Measurement,
     MeasurementBlock,
@@ -37,11 +36,10 @@ CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
 HULL_GAP_PX = 1e-2  # min spacing between hull-extreme corner competitors
 BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's component scale
-TERMS = ("2d3d", "lp", "md", "gp", "s")
-# A measurement without landmarks, for the terms that do not read them.
+# A measurement with every landmark hidden, for the terms that do not read them.
 BLANK = Measurement(
-    box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((0, 2)),
-    landmarks_visible=np.zeros(0, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
+    box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((14, 2)),
+    landmarks_visible=np.zeros(14, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
     ground=GROUND, cam=CAM,
 )
 
@@ -92,16 +90,17 @@ def measurement_for(vars, model, rng, with_depth=True, exact=False):
     )
 
 
-def term(name, vars, meas=BLANK, model=None, cfg=None):
-    """One term's unweighted residual rows and Jacobian rows, read from
-    block_residuals through term_rows with only that term enabled, at unit
-    weight.  The box rows carry the component scale BOX_SCALE."""
-    cfg = replace(cfg or EnergyConfig(), lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=1.0,
-                  **{"enable_" + n: n == name for n in TERMS})
-    model = model or random_model(0, np.random.default_rng(0))  # read by "lp" only
+def term(name, vars, meas=BLANK, model=None):
+    """One term's unweighted residual rows and Jacobian rows, read through
+    term_rows from the v4 stack of block_residuals at unit weights.  The
+    box rows carry the component scale BOX_SCALE.  The model must match the
+    measurement's landmark count and the coefficient count, and vars must
+    be in front of the camera."""
+    cfg = EnergyConfig(lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=1.0)
+    model = model or random_model(vars.alpha.size, np.random.default_rng(0))
     res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
     assert not res.behind[0]
-    [(_, _, rows)] = term_rows(cfg, model.K, vars.alpha.size)
+    [rows] = [rows for n, _, rows in term_rows(cfg, model.K, vars.alpha.size) if n == name]
     return res.unweighted[0, rows], res.J[0, rows]
 
 
@@ -159,9 +158,8 @@ def test_box_residual_behind_camera_raises():
     model = random_model(0, rng)
     meas = measurement_for(vars, model, rng)
     bad = Variables(theta=vars.theta, T=np.array([0.0, 1.0, -5.0]), sigma=vars.sigma, alpha=vars.alpha)
-    box_only = EnergyConfig(enable_lp=False, enable_md=False, enable_gp=False, enable_s=False)
-    with pytest.raises(BehindCameraError):
-        stacked_residuals(bad, meas, model, box_only)
+    with pytest.raises(BehindCameraError):  # v2: the box term is the only projection
+        stacked_residuals(bad, meas, model, ablation_config("v2"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def test_depth_term_absent_or_disabled():
     _, breakdown = total_energy(vars, meas_nd, model, cfg)
     assert "md" not in breakdown
     meas_d = measurement_for(vars, model, rng)
-    off = EnergyConfig(enable_md=False)
+    off = ablation_config("v3")  # v4 without the depth term
     e_off, bd_off = total_energy(vars, meas_d, model, off)
     assert "md" not in bd_off
     # disabling contributes nothing to the gradient stack either
@@ -262,8 +260,8 @@ def test_depth_term_absent_or_disabled():
 def test_ground_residual():
     vars = Variables(theta=0.0, T=np.array([4.0, 1.65, 20.0]), sigma=np.zeros(3), alpha=np.zeros(0))
     assert term("gp", vars)[0] == pytest.approx([0.0], abs=1e-15)
-    origin = Variables(theta=0.0, T=np.zeros(3), sigma=np.zeros(3), alpha=np.zeros(0))
-    assert term("gp", origin)[0] == [-1.0]
+    level = Variables(theta=0.0, T=np.array([0.0, 0.0, 10.0]), sigma=np.zeros(3), alpha=np.zeros(0))
+    assert term("gp", level)[0] == [-1.0]  # N . T = 0
     r, J = term("gp", vars)
     np.testing.assert_array_equal(J[0, 1:4], GROUND.N)
     assert np.all(J[0, [0, 4, 5, 6]] == 0.0)
@@ -272,19 +270,6 @@ def test_ground_residual():
     d = rng.normal(size=3)
     moved = Variables(theta=0.0, T=vars.T + d, sigma=np.zeros(3), alpha=np.zeros(0))
     assert term("gp", moved)[0] - term("gp", vars)[0] == pytest.approx([GROUND.N @ d], rel=1e-12)
-
-
-def test_shape_residual_instance_mean():
-    cfg = EnergyConfig(shape_prior_center="instance_mean")
-    same = Variables(theta=0.0, T=np.array([0, 1, 10.0]), sigma=np.zeros(3), alpha=np.array([0.7, 0.7, 0.7]))
-    np.testing.assert_allclose(term("s", same, cfg=cfg)[0], 0.0, atol=1e-15)
-    v = Variables(theta=0.0, T=np.array([0, 1, 10.0]), sigma=np.zeros(3), alpha=np.array([1.0, -1.0]))
-    r = term("s", v, cfg=cfg)[0]
-    np.testing.assert_allclose(r, [1.0, -1.0])
-    assert float(r @ r) == pytest.approx(2.0)
-    # mean-centering makes the residual invariant to a constant shift
-    shifted = Variables(theta=0.0, T=v.T, sigma=v.sigma, alpha=v.alpha + 3.25)
-    np.testing.assert_allclose(term("s", shifted, cfg=cfg)[0], r, atol=1e-12)
 
 
 def test_shape_residual_zero_center():
@@ -302,28 +287,27 @@ def test_shape_residual_zero_center():
 def brute_energy(vars, meas, model, cfg):
     """From-scratch recomputation of every enabled term."""
     pose = vars.pose()
+    terms = RUNG_TERMS[cfg.variant]
     E = 0.0
-    if cfg.enable_2d3d:
+    if "2d3d" in terms:
         p = project_box3d(meas.cam, pose)
         d = np.array(
             [meas.box2d.tx - p.tx, meas.box2d.ty - p.ty, meas.box2d.w - p.w, meas.box2d.h - p.h]
         ) * BOX_SCALE
         E += float(d @ d)
-    if cfg.enable_lp:
+    if "lp" in terms:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
         placed = place_in_camera(pts, pose)
         for k in range(meas.K):
             if meas.landmarks_visible[k]:
                 uv_k = project(meas.cam, placed[k : k + 1])[0]
                 E += cfg.lambda1 * float(np.sum((meas.landmarks_uv[k] - uv_k) ** 2))
-    if cfg.enable_md and meas.depth_zb is not None:
+    if "md" in terms and meas.depth_zb is not None:
         E += cfg.lambda2 * (vars.T[2] - meas.depth_zb) ** 2
-    if cfg.enable_gp:
+    if "gp" in terms:
         E += cfg.lambda3 * float(meas.ground.N @ vars.T - 1.0) ** 2
-    if cfg.enable_s and vars.alpha.size:
-        center = vars.alpha.mean() if cfg.shape_prior_center == "instance_mean" else 0.0
-        a = vars.alpha - center
-        E += cfg.lambda4 * float(a @ a)
+    if "s" in terms:
+        E += cfg.lambda4 * float(vars.alpha @ vars.alpha)
     return E
 
 
@@ -355,7 +339,7 @@ def test_total_energy_weight_linearity():
 
 def test_total_energy_matches_bruteforce():
     rng = np.random.default_rng(12)
-    for trial in range(30):
+    for _ in range(30):
         model = random_model(int(rng.integers(0, 4)), rng)
         vars = random_vars(rng, model.n_basis)
         meas = measurement_for(vars, model, rng, with_depth=bool(rng.integers(0, 2)))
@@ -364,12 +348,7 @@ def test_total_energy_matches_bruteforce():
             lambda2=float(rng.uniform(0.1, 5)),
             lambda3=float(rng.uniform(0.1, 20)),
             lambda4=float(rng.uniform(0.01, 1)),
-            enable_2d3d=bool(rng.integers(0, 2)),
-            enable_lp=bool(rng.integers(0, 2)),
-            enable_md=bool(rng.integers(0, 2)),
-            enable_gp=bool(rng.integers(0, 2)),
-            enable_s=bool(rng.integers(0, 2)),
-            shape_prior_center="zero" if trial % 3 == 0 else "instance_mean",
+            variant=ABLATION_VARIANTS[int(rng.integers(0, 4))],
         )
         e, breakdown = total_energy(vars, meas, model, cfg)
         assert e == pytest.approx(brute_energy(vars, meas, model, cfg), rel=1e-12, abs=1e-12)
@@ -454,7 +433,6 @@ def test_jacobian_matches_finite_differences():
             lambda2=float(rng.uniform(0.1, 5)),
             lambda3=float(rng.uniform(0.1, 20)),
             lambda4=float(rng.uniform(0.01, 1)),
-            shape_prior_center="zero" if checked % 3 == 0 else "instance_mean",
         )
         J = jacobian(vars, meas, model, cfg)
         J_fd = fd_jacobian(vars, meas, model, cfg)
@@ -485,18 +463,18 @@ def test_jacobian_matches_fd_per_variant():
 # ---------------------------------------------------------------------------
 
 def test_ablation_config_toggles():
-    v1 = ablation_config("v1")
-    assert not any([v1.enable_2d3d, v1.enable_lp, v1.enable_md, v1.enable_gp, v1.enable_s])
-    v2 = ablation_config("v2")
-    assert v2.enable_2d3d and v2.enable_gp and not (v2.enable_lp or v2.enable_md or v2.enable_s)
-    v3 = ablation_config("v3")
-    assert v3.enable_2d3d and v3.enable_gp and v3.enable_lp and v3.enable_s and not v3.enable_md
-    v4 = ablation_config("v4")
-    assert all([v4.enable_2d3d, v4.enable_lp, v4.enable_md, v4.enable_gp, v4.enable_s])
+    def stacked(variant):
+        return [name for name, _, _ in term_rows(ablation_config(variant), 14, 2)]
+
+    assert stacked("v1") == []
+    assert stacked("v2") == ["2d3d", "gp"]
+    assert stacked("v3") == ["2d3d", "lp", "gp", "s"]
+    assert stacked("v4") == ["2d3d", "lp", "md", "gp", "s"]
     assert ABLATION_VARIANTS == ("v1", "v2", "v3", "v4")
+    assert EnergyConfig().variant == "v4"
     base = EnergyConfig(lambda3=42.0)
     assert ablation_config("v2", base).lambda3 == 42.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'v5'"):
         ablation_config("v5")
 
 
@@ -504,7 +482,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EnergyConfig(lambda2=-0.1)
     with pytest.raises(ValueError):
-        EnergyConfig(shape_prior_center="median")
+        EnergyConfig(variant="v9")
     with pytest.raises(ValueError):
         Measurement(
             box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((3, 2)),

@@ -23,3 +23,21 @@ def test_trace_patch_points_resolve():
     assert tracing.PATCHES
     for module_name, attr, _ in tracing.PATCHES:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_every_config_field_is_a_command_line_option():
+    """Each field of the option-backed config dataclasses is set by some
+    command's option: no knob exists for tests alone."""
+    from dataclasses import fields
+
+    from vehicle3d import cli
+
+    set_by_options = {opt.field for command in cli._COMMANDS.values()
+                      for opt in command.options if opt.field is not None}
+    unset = [f"{config}.{field.name}"
+             for config, cls in (("energy", vehicle3d.EnergyConfig),
+                                 ("solver", vehicle3d.SolverOptions),
+                                 ("learn", vehicle3d.LearnOptions),
+                                 ("noise", vehicle3d.NoiseSpec))
+             for field in fields(cls) if f"{config}.{field.name}" not in set_by_options]
+    assert unset == []

@@ -249,17 +249,6 @@ def test_iteration_budget_respected():
     assert isinstance(result, RefineResult)
 
 
-def test_single_residual_rank_deficiency_is_fine():
-    rng = np.random.default_rng(29)
-    model = toy_model(rng)
-    _, meas = standard_noisy(rng, model)
-    cfg = EnergyConfig(
-        enable_2d3d=False, enable_lp=False, enable_md=False, enable_s=False
-    )
-    result = refine(meas, model, cfg=cfg)
-    assert result.final_energy < 1e-12  # one scalar constraint, easily met
-
-
 # ---------------------------------------------------------------------------
 # Ablation ladder
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,19 @@ class TestPersistence:
         assert loaded.K == model.K and loaded.n_basis == model.n_basis
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.basis, model.basis)
+
+    def test_interrupted_save_leaves_no_model(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(36)
+        mean, basis = toy_true_model(4, rng)
+        model = MorphableModel(mean=mean.reshape(-1), basis=basis.reshape(4, -1))
+
+        def fail(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_model(model, tmp_path / "model.txt")
+        assert not (tmp_path / "model.txt").exists()
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
