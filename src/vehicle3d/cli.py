@@ -194,9 +194,15 @@ def _resolve_options(command: str, args):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write to <name>.tmp and rename into place; a failed write or rename
+    removes the temp file and re-raises."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(out_dir: Path, command: str, effective: dict) -> None:
@@ -608,13 +614,11 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 # ---------------------------------------------------------------------------
 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
-    observations = []
-    for path in _measurement_files(effective["data"]):
-        for i, meas in enumerate(_read_data_file(path, parse_measurements)[2]):
-            if not np.isfinite(meas.landmarks_uv[meas.landmarks_visible]).all():
-                raise CLIError(f"{path}: i{i}.landmarks: non-finite visible landmark")
-            observations.append(
-                LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible))
+    observations = [
+        LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
+        for path in _measurement_files(effective["data"])
+        for meas in _read_data_file(path, parse_measurements)[2]
+    ]
     try:
         result = learn_em(observations, effective["basis"], learn)
     except ValueError as exc:  # too few usable instances

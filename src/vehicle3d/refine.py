@@ -34,7 +34,6 @@ from .energy import (
     EnergyConfig,
     Measurement,
     MeasurementBlock,
-    RUNG_TERMS,
     Variables,
     ablation_config,
     block_energy,
@@ -145,15 +144,6 @@ def _start(meas: Measurement, model: MorphableModel):
         return exc
 
 
-def _initialization_result(start: Variables) -> RefineResult:
-    """The v1 rung: the starting point itself, with no energy terms enabled."""
-    return RefineResult(
-        vars=replace(start, theta=wrap_angle(start.theta)),
-        converged=True, iterations=0, final_energy=0.0, breakdown={},
-        reason="initialization only", energy_path=np.asarray([0.0]),
-    )
-
-
 def _normal_equations(J, r):
     """H = J^T J and g = J^T r of a (B, m, D) Jacobian stack and its (B, m)
     residuals.  J^T is one C-contiguous copy, each instance's columns
@@ -171,7 +161,9 @@ def refine_batch(
     initial=None,
 ) -> list:
     """Levenberg-Marquardt minimization of the enabled energy terms for any
-    number of instances, at most _ACTIVE of them in flight.
+    number of instances, at most _ACTIVE of them in flight.  A rung without
+    terms (v1) returns each start, converged after 0 iterations with reason
+    "initialization only".
 
     Trial steps solve the damped normal equations; an instance's damping
     is multiplied by 10 when its trial fails to decrease its energy and
@@ -215,8 +207,7 @@ def refine_batch(
     converged = np.zeros(B, dtype=bool)
     reasons = np.full(B, "max_iterations", dtype=object)
     failed = {}  # b -> the InitializationError of an unusable start
-    # the depth row carries nothing for an instance without a measured depth
-    idle = m - (~block.has_depth & ("md" in RUNG_TERMS[cfg.variant])) == 0
+    idle = m == 0  # no rows: every start stops where it is
 
     active, admitted = np.zeros(0, dtype=int), 0
     while active.size or admitted < B:
@@ -251,7 +242,7 @@ def refine_batch(
         converged[tried[ftol_stop | xtol_stop]] = True
         stop = iterations[active] >= opts.max_iterations
         stop[solved] |= ftol_stop | xtol_stop
-        # newcomers: an unusable start fails, an idle one stops at once
+        # newcomers: an unusable start fails; on an idle rung every one stops
         for row in n + np.flatnonzero(~usable[n:]):
             failed[int(ids[row])] = InitializationError(
                 "initial point projects behind the camera" if res.behind[row] else
@@ -259,8 +250,9 @@ def refine_batch(
         unweighted[new], energy[new] = res.unweighted[n:], rowdot(res.r[n:])
         for b, e in zip(new.tolist(), energy[new].tolist()):
             paths[b].append(e)
-        converged[new[idle[new]]], reasons[new[idle[new]]] = True, "nothing to optimize"
-        starting = usable[n:] & ~idle[new]
+        if idle:
+            converged[new], reasons[new] = True, "initialization only"
+        starting = usable[n:] & (not idle)
         # normal equations at each point an instance goes on from: the
         # accepted trials that did not stop, and the newcomers' starts
         go_on = np.concatenate([accept & ~stop[solved], starting])
@@ -307,22 +299,23 @@ def refine_ladder(
     """Every rung v1..top of the term-ablation ladder in one pass over a list
     of instances.
 
-    v1 is the initialization; v2 is solved from it and each rung above
-    warm-starts from the rung below (a coarse-to-fine schedule: box+ground
-    first, then landmarks+shape, then measured depth), so each added term
-    polishes rather than re-solves from scratch.  Yields (variant, list of
-    per-instance outcomes as in refine_batch) one rung at a time, as each
-    completes; dict(refine_ladder(...)) holds them all.  An instance that
-    fails on one rung carries that error up every rung above.
+    v1 is the initialization, a refine_batch rung without terms; v2 is
+    solved from it and each rung above warm-starts from the rung below (a
+    coarse-to-fine schedule: box+ground first, then landmarks+shape, then
+    measured depth), so each added term polishes rather than re-solves from
+    scratch.  Yields (variant, list of per-instance outcomes as in
+    refine_batch) one rung at a time, as each completes;
+    dict(refine_ladder(...)) holds them all.  An instance that fails on one
+    rung carries that error up every rung above.
     """
     ablation_config(top)  # rejects an unknown variant
     starts = [_start(m, model) for m in measurements]
-    yield "v1", [s if isinstance(s, InitializationError) else _initialization_result(s)
-                 for s in starts]
-    for variant in ABLATION_VARIANTS[1: ABLATION_VARIANTS.index(top) + 1]:
+    for variant in ABLATION_VARIANTS[: ABLATION_VARIANTS.index(top) + 1]:
         outcomes = refine_batch(measurements, model, ablation_config(variant, base), opts, starts)
         yield variant, outcomes
-        starts = [o.vars if isinstance(o, RefineResult) else o for o in outcomes]
+        # v2 starts from the starts themselves: v1's results carry a wrapped theta
+        if variant != "v1":
+            starts = [o.vars if isinstance(o, RefineResult) else o for o in outcomes]
 
 
 def refine_ablation(

@@ -236,23 +236,17 @@ def emit_labels(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def pose_to_label(
-    pose: PoseBox3D,
-    cam: CameraIntrinsics,
-    type: str = "Car",
-    truncated: float = -1.0,
-    occluded: int = -1,
-    score: float | None = None,
-) -> LabelRecord:
-    """Yaw maps to rotation_y with no offset; the stored box is the
-    projected hull and the observation angle folds out the bearing."""
+def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = None) -> LabelRecord:
+    """A "Car" record with unknown truncation and occlusion.  Yaw maps to
+    rotation_y with no offset; the stored box is the projected hull and the
+    observation angle folds out the bearing."""
     box = project_box3d(cam, pose)
     dims = pose.dims  # (length, height, width)
     ry = wrap_pi(pose.theta)
     return LabelRecord(
-        type=type,
-        truncated=truncated,
-        occluded=occluded,
+        type="Car",
+        truncated=-1.0,
+        occluded=-1,
         alpha=wrap_pi(ry - np.arctan2(pose.T[0], pose.T[2])),
         bbox=tuple(box.corners()),
         dimensions=(float(dims[1]), float(dims[2]), float(dims[0])),
@@ -350,11 +344,15 @@ def parse_measurements(text: str):
     measurements = []
     for i in range(count):
         prefix = f"i{i}."
-        visible = _field(mapping, prefix + "visible", None, np.array, _flag)
+        visible = _field(mapping, prefix + "visible", None, lambda v: np.array(v, dtype=bool), _flag)
+        landmarks = _field(mapping, prefix + "landmarks", 2 * len(visible), np.array)
+        # an invisible landmark's value is never read
+        if not np.isfinite(landmarks.reshape(-1, 2)[visible]).all():
+            raise MeasurementFormatError(f"{prefix}landmarks: non-finite value")
         depth = prefix + "depth"
         fields = dict(
             box2d=_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v)),
-            landmarks_uv=_field(mapping, prefix + "landmarks", 2 * len(visible), np.array),
+            landmarks_uv=landmarks,
             landmarks_visible=visible,
             theta0=_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0],
             sigma0=_field(mapping, prefix + "sigma0", 3, np.array, _finite_float),
@@ -399,30 +397,25 @@ STANDARD_NOISE = NoiseSpec(
 )
 
 
+# Upper depth bound keeps instances above the 25 px evaluation height at
+# the camera's focal length; beyond that they fall out of every difficulty
+# bucket and only add variance.
+_Z_RANGE = (5.0, 45.0)
+_DIMS_MEAN = (3.9, 1.6, 1.6)  # (length, height, width) meters
+_DIMS_LOG_SIGMA = 0.1
+_MARGIN_PX = 5.0  # the projected box center stays this far inside the image
+_RETRY_BUDGET = 200  # draws per frame before a frame without instances fails
+
+
 @dataclass(frozen=True)
 class SceneParams:
-    cam: CameraIntrinsics = KITTI_CAMERA
-    ground: GroundPlane = FLAT_GROUND
-    image_size: tuple = IMAGE_SIZE
     n_instances: int = 5
-    # Upper bound keeps instances above the 25 px evaluation height at
-    # the default focal length; beyond that they fall out of every
-    # difficulty bucket and only add variance.
-    z_range: tuple = (5.0, 45.0)
-    dims_mean: tuple = (3.9, 1.6, 1.6)  # (length, height, width) meters
-    dims_log_sigma: float = 0.1
-    alpha_sigma: float = 1.0
-    margin_px: float = 5.0
-    retry_budget: int = 200
+    alpha_sigma: float = 1.0  # scale of the shape coefficients
     with_depth: bool = True
 
     def __post_init__(self):
         if self.n_instances < 1:
             raise ValueError("need at least one instance")
-        if not (0 < self.z_range[0] < self.z_range[1]):
-            raise ValueError("z_range must be increasing and positive")
-        if min(self.dims_mean) <= 0:
-            raise ValueError("dims_mean must be positive")
 
 
 @dataclass(frozen=True)
@@ -437,33 +430,32 @@ class GenerationError(RuntimeError):
     """No in-view instance could be sampled within the retry budget."""
 
 
-def _ground_height(ground: GroundPlane, x: float, z: float) -> float:
-    N = ground.N
-    if abs(N[1]) < 1e-12:
-        raise ValueError("ground plane must constrain the vertical coordinate")
+def _ground_height(x: float, z: float) -> float:
+    N = FLAT_GROUND.N
     return (1.0 - N[0] * x - N[2] * z) / N[1]
 
 
-def _sample_pose(params: SceneParams, model: MorphableModel, rng) -> tuple | None:
-    """One in-view ground-truth draw, or None when rejected."""
-    z = rng.uniform(*params.z_range)
+def _sample_pose(params: SceneParams, rng) -> tuple | None:
+    """One in-view ground-truth draw (pose, shape coefficients, image box),
+    or None when rejected."""
+    z = rng.uniform(*_Z_RANGE)
     x = rng.uniform(-0.45, 0.45) * z
-    y = _ground_height(params.ground, x, z)
+    y = _ground_height(x, z)
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    sigma = np.log(params.dims_mean) + params.dims_log_sigma * rng.standard_normal(3)
-    alpha = params.alpha_sigma * rng.standard_normal(model.n_basis)
+    sigma = np.log(_DIMS_MEAN) + _DIMS_LOG_SIGMA * rng.standard_normal(3)
+    alpha = params.alpha_sigma * rng.standard_normal(CAR_MODEL.n_basis)
     pose = PoseBox3D(theta=theta, T=np.array([x, y, z]), sigma=sigma)
-    box = project_box3d(params.cam, pose)
-    width_px, height_px = params.image_size
-    m = params.margin_px
+    box = project_box3d(KITTI_CAMERA, pose)
+    width_px, height_px = IMAGE_SIZE
+    m = _MARGIN_PX
     if not (m <= box.tx <= width_px - m and m <= box.ty <= height_px - m):
         return None
-    return pose, alpha
+    return pose, alpha, box
 
 
-def _truncation_fraction(box: Box2D, image_size) -> float:
+def _truncation_fraction(box: Box2D) -> float:
     left, top, right, bottom = box.corners()
-    w, h = image_size
+    w, h = IMAGE_SIZE
     inter_w = max(0.0, min(right, w) - max(left, 0.0))
     inter_h = max(0.0, min(bottom, h) - max(top, 0.0))
     area = (right - left) * (bottom - top)
@@ -478,13 +470,12 @@ def _occlusion_class(visible_fraction: float) -> int:
     return 2
 
 
-def generate_scene(
-    params: SceneParams,
-    noise: NoiseSpec,
-    seed,
-    model: MorphableModel = CAR_MODEL,
-):
+def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     """Sample ground truth, render measurements, perturb, annotate.
+
+    Every scene is seen by KITTI_CAMERA over FLAT_GROUND in an IMAGE_SIZE
+    image, with CAR_MODEL shapes; depths, extents, the image margin and
+    the retry budget are the module's private generator constants.
 
     Returns (SyntheticScene, [Measurement], [LabelRecord]).  The pose
     stream and the noise stream are separate child generators, and noise
@@ -493,30 +484,27 @@ def generate_scene(
     """
     root = np.random.default_rng(seed)
     pose_rng, noise_rng = root.spawn(2)
-    width_px, height_px = params.image_size
+    width_px, height_px = IMAGE_SIZE
 
     instances = []
     attempts = 0
     while len(instances) < params.n_instances:
-        if attempts >= params.retry_budget:
+        if attempts >= _RETRY_BUDGET:
             if instances:
                 break
-            raise GenerationError(
-                f"no in-view instance after {params.retry_budget} draws"
-            )
+            raise GenerationError(f"no in-view instance after {_RETRY_BUDGET} draws")
         attempts += 1
-        drawn = _sample_pose(params, model, pose_rng)
+        drawn = _sample_pose(params, pose_rng)
         if drawn is not None:
             instances.append(drawn)
 
     measurements = []
     labels = []
     gt_pairs = []
-    for pose, alpha in instances:
+    for pose, alpha, box in instances:
         gt_pairs.append((pose, ShapeCoefficients(alpha=alpha)))
-        points = place_in_camera(instantiate(model, alpha), pose)
-        uv = project(params.cam, points)
-        box = project_box3d(params.cam, pose)
+        points = place_in_camera(instantiate(CAR_MODEL, alpha), pose)
+        uv = project(KITTI_CAMERA, points)
 
         # noise variates are always drawn, then scaled
         box_jitter = noise.box_px_sigma * noise_rng.standard_normal(4)
@@ -548,8 +536,8 @@ def generate_scene(
                 landmarks_visible=visible,
                 theta0=pose.theta + theta_jitter,
                 sigma0=pose.sigma + sigma_jitter,
-                ground=params.ground,
-                cam=params.cam,
+                ground=FLAT_GROUND,
+                cam=KITTI_CAMERA,
                 depth_zb=max(float(pose.T[2]) * (1.0 + depth_jitter), 0.5)
                 if params.with_depth
                 else None,
@@ -557,14 +545,12 @@ def generate_scene(
         )
         labels.append(
             replace(
-                pose_to_label(pose, params.cam),
-                truncated=_truncation_fraction(box, params.image_size),
+                pose_to_label(pose, KITTI_CAMERA),
+                truncated=_truncation_fraction(box),
                 occluded=_occlusion_class(float(visible.mean())),
             )
         )
-    scene = SyntheticScene(
-        camera=params.cam, ground=params.ground, instances=gt_pairs, seed=seed
-    )
+    scene = SyntheticScene(camera=KITTI_CAMERA, ground=FLAT_GROUND, instances=gt_pairs, seed=seed)
     return scene, measurements, labels
 
 

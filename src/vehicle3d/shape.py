@@ -577,11 +577,17 @@ def save_model(model: MorphableModel, path) -> None:
     for block in model.basis_points():
         for row in block:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-    # written to a temp name and renamed into place: never a partial file
+    # written to a temp name and renamed into place: never a partial file,
+    # and no temp file left behind when either step fails
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> MorphableModel:

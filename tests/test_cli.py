@@ -148,11 +148,8 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 3, "--instances", 3) == 0
     path = data / "meas" / "000001.cfg"
     mapping = parse_config_text(path.read_text())
-    # i0: a NaN in a visible landmark
-    visible = mapping["i0.visible"].split()
-    landmarks = mapping["i0.landmarks"].split()
-    landmarks[2 * visible.index("1")] = "nan"
-    mapping["i0.landmarks"] = " ".join(landmarks)
+    # i0: extents of e^1000 m, finite in the file but overflowing the box term
+    mapping["i0.sigma0"] = "1000 1000 1000"
     # i1: no depth, and a box center above the horizon, so its ray meets the
     # ground behind the camera
     del mapping["i1.depth"]
@@ -192,6 +189,13 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
 
 
+def _nan_visible_landmark(mapping):
+    visible = mapping["i0.visible"].split()
+    landmarks = mapping["i0.landmarks"].split()
+    landmarks[2 * visible.index("1")] = "nan"
+    mapping["i0.landmarks"] = " ".join(landmarks)
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda mapping: mapping.pop("i0.theta0"), "i0.theta0"),
     (lambda mapping: mapping.update(camera="1 2 3"), "camera"),
@@ -202,8 +206,9 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     (lambda mapping: mapping.update({"i0.depth": "nan"}), "i0: non-finite value"),
     (lambda mapping: mapping.update({"i0.theta0": "nan"}), "i0.theta0: non-finite value"),
     (lambda mapping: mapping.update({"i1.sigma0": "0.1 inf 0.3"}), "i1.sigma0: non-finite value"),
+    (_nan_visible_landmark, "i0.landmarks: non-finite value"),
 ], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera",
-        "nan_depth", "nan_theta0", "inf_sigma0"])
+        "nan_depth", "nan_theta0", "inf_sigma0", "nan_visible_landmark"])
 @pytest.mark.parametrize("argv", [
     ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
 ], ids=lambda argv: "_".join(map(str, argv)))
@@ -245,13 +250,23 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     capfd.readouterr()
     assert run_cli("shape-learn", "--data", data, "--out", tmp_path / "bad", "--basis", 0) == 1
     err = capfd.readouterr().err
-    assert err == f"error: {bad}: i1.landmarks: non-finite visible landmark\n"
+    assert err == f"error: {bad}: i1.landmarks: non-finite value\n"
     assert not (tmp_path / "bad" / "model.txt").exists()
 
 
 def test_fit_missing_data(tmp_path, capsys):
     assert run_cli("fit", "--data", tmp_path / "nope", "--out", tmp_path / "x") == 1
     assert "meas" in capsys.readouterr().err
+
+
+def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(vehicle3d.cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        vehicle3d.cli._atomic_write(tmp_path / "000000.txt", "Car\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

