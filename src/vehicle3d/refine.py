@@ -25,7 +25,7 @@ Squares Problems, 2004); only the iteration cap is an option.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,7 +265,7 @@ def refine_batch(
             out[i] = failed[b]
             continue
         out[i] = RefineResult(
-            vars=replace(Variables.from_vector(x[b], D - 7), theta=wrap_angle(x[b, 0])),
+            vars=Variables(theta=wrap_angle(x[b, 0]), T=x[b, 1:4], sigma=x[b, 4:7], alpha=x[b, 7:]),
             converged=bool(converged[b]),
             iterations=int(iterations[b]),
             final_energy=float(total[b]),

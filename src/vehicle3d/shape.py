@@ -11,6 +11,14 @@ non-decreasing by construction.  The EM loop is followed by a polish
 phase with the shape frozen, which re-settles poses and the noise level.
 The reported reprojection RMSE is per image coordinate (u and v each
 count once), not per landmark.
+
+The pose step takes no SVD: the nearest row-orthonormal 2x3 matrix comes
+in closed form from the 2x2 square-root identity (_orthonormalize_rows),
+and the affine optimum from a batched solve where C_qq is well conditioned
+(_affine_optimum).  The returned model is in a
+canonical frame: the sign of each model axis and of each basis row is fixed
+by a landmark-indexed rule (_canonical_signs), so the same data give the
+same model whatever the order of the instances.
 """
 from __future__ import annotations
 
@@ -29,6 +37,16 @@ _MIN_NOISE_VAR = 1e-12
 
 # Instances with fewer visible landmarks are left out of learning.
 _MIN_VISIBLE = 6
+
+# A 2x3 polar factor is accepted where det(A A^T) > _POLAR_CUTOFF * tr(A A^T)^2,
+# roughly where A's smaller singular value exceeds 1e-3 of its larger one.
+# Below that the factor's second row is set by rounding and noise in A, not
+# by the data.  Accepted factors are row-orthonormal to 1e-12 or better.
+_POLAR_CUTOFF = 1e-6
+# C_qq goes through a plain solve where det C_qq > _SOLVE_CUTOFF * (tr C_qq)^3,
+# which bounds its condition number by 1 / _SOLVE_CUTOFF.
+_SOLVE_CUTOFF = 1e-6
+_IDENTITY_ROWS = np.eye(3)[:2]
 
 
 class InsufficientDataError(ValueError):
@@ -181,11 +199,58 @@ class LearnResult:
 # the mask: nan * 0 is nan, so an invisible value would leak.
 # ---------------------------------------------------------------------------
 
-def _orthonormalize_rows(A: np.ndarray) -> np.ndarray:
-    """Nearest row-orthonormal matrix in Frobenius norm (via SVD), for each
-    2x3 matrix of a stack."""
-    U, _, Vt = np.linalg.svd(A, full_matrices=False)
-    return U @ Vt
+def _cross(x, y):
+    """Cross product over the last axis of (..., 3) stacks."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+
+
+def _orthonormalize_rows(A: np.ndarray):
+    """Polar factor (A A^T)^(-1/2) A of each 2x3 matrix of a stack, the
+    nearest row-orthonormal matrix in Frobenius norm, in closed form:
+    (R (..., 2, 3), ok (...,) bool).
+
+    For the 2x2 SPD S = A A^T with d = sqrt(det S), sqrt(S) = (S + d I) /
+    sqrt(tr S + 2 d), and its inverse is (adj S + d I) / (d sqrt(tr S + 2 d)).
+    With rows a, b of A and n = a x b, det S = |n|^2 and the rows of adj(S) A
+    are the triple products b x n and n x a, so
+
+        R = [a + b x n/|n|;  b + n/|n| x a] / sqrt(|a|^2 + |b|^2 + 2 |n|),
+
+    with no cancellation beyond the cross product's own.  ok is false where
+    det S <= _POLAR_CUTOFF * (tr S)^2: zero, rank-1 and near-rank-1 matrices,
+    and non-finite ones.  Those get the first two rows of the identity, so R
+    is always finite and row-orthonormal.
+    """
+    a, b = A[..., 0, :], A[..., 1, :]
+    n = _cross(a, b)
+    det = np.sum(n * n, axis=-1)
+    tr = np.sum(A * A, axis=(-2, -1))
+    ok = det > _POLAR_CUTOFF * tr * tr
+    root = np.sqrt(det)
+    u = n / np.where(ok, root, 1.0)[..., None]
+    R = (A + np.stack([_cross(b, u), _cross(u, a)], axis=-2)) / np.sqrt(
+        np.where(ok, tr + 2.0 * root, 1.0)
+    )[..., None, None]
+    return np.where(ok[..., None, None], R, _IDENTITY_ROWS), ok
+
+
+def _affine_optimum(C_pq: np.ndarray, C_qq: np.ndarray) -> np.ndarray:
+    """Unconstrained affine optimum A* = C_pq C_qq^+ of each instance, (M, 2, 3).
+
+    A batched solve where C_qq is well conditioned (_SOLVE_CUTOFF); pinv at
+    lstsq's own cutoff (3 eps) for the rest, which keeps lstsq's
+    minimum-norm rank handling, e.g. for a planar shape.
+    """
+    C_qp = C_pq.transpose(0, 2, 1)
+    well = np.linalg.det(C_qq) > _SOLVE_CUTOFF * np.trace(C_qq, axis1=1, axis2=2) ** 3
+    Astar = np.empty_like(C_qp)
+    Astar[well] = np.linalg.solve(C_qq[well], C_qp[well])
+    if not well.all():
+        rest = ~well
+        Astar[rest] = np.linalg.pinv(C_qq[rest], rcond=3 * np.finfo(float).eps) @ C_qp[rest]
+    return Astar.transpose(0, 2, 1)
 
 
 def _residuals(A, d, pts, P, vis):
@@ -204,9 +269,10 @@ def _rigid_init(P, vis):
     """
     M, K, _ = P.shape
     centroids = P.sum(axis=1) / vis.sum(axis=1)[:, None]
-    # Mean-imputed after centering.  A product with the mask would also leave
-    # -0.0 entries, which change the signs LAPACK picks for the SVD below
-    # (and so the frame of the learned model).
+    # Mean-imputed after centering: exactly 0.0 where invisible.  A product
+    # with the mask would leave -0.0 entries, which change the signs LAPACK
+    # picks for the SVD below; the final gauge moves fix the model's frame
+    # either way, but not the path EM takes to it.
     centered = np.where(vis[..., None], P - centroids[:, None], 0.0)
     D = centered.transpose(0, 2, 1).reshape(2 * M, K)
 
@@ -253,7 +319,9 @@ def _rigid_init(P, vis):
     motion = (Mhat @ G).reshape(M, 2, 3)
     shape0 = np.linalg.solve(G, Shat)  # (3, K)
     c = np.maximum(np.sqrt(0.5 * np.sum(motion * motion, axis=(1, 2))), 1e-9)
-    pose = (c, _orthonormalize_rows(motion), centroids)
+    # An instance whose motion fails the polar cutoff starts from the
+    # identity rows; its first pose step replaces them.
+    pose = (c, _orthonormalize_rows(motion)[0], centroids)
     return shape0.T.reshape(-1), pose  # mean as (3K,), landmark-major
 
 
@@ -310,7 +378,12 @@ def _e_step(mean_pts, basis_pts, pose, P, vis, noise_var):
     Sig = np.linalg.inv(np.eye(N) + MdesT @ Mdes / noise_var)
     Mt_r = (MdesT @ r[..., None])[..., 0]
     mu = (Sig @ Mt_r[..., None])[..., 0] / noise_var
-    quad = (np.sum(r * r, axis=1) - np.sum(Mt_r * mu, axis=1)) / noise_var
+    # r^T (noise_var I + Mdes Mdes^T)^-1 r, as |r - Mdes mu|^2 / noise_var +
+    # |mu|^2: the equal form (r.r - mu.Mdes^T r) / noise_var cancels two
+    # terms of order |r|^2 / noise_var, which near the noise floor leaves
+    # rounding noise larger than the EM stopping tolerance.
+    fit = r - (Mdes @ mu[..., None])[..., 0]
+    quad = np.sum(fit * fit, axis=1) / noise_var + np.sum(mu * mu, axis=1)
     _, logdet_sig = np.linalg.slogdet(Sig)
     n_coords = 2 * vis.sum(axis=1)
     loglik = -0.5 * (n_coords * np.log(2 * np.pi * noise_var) - logdet_sig + quad)
@@ -323,11 +396,12 @@ def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refre
     per image coordinate.
 
     Candidates are the current pose, then (c, d) refreshed in closed form
-    at trial rotations: the current R (only with refresh_current), the SVD
-    projection of the cross-covariance, and the projection of the
-    unconstrained affine optimum.  The smallest expected squared residual
-    wins, ties going to the first, so the step never worsens the expected
-    objective.
+    at trial rotations: the current R (only with refresh_current), and the
+    polar factors (_orthonormalize_rows) of the cross-covariance and of the
+    unconstrained affine optimum (_affine_optimum).  The smallest expected
+    squared residual wins, ties going to the first, so the step never
+    worsens the expected objective.  No SVD is taken per step unless some
+    C_qq is ill conditioned.
     """
     M, K, _ = P.shape
     N = basis_pts.shape[0]
@@ -347,16 +421,14 @@ def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refre
     C_qq = dq.transpose(0, 2, 1) @ dq + Vq
 
     trials, usable = ([R], [np.ones(M, dtype=bool)]) if refresh_current else ([], [])
-    has_pq = np.linalg.norm(C_pq, axis=(1, 2)) > 0
-    trials.append(_orthonormalize_rows(C_pq))
-    usable.append(has_pq)
-    # The unconstrained affine optimum accounts for the posterior covariance
-    # (C_qq anisotropy); its projection is usually the strongest candidate.
-    # pinv at lstsq's own cutoff keeps lstsq's minimum-norm rank handling.
-    Astar = np.linalg.pinv(C_qq, rcond=3 * np.finfo(float).eps) @ C_pq.transpose(0, 2, 1)
-    ok = has_pq & np.all(np.isfinite(Astar), axis=(1, 2)) & (np.linalg.norm(Astar, axis=(1, 2)) > 0)
-    trials.append(_orthonormalize_rows(np.where(ok[:, None, None], Astar.transpose(0, 2, 1), 0.0)))
-    usable.append(ok)
+    # The projection of the cross-covariance, then that of the unconstrained
+    # affine optimum, which accounts for the posterior covariance (C_qq
+    # anisotropy) and is usually the strongest candidate.  A target whose
+    # polar factor fails the cutoff (zero, rank-1, non-finite) is unusable.
+    for target in (C_pq, _affine_optimum(C_pq, C_qq)):
+        trial, ok = _orthonormalize_rows(target)
+        trials.append(trial)
+        usable.append(ok)
 
     Rt = np.stack(trials, axis=1)  # (M, T, 2, 3)
     denom = np.sum((Rt @ C_qq[:, None]) * Rt, axis=(2, 3))
@@ -379,6 +451,21 @@ def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refre
     rows = np.arange(M)
     new_pose = tuple(arr[rows, best] for arr in cands)
     return new_pose, max(float(obj[rows, best].sum()) / n_coords, _MIN_NOISE_VAR)
+
+
+def _canonical_signs(X: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row of X (..., n): the sign of the row's first entry, in
+    index order, whose magnitude is at least half the row's largest, so that
+    entry is positive after the flip.  A row of zeros gets +1.
+
+    The model's rows are landmark-indexed, so this rule names the same
+    landmark on any run that learns the same shape, whatever the frame it
+    started in; only a magnitude at exactly half the largest is ambiguous.
+    """
+    mag = np.abs(X)
+    first = np.argmax(mag >= 0.5 * mag.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(X, first[..., None], axis=-1)[..., 0]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def _settled(prev, cur, tol):
@@ -532,17 +619,29 @@ def learn_em(
             polish_iterations += 1
 
     # Remaining gauge moves are exactly likelihood-preserving: center the
-    # mean (absorbed into the image offsets) and rotate the basis rows to
-    # mutual orthogonality (absorbed into the coefficients).
+    # mean (absorbed into the image offsets), rotate the basis rows to
+    # mutual orthogonality (absorbed into the coefficients), and fix the
+    # signs of the model axes and of the basis rows.
     centroid = mean_pts.mean(axis=0)
     mean_pts = mean_pts - centroid
     c, R, d = pose
-    pose = (c, R, d + c[:, None] * (R @ centroid))
+    d = d + c[:, None] * (R @ centroid)
     if n_basis:
         # basis' = S V^T from the SVD keeps span and prior (alpha' = U^T alpha
         # is still standard normal), so the likelihood is unchanged.
         _, sv, Vt = np.linalg.svd(basis, full_matrices=False)
         basis = sv[:, None] * Vt
+    # Canonical frame: the factorization in _rigid_init fixes the model axes
+    # only up to sign (LAPACK's choice, which the order of the instances can
+    # change).  Flipping an axis of the mean, the basis and the matching
+    # column of every R leaves each projection unchanged; flipping a basis
+    # row is absorbed into its coefficient, whose prior is symmetric.  Both
+    # are exact in floating point.
+    axes = _canonical_signs(mean_pts.T)
+    mean_pts = mean_pts * axes
+    pose = (c, R * axes, d)
+    basis = (basis.reshape(n_basis, K, 3) * axes).reshape(n_basis, 3 * K)
+    basis = basis * _canonical_signs(basis)[:, None]
     basis_pts = basis.reshape(n_basis, K, 3)
     model = MorphableModel(mean=mean_pts.reshape(-1), basis=basis)
 

@@ -18,6 +18,7 @@ from vehicle3d.shape import (
     place_in_camera,
     save_model,
 )
+from vehicle3d.shape import _affine_optimum, _orthonormalize_rows, _pose_noise_step
 from tests.oracles import make_ortho_dataset, random_orthonormal_rows, subspace_angles_deg
 from tests.test_geometry import inside_box
 
@@ -333,6 +334,130 @@ def test_shape_learn_keeps_the_per_instance_learners_numbers(tmp_path):
     assert float(report["final_loglik"]) == pytest.approx(-1236.0278505816996, rel=1e-9)
     assert float(report["noise_var"]) == pytest.approx(2.224115376419328, rel=1e-9)
     assert float(report["reproj_rmse_px"]) == pytest.approx(1.402251364836654, rel=1e-9)
+
+
+def random_stack(rng, n, ratio_range):
+    """n 2x3 matrices U diag(s1, s2) V^T with random orthonormal U, V, random
+    scales over ten decades and s2 / s1 drawn log-uniform in ratio_range."""
+    U = np.linalg.qr(rng.normal(size=(n, 2, 2)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0][..., :2]
+    s1 = 10.0 ** rng.uniform(-5, 5, size=n)
+    s2 = s1 * 10.0 ** rng.uniform(*np.log10(ratio_range), size=n)
+    return U @ (np.stack([s1, s2], axis=-1)[..., None] * V.transpose(0, 2, 1))
+
+
+class TestSmallKernels:
+    def test_polar_factor_matches_svd(self):
+        rng = np.random.default_rng(40)
+        A = np.concatenate([rng.normal(size=(500, 2, 3)), random_stack(rng, 500, (1e-2, 1.0))])
+        R, ok = _orthonormalize_rows(A)
+        U, _, Vt = np.linalg.svd(A, full_matrices=False)
+        assert ok.all()
+        assert np.abs(R - U @ Vt).max() <= 1e-13
+        # works on any leading shape, as the pose step's (M, T) stacks need
+        R2, ok2 = _orthonormalize_rows(A.reshape(10, 100, 2, 3))
+        assert np.array_equal(R2.reshape(A.shape), R) and np.array_equal(ok2.ravel(), ok)
+
+    def test_accepted_polar_factors_are_orthonormal(self):
+        rng = np.random.default_rng(41)
+        R, ok = _orthonormalize_rows(random_stack(rng, 20000, (1e-8, 1.0)))
+        assert 0 < ok.sum() < ok.size  # both sides of the cutoff are drawn
+        assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-12
+
+    def test_degenerate_rows_are_rejected_with_finite_rows(self):
+        a = np.array([1.0, -2.0, 0.5])
+        A = np.stack([
+            np.zeros((2, 3)),  # zero
+            np.stack([a, -3.0 * a]),  # rank 1
+            np.stack([a, 2.0 * a + 1e-9 * np.array([0.3, 0.1, -0.2])]),  # near rank 1
+            np.stack([a, [np.nan, 0.0, 1.0]]),  # non-finite
+        ])
+        with np.errstate(divide="raise", invalid="raise"):
+            R, ok = _orthonormalize_rows(A[:3])
+        assert not ok.any()
+        R, ok = _orthonormalize_rows(A)
+        assert not ok.any()
+        assert np.array_equal(R, np.broadcast_to(np.eye(3)[:2], A.shape))
+
+    def test_affine_optimum_solves_well_conditioned_systems(self):
+        rng = np.random.default_rng(42)
+        dq = rng.normal(size=(50, 14, 3)) * rng.uniform(0.1, 10.0, size=(50, 1, 3))
+        C_qq = dq.transpose(0, 2, 1) @ dq
+        C_pq = rng.normal(size=(50, 2, 3))
+        pinv = np.linalg.pinv(C_qq, rcond=3 * np.finfo(float).eps) @ C_pq.transpose(0, 2, 1)
+        assert np.allclose(_affine_optimum(C_pq, C_qq), pinv.transpose(0, 2, 1), rtol=1e-11, atol=0)
+
+    def test_planar_points_take_the_pinv_branch(self):
+        rng = np.random.default_rng(43)
+        dq = rng.normal(size=(4, 14, 3))
+        dq[1, :, 2] = 0.0  # planar: C_qq is singular
+        dq[3] = dq[3] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        dq[3, :, 2] = dq[3, :, 0]  # planar in a tilted plane
+        C_qq = dq.transpose(0, 2, 1) @ dq
+        C_pq = rng.normal(size=(4, 2, 3))
+        got = _affine_optimum(C_pq, C_qq)
+        for m in (1, 3):
+            want = np.linalg.pinv(C_qq[m : m + 1], rcond=3 * np.finfo(float).eps) @ C_pq[m].T
+            assert np.array_equal(got[m], want[0].T)
+        assert np.allclose(got[1][:, 2], 0.0)  # minimum norm: nothing along the missing axis
+
+    def test_pose_step_keeps_the_current_pose_of_a_degenerate_instance(self):
+        rng = np.random.default_rng(44)
+        mean, basis = toy_true_model(1, rng)
+        raw, _ = make_ortho_dataset(mean, basis, 3, 0.5, 0.0, rng)
+        P = np.array([uv for uv, _ in raw])
+        P[1] = P[1, :1] + np.linspace(-20.0, 20.0, 14)[:, None] * [0.6, 0.8]  # collinear
+        P[2] = P[2, :1]  # every landmark on one pixel
+        vis = np.ones((3, 14), dtype=bool)
+        pose = (np.full(3, 100.0), np.broadcast_to(random_orthonormal_rows(rng), (3, 2, 3)).copy(),
+                P.mean(axis=1))
+        mu, Sig = np.zeros((3, 1)), np.tile(np.eye(1), (3, 1, 1))
+        with np.errstate(divide="raise", invalid="raise"):
+            new_pose, noise = _pose_noise_step(pose, mean, basis, P, vis, mu, Sig, 84, False)
+        assert np.isfinite(noise) and all(np.isfinite(arr).all() for arr in new_pose)
+        for m in (1, 2):  # both polar targets are degenerate: no candidate beats the current
+            assert new_pose[0][m] == pose[0][m] and np.array_equal(new_pose[1][m], pose[1][m])
+        assert not np.array_equal(new_pose[1][0], pose[1][0])
+
+    def test_collinear_landmark_instance_learns_finite_results(self):
+        rng = np.random.default_rng(45)
+        mean, basis = toy_true_model(1, rng)
+        raw, _ = make_ortho_dataset(mean, basis, 30, 0.5, 0.0, rng)
+        uv, vis = raw[7]
+        raw[7] = (uv[:1] + np.linspace(-30.0, 30.0, 14)[:, None] * [0.8, -0.6], vis)
+        result = learn_em(obs_list(raw), n_basis=1)
+        assert result.used_mask.all()
+        assert np.isfinite(result.model.mean).all() and np.isfinite(result.model.basis).all()
+        assert np.isfinite([result.loglik, result.noise_var, result.reproj_rmse]).all()
+        for pose, coef in zip(result.poses, result.coeffs):
+            OrthoCamPose(c=pose.c, R=pose.R, t=pose.t)  # raises unless c > 0 and R R^T = I
+            assert np.isfinite(pose.t).all() and np.isfinite(coef.alpha).all()
+            assert np.abs(pose.R @ pose.R.T - np.eye(2)).max() <= 1e-12
+
+
+def test_instance_order_does_not_change_the_model_frame():
+    rng = np.random.default_rng(41)
+    mean, basis = toy_true_model(2, rng)
+    raw, _ = make_ortho_dataset(mean, basis, 40, 0.5, 0.1, rng)
+    forward, backward = learn_em(obs_list(raw), 2), learn_em(obs_list(raw[::-1]), 2)
+    assert np.abs(forward.model.mean - backward.model.mean).max() <= 1e-9
+    assert np.abs(forward.model.basis - backward.model.basis).max() <= 1e-9
+    for a, b in zip(forward.poses, backward.poses[::-1]):
+        assert np.abs(a.R - b.R).max() <= 1e-9
+    assert forward.loglik == pytest.approx(backward.loglik, rel=1e-12)
+
+
+def test_model_axes_and_basis_rows_follow_the_sign_rule():
+    """Per model axis and per basis row, the first landmark-indexed entry at
+    least half the largest in magnitude is positive.  (The flips are exact;
+    test_report_final_loglik_is_the_returned_models checks the likelihood.)"""
+    rng = np.random.default_rng(46)
+    mean, basis = toy_true_model(2, rng)
+    raw, _ = make_ortho_dataset(mean, basis, 40, 0.5, 0.1, rng)
+    model = learn_em(obs_list(raw), 2).model
+    for row in (*model.mean_points().T, *model.basis):
+        mag = np.abs(row)
+        assert row[np.flatnonzero(mag >= 0.5 * mag.max())[0]] > 0
 
 
 class TestPersistence:
