@@ -11,13 +11,15 @@ Subcommands:
 
 Configuration precedence: command-line flag, then a `key = value` line in
 the --config file, then the built-in default.  The effective configuration
-is echoed to <out>/manifest.cfg by every run that writes files.
+is echoed to <out>/manifest.cfg by every run that writes files; given back
+as --config, it reruns the same command.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
-every file is written to a temp name and renamed into place.  fit and
-ablate pool a dataset's instances into fixed-size tasks, one batched
-ladder pass per task; an instance's result does not depend on which task
-it lands in, and tasks are collected in dataset order, so reruns are
+every file is written to a temp name and renamed into place.  fit, ablate
+and shape-learn parse the whole dataset before anything is solved or
+written.  fit and ablate cut its instances into tasks, one batched ladder
+pass per task; an instance's result does not depend on which task it
+lands in, and tasks are collected in dataset order, so reruns are
 byte-identical for a fixed seed at any --jobs setting.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
@@ -33,15 +35,16 @@ import multiprocessing
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement
+from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement, ablation_config
 from .geometry import BehindCameraError, footprint
 from .metrics import DIFFICULTIES, EvalPair, alp, ap_3d, ap_bev, pr_curve
-from .refine import _ACTIVE, InitializationError, SolverOptions, refine_ladder
+from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
 from .refine import refine_ablation  # noqa: F401
@@ -84,9 +87,12 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _as_float_or_none(text: str):
-    lowered = str(text).strip().lower()
-    return None if lowered == "none" else float(text)
+def _or_none(conv: Callable) -> Callable:
+    """conv, but the text 'none' (any case) reads as None."""
+    def convert(text):
+        return None if str(text).strip().lower() == "none" else conv(text)
+    convert.__name__ = conv.__name__  # argparse names the type in its errors
+    return convert
 
 
 def _as_float_list(text: str) -> tuple:
@@ -286,15 +292,12 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 
 
 # ---------------------------------------------------------------------------
-# fit (workers solve fixed-size tasks of instances; parent writes in frame order)
+# fit (parse the dataset, solve it in tasks, write frames in dataset order)
 # ---------------------------------------------------------------------------
 
-# Instances per task handed to refine_ladder.  It bounds the parsed
-# measurements and the outcomes one task holds; the solver's arrays are
-# bounded by refine._ACTIVE, the instances it keeps in flight.  Under
-# --jobs N a task is _FIT_BLOCK // N instances, but at least _ACTIVE, so
-# every worker gets a share of a small dataset.  Results depend on none of
-# these sizes.
+# Most instances per task handed to refine_ladder; it bounds the outcomes
+# one task holds.  n instances make tasks of min(_FIT_BLOCK, ceil(n / jobs)),
+# so every worker gets a share of a small dataset.  No result depends on it.
 _FIT_BLOCK = 256
 
 
@@ -322,10 +325,9 @@ def _instance_outcome(meas: Measurement, outcome):
 
 def _fit_block_task(task):
     measurements, variants, model, energy, solver = task
-    top = max(variants, key=ABLATION_VARIANTS.index)
     done = [{} for _ in measurements]
     # each written rung becomes labels and diag entries as soon as it completes
-    for variant, outcomes in refine_ladder(measurements, model, top, opts=solver, base=energy):
+    for variant, outcomes in refine_ladder(measurements, model, energy, solver):
         if variant in variants:
             for entries, meas, outcome in zip(done, measurements, outcomes):
                 entries[variant] = _instance_outcome(meas, outcome)
@@ -341,12 +343,13 @@ def _parallel_map(fn, tasks, jobs: int):
         yield from map(fn, tasks)
 
 
-def _measurement_files(data_text: str) -> list:
+def _read_dataset(data_text: str) -> list:
+    """(frame id, [Measurement]) of each file under <data>/meas, in name order."""
     meas_dir = Path(data_text) / "meas"
     paths = sorted(meas_dir.glob("*.cfg"))
     if not paths:
         raise CLIError(f"no measurement files under {meas_dir}")
-    return paths
+    return [(path.stem, _read_data_file(path, parse_measurements)[2]) for path in paths]
 
 
 def _load_fit_model(model_path):
@@ -376,48 +379,23 @@ def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
 
 
 def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: SolverOptions) -> int:
-    """Fit every instance of the dataset up to the highest requested rung
-    and write labels/ and diag/ of each rung into out_dirs[variant].
+    """Fit every instance of the dataset up to rung energy.variant and write
+    labels/ and diag/ of each rung in out_dirs into out_dirs[variant].
 
-    Instances are pooled across frames in dataset order and solved in
-    tasks of at most _FIT_BLOCK.  A frame is written as soon as its last
-    instance is solved, so memory stays bounded by a few tasks, not the
-    dataset.
+    Instances are pooled across frames in dataset order and cut into tasks;
+    each frame is written from the outcomes, in that order.
     """
-    meas_files = _measurement_files(effective["data"])
+    dataset = _read_dataset(effective["data"])
     settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
-    size = min(_FIT_BLOCK, max(_ACTIVE, _FIT_BLOCK // effective["jobs"]))
+    instances = [meas for _, measurements in dataset for meas in measurements]
+    size = min(_FIT_BLOCK, max(1, -(-len(instances) // effective["jobs"])))
+    tasks = [(instances[i:i + size], *settings) for i in range(0, len(instances), size)]
     for out_dir in out_dirs.values():
         (out_dir / "labels").mkdir(parents=True, exist_ok=True)
         (out_dir / "diag").mkdir(parents=True, exist_ok=True)
-    # (frame id, instance count), appended as the files are parsed.  Under
-    # a worker pool tasks() runs in the pool's task thread; each frame is
-    # appended before any task holding its instances is handed out, and a
-    # malformed file's CLIError reaches this thread in task order.
-    frames = []
-
-    def tasks():
-        pending = []
-        for path in meas_files:
-            measurements = _read_data_file(path, parse_measurements)[2]
-            frames.append((path.stem, len(measurements)))
-            pending += measurements
-            while len(pending) >= size:
-                yield (pending[:size], *settings)
-                pending = pending[size:]
-        # last, possibly empty: it also releases frames parsed after the
-        # last full task
-        yield (pending, *settings)
-
-    failures, written, solved = 0, 0, []
-    for outcomes in _parallel_map(_fit_block_task, tasks(), effective["jobs"]):
-        solved += outcomes
-        while written < len(frames) and frames[written][1] <= len(solved):
-            frame_id, count = frames[written]
-            failures += _write_frame(out_dirs, frame_id, solved[:count])
-            del solved[:count]
-            written += 1
-    return failures
+    outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, effective["jobs"]))
+    return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(measurements))))
+               for frame_id, measurements in dataset)
 
 
 def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
@@ -580,7 +558,7 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     gt_dir = _labels_dir(effective["data"])
     total_failures = _run_fit(
         effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS},
-        energy, solver,
+        ablation_config(ABLATION_VARIANTS[-1], energy), solver,
     )
     points = effective["points"]
     metrics = (
@@ -616,8 +594,7 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
     observations = [
         LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
-        for path in _measurement_files(effective["data"])
-        for meas in _read_data_file(path, parse_measurements)[2]
+        for _, measurements in _read_dataset(effective["data"]) for meas in measurements
     ]
     try:
         result = learn_em(observations, effective["basis"], learn)
@@ -659,7 +636,7 @@ class Command(NamedTuple):
 
 
 _DATA = Option("data", str, None, "dataset directory from synth", required=True)
-_MODEL = Option("model", str, None, "morphable model file (default: built-in)")
+_MODEL = Option("model", _or_none(str), None, "morphable model file, or 'none' for the built-in")
 _JOBS = Option("jobs", int, 1, "worker processes", minimum=1)
 _POINTS = Option("points", int, 11, "AP interpolation points", minimum=2)
 _SOLVE = (
@@ -672,7 +649,7 @@ _SOLVE = (
 
 _COMMANDS = {
     "synth": Command("generate a synthetic labeled dataset", cmd_synth, True, (
-        Option("seed", int, None, "dataset seed", required=True),
+        Option("seed", int, None, "dataset seed", required=True, minimum=0),
         Option("frames", int, 50, "number of frames to generate", minimum=1),
         _field_option("instances", "scene.n_instances", "instances per frame"),
         _field_option("with_depth", "scene.with_depth", "include a crop-depth pseudo-measurement"),
@@ -706,7 +683,7 @@ _COMMANDS = {
         Option("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds",
                within=_IOU_RANGE),
         Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold", within=_IOU_RANGE),
-        Option("alp_gate", _as_float_or_none, 0.7, "2D IoU gate for ALP, or 'none'",
+        Option("alp_gate", _or_none(float), 0.7, "2D IoU gate for ALP, or 'none'",
                within=_IOU_RANGE),
         _POINTS._replace(help="AP interpolation points, recall 0 to 1 inclusive"),
         Option("curves", _as_bool, False, "write PR curve point files"),

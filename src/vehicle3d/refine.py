@@ -16,8 +16,8 @@ acceptance, stop reason and iteration count are kept per instance, with
 the normal equations J^T J and J^T r of its current point in place of the
 Jacobian.  No quantity is reduced across instances, so each result is
 bit-identical whether the instance is solved alone or among any others,
-under any in-flight cap.  `refine` and `refine_ablation` are the
-one-instance case of this code.
+under any in-flight cap.  refine_ladder calls it per rung, v1 up to its
+config's variant; `refine`/`refine_ablation` are the one-instance case.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -292,12 +292,11 @@ def refine(
 def refine_ladder(
     measurements,
     model: MorphableModel,
-    top: str = "v4",
+    cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
-    base: EnergyConfig | None = None,
 ):
-    """Every rung v1..top of the term-ablation ladder in one pass over a list
-    of instances.
+    """Every rung v1..cfg.variant of the term-ablation ladder, at cfg's
+    weights, in one pass over a list of instances.
 
     v1 is the initialization, a refine_batch rung without terms; v2 is
     solved from it and each rung above warm-starts from the rung below (a
@@ -308,10 +307,10 @@ def refine_ladder(
     dict(refine_ladder(...)) holds them all.  An instance that fails on one
     rung carries that error up every rung above.
     """
-    ablation_config(top)  # rejects an unknown variant
+    cfg = cfg or EnergyConfig()
     starts = [_start(m, model) for m in measurements]
-    for variant in ABLATION_VARIANTS[: ABLATION_VARIANTS.index(top) + 1]:
-        outcomes = refine_batch(measurements, model, ablation_config(variant, base), opts, starts)
+    for variant in ABLATION_VARIANTS[: ABLATION_VARIANTS.index(cfg.variant) + 1]:
+        outcomes = refine_batch(measurements, model, ablation_config(variant, cfg), opts, starts)
         yield variant, outcomes
         # v2 starts from the starts themselves: v1's results carry a wrapped theta
         if variant != "v1":
@@ -327,7 +326,8 @@ def refine_ablation(
 ) -> RefineResult:
     """One rung of the term-ablation ladder for one instance (refine_ladder
     of one instance); v1 skips optimization."""
-    return _first_or_raise(dict(refine_ladder([meas], model, variant, opts, base))[variant])
+    ladder = refine_ladder([meas], model, ablation_config(variant, base), opts)
+    return _first_or_raise(dict(ladder)[variant])
 
 
 def _first_or_raise(outcomes) -> RefineResult:

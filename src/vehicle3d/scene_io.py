@@ -356,7 +356,7 @@ def parse_measurements(text: str):
             landmarks_visible=visible,
             theta0=_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0],
             sigma0=_field(mapping, prefix + "sigma0", 3, np.array, _finite_float),
-            depth_zb=_field(mapping, depth, 1)[0] if depth in mapping else None,
+            depth_zb=_field(mapping, depth, 1, conv=_finite_float)[0] if depth in mapping else None,
         )
         try:
             measurements.append(Measurement(ground=ground, cam=cam, **fields))

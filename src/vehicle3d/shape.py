@@ -696,6 +696,8 @@ def load_model(path) -> MorphableModel:
         raise ValueError(f"{path}: truncated model file")
     K, N = int(tokens[0]), int(tokens[1])
     vals = np.array([float(t) for t in tokens[2:]])
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path}: non-finite value")
     expected = 3 * K * (N + 1)
     if vals.size != expected:
         raise ValueError(

@@ -22,7 +22,7 @@ from vehicle3d.scene_io import (
     parse_measurements,
     pose_to_label,
 )
-from vehicle3d.shape import load_model
+from vehicle3d.shape import load_model, save_model
 
 
 def run_cli(*argv) -> int:
@@ -110,7 +110,7 @@ def test_fit_byte_identical_across_jobs_and_reruns(dataset, tmp_path):
 
 
 def test_jobs_split_a_small_dataset_across_workers(tmp_path, monkeypatch):
-    # 250 instances fit in one task of _FIT_BLOCK; two workers get one each
+    # 250 instances fit in one task of _FIT_BLOCK; two workers get 125 each
     data = tmp_path / "data"
     assert run_cli("synth", "--out", data, "--seed", 7) == 0
     sizes = []
@@ -125,7 +125,7 @@ def test_jobs_split_a_small_dataset_across_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(vehicle3d.cli, "_parallel_map", recorded)
     assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs2", "--jobs", 2) == 0
-    assert sum(sizes) == 250 and len([size for size in sizes if size]) > 1
+    assert sizes == [125, 125]
     monkeypatch.undo()
     assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs1", "--jobs", 1) == 0
     assert (tree_bytes(tmp_path / "jobs2", skip=("manifest.cfg",))
@@ -181,7 +181,7 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         assert labels == emit_labels(expected)
 
     # blocks that straddle frames, serial or in a worker pool, write the same
-    # files; 9 instances fill three blocks before the empty frame is read
+    # files; 9 instances make three blocks, and the empty frame takes none
     monkeypatch.setattr(vehicle3d.cli, "_FIT_BLOCK", 3)
     for jobs in (1, 2):
         small = tmp_path / f"blocks_of_3_jobs_{jobs}"
@@ -203,7 +203,7 @@ def _nan_visible_landmark(mapping):
     (lambda mapping: mapping.update({"i0.box": "nan 100 200 300"}), "i0.box: non-finite value"),
     (lambda mapping: mapping.update(ground="nan 0 0"), "ground: non-finite value"),
     (lambda mapping: mapping.update(camera="nan 700 600 170"), "camera: non-finite value"),
-    (lambda mapping: mapping.update({"i0.depth": "nan"}), "i0: non-finite value"),
+    (lambda mapping: mapping.update({"i0.depth": "nan"}), "i0.depth: non-finite value"),
     (lambda mapping: mapping.update({"i0.theta0": "nan"}), "i0.theta0: non-finite value"),
     (lambda mapping: mapping.update({"i1.sigma0": "0.1 inf 0.3"}), "i1.sigma0: non-finite value"),
     (_nan_visible_landmark, "i0.landmarks: non-finite value"),
@@ -223,12 +223,15 @@ def test_malformed_measurement_file_is_a_data_error(
     mapping = parse_config_text(bad.read_text())
     edit(mapping)
     bad.write_text(format_config(mapping))
-    # blocks of 2 are handed to the workers before the bad frame is parsed
+    # with blocks of 2, frames 0 and 1 fill a task before frame 2 is reached
     monkeypatch.setattr(vehicle3d.cli, "_FIT_BLOCK", 2)
-    assert run_cli(argv[0], "--data", data, "--out", tmp_path / "out", *argv[1:]) == 1
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--data", data, "--out", out, *argv[1:]) == 1
     err = capfd.readouterr().err
     assert err.startswith(f"error: {bad}: ") and key in err
     assert "Traceback" not in err
+    # every file is parsed before any frame is solved or written
+    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
 
 
 def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capfd):
@@ -252,6 +255,19 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     err = capfd.readouterr().err
     assert err == f"error: {bad}: i1.landmarks: non-finite value\n"
     assert not (tmp_path / "bad" / "model.txt").exists()
+
+
+def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
+    model = tmp_path / "model.txt"
+    save_model(CAR_MODEL, model)
+    tokens = model.read_text().split()
+    tokens[2] = "nan"  # the first value of the mean shape
+    model.write_text(" ".join(tokens))
+    out = tmp_path / "fit"
+    # v2 reads no landmark, so only the file check can fail it
+    assert run_cli("fit", "--data", dataset, "--out", out, "--model", model, "--variant", "v2") == 1
+    assert capfd.readouterr().err == f"error: cannot load model {model}: {model}: non-finite value\n"
+    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
 
 
 def test_fit_missing_data(tmp_path, capsys):
@@ -462,6 +478,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (("synth", "--seed", -1), "seed must be at least 0"),
     (("synth", "--seed", 1, "--instances", 0), "need at least one instance"),
     (("synth", "--seed", 1, "--frames", 0), "frames must be at least 1"),
     (("synth", "--seed", 1, "--landmark-px", -1), "landmark_px_sigma must be non-negative"),
@@ -492,6 +509,24 @@ def test_out_of_range_options_fail_before_any_output(tmp_path, capfd, argv, mess
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_every_manifest_reruns_its_command(dataset, tmp_path):
+    """Each command, run again with its first run's manifest as --config,
+    writes a byte-identical tree, manifest included."""
+    runs = {
+        "synth": ("--seed", 7, "--frames", 2, "--instances", 2),
+        "shape-learn": ("--data", dataset, "--basis", 0),
+        "fit": ("--data", dataset, "--variant", "v3"),
+        "eval": ("--pred", tmp_path / "fit" / "first", "--gt", dataset,
+                 "--curves", "true", "--plot-data", "true"),
+        "ablate": ("--data", dataset, "--jobs", 2),
+    }
+    for command, argv in runs.items():
+        first, again = tmp_path / command / "first", tmp_path / command / "again"
+        assert run_cli(command, "--out", first, *argv) == 0
+        assert run_cli(command, "--out", again, "--config", first / "manifest.cfg") == 0
+        assert tree_bytes(again) == tree_bytes(first)
 
 
 def test_none_flag_beats_the_config_file(dataset, tmp_path):

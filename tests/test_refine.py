@@ -321,7 +321,7 @@ def test_unusable_initial_point_raises():
 def test_a_model_of_another_landmark_count_fails_every_rung():
     frame = _seed7_frames(1)[0]
     other = toy_model(np.random.default_rng(35), K=10)
-    rungs = dict(refine_ladder(frame, other, "v4"))
+    rungs = dict(refine_ladder(frame, other))
     assert list(rungs) == ["v1", "v2", "v3", "v4"]
     for outcomes in rungs.values():
         assert len(outcomes) == len(frame)
@@ -351,7 +351,7 @@ def _ladder_in_blocks(blocks):
     (instance id, measurement) pairs."""
     out = {}
     for block in blocks:
-        rungs = dict(refine_ladder([meas for _, meas in block], CAR_MODEL, "v4"))
+        rungs = dict(refine_ladder([meas for _, meas in block], CAR_MODEL))
         for variant, outcomes in rungs.items():
             for (key, _), outcome in zip(block, outcomes):
                 out[variant, key] = _fingerprint(outcome)
@@ -384,7 +384,7 @@ def test_results_do_not_depend_on_the_block(grouping, active, monkeypatch):
 
 def test_explicit_initial_starts_the_rung_directly():
     meas = _seed7_frames(1)[0][0]
-    rungs = dict(refine_ladder([meas], CAR_MODEL, "v3"))
+    rungs = dict(refine_ladder([meas], CAR_MODEL, ablation_config("v3")))
     from_v2 = refine(meas, CAR_MODEL, ablation_config("v3"), initial=rungs["v2"][0].vars)
     assert _fingerprint(from_v2) == _fingerprint(rungs["v3"][0])
     direct = refine(meas, CAR_MODEL, ablation_config("v3"), initial=initialize(meas, CAR_MODEL))

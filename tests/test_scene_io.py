@@ -1,7 +1,10 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vehicle3d import scene_io
 from vehicle3d.geometry import PoseBox3D, project, project_box3d, wrap_pi
@@ -229,6 +232,47 @@ def test_malformed_measurements_name_the_key(key, value, message):
         mapping[key] = value
     with pytest.raises(MeasurementFormatError, match=message):
         parse_measurements(format_config(mapping))
+
+
+def _mutations(text):
+    """text cut at any character, with one line dropped, or with one
+    whitespace-separated token swapped for a non-finite, empty or
+    non-numeric one."""
+    lines = text.splitlines(keepends=True)
+    parts = re.split(r"(\s+)", text)  # tokens at the even positions
+
+    def swapped(i, token):
+        return "".join(parts[:i] + [token] + parts[i + 1:])
+
+    return st.one_of(
+        st.integers(0, len(text)).map(lambda n: text[:n]),
+        st.integers(0, len(lines) - 1).map(lambda i: "".join(lines[:i] + lines[i + 1:])),
+        st.builds(swapped, st.sampled_from(range(0, len(parts), 2)),
+                  st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x7"])),
+    )
+
+
+# frame 0 of the seed-7 dataset `synth --seed 7` writes
+_SEED_FRAME = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations(emit_measurements(_SEED_FRAME[0].camera, _SEED_FRAME[0].ground,
+                                    _SEED_FRAME[1])))
+def test_mutated_measurement_file_raises_only_its_format_error(text):
+    try:
+        parse_measurements(text)
+    except MeasurementFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations(emit_labels(_SEED_FRAME[2])))
+def test_mutated_label_file_raises_only_its_format_error(text):
+    try:
+        parse_labels(text)
+    except LabelFormatError:
+        pass
 
 
 # ---------------------------------------------------------------------------
