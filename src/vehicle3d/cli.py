@@ -16,11 +16,11 @@ as --config, it reruns the same command.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
 every file is written to a temp name and renamed into place.  fit, ablate
-and shape-learn parse the whole dataset before anything is solved or
-written.  fit and ablate cut its instances into tasks, one batched ladder
-pass per task; an instance's result does not depend on which task it
-lands in, and tasks are collected in dataset order, so reruns are
-byte-identical for a fixed seed at any --jobs setting.
+and shape-learn parse the whole dataset (ablate its ground truth too)
+before anything is solved or written.  fit and ablate cut its instances
+into tasks, one batched ladder pass per task; an instance's result does
+not depend on which task it lands in, and tasks are collected in dataset
+order, so reruns are byte-identical for a fixed seed at any --jobs setting.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
 out-of-range option values, I/O, malformed measurement files, mismatched
@@ -43,7 +43,7 @@ import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement, ablation_config
 from .geometry import BehindCameraError, footprint
-from .metrics import DIFFICULTIES, EvalPair, alp, ap_3d, ap_bev, pr_curve
+from .metrics import DIFFICULTIES, EvalPair, pr_curve
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
@@ -378,14 +378,15 @@ def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
     return failures
 
 
-def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: SolverOptions) -> int:
-    """Fit every instance of the dataset up to rung energy.variant and write
-    labels/ and diag/ of each rung in out_dirs into out_dirs[variant].
+def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfig,
+             solver: SolverOptions) -> int:
+    """Fit every instance of the parsed dataset up to rung energy.variant and
+    write labels/ and diag/ of each rung in out_dirs into out_dirs[variant].
 
-    Instances are pooled across frames in dataset order and cut into tasks;
-    each frame is written from the outcomes, in that order.
+    Instances are pooled across frames in dataset order and cut into tasks,
+    solved by at most one worker each; each frame is written from the
+    outcomes, in that order.
     """
-    dataset = _read_dataset(effective["data"])
     settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
     instances = [meas for _, measurements in dataset for meas in measurements]
     size = min(_FIT_BLOCK, max(1, -(-len(instances) // effective["jobs"])))
@@ -393,13 +394,15 @@ def _run_fit(effective: dict, out_dirs: dict, energy: EnergyConfig, solver: Solv
     for out_dir in out_dirs.values():
         (out_dir / "labels").mkdir(parents=True, exist_ok=True)
         (out_dir / "diag").mkdir(parents=True, exist_ok=True)
-    outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, effective["jobs"]))
+    jobs = min(effective["jobs"], len(tasks))
+    outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, jobs))
     return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(measurements))))
                for frame_id, measurements in dataset)
 
 
 def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
-    failures = _run_fit(effective, {effective["variant"]: out_dir}, energy, solver)
+    dataset = _read_dataset(effective["data"])
+    failures = _run_fit(effective, dataset, {effective["variant"]: out_dir}, energy, solver)
     _write_manifest(out_dir, "fit", effective)
     print(f"fit complete: {failures} instance failure(s); outputs in {out_dir}")
     return 1 if failures else 0
@@ -409,31 +412,28 @@ def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: Sol
 # eval
 # ---------------------------------------------------------------------------
 
-def _paired_frames(pred_dir: Path, gt_dir: Path, gt_records: dict):
-    """(sorted frame ids, one EvalPair per frame).  gt_records (frame id ->
-    parsed ground truth and its pose cache) keeps each file parsed, and
-    each of its records posed, once across calls."""
-    pred_ids = {p.stem: p for p in pred_dir.glob("*.txt")}
-    gt_ids = {p.stem: p for p in gt_dir.glob("*.txt")}
-    missing_pred = sorted(set(gt_ids) - set(pred_ids))
-    missing_gt = sorted(set(pred_ids) - set(gt_ids))
-    if missing_pred or missing_gt:
-        parts = []
-        if missing_pred:
-            parts.append("missing predictions for: " + ", ".join(missing_pred))
-        if missing_gt:
-            parts.append("missing ground truth for: " + ", ".join(missing_gt))
+def _read_ground_truth(gt_dir: Path, pred_ids) -> dict:
+    """{frame id: parsed records} of every label file under gt_dir, in frame
+    order.  Its frame ids are checked against pred_ids, the frames of the
+    predictions or of the measurements they come from, before any parse."""
+    gt_paths = {p.stem: p for p in gt_dir.glob("*.txt")}
+    parts = [f"missing {side} for: " + ", ".join(sorted(ids)) for side, ids in (
+        ("predictions", set(gt_paths) - set(pred_ids)),
+        ("ground truth", set(pred_ids) - set(gt_paths)),
+    ) if ids]
+    if parts:
         raise CLIError("frame sets differ; " + "; ".join(parts))
-    if not gt_ids:
+    if not gt_paths:
         raise CLIError(f"no label files under {gt_dir}")
-    order = sorted(gt_ids)
-    frames = []
-    for frame_id in order:
-        detections = _read_data_file(pred_ids[frame_id], parse_labels)
-        if frame_id not in gt_records:
-            gt_records[frame_id] = _read_data_file(gt_ids[frame_id], parse_labels), {}
-        frames.append(EvalPair(detections, *gt_records[frame_id]))
-    return order, frames
+    return {frame_id: _read_data_file(gt_paths[frame_id], parse_labels)
+            for frame_id in sorted(gt_paths)}
+
+
+def _paired_frames(pred_dir: Path, ground_truth: dict) -> list:
+    """One EvalPair per frame of ground_truth, in its order: pred_dir's
+    label file of that frame against its ground truth."""
+    return [EvalPair(_read_data_file(pred_dir / (frame_id + ".txt"), parse_labels), records)
+            for frame_id, records in ground_truth.items()]
 
 
 # Eval tables of AP-style metrics: metric -> (title, row label format).
@@ -466,23 +466,25 @@ def _eval_curves(frames, jobs, points: int) -> dict:
     }
 
 
-def _metric_tables(jobs, curves: dict) -> str:
-    def row(metric, threshold, field):
-        cells = (curves[metric, threshold, d] for d in DIFFICULTIES)
-        return [None if curve is None else getattr(curve, field) for curve in cells]
+def _row(curves: dict, metric: str, threshold: float, field: str = "ap") -> list:
+    """field of the curve at each difficulty; None where the curve is None."""
+    cells = (curves[metric, threshold, d] for d in DIFFICULTIES)
+    return [None if curve is None else getattr(curve, field) for curve in cells]
 
+
+def _metric_tables(jobs, curves: dict) -> str:
     header = ["", *DIFFICULTIES]
     blocks = [
         render_table(title, header, [
-            (label.format(threshold), row(metric, threshold, "ap"))
+            (label.format(threshold), _row(curves, metric, threshold))
             for job_metric, threshold, _ in jobs if job_metric == metric
         ])
         for metric, (title, label) in _AP_TABLES.items()
     ]
     threshold = next(t for metric, t, _ in jobs if metric == "ap2d")
     blocks.append(render_table("2D detection", header, [
-        (f"AP  IoU {threshold:g}", row("ap2d", threshold, "ap")),
-        (f"AOS IoU {threshold:g}", row("ap2d", threshold, "aos")),
+        (f"AP  IoU {threshold:g}", _row(curves, "ap2d", threshold)),
+        (f"AOS IoU {threshold:g}", _row(curves, "ap2d", threshold, "aos")),
     ]))
     return "\n".join(blocks)
 
@@ -519,10 +521,10 @@ def _record_plot_entries(payload: dict, prefix: str, record) -> None:
     payload[prefix + "bev"] = " ".join(repr(float(v)) for v in ring)
 
 
-def _write_plot_data(order, frames, out_dir: Path) -> None:
+def _write_plot_data(frame_ids, frames, out_dir: Path) -> None:
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    for frame_id, pair in zip(order, frames):
+    for frame_id, pair in zip(frame_ids, frames):
         payload = {}
         for i, det in enumerate(pair.detections):
             _record_plot_entries(payload, f"pred{i}.", det)
@@ -532,9 +534,10 @@ def _write_plot_data(order, frames, out_dir: Path) -> None:
 
 
 def cmd_eval(effective: dict, out_dir: Path | None) -> int:
-    order, frames = _paired_frames(
-        _labels_dir(effective["pred"]), _labels_dir(effective["gt"]), {}
-    )
+    pred_dir = _labels_dir(effective["pred"])
+    pred_ids = [path.stem for path in pred_dir.glob("*.txt")]
+    ground_truth = _read_ground_truth(_labels_dir(effective["gt"]), pred_ids)
+    frames = _paired_frames(pred_dir, ground_truth)
     jobs = _curve_jobs(effective)
     curves = _eval_curves(frames, jobs, effective["points"])
     text = _metric_tables(jobs, curves)
@@ -545,7 +548,7 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
         if effective["curves"]:
             _write_curves(curves, out_dir)
         if effective["plot_data"]:
-            _write_plot_data(order, frames, out_dir)
+            _write_plot_data(ground_truth, frames, out_dir)
         _write_manifest(out_dir, "eval", effective)
     return 0
 
@@ -556,30 +559,24 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
 
 def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
     gt_dir = _labels_dir(effective["data"])
-    total_failures = _run_fit(
-        effective, {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS},
-        ablation_config(ABLATION_VARIANTS[-1], energy), solver,
-    )
-    points = effective["points"]
-    metrics = (
-        (f"ALP @ {effective['alp_threshold']:g} m",
-         lambda fr, d: alp(fr, effective["alp_threshold"], d, points=points)),
-        (f"AP 3D IoU @ {effective['iou3d_threshold']:g}",
-         lambda fr, d: ap_3d(fr, effective["iou3d_threshold"], d, points=points)),
-        (f"AP bird's-eye IoU @ {effective['bev_threshold']:g}",
-         lambda fr, d: ap_bev(fr, effective["bev_threshold"], d, points=points)),
-    )
-    # One variant's frames (and the pair tables they keep) at a time.
-    rows = {}  # (metric title, variant) -> values by difficulty
-    gt_records = {}  # parsed and posed once, shared by every variant's frames
-    for variant in ABLATION_VARIANTS:
-        frames = _paired_frames(out_dir / f"fit_{variant}" / "labels", gt_dir, gt_records)[1]
-        for title, fn in metrics:
-            rows[title, variant] = [fn(frames, d) for d in DIFFICULTIES]
+    dataset = _read_dataset(effective["data"])
+    ground_truth = _read_ground_truth(gt_dir, [frame_id for frame_id, _ in dataset])
+    out_dirs = {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
+    total_failures = _run_fit(effective, dataset, out_dirs,
+                              ablation_config(ABLATION_VARIANTS[-1], energy), solver)
+    alp_m, iou3d, bev = (effective[f"{k}_threshold"] for k in ("alp", "iou3d", "bev"))
+    tables = {f"ALP @ {alp_m:g} m": ("alp", alp_m, _ALP_GATE.default),  # title -> curve job
+              f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),
+              f"AP bird's-eye IoU @ {bev:g}": ("apbev", bev, None)}
+    # one variant's frames (and the pair tables they keep) at a time
+    curves = {variant: _eval_curves(_paired_frames(out_dirs[variant] / "labels", ground_truth),
+                                    tables.values(), effective["points"])
+              for variant in ABLATION_VARIANTS}
     text = "\n".join(
         render_table(title, ["", *DIFFICULTIES],
-                     [(variant, rows[title, variant]) for variant in ABLATION_VARIANTS])
-        for title, _ in metrics
+                     [(variant, _row(curves[variant], metric, threshold))
+                      for variant in ABLATION_VARIANTS])
+        for title, (metric, threshold, _) in tables.items()
     )
     print(text, end="")
     _atomic_write(out_dir / "ablation.txt", text)
@@ -639,6 +636,9 @@ _DATA = Option("data", str, None, "dataset directory from synth", required=True)
 _MODEL = Option("model", _or_none(str), None, "morphable model file, or 'none' for the built-in")
 _JOBS = Option("jobs", int, 1, "worker processes", minimum=1)
 _POINTS = Option("points", int, 11, "AP interpolation points", minimum=2)
+# eval's ALP gate; ablate's ALP row always uses its default
+_ALP_GATE = Option("alp_gate", _or_none(float), 0.7, "2D IoU gate for ALP, or 'none'",
+                   within=_IOU_RANGE)
 _SOLVE = (
     _field_option("lambda1", "energy.lambda1", "landmark term weight"),
     _field_option("lambda2", "energy.lambda2", "depth term weight"),
@@ -683,8 +683,7 @@ _COMMANDS = {
         Option("bev_thresholds", _as_float_list, (0.5, 0.7), "bird's-eye IoU thresholds",
                within=_IOU_RANGE),
         Option("iou2d_threshold", float, 0.7, "2D AP/AOS IoU threshold", within=_IOU_RANGE),
-        Option("alp_gate", _or_none(float), 0.7, "2D IoU gate for ALP, or 'none'",
-               within=_IOU_RANGE),
+        _ALP_GATE,
         _POINTS._replace(help="AP interpolation points, recall 0 to 1 inclusive"),
         Option("curves", _as_bool, False, "write PR curve point files"),
         Option("plot_data", _as_bool, False, "write footprint/wireframe polylines"),

@@ -134,13 +134,6 @@ class Variables:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([[self.theta], self.T, self.sigma, self.alpha])
 
-    @staticmethod
-    def from_vector(x: np.ndarray, n_alpha: int) -> "Variables":
-        x = np.asarray(x, dtype=float)
-        return Variables(
-            theta=float(x[0]), T=x[1:4], sigma=x[4:7], alpha=x[7 : 7 + n_alpha]
-        )
-
     def pose(self) -> PoseBox3D:
         return PoseBox3D(theta=wrap_angle(self.theta), T=self.T, sigma=self.sigma)
 

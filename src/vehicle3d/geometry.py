@@ -201,19 +201,20 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
 
 
 class BoxStack(NamedTuple):
-    """Stacked gravity-aligned boxes: ground footprints (n, 4, 2) as
-    footprint() gives them, and vertical spans [top, bottom] = [T_y - e^H,
-    T_y] (n,) each (Y points down, the box extends upward)."""
+    """Stacked gravity-aligned boxes, built by of() from the PoseBox3D
+    fields of n boxes: ground footprints (n, 4, 2) as footprint() gives
+    them, and vertical spans [top, bottom] = [T_y - e^H, T_y] (n,) each (Y
+    points down, the box extends upward)."""
 
     feet: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
 
     @classmethod
-    def of(cls, poses) -> "BoxStack":
-        theta = np.array([pose.theta for pose in poses], dtype=float)
-        T = np.array([pose.T for pose in poses], dtype=float).reshape(-1, 3)
-        dims = np.exp(np.array([pose.sigma for pose in poses], dtype=float).reshape(-1, 3))
+    def of(cls, theta, T, sigma) -> "BoxStack":
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        T = np.asarray(T, dtype=float).reshape(-1, 3)
+        dims = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3))
         c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
         # rot_y(theta).T per pose, so each footprint equals box3d_corners' own
         rot_t = np.stack([c, zero, -s, zero, zero + 1.0, zero, s, zero, c], axis=1)
@@ -223,7 +224,7 @@ class BoxStack(NamedTuple):
 
 def footprint(pose: PoseBox3D) -> np.ndarray:
     """Ground-plane rectangle of the box as 4 (x, z) vertices, counterclockwise."""
-    return BoxStack.of([pose]).feet[0]
+    return BoxStack.of(pose.theta, pose.T, pose.sigma).feet[0]
 
 
 def _clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -286,9 +287,11 @@ def box_ious(boxes: BoxStack, i, j) -> tuple[np.ndarray, np.ndarray]:
 
 def iou_bev(a: PoseBox3D, b: PoseBox3D) -> float:
     """IoU of the two ground-plane footprints: box_ious for one pair."""
-    return float(box_ious(BoxStack.of([a, b]), [0], [1])[1][0])
+    boxes = BoxStack.of([a.theta, b.theta], [a.T, b.T], [a.sigma, b.sigma])
+    return float(box_ious(boxes, [0], [1])[1][0])
 
 
 def iou_3d(a: PoseBox3D, b: PoseBox3D) -> float:
     """3D IoU of two gravity-aligned boxes: box_ious for one pair."""
-    return float(box_ious(BoxStack.of([a, b]), [0], [1])[0][0])
+    boxes = BoxStack.of([a.theta, b.theta], [a.T, b.T], [a.sigma, b.sigma])
+    return float(box_ious(boxes, [0], [1])[0][0])

@@ -34,15 +34,18 @@ positive dimensions score NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-# iou_2d, iou_3d and iou_bev are not called here; perfbench's trace wraps these names.
-from .geometry import BoxStack, box2d_ious, box_ious, iou_2d, iou_3d, iou_bev  # noqa: F401
-from .scene_io import LabelRecord, label_to_pose
+from .geometry import BoxStack, box2d_ious, box_ious
+from .scene_io import LabelRecord, label_pose_fields
+# Unused here; kept importable as vehicle3d.metrics.<name>, the names
+# external profilers wrap.
+from .geometry import iou_2d, iou_3d, iou_bev  # noqa: F401
+from .scene_io import label_to_pose  # noqa: F401
 
 DIFFICULTIES = ("easy", "moderate", "hard")
 DONT_CARE_TYPE = "DontCare"
@@ -82,14 +85,11 @@ class EvalPair:
 
     The matching orders, the ground truths' difficulty ranks and the pair
     table are computed once and kept on the instance, so every curve over
-    it reuses them.  `gt_poses` maps a ground-truth record to its pose;
-    pairs that share one dict (say, one frame's ground truth against
-    several detectors' output) pose each such record once.
+    it reuses them.
     """
 
     detections: tuple
     ground_truth: tuple
-    gt_poses: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
@@ -145,9 +145,9 @@ def _score_frames(pairs) -> None:
     """Give every frame not yet scored its PairTable, in one vectorized pass
     over those frames' pairs and one box_ious call.
 
-    Each record with positive dimensions becomes a box once; a ground
-    truth already posed in its pair's gt_poses is not posed again.  A pair
-    whose footprints' bounding boxes are apart scores 0.0 without a clip.
+    The records with positive dimensions become boxes in one
+    label_pose_fields call.  A pair whose footprints' bounding boxes are
+    apart scores 0.0 without a clip.
     """
     todo = [pair for pair in pairs if "_table" not in vars(pair)]
     if not todo:
@@ -163,15 +163,7 @@ def _score_frames(pairs) -> None:
     bounds = np.cumsum([len(frame) for frame in i])[:-1]  # where each frame's pairs end
     i, j = np.concatenate(i), np.concatenate(j)
     posed = np.array([min(rec.dimensions) > 0 for rec in records], dtype=bool)
-    poses = []
-    for pair in todo:
-        poses += [label_to_pose(det) for det in pair.detections if min(det.dimensions) > 0]
-        for gt in pair.ground_truth:
-            if min(gt.dimensions) > 0:
-                if gt not in pair.gt_poses:
-                    pair.gt_poses[gt] = label_to_pose(gt)
-                poses.append(pair.gt_poses[gt])
-    boxes = BoxStack.of(poses)
+    boxes = BoxStack.of(*label_pose_fields([rec for rec, p in zip(records, posed) if p]))
     row = np.cumsum(posed) - 1  # record index -> box row, where posed
     two = posed[i] & posed[j]
     a, b = row[i[two]], row[j[two]]

@@ -28,7 +28,6 @@ from .geometry import (
     project_box3d,
     require_finite,
     rot_y,
-    wrap_angle,
     wrap_pi,
 )
 from .shape import LANDMARK_COUNT, MorphableModel, ShapeCoefficients, instantiate, place_in_camera
@@ -256,15 +255,21 @@ def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = 
     )
 
 
-def label_to_pose(record: LabelRecord) -> PoseBox3D:
-    h, w, l = record.dimensions
-    if min(h, w, l) <= 0:
+def label_pose_fields(records) -> tuple:
+    """PoseBox3D fields of n records: yaw (n,), location and log extents
+    (n, 3).  Yaw is wrapped twice, as PoseBox3D(theta=wrap_angle(ry)) does:
+    -1e-17 wraps to 2*pi, and that to 0."""
+    dims = np.array([rec.dimensions for rec in records], dtype=float).reshape(-1, 3)
+    if (dims <= 0).any():
         raise ValueError("dimensions must be positive to form a pose")
-    return PoseBox3D(
-        theta=wrap_angle(record.rotation_y),
-        T=np.array(record.location),
-        sigma=np.log([l, h, w]),
-    )
+    theta = np.mod(np.array([rec.rotation_y for rec in records], dtype=float), 2.0 * np.pi)
+    T = np.array([rec.location for rec in records], dtype=float).reshape(-1, 3)
+    return np.mod(theta, 2.0 * np.pi), T, np.log(dims[:, [2, 0, 1]])
+
+
+def label_to_pose(record: LabelRecord) -> PoseBox3D:
+    """The pose of one record: label_pose_fields for n = 1."""
+    return PoseBox3D(*(field[0] for field in label_pose_fields([record])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """End-to-end command-line tests: dataset generation, fitting, evaluation,
 the ablation table, and the determinism/exit-status contract."""
+import contextlib
+import io
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vehicle3d.cli
 import vehicle3d.metrics
@@ -23,6 +29,8 @@ from vehicle3d.scene_io import (
     pose_to_label,
 )
 from vehicle3d.shape import load_model, save_model
+
+from tests.test_scene_io import _mutations
 
 
 def run_cli(*argv) -> int:
@@ -113,10 +121,12 @@ def test_jobs_split_a_small_dataset_across_workers(tmp_path, monkeypatch):
     # 250 instances fit in one task of _FIT_BLOCK; two workers get 125 each
     data = tmp_path / "data"
     assert run_cli("synth", "--out", data, "--seed", 7) == 0
-    sizes = []
+    sizes, pools = [], []
     parallel_map = vehicle3d.cli._parallel_map
 
     def recorded(fn, tasks, jobs):
+        pools.append(jobs)
+
         def handed_out():
             for task in tasks:
                 sizes.append(len(task[0]))
@@ -125,7 +135,14 @@ def test_jobs_split_a_small_dataset_across_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(vehicle3d.cli, "_parallel_map", recorded)
     assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs2", "--jobs", 2) == 0
-    assert sizes == [125, 125]
+    assert sizes == [125, 125] and pools == [2]
+    # 2 instances make 2 tasks of one, so --jobs 4 starts a pool of 2
+    small = tmp_path / "small"
+    assert run_cli("synth", "--out", small, "--seed", 7, "--frames", 1, "--instances", 2) == 0
+    sizes.clear()
+    pools.clear()
+    assert run_cli("fit", "--data", small, "--out", tmp_path / "small_fit", "--jobs", 4) == 0
+    assert sizes == [1, 1] and pools == [2]
     monkeypatch.undo()
     assert run_cli("fit", "--data", data, "--out", tmp_path / "jobs1", "--jobs", 1) == 0
     assert (tree_bytes(tmp_path / "jobs2", skip=("manifest.cfg",))
@@ -383,16 +400,41 @@ def test_ablate_table_matches_direct_evaluation(dataset, tmp_path, capsys):
     assert v4_row.split()[1 + column] == (f"{expected:.4f}" if expected is not None else "-")
 
 
+@pytest.mark.parametrize("fault, message", [
+    (lambda data: (data / "labels" / "000001.txt").write_text("Car 0 0\n"),
+     "{data}/labels/000001.txt: line 1: expected 15 or 16 fields, found 3"),
+    (lambda data: (data / "meas" / "000002.cfg").unlink(),
+     "frame sets differ; missing predictions for: 000002"),
+    (lambda data: (data / "labels" / "000003.txt").unlink(),
+     "frame sets differ; missing ground truth for: 000003"),
+], ids=["malformed_label", "label_without_measurement", "measurement_without_label"])
+def test_ablate_reads_its_ground_truth_before_solving(dataset, tmp_path, capfd, fault, message):
+    data = shutil.copytree(dataset, tmp_path / "data")
+    fault(data)
+    expected = f"error: {message.format(data=data)}\n"
+    out = tmp_path / "out"
+    assert run_cli("ablate", "--data", data, "--out", out) == 1
+    assert capfd.readouterr().err == expected
+    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+    # eval names the same fault, given a prediction file per measurement file
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for path in (data / "meas").glob("*.cfg"):
+        (pred / (path.stem + ".txt")).write_text("")
+    assert run_cli("eval", "--pred", pred, "--gt", data) == 1
+    assert capfd.readouterr().err == expected
+
+
 @pytest.fixture(scope="module")
 def counted_ablate(tmp_path_factory):
     """(dataset, ablate output, {name: arguments of each call}) of one seed-7
-    ablate, counting the ground-truth parses, poses and difficulty buckets."""
+    ablate, counting the label parses, box conversions and difficulty buckets."""
     root = tmp_path_factory.mktemp("counted")
     assert run_cli("synth", "--out", root / "data", "--seed", 7) == 0
     calls = {}
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((vehicle3d.cli, "parse_labels"),
-                             (vehicle3d.metrics, "label_to_pose"),
+                             (vehicle3d.metrics, "label_pose_fields"),
                              (vehicle3d.metrics, "difficulty_bucket")):
             def counted(arg, log=calls.setdefault(name, []), fn=getattr(module, name)):
                 log.append(arg)
@@ -414,17 +456,16 @@ def test_ablate_parses_each_ground_truth_file_once(counted_ablate):
     assert frames == 50 and len(calls["parse_labels"]) == 4 * frames + frames
 
 
-def test_ablate_poses_each_ground_truth_record_once(counted_ablate):
+def test_ablate_boxes_each_variants_records_in_one_array_pass(counted_ablate):
     data, out, calls = counted_ablate
     ground_truth = [rec for records in _label_files(data / "labels") for rec in records
                     if min(rec.dimensions) > 0]
-    predicted = [rec for variant in ("v1", "v2", "v3", "v4")
-                 for records in _label_files(out / f"fit_{variant}" / "labels")
-                 for rec in records if min(rec.dimensions) > 0]
-    # every predicted record once per variant, every ground truth once in all
-    assert len(calls["label_to_pose"]) == len(predicted) + len(ground_truth)
-    posed_truth = [rec for rec in calls["label_to_pose"] if rec.score is None]
-    assert sorted(map(repr, posed_truth)) == sorted(map(repr, ground_truth))
+    # one conversion per variant: its predictions and the ground truth
+    assert len(calls["label_pose_fields"]) == 4
+    for variant, converted in zip(("v1", "v2", "v3", "v4"), calls["label_pose_fields"]):
+        predicted = [rec for records in _label_files(out / f"fit_{variant}" / "labels")
+                     for rec in records if min(rec.dimensions) > 0]
+        assert sorted(map(repr, converted)) == sorted(map(repr, predicted + ground_truth))
 
 
 def test_ablate_buckets_each_ground_truth_once_per_variant(counted_ablate):
@@ -432,6 +473,87 @@ def test_ablate_buckets_each_ground_truth_once_per_variant(counted_ablate):
     records = sum(map(len, _label_files(data / "labels")))
     # at most once per record and variant (1,000), not once per curve (9,000)
     assert records == 250 and len(calls["difficulty_bucket"]) <= 4 * records
+
+
+# ---------------------------------------------------------------------------
+# mutated input files through the command line
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def one_frame(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one_frame")
+    assert run_cli("synth", "--out", root, "--seed", 7, "--frames", 1, "--instances", 2) == 0
+    return root
+
+
+def _box_swaps(text: str, first: int, marker: str = ""):
+    """text with the left and right, or the top and bottom, corners of one
+    box swapped: tokens first..first+3 of a line that contains marker."""
+    lines = text.splitlines(keepends=True)
+
+    def swapped(i, axis):
+        tokens = lines[i].split()
+        a, b = first + axis, first + axis + 2
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        return "".join(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1:])
+
+    rows = [i for i, line in enumerate(lines) if marker in line]
+    return st.builds(swapped, st.sampled_from(rows), st.sampled_from([0, 1]))
+
+
+def _mutate(path: Path, data, first: int, marker: str = "") -> None:
+    """Overwrite path with a mutation of its text drawn from data."""
+    text = path.read_text()
+    path.write_text(data.draw(st.one_of(_mutations(text), _box_swaps(text, first, marker))))
+
+
+def _assert_clean_exit(argv, bad: Path, out: Path | None = None) -> None:
+    """main(argv) returns 0 or 1 and raises nothing; a data error is one
+    `error: <bad>: ...` line, and then out holds no labels or diagnostics."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code in (0, 1)
+    if err.getvalue():
+        assert code == 1
+        assert re.fullmatch(f"error: {re.escape(str(bad))}: [^\n]+\n", err.getvalue())
+        assert out is None or not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+
+
+_MUTATIONS = settings(max_examples=40, deadline=None)
+
+
+@_MUTATIONS
+@given(data=st.data())
+def test_fit_exits_cleanly_on_a_mutated_measurement_file(one_frame, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = shutil.copytree(one_frame, Path(tmp) / "data")
+        bad = dataset / "meas" / "000000.cfg"
+        _mutate(bad, data, 2, ".box =")  # i0.box = left top right bottom
+        out = Path(tmp) / "out"
+        _assert_clean_exit(("fit", "--data", dataset, "--out", out), bad, out)
+
+
+@_MUTATIONS
+@given(data=st.data())
+def test_eval_exits_cleanly_on_a_mutated_label_file(one_frame, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in ("pred", "gt"):
+            shutil.copytree(one_frame / "labels", Path(tmp) / side)
+        bad = Path(tmp) / data.draw(st.sampled_from(("pred", "gt"))) / "000000.txt"
+        _mutate(bad, data, 4)  # the bbox follows type, truncation, occlusion, alpha
+        _assert_clean_exit(("eval", "--pred", Path(tmp) / "pred", "--gt", Path(tmp) / "gt"), bad)
+
+
+@_MUTATIONS
+@given(data=st.data())
+def test_ablate_exits_cleanly_on_a_mutated_label_file(one_frame, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = shutil.copytree(one_frame, Path(tmp) / "data")
+        bad = dataset / "labels" / "000000.txt"
+        _mutate(bad, data, 4)
+        out = Path(tmp) / "out"
+        _assert_clean_exit(("ablate", "--data", dataset, "--out", out), bad, out)
 
 
 # ---------------------------------------------------------------------------

@@ -389,14 +389,17 @@ def test_energy_monotone_in_weights():
 
 def fd_jacobian(vars, meas, model, cfg, step=1e-6):
     x0 = vars.to_vector()
-    n_alpha = vars.alpha.size
+
+    def at(x):  # the Variables of a state vector in to_vector's layout
+        return Variables(theta=float(x[0]), T=x[1:4], sigma=x[4:7], alpha=x[7:])
+
     cols = []
     for i in range(x0.size):
         xp, xm = x0.copy(), x0.copy()
         xp[i] += step
         xm[i] -= step
-        rp = stacked_residuals(Variables.from_vector(xp, n_alpha), meas, model, cfg)
-        rm = stacked_residuals(Variables.from_vector(xm, n_alpha), meas, model, cfg)
+        rp = stacked_residuals(at(xp), meas, model, cfg)
+        rm = stacked_residuals(at(xm), meas, model, cfg)
         cols.append((rp - rm) / (2.0 * step))
     return np.stack(cols, axis=1)
 
@@ -497,11 +500,12 @@ def test_config_validation():
         )
 
 
-def test_variables_vector_round_trip():
+def test_variables_vector_layout():
+    # the state layout block_residuals and refine_batch read: theta, T, sigma, alpha
     rng = np.random.default_rng(17)
     vars = random_vars(rng, 3)
-    back = Variables.from_vector(vars.to_vector(), 3)
-    assert back.theta == vars.theta
-    np.testing.assert_array_equal(back.T, vars.T)
-    np.testing.assert_array_equal(back.sigma, vars.sigma)
-    np.testing.assert_array_equal(back.alpha, vars.alpha)
+    x = vars.to_vector()
+    assert x.shape == (10,) and x[0] == vars.theta
+    np.testing.assert_array_equal(x[1:4], vars.T)
+    np.testing.assert_array_equal(x[4:7], vars.sigma)
+    np.testing.assert_array_equal(x[7:], vars.alpha)

@@ -27,6 +27,11 @@ def make_pose(theta, T, dims):
     return PoseBox3D(theta=theta, T=np.asarray(T, float), sigma=np.log(dims))
 
 
+def stack(poses):
+    """BoxStack.of over the fields of each pose."""
+    return BoxStack.of([p.theta for p in poses], [p.T for p in poses], [p.sigma for p in poses])
+
+
 def inside_box(pose, X, atol=1e-9):
     """Whether a camera-frame point lies in the box (inclusive): its
     box-frame coordinates rot_y(theta)^T (X - T) against the extents."""
@@ -311,14 +316,14 @@ class TestBoxIous:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(pose_pairs, min_size=1, max_size=12), st.randoms())
     def test_pair_values_ignore_their_batch(self, pairs, random):
-        boxes = BoxStack.of([pose for pair in pairs for pose in pair])
+        boxes = stack([pose for pair in pairs for pose in pair])
         i, j = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
         batch = box_ious(boxes, i, j)
         order = list(range(len(pairs)))
         random.shuffle(order)
         shuffled = box_ious(boxes, i[order], j[order])
         for p, (a, b) in enumerate(pairs):
-            alone = box_ious(BoxStack.of([a, b]), [0], [1])
+            alone = box_ious(stack([a, b]), [0], [1])
             assert (alone[0][0], alone[1][0]) == (iou_3d(a, b), iou_bev(a, b))
             assert (batch[0][p], batch[1][p]) == (iou_3d(a, b), iou_bev(a, b))
             k = order.index(p)
@@ -350,11 +355,11 @@ class TestBoxIous:
     def test_footprint_matches_the_box_corners(self):
         for a, b in random_pose_pairs(50, np.random.default_rng(13)):
             assert np.array_equal(footprint(a), box3d_corners(a)[:4][:, [0, 2]])
-            assert np.array_equal(BoxStack.of([b, a]).feet[1], footprint(a))
+            assert np.array_equal(stack([b, a]).feet[1], footprint(a))
 
     def test_empty_batch(self):
         empty = np.zeros(0, dtype=int)
-        iou3, iou_b = box_ious(BoxStack.of([]), empty, empty)
+        iou3, iou_b = box_ious(stack([]), empty, empty)
         assert iou3.shape == iou_b.shape == (0,)
 
 

@@ -695,7 +695,7 @@ def count_metric_calls(monkeypatch, names):
 def test_each_pair_value_is_computed_once(monkeypatch):
     log = count_metric_calls(monkeypatch, (
         "box_ious", "box2d_ious", "_distances", "iou_3d", "iou_bev", "iou_2d",
-        "center_distance", "label_to_pose"))
+        "center_distance", "label_pose_fields"))
 
     def count(name):
         return sum(1 for called, _ in log if called == name)
@@ -727,7 +727,8 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     assert sizes("box_ious") == [clipped(pairs)]
     posed = sum(1 for p in pairs for rec in (*p.detections, *p.ground_truth)
                 if min(rec.dimensions) > 0)
-    assert count("label_to_pose") == posed
+    # every posed record becomes a box row in one array conversion
+    assert [len(args[0]) for called, args in log if called == "label_pose_fields"] == [posed]
     # scored and new frames in one list: one call, over the new frames only
     fresh = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(8))]
     pr_curve(pairs + fresh, "apbev", 0.5)

@@ -1,4 +1,9 @@
 """The package's export table."""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
 import vehicle3d
 
 
@@ -9,20 +14,45 @@ def test_export_table_resolves():
     assert set(vehicle3d.__all__) <= set(namespace)
 
 
-def test_trace_patch_points_resolve():
-    """Every name the benchmark's tracer wraps (perfbench/tracing.py's
-    PATCHES) still exists where the tracer looks it up."""
-    import importlib
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _trace_patches() -> tuple:
+    """perfbench/tracing.py's PATCHES: (module, attribute, span name) of
+    every name the benchmark's tracer wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.PATCHES
-    for module_name, attr, _ in tracing.PATCHES:
+    return tracing.PATCHES
+
+
+def test_trace_patch_points_resolve():
+    """Every name the benchmark's tracer wraps still exists where the
+    tracer looks it up."""
+    patches = _trace_patches()
+    assert patches
+    for module_name, attr, _ in patches:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_unused_imports_are_trace_patch_points():
+    """A name on a `# noqa: F401` import in the package is used in its
+    module or is one the tracer wraps there, so no import stays for
+    nothing once the trace stops wrapping it."""
+    patched = {(module, attr) for module, attr, _ in _trace_patches()}
+    checked = []
+    for path in sorted(Path(vehicle3d.__file__).parent.glob("*.py")):
+        module = "vehicle3d" if path.stem == "__init__" else f"vehicle3d.{path.stem}"
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    assert name in used or (module, name) in patched, (module, name)
+                    checked.append((module, name))
+    assert checked  # the check reads the imports it is about
 
 
 def test_every_config_field_is_a_command_line_option():

@@ -1,13 +1,14 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vehicle3d import scene_io
-from vehicle3d.geometry import PoseBox3D, project, project_box3d, wrap_pi
+from vehicle3d.geometry import BoxStack, PoseBox3D, project, project_box3d, wrap_angle, wrap_pi
 from vehicle3d.refine import initialize
 from vehicle3d.scene_io import (
     CAR_MODEL,
@@ -22,6 +23,7 @@ from vehicle3d.scene_io import (
     STANDARD_NOISE,
     format_config,
     generate_scene,
+    label_pose_fields,
     label_to_pose,
     parse_config_text,
     parse_labels,
@@ -185,6 +187,36 @@ def test_pose_label_round_trip():
         assert abs(wrap_pi(back.theta - pose.theta)) < 1e-12
         np.testing.assert_allclose(back.T, pose.T, atol=1e-12)
         np.testing.assert_allclose(back.sigma, pose.sigma, atol=1e-12)
+
+
+def _same(a, b) -> bool:
+    """Equal values with equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_batched_pose_fields_are_each_records_pose(n):
+    # -1e-17 wraps to 2*pi once and to 0 twice, as label_to_pose's yaw does
+    yaws = [-0.0, -1e-17, 2 * np.pi, -7.5, 3.0, 1e-300, -np.pi, 10.0, np.pi]
+    labels = _SEED_FRAME[2]
+    records = [replace(labels[k % len(labels)], rotation_y=yaws[k]) for k in range(n)]
+    theta, T, sigma = label_pose_fields(records)
+    assert theta.shape == (n,) and T.shape == sigma.shape == (n, 3)
+    boxes = BoxStack.of(theta, T, sigma)
+    for k, rec in enumerate(records):
+        h, w, l = rec.dimensions
+        pose = label_to_pose(rec)
+        reference = PoseBox3D(theta=wrap_angle(rec.rotation_y), T=np.array(rec.location),
+                              sigma=np.log([l, h, w]))
+        for want in (pose, reference):
+            assert _same(theta[k], want.theta)
+            assert _same(T[k], want.T) and _same(sigma[k], want.sigma)
+        alone = BoxStack.of(pose.theta, pose.T, pose.sigma)
+        for field in BoxStack._fields:
+            assert _same(getattr(boxes, field)[k], getattr(alone, field)[0]), field
+    flat = replace(labels[0], dimensions=(1.5, 0.0, 4.0))
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        label_pose_fields(records + [flat])
 
 
 # ---------------------------------------------------------------------------
