@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement, ablation_config
-from .geometry import BehindCameraError, footprint
+from .geometry import BehindCameraError, BoxStack
 from .metrics import DIFFICULTIES, EvalPair, pr_curve
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
@@ -60,7 +60,7 @@ from .scene_io import (
     emit_measurements,
     format_config,
     generate_scene,
-    label_to_pose,
+    label_pose_fields,
     parse_labels,
     parse_measurements,
     pose_to_label,
@@ -227,13 +227,11 @@ def _labels_dir(path_text: str) -> Path:
 
 
 def _read_data_file(path: Path, parse):
-    """parse(the file's text); a malformed file or an I/O error is a CLIError."""
+    """parse(the file's text); a malformed file is a CLIError naming it."""
     try:
         return parse(path.read_text(encoding="utf-8"))
     except (LabelFormatError, MeasurementFormatError) as exc:
         raise CLIError(f"{path}: {exc}")
-    except OSError as exc:
-        raise CLIError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +293,11 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 # fit (parse the dataset, solve it in tasks, write frames in dataset order)
 # ---------------------------------------------------------------------------
 
-# Most instances per task handed to refine_ladder; it bounds the outcomes
-# one task holds.  n instances make tasks of min(_FIT_BLOCK, ceil(n / jobs)),
-# so every worker gets a share of a small dataset.  No result depends on it.
+# Most instances per task handed to refine_ladder, which solves a task's
+# instances as one batch: the one limit on the size of a solve's arrays and
+# of the outcomes a task holds.  n instances make tasks of
+# min(_FIT_BLOCK, ceil(n / jobs)), so every worker gets a share of a small
+# dataset.  No result depends on it.
 _FIT_BLOCK = 256
 
 
@@ -510,26 +510,24 @@ def _write_curves(curves: dict, out_dir: Path) -> None:
         _atomic_write(curve_dir / name, format_config(payload))
 
 
-def _record_plot_entries(payload: dict, prefix: str, record) -> None:
-    # closed ground-plane outline (x z pairs) plus the image-plane box
-    left, top, right, bottom = record.bbox
-    payload[prefix + "bbox"] = " ".join(repr(float(v)) for v in (left, top, right, bottom))
-    if min(record.dimensions) <= 0:
-        return
-    feet = footprint(label_to_pose(record))
-    ring = np.vstack([feet, feet[:1]]).reshape(-1)
-    payload[prefix + "bev"] = " ".join(repr(float(v)) for v in ring)
-
-
 def _write_plot_data(frame_ids, frames, out_dir: Path) -> None:
+    """One plot file per frame: each record's image-plane box and, if its
+    dimensions are positive, its closed ground-plane outline (x z pairs).
+    The outlines of every frame are boxed in one array pass."""
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    for frame_id, pair in zip(frame_ids, frames):
+    named = [[*((f"pred{i}.", det) for i, det in enumerate(pair.detections)),
+              *((f"gt{i}.", gt) for i, gt in enumerate(pair.ground_truth))] for pair in frames]
+    posed = [record for records in named for _, record in records if min(record.dimensions) > 0]
+    feet = iter(BoxStack.of(*label_pose_fields(posed)).feet)
+    for frame_id, records in zip(frame_ids, named):
         payload = {}
-        for i, det in enumerate(pair.detections):
-            _record_plot_entries(payload, f"pred{i}.", det)
-        for i, gt in enumerate(pair.ground_truth):
-            _record_plot_entries(payload, f"gt{i}.", gt)
+        for prefix, record in records:
+            payload[prefix + "bbox"] = " ".join(repr(float(v)) for v in record.bbox)
+            if min(record.dimensions) > 0:
+                corners = next(feet)
+                ring = np.vstack([corners, corners[:1]]).reshape(-1)
+                payload[prefix + "bev"] = " ".join(repr(float(v)) for v in ring)
         _atomic_write(plot_dir / (frame_id + ".cfg"), format_config(payload))
 
 
@@ -735,7 +733,7 @@ def main(argv=None) -> int:
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command].handler(effective, out_dir, **configs)
-    except CLIError as exc:
+    except (CLIError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,17 +7,16 @@ with Levenberg-Marquardt on the stacked weighted residuals.  Energy is
 monotone over accepted steps by construction; rejected trial steps only
 raise the damping.
 
-One solve takes any number of instances and keeps at most _ACTIVE of them
-in flight as stacked arrays: each iteration makes one batched linear solve
-over the instances in flight and one residual/Jacobian evaluation of their
-trial points plus the start points of the waiting instances admitted, in
-input order, into the slots that stopped instances freed.  Damping,
-acceptance, stop reason and iteration count are kept per instance, with
-the normal equations J^T J and J^T r of its current point in place of the
-Jacobian.  No quantity is reduced across instances, so each result is
-bit-identical whether the instance is solved alone or among any others,
-under any in-flight cap.  refine_ladder calls it per rung, v1 up to its
-config's variant; `refine`/`refine_ablation` are the one-instance case.
+One solve takes any number of instances as stacked arrays: one
+residual/Jacobian evaluation of every start, then per iteration one
+batched linear solve and one evaluation of the trial points of the
+instances still iterating.  Damping, acceptance, stop reason and iteration
+count are kept per instance, with the normal equations J^T J and J^T r of
+its current point in place of the Jacobian.  No quantity is reduced
+across instances, so each result is bit-identical whether the instance is
+solved alone or among any others.  refine_ladder calls it per rung, v1
+up to its config's variant; `refine`/`refine_ablation` are the
+one-instance case.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -39,7 +38,6 @@ from .energy import (
     block_energy,
     block_residuals,
     rowdot,
-    term_rows,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
 # external profilers wrap.
@@ -52,7 +50,6 @@ _XTOL = 1e-10  # relative step size
 _DAMPING_INIT = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
-_ACTIVE = 64  # instances in flight: bounds the per-iteration arrays
 
 
 class InitializationError(ValueError):
@@ -161,8 +158,8 @@ def refine_batch(
     initial=None,
 ) -> list:
     """Levenberg-Marquardt minimization of the enabled energy terms for any
-    number of instances, at most _ACTIVE of them in flight.  A rung without
-    terms (v1) returns each start, converged after 0 iterations with reason
+    number of instances, all of them in one batch.  A rung without terms
+    (v1) returns each start, converged after 0 iterations with reason
     "initialization only".
 
     Trial steps solve the damped normal equations; an instance's damping
@@ -171,14 +168,13 @@ def refine_batch(
     measurement; an InitializationError in place of a start is passed
     through.
 
-    Each iteration solves one damped step for every instance in flight,
-    admits waiting instances, in input order, into the slots freed by
-    instances that stopped, and evaluates the trial points and the
-    newcomers' start points in one block_residuals call.  Per instance the
-    state is its point, the normal equations H = J^T J and g = J^T r built
-    once at each accepted point (a rejected step re-solves from them), its
-    unweighted residual rows, energy, damping and counters; no Jacobian
-    outlives the evaluation that produced it.
+    One block_residuals call evaluates every start; each iteration then
+    solves one damped step for every instance still iterating and
+    evaluates the trial points in one block_residuals call.  Per instance
+    the state is its point, the normal equations H = J^T J and g = J^T r
+    built once at each accepted point (a rejected step re-solves from
+    them), its unweighted residual rows, energy, damping and counters; no
+    Jacobian outlives the evaluation that produced it.
 
     Entry i of the result is instance i's RefineResult, or the
     InitializationError that stopped it: a start that cannot be computed,
@@ -198,19 +194,26 @@ def refine_batch(
     block = MeasurementBlock.stack([measurements[i] for i in live])
     x = np.array([out[i].to_vector() for i in live])
     B, D = x.shape
-    m = sum(rows.stop - rows.start for _, _, rows in term_rows(cfg, model.K, D - 7))
+    res = block_residuals(x, block, model, cfg)
+    usable = _usable(res)
+    failed = {  # b -> the InitializationError of an unusable start
+        b: InitializationError(
+            "initial point projects behind the camera" if res.behind[b] else
+            "initial point has non-finite residuals (NaN or inf in the measurement or start)")
+        for b in np.flatnonzero(~usable).tolist()}
+    unweighted, energy = res.unweighted, rowdot(res.r)
+    paths = [[e] for e in energy.tolist()]
     H, g = np.empty((B, D, D)), np.empty((B, D))
-    unweighted, energy = np.zeros((B, m)), np.zeros(B)
-    paths = [[] for _ in range(B)]
     lam = np.full(B, _DAMPING_INIT)
     iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     reasons = np.full(B, "max_iterations", dtype=object)
-    failed = {}  # b -> the InitializationError of an unusable start
-    idle = m == 0  # no rows: every start stops where it is
+    if unweighted.shape[1] == 0:  # no rows: every start stops where it is
+        converged[:], reasons[:] = True, "initialization only"
+    active = np.flatnonzero(usable & ~converged)
+    H[active], g[active] = _normal_equations(res.J[active], res.r[active])
 
-    active, admitted = np.zeros(0, dtype=int), 0
-    while active.size or admitted < B:
+    while active.size:
         iterations[active] += 1
         dx, solved = _damped_steps(H[active], g[active], lam[active])
         # a singular system skips its trial and only raises its damping
@@ -219,19 +222,15 @@ def refine_batch(
         x_trial = x[tried]
         small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
         x_trial += dx
-        new = np.arange(admitted, min(B, admitted + _ACTIVE - active.size))
-        admitted += new.size
-        ids, n = np.concatenate([tried, new]), tried.size  # rows: n trials, then newcomers
-        res = block_residuals(np.concatenate([x_trial, x[new]]), block.take(ids), model, cfg)
-        usable = _usable(res)
+        res = block_residuals(x_trial, block.take(tried), model, cfg)
 
-        trial_energy = rowdot(res.r[:n])
-        accept = usable[:n] & (trial_energy < energy[tried])
+        trial_energy = rowdot(res.r)
+        accept = _usable(res) & (trial_energy < energy[tried])
         ftol_stop = accept & (energy[tried] - trial_energy
                               <= _FTOL * np.maximum(trial_energy, 1.0))
         up, down = tried[accept], tried[~accept]
         x[up], unweighted[up], energy[up] = (
-            x_trial[accept], res.unweighted[:n][accept], trial_energy[accept])
+            x_trial[accept], res.unweighted[accept], trial_energy[accept])
         for i, e in zip(up.tolist(), trial_energy[accept].tolist()):
             paths[i].append(e)
         lam[up] = np.maximum(lam[up] * 0.5, _DAMPING_MIN)
@@ -242,22 +241,10 @@ def refine_batch(
         converged[tried[ftol_stop | xtol_stop]] = True
         stop = iterations[active] >= opts.max_iterations
         stop[solved] |= ftol_stop | xtol_stop
-        # newcomers: an unusable start fails; on an idle rung every one stops
-        for row in n + np.flatnonzero(~usable[n:]):
-            failed[int(ids[row])] = InitializationError(
-                "initial point projects behind the camera" if res.behind[row] else
-                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
-        unweighted[new], energy[new] = res.unweighted[n:], rowdot(res.r[n:])
-        for b, e in zip(new.tolist(), energy[new].tolist()):
-            paths[b].append(e)
-        if idle:
-            converged[new], reasons[new] = True, "initialization only"
-        starting = usable[n:] & (not idle)
-        # normal equations at each point an instance goes on from: the
-        # accepted trials that did not stop, and the newcomers' starts
-        go_on = np.concatenate([accept & ~stop[solved], starting])
-        H[ids[go_on]], g[ids[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
-        active = np.concatenate([active[~stop], new[starting]])
+        # normal equations at each accepted point an instance goes on from
+        go_on = accept & ~stop[solved]
+        H[tried[go_on]], g[tried[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
+        active = active[~stop]
 
     total, parts = block_energy(unweighted, cfg, model.K, D - 7)
     for b, i in enumerate(live):

@@ -565,7 +565,8 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
 
 
 def parse_config_text(text: str) -> dict:
-    """`key = value` per line; '#' starts a comment; blank lines ignored."""
+    """`key = value` per line; '#' starts a comment; blank lines ignored.
+    A key given twice is an error, not a silent override."""
     out = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -577,6 +578,8 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"config line {line_number}: empty key")
+        if key in out:
+            raise ValueError(f"config line {line_number}: duplicate key {key}")
         out[key] = value.strip()
     return out
 

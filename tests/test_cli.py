@@ -16,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 import vehicle3d.cli
 import vehicle3d.metrics
 from vehicle3d.cli import main, render_table
-from vehicle3d.geometry import wrap_pi
+from vehicle3d.geometry import footprint, wrap_pi
 from vehicle3d.metrics import alp
 from vehicle3d.refine import initialize, refine_ablation
 from vehicle3d.scene_io import (
     CAR_MODEL,
     emit_labels,
     format_config,
+    label_to_pose,
     parse_config_text,
     parse_labels,
     parse_measurements,
@@ -302,6 +303,21 @@ def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["synth_under_a_file", "shape_learn_onto_a_directory"])
+def test_output_io_error_is_a_message(dataset, tmp_path, case):
+    if case == "synth_under_a_file":
+        (tmp_path / "file").write_text("")
+        argv = ["synth", "--seed", 7, "--frames", 1, "--out", tmp_path / "file" / "x"]
+    else:
+        (tmp_path / "learned" / "model.txt").mkdir(parents=True)
+        argv = ["shape-learn", "--data", dataset, "--out", tmp_path / "learned", "--basis", 0]
+    proc = subprocess.run([sys.executable, "-m", "vehicle3d", *map(str, argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -373,6 +389,26 @@ def test_eval_optional_artifacts(dataset, tmp_path):
     plot = parse_config_text((out / "plot" / "000000.cfg").read_text())
     ring = [float(v) for v in plot["gt0.bev"].split()]
     assert len(ring) == 10 and ring[:2] == ring[-2:]  # closed 4-corner loop
+    # every outline is its own record's footprint, to the bit
+    for path in sorted((dataset / "labels").glob("*.txt")):
+        plot = parse_config_text((out / "plot" / (path.stem + ".cfg")).read_text())
+        for i, record in enumerate(parse_labels(path.read_text())):
+            feet = footprint(label_to_pose(record))
+            for side in ("pred", "gt"):
+                ring = [float(v) for v in plot[f"{side}{i}.bev"].split()]
+                assert ring == np.vstack([feet, feet[:1]]).reshape(-1).tolist()
+    # a record without positive dimensions keeps its image box, no outline
+    pred = tmp_path / "flat"
+    shutil.copytree(dataset / "labels", pred)
+    lines = (pred / "000000.txt").read_text().splitlines()
+    tokens = lines[0].split()
+    tokens[8] = "0.0"  # height
+    (pred / "000000.txt").write_text("\n".join([" ".join(tokens), *lines[1:]]) + "\n")
+    assert run_cli("eval", "--pred", pred, "--gt", dataset, "--out", tmp_path / "flat_eval",
+                   "--plot-data", "true") == 0
+    plot = parse_config_text((tmp_path / "flat_eval" / "plot" / "000000.cfg").read_text())
+    assert "pred0.bbox" in plot and "pred0.bev" not in plot
+    assert "pred1.bev" in plot and "gt0.bev" in plot
 
 
 # ---------------------------------------------------------------------------

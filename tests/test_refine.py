@@ -358,13 +358,8 @@ def _ladder_in_blocks(blocks):
     return out
 
 
-@pytest.mark.parametrize("grouping, active", [
-    pytest.param(grouping, active, id=grouping + ("" if active is None else f"-active{active}"))
-    for active in (None, 1, 3) for grouping in ("per_frame", "one_block", "reversed")
-])
-def test_results_do_not_depend_on_the_block(grouping, active, monkeypatch):
-    if active is not None:  # None: the module's own in-flight cap
-        monkeypatch.setattr(REFINE, "_ACTIVE", active)
+@pytest.mark.parametrize("grouping", ["per_frame", "one_block", "reversed"])
+def test_results_do_not_depend_on_the_block(grouping):
     frames = _seed7_frames()
     instances = [((f, i), meas) for f, frame in enumerate(frames)
                  for i, meas in enumerate(frame)]
@@ -391,9 +386,7 @@ def test_explicit_initial_starts_the_rung_directly():
     assert _fingerprint(direct) != _fingerprint(rungs["v3"][0])
 
 
-def test_failing_instance_leaves_its_block_alone(monkeypatch):
-    # two in flight: the behind-camera start arrives as a refill
-    monkeypatch.setattr(REFINE, "_ACTIVE", 2)
+def test_failing_instance_leaves_its_block_alone():
     frame = _seed7_frames(1)[0]
     good = refine_batch(frame, CAR_MODEL)
     behind = Variables(theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3),
@@ -419,30 +412,28 @@ def test_singular_system_fails_only_its_own_instance():
         np.testing.assert_array_equal(dx[i], np.linalg.solve(H[i], -g[i]))
 
 
-def test_full_evaluations_while_instances_wait(monkeypatch):
-    """Every evaluation made while instances still wait carries _ACTIVE rows,
-    and the waiting instances are admitted in input order."""
-    monkeypatch.setattr(REFINE, "_ACTIVE", 4)
-    measurements = [meas for frame in _seed7_frames(2) for meas in frame]
-    starts = [initialize(meas, CAR_MODEL).to_vector().tobytes() for meas in measurements]
-    calls = []  # (rows, instances admitted so far)
-    admitted = 0
+def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
+    """The first evaluation carries every live start, in input order; then
+    one evaluation per iteration, over the instances still iterating, so no
+    later evaluation carries more rows than the one before it."""
+    measurements = [meas for frame in _seed7_frames(15) for meas in frame]
+    starts = [initialize(meas, CAR_MODEL) for meas in measurements]
+    starts[3] = InitializationError("no start")
+    live = np.array([start.to_vector() for start in starts if isinstance(start, Variables)])
+    assert len(live) > 64
+    calls = []
     evaluate = REFINE.block_residuals
 
     def recorded(x, block, model, cfg):
-        nonlocal admitted
-        # a newcomer's row is its start point; a trial point differs from every start
-        for row in x:
-            if admitted < len(starts) and row.tobytes() == starts[admitted]:
-                admitted += 1
-        calls.append((len(x), admitted))
+        calls.append(x.copy())
         return evaluate(x, block, model, cfg)
 
     monkeypatch.setattr(REFINE, "block_residuals", recorded)
-    capped = [_fingerprint(o) for o in refine_batch(measurements, CAR_MODEL)]
-    assert admitted == len(measurements)  # every start, in input order
-    waiting = [rows for rows, done in calls if done < len(measurements)]
-    assert len(waiting) > 1 and waiting == [4] * len(waiting)
-    assert all(rows <= 4 for rows, _ in calls)
-    monkeypatch.undo()
-    assert [_fingerprint(o) for o in refine_batch(measurements, CAR_MODEL)] == capped
+    outcomes = refine_batch(measurements, CAR_MODEL, initial=starts)
+    np.testing.assert_array_equal(calls[0], live)
+    rows = [len(x) for x in calls]
+    assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
+    iterations = [o.iterations for o in outcomes if isinstance(o, RefineResult)]
+    assert len(iterations) == len(live)
+    assert len(calls) == 1 + max(iterations)
+    assert sum(rows) == len(live) + sum(iterations)

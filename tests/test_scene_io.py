@@ -254,6 +254,9 @@ def test_measurement_text_roundtrip():
     ("i0.box", "10 10 5 20", "i0.box: degenerate 2D box"),
     ("i1.depth", "-2.0", "i1: depth hypothesis must be positive"),
     ("camera", "0 700 600 170", "camera: focal lengths must be positive"),
+    # the value's newline makes a second `i0.theta0 = 9.0` line
+    pytest.param("i0.theta0", "1.0\ni0.theta0 = 9.0",
+                 r"config line \d+: duplicate key i0\.theta0$", id="duplicate_key"),
 ])
 def test_malformed_measurements_name_the_key(key, value, message):
     scene, measurements, _ = generate_scene(SceneParams(n_instances=2), STANDARD_NOISE, seed=5)
@@ -267,8 +270,8 @@ def test_malformed_measurements_name_the_key(key, value, message):
 
 
 def _mutations(text):
-    """text cut at any character, with one line dropped, or with one
-    whitespace-separated token swapped for a non-finite, empty or
+    """text cut at any character, with one line dropped or duplicated, or
+    with one whitespace-separated token swapped for a non-finite, empty or
     non-numeric one."""
     lines = text.splitlines(keepends=True)
     parts = re.split(r"(\s+)", text)  # tokens at the even positions
@@ -279,6 +282,7 @@ def _mutations(text):
     return st.one_of(
         st.integers(0, len(text)).map(lambda n: text[:n]),
         st.integers(0, len(lines) - 1).map(lambda i: "".join(lines[:i] + lines[i + 1:])),
+        st.integers(0, len(lines) - 1).map(lambda i: "".join(lines[:i + 1] + lines[i:])),
         st.builds(swapped, st.sampled_from(range(0, len(parts), 2)),
                   st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x7"])),
     )
