@@ -41,9 +41,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy import ABLATION_VARIANTS, EnergyConfig, Measurement, ablation_config
+from .energy import ABLATION_VARIANTS, EnergyConfig, ablation_config
 from .geometry import BehindCameraError, BoxStack
-from .metrics import DIFFICULTIES, EvalPair, pr_curve
+from .metrics import DIFFICULTIES, EvalPair, pr_curves
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
@@ -63,7 +63,7 @@ from .scene_io import (
     label_pose_fields,
     parse_labels,
     parse_measurements,
-    pose_to_label,
+    poses_to_labels,
     read_config,
 )
 from .shape import LandmarkObservations, LearnOptions, learn_em, load_model, save_model
@@ -301,17 +301,31 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 _FIT_BLOCK = 256
 
 
-def _instance_outcome(meas: Measurement, outcome):
-    """(label record or None, diag entries without the instance prefix)."""
+def _rung_labels(measurements, outcomes) -> list:
+    """poses_to_labels over one rung's solved instances, each scored
+    1 / (1 + final energy): per instance its record or conversion error,
+    None where the solve failed."""
+    solved = [i for i, outcome in enumerate(outcomes)
+              if not isinstance(outcome, InitializationError)]
+    poses = [outcomes[i].vars for i in solved]
+    records = poses_to_labels([v.theta for v in poses], [v.T for v in poses],
+                              [v.sigma for v in poses], [measurements[i].cam for i in solved],
+                              [1.0 / (1.0 + outcomes[i].final_energy) for i in solved])
+    out = [None] * len(outcomes)
+    for i, record in zip(solved, records):
+        out[i] = record
+    return out
+
+
+def _instance_outcome(outcome, record):
+    """(label record or None, diag entries without the instance prefix) of
+    one instance's outcome and its _rung_labels entry."""
     if isinstance(outcome, InitializationError):
         return None, {"error": str(outcome)}
-    score = 1.0 / (1.0 + outcome.final_energy)
-    try:
-        record = pose_to_label(outcome.vars.pose(), meas.cam, score=score)
-    except BehindCameraError:
+    if isinstance(record, BehindCameraError):
         return None, {"error": "refined box projects behind the camera"}
-    except ValueError as exc:
-        return None, {"error": f"refined box has no valid image box: {exc}"}
+    if isinstance(record, ValueError):
+        return None, {"error": f"refined box has no valid image box: {record}"}
     diag = {
         "converged": _fmt_value(bool(outcome.converged)),
         "iterations": str(outcome.iterations),
@@ -329,8 +343,9 @@ def _fit_block_task(task):
     # each written rung becomes labels and diag entries as soon as it completes
     for variant, outcomes in refine_ladder(measurements, model, energy, solver):
         if variant in variants:
-            for entries, meas, outcome in zip(done, measurements, outcomes):
-                entries[variant] = _instance_outcome(meas, outcome)
+            records = _rung_labels(measurements, outcomes)
+            for entries, outcome, record in zip(done, outcomes, records):
+                entries[variant] = _instance_outcome(outcome, record)
     return done
 
 
@@ -456,14 +471,12 @@ def _curve_jobs(effective: dict) -> list:
 
 def _eval_curves(frames, jobs, points: int) -> dict:
     """(metric, threshold, difficulty) -> PR curve, or None without valid
-    ground truth; each curve is computed once for the tables and the files."""
-    return {
-        (metric, threshold, difficulty): pr_curve(
-            frames, metric, threshold, difficulty, gate_iou=gate, points=points
-        )
-        for metric, threshold, gate in jobs
-        for difficulty in DIFFICULTIES
-    }
+    ground truth; each curve is computed once for the tables and the files,
+    all of them in one pr_curves call."""
+    curve_jobs = [(metric, threshold, difficulty, gate)
+                  for metric, threshold, gate in jobs for difficulty in DIFFICULTIES]
+    curves = pr_curves(frames, curve_jobs, points)
+    return {job[:3]: curve for job, curve in zip(curve_jobs, curves)}
 
 
 def _row(curves: dict, metric: str, threshold: float, field: str = "ap") -> list:

@@ -82,14 +82,25 @@ class Box2D:
         )
 
 
+def box2d_round_trip(corners: np.ndarray) -> np.ndarray:
+    """(n, 4) rows (left, top, right, bottom) as Box2D.from_corners(*row)
+    .corners() gives them, bit for bit: through the log of the extents and
+    back."""
+    left, top, right, bottom = corners.T
+    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
+    hw, hh = 0.5 * np.exp(np.log(right - left)), 0.5 * np.exp(np.log(bottom - top))
+    return np.stack([tx - hw, ty - hh, tx + hw, ty + hh], axis=1)
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into [0, 2*pi)."""
     return float(np.mod(theta, 2.0 * np.pi))
 
 
-def wrap_pi(theta: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
-    return float(np.mod(theta + np.pi, 2.0 * np.pi) - np.pi)
+def wrap_pi(theta):
+    """Wrap an angle into [-pi, pi); each angle of an array into an array."""
+    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 
 
 @dataclass(frozen=True)
@@ -167,10 +178,20 @@ UNIT_CORNERS = np.array(
 )
 
 
+def box_corners(theta, T, sigma) -> np.ndarray:
+    """The 8 corners (n, 8, 3) in camera coordinates, UNIT_CORNERS' order,
+    of the n boxes with PoseBox3D fields theta (n,), T and sigma (n, 3)."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    T = np.asarray(T, dtype=float).reshape(-1, 3)
+    dims = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3))
+    c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
+    rot_t = np.stack([c, zero, -s, zero, zero + 1.0, zero, s, zero, c], axis=1)  # rot_y(theta).T
+    return (UNIT_CORNERS * dims[:, None]) @ rot_t.reshape(-1, 3, 3) + T[:, None]
+
+
 def box3d_corners(pose: PoseBox3D) -> np.ndarray:
-    """The 8 corners of the box in camera coordinates, fixed ordering."""
-    scaled = UNIT_CORNERS * pose.dims  # per-axis extents
-    return scaled @ rot_y(pose.theta).T + pose.T
+    """The 8 corners of the box in camera coordinates: box_corners for n = 1."""
+    return box_corners(pose.theta, pose.T, pose.sigma)[0]
 
 
 def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> Box2D:
@@ -212,14 +233,10 @@ class BoxStack(NamedTuple):
 
     @classmethod
     def of(cls, theta, T, sigma) -> "BoxStack":
-        theta = np.asarray(theta, dtype=float).reshape(-1)
+        feet = box_corners(theta, T, sigma)[:, :4]  # the bottom face
         T = np.asarray(T, dtype=float).reshape(-1, 3)
-        dims = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3))
-        c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
-        # rot_y(theta).T per pose, so each footprint equals box3d_corners' own
-        rot_t = np.stack([c, zero, -s, zero, zero + 1.0, zero, s, zero, c], axis=1)
-        feet = (UNIT_CORNERS[:4] * dims[:, None]) @ rot_t.reshape(-1, 3, 3) + T[:, None]
-        return cls(feet[:, :, [0, 2]], T[:, 1] - dims[:, 1], T[:, 1])
+        height = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3)[:, 1])
+        return cls(feet[:, :, [0, 2]], T[:, 1] - height, T[:, 1])
 
 
 def footprint(pose: PoseBox3D) -> np.ndarray:

@@ -23,24 +23,29 @@ Match once: the first curve over an EvalPair list scores every frame of
 it not yet scored in one vectorized pass, filling four dense (detections x
 ground truth) tables per frame -- 3D IoU, BEV IoU, 2D IoU (also ALP's gate)
 and center distance -- that every later curve, threshold and difficulty
-reads through a threshold mask; the score and content orders are kept the
-same way.  Pass the same EvalPair list to every curve to reuse them (a
-(detections, ground truth) tuple is wrapped, and so scored, afresh on each
-call).  3D and BEV IoU come from one geometry.box_ious call for the whole
-list, one footprint clip per pair; pairs whose footprints' bounding boxes
-are apart score exactly 0 without a clip, and pairs without two boxes of
-positive dimensions score NaN.
+reads through a threshold mask; the matching orders, difficulty ranks and
+don't-care coverage are kept the same way.  Pass the same EvalPair list to
+every curve to reuse them (a (detections, ground truth) tuple is wrapped,
+and so scored, afresh on each call).  3D and BEV IoU come from one
+geometry.box_ious call for the whole list, one footprint clip per pair;
+pairs whose footprints' bounding boxes are apart score exactly 0 without a
+clip, and pairs without two boxes of positive dimensions score NaN.
+
+pr_curves stacks the frames once for all its curves, padded to (frame,
+detection rank, ground truth) arrays, and sorts their detections by score
+and content; pr_curve is its one-curve case.  Each curve is then one
+quality stack and one greedy pass over all frames, a step per detection
+rank, with no per-frame or per-record loop.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BoxStack, box2d_ious, box_ious
+from .geometry import BoxStack, box2d_ious, box2d_round_trip, box_ious
 from .scene_io import LabelRecord, label_pose_fields
 # Unused here; kept importable as vehicle3d.metrics.<name>, the names
 # external profilers wrap.
@@ -58,6 +63,9 @@ _DIFFICULTY_RULES = {
     "hard": (25.0, 2, 0.50),
 }
 _RANK = {"easy": 0, "moderate": 1, "hard": 2, "ignored": 3}
+# Past "ignored": a don't-care region, which no detection takes, and the
+# padding of a frame stack.
+_DONT_CARE_RANK = 4
 
 # an unmatched detection is absorbed by a don't-care region when the
 # region covers at least this fraction of the detection box
@@ -83,9 +91,9 @@ class PairTable(NamedTuple):
 class EvalPair:
     """One frame: scored detections against annotated ground truth.
 
-    The matching orders, the ground truths' difficulty ranks and the pair
-    table are computed once and kept on the instance, so every curve over
-    it reuses them.
+    The matching orders, the ground truths' difficulty ranks, the
+    detections' don't-care coverage and the pair table are computed once
+    and kept on the instance, so every curve over it reuses them.
     """
 
     detections: tuple
@@ -96,31 +104,60 @@ class EvalPair:
         object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
 
     @cached_property
-    def _det_order(self) -> list:
-        """Detection indices by descending score, ties by content."""
+    def _det_order(self) -> np.ndarray:
+        """Indices of the OBJECT_TYPE detections, the only ones matched, by
+        descending score, ties by content."""
         dets = self.detections
-        return sorted(range(len(dets)),
-                      key=lambda i: (-_score(dets[i]),) + _content_key(dets[i]))
+        matched = [i for i, det in enumerate(dets) if det.type == OBJECT_TYPE]
+        return np.array(sorted(matched, key=lambda i: (-_score(dets[i]),) + _content_key(dets[i])),
+                        dtype=int)
 
     @cached_property
-    def _gt_order(self) -> list:
+    def _det_keys(self) -> np.ndarray:
+        """(n, 13) rows, one per detection in _det_order: -score, then the
+        content key's numeric fields (bbox, location, dimensions,
+        rotation_y, alpha).  Every such detection has OBJECT_TYPE, so the
+        key's type field never breaks a tie."""
+        rows = [(-_score(det), *det.bbox, *det.location, *det.dimensions, det.rotation_y, det.alpha)
+                for det in (self.detections[i] for i in self._det_order)]
+        return np.array(rows, dtype=float).reshape(-1, 13)
+
+    @cached_property
+    def _dontcare_covered(self) -> np.ndarray:
+        """Whether don't-care regions cover each detection in _det_order by
+        at least _DONTCARE_COVERAGE, which drops it if unmatched; no curve
+        changes it."""
+        regions = [gt.bbox for gt in self.ground_truth if gt.type == DONT_CARE_TYPE]
+        if not regions:
+            return np.zeros(len(self._det_order), dtype=bool)
+        boxes = [self.detections[i].bbox for i in self._det_order]
+        fractions = _cover_fractions(np.reshape(boxes, (-1, 4)), np.reshape(regions, (-1, 4)))
+        return (fractions >= _DONTCARE_COVERAGE).any(axis=1)
+
+    @cached_property
+    def _gt_order(self) -> np.ndarray:
         gts = self.ground_truth
-        return sorted(range(len(gts)), key=lambda j: _content_key(gts[j]))
+        return np.array(sorted(range(len(gts)), key=lambda j: _content_key(gts[j])), dtype=int)
 
     @cached_property
-    def _gt_rank(self) -> list:
-        """Each ground truth's difficulty rank; "ignored" for other types."""
-        return [_RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
-                for gt in self.ground_truth]
+    def _gt_rank(self) -> np.ndarray:
+        """Each ground truth's difficulty rank in _gt_order: "ignored" for
+        other types, _DONT_CARE_RANK for a don't-care region."""
+        gts = [self.ground_truth[j] for j in self._gt_order]
+        return np.array([_DONT_CARE_RANK if gt.type == DONT_CARE_TYPE else
+                         _RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
+                         for gt in gts], dtype=int)
+
+    @cached_property
+    def _gt_alpha(self) -> np.ndarray:
+        """Each ground truth's observation angle, in _gt_order."""
+        return np.array([self.ground_truth[j].alpha for j in self._gt_order], dtype=float)
 
 
 def _corners(records) -> np.ndarray:
     """(n, 4) pixel boxes through Box2D's log/exp round trip, so the 2D
     IoU table equals iou_2d of Box2D.from_corners(*rec.bbox) bit for bit."""
-    left, top, right, bottom = np.array([rec.bbox for rec in records]).reshape(-1, 4).T
-    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
-    hw, hh = 0.5 * np.exp(np.log(right - left)), 0.5 * np.exp(np.log(bottom - top))
-    return np.stack([tx - hw, ty - hh, tx + hw, ty + hh], axis=1)
+    return box2d_round_trip(np.array([rec.bbox for rec in records]).reshape(-1, 4))
 
 
 def _centers(records) -> np.ndarray:
@@ -247,127 +284,136 @@ def _quality(table: PairTable, metric: str, threshold: float, gate_iou: float | 
     return np.where(iou >= threshold, iou, np.nan)
 
 
-def _orientation_similarity(det: LabelRecord, gt: LabelRecord) -> float:
-    return (1.0 + np.cos(gt.alpha - det.alpha)) / 2.0
-
-
-def _match_frame(pair: EvalPair, quality: np.ndarray, difficulty: str):
-    """Flags per kept detection: (score, is_tp, similarity); plus the
-    count of valid ground truth.  quality is _quality's matrix."""
-    rank = _RANK[difficulty]
-    gts = pair.ground_truth
-    valid = [gt_rank <= rank for gt_rank in pair._gt_rank]
-    dontcare_boxes = [gt.bbox for gt in gts if gt.type == DONT_CARE_TYPE]
-    gt_order = pair._gt_order
-    quality = quality.tolist()
-    taken = [False] * len(gts)
-    flags = []
-    for i in pair._det_order:
-        det = pair.detections[i]
-        if det.type != OBJECT_TYPE:
-            continue
-        best = None  # (quality, position in gt content order)
-        for j in gt_order:
-            if taken[j] or not valid[j]:
-                continue
-            q = quality[i][j]
-            if not math.isnan(q) and (best is None or q > best[0]):
-                best = (q, j)
-        if best is not None:
-            taken[best[1]] = True
-            flags.append((_score(det), True,
-                          _orientation_similarity(det, gts[best[1]]),
-                          _content_key(det)))
-            continue
-        absorbed = False
-        for j in gt_order:
-            if taken[j] or valid[j] or gts[j].type == DONT_CARE_TYPE:
-                continue
-            if not math.isnan(quality[i][j]):
-                taken[j] = True  # matched an ignored ground truth
-                absorbed = True
-                break
-        if not absorbed:
-            for dc in dontcare_boxes:
-                if _cover_fraction(det.bbox, dc) >= _DONTCARE_COVERAGE:
-                    absorbed = True
-                    break
-        if not absorbed:
-            flags.append((_score(det), False, 0.0, _content_key(det)))
-    n_valid = sum(1 for v in valid if v)
-    return flags, n_valid
-
-
-def _cover_fraction(det_bbox, region_bbox) -> float:
-    """Fraction of the detection pixel box inside the region.
+def _cover_fractions(boxes: np.ndarray, regions: np.ndarray) -> np.ndarray:
+    """(n, m) fraction of each pixel box (n, 4) inside each region (m, 4).
 
     Raw corner arithmetic, so exact half coverage is exactly 0.5.
     """
-    dl, dt, dr, db = det_bbox
-    rl, rt, rr, rb = region_bbox
-    w = min(dr, rr) - max(dl, rl)
-    h = min(db, rb) - max(dt, rt)
-    return max(w, 0.0) * max(h, 0.0) / ((dr - dl) * (db - dt))
+    dl, dt, dr, db = boxes.T[:, :, None]
+    rl, rt, rr, rb = regions.T[:, None, :]
+    w = np.minimum(dr, rr) - np.maximum(dl, rl)
+    h = np.minimum(db, rb) - np.maximum(dt, rt)
+    return np.maximum(w, 0.0) * np.maximum(h, 0.0) / ((dr - dl) * (db - dt))
 
 
 def _interpolated_ap(recall, values, points: int) -> float:
     """Mean over `points` evenly spaced recall levels from 0 to 1 inclusive
     of the best value at or above each level, in percent.
 
-    The grid always includes recall 0, so points=41 is not AP|R40
+    recall never decreases, so a level's best value is the maximum of the
+    values from the first point reaching it on; levels are summed in grid
+    order.  The grid always includes recall 0, so points=41 is not AP|R40
     (Simonelli et al., Disentangling Monocular 3D Object Detection, ICCV
     2019), which samples the 40 levels 1/40..1; points=11 is the 11-point
     interpolated AP of the original KITTI benchmark.
     """
-    grid = np.linspace(0.0, 1.0, points)
+    start = np.searchsorted(recall, np.linspace(0.0, 1.0, points) - 1e-12)
+    best = np.append(np.maximum.accumulate(values[::-1])[::-1], 0.0)  # 0 past the last point
     total = 0.0
-    for g in grid:
-        at_least = values[recall >= g - 1e-12]
-        total += float(at_least.max()) if at_least.size else 0.0
+    for value in best[start].tolist():
+        total += value
     return 100.0 * total / points
 
 
-def pr_curve(
-    frames,
-    metric: str,
-    threshold: float,
-    difficulty: str = "moderate",
-    gate_iou: float | None = 0.7,
-    points: int = 11,
-) -> PRCurve | None:
-    """Match every frame, sweep score thresholds, interpolate.
+def _padded(rows, real: np.ndarray, fill) -> np.ndarray:
+    """The arrays rows[f] of shape (n_f, ...) stacked as (F, width, ...):
+    row f's entries fill the slots where real (F, width) holds, in order,
+    and fill the rest."""
+    flat = np.concatenate(rows)
+    out = np.full(real.shape + flat.shape[1:], fill, dtype=flat.dtype)
+    out[real] = flat
+    return out
 
-    metric is one of "alp", "ap3d", "apbev", "ap2d"; threshold is meters
-    for "alp" and an IoU otherwise.  Returns None when no valid ground
-    truth exists at the difficulty (undefined, not zero).
-    """
-    if difficulty not in _RANK or difficulty == "ignored":
-        raise ValueError(f"unknown difficulty {difficulty!r}")
-    if metric != "alp" and metric not in _IOU_FIELD:
-        raise ValueError(f"unknown metric {metric!r}")
 
-    pairs = [pair if isinstance(pair, EvalPair) else EvalPair(*pair) for pair in frames]
-    _score_frames(pairs)
-    flags = []
-    n_gt = 0
-    for pair in pairs:
-        quality = _quality(pair._table, metric, threshold, gate_iou)
-        frame_flags, frame_gt = _match_frame(pair, quality, difficulty)
-        flags.extend(frame_flags)
-        n_gt += frame_gt
-    if n_gt == 0:
+class _Stack(NamedTuple):
+    """What every curve over a list of scored frames reads, built once for
+    all of them: each frame's detections padded to D slots in its
+    _det_order, its ground truth to G slots in its _gt_order."""
+
+    table: PairTable  # every frame's PairTable, flattened one after another
+    index: np.ndarray  # (F, D, G) each pair's place in table; -1 in the padding
+    dets: np.ndarray  # (F, D) slots holding a detection
+    covered: np.ndarray  # (F, D) _dontcare_covered
+    keys: np.ndarray  # (F, D, 13) _det_keys
+    order: np.ndarray  # the flat detection slots by descending score, ties by content
+    gt_rank: np.ndarray  # (F, G) _gt_rank, _DONT_CARE_RANK in the padding
+    gt_alpha: np.ndarray  # (F, G)
+
+    @classmethod
+    def of(cls, pairs) -> "_Stack":
+        n_det = np.array([len(pair._det_order) for pair in pairs])
+        n_gt = np.array([len(pair._gt_order) for pair in pairs])
+        dets = np.arange(n_det.max()) < n_det[:, None]
+        gts = np.arange(n_gt.max()) < n_gt[:, None]
+        tables = [pair._table for pair in pairs]
+        start = np.cumsum([0] + [table.distance.size for table in tables])[:-1]
+        flat = PairTable(*(np.concatenate([v.ravel() for v in field]) for field in zip(*tables)))
+        rows = _padded([pair._det_order for pair in pairs], dets, 0)
+        cols = _padded([pair._gt_order for pair in pairs], gts, 0)
+        index = start[:, None, None] + rows[:, :, None] * n_gt[:, None, None] + cols[:, None, :]
+        keys = _padded([pair._det_keys for pair in pairs], dets, 0.0)
+        slots = np.flatnonzero(dets)  # (frame, rank) order; lexsort is stable
+        return cls(
+            table=flat,
+            index=np.where(dets[:, :, None] & gts[:, None, :], index, -1),
+            dets=dets,
+            covered=_padded([pair._dontcare_covered for pair in pairs], dets, False),
+            keys=keys,
+            order=slots[np.lexsort(keys.reshape(-1, 13)[slots].T[::-1])],
+            gt_rank=_padded([pair._gt_rank for pair in pairs], gts, _DONT_CARE_RANK),
+            gt_alpha=_padded([pair._gt_alpha for pair in pairs], gts, 0.0),
+        )
+
+
+def _curve(stack: _Stack, metric: str, threshold: float, difficulty: str,
+           gate_iou: float | None, points: int) -> PRCurve | None:
+    """pr_curve of the stacked frames.  The greedy matching runs over all
+    frames at once: step k gives each frame's k-th detection its best free
+    valid ground truth (the first maximum in content order), else the first
+    free ignored one it passes, else leaves it to don't-care coverage."""
+    rank = _RANK[difficulty]
+    valid = stack.gt_rank <= rank
+    n_valid = int(valid.sum())
+    if n_valid == 0:
         return None
+    ignored = (stack.gt_rank > rank) & (stack.gt_rank <= _RANK["ignored"])  # costs and earns nothing
+    quality = np.append(_quality(stack.table, metric, threshold, gate_iou), np.nan)[stack.index]
 
-    flags.sort(key=lambda f: ((-f[0],) + f[3]))
-    scores = np.array([f[0] for f in flags])
-    tp = np.cumsum([1 if f[1] else 0 for f in flags])
-    fp = np.cumsum([0 if f[1] else 1 for f in flags])
-    sim = np.cumsum([f[2] for f in flags])
-    if len(flags):
+    F, D, G = quality.shape
+    frame = np.arange(F)
+    passes = ~np.isnan(quality)
+    # quality is finite where defined, so -inf marks a pair no step may take
+    to_match = np.where(passes & valid[:, None], quality, -np.inf)
+    to_absorb = passes & ignored[:, None]
+    taken = np.zeros((F, G), dtype=bool)
+    hit = np.zeros((F, D), dtype=bool)  # true positives
+    absorbed = np.zeros((F, D), dtype=bool)
+    took = np.zeros((F, D), dtype=int)  # the column each true positive took
+    for k in range(D):
+        q = np.where(taken, -np.inf, to_match[:, k])
+        best = q.argmax(axis=1)  # the first maximum: ties go by content order
+        hit[:, k] = q[frame, best] > -np.inf
+        spare = to_absorb[:, k] & ~taken
+        first = spare.argmax(axis=1)
+        absorbed[:, k] = spare[frame, first] & ~hit[:, k]
+        took[:, k] = np.where(hit[:, k], best, first)
+        taken[frame, took[:, k]] |= hit[:, k] | absorbed[:, k]
+    matched_sim = np.zeros((F, D))  # orientation similarity of each true positive
+    f, k = np.nonzero(hit)
+    matched_sim[f, k] = (1.0 + np.cos(stack.gt_alpha[f, took[f, k]] - stack.keys[f, k, 12])) / 2.0
+
+    kept = (stack.dets & (hit | ~(absorbed | stack.covered))).reshape(-1)
+    flags = stack.order[kept[stack.order]]  # kept detections by descending score, ties by content
+    scores = -stack.keys.reshape(-1, 13)[flags, 0]
+    hit = hit.reshape(-1)[flags]
+    tp = np.cumsum(hit)
+    fp = np.cumsum(~hit)
+    sim = np.cumsum(matched_sim.reshape(-1)[flags])
+    if len(scores):
         last_of_group = np.append(scores[1:] != scores[:-1], True)
         keep = np.flatnonzero(last_of_group)
         thresholds = scores[keep]
-        recall = tp[keep] / n_gt
+        recall = tp[keep] / n_valid
         precision = tp[keep] / (tp[keep] + fp[keep])
         similarity = sim[keep] / (tp[keep] + fp[keep])
     else:
@@ -385,6 +431,40 @@ def pr_curve(
         similarity=similarity,
         aos=aos,
     )
+
+
+def pr_curves(frames, jobs, points: int = 11) -> list:
+    """pr_curve of each job (metric, threshold, difficulty, gate_iou) over
+    the same frames, which are scored and stacked once for all jobs."""
+    for metric, _, difficulty, _ in jobs:
+        if difficulty not in _RANK or difficulty == "ignored":
+            raise ValueError(f"unknown difficulty {difficulty!r}")
+        if metric != "alp" and metric not in _IOU_FIELD:
+            raise ValueError(f"unknown metric {metric!r}")
+    pairs = [pair if isinstance(pair, EvalPair) else EvalPair(*pair) for pair in frames]
+    if not pairs:
+        return [None] * len(jobs)
+    _score_frames(pairs)
+    stack = _Stack.of(pairs)
+    return [_curve(stack, *job, points) for job in jobs]
+
+
+def pr_curve(
+    frames,
+    metric: str,
+    threshold: float,
+    difficulty: str = "moderate",
+    gate_iou: float | None = 0.7,
+    points: int = 11,
+) -> PRCurve | None:
+    """Match every frame, sweep score thresholds, interpolate: pr_curves
+    for one job.
+
+    metric is one of "alp", "ap3d", "apbev", "ap2d"; threshold is meters
+    for "alp" and an IoU otherwise.  Returns None when no valid ground
+    truth exists at the difficulty (undefined, not zero).
+    """
+    return pr_curves(frames, [(metric, threshold, difficulty, gate_iou)], points)[0]
 
 
 def alp(

@@ -20,10 +20,14 @@ import numpy as np
 
 from .energy import Measurement
 from .geometry import (
+    EPS_Z,
+    BehindCameraError,
     Box2D,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
+    box2d_round_trip,
+    box_corners,
     project,
     project_box3d,
     require_finite,
@@ -235,24 +239,58 @@ def emit_labels(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
+    """The label records of n poses, each a "Car" with unknown truncation
+    and occlusion, or in its place the error that stops it, returned rather
+    than raised: a BehindCameraError when a box corner lies at Z <= EPS_Z,
+    else the ValueError of a projected hull that is no valid Box2D.
+
+    theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
+    wrapped twice as PoseBox3D(theta=wrap_angle(theta)) does; cams holds
+    each pose's camera and scores each record's score (all None when
+    scores is None).  Yaw maps to rotation_y with no offset, the stored box
+    is the projected hull through Box2D's log/exp round trip, and the
+    observation angle folds out the bearing.
+    """
+    theta = np.mod(np.mod(np.asarray(theta, dtype=float).reshape(-1), 2.0 * np.pi), 2.0 * np.pi)
+    T = np.asarray(T, dtype=float).reshape(-1, 3)
+    sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
+    dims = np.exp(sigma)  # (length, height, width)
+    X = box_corners(theta, T, sigma)
+    fx, fy, cx, cy = np.array([(c.fx, c.fy, c.cx, c.cy) for c in cams], dtype=float).reshape(-1, 4).T
+    z = X[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # values of failed poses go unread
+        uv = np.stack([fx[:, None] * X[..., 0] / z + cx[:, None],
+                       fy[:, None] * X[..., 1] / z + cy[:, None]], axis=2)
+        lo, hi = uv.min(axis=1), uv.max(axis=1)  # (left, top), (right, bottom)
+        boxes = box2d_round_trip(np.hstack([lo, hi]))
+    behind = (z <= EPS_Z).any(axis=1)
+    boxed = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (hi > lo).all(axis=1)
+    ry = wrap_pi(theta)
+    alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
+    fields = zip(boxes.tolist(), dims[:, [1, 2, 0]].tolist(), T.tolist(), ry.tolist(),
+                 alpha.tolist(), [None] * len(theta) if scores is None else scores)
+    out = []
+    for i, (bbox, dimensions, location, rotation_y, obs, score) in enumerate(fields):
+        try:
+            if behind[i]:
+                raise BehindCameraError(f"point behind camera: min Z = {z[i].min():.3g}")
+            if not boxed[i]:
+                Box2D.from_corners(*lo[i], *hi[i])  # raises the hull's fault
+            out.append(LabelRecord(type="Car", truncated=-1.0, occluded=-1, alpha=obs, bbox=bbox,
+                                   dimensions=dimensions, location=location,
+                                   rotation_y=rotation_y, score=score))
+        except ValueError as err:
+            out.append(err)
+    return out
+
+
 def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = None) -> LabelRecord:
-    """A "Car" record with unknown truncation and occlusion.  Yaw maps to
-    rotation_y with no offset; the stored box is the projected hull and the
-    observation angle folds out the bearing."""
-    box = project_box3d(cam, pose)
-    dims = pose.dims  # (length, height, width)
-    ry = wrap_pi(pose.theta)
-    return LabelRecord(
-        type="Car",
-        truncated=-1.0,
-        occluded=-1,
-        alpha=wrap_pi(ry - np.arctan2(pose.T[0], pose.T[2])),
-        bbox=tuple(box.corners()),
-        dimensions=(float(dims[1]), float(dims[2]), float(dims[0])),
-        location=tuple(float(v) for v in pose.T),
-        rotation_y=ry,
-        score=score,
-    )
+    """The record of one pose: poses_to_labels for n = 1, its error raised."""
+    record = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [cam], [score])[0]
+    if isinstance(record, ValueError):
+        raise record
+    return record
 
 
 def label_pose_fields(records) -> tuple:
@@ -332,10 +370,17 @@ def _finite_float(token: str) -> float:
     return value
 
 
+# A measurement file's keys: these, and i<n>.<field> for each instance n.
+_FRAME_KEYS = ("camera", "ground", "instances")
+_INSTANCE_FIELDS = ("box", "theta0", "sigma0", "landmarks", "visible", "depth")
+
+
 def parse_measurements(text: str):
     """(camera, ground, [Measurement]) from one frame's measurement file.
 
-    Raises MeasurementFormatError naming the missing or malformed key.
+    Raises MeasurementFormatError naming the missing or malformed key, or
+    an unknown one: any key but the frame keys and the i<n>.<field> keys
+    of the instances the count covers.
     """
     try:
         mapping = parse_config_text(text)
@@ -367,6 +412,10 @@ def parse_measurements(text: str):
             measurements.append(Measurement(ground=ground, cam=cam, **fields))
         except ValueError as err:
             raise MeasurementFormatError(f"i{i}: {err}") from None
+    known = {*_FRAME_KEYS, *(f"i{i}.{name}" for i in range(count) for name in _INSTANCE_FIELDS)}
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise MeasurementFormatError(f"unknown key {unknown[0]}")
     return cam, ground, measurements
 
 
@@ -506,7 +555,11 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     measurements = []
     labels = []
     gt_pairs = []
-    for pose, alpha, box in instances:
+    poses = [pose for pose, _, _ in instances]
+    # each drawn pose projected in view, so none fails to convert
+    records = poses_to_labels([p.theta for p in poses], [p.T for p in poses],
+                              [p.sigma for p in poses], [KITTI_CAMERA] * len(poses))
+    for (pose, alpha, box), record in zip(instances, records):
         gt_pairs.append((pose, ShapeCoefficients(alpha=alpha)))
         points = place_in_camera(instantiate(CAR_MODEL, alpha), pose)
         uv = project(KITTI_CAMERA, points)
@@ -550,7 +603,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
         )
         labels.append(
             replace(
-                pose_to_label(pose, KITTI_CAMERA),
+                record,
                 truncated=_truncation_fraction(box),
                 occluded=_occlusion_class(float(visible.mean())),
             )

@@ -225,8 +225,9 @@ def _nan_visible_landmark(mapping):
     (lambda mapping: mapping.update({"i0.theta0": "nan"}), "i0.theta0: non-finite value"),
     (lambda mapping: mapping.update({"i1.sigma0": "0.1 inf 0.3"}), "i1.sigma0: non-finite value"),
     (_nan_visible_landmark, "i0.landmarks: non-finite value"),
+    (lambda mapping: mapping.update(instances="1"), "unknown key i1.box"),
 ], ids=["missing_key", "short_camera", "non_numeric", "nan_box", "nan_ground", "nan_camera",
-        "nan_depth", "nan_theta0", "inf_sigma0", "nan_visible_landmark"])
+        "nan_depth", "nan_theta0", "inf_sigma0", "nan_visible_landmark", "unknown_key"])
 @pytest.mark.parametrize("argv", [
     ("fit", "--jobs", 1), ("fit", "--jobs", 2), ("ablate", "--jobs", 2), ("shape-learn",),
 ], ids=lambda argv: "_".join(map(str, argv)))

@@ -300,6 +300,32 @@ def test_ground_truth_tie_uses_content_order():
     compare_with_oracle(frames)
 
 
+def test_quality_tie_and_later_absorption_in_one_frame():
+    # gt_a and gt_b share one pixel box, so det1's 2D IoU with each is
+    # exactly 1.  The tie goes to the content-smaller gt_a (x = 0 < 0.5),
+    # whose alpha matches det1 (similarity 1); gt_b's alpha is pi off
+    # (similarity 0).  det2 sits on a Van, ignored ground truth, and is
+    # absorbed without a flag.  det3 takes the gt_b left over, pi/2 off
+    # (similarity 1/2).  Operating points:
+    #   t=0.9: recall 1/2, precision 1, similarity 1
+    #   t=0.7: recall 1,   precision 1, similarity (1 + 1/2)/2 = 0.75
+    # AP11 = 100; AOS11 = 100*(6*1 + 5*0.75)/11.
+    gt_a = rec()
+    gt_b = shift(rec(), dx=0.5, alpha=np.pi)
+    van = rec(type="Van", bbox=(400.0, 100.0, 480.0, 150.0), location=(8.0, 1.65, 18.0))
+    det1 = shift(gt_a, truncated=-1.0, occluded=-1, score=0.9)
+    det2 = shift(van, type="Car", truncated=-1.0, occluded=-1, score=0.8)
+    det3 = shift(gt_a, truncated=-1.0, occluded=-1, score=0.7, alpha=np.pi / 2)
+    frames = [((det3, det1, det2), (van, gt_b, gt_a))]
+    ap, aos = ap2d_aos(frames, 0.7)
+    assert ap == 100.0
+    assert aos == 100.0 * (6 + 5 * 0.75) / 11
+    curve = pr_curve(frames, "ap2d", 0.7)
+    assert curve.thresholds.tolist() == [0.9, 0.7]
+    assert curve.similarity.tolist() == [1.0, 0.75]
+    compare_with_oracle(frames)
+
+
 def test_ignored_ground_truth_absorbs_detection():
     # Evaluated at "easy": the second ground truth is hard-only, so the
     # high-scoring detection on it must be dropped, not counted as a

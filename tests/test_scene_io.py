@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vehicle3d import scene_io
-from vehicle3d.geometry import BoxStack, PoseBox3D, project, project_box3d, wrap_angle, wrap_pi
-from vehicle3d.refine import initialize
+from vehicle3d.geometry import (
+    BehindCameraError,
+    BoxStack,
+    PoseBox3D,
+    project,
+    project_box3d,
+    wrap_angle,
+    wrap_pi,
+)
+from vehicle3d.refine import RefineResult, initialize, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
     FLAT_GROUND,
@@ -28,6 +36,7 @@ from vehicle3d.scene_io import (
     parse_config_text,
     parse_labels,
     pose_to_label,
+    poses_to_labels,
     emit_labels,
     emit_measurements,
     parse_measurements,
@@ -219,6 +228,61 @@ def test_batched_pose_fields_are_each_records_pose(n):
         label_pose_fields(records + [flat])
 
 
+@pytest.fixture(scope="module")
+def seed_fit():
+    """(v4 result, camera) of every instance of the seed-7 dataset `synth
+    --seed 7` writes, refined as `fit` refines it."""
+    measurements = [meas for index in range(50)
+                    for meas in generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]]
+    results = dict(refine_ladder(measurements, CAR_MODEL))["v4"]
+    return [(result, meas.cam) for result, meas in zip(results, measurements)
+            if isinstance(result, RefineResult)]
+
+
+# (theta, T, sigma) of one pose per failure kind, the error type and message
+_FAILING_POSES = (
+    ((0.0, (0.0, 1.6, -10.0), np.log([3.9, 1.6, 1.6])), BehindCameraError,
+     "point behind camera: min Z = -10.8"),
+    ((0.3, (np.nan, 1.6, 10.0), np.log([3.9, 1.6, 1.6])), ValueError, "non-finite value"),
+    ((0.3, (0.0, 1.6, 10.0), (-800.0, -800.0, -800.0)), ValueError,
+     "degenerate 2D box: need right > left and bottom > top"),
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 250])
+def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
+    poses = [(r.vars.theta, r.vars.T, r.vars.sigma, cam, 1.0 / (1.0 + r.final_energy))
+             for r, cam in seed_fit[:n]]
+    if n > 1:  # each failure kind amid the solved poses
+        for k, (fields, _, _) in enumerate(_FAILING_POSES):
+            poses.insert(60 * k + 7, (*fields, KITTI_CAMERA, 0.5))
+    columns = list(zip(*poses)) or [[]] * 5
+    batched = poses_to_labels(*columns)
+    assert len(batched) == len(poses)
+    alone = []
+    for (theta, T, sigma, cam, score), got in zip(poses, batched):
+        pose = PoseBox3D(theta=theta, T=T, sigma=sigma)
+        try:
+            want = pose_to_label(pose, cam, score)
+        except ValueError as err:
+            assert type(got) is type(err) and str(got) == str(err)
+            continue
+        assert got == want  # every field
+        assert got.bbox == tuple(project_box3d(cam, pose).corners())
+        alone.append(want)
+    assert emit_labels([rec for rec in batched if isinstance(rec, LabelRecord)]) == emit_labels(alone)
+    assert len(alone) == min(n, len(seed_fit))
+
+
+@pytest.mark.parametrize("fields, kind, message", _FAILING_POSES)
+def test_pose_conversion_failures_name_their_kind(fields, kind, message):
+    theta, T, sigma = fields
+    got = poses_to_labels([theta], [T], [sigma], [KITTI_CAMERA])
+    assert type(got[0]) is kind and str(got[0]) == message
+    with pytest.raises(kind, match=re.escape(message)):
+        pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA)
+
+
 # ---------------------------------------------------------------------------
 # Measurement files
 # ---------------------------------------------------------------------------
@@ -254,6 +318,10 @@ def test_measurement_text_roundtrip():
     ("i0.box", "10 10 5 20", "i0.box: degenerate 2D box"),
     ("i1.depth", "-2.0", "i1: depth hypothesis must be positive"),
     ("camera", "0 700 600 170", "camera: focal lengths must be positive"),
+    # a count below the blocks present leaves the last block unread
+    ("instances", "1", r"unknown key i1\.box$"),
+    # a misspelled field would be dropped without a word
+    ("i1.dept", "9.0", r"unknown key i1\.dept$"),
     # the value's newline makes a second `i0.theta0 = 9.0` line
     pytest.param("i0.theta0", "1.0\ni0.theta0 = 9.0",
                  r"config line \d+: duplicate key i0\.theta0$", id="duplicate_key"),
