@@ -4,7 +4,7 @@ v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Upper
 rungs warm-start from the rung below, and refine_ladder yields every rung
 of a frame's instances, one at a time, from one batched pass; dict()
-collects them.  Expect each metric to improve down the ladder; small
+collects them, and poses_to_labels converts each rung's poses as one stack.  Expect each metric to improve down the ladder; small
 per-seed wobble on the last link is normal at this sample size.
 """
 from vehicle3d import (
@@ -17,7 +17,7 @@ from vehicle3d import (
     ap_3d,
     ap_bev,
     generate_scene,
-    pose_to_label,
+    poses_to_labels,
     refine_ladder,
 )
 
@@ -30,10 +30,14 @@ for index in range(frames):
     gts = tuple(labels)
     rungs = dict(refine_ladder(measurements, CAR_MODEL))
     for variant in ABLATION_VARIANTS:
-        dets = []
-        for result in rungs[variant]:
-            score = 1.0 / (1.0 + result.final_energy)
-            dets.append(pose_to_label(result.vars.pose(), KITTI_CAMERA, score=score))
+        solved = [result.vars for result in rungs[variant]]
+        dets = poses_to_labels(
+            [v.theta for v in solved], [v.T for v in solved], [v.sigma for v in solved],
+            [KITTI_CAMERA] * len(solved), [1.0 / (1.0 + r.final_energy) for r in rungs[variant]],
+        )
+        for det in dets:  # a pose with no valid label comes back as its error
+            if isinstance(det, ValueError):
+                raise det
         per_variant[variant].append((tuple(dets), gts))
 
 print(f"{frames} frames x {params.n_instances} instances, moderate difficulty\n")

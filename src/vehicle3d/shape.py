@@ -12,18 +12,22 @@ phase with the shape frozen, which re-settles poses and the noise level.
 The reported reprojection RMSE is per image coordinate (u and v each
 count once), not per landmark.
 
-The pose step takes no SVD: the nearest row-orthonormal 2x3 matrix comes
-in closed form from the 2x2 square-root identity (_orthonormalize_rows),
-and the affine optimum from a batched solve where C_qq is well conditioned
-(_affine_optimum).  The returned model is in a
-canonical frame: the sign of each model axis and of each basis row is fixed
-by a landmark-indexed rule (_canonical_signs), so the same data give the
-same model whatever the order of the instances.
+The pose step takes no SVD and no LAPACK solve: the nearest
+row-orthonormal 2x3 matrix comes in closed form from the 2x2 square-root
+identity (_orthonormalize_rows), and the affine optimum from the adjugate
+of each 3x3 C_qq, with the determinant expanded from the same cofactors,
+where C_qq is well conditioned (_affine_optimum).  Statistics of the fixed
+observations (visible centroids, centered landmarks, coordinate counts)
+are computed once per learn_em call (_Observed).  The returned model is in
+a canonical frame: the sign of each model axis and of each basis row is
+fixed by a landmark-indexed rule (_canonical_signs), so the same data give
+the same model whatever the order of the instances.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +47,14 @@ _MIN_VISIBLE = 6
 # Below that the factor's second row is set by rounding and noise in A, not
 # by the data.  Accepted factors are row-orthonormal to 1e-12 or better.
 _POLAR_CUTOFF = 1e-6
-# C_qq goes through a plain solve where det C_qq > _SOLVE_CUTOFF * (tr C_qq)^3,
-# which bounds its condition number by 1 / _SOLVE_CUTOFF.
+# C_qq is solved in closed form through its adjugate where det C_qq >
+# _SOLVE_CUTOFF * (tr C_qq)^3, which bounds its condition number by
+# 1 / _SOLVE_CUTOFF.
 _SOLVE_CUTOFF = 1e-6
 _IDENTITY_ROWS = np.eye(3)[:2]
+# Cyclic successors of the indices 0, 1, 2, which pick a cofactor's entries.
+_NEXT1 = np.array([1, 2, 0])
+_NEXT2 = np.array([2, 0, 1])
 
 
 class InsufficientDataError(ValueError):
@@ -195,9 +203,43 @@ class LearnResult:
 # t = R^T d / c, which reproduces the same projection.  The observations are
 # P (M, K, 2), zero-filled where invisible, and the (M, K) boolean
 # visibility mask vis; every sum over landmarks skips invisible entries.
-# Anything derived from P is masked with np.where, never by a product with
-# the mask: nan * 0 is nan, so an invisible value would leak.
+# Anything derived from P is masked with np.where or np.copyto, never by a
+# product with the mask: nan * 0 is nan, so an invisible value would leak.
 # ---------------------------------------------------------------------------
+
+class _Observed(NamedTuple):
+    """The observations and the statistics that depend on them alone, built
+    once per learn_em call (_observe) and read by every EM and polish step."""
+
+    P: np.ndarray  # (M, K, 2), zero where invisible
+    vis: np.ndarray  # (M, K) bool
+    # ~vis repeated over each landmark's image and model coordinates: a
+    # mask spelled out to the array's full shape keeps masking a
+    # contiguous pass, where a (M, K, 1) mask broadcast is far slower.
+    hidden_uv: np.ndarray  # (M, K, 2) bool
+    hidden_xyz: np.ndarray  # (M, K, 3) bool
+    n_vis: np.ndarray  # (M, 1) visible landmarks
+    pbar: np.ndarray  # (M, 2) visible centroid
+    dpT: np.ndarray  # (M, 2, K) P - pbar, zero where invisible, transposed
+    n_coords: np.ndarray  # (M,) image coordinates seen: 2 per visible landmark
+
+
+def _observe(P: np.ndarray, vis: np.ndarray) -> _Observed:
+    hidden = ~vis[..., None]
+    n_vis = vis.sum(axis=1)[:, None]
+    pbar = P.sum(axis=1) / n_vis
+    dp = np.where(hidden, 0.0, P - pbar[:, None])
+    return _Observed(
+        P=P,
+        vis=vis,
+        hidden_uv=np.repeat(hidden, 2, axis=2),
+        hidden_xyz=np.repeat(hidden, 3, axis=2),
+        n_vis=n_vis,
+        pbar=pbar,
+        dpT=np.ascontiguousarray(dp.transpose(0, 2, 1)),
+        n_coords=2 * n_vis[:, 0],
+    )
+
 
 def _cross(x, y):
     """Cross product over the last axis of (..., 3) stacks."""
@@ -236,27 +278,48 @@ def _orthonormalize_rows(A: np.ndarray):
     return np.where(ok[..., None, None], R, _IDENTITY_ROWS), ok
 
 
+def _cofactors(C: np.ndarray):
+    """Cofactor matrices and determinants of a stack of 3x3 matrices:
+    (cof (M, 3, 3), det (M,)).  cof[i, j] = C[i+1, j+1] C[i+2, j+2] -
+    C[i+1, j+2] C[i+2, j+1], indices mod 3, and det expands the first row,
+    so C^-1 = cof^T / det."""
+    cof = C[:, _NEXT1[:, None], _NEXT1] * C[:, _NEXT2[:, None], _NEXT2]
+    cof -= C[:, _NEXT1[:, None], _NEXT2] * C[:, _NEXT2[:, None], _NEXT1]
+    return cof, np.sum(C[:, 0] * cof[:, 0], axis=1)
+
+
 def _affine_optimum(C_pq: np.ndarray, C_qq: np.ndarray) -> np.ndarray:
     """Unconstrained affine optimum A* = C_pq C_qq^+ of each instance, (M, 2, 3).
 
-    A batched solve where C_qq is well conditioned (_SOLVE_CUTOFF); pinv at
-    lstsq's own cutoff (3 eps) for the rest, which keeps lstsq's
-    minimum-norm rank handling, e.g. for a planar shape.
+    Where C_qq is well conditioned (_SOLVE_CUTOFF), A* = C_pq cof / det in
+    closed form (_cofactors; C_qq^-T = cof / det); pinv at lstsq's own
+    cutoff (3 eps) for the rest, which keeps lstsq's minimum-norm rank
+    handling, e.g. for a planar shape.
     """
-    C_qp = C_pq.transpose(0, 2, 1)
-    well = np.linalg.det(C_qq) > _SOLVE_CUTOFF * np.trace(C_qq, axis1=1, axis2=2) ** 3
-    Astar = np.empty_like(C_qp)
-    Astar[well] = np.linalg.solve(C_qq[well], C_qp[well])
+    cof, det = _cofactors(C_qq)
+    well = det > _SOLVE_CUTOFF * np.trace(C_qq, axis1=1, axis2=2) ** 3
+    Astar = C_pq @ cof
+    Astar /= np.where(well, det, 1.0)[:, None, None]
     if not well.all():
         rest = ~well
-        Astar[rest] = np.linalg.pinv(C_qq[rest], rcond=3 * np.finfo(float).eps) @ C_qp[rest]
-    return Astar.transpose(0, 2, 1)
+        Astar[rest] = (
+            np.linalg.pinv(C_qq[rest], rcond=3 * np.finfo(float).eps)
+            @ C_pq[rest].transpose(0, 2, 1)
+        ).transpose(0, 2, 1)
+    return Astar
 
 
-def _residuals(A, d, pts, P, vis):
-    """p - (A q + d) per landmark, zero where invisible.  A (..., 2, 3) and
-    d (..., 2) broadcast against pts (..., K, 3), P (..., K, 2), vis (..., K)."""
-    return np.where(vis[..., None], P - (pts @ np.swapaxes(A, -1, -2) + d[..., None, :]), 0.0)
+def _residuals(A, d, pts, P, hidden):
+    """p - (A q + d) per landmark, zero where invisible, in the shape of
+    pts (..., K, 3) @ A^T (..., 3, 2); d (..., 2), P (..., K, 2) and the
+    invisible-coordinate mask hidden (..., K, 2) broadcast against it.
+    Built in place, in the order of that formula."""
+    r = pts @ np.ascontiguousarray(np.swapaxes(A, -1, -2))
+    # the offset as one (..., 2K) row: an add over a 2-wide last axis is slow
+    r.reshape(*r.shape[:-2], -1)[...] += np.tile(d, r.shape[-2])
+    np.subtract(P, r, out=r)
+    np.copyto(r, 0.0, where=hidden)
+    return r
 
 
 def _rigid_init(P, vis):
@@ -364,33 +427,33 @@ def _expected_points(mean_pts, basis_pts, mu):
     return mean_pts + (mu @ basis_pts.reshape(N, 3 * K)).reshape(-1, K, 3)
 
 
-def _e_step(mean_pts, basis_pts, pose, P, vis, noise_var):
+def _e_step(mean_pts, basis_pts, pose, obs, noise_var):
     """Exact Gaussian posterior of every instance's alpha:
     (mu (M, N), Sig (M, N, N), total log-likelihood)."""
-    M, K, _ = P.shape
+    M, K, _ = obs.P.shape
     N = basis_pts.shape[0]
     A = _affine(pose)
-    r = _residuals(A, pose[2], mean_pts, P, vis).reshape(M, 2 * K)
-    # Design rows Mdes[m, 2k+i, n] = (A_m basis_n,k)_i, zero where invisible.
-    Mdes = (basis_pts.reshape(N * K, 3) @ A.transpose(0, 2, 1)).reshape(M, N, K, 2)
-    Mdes = (Mdes * vis[:, None, :, None]).transpose(0, 2, 3, 1).reshape(M, 2 * K, N)
-    MdesT = Mdes.transpose(0, 2, 1)
-    Sig = np.linalg.inv(np.eye(N) + MdesT @ Mdes / noise_var)
-    Mt_r = (MdesT @ r[..., None])[..., 0]
-    mu = (Sig @ Mt_r[..., None])[..., 0] / noise_var
-    # r^T (noise_var I + Mdes Mdes^T)^-1 r, as |r - Mdes mu|^2 / noise_var +
-    # |mu|^2: the equal form (r.r - mu.Mdes^T r) / noise_var cancels two
+    r = _residuals(A, pose[2], mean_pts, obs.P, obs.hidden_uv).reshape(M, 2 * K)
+    # The design's transpose, C-contiguous: DesT[m, n, 2k+i] = (A_m basis_n,k)_i,
+    # zero where invisible.
+    DesT = basis_pts.reshape(N * K, 3) @ np.ascontiguousarray(A.transpose(0, 2, 1))
+    np.copyto(DesT.reshape(M, N, K, 2), 0.0, where=obs.hidden_uv[:, None])
+    DesT = DesT.reshape(M, N, 2 * K)
+    Des = np.ascontiguousarray(DesT.transpose(0, 2, 1))
+    Sig = np.linalg.inv(np.eye(N) + DesT @ Des / noise_var)
+    mu = (Sig @ (DesT @ r[..., None]))[..., 0] / noise_var
+    # r^T (noise_var I + Des Des^T)^-1 r, as |r - Des mu|^2 / noise_var +
+    # |mu|^2: the equal form (r.r - mu.Des^T r) / noise_var cancels two
     # terms of order |r|^2 / noise_var, which near the noise floor leaves
     # rounding noise larger than the EM stopping tolerance.
-    fit = r - (Mdes @ mu[..., None])[..., 0]
-    quad = np.sum(fit * fit, axis=1) / noise_var + np.sum(mu * mu, axis=1)
+    fit = r - (Des @ mu[..., None])[..., 0]
+    quad = np.einsum("mk,mk->m", fit, fit) / noise_var + np.einsum("mn,mn->m", mu, mu)
     _, logdet_sig = np.linalg.slogdet(Sig)
-    n_coords = 2 * vis.sum(axis=1)
-    loglik = -0.5 * (n_coords * np.log(2 * np.pi * noise_var) - logdet_sig + quad)
+    loglik = -0.5 * (obs.n_coords * np.log(2 * np.pi * noise_var) - logdet_sig + quad)
     return mu, Sig, float(loglik.sum())
 
 
-def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current):
+def _pose_noise_step(pose, mean_pts, basis_pts, obs, mu, Sig, refresh_current):
     """Conditional M-step for every instance's (c, R, d), then the noise
     variance (floored) at the new poses: the mean expected squared residual
     per image coordinate.
@@ -403,38 +466,32 @@ def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refre
     worsens the expected objective.  No SVD is taken per step unless some
     C_qq is ill conditioned.
     """
-    M, K, _ = P.shape
+    M, K, _ = obs.P.shape
     N = basis_pts.shape[0]
     c, R, d = pose
     Eq = _expected_points(mean_pts, basis_pts, mu)
-    mask = vis[..., None]
-    n_vis = vis.sum(axis=1)[:, None]
-    pbar = P.sum(axis=1) / n_vis
-    qbar = np.where(mask, Eq, 0.0).sum(axis=1) / n_vis
-    dp = np.where(mask, P - pbar[:, None], 0.0)
-    dq = np.where(mask, Eq - qbar[:, None], 0.0)
-    C_pq = dp.transpose(0, 2, 1) @ dq  # (M, 2, 3)
+    qbar = np.einsum("mkj->mj", np.where(obs.hidden_xyz, 0.0, Eq)) / obs.n_vis
+    dq = Eq - qbar[:, None]
+    np.copyto(dq, 0.0, where=obs.hidden_xyz)
+    C_pq = obs.dpT @ dq  # (M, 2, 3)
     # Posterior covariance adds Cov[q_k] = B_k^T Sig B_k per visible point,
     # with B_k the (N, 3) basis rows of landmark k.
     BB = np.einsum("nkj,lkh->knljh", basis_pts, basis_pts).reshape(K, N * N * 9)
-    Vq = (Sig.reshape(M, 1, N * N) @ (vis @ BB).reshape(M, N * N, 9)).reshape(M, 3, 3)
-    C_qq = dq.transpose(0, 2, 1) @ dq + Vq
+    Vq = (Sig.reshape(M, 1, N * N) @ (obs.vis @ BB).reshape(M, N * N, 9)).reshape(M, 3, 3)
+    C_qq = np.ascontiguousarray(dq.transpose(0, 2, 1)) @ dq + Vq
 
-    trials, usable = ([R], [np.ones(M, dtype=bool)]) if refresh_current else ([], [])
     # The projection of the cross-covariance, then that of the unconstrained
     # affine optimum, which accounts for the posterior covariance (C_qq
     # anisotropy) and is usually the strongest candidate.  A target whose
     # polar factor fails the cutoff (zero, rank-1, non-finite) is unusable.
-    for target in (C_pq, _affine_optimum(C_pq, C_qq)):
-        trial, ok = _orthonormalize_rows(target)
-        trials.append(trial)
-        usable.append(ok)
-
-    Rt = np.stack(trials, axis=1)  # (M, T, 2, 3)
-    denom = np.sum((Rt @ C_qq[:, None]) * Rt, axis=(2, 3))
-    ct = np.sum(Rt * C_pq[:, None], axis=(2, 3)) / np.where(denom > 0, denom, np.inf)
-    usable = np.stack(usable, axis=1) & (ct > 1e-12)
-    dt = pbar[:, None] - ct[..., None] * (Rt @ qbar[:, None, :, None])[..., 0]
+    Rt, usable = _orthonormalize_rows(np.stack([C_pq, _affine_optimum(C_pq, C_qq)], axis=1))
+    if refresh_current:
+        Rt = np.concatenate([R[:, None], Rt], axis=1)  # (M, T, 2, 3)
+        usable = np.concatenate([np.ones((M, 1), dtype=bool), usable], axis=1)
+    denom = np.einsum("mtij,mtij->mt", Rt @ C_qq[:, None], Rt)
+    ct = np.einsum("mtij,mij->mt", Rt, C_pq) / np.where(denom > 0, denom, np.inf)
+    usable &= ct > 1e-12
+    dt = obs.pbar[:, None] - ct[..., None] * (Rt @ qbar[:, None, :, None])[..., 0]
 
     cands = (
         np.concatenate([c[:, None], ct], axis=1),
@@ -442,14 +499,16 @@ def _pose_noise_step(pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refre
         np.concatenate([d[:, None], dt], axis=1),
     )
     A = _affine(cands)
-    resid = _residuals(A, cands[2], Eq[:, None], P[:, None], vis[:, None])
+    resid = _residuals(A, cands[2], Eq[:, None], obs.P[:, None], obs.hidden_uv[:, None])
     # E||p - A q - d||^2 = squared residual at E[q] + tr(A Vq A^T).
-    obj = np.sum(resid * resid, axis=(2, 3)) + np.sum((A @ Vq[:, None]) * A, axis=(2, 3))
+    resid = resid.reshape(M, -1, 2 * K)
+    obj = np.einsum("mtk,mtk->mt", resid, resid) + np.einsum("mtij,mtij->mt", A @ Vq[:, None], A)
     obj[:, 1:][~usable] = np.inf
     obj[~np.isfinite(obj)] = np.inf
     best = np.argmin(obj, axis=1)
     rows = np.arange(M)
     new_pose = tuple(arr[rows, best] for arr in cands)
+    n_coords = int(obs.n_coords.sum())
     return new_pose, max(float(obj[rows, best].sum()) / n_coords, _MIN_NOISE_VAR)
 
 
@@ -513,25 +572,28 @@ def learn_em(
     vis = np.array([o.visible for o in obs])[used]
     P = np.where(vis[..., None], np.array([o.uv for o in obs])[used], 0.0)
     M = len(P)
+    observed = _observe(P, vis)
 
-    n_coords = int(2 * vis.sum())
+    n_coords = int(observed.n_coords.sum())
     mean_flat, pose = _rigid_init(P, vis)
     mean_pts = mean_flat.reshape(K, 3)
 
     # Rigid residuals seed both the noise level and the deformation basis.
     c, R, _ = pose
-    r2 = _residuals(_affine(pose), pose[2], mean_pts, P, vis)
+    r2 = _residuals(_affine(pose), pose[2], mean_pts, P, observed.hidden_uv)
     noise_var = max(float(np.sum(r2 * r2)) / max(n_coords, 1), 1e-4)
 
     basis = np.zeros((n_basis, 3 * K))
     if n_basis > 0:
         # Lift image residuals to model space through the pose pseudo-inverse:
         # (cR)^+ = R^T / c applied row-wise.
+        # The SVD is taken of the (3K, M) transpose, whose left singular
+        # vectors are the right ones of the centered (M, 3K) residuals.
         resid_shapes = (r2 @ (R / c[:, None, None])).reshape(M, 3 * K)
-        _, sv, Vt = np.linalg.svd(resid_shapes - resid_shapes.mean(axis=0), full_matrices=False)
+        U, sv, _ = np.linalg.svd((resid_shapes - resid_shapes.mean(axis=0)).T, full_matrices=False)
         n_avail = min(n_basis, len(sv))
         scale = sv[:n_avail] / np.sqrt(M)
-        basis[:n_avail] = Vt[:n_avail] * scale[:, None]
+        basis[:n_avail] = U[:, :n_avail].T * scale[:, None]
         # Degenerate directions get a small deterministic seed so the EM
         # update cannot stall on an exactly zero basis row.
         rms = float(np.sqrt(np.mean(mean_flat**2)))
@@ -547,7 +609,7 @@ def learn_em(
     dim = 3 * nb
     for it in range(1, opts.max_iterations + 1):
         basis_pts = basis.reshape(n_basis, K, 3)
-        mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
+        mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, observed, noise_var)
         logliks.append(total_ll)
         if len(logliks) > 1 and _settled(logliks[-2], total_ll, opts.tol):
             converged = True
@@ -561,11 +623,15 @@ def learn_em(
         abar = np.concatenate([np.ones((M, 1)), mu], axis=1)
         G = abar[:, :, None] * abar[:, None, :]
         G[:, 1:, 1:] += Sig
-        AtA = A.transpose(0, 2, 1) @ A
+        AtA = np.ascontiguousarray(A.transpose(0, 2, 1)) @ A
         # kron(A^T A, G) per instance: entry (i nb + a, j nb + b) is AtA_ij G_ab.
-        block = np.einsum("mij,mab->miajb", AtA, G).reshape(M, dim * dim)
-        lhs = (vis.T @ block).reshape(K, dim, dim)
-        Aty = np.where(vis[..., None], (P - pose[2][:, None]) @ A, 0.0)  # (M, K, 3)
+        # Summed over instances in (i, j, a, b) order, then permuted: the
+        # same sums, and the permutation moves K rows instead of M.
+        outer = (AtA.reshape(M, 9, 1) * G.reshape(M, 1, nb * nb)).reshape(M, dim * dim)
+        lhs = (vis.T @ outer).reshape(K, 3, 3, nb, nb).transpose(0, 1, 3, 2, 4).reshape(K, dim, dim)
+        # y = p - d, with d tiled to a (M, 2K) row: a contiguous subtraction
+        y = (P.reshape(M, 2 * K) - np.tile(pose[2], K)).reshape(M, K, 2)
+        Aty = np.where(observed.hidden_xyz, 0.0, y @ A)  # (M, K, 3)
         rhs = (Aty.transpose(1, 2, 0) @ abar).reshape(K, dim)
         Wk = np.concatenate([mean_pts[:, :, None], basis_pts.transpose(1, 2, 0)], axis=2)
         seen = np.linalg.norm(rhs, axis=1) != 0.0  # a landmark never observed keeps its rows
@@ -578,7 +644,7 @@ def learn_em(
 
         # M-step parts 2 and 3: every pose, then the noise variance.
         pose, noise_var = _pose_noise_step(
-            pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current=True,
+            pose, mean_pts, basis_pts, observed, mu, Sig, refresh_current=True,
         )
 
         # Parameter-expanded acceleration: fit the coefficient prior
@@ -609,12 +675,12 @@ def learn_em(
         basis_pts = basis.reshape(n_basis, K, 3)
         last_ll = None
         for _ in range(100):
-            mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
+            mu, Sig, total_ll = _e_step(mean_pts, basis_pts, pose, observed, noise_var)
             if last_ll is not None and _settled(last_ll, total_ll, opts.tol):
                 break
             last_ll = total_ll
             pose, noise_var = _pose_noise_step(
-                pose, mean_pts, basis_pts, P, vis, mu, Sig, n_coords, refresh_current=False,
+                pose, mean_pts, basis_pts, observed, mu, Sig, refresh_current=False,
             )
             polish_iterations += 1
 
@@ -646,8 +712,10 @@ def learn_em(
     model = MorphableModel(mean=mean_pts.reshape(-1), basis=basis)
 
     # Final posterior pass for the reported coefficients and residuals.
-    mu, _, loglik = _e_step(mean_pts, basis_pts, pose, P, vis, noise_var)
-    r = _residuals(_affine(pose), pose[2], _expected_points(mean_pts, basis_pts, mu), P, vis)
+    mu, _, loglik = _e_step(mean_pts, basis_pts, pose, observed, noise_var)
+    r = _residuals(
+        _affine(pose), pose[2], _expected_points(mean_pts, basis_pts, mu), P, observed.hidden_uv,
+    )
 
     return LearnResult(
         model=model,
@@ -694,7 +762,13 @@ def load_model(path) -> MorphableModel:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: truncated model file")
-    K, N = int(tokens[0]), int(tokens[1])
+    header = tokens[:2]
+    if not all(t.isdecimal() for t in header) or int(header[0]) < 1:
+        raise ValueError(
+            f"{path}: bad header '{' '.join(header)}': expected 'K N', "
+            "integers with K >= 1 landmarks and N >= 0 basis shapes"
+        )
+    K, N = int(header[0]), int(header[1])
     vals = np.array([float(t) for t in tokens[2:]])
     if not np.isfinite(vals).all():
         raise ValueError(f"{path}: non-finite value")

@@ -289,6 +289,20 @@ def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
     assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
 
 
+def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):
+    model = tmp_path / "model.txt"
+    save_model(CAR_MODEL, model)
+    lines = model.read_text().splitlines()
+    lines[0] = f"{CAR_MODEL.K} -1"  # the header "K N" with a negative basis count
+    model.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", dataset, "--out", out, "--model", model, "--variant", "v2") == 1
+    assert capfd.readouterr().err == (
+        f"error: cannot load model {model}: {model}: bad header '{CAR_MODEL.K} -1': expected "
+        "'K N', integers with K >= 1 landmarks and N >= 0 basis shapes\n"
+    )
+
+
 def test_fit_missing_data(tmp_path, capsys):
     assert run_cli("fit", "--data", tmp_path / "nope", "--out", tmp_path / "x") == 1
     assert "meas" in capsys.readouterr().err

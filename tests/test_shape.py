@@ -18,7 +18,8 @@ from vehicle3d.shape import (
     place_in_camera,
     save_model,
 )
-from vehicle3d.shape import _affine_optimum, _orthonormalize_rows, _pose_noise_step
+from vehicle3d.shape import _SOLVE_CUTOFF, _affine_optimum, _cofactors, _observe, _orthonormalize_rows
+from vehicle3d.shape import _pose_noise_step
 from tests.oracles import make_ortho_dataset, random_orthonormal_rows, subspace_angles_deg
 from tests.test_geometry import inside_box
 
@@ -387,6 +388,47 @@ class TestSmallKernels:
         pinv = np.linalg.pinv(C_qq, rcond=3 * np.finfo(float).eps) @ C_pq.transpose(0, 2, 1)
         assert np.allclose(_affine_optimum(C_pq, C_qq), pinv.transpose(0, 2, 1), rtol=1e-11, atol=0)
 
+    def test_closed_form_solve_matches_lapack(self):
+        """SPD stacks Q diag(lam) Q^T with condition numbers up to 1 / _SOLVE_CUTOFF.
+
+        Tolerances: the cofactor determinant is within 64 eps perm(|C|) of
+        np.linalg.det's (the expansion itself rounds within about 3 eps
+        perm(|C|); LU's determinant was off by up to 31 eps perm(|C|) on this
+        draw), so the well/ill decision agrees with det's wherever det is
+        farther than that from the cutoff.  On well rows A* is within
+        100 cond eps of np.linalg.solve's, relative in Frobenius norm; ill
+        rows give pinv's answer exactly."""
+        rng = np.random.default_rng(47)
+        n, eps = 4000, np.finfo(float).eps
+        Q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        lam = 10.0 ** rng.uniform(-3, 3, size=(n, 1)) * 10.0 ** -rng.uniform(0, 6, size=(n, 3))
+        C_qq = (Q * lam[:, None, :]) @ Q.transpose(0, 2, 1)
+        C_pq = rng.normal(size=(n, 2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+        cond = lam.max(axis=1) / lam.min(axis=1)
+        assert cond.max() <= 1 / _SOLVE_CUTOFF
+
+        _, det = _cofactors(C_qq)
+        absC = np.abs(C_qq)
+        perm = sum(absC[:, 0, j] * (absC[:, 1, (j + 1) % 3] * absC[:, 2, (j + 2) % 3]
+                                    + absC[:, 1, (j + 2) % 3] * absC[:, 2, (j + 1) % 3]) for j in range(3))
+        want_det = np.linalg.det(C_qq)
+        band = 64 * eps * perm
+        assert np.all(np.abs(det - want_det) <= band)
+
+        cutoff = _SOLVE_CUTOFF * np.trace(C_qq, axis1=1, axis2=2) ** 3
+        clear = np.abs(want_det - cutoff) > band
+        assert np.array_equal((det > cutoff)[clear], (want_det > cutoff)[clear])
+        well = want_det > cutoff
+        assert 0 < well.sum() < n  # both branches are drawn
+
+        got = _affine_optimum(C_pq, C_qq)
+        want = np.linalg.solve(C_qq[well], C_pq[well].transpose(0, 2, 1)).transpose(0, 2, 1)
+        err = np.linalg.norm(got[well] - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.all(err <= 100 * cond[well] * eps)
+        ill = ~well & clear
+        pinv = np.linalg.pinv(C_qq[ill], rcond=3 * eps) @ C_pq[ill].transpose(0, 2, 1)
+        assert np.array_equal(got[ill], pinv.transpose(0, 2, 1))
+
     def test_planar_points_take_the_pinv_branch(self):
         rng = np.random.default_rng(43)
         dq = rng.normal(size=(4, 14, 3))
@@ -413,7 +455,7 @@ class TestSmallKernels:
                 P.mean(axis=1))
         mu, Sig = np.zeros((3, 1)), np.tile(np.eye(1), (3, 1, 1))
         with np.errstate(divide="raise", invalid="raise"):
-            new_pose, noise = _pose_noise_step(pose, mean, basis, P, vis, mu, Sig, 84, False)
+            new_pose, noise = _pose_noise_step(pose, mean, basis, _observe(P, vis), mu, Sig, False)
         assert np.isfinite(noise) and all(np.isfinite(arr).all() for arr in new_pose)
         for m in (1, 2):  # both polar targets are degenerate: no candidate beats the current
             assert new_pose[0][m] == pose[0][m] and np.array_equal(new_pose[1][m], pose[1][m])
@@ -504,3 +546,21 @@ class TestPersistence:
         path.write_text("14 2\n1 2 3\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("header", ["14 -1", "0 0", "-14 2", "x 2", "14 2.0", "1e1 0"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n" + " ".join(["0.5"] * 42) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"{path}: bad header '{header}': expected 'K N', "
+            "integers with K >= 1 landmarks and N >= 0 basis shapes"
+        )
+
+    def test_header_without_basis_loads(self, tmp_path):
+        path = tmp_path / "mean_only.txt"
+        path.write_text("2 0\n0 1 2\n3 4 5\n")
+        model = load_model(path)
+        assert model.K == 2 and model.n_basis == 0
+        assert np.array_equal(model.mean, np.arange(6.0))
