@@ -4,8 +4,9 @@ v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Upper
 rungs warm-start from the rung below, and refine_ladder yields every rung
 of a frame's instances, one at a time, from one batched pass; dict()
-collects them, and poses_to_labels converts each rung's poses as one stack.  Expect each metric to improve down the ladder; small
-per-seed wobble on the last link is normal at this sample size.
+collects them, and poses_to_labels converts each rung's poses as one
+stack.  Expect each metric to improve down the ladder; small per-seed
+wobble on the last link is normal at this sample size.
 """
 from vehicle3d import (
     ABLATION_VARIANTS,
