@@ -43,7 +43,7 @@ import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, ablation_config
 from .geometry import BehindCameraError, BoxStack
-from .metrics import DIFFICULTIES, EvalPair, pr_curves
+from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
 from .refine import InitializationError, SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
@@ -367,13 +367,25 @@ def _read_dataset(data_text: str) -> list:
     return [(path.stem, _read_data_file(path, parse_measurements)[2]) for path in paths]
 
 
+# fit scales model points by each instance's extents, so a model lives in
+# the unit box (CAR_MODEL stays within 0.94); a mean coordinate beyond this
+# bound puts it in another frame, such as shape-learn's EM gauge
+_MODEL_REACH = 2.0
+
+
 def _load_fit_model(model_path):
-    if model_path:
-        try:
-            return load_model(model_path)
-        except (OSError, ValueError) as exc:
-            raise CLIError(f"cannot load model {model_path}: {exc}")
-    return CAR_MODEL
+    if not model_path:
+        return CAR_MODEL
+    try:
+        model = load_model(model_path)
+    except (OSError, ValueError) as exc:
+        raise CLIError(f"cannot load model {model_path}: {exc}")
+    reach = float(np.abs(model.mean).max())
+    if reach > _MODEL_REACH:
+        raise CLIError(f"cannot load model {model_path}: mean shape coordinate {reach:g} lies "
+                       f"outside [-{_MODEL_REACH:g}, {_MODEL_REACH:g}], the unit-box frame fit "
+                       "expects")
+    return model
 
 
 def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
@@ -445,9 +457,9 @@ def _read_ground_truth(gt_dir: Path, pred_ids) -> dict:
 
 
 def _paired_frames(pred_dir: Path, ground_truth: dict) -> list:
-    """One EvalPair per frame of ground_truth, in its order: pred_dir's
-    label file of that frame against its ground truth."""
-    return [EvalPair(_read_data_file(pred_dir / (frame_id + ".txt"), parse_labels), records)
+    """One (detections, ground truth) pair per frame of ground_truth, in its
+    order: pred_dir's label file of that frame against its ground truth."""
+    return [(_read_data_file(pred_dir / (frame_id + ".txt"), parse_labels), records)
             for frame_id, records in ground_truth.items()]
 
 
@@ -529,8 +541,8 @@ def _write_plot_data(frame_ids, frames, out_dir: Path) -> None:
     The outlines of every frame are boxed in one array pass."""
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    named = [[*((f"pred{i}.", det) for i, det in enumerate(pair.detections)),
-              *((f"gt{i}.", gt) for i, gt in enumerate(pair.ground_truth))] for pair in frames]
+    named = [[*((f"pred{i}.", det) for i, det in enumerate(dets)),
+              *((f"gt{i}.", gt) for i, gt in enumerate(gts))] for dets, gts in frames]
     posed = [record for records in named for _, record in records if min(record.dimensions) > 0]
     feet = iter(BoxStack.of(*label_pose_fields(posed)).feet)
     for frame_id, records in zip(frame_ids, named):
@@ -576,10 +588,9 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     total_failures = _run_fit(effective, dataset, out_dirs,
                               ablation_config(ABLATION_VARIANTS[-1], energy), solver)
     alp_m, iou3d, bev = (effective[f"{k}_threshold"] for k in ("alp", "iou3d", "bev"))
-    tables = {f"ALP @ {alp_m:g} m": ("alp", alp_m, _ALP_GATE.default),  # title -> curve job
+    tables = {f"ALP @ {alp_m:g} m": ("alp", alp_m, ALP_GATE),  # title -> curve job
               f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),
               f"AP bird's-eye IoU @ {bev:g}": ("apbev", bev, None)}
-    # one variant's frames (and the pair tables they keep) at a time
     curves = {variant: _eval_curves(_paired_frames(out_dirs[variant] / "labels", ground_truth),
                                     tables.values(), effective["points"])
               for variant in ABLATION_VARIANTS}
@@ -646,9 +657,9 @@ class Command(NamedTuple):
 _DATA = Option("data", str, None, "dataset directory from synth", required=True)
 _MODEL = Option("model", _or_none(str), None, "morphable model file, or 'none' for the built-in")
 _JOBS = Option("jobs", int, 1, "worker processes", minimum=1)
-_POINTS = Option("points", int, 11, "AP interpolation points", minimum=2)
+_POINTS = Option("points", int, POINTS, "AP interpolation points", minimum=2)
 # eval's ALP gate; ablate's ALP row always uses its default
-_ALP_GATE = Option("alp_gate", _or_none(float), 0.7, "2D IoU gate for ALP, or 'none'",
+_ALP_GATE = Option("alp_gate", _or_none(float), ALP_GATE, "2D IoU gate for ALP, or 'none'",
                    within=_IOU_RANGE)
 _SOLVE = (
     _field_option("lambda1", "energy.lambda1", "landmark term weight"),

@@ -19,28 +19,22 @@ Matching protocol (shared by all metric families):
 
 A bucket with no valid ground truth yields None (absent), never zero.
 
-Match once: the first curve over an EvalPair list scores every frame of
-it not yet scored in one vectorized pass, filling four dense (detections x
-ground truth) tables per frame -- 3D IoU, BEV IoU, 2D IoU (also ALP's gate)
-and center distance -- that every later curve, threshold and difficulty
-reads through a threshold mask; the matching orders, difficulty ranks and
-don't-care coverage are kept the same way.  Pass the same EvalPair list to
-every curve to reuse them (a (detections, ground truth) tuple is wrapped,
-and so scored, afresh on each call).  3D and BEV IoU come from one
-geometry.box_ious call for the whole list, one footprint clip per pair;
-pairs whose footprints' bounding boxes are apart score exactly 0 without a
-clip, and pairs without two boxes of positive dimensions score NaN.
-
-pr_curves stacks the frames once for all its curves, padded to (frame,
-detection rank, ground truth) arrays, and sorts their detections by score
-and content; pr_curve is its one-curve case.  Each curve is then one
-quality stack and one greedy pass over all frames, a step per detection
-rank, with no per-frame or per-record loop.
+Match once per call: pr_curves scores every (detection, ground truth) pair
+of its frames in one vectorized pass, filling four flat tables -- 3D IoU,
+BEV IoU, 2D IoU (also ALP's gate) and center distance -- that every curve,
+threshold and difficulty of the call reads through a threshold mask.  3D
+and BEV IoU come from one geometry.box_ious call, one footprint clip per
+pair; pairs whose footprints' bounding boxes are apart score exactly 0
+without a clip, and pairs without two boxes of positive dimensions score
+NaN.  The same call stacks the frames, padded to (frame, detection rank,
+ground truth) arrays, and sorts their detections by score and content;
+pr_curve is its one-curve case.  Each curve is then one quality stack and
+one greedy pass over all frames, a step per detection rank, with no
+per-frame or per-record loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +49,8 @@ from .scene_io import label_to_pose  # noqa: F401
 DIFFICULTIES = ("easy", "moderate", "hard")
 DONT_CARE_TYPE = "DontCare"
 OBJECT_TYPE = "Car"  # the one class every curve evaluates
+POINTS = 11  # interpolated recall levels: the original KITTI 11-point AP
+ALP_GATE = 0.7  # 2D IoU an ALP match needs, unless the gate is None
 
 # difficulty -> (min projected height px, max occlusion, max truncation)
 _DIFFICULTY_RULES = {
@@ -77,81 +73,15 @@ _APART_RTOL = 1e-9
 
 
 class PairTable(NamedTuple):
-    """Every (detection, ground truth) value of one frame, (n_det, n_gt)
-    each; NaN IoU where the pair lacks two boxes of positive dimensions."""
+    """Every (detection, ground truth) value of a frame list, flat: each
+    frame's pairs detection-major, one frame after another.  NaN IoU where
+    the pair lacks two boxes of positive dimensions."""
 
     iou_3d: np.ndarray
     iou_bev: np.ndarray
     iou_2d: np.ndarray
     distance: np.ndarray
     apart: np.ndarray  # footprints apart: 3D and BEV IoU 0.0 without a clip
-
-
-@dataclass(frozen=True)
-class EvalPair:
-    """One frame: scored detections against annotated ground truth.
-
-    The matching orders, the ground truths' difficulty ranks, the
-    detections' don't-care coverage and the pair table are computed once
-    and kept on the instance, so every curve over it reuses them.
-    """
-
-    detections: tuple
-    ground_truth: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
-        object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
-
-    @cached_property
-    def _det_order(self) -> np.ndarray:
-        """Indices of the OBJECT_TYPE detections, the only ones matched, by
-        descending score, ties by content."""
-        dets = self.detections
-        matched = [i for i, det in enumerate(dets) if det.type == OBJECT_TYPE]
-        return np.array(sorted(matched, key=lambda i: (-_score(dets[i]),) + _content_key(dets[i])),
-                        dtype=int)
-
-    @cached_property
-    def _det_keys(self) -> np.ndarray:
-        """(n, 13) rows, one per detection in _det_order: -score, then the
-        content key's numeric fields (bbox, location, dimensions,
-        rotation_y, alpha).  Every such detection has OBJECT_TYPE, so the
-        key's type field never breaks a tie."""
-        rows = [(-_score(det), *det.bbox, *det.location, *det.dimensions, det.rotation_y, det.alpha)
-                for det in (self.detections[i] for i in self._det_order)]
-        return np.array(rows, dtype=float).reshape(-1, 13)
-
-    @cached_property
-    def _dontcare_covered(self) -> np.ndarray:
-        """Whether don't-care regions cover each detection in _det_order by
-        at least _DONTCARE_COVERAGE, which drops it if unmatched; no curve
-        changes it."""
-        regions = [gt.bbox for gt in self.ground_truth if gt.type == DONT_CARE_TYPE]
-        if not regions:
-            return np.zeros(len(self._det_order), dtype=bool)
-        boxes = [self.detections[i].bbox for i in self._det_order]
-        fractions = _cover_fractions(np.reshape(boxes, (-1, 4)), np.reshape(regions, (-1, 4)))
-        return (fractions >= _DONTCARE_COVERAGE).any(axis=1)
-
-    @cached_property
-    def _gt_order(self) -> np.ndarray:
-        gts = self.ground_truth
-        return np.array(sorted(range(len(gts)), key=lambda j: _content_key(gts[j])), dtype=int)
-
-    @cached_property
-    def _gt_rank(self) -> np.ndarray:
-        """Each ground truth's difficulty rank in _gt_order: "ignored" for
-        other types, _DONT_CARE_RANK for a don't-care region."""
-        gts = [self.ground_truth[j] for j in self._gt_order]
-        return np.array([_DONT_CARE_RANK if gt.type == DONT_CARE_TYPE else
-                         _RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
-                         for gt in gts], dtype=int)
-
-    @cached_property
-    def _gt_alpha(self) -> np.ndarray:
-        """Each ground truth's observation angle, in _gt_order."""
-        return np.array([self.ground_truth[j].alpha for j in self._gt_order], dtype=float)
 
 
 def _corners(records) -> np.ndarray:
@@ -178,26 +108,21 @@ def center_distance(a: LabelRecord, b: LabelRecord) -> float:
     return float(_distances(_centers([a]), _centers([b]))[0])
 
 
-def _score_frames(pairs) -> None:
-    """Give every frame not yet scored its PairTable, in one vectorized pass
-    over those frames' pairs and one box_ious call.
+def _pair_table(frames) -> PairTable:
+    """The PairTable of the (detections, ground truth) frames, in one
+    vectorized pass over their pairs and one box_ious call.
 
     The records with positive dimensions become boxes in one
     label_pose_fields call.  A pair whose footprints' bounding boxes are
     apart scores 0.0 without a clip.
     """
-    todo = [pair for pair in pairs if "_table" not in vars(pair)]
-    if not todo:
-        return
-    records = [rec for pair in todo for rec in (*pair.detections, *pair.ground_truth)]
+    records = [rec for dets, gts in frames for rec in (*dets, *gts)]
     i, j, start = [], [], 0  # record indices of each frame's pairs, detection-major
-    for pair in todo:
-        n_det, n_gt = len(pair.detections), len(pair.ground_truth)
-        di, gj = np.indices((n_det, n_gt)).reshape(2, -1)
+    for dets, gts in frames:
+        di, gj = np.indices((len(dets), len(gts))).reshape(2, -1)
         i.append(start + di)
-        j.append(start + n_det + gj)
-        start += n_det + n_gt
-    bounds = np.cumsum([len(frame) for frame in i])[:-1]  # where each frame's pairs end
+        j.append(start + len(dets) + gj)
+        start += len(dets) + len(gts)
     i, j = np.concatenate(i), np.concatenate(j)
     posed = np.array([min(rec.dimensions) > 0 for rec in records], dtype=bool)
     boxes = BoxStack.of(*label_pose_fields([rec for rec, p in zip(records, posed) if p]))
@@ -215,11 +140,8 @@ def _score_frames(pairs) -> None:
     clip = two & ~apart
     iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
     corners, centers = _corners(records), _centers(records)
-    values = (iou3, iou_b, box2d_ious(corners[i], corners[j]),
-              _distances(centers[i], centers[j]), apart)
-    for pair, *frame in zip(todo, *(np.split(v, bounds) for v in values)):
-        shape = (len(pair.detections), len(pair.ground_truth))
-        vars(pair)["_table"] = PairTable(*(v.reshape(shape) for v in frame))
+    return PairTable(iou3, iou_b, box2d_ious(corners[i], corners[j]),
+                     _distances(centers[i], centers[j]), apart)
 
 
 @dataclass(frozen=True)
@@ -231,8 +153,8 @@ class PRCurve:
     recall: np.ndarray
     precision: np.ndarray
     ap: float
-    similarity: np.ndarray | None = None  # cumulative orientation term
-    aos: float | None = None
+    similarity: np.ndarray  # cumulative orientation term
+    aos: float
 
 
 def difficulty_bucket(gt: LabelRecord) -> str:
@@ -325,43 +247,74 @@ def _padded(rows, real: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-class _Stack(NamedTuple):
-    """What every curve over a list of scored frames reads, built once for
-    all of them: each frame's detections padded to D slots in its
-    _det_order, its ground truth to G slots in its _gt_order."""
+def _frame_fields(detections, ground_truth) -> tuple:
+    """What matching reads of one frame: the indices of its OBJECT_TYPE
+    detections (the only ones matched) by descending score, ties by
+    content; their (n, 13) sort keys, -score then the content key's numeric
+    fields (their type never breaks a tie); whether don't-care regions cover
+    each by at least _DONTCARE_COVERAGE, which drops it if unmatched; the
+    indices of its ground truth in content order; and their difficulty
+    ranks ("ignored" for other types, _DONT_CARE_RANK for a don't-care
+    region) and observation angles."""
+    matched = [i for i, det in enumerate(detections) if det.type == OBJECT_TYPE]
+    det_order = np.array(sorted(matched, key=lambda i: (-_score(detections[i]),
+                                                        *_content_key(detections[i]))), dtype=int)
+    dets = [detections[i] for i in det_order]
+    keys = np.array([(-_score(det), *det.bbox, *det.location, *det.dimensions, det.rotation_y,
+                      det.alpha) for det in dets], dtype=float).reshape(-1, 13)
+    regions = [gt.bbox for gt in ground_truth if gt.type == DONT_CARE_TYPE]
+    covered = np.zeros(len(dets), dtype=bool)
+    if regions:
+        fractions = _cover_fractions(np.reshape([det.bbox for det in dets], (-1, 4)),
+                                     np.reshape(regions, (-1, 4)))
+        covered = (fractions >= _DONTCARE_COVERAGE).any(axis=1)
+    gt_order = np.array(sorted(range(len(ground_truth)),
+                               key=lambda j: _content_key(ground_truth[j])), dtype=int)
+    gts = [ground_truth[j] for j in gt_order]
+    rank = np.array([_DONT_CARE_RANK if gt.type == DONT_CARE_TYPE else
+                     _RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
+                     for gt in gts], dtype=int)
+    return det_order, keys, covered, gt_order, rank, np.array([gt.alpha for gt in gts], dtype=float)
 
-    table: PairTable  # every frame's PairTable, flattened one after another
+
+class _Stack(NamedTuple):
+    """What every curve of one pr_curves call reads, built once for all of
+    them: each frame's detections padded to D slots in matching order, its
+    ground truth to G slots in content order (see _frame_fields)."""
+
+    table: PairTable  # the frames' _pair_table
     index: np.ndarray  # (F, D, G) each pair's place in table; -1 in the padding
     dets: np.ndarray  # (F, D) slots holding a detection
-    covered: np.ndarray  # (F, D) _dontcare_covered
-    keys: np.ndarray  # (F, D, 13) _det_keys
+    covered: np.ndarray  # (F, D) covered by a don't-care region
+    keys: np.ndarray  # (F, D, 13) sort keys
     order: np.ndarray  # the flat detection slots by descending score, ties by content
-    gt_rank: np.ndarray  # (F, G) _gt_rank, _DONT_CARE_RANK in the padding
+    gt_rank: np.ndarray  # (F, G) difficulty rank, _DONT_CARE_RANK in the padding
     gt_alpha: np.ndarray  # (F, G)
 
     @classmethod
-    def of(cls, pairs) -> "_Stack":
-        n_det = np.array([len(pair._det_order) for pair in pairs])
-        n_gt = np.array([len(pair._gt_order) for pair in pairs])
+    def of(cls, frames) -> "_Stack":
+        det_order, keys, covered, gt_order, gt_rank, gt_alpha = zip(
+            *(_frame_fields(*frame) for frame in frames))
+        n_det = np.array([len(order) for order in det_order])
+        n_gt = np.array([len(order) for order in gt_order])
         dets = np.arange(n_det.max()) < n_det[:, None]
         gts = np.arange(n_gt.max()) < n_gt[:, None]
-        tables = [pair._table for pair in pairs]
-        start = np.cumsum([0] + [table.distance.size for table in tables])[:-1]
-        flat = PairTable(*(np.concatenate([v.ravel() for v in field]) for field in zip(*tables)))
-        rows = _padded([pair._det_order for pair in pairs], dets, 0)
-        cols = _padded([pair._gt_order for pair in pairs], gts, 0)
+        # each frame's first pair in the table
+        start = np.cumsum([0] + [len(d) * len(g) for d, g in frames])[:-1]
+        rows = _padded(det_order, dets, 0)
+        cols = _padded(gt_order, gts, 0)
         index = start[:, None, None] + rows[:, :, None] * n_gt[:, None, None] + cols[:, None, :]
-        keys = _padded([pair._det_keys for pair in pairs], dets, 0.0)
+        keys = _padded(keys, dets, 0.0)
         slots = np.flatnonzero(dets)  # (frame, rank) order; lexsort is stable
         return cls(
-            table=flat,
+            table=_pair_table(frames),
             index=np.where(dets[:, :, None] & gts[:, None, :], index, -1),
             dets=dets,
-            covered=_padded([pair._dontcare_covered for pair in pairs], dets, False),
+            covered=_padded(covered, dets, False),
             keys=keys,
             order=slots[np.lexsort(keys.reshape(-1, 13)[slots].T[::-1])],
-            gt_rank=_padded([pair._gt_rank for pair in pairs], gts, _DONT_CARE_RANK),
-            gt_alpha=_padded([pair._gt_alpha for pair in pairs], gts, 0.0),
+            gt_rank=_padded(gt_rank, gts, _DONT_CARE_RANK),
+            gt_alpha=_padded(gt_alpha, gts, 0.0),
         )
 
 
@@ -406,46 +359,28 @@ def _curve(stack: _Stack, metric: str, threshold: float, difficulty: str,
     flags = stack.order[kept[stack.order]]  # kept detections by descending score, ties by content
     scores = -stack.keys.reshape(-1, 13)[flags, 0]
     hit = hit.reshape(-1)[flags]
-    tp = np.cumsum(hit)
-    fp = np.cumsum(~hit)
-    sim = np.cumsum(matched_sim.reshape(-1)[flags])
-    if len(scores):
-        last_of_group = np.append(scores[1:] != scores[:-1], True)
-        keep = np.flatnonzero(last_of_group)
-        thresholds = scores[keep]
-        recall = tp[keep] / n_valid
-        precision = tp[keep] / (tp[keep] + fp[keep])
-        similarity = sim[keep] / (tp[keep] + fp[keep])
-    else:
-        thresholds = np.zeros(0)
-        recall = np.zeros(0)
-        precision = np.zeros(0)
-        similarity = np.zeros(0)
-    ap = _interpolated_ap(recall, precision, points)
-    aos = _interpolated_ap(recall, similarity, points)
-    return PRCurve(
-        thresholds=thresholds,
-        recall=recall,
-        precision=precision,
-        ap=ap,
-        similarity=similarity,
-        aos=aos,
-    )
+    keep = np.flatnonzero(np.diff(scores, append=-np.inf))  # the last point of each score group
+    tp, fp = np.cumsum(hit)[keep], np.cumsum(~hit)[keep]
+    recall, precision = tp / n_valid, tp / (tp + fp)
+    similarity = np.cumsum(matched_sim.reshape(-1)[flags])[keep] / (tp + fp)
+    return PRCurve(thresholds=scores[keep], recall=recall, precision=precision,
+                   ap=_interpolated_ap(recall, precision, points), similarity=similarity,
+                   aos=_interpolated_ap(recall, similarity, points))
 
 
-def pr_curves(frames, jobs, points: int = 11) -> list:
+def pr_curves(frames, jobs, points: int) -> list:
     """pr_curve of each job (metric, threshold, difficulty, gate_iou) over
-    the same frames, which are scored and stacked once for all jobs."""
+    the same (detections, ground truth) frames, any iterable of them, which
+    are scored and stacked once for all jobs."""
     for metric, _, difficulty, _ in jobs:
         if difficulty not in _RANK or difficulty == "ignored":
             raise ValueError(f"unknown difficulty {difficulty!r}")
         if metric != "alp" and metric not in _IOU_FIELD:
             raise ValueError(f"unknown metric {metric!r}")
-    pairs = [pair if isinstance(pair, EvalPair) else EvalPair(*pair) for pair in frames]
-    if not pairs:
+    frames = [(tuple(dets), tuple(gts)) for dets, gts in frames]
+    if not frames:
         return [None] * len(jobs)
-    _score_frames(pairs)
-    stack = _Stack.of(pairs)
+    stack = _Stack.of(frames)
     return [_curve(stack, *job, points) for job in jobs]
 
 
@@ -454,12 +389,13 @@ def pr_curve(
     metric: str,
     threshold: float,
     difficulty: str = "moderate",
-    gate_iou: float | None = 0.7,
-    points: int = 11,
+    gate_iou: float | None = ALP_GATE,
+    points: int = POINTS,
 ) -> PRCurve | None:
     """Match every frame, sweep score thresholds, interpolate: pr_curves
     for one job.
 
+    frames are (detections, ground truth) pairs of LabelRecord sequences.
     metric is one of "alp", "ap3d", "apbev", "ap2d"; threshold is meters
     for "alp" and an IoU otherwise.  Returns None when no valid ground
     truth exists at the difficulty (undefined, not zero).
@@ -471,8 +407,8 @@ def alp(
     frames,
     threshold_m: float = 1.0,
     difficulty: str = "moderate",
-    gate_iou: float | None = 0.7,
-    points: int = 11,
+    gate_iou: float | None = ALP_GATE,
+    points: int = POINTS,
 ) -> float | None:
     curve = pr_curve(frames, "alp", threshold_m, difficulty, gate_iou, points)
     return None if curve is None else curve.ap
@@ -482,7 +418,7 @@ def ap_3d(
     frames,
     iou_threshold: float = 0.25,
     difficulty: str = "moderate",
-    points: int = 11,
+    points: int = POINTS,
 ) -> float | None:
     curve = pr_curve(frames, "ap3d", iou_threshold, difficulty, None, points)
     return None if curve is None else curve.ap
@@ -492,7 +428,7 @@ def ap_bev(
     frames,
     iou_threshold: float = 0.5,
     difficulty: str = "moderate",
-    points: int = 11,
+    points: int = POINTS,
 ) -> float | None:
     curve = pr_curve(frames, "apbev", iou_threshold, difficulty, None, points)
     return None if curve is None else curve.ap

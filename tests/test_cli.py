@@ -29,7 +29,7 @@ from vehicle3d.scene_io import (
     parse_measurements,
     pose_to_label,
 )
-from vehicle3d.shape import load_model, save_model
+from vehicle3d.shape import MorphableModel, load_model, save_model
 
 from tests.test_scene_io import _mutations
 
@@ -287,6 +287,19 @@ def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
     assert run_cli("fit", "--data", dataset, "--out", out, "--model", model, "--variant", "v2") == 1
     assert capfd.readouterr().err == f"error: cannot load model {model}: {model}: non-finite value\n"
     assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+
+
+def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
+    model = tmp_path / "model.txt"
+    save_model(MorphableModel(mean=CAR_MODEL.mean * 50, basis=CAR_MODEL.basis * 50), model)
+    for command in ("fit", "ablate"):
+        out = tmp_path / command
+        assert run_cli(command, "--data", dataset, "--out", out, "--model", model) == 1
+        assert capfd.readouterr().err == (
+            f"error: cannot load model {model}: mean shape coordinate 47 lies outside [-2, 2], "
+            "the unit-box frame fit expects\n"
+        )
+        assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
 
 
 def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):

@@ -12,14 +12,17 @@ import pytest
 
 from vehicle3d.geometry import Box2D, iou_2d, iou_3d, iou_bev
 from vehicle3d.metrics import (
+    ALP_GATE,
     DIFFICULTIES,
-    EvalPair,
+    POINTS,
+    _Stack,
     alp,
     ap_3d,
     ap_bev,
     center_distance,
     difficulty_bucket,
     pr_curve,
+    pr_curves,
 )
 from vehicle3d.scene_io import (
     NoiseSpec,
@@ -121,10 +124,7 @@ def oracle_iou_criterion(kind, threshold):
 def compare_with_oracle(frames, points=11):
     """Assert all four metric families equal the rematching oracle.
 
-    frames are (detections, ground truth) tuples or EvalPairs."""
-    oracle_frames = [
-        (f.detections, f.ground_truth) if isinstance(f, EvalPair) else f for f in frames
-    ]
+    frames are (detections, ground truth) tuples."""
     cases = [
         ("alp", 1.0, 0.7, oracle_alp_criterion(1.0, 0.7)),
         ("ap3d", 0.25, None, oracle_iou_criterion("3d", 0.25)),
@@ -135,9 +135,7 @@ def compare_with_oracle(frames, points=11):
         for difficulty in DIFFICULTIES:
             curve = pr_curve(frames, metric, threshold, difficulty,
                              gate_iou=gate, points=points)
-            want_ap, want_aos = oracle_pr_metrics(
-                oracle_frames, criterion, difficulty, points=points
-            )
+            want_ap, want_aos = oracle_pr_metrics(frames, criterion, difficulty, points=points)
             if curve is None:
                 assert want_ap is None, (metric, difficulty)
             else:
@@ -424,7 +422,7 @@ def test_empty_detections_score_zero():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        EvalPair((rec(score=float("inf"), truncated=-1.0, occluded=-1),), ())
+        rec(score=float("inf"), truncated=-1.0, occluded=-1)
     with pytest.raises(ValueError):
         pr_curve([((), (rec(),))], "nope", 0.5)
     with pytest.raises(ValueError):
@@ -559,6 +557,27 @@ def test_input_order_invariance():
                     assert a.ap == b.ap and a.aos == b.aos
 
 
+# pr_curves jobs: two thresholds of each metric at every difficulty
+SWEEP_JOBS = [(metric, threshold, difficulty, ALP_GATE if metric == "alp" else None)
+              for metric, thresholds in (("alp", (1.0, 2.0)), ("ap3d", (0.25, 0.7)),
+                                         ("apbev", (0.5, 0.7)), ("ap2d", (0.5, 0.7)))
+              for threshold in thresholds for difficulty in DIFFICULTIES]
+
+
+def test_frames_may_be_any_iterable_of_pairs():
+    frames = random_frames(np.random.default_rng(7))
+    want = pr_curves(frames, SWEEP_JOBS, POINTS)
+    for given in ((frame for frame in frames),  # a generator of frames
+                  [[list(dets), list(gts)] for dets, gts in frames]):  # frames as lists
+        for a, b in zip(want, pr_curves(given, SWEEP_JOBS, POINTS), strict=True):
+            if a is None:
+                assert b is None
+            else:
+                for field in ("thresholds", "recall", "precision", "similarity"):
+                    assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
+                assert (a.ap, a.aos) == (b.ap, b.aos)
+
+
 def test_aos_never_exceeds_ap():
     for seed in range(40):
         rng = np.random.default_rng(600 + seed)
@@ -622,7 +641,7 @@ def test_ground_truth_self_evaluation_is_perfect():
 
 
 # ---------------------------------------------------------------------------
-# Match once: the pair table an EvalPair keeps for its curves.
+# Match once per call: the pair table every curve of a pr_curves call reads.
 # ---------------------------------------------------------------------------
 
 # PairTable field -> the scalar kernel behind its entries
@@ -631,7 +650,7 @@ TABLE_KERNELS = (("iou_3d", "iou_3d"), ("iou_bev", "iou_bev"),
 
 
 def scalar_pair_value(kind, det, gt):
-    """The scalar kernel behind one EvalPair table entry."""
+    """The scalar kernel behind one pair table entry."""
     if kind == "iou_2d":
         return iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
     if kind == "center_distance":
@@ -643,29 +662,27 @@ def scalar_pair_value(kind, det, gt):
 
 
 def check_reused_tables(frames) -> int:
-    """Run every curve over one EvalPair list, then require every entry of
-    each frame's four tables to equal its scalar kernel exactly, NaN where
-    the kernel gives None.  Returns how many 3D or BEV entries came from
-    the apart-footprints shortcut."""
-    pairs = [EvalPair(*frame) for frame in frames]
-    compare_with_oracle(pairs)
+    """Run every curve over the frames, then require every entry of the
+    four flat tables their stack reads to equal its scalar kernel exactly,
+    NaN where the kernel gives None.  Returns how many 3D or BEV entries
+    came from the apart-footprints shortcut."""
+    compare_with_oracle(frames)
+    table = _Stack.of(frames).table
+    pairs = [(det, gt) for dets, gts in frames for det in dets for gt in gts]  # detection-major
+    assert table.apart.shape == (len(pairs),)
     shortcuts = 0
-    for pair in pairs:
-        table = pair._table
-        shape = (len(pair.detections), len(pair.ground_truth))
-        assert table.apart.shape == shape
-        for field, kind in TABLE_KERNELS:
-            values = getattr(table, field)
-            assert values.shape == shape and values.dtype == np.float64, field
-            for (i, j), value in np.ndenumerate(values):
-                want = scalar_pair_value(kind, pair.detections[i], pair.ground_truth[j])
-                if want is None:
-                    assert math.isnan(value), (field, i, j, value)
-                else:
-                    assert value == want, (field, i, j, value, want)
-                if field in ("iou_3d", "iou_bev") and table.apart[i, j]:
-                    assert value == 0.0
-                    shortcuts += 1
+    for field, kind in TABLE_KERNELS:
+        values = getattr(table, field)
+        assert values.shape == (len(pairs),) and values.dtype == np.float64, field
+        for p, ((det, gt), value) in enumerate(zip(pairs, values.tolist())):
+            want = scalar_pair_value(kind, det, gt)
+            if want is None:
+                assert math.isnan(value), (field, p, value)
+            else:
+                assert value == want, (field, p, value, want)
+            if field in ("iou_3d", "iou_bev") and table.apart[p]:
+                assert value == 0.0
+                shortcuts += 1
     return shortcuts
 
 
@@ -719,6 +736,8 @@ def count_metric_calls(monkeypatch, names):
 
 
 def test_each_pair_value_is_computed_once(monkeypatch):
+    frames = random_frames(np.random.default_rng(7))
+    table = _Stack.of(frames).table  # read before the kernels are counted
     log = count_metric_calls(monkeypatch, (
         "box_ious", "box2d_ious", "_distances", "iou_3d", "iou_bev", "iou_2d",
         "center_distance", "label_pose_fields"))
@@ -729,50 +748,32 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     def sizes(kernel):  # P, the pair count, of each call of a batched kernel
         return [len(args[1]) for called, args in log if called == kernel]
 
-    pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
-    jobs = [(metric, threshold, difficulty)
-            for metric, thresholds in (("alp", (1.0, 2.0)), ("ap3d", (0.25, 0.7)),
-                                       ("apbev", (0.5, 0.7)), ("ap2d", (0.5, 0.7)))
-            for threshold in thresholds for difficulty in DIFFICULTIES]
-    for job in jobs:
-        pr_curve(pairs, *job)
-    first = len(log)
-    assert count("box_ious") == 1 and sizes("box_ious")[0] > 0  # one call for the sweep
-    for job in jobs:
-        pr_curve(pairs, *job)
-    assert len(log) == first > 0  # a second sweep scores nothing
-
-    def clipped(frames):  # 3D/BEV entries of two boxes whose footprints are not apart
-        return sum(int((~np.isnan(p._table.iou_bev) & ~p._table.apart).sum()) for p in frames)
-
-    n_pairs = sum(len(p.detections) * len(p.ground_truth) for p in pairs)
+    assert len(pr_curves(frames, SWEEP_JOBS, POINTS)) == len(SWEEP_JOBS) == 24
+    # 3D/BEV entries of two boxes whose footprints are not apart, in one call
+    clipped = int((~np.isnan(table.iou_bev) & ~table.apart).sum())
+    assert sizes("box_ious") == [clipped] and clipped > 0
+    n_pairs = sum(len(dets) * len(gts) for dets, gts in frames)
     for kernel in ("box2d_ious", "_distances"):  # every pair, in one call
         assert sizes(kernel) == [n_pairs] and n_pairs > 0, kernel
     for kind in ("iou_2d", "center_distance", "iou_3d", "iou_bev"):
         assert count(kind) == 0, kind  # the batched kernels score every pair
-    assert sizes("box_ious") == [clipped(pairs)]
-    posed = sum(1 for p in pairs for rec in (*p.detections, *p.ground_truth)
-                if min(rec.dimensions) > 0)
+    posed = sum(1 for dets, gts in frames for rec in (*dets, *gts) if min(rec.dimensions) > 0)
     # every posed record becomes a box row in one array conversion
     assert [len(args[0]) for called, args in log if called == "label_pose_fields"] == [posed]
-    # scored and new frames in one list: one call, over the new frames only
-    fresh = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(8))]
-    pr_curve(pairs + fresh, "apbev", 0.5)
-    assert count("box_ious") == 2 and sizes("box_ious")[1] == clipped(fresh) > 0
 
 
 def test_alp_sweep_fills_every_table(monkeypatch):
-    log = count_metric_calls(monkeypatch, ("iou_2d", "center_distance"))
-    pairs = [EvalPair(*frame) for frame in random_frames(np.random.default_rng(7))]
-    for threshold in (1.0, 2.0):
-        for difficulty in DIFFICULTIES:
-            pr_curve(pairs, "alp", threshold, difficulty)
-    assert log == []  # no scalar 2D IoU or distance
-    for pair in pairs:
-        shape = (len(pair.detections), len(pair.ground_truth))
-        for field, _ in TABLE_KERNELS:
-            assert getattr(pair._table, field).shape == shape, field
-        assert not np.isnan(pair._table.iou_2d).any()
-        assert not np.isnan(pair._table.distance).any()
+    log = count_metric_calls(monkeypatch, ("iou_2d", "center_distance", "_curve"))
+    frames = random_frames(np.random.default_rng(7))
+    pr_curves(frames, [job for job in SWEEP_JOBS if job[0] == "alp"], POINTS)
+    stacks = [args[0] for called, args in log if called == "_curve"]
+    assert len(stacks) == 6 and all(stack is stacks[0] for stack in stacks)  # one stack per call
+    assert [called for called, _ in log if called != "_curve"] == []  # no scalar 2D IoU or distance
+    table = stacks[0].table
+    n_pairs = sum(len(dets) * len(gts) for dets, gts in frames)
+    for field, _ in TABLE_KERNELS:
+        assert getattr(table, field).shape == (n_pairs,), field
+    assert not np.isnan(table.iou_2d).any()
+    assert not np.isnan(table.distance).any()
     # the 3D and BEV tables were filled by the same pass
-    assert any((~np.isnan(p._table.iou_3d)).any() for p in pairs)
+    assert (~np.isnan(table.iou_3d)).any()
