@@ -11,8 +11,10 @@ Subcommands:
 
 Configuration precedence: command-line flag, then a `key = value` line in
 the --config file, then the built-in default.  The effective configuration
-is echoed to <out>/manifest.cfg by every run that writes files; given back
-as --config, it reruns the same command.
+is echoed to <out>/manifest.cfg, last, by every run given --out that gets
+past its inputs; given back as --config, it reruns the same command.  No
+directory under --out, nor --out itself, exists before the run writes its
+first file there.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
 every file is written to a temp name and renamed into place.  fit, ablate
@@ -61,10 +63,10 @@ from .scene_io import (
     format_config,
     generate_scene,
     label_pose_fields,
+    parse_config_text,
     parse_labels,
     parse_measurements,
     poses_to_labels,
-    read_config,
 )
 from .shape import LandmarkObservations, LearnOptions, learn_em, load_model, save_model
 
@@ -159,7 +161,7 @@ def _resolve_options(command: str, args):
     file_cfg = {}
     if args.config:
         try:
-            file_cfg = read_config(args.config)
+            file_cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise CLIError(f"cannot read config {args.config}: {exc}")
     table = _COMMANDS[command].options
@@ -200,8 +202,10 @@ def _resolve_options(command: str, args):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write to <name>.tmp and rename into place; a failed write or rename
-    removes the temp file and re-raises."""
+    """Write to <name>.tmp and rename into place, creating the directory
+    first: the one place a run's output directories appear.  A failed write
+    or rename removes the temp file and re-raises."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -209,12 +213,6 @@ def _atomic_write(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_manifest(out_dir: Path, command: str, effective: dict) -> None:
-    payload = {"command": command}
-    payload.update({k: _fmt_value(v) for k, v in effective.items()})
-    _atomic_write(out_dir / "manifest.cfg", format_config(payload))
 
 
 def _labels_dir(path_text: str) -> Path:
@@ -267,10 +265,6 @@ def render_table(title: str, headers, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneParams) -> int:
-    labels_dir = out_dir / "labels"
-    meas_dir = out_dir / "meas"
-    labels_dir.mkdir(parents=True, exist_ok=True)
-    meas_dir.mkdir(parents=True, exist_ok=True)
     for index in range(effective["frames"]):
         try:
             frame, measurements, labels = generate_scene(
@@ -279,12 +273,11 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
         except GenerationError as exc:
             raise CLIError(f"frame {index}: {exc}")
         name = f"{index:06d}"
-        _atomic_write(labels_dir / (name + ".txt"), emit_labels(labels))
+        _atomic_write(out_dir / "labels" / (name + ".txt"), emit_labels(labels))
         _atomic_write(
-            meas_dir / (name + ".cfg"),
+            out_dir / "meas" / (name + ".cfg"),
             emit_measurements(frame.camera, frame.ground, measurements),
         )
-    _write_manifest(out_dir, "synth", effective)
     print(f"wrote {effective['frames']} frames to {out_dir}")
     return 0
 
@@ -418,9 +411,6 @@ def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfi
     instances = [meas for _, measurements in dataset for meas in measurements]
     size = min(_FIT_BLOCK, max(1, -(-len(instances) // effective["jobs"])))
     tasks = [(instances[i:i + size], *settings) for i in range(0, len(instances), size)]
-    for out_dir in out_dirs.values():
-        (out_dir / "labels").mkdir(parents=True, exist_ok=True)
-        (out_dir / "diag").mkdir(parents=True, exist_ok=True)
     jobs = min(effective["jobs"], len(tasks))
     outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, jobs))
     return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(measurements))))
@@ -430,7 +420,6 @@ def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfi
 def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
     dataset = _read_dataset(effective["data"])
     failures = _run_fit(effective, dataset, {effective["variant"]: out_dir}, energy, solver)
-    _write_manifest(out_dir, "fit", effective)
     print(f"fit complete: {failures} instance failure(s); outputs in {out_dir}")
     return 1 if failures else 0
 
@@ -515,8 +504,6 @@ def _metric_tables(jobs, curves: dict) -> str:
 
 
 def _write_curves(curves: dict, out_dir: Path) -> None:
-    curve_dir = out_dir / "curves"
-    curve_dir.mkdir(parents=True, exist_ok=True)
     for (metric, threshold, difficulty), curve in curves.items():
         if curve is None:
             continue
@@ -532,15 +519,13 @@ def _write_curves(curves: dict, out_dir: Path) -> None:
             "similarity": " ".join(repr(float(v)) for v in curve.similarity),
         }
         name = f"{metric}_{threshold:g}_{difficulty}.cfg"
-        _atomic_write(curve_dir / name, format_config(payload))
+        _atomic_write(out_dir / "curves" / name, format_config(payload))
 
 
 def _write_plot_data(frame_ids, frames, out_dir: Path) -> None:
     """One plot file per frame: each record's image-plane box and, if its
     dimensions are positive, its closed ground-plane outline (x z pairs).
     The outlines of every frame are boxed in one array pass."""
-    plot_dir = out_dir / "plot"
-    plot_dir.mkdir(parents=True, exist_ok=True)
     named = [[*((f"pred{i}.", det) for i, det in enumerate(dets)),
               *((f"gt{i}.", gt) for i, gt in enumerate(gts))] for dets, gts in frames]
     posed = [record for records in named for _, record in records if min(record.dimensions) > 0]
@@ -553,7 +538,7 @@ def _write_plot_data(frame_ids, frames, out_dir: Path) -> None:
                 corners = next(feet)
                 ring = np.vstack([corners, corners[:1]]).reshape(-1)
                 payload[prefix + "bev"] = " ".join(repr(float(v)) for v in ring)
-        _atomic_write(plot_dir / (frame_id + ".cfg"), format_config(payload))
+        _atomic_write(out_dir / "plot" / (frame_id + ".cfg"), format_config(payload))
 
 
 def cmd_eval(effective: dict, out_dir: Path | None) -> int:
@@ -566,13 +551,11 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
     text = _metric_tables(jobs, curves)
     print(text, end="")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(out_dir / "eval.txt", text)
         if effective["curves"]:
             _write_curves(curves, out_dir)
         if effective["plot_data"]:
             _write_plot_data(ground_truth, frames, out_dir)
-        _write_manifest(out_dir, "eval", effective)
     return 0
 
 
@@ -602,7 +585,6 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     )
     print(text, end="")
     _atomic_write(out_dir / "ablation.txt", text)
-    _write_manifest(out_dir, "ablate", effective)
     return 1 if total_failures else 0
 
 
@@ -619,7 +601,6 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
         result = learn_em(observations, effective["basis"], learn)
     except ValueError as exc:  # too few usable instances
         raise CLIError(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out_dir / "model.txt")
     report = {
         "instances_total": str(len(observations)),
@@ -632,7 +613,6 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
         "reproj_rmse_px": repr(float(result.reproj_rmse)),
     }
     _atomic_write(out_dir / "report.cfg", format_config(report))
-    _write_manifest(out_dir, "shape-learn", effective)
     print(
         f"learned {effective['basis']}-basis model from "
         f"{int(result.used_mask.sum())} instances in {result.iterations} EM iterations "
@@ -692,7 +672,7 @@ _COMMANDS = {
         _DATA,
         _MODEL,
         _field_option("variant", "energy.variant", "energy variant v1..v4"),
-        _JOBS._replace(help="worker processes for per-frame work"),
+        _JOBS._replace(help="worker processes for tasks of instances pooled across frames"),
         *_SOLVE,
     )),
     "eval": Command("score predictions against ground truth", cmd_eval, False, (
@@ -708,7 +688,7 @@ _COMMANDS = {
         _ALP_GATE,
         _POINTS._replace(help="AP interpolation points, recall 0 to 1 inclusive"),
         Option("curves", _as_bool, False, "write PR curve point files"),
-        Option("plot_data", _as_bool, False, "write footprint/wireframe polylines"),
+        Option("plot_data", _as_bool, False, "write each record's 2D box and ground footprint"),
     )),
     "ablate": Command("run all energy variants and tabulate the metrics", cmd_ablate, True, (
         _DATA,
@@ -754,9 +734,12 @@ def main(argv=None) -> int:
     try:
         effective, configs = _resolve_options(args.command, args)
         out_dir = Path(args.out) if args.out else None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command].handler(effective, out_dir, **configs)
+        status = _COMMANDS[args.command].handler(effective, out_dir, **configs)
+        if out_dir is not None:  # last, so a run stopped by an error has none
+            manifest = {k: _fmt_value(v) for k, v in effective.items()}
+            _atomic_write(out_dir / "manifest.cfg",
+                          format_config({"command": args.command, **manifest}))
+        return status
     except (CLIError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -304,16 +304,11 @@ def refine_ladder(
             starts = [o.vars if isinstance(o, RefineResult) else o for o in outcomes]
 
 
-def refine_ablation(
-    meas: Measurement,
-    model: MorphableModel,
-    variant: str,
-    opts: SolverOptions | None = None,
-    base: EnergyConfig | None = None,
-) -> RefineResult:
-    """One rung of the term-ablation ladder for one instance (refine_ladder
-    of one instance); v1 skips optimization."""
-    ladder = refine_ladder([meas], model, ablation_config(variant, base), opts)
+def refine_ablation(meas: Measurement, model: MorphableModel, variant: str) -> RefineResult:
+    """One rung of the term-ablation ladder for one instance, at the default
+    weights and solver options; v1 skips optimization.  Other weights or
+    options: refine_ladder([meas], model, cfg, opts)."""
+    ladder = refine_ladder([meas], model, ablation_config(variant))
     return _first_or_raise(dict(ladder)[variant])
 
 

@@ -637,11 +637,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def format_config(mapping: dict) -> str:
     lines = [f"{key} = {mapping[key]}" for key in sorted(mapping)]
     return "\n".join(lines) + ("\n" if lines else "")

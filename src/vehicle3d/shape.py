@@ -169,7 +169,7 @@ def ortho_project(pose: OrthoCamPose, points: np.ndarray) -> np.ndarray:
     return pose.c * (pts + pose.t) @ pose.R.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnOptions:
     tol: float = 1e-6  # relative log-likelihood change
     max_iterations: int = 500
@@ -744,8 +744,10 @@ def save_model(model: MorphableModel, path) -> None:
     for block in model.basis_points():
         for row in block:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-    # written to a temp name and renamed into place: never a partial file,
-    # and no temp file left behind when either step fails
+    # the directory is made first, then the text is written to a temp name
+    # and renamed into place: never a partial file, and no temp file left
+    # behind when either step fails
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -769,7 +771,12 @@ def load_model(path) -> MorphableModel:
             "integers with K >= 1 landmarks and N >= 0 basis shapes"
         )
     K, N = int(header[0]), int(header[1])
-    vals = np.array([float(t) for t in tokens[2:]])
+    vals = np.empty(len(tokens) - 2)
+    for i, token in enumerate(tokens[2:]):
+        try:
+            vals[i] = float(token)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value '{token}'") from None
     if not np.isfinite(vals).all():
         raise ValueError(f"{path}: non-finite value")
     expected = 3 * K * (N + 1)

@@ -186,6 +186,8 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     assert "non-finite" in diag["i0.error"]
     assert "behind the camera" in diag["i1.error"]
     assert "i2.error" not in diag
+    # a run that exits 1 for per-instance failures still echoes its options
+    assert parse_config_text((out / "manifest.cfg").read_text())["command"] == "fit"
     for meas_path in sorted((data / "meas").glob("*.cfg")):
         cam, _, measurements = parse_measurements(meas_path.read_text())
         expected = []
@@ -249,8 +251,9 @@ def test_malformed_measurement_file_is_a_data_error(
     err = capfd.readouterr().err
     assert err.startswith(f"error: {bad}: ") and key in err
     assert "Traceback" not in err
-    # every file is parsed before any frame is solved or written
-    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+    # every file is parsed before any frame is solved or written, and no
+    # directory appears before its first file
+    assert not out.exists()
 
 
 def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capfd):
@@ -286,7 +289,20 @@ def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
     # v2 reads no landmark, so only the file check can fail it
     assert run_cli("fit", "--data", dataset, "--out", out, "--model", model, "--variant", "v2") == 1
     assert capfd.readouterr().err == f"error: cannot load model {model}: {model}: non-finite value\n"
-    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+    assert not out.exists()
+
+
+def test_fit_names_a_non_numeric_model_value(dataset, tmp_path, capfd):
+    model = tmp_path / "model.txt"
+    save_model(CAR_MODEL, model)
+    tokens = model.read_text().split()
+    tokens[2] = "abc"  # the first value of the mean shape
+    model.write_text(" ".join(tokens))
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", dataset, "--out", out, "--model", model) == 1
+    assert capfd.readouterr().err == (
+        f"error: cannot load model {model}: {model}: non-numeric value 'abc'\n")
+    assert not out.exists()
 
 
 def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
@@ -299,7 +315,7 @@ def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
             f"error: cannot load model {model}: mean shape coordinate 47 lies outside [-2, 2], "
             "the unit-box frame fit expects\n"
         )
-        assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+        assert not out.exists()
 
 
 def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):
@@ -314,11 +330,26 @@ def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):
         f"error: cannot load model {model}: {model}: bad header '{CAR_MODEL.K} -1': expected "
         "'K N', integers with K >= 1 landmarks and N >= 0 basis shapes\n"
     )
+    assert not out.exists()
 
 
 def test_fit_missing_data(tmp_path, capsys):
     assert run_cli("fit", "--data", tmp_path / "nope", "--out", tmp_path / "x") == 1
     assert "meas" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (("eval", "--pred", "{tmp}/nope", "--gt", "{tmp}/data"), "no label directory at {tmp}/nope"),
+    (("shape-learn", "--data", "{tmp}/data"), "no measurement files under {tmp}/data/meas"),
+], ids=["eval_missing_pred", "shape_learn_without_measurements"])
+def test_a_missing_input_leaves_no_out(tmp_path, capsys, command, message):
+    (tmp_path / "data" / "labels").mkdir(parents=True)
+    (tmp_path / "data" / "meas").mkdir()
+    argv = [part.format(tmp=tmp_path) for part in command]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -437,6 +468,14 @@ def test_eval_optional_artifacts(dataset, tmp_path):
     plot = parse_config_text((tmp_path / "flat_eval" / "plot" / "000000.cfg").read_text())
     assert "pred0.bbox" in plot and "pred0.bev" not in plot
     assert "pred1.bev" in plot and "gt0.bev" in plot
+    # without ground truth no curve is defined, so no curves/ directory appears
+    for side in ("none_pred", "none_gt"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "000000.txt").write_text("")
+    none = tmp_path / "none_eval"
+    assert run_cli("eval", "--pred", tmp_path / "none_pred", "--gt", tmp_path / "none_gt",
+                   "--out", none, "--curves", "true") == 0
+    assert sorted(p.name for p in none.iterdir()) == ["eval.txt", "manifest.cfg"]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +518,7 @@ def test_ablate_reads_its_ground_truth_before_solving(dataset, tmp_path, capfd, 
     out = tmp_path / "out"
     assert run_cli("ablate", "--data", data, "--out", out) == 1
     assert capfd.readouterr().err == expected
-    assert not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+    assert not out.exists()
     # eval names the same fault, given a prediction file per measurement file
     pred = tmp_path / "pred"
     pred.mkdir()
@@ -571,9 +610,9 @@ def _mutate(path: Path, data, first: int, marker: str = "") -> None:
     path.write_text(data.draw(st.one_of(_mutations(text), _box_swaps(text, first, marker))))
 
 
-def _assert_clean_exit(argv, bad: Path, out: Path | None = None) -> None:
+def _assert_clean_exit(argv, bad: Path, out: Path) -> None:
     """main(argv) returns 0 or 1 and raises nothing; a data error is one
-    `error: <bad>: ...` line, and then out holds no labels or diagnostics."""
+    `error: <bad>: ...` line, and then out does not exist."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run_cli(*argv)
@@ -581,7 +620,7 @@ def _assert_clean_exit(argv, bad: Path, out: Path | None = None) -> None:
     if err.getvalue():
         assert code == 1
         assert re.fullmatch(f"error: {re.escape(str(bad))}: [^\n]+\n", err.getvalue())
-        assert out is None or not [*out.rglob("labels/*.txt"), *out.rglob("diag/*.cfg")]
+        assert not out.exists()
 
 
 _MUTATIONS = settings(max_examples=40, deadline=None)
@@ -606,7 +645,9 @@ def test_eval_exits_cleanly_on_a_mutated_label_file(one_frame, data):
             shutil.copytree(one_frame / "labels", Path(tmp) / side)
         bad = Path(tmp) / data.draw(st.sampled_from(("pred", "gt"))) / "000000.txt"
         _mutate(bad, data, 4)  # the bbox follows type, truncation, occlusion, alpha
-        _assert_clean_exit(("eval", "--pred", Path(tmp) / "pred", "--gt", Path(tmp) / "gt"), bad)
+        out = Path(tmp) / "out"
+        _assert_clean_exit(("eval", "--pred", Path(tmp) / "pred", "--gt", Path(tmp) / "gt",
+                            "--out", out), bad, out)
 
 
 @_MUTATIONS

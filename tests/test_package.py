@@ -55,6 +55,17 @@ def test_unused_imports_are_trace_patch_points():
     assert checked  # the check reads the imports it is about
 
 
+def test_option_configs_are_frozen():
+    """cli._CONFIGS holds module-level defaults shared by every run: each is
+    a frozen dataclass, so no run can change one in place for the next."""
+    from dataclasses import is_dataclass
+
+    from vehicle3d import cli
+
+    for name, config in cli._CONFIGS.items():
+        assert is_dataclass(config) and type(config).__dataclass_params__.frozen, name
+
+
 def test_every_config_field_is_a_command_line_option():
     """Each field of the option-backed config dataclasses is set by some
     command's option: no knob exists for tests alone."""

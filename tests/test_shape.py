@@ -541,6 +541,18 @@ class TestPersistence:
             load_model(path)
         assert str(exc.value) == f"{path}: non-finite value"
 
+    def test_non_numeric_value_rejected(self, tmp_path):
+        rng = np.random.default_rng(36)
+        mean, basis = toy_true_model(4, rng)
+        path = tmp_path / "model.txt"
+        save_model(MorphableModel(mean=mean.reshape(-1), basis=basis.reshape(4, -1)), path)
+        tokens = path.read_text().split()
+        tokens[5] = "abc"  # a mean coordinate
+        path.write_text(" ".join(tokens))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: non-numeric value 'abc'"
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("14 2\n1 2 3\n")
