@@ -1,12 +1,12 @@
 """Run the four-variant term ablation on a small benchmark.
 
 v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
-v3 adds landmarks and the shape prior, v4 adds measured depth.  Upper
-rungs warm-start from the rung below, and refine_ladder yields every rung
-of a frame's instances, one at a time, from one batched pass; dict()
-collects them, and poses_to_labels converts each rung's poses as one
-stack.  Expect each metric to improve down the ladder; small per-seed
-wobble on the last link is normal at this sample size.
+v3 adds landmarks and the shape prior, v4 adds measured depth.  Every
+rung is solved from the same initialization: refine_ladder solves all four
+rungs of a frame's instances in one batched pass and returns them as a
+dict, and poses_to_labels converts each rung's poses as one stack.  Expect
+each metric to improve down the ladder; small per-seed wobble on the last
+link is normal at this sample size.
 """
 from vehicle3d import (
     ABLATION_VARIANTS,
@@ -29,7 +29,7 @@ per_variant = {v: [] for v in ABLATION_VARIANTS}
 for index in range(frames):
     _, measurements, labels = generate_scene(params, STANDARD_NOISE, [777, index])
     gts = tuple(labels)
-    rungs = dict(refine_ladder(measurements, CAR_MODEL))
+    rungs = refine_ladder(measurements, CAR_MODEL)
     for variant in ABLATION_VARIANTS:
         solved = [result.vars for result in rungs[variant]]
         dets = poses_to_labels(

@@ -20,9 +20,11 @@ All outputs are plain text.  Floats use shortest round-trip formatting,
 every file is written to a temp name and renamed into place.  fit, ablate
 and shape-learn parse the whole dataset (ablate its ground truth too)
 before anything is solved or written.  fit and ablate cut its instances
-into tasks, one batched ladder pass per task; an instance's result does
-not depend on which task it lands in, and tasks are collected in dataset
-order, so reruns are byte-identical for a fixed seed at any --jobs setting.
+into tasks, one batched solve per task over every rung the command writes
+(fit its --variant, ablate v1..v4, each from the initialization); an
+instance's result does not depend on which task it lands in, and tasks are
+collected in dataset order, so reruns are byte-identical for a fixed seed
+at any --jobs setting.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
 out-of-range option values, I/O, malformed measurement files, mismatched
@@ -43,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy import ABLATION_VARIANTS, EnergyConfig, ablation_config
+from .energy import ABLATION_VARIANTS, EnergyConfig
 from .geometry import BehindCameraError, BoxStack
 from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
 from .refine import InitializationError, SolverOptions, refine_ladder
@@ -287,10 +289,10 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 # ---------------------------------------------------------------------------
 
 # Most instances per task handed to refine_ladder, which solves a task's
-# instances as one batch: the one limit on the size of a solve's arrays and
-# of the outcomes a task holds.  n instances make tasks of
-# min(_FIT_BLOCK, ceil(n / jobs)), so every worker gets a share of a small
-# dataset.  No result depends on it.
+# instances at every written rung as one batch: the one limit on the rows of
+# one rung's evaluation and on the instances whose outcomes a task holds.
+# n instances make tasks of min(_FIT_BLOCK, ceil(n / jobs)), so every worker
+# gets a share of a small dataset.  No result depends on it.
 _FIT_BLOCK = 256
 
 
@@ -333,12 +335,10 @@ def _instance_outcome(outcome, record):
 def _fit_block_task(task):
     measurements, variants, model, energy, solver = task
     done = [{} for _ in measurements]
-    # each written rung becomes labels and diag entries as soon as it completes
-    for variant, outcomes in refine_ladder(measurements, model, energy, solver):
-        if variant in variants:
-            records = _rung_labels(measurements, outcomes)
-            for entries, outcome, record in zip(done, outcomes, records):
-                entries[variant] = _instance_outcome(outcome, record)
+    for variant, outcomes in refine_ladder(measurements, model, energy, solver, variants).items():
+        records = _rung_labels(measurements, outcomes)
+        for entries, outcome, record in zip(done, outcomes, records):
+            entries[variant] = _instance_outcome(outcome, record)
     return done
 
 
@@ -400,8 +400,9 @@ def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
 
 def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfig,
              solver: SolverOptions) -> int:
-    """Fit every instance of the parsed dataset up to rung energy.variant and
-    write labels/ and diag/ of each rung in out_dirs into out_dirs[variant].
+    """Fit every instance of the parsed dataset at each rung in out_dirs,
+    from its initialization and at energy's weights, and write labels/ and
+    diag/ of each rung into out_dirs[variant].
 
     Instances are pooled across frames in dataset order and cut into tasks,
     solved by at most one worker each; each frame is written from the
@@ -568,8 +569,7 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     dataset = _read_dataset(effective["data"])
     ground_truth = _read_ground_truth(gt_dir, [frame_id for frame_id, _ in dataset])
     out_dirs = {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
-    total_failures = _run_fit(effective, dataset, out_dirs,
-                              ablation_config(ABLATION_VARIANTS[-1], energy), solver)
+    total_failures = _run_fit(effective, dataset, out_dirs, energy, solver)
     alp_m, iou3d, bev = (effective[f"{k}_threshold"] for k in ("alp", "iou3d", "bev"))
     tables = {f"ALP @ {alp_m:g} m": ("alp", alp_m, ALP_GATE),  # title -> curve job
               f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),

@@ -578,6 +578,17 @@ def test_ablate_buckets_each_ground_truth_once_per_variant(counted_ablate):
     assert records == 250 and len(calls["difficulty_bucket"]) <= 4 * records
 
 
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3", "v4"])
+def test_fit_writes_the_files_of_ablates_rung(counted_ablate, tmp_path, variant):
+    # one code path: fit --variant solves its rung from the initialization,
+    # as ablate solves each of its rungs
+    data, ablate, _ = counted_ablate
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--out", out, "--variant", variant) == 0
+    for part in ("labels", "diag"):
+        assert tree_bytes(out / part) == tree_bytes(ablate / f"fit_{variant}" / part)
+
+
 # ---------------------------------------------------------------------------
 # mutated input files through the command line
 # ---------------------------------------------------------------------------

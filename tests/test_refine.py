@@ -5,7 +5,13 @@ import importlib
 import numpy as np
 import pytest
 
-from vehicle3d.energy import EnergyConfig, Measurement, Variables, ablation_config
+from vehicle3d.energy import (
+    ABLATION_VARIANTS,
+    EnergyConfig,
+    Measurement,
+    Variables,
+    ablation_config,
+)
 from vehicle3d.geometry import (
     Box2D,
     CameraIntrinsics,
@@ -275,21 +281,21 @@ def test_v2_never_updates_alpha():
         assert result.iterations >= 1
 
 
-def test_upper_rungs_warm_start_from_previous():
-    # v3/v4 without an explicit start must equal an explicit warm start
-    # from the previous rung's solution (a coarse-to-fine cascade).
-    rng = np.random.default_rng(33)
-    model = toy_model(rng)
-    _, meas = standard_noisy(rng, model)
-    r2 = refine_ablation(meas, model, "v2")
-    r3 = refine_ablation(meas, model, "v3")
-    r3_explicit = refine(meas, model, ablation_config("v3"), initial=r2.vars)
-    np.testing.assert_array_equal(r3.vars.to_vector(), r3_explicit.vars.to_vector())
-    r4 = refine_ablation(meas, model, "v4")
-    r4_explicit = refine(meas, model, ablation_config("v4"), initial=r3.vars)
-    np.testing.assert_array_equal(r4.vars.to_vector(), r4_explicit.vars.to_vector())
-    # each solve only ever lowers its own objective from the warm start
-    assert r4.energy_path[-1] <= r4.energy_path[0] + 1e-12
+def test_every_rung_is_solved_from_the_initialization():
+    # each rung of the ladder is its own solve from initialize, at the
+    # ladder's weights and options, whatever rungs are solved beside it
+    frame = _seed7_frames(1)[0]
+    cfg, opts = EnergyConfig(lambda1=0.5, lambda3=5.0), SolverOptions(max_iterations=20)
+    rungs = refine_ladder(frame, CAR_MODEL, cfg, opts)
+    assert list(rungs) == ["v1", "v2", "v3", "v4"]
+    for variant, outcomes in rungs.items():
+        for meas, outcome in zip(frame, outcomes):
+            solo = refine(meas, CAR_MODEL, ablation_config(variant, cfg), opts)
+            assert _fingerprint(outcome) == _fingerprint(solo)
+    # a ladder of one rung solves only that rung
+    assert list(refine_ladder(frame, CAR_MODEL, cfg, opts, ["v3"])) == ["v3"]
+    for meas, outcome in zip(frame, refine_ladder(frame, CAR_MODEL, variants=["v3"])["v3"]):
+        assert _fingerprint(outcome) == _fingerprint(refine_ablation(meas, CAR_MODEL, "v3"))
 
 
 def test_options_validation():
@@ -321,7 +327,7 @@ def test_unusable_initial_point_raises():
 def test_a_model_of_another_landmark_count_fails_every_rung():
     frame = _seed7_frames(1)[0]
     other = toy_model(np.random.default_rng(35), K=10)
-    rungs = dict(refine_ladder(frame, other))
+    rungs = refine_ladder(frame, other)
     assert list(rungs) == ["v1", "v2", "v3", "v4"]
     for outcomes in rungs.values():
         assert len(outcomes) == len(frame)
@@ -351,39 +357,44 @@ def _ladder_in_blocks(blocks):
     (instance id, measurement) pairs."""
     out = {}
     for block in blocks:
-        rungs = dict(refine_ladder([meas for _, meas in block], CAR_MODEL))
+        rungs = refine_ladder([meas for _, meas in block], CAR_MODEL)
         for variant, outcomes in rungs.items():
             for (key, _), outcome in zip(block, outcomes):
                 out[variant, key] = _fingerprint(outcome)
     return out
 
 
-@pytest.mark.parametrize("grouping", ["per_frame", "one_block", "reversed"])
+def _mixed_rungs(instances):
+    """{(variant, instance id): fingerprint} from one refine_batch call in
+    which consecutive instances are solved at different rungs."""
+    pairs = [(variant, key, meas) for key, meas in instances for variant in ABLATION_VARIANTS]
+    pairs = pairs[1::2] + pairs[::2]
+    outcomes = refine_batch([meas for _, _, meas in pairs], CAR_MODEL,
+                            variants=[variant for variant, _, _ in pairs])
+    return {(variant, key): _fingerprint(outcome)
+            for (variant, key, _), outcome in zip(pairs, outcomes)}
+
+
+@pytest.mark.parametrize("grouping", ["per_instance", "per_frame", "one_block", "reversed",
+                                      "mixed_rungs"])
 def test_results_do_not_depend_on_the_block(grouping):
     frames = _seed7_frames()
     instances = [((f, i), meas) for f, frame in enumerate(frames)
                  for i, meas in enumerate(frame)]
-    alone = _ladder_in_blocks([[pair] for pair in instances])
+    # each instance and rung solved on its own
+    alone = {(variant, key): _fingerprint(refine_ablation(meas, CAR_MODEL, variant))
+             for key, meas in instances for variant in ABLATION_VARIANTS}
+    if grouping == "mixed_rungs":
+        assert _mixed_rungs(instances) == alone
+        return
     blocks = {
+        "per_instance": [[pair] for pair in instances],
         "per_frame": [[((f, i), meas) for i, meas in enumerate(frame)]
                       for f, frame in enumerate(frames)],
         "one_block": [instances],
         "reversed": [instances[::-1]],
     }[grouping]
     assert _ladder_in_blocks(blocks) == alone
-    # the single-instance entry points are the same computation
-    (f, i), meas = instances[-1]
-    for variant in ("v1", "v2", "v3", "v4"):
-        assert _fingerprint(refine_ablation(meas, CAR_MODEL, variant)) == alone[variant, (f, i)]
-
-
-def test_explicit_initial_starts_the_rung_directly():
-    meas = _seed7_frames(1)[0][0]
-    rungs = dict(refine_ladder([meas], CAR_MODEL, ablation_config("v3")))
-    from_v2 = refine(meas, CAR_MODEL, ablation_config("v3"), initial=rungs["v2"][0].vars)
-    assert _fingerprint(from_v2) == _fingerprint(rungs["v3"][0])
-    direct = refine(meas, CAR_MODEL, ablation_config("v3"), initial=initialize(meas, CAR_MODEL))
-    assert _fingerprint(direct) != _fingerprint(rungs["v3"][0])
 
 
 def test_failing_instance_leaves_its_block_alone():
@@ -437,3 +448,26 @@ def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
     assert len(iterations) == len(live)
     assert len(calls) == 1 + max(iterations)
     assert sum(rows) == len(live) + sum(iterations)
+
+
+def test_each_evaluation_carries_one_rung(monkeypatch):
+    """A ladder evaluates each rung apart, at that rung's row layout: one
+    evaluation of every start, then one per iteration over the rung's
+    instances still iterating."""
+    measurements = [meas for frame in _seed7_frames(4) for meas in frame]
+    calls = []
+    evaluate = REFINE.block_residuals
+
+    def recorded(x, block, model, cfg):
+        calls.append((cfg.variant, len(x)))
+        return evaluate(x, block, model, cfg)
+
+    monkeypatch.setattr(REFINE, "block_residuals", recorded)
+    rungs = refine_ladder(measurements, CAR_MODEL)
+    for variant, outcomes in rungs.items():
+        rows = [n for called, n in calls if called == variant]
+        iterations = [o.iterations for o in outcomes]
+        assert rows[0] == len(measurements)
+        assert len(rows) == 1 + max(iterations)
+        assert sum(rows) == len(measurements) + sum(iterations)
+    assert len(calls) == sum(1 + max(o.iterations for o in outcomes) for outcomes in rungs.values())

@@ -234,7 +234,7 @@ def seed_fit():
     --seed 7` writes, refined as `fit` refines it."""
     measurements = [meas for index in range(50)
                     for meas in generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]]
-    results = dict(refine_ladder(measurements, CAR_MODEL))["v4"]
+    results = refine_ladder(measurements, CAR_MODEL, variants=["v4"])["v4"]
     return [(result, meas.cam) for result, meas in zip(results, measurements)
             if isinstance(result, RefineResult)]
 
