@@ -20,8 +20,8 @@ All outputs are plain text.  Floats use shortest round-trip formatting,
 every file is written to a temp name and renamed into place.  fit, ablate
 and shape-learn parse the whole dataset (ablate its ground truth too)
 before anything is solved or written.  fit and ablate cut its instances
-into tasks, one batched solve per task over every rung the command writes
-(fit its --variant, ablate v1..v4, each from the initialization); an
+into tasks, one batched solve per task and rung the command writes (fit
+its --variant, ablate v1..v4, each from the initialization); an
 instance's result does not depend on which task it lands in, and tasks are
 collected in dataset order, so reruns are byte-identical for a fixed seed
 at any --jobs setting.
@@ -70,7 +70,7 @@ from .scene_io import (
     parse_measurements,
     poses_to_labels,
 )
-from .shape import LandmarkObservations, LearnOptions, learn_em, load_model, save_model
+from .shape import LandmarkObservations, LearnOptions, format_model, learn_em, load_model
 
 
 class CLIError(RuntimeError):
@@ -166,8 +166,11 @@ def _resolve_options(command: str, args):
             file_cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise CLIError(f"cannot read config {args.config}: {exc}")
+    # a manifest names the command it configured
+    if file_cfg.get("command", command) != command:
+        raise CLIError(f"config {args.config} is for {file_cfg['command']}, not {command}")
     table = _COMMANDS[command].options
-    unknown = sorted(set(file_cfg) - {opt.name for opt in table} - {"command", "out"})
+    unknown = sorted(set(file_cfg) - {opt.name for opt in table} - {"command"})
     if unknown:
         raise CLIError(f"unknown config keys: {', '.join(unknown)}")
     effective, configs = {}, {}
@@ -289,8 +292,8 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 # ---------------------------------------------------------------------------
 
 # Most instances per task handed to refine_ladder, which solves a task's
-# instances at every written rung as one batch: the one limit on the rows of
-# one rung's evaluation and on the instances whose outcomes a task holds.
+# instances as one batch per written rung: the one limit on the rows of one
+# evaluation and on the instances whose outcomes a task holds.
 # n instances make tasks of min(_FIT_BLOCK, ceil(n / jobs)), so every worker
 # gets a share of a small dataset.  No result depends on it.
 _FIT_BLOCK = 256
@@ -601,7 +604,7 @@ def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> i
         result = learn_em(observations, effective["basis"], learn)
     except ValueError as exc:  # too few usable instances
         raise CLIError(str(exc))
-    save_model(result.model, out_dir / "model.txt")
+    _atomic_write(out_dir / "model.txt", format_model(result.model))
     report = {
         "instances_total": str(len(observations)),
         "instances_used": str(int(result.used_mask.sum())),

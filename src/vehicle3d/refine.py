@@ -7,18 +7,17 @@ with Levenberg-Marquardt on the stacked weighted residuals.  Energy is
 monotone over accepted steps by construction; rejected trial steps only
 raise the damping.
 
-One solve takes any number of instances as stacked arrays, each at its
-own rung of the ablation ladder: one residual/Jacobian evaluation of every
-start per rung, then per iteration one batched linear solve over the
-instances still iterating and one evaluation of their trial points per
-rung, at that rung's row layout.  Damping, acceptance, stop reason and
-iteration count are kept per instance, with the normal equations J^T J and
-J^T r of its current point in place of the Jacobian.  No quantity is
-reduced across instances, so each result is bit-identical whether the
-instance is solved alone or among any others, of any rung.  Every rung is
-solved from the initialization: refine_ladder solves several rungs of a
-list of instances in one such solve, and `refine`/`refine_ablation` are the
-one-instance case.
+One solve takes any number of instances as stacked arrays, all at one rung
+of the ablation ladder and so at one row layout: one residual/Jacobian
+evaluation of every start, then per iteration one batched linear solve over
+the instances still iterating and one evaluation of their trial points.
+Damping, acceptance, stop reason and iteration count are kept per instance,
+with the normal equations J^T J and J^T r of its current point in place of
+the Jacobian.  No quantity is reduced across instances, so each result is
+bit-identical whether the instance is solved alone or among any others.
+Every rung is solved from the initialization: refine_ladder computes the
+starts of a list of instances once and makes one such solve per rung, and
+`refine`/`refine_ablation` are the one-instance case.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -40,7 +39,6 @@ from .energy import (
     block_energy,
     block_residuals,
     rowdot,
-    term_rows,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
 # external profilers wrap.
@@ -159,14 +157,11 @@ def refine_batch(
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
     initial=None,
-    variants=None,
 ) -> list:
-    """Levenberg-Marquardt minimization of the enabled energy terms for any
-    number of instances, all of them in one batch.  `variants`, when given,
-    holds one ablation rung per measurement, each solved at cfg's weights;
-    otherwise every instance is solved at cfg.variant.  A rung without terms
-    (v1) returns each start, converged after 0 iterations with reason
-    "initialization only".
+    """Levenberg-Marquardt minimization of the energy terms enabled at
+    cfg.variant for any number of instances, all of them in one batch.  A
+    rung without terms (v1) returns each start, converged after 0
+    iterations with reason "initialization only".
 
     Trial steps solve the damped normal equations; an instance's damping
     is multiplied by 10 when its trial fails to decrease its energy and
@@ -174,12 +169,9 @@ def refine_batch(
     measurement; an InitializationError in place of a start is passed
     through.
 
-    Each rung's instances are evaluated together, at that rung's row
-    layout: one block_residuals call per rung evaluates every start; each
-    iteration then solves one damped step for every instance still
-    iterating, whatever its rung, and evaluates the trial points in one
-    block_residuals call per rung, whose acceptance and normal equations
-    are settled before the next rung is evaluated.  Per instance the state
+    One block_residuals call evaluates every start; each iteration then
+    solves one damped step for every instance still iterating and evaluates
+    the trial points in one block_residuals call.  Per instance the state
     is its point, the normal equations H = J^T J and g = J^T r built once
     at each accepted point (a rejected step re-solves from them), its
     unweighted residual rows, energy, damping and counters; no Jacobian
@@ -203,38 +195,19 @@ def refine_batch(
     block = MeasurementBlock.stack([measurements[i] for i in live])
     x = np.array([out[i].to_vector() for i in live])
     B, D = x.shape
-    names = [cfg.variant if variants is None else variants[i] for i in live]
-    rungs = list(dict.fromkeys(names))  # in order of first appearance
-    rung = np.array([rungs.index(name) for name in names])
-    configs = [ablation_config(name, cfg) for name in rungs]
-    # each instance's unweighted rows in its rung's layout, zero-padded to the widest
-    widths = [sum(rows.stop - rows.start for *_, rows in term_rows(c, model.K, D - 7))
-              for c in configs]
-    unweighted = np.zeros((B, max(widths)))
-    energy, usable = np.empty(B), np.empty(B, dtype=bool)
-    failed = {}  # b -> the InitializationError of an unusable start
-    H, g = np.empty((B, D, D)), np.empty((B, D))
+    res = block_residuals(x, block, model, cfg)
+    usable, behind = _usable(res), res.behind
+    unweighted, energy = res.unweighted, rowdot(res.r)
+    no_rows = unweighted.shape[1] == 0  # every start stops where it is
+    converged = np.full(B, no_rows)
+    reasons = np.full(B, "initialization only" if no_rows else "max_iterations", dtype=object)
     lam = np.full(B, _DAMPING_INIT)
     iterations = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-    reasons = np.full(B, "max_iterations", dtype=object)
-    for k, (c, m) in enumerate(zip(configs, widths)):
-        members = np.flatnonzero(rung == k)
-        res = block_residuals(x[members], block.take(members), model, c)
-        ok = _usable(res)
-        failed.update({
-            b: InitializationError(
-                "initial point projects behind the camera" if behind else
-                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
-            for b, behind in zip(members[~ok].tolist(), res.behind[~ok].tolist())})
-        usable[members], unweighted[members, :m], energy[members] = ok, res.unweighted, rowdot(res.r)
-        if m == 0:  # no rows: every start stops where it is
-            converged[members], reasons[members] = True, "initialization only"
-        go = ok & ~converged[members]
-        H[members[go]], g[members[go]] = _normal_equations(res.J[go], res.r[go])
-        del res  # so no two rungs' Jacobian stacks are alive at once
     paths = [[e] for e in energy.tolist()]
     active = np.flatnonzero(usable & ~converged)
+    H, g = np.empty((B, D, D)), np.empty((B, D))
+    H[active], g[active] = _normal_equations(res.J[active], res.r[active])
+    del res
 
     while active.size:
         iterations[active] += 1
@@ -242,51 +215,50 @@ def refine_batch(
         # a singular system skips its trial and only raises its damping
         lam[active[~solved]] = np.minimum(lam[active[~solved]] * 10.0, _DAMPING_MAX)
         tried, dx = active[solved], dx[solved]
-        x_trial = x[tried]
-        small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
-        x_trial += dx
-        for k, (c, m) in enumerate(zip(configs, widths)):
-            sel = np.flatnonzero(rung[tried] == k)
-            if not sel.size:
-                continue
-            idx, trial = tried[sel], x_trial[sel]
-            res = block_residuals(trial, block.take(idx), model, c)
+        if tried.size:
+            x_trial = x[tried]
+            small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
+            x_trial += dx
+            res = block_residuals(x_trial, block.take(tried), model, cfg)
             trial_energy = rowdot(res.r)
-            accept = _usable(res) & (trial_energy < energy[idx])
-            ftol_stop = accept & (energy[idx] - trial_energy
+            accept = _usable(res) & (trial_energy < energy[tried])
+            ftol_stop = accept & (energy[tried] - trial_energy
                                   <= _FTOL * np.maximum(trial_energy, 1.0))
-            up, down = idx[accept], idx[~accept]
-            x[up], unweighted[up, :m], energy[up] = (
-                trial[accept], res.unweighted[accept], trial_energy[accept])
+            up, down = tried[accept], tried[~accept]
+            x[up], unweighted[up], energy[up] = (
+                x_trial[accept], res.unweighted[accept], trial_energy[accept])
             for i, e in zip(up.tolist(), trial_energy[accept].tolist()):
                 paths[i].append(e)
             lam[up] = np.maximum(lam[up] * 0.5, _DAMPING_MIN)
             lam[down] = np.minimum(lam[down] * 10.0, _DAMPING_MAX)
             # an accepted or rejected step below the resolvable size ends the solve
-            xtol_stop = small_step[sel] & ~ftol_stop
-            reasons[idx[ftol_stop]], reasons[idx[xtol_stop]] = "ftol", "xtol"
-            converged[idx[ftol_stop | xtol_stop]] = True
+            xtol_stop = small_step & ~ftol_stop
+            reasons[tried[ftol_stop]], reasons[tried[xtol_stop]] = "ftol", "xtol"
+            converged[tried[ftol_stop | xtol_stop]] = True
             # normal equations at each accepted point an instance goes on from
-            go_on = accept & ~converged[idx] & (iterations[idx] < opts.max_iterations)
-            H[idx[go_on]], g[idx[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
+            go_on = accept & ~converged[tried] & (iterations[tried] < opts.max_iterations)
+            H[tried[go_on]], g[tried[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
             del res
         active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
 
-    for k, c in enumerate(configs):
-        members = np.flatnonzero(rung == k)
-        total, parts = block_energy(unweighted[members, :widths[k]], c, model.K, D - 7)
-        for j, b in enumerate(members.tolist()):
-            out[live[b]] = failed[b] if b in failed else RefineResult(
-                vars=Variables(theta=wrap_angle(x[b, 0]), T=x[b, 1:4], sigma=x[b, 4:7],
-                               alpha=x[b, 7:]),
-                converged=bool(converged[b]),
-                iterations=int(iterations[b]),
-                final_energy=float(total[j]),
-                breakdown={name: float(value[j]) for name, value in parts.items()
-                           if name != "md" or block.has_depth[b]},
-                reason=reasons[b],
-                energy_path=np.asarray(paths[b]),
-            )
+    total, parts = block_energy(unweighted, cfg, model.K, D - 7)
+    for b, i in enumerate(live):
+        if not usable[b]:
+            out[i] = InitializationError(
+                "initial point projects behind the camera" if behind[b] else
+                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
+            continue
+        out[i] = RefineResult(
+            vars=Variables(theta=wrap_angle(x[b, 0]), T=x[b, 1:4], sigma=x[b, 4:7],
+                           alpha=x[b, 7:]),
+            converged=bool(converged[b]),
+            iterations=int(iterations[b]),
+            final_energy=float(total[b]),
+            breakdown={name: float(value[b]) for name, value in parts.items()
+                       if name != "md" or block.has_depth[b]},
+            reason=reasons[b],
+            energy_path=np.asarray(paths[b]),
+        )
     return out
 
 
@@ -315,17 +287,16 @@ def refine_ladder(
     cfg's weights: {variant: list of per-instance outcomes as in
     refine_batch}, for `variants` (by default every rung v1..cfg.variant).
 
-    Every rung is solved from the same initialization, so each equals
+    Every rung is one refine_batch call from the same starts, initialized
+    once per instance, so each equals
     refine(meas, model, ablation_config(variant, cfg), opts) bit for bit.
-    All of them are one refine_batch call over (rung x instance).
     """
     cfg, measurements = cfg or EnergyConfig(), list(measurements)
     if variants is None:
         variants = ABLATION_VARIANTS[: ABLATION_VARIANTS.index(cfg.variant) + 1]
-    n, starts = len(measurements), [_start(m, model) for m in measurements]
-    outcomes = refine_batch(measurements * len(variants), model, cfg, opts,
-                            starts * len(variants), [v for v in variants for _ in range(n)])
-    return {v: outcomes[k * n:(k + 1) * n] for k, v in enumerate(variants)}
+    starts = [_start(m, model) for m in measurements]
+    return {v: refine_batch(measurements, model, ablation_config(v, cfg), opts, starts)
+            for v in variants}
 
 
 def refine_ablation(meas: Measurement, model: MorphableModel, variant: str) -> RefineResult:

@@ -25,7 +25,6 @@ the same model whatever the order of the instances.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -737,26 +736,15 @@ def learn_em(
 # basis rows, 17 significant digits.
 # ---------------------------------------------------------------------------
 
-def save_model(model: MorphableModel, path) -> None:
+def format_model(model: MorphableModel) -> str:
+    """The model as text in the format load_model reads."""
     lines = [f"{model.K} {model.n_basis}"]
     for row in model.mean_points():
         lines.append(" ".join(f"{v:.17g}" for v in row))
     for block in model.basis_points():
         for row in block:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-    # the directory is made first, then the text is written to a temp name
-    # and renamed into place: never a partial file, and no temp file left
-    # behind when either step fails
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    return "\n".join(lines) + "\n"
 
 
 def load_model(path) -> MorphableModel:

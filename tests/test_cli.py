@@ -29,7 +29,7 @@ from vehicle3d.scene_io import (
     parse_measurements,
     pose_to_label,
 )
-from vehicle3d.shape import MorphableModel, load_model, save_model
+from vehicle3d.shape import MorphableModel, format_model, load_model
 
 from tests.test_scene_io import _mutations
 
@@ -281,8 +281,7 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
 
 def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
     model = tmp_path / "model.txt"
-    save_model(CAR_MODEL, model)
-    tokens = model.read_text().split()
+    tokens = format_model(CAR_MODEL).split()
     tokens[2] = "nan"  # the first value of the mean shape
     model.write_text(" ".join(tokens))
     out = tmp_path / "fit"
@@ -294,8 +293,7 @@ def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
 
 def test_fit_names_a_non_numeric_model_value(dataset, tmp_path, capfd):
     model = tmp_path / "model.txt"
-    save_model(CAR_MODEL, model)
-    tokens = model.read_text().split()
+    tokens = format_model(CAR_MODEL).split()
     tokens[2] = "abc"  # the first value of the mean shape
     model.write_text(" ".join(tokens))
     out = tmp_path / "fit"
@@ -307,7 +305,8 @@ def test_fit_names_a_non_numeric_model_value(dataset, tmp_path, capfd):
 
 def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
     model = tmp_path / "model.txt"
-    save_model(MorphableModel(mean=CAR_MODEL.mean * 50, basis=CAR_MODEL.basis * 50), model)
+    model.write_text(format_model(MorphableModel(mean=CAR_MODEL.mean * 50,
+                                                 basis=CAR_MODEL.basis * 50)))
     for command in ("fit", "ablate"):
         out = tmp_path / command
         assert run_cli(command, "--data", dataset, "--out", out, "--model", model) == 1
@@ -320,8 +319,7 @@ def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
 
 def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):
     model = tmp_path / "model.txt"
-    save_model(CAR_MODEL, model)
-    lines = model.read_text().splitlines()
+    lines = format_model(CAR_MODEL).splitlines()
     lines[0] = f"{CAR_MODEL.K} -1"  # the header "K N" with a negative basis count
     model.write_text("\n".join(lines) + "\n")
     out = tmp_path / "fit"
@@ -713,6 +711,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("framez = 3\n")
     assert run_cli("synth", "--config", cfg, "--out", tmp_path / "out", "--seed", 5) == 1
     assert "framez" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("command = eval\n", "config {cfg} is for eval, not fit"),
+    ("out = elsewhere\n", "unknown config keys: out"),
+], ids=["another_command", "out"])
+def test_config_rejected_before_any_output(dataset, tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", cfg, "--data", dataset, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -364,19 +364,7 @@ def _ladder_in_blocks(blocks):
     return out
 
 
-def _mixed_rungs(instances):
-    """{(variant, instance id): fingerprint} from one refine_batch call in
-    which consecutive instances are solved at different rungs."""
-    pairs = [(variant, key, meas) for key, meas in instances for variant in ABLATION_VARIANTS]
-    pairs = pairs[1::2] + pairs[::2]
-    outcomes = refine_batch([meas for _, _, meas in pairs], CAR_MODEL,
-                            variants=[variant for variant, _, _ in pairs])
-    return {(variant, key): _fingerprint(outcome)
-            for (variant, key, _), outcome in zip(pairs, outcomes)}
-
-
-@pytest.mark.parametrize("grouping", ["per_instance", "per_frame", "one_block", "reversed",
-                                      "mixed_rungs"])
+@pytest.mark.parametrize("grouping", ["per_instance", "per_frame", "one_block", "reversed"])
 def test_results_do_not_depend_on_the_block(grouping):
     frames = _seed7_frames()
     instances = [((f, i), meas) for f, frame in enumerate(frames)
@@ -384,9 +372,6 @@ def test_results_do_not_depend_on_the_block(grouping):
     # each instance and rung solved on its own
     alone = {(variant, key): _fingerprint(refine_ablation(meas, CAR_MODEL, variant))
              for key, meas in instances for variant in ABLATION_VARIANTS}
-    if grouping == "mixed_rungs":
-        assert _mixed_rungs(instances) == alone
-        return
     blocks = {
         "per_instance": [[pair] for pair in instances],
         "per_frame": [[((f, i), meas) for i, meas in enumerate(frame)]
@@ -471,3 +456,20 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
         assert len(rows) == 1 + max(iterations)
         assert sum(rows) == len(measurements) + sum(iterations)
     assert len(calls) == sum(1 + max(o.iterations for o in outcomes) for outcomes in rungs.values())
+
+
+def test_a_ladder_initializes_each_instance_once(monkeypatch):
+    """Every rung starts from the same initialization, computed once per
+    instance rather than once per rung."""
+    frame = _seed7_frames(1)[0]
+    calls = []
+    start = REFINE.initialize
+
+    def counted(meas, model):
+        calls.append(id(meas))
+        return start(meas, model)
+
+    monkeypatch.setattr(REFINE, "initialize", counted)
+    rungs = refine_ladder(frame, CAR_MODEL, variants=list(ABLATION_VARIANTS))
+    assert list(rungs) == list(ABLATION_VARIANTS)
+    assert calls == [id(meas) for meas in frame]
