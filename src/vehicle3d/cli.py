@@ -24,7 +24,10 @@ into tasks, one batched solve per task and rung the command writes (fit
 its --variant, ablate v1..v4, each from the initialization); an
 instance's result does not depend on which task it lands in, and tasks are
 collected in dataset order, so reruns are byte-identical for a fixed seed
-at any --jobs setting.
+at any --jobs setting.  One function turns a rung's outcomes into each
+instance's label record and diag entries.  eval and ablate hold their
+tables as data, rows naming a curve job and the curve field they print,
+and render them all through one function.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
 out-of-range option values, I/O, malformed measurement files, mismatched
@@ -299,50 +302,44 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 _FIT_BLOCK = 256
 
 
-def _rung_labels(measurements, outcomes) -> list:
-    """poses_to_labels over one rung's solved instances, each scored
-    1 / (1 + final energy): per instance its record or conversion error,
-    None where the solve failed."""
-    solved = [i for i, outcome in enumerate(outcomes)
-              if not isinstance(outcome, InitializationError)]
-    poses = [outcomes[i].vars for i in solved]
-    records = poses_to_labels([v.theta for v in poses], [v.T for v in poses],
-                              [v.sigma for v in poses], [measurements[i].cam for i in solved],
-                              [1.0 / (1.0 + outcomes[i].final_energy) for i in solved])
-    out = [None] * len(outcomes)
-    for i, record in zip(solved, records):
-        out[i] = record
-    return out
-
-
-def _instance_outcome(outcome, record):
+def _rung_outcomes(measurements, outcomes) -> list:
     """(label record or None, diag entries without the instance prefix) of
-    one instance's outcome and its _rung_labels entry."""
-    if isinstance(outcome, InitializationError):
-        return None, {"error": str(outcome)}
-    if isinstance(record, BehindCameraError):
-        return None, {"error": "refined box projects behind the camera"}
-    if isinstance(record, ValueError):
-        return None, {"error": f"refined box has no valid image box: {record}"}
-    diag = {
-        "converged": _fmt_value(bool(outcome.converged)),
-        "iterations": str(outcome.iterations),
-        "reason": outcome.reason,
-        "energy": repr(float(outcome.final_energy)),
-    }
-    for term, value in outcome.breakdown.items():
-        diag["energy_" + term] = repr(float(value))
-    return record, diag
+    each instance of one rung.  Its solved poses become labels in one
+    poses_to_labels call, each scored 1 / (1 + final energy)."""
+    solved = [(meas, outcome) for meas, outcome in zip(measurements, outcomes)
+              if not isinstance(outcome, InitializationError)]
+    records = iter(poses_to_labels(
+        [o.vars.theta for _, o in solved], [o.vars.T for _, o in solved],
+        [o.vars.sigma for _, o in solved], [meas.cam for meas, _ in solved],
+        [1.0 / (1.0 + o.final_energy) for _, o in solved]))
+
+    def entry(outcome):
+        if isinstance(outcome, InitializationError):
+            return None, {"error": str(outcome)}
+        record = next(records)
+        if isinstance(record, BehindCameraError):
+            return None, {"error": "refined box projects behind the camera"}
+        if isinstance(record, ValueError):
+            return None, {"error": f"refined box has no valid image box: {record}"}
+        diag = {
+            "converged": _fmt_value(bool(outcome.converged)),
+            "iterations": str(outcome.iterations),
+            "reason": outcome.reason,
+            "energy": repr(float(outcome.final_energy)),
+        }
+        for term, value in outcome.breakdown.items():
+            diag["energy_" + term] = repr(float(value))
+        return record, diag
+
+    return [entry(outcome) for outcome in outcomes]
 
 
 def _fit_block_task(task):
+    """{variant: _rung_outcomes entry} of each instance of one task."""
     measurements, variants, model, energy, solver = task
-    done = [{} for _ in measurements]
-    for variant, outcomes in refine_ladder(measurements, model, energy, solver, variants).items():
-        records = _rung_labels(measurements, outcomes)
-        for entries, outcome, record in zip(done, outcomes, records):
-            entries[variant] = _instance_outcome(outcome, record)
-    return done
+    rungs = {variant: _rung_outcomes(measurements, outcomes) for variant, outcomes
+             in refine_ladder(measurements, model, energy, solver, variants).items()}
+    return [dict(zip(rungs, entries)) for entries in zip(*rungs.values())]
 
 
 def _parallel_map(fn, tasks, jobs: int):
@@ -456,59 +453,30 @@ def _paired_frames(pred_dir: Path, ground_truth: dict) -> list:
             for frame_id, records in ground_truth.items()]
 
 
-# Eval tables of AP-style metrics: metric -> (title, row label format).
-_AP_TABLES = {
-    "alp": ("average localization precision (3D center distance)", "{:g} m"),
-    "ap3d": ("average precision, 3D IoU", "IoU {:g}"),
-    "apbev": ("average precision, bird's-eye IoU", "IoU {:g}"),
-}
-
-
-def _curve_jobs(effective: dict) -> list:
-    """(metric, threshold, ALP gate) of every eval table row, in table order."""
-    return [
-        *[("alp", t, effective["alp_gate"]) for t in effective["alp_thresholds"]],
-        *[("ap3d", t, None) for t in effective["iou3d_thresholds"]],
-        *[("apbev", t, None) for t in effective["bev_thresholds"]],
-        ("ap2d", effective["iou2d_threshold"], None),
-    ]
-
-
 def _eval_curves(frames, jobs, points: int) -> dict:
-    """(metric, threshold, difficulty) -> PR curve, or None without valid
-    ground truth; each curve is computed once for the tables and the files,
-    all of them in one pr_curves call."""
+    """((metric, threshold, ALP gate), difficulty) -> PR curve, or None
+    without valid ground truth, of each distinct curve job: every curve is
+    computed once for the tables and the files, all in one pr_curves call."""
     curve_jobs = [(metric, threshold, difficulty, gate)
-                  for metric, threshold, gate in jobs for difficulty in DIFFICULTIES]
+                  for metric, threshold, gate in dict.fromkeys(jobs) for difficulty in DIFFICULTIES]
     curves = pr_curves(frames, curve_jobs, points)
-    return {job[:3]: curve for job, curve in zip(curve_jobs, curves)}
+    return {((metric, threshold, gate), difficulty): curve
+            for (metric, threshold, difficulty, gate), curve in zip(curve_jobs, curves)}
 
 
-def _row(curves: dict, metric: str, threshold: float, field: str = "ap") -> list:
-    """field of the curve at each difficulty; None where the curve is None."""
-    cells = (curves[metric, threshold, d] for d in DIFFICULTIES)
-    return [None if curve is None else getattr(curve, field) for curve in cells]
-
-
-def _metric_tables(jobs, curves: dict) -> str:
-    header = ["", *DIFFICULTIES]
-    blocks = [
-        render_table(title, header, [
-            (label.format(threshold), _row(curves, metric, threshold))
-            for job_metric, threshold, _ in jobs if job_metric == metric
-        ])
-        for metric, (title, label) in _AP_TABLES.items()
-    ]
-    threshold = next(t for metric, t, _ in jobs if metric == "ap2d")
-    blocks.append(render_table("2D detection", header, [
-        (f"AP  IoU {threshold:g}", _row(curves, "ap2d", threshold)),
-        (f"AOS IoU {threshold:g}", _row(curves, "ap2d", threshold, "aos")),
-    ]))
-    return "\n".join(blocks)
+def _render_tables(tables) -> str:
+    """Each (title, rows) table with a column per difficulty.  A row is
+    (label, curve map, curve job, PRCurve field): the field of the job's
+    curve at each difficulty, None where there is no curve."""
+    return "\n".join(render_table(title, ["", *DIFFICULTIES], [
+        (label, [None if curves[job, d] is None else getattr(curves[job, d], field)
+                 for d in DIFFICULTIES])
+        for label, curves, job, field in rows
+    ]) for title, rows in tables)
 
 
 def _write_curves(curves: dict, out_dir: Path) -> None:
-    for (metric, threshold, difficulty), curve in curves.items():
+    for ((metric, threshold, _), difficulty), curve in curves.items():
         if curve is None:
             continue
         payload = {
@@ -550,9 +518,21 @@ def cmd_eval(effective: dict, out_dir: Path | None) -> int:
     pred_ids = [path.stem for path in pred_dir.glob("*.txt")]
     ground_truth = _read_ground_truth(_labels_dir(effective["gt"]), pred_ids)
     frames = _paired_frames(pred_dir, ground_truth)
-    jobs = _curve_jobs(effective)
-    curves = _eval_curves(frames, jobs, effective["points"])
-    text = _metric_tables(jobs, curves)
+    gate, iou2d = effective["alp_gate"], effective["iou2d_threshold"]
+    alp = [("alp", t, gate) for t in effective["alp_thresholds"]]
+    ap3d = [("ap3d", t, None) for t in effective["iou3d_thresholds"]]
+    apbev = [("apbev", t, None) for t in effective["bev_thresholds"]]
+    ap2d = ("ap2d", iou2d, None)
+    curves = _eval_curves(frames, [*alp, *ap3d, *apbev, ap2d], effective["points"])
+    text = _render_tables([
+        ("average localization precision (3D center distance)",
+         [(f"{job[1]:g} m", curves, job, "ap") for job in alp]),
+        ("average precision, 3D IoU", [(f"IoU {job[1]:g}", curves, job, "ap") for job in ap3d]),
+        ("average precision, bird's-eye IoU",
+         [(f"IoU {job[1]:g}", curves, job, "ap") for job in apbev]),
+        ("2D detection", [(f"AP  IoU {iou2d:g}", curves, ap2d, "ap"),
+                          (f"AOS IoU {iou2d:g}", curves, ap2d, "aos")]),
+    ])
     print(text, end="")
     if out_dir is not None:
         _atomic_write(out_dir / "eval.txt", text)
@@ -574,18 +554,15 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     out_dirs = {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
     total_failures = _run_fit(effective, dataset, out_dirs, energy, solver)
     alp_m, iou3d, bev = (effective[f"{k}_threshold"] for k in ("alp", "iou3d", "bev"))
-    tables = {f"ALP @ {alp_m:g} m": ("alp", alp_m, ALP_GATE),  # title -> curve job
-              f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),
-              f"AP bird's-eye IoU @ {bev:g}": ("apbev", bev, None)}
+    jobs = {f"ALP @ {alp_m:g} m": ("alp", alp_m, ALP_GATE),  # title -> curve job
+            f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),
+            f"AP bird's-eye IoU @ {bev:g}": ("apbev", bev, None)}
     curves = {variant: _eval_curves(_paired_frames(out_dirs[variant] / "labels", ground_truth),
-                                    tables.values(), effective["points"])
+                                    jobs.values(), effective["points"])
               for variant in ABLATION_VARIANTS}
-    text = "\n".join(
-        render_table(title, ["", *DIFFICULTIES],
-                     [(variant, _row(curves[variant], metric, threshold))
-                      for variant in ABLATION_VARIANTS])
-        for title, (metric, threshold, _) in tables.items()
-    )
+    text = _render_tables((title, [(variant, curves[variant], job, "ap")
+                                   for variant in ABLATION_VARIANTS])
+                          for title, job in jobs.items())
     print(text, end="")
     _atomic_write(out_dir / "ablation.txt", text)
     return 1 if total_failures else 0

@@ -409,20 +409,26 @@ def total_energy(vars: Variables, meas: Measurement, model: MorphableModel, cfg:
     return float(total[0]), {name: float(value[0]) for name, value in parts.items()}
 
 
-def stacked_residuals(vars, meas, model, cfg, with_grad: bool = False):
-    """All enabled residuals scaled by sqrt(weight), optionally with Jacobian.
-
-    The stacked vector r satisfies total_energy = r.r, so a least-squares
-    step on r minimizes the energy directly.  Without a measured depth the
-    depth row is left out.
-    """
+def _stacked(vars, meas, model, cfg):
+    """(r, J): the stacked weighted residuals and their Jacobian, without
+    the depth row when there is no measured depth."""
     res = _evaluate_one(vars, meas, model, cfg)
     r, J = res.r[0], res.J[0]
     if meas.depth_zb is None:
         depth_row = [rows.start for name, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
                      if name == "md"]
         r, J = np.delete(r, depth_row), np.delete(J, depth_row, axis=0)
-    return (r, J) if with_grad else r
+    return r, J
+
+
+def stacked_residuals(vars, meas, model, cfg) -> np.ndarray:
+    """All enabled residuals scaled by sqrt(weight).
+
+    The stacked vector r satisfies total_energy = r.r, so a least-squares
+    step on r minimizes the energy directly.  Without a measured depth the
+    depth row is left out.
+    """
+    return _stacked(vars, meas, model, cfg)[0]
 
 
 def jacobian(vars, meas, model, cfg) -> np.ndarray:
@@ -432,5 +438,4 @@ def jacobian(vars, meas, model, cfg) -> np.ndarray:
     hull-argmax tie this returns the subgradient of the currently active
     corners.
     """
-    _, J = stacked_residuals(vars, meas, model, cfg, with_grad=True)
-    return J
+    return _stacked(vars, meas, model, cfg)[1]

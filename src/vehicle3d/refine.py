@@ -267,10 +267,9 @@ def refine(
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
-    initial: Variables | None = None,
 ) -> RefineResult:
     """refine_batch for one instance; a failure raises InitializationError."""
-    outcome = refine_batch([meas], model, cfg, opts, None if initial is None else [initial])[0]
+    outcome = refine_batch([meas], model, cfg, opts)[0]
     if isinstance(outcome, InitializationError):
         raise outcome
     return outcome

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,41 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
 
 
+@pytest.mark.parametrize("pose, error", [
+    ({"T": [0.0, 1.65, -5.0]}, "refined box projects behind the camera"),
+    # extents that underflow to 0 project every corner to one pixel
+    ({"sigma": [-800.0] * 3}, "refined box has no valid image box: "
+                              "degenerate 2D box: need right > left and bottom > top"),
+], ids=["behind_camera", "no_image_box"])
+def test_a_solved_box_without_a_label_is_a_failure(dataset, tmp_path, monkeypatch, pose, error):
+    solve = vehicle3d.cli.refine_ladder
+
+    def ladder(*args):  # every rung of frame 0's instance 0 solves to `pose`
+        rungs = solve(*args)
+        for outcomes in rungs.values():
+            outcomes[0] = replace(outcomes[0], vars=replace(outcomes[0].vars, **pose))
+        return rungs
+
+    plain, out = tmp_path / "plain", tmp_path / "patched"
+    assert run_cli("fit", "--data", dataset, "--out", plain) == 0
+    monkeypatch.setattr(vehicle3d.cli, "refine_ladder", ladder)
+    assert run_cli("fit", "--data", dataset, "--out", out) == 1
+    diag = parse_config_text((out / "diag" / "000000.cfg").read_text())
+    assert diag["i0.error"] == error
+    assert not any(key.startswith("i0.") and key != "i0.error" for key in diag)
+    assert diag["failures"] == "1"
+    # its label line is the one line missing from the frame's label file
+    cam, _, measurements = parse_measurements((dataset / "meas" / "000000.cfg").read_text())
+    solo = refine_ablation(measurements[0], CAR_MODEL, "v4")
+    lost = emit_labels([pose_to_label(solo.vars.pose(), cam, score=1.0 / (1.0 + solo.final_energy))])
+    lines = (plain / "labels" / "000000.txt").read_text().splitlines(keepends=True)
+    assert lost in lines
+    assert (out / "labels" / "000000.txt").read_text() == "".join(
+        line for line in lines if line != lost)
+    skip = ("manifest.cfg", "000000.txt", "000000.cfg")
+    assert tree_bytes(out, skip=skip) == tree_bytes(plain, skip=skip)
+
+
 def _nan_visible_landmark(mapping):
     visible = mapping["i0.visible"].split()
     landmarks = mapping["i0.landmarks"].split()
@@ -361,7 +397,7 @@ def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["synth_under_a_file", "shape_learn_onto_a_directory"])
-def test_output_io_error_is_a_message(dataset, tmp_path, case):
+def test_output_io_error_is_a_message(dataset, tmp_path, child_env, case):
     if case == "synth_under_a_file":
         (tmp_path / "file").write_text("")
         argv = ["synth", "--seed", 7, "--frames", 1, "--out", tmp_path / "file" / "x"]
@@ -369,7 +405,7 @@ def test_output_io_error_is_a_message(dataset, tmp_path, case):
         (tmp_path / "learned" / "model.txt").mkdir(parents=True)
         argv = ["shape-learn", "--data", dataset, "--out", tmp_path / "learned", "--basis", 0]
     proc = subprocess.run([sys.executable, "-m", "vehicle3d", *map(str, argv)],
-                          capture_output=True, text=True)
+                          env=child_env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not list(tmp_path.rglob("*.tmp"))
@@ -799,12 +835,12 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, child_env):
     out = tmp_path / "cli"
     proc = subprocess.run(
         [sys.executable, "-m", "vehicle3d", "synth", "--out", str(out),
          "--seed", "1", "--frames", "1"],
-        capture_output=True, text=True,
+        env=child_env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "labels" / "000000.txt").is_file()

@@ -1,5 +1,4 @@
 """Smoke test: every script under demos/ runs to completion."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +10,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def test_demo_runs(demo, tmp_path, child_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

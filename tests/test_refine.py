@@ -183,7 +183,7 @@ def test_refine_fixed_point():
     rng = np.random.default_rng(21)
     model = toy_model(rng)
     truth, meas = make_instance(rng, model)
-    result = refine(meas, model, initial=truth)
+    result = refine_batch([meas], model, initial=[truth])[0]
     assert result.iterations <= 1
     np.testing.assert_allclose(result.vars.T, truth.T, atol=1e-10)
     np.testing.assert_allclose(result.vars.sigma, truth.sigma, atol=1e-10)
@@ -310,8 +310,9 @@ def test_unusable_initial_point_raises():
     behind = Variables(
         theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3), alpha=np.zeros(2)
     )
-    with pytest.raises(InitializationError, match="behind the camera"):
-        refine(meas, model, initial=behind)
+    outcome = refine_batch([meas], model, initial=[behind])[0]
+    assert isinstance(outcome, InitializationError)
+    assert "behind the camera" in str(outcome)
     # a NaN in a visible landmark is reported as such, not as a camera problem
     uv = meas.landmarks_uv.copy()
     uv[np.flatnonzero(meas.landmarks_visible)[0], 0] = np.nan
