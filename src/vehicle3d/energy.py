@@ -12,13 +12,15 @@ center, log box extents, and shape coefficients.  The parameter vector
 layout is [theta, T(3), sigma(3), alpha(N)].
 
 The kernel evaluates a block of B instances at once (block_residuals):
-parameters are a (B, D) array, points (B, n, 3) stacks, and residuals and
-Jacobians (B, m) and (B, m, D) stacks whose row layout depends only on the
-config and model sizes (term_rows).  No value is reduced across
-instances, so an instance's rows are bit-identical whatever block it is
-evaluated in.  The single-instance functions (total_energy,
-stacked_residuals, jacobian) are the B=1 case of the same kernel; a
-single term's rows are a term_rows slice of block_residuals.
+parameters are a (B, D) array; the 8 box corners and K model landmarks of
+each instance are one point set, projected once in closed form; residuals
+are a (B, m) stack and the Jacobian's transpose a (B, D, m) stack J^T,
+each written once, whose row layout depends only on the config and model
+sizes (term_rows).  No value is reduced across instances, so an
+instance's rows are bit-identical whatever block it is evaluated in.  The
+single-instance functions (total_energy, stacked_residuals, jacobian) are
+the B=1 case of the same kernel; a single term's rows are a term_rows
+slice of block_residuals.
 """
 from __future__ import annotations
 
@@ -176,12 +178,15 @@ class MeasurementBlock(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel.  x is a (B, D) stack of parameter vectors.  Corner positions
-# are X_i(theta, T, sigma) = R(theta) @ (u_i * exp(sigma)) + T with u_i the unit
-# corners; landmark positions use model points instead of u_i plus the
-# basis-coefficient dependency.  Every array keeps the instance axis first and
-# nothing is reduced across it: products of small matrices go through stacked
-# matmul, which runs the same per-instance routine at any B.
+# Batched kernel.  x is a (B, D) stack of parameter vectors.  Both scales form
+# one point set: the 8 unit box corners and the K model landmarks (mean shape
+# plus alpha times the basis), held as (3, B, n) coordinate planes a scaled by
+# exp(sigma).  The yaw rotation and the pinhole projection are in closed form,
+#   px = c a0 + s a2,  pz = c a2 - s a0,  (X, Y, Z) = (px, a1, pz) + T,
+#   u = fx X / Z + cx,  v = fy Y / Z + cy,
+# and so is every pixel derivative column.  Each term writes its rows, scaled
+# by sqrt(weight), straight into one (B, D, m) J^T buffer.  Nothing is reduced
+# across the instance axis.
 # ---------------------------------------------------------------------------
 
 # Scale of the four 2D-box residual components (tx, ty in pixels, then log
@@ -197,122 +202,85 @@ def rowdot(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
-def _camera_points(x, local, basis=None):
-    """Camera-frame points (B, n, 3) and their derivatives (B, n, 3, D).
+def _projection_rows(x, block: MeasurementBlock, model: MorphableModel, rows: dict,
+                     unweighted, JT) -> np.ndarray:
+    """Write the 2D-box and landmark rows named in `rows` ({name: (sqrt
+    weight, row slice)}) into unweighted and J^T, and return the (B,) mask
+    of instances with a point at a finite depth Z <= EPS_Z, whose values are
+    meaningless.  A point that overflows to an infinite or NaN depth is not
+    behind the camera; its non-finite values speak for it.
 
-    local: (n, 3) or (B, n, 3) model/unit points to be scaled by exp(sigma).
-    basis: optional (N, n, 3) linear dependence of local on alpha; when
-    absent the alpha columns are zero (points do not move with alpha).
+    Both terms read one point set, projected once: the 8 corners for the
+    box rows (measured minus projected box, the latter from the hull
+    extremes: left/top argmins, right/bottom argmaxes) and the K landmarks
+    for the landmark rows (measured minus projected pixels, interleaved
+    u, v; the rows of occluded landmarks are zero).
     """
     B, D = x.shape
-    dims = np.exp(x[:, 4:7])
-    c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
-    zero, one = np.zeros(B), np.ones(B)
-    R = np.stack([c, zero, s, zero, one, zero, -s, zero, c], axis=1).reshape(B, 3, 3)
-    Rt = R.transpose(0, 2, 1)
-    scaled = local * dims[:, None, :]
-    X = scaled @ Rt + x[:, None, 1:4]
-    dR = np.stack([-s, zero, c, zero, zero, zero, -c, zero, -s], axis=1).reshape(B, 3, 3)
-    dX = np.zeros(X.shape + (D,))
-    dX[..., 0] = scaled @ dR.transpose(0, 2, 1)
-    dX[:, :, 0, 1] = 1.0
-    dX[:, :, 1, 2] = 1.0
-    dX[:, :, 2, 3] = 1.0
-    for j in range(3):
-        # d/dsigma_j scales the j-th local coordinate: R[:, j] * p_j * e^s_j.
-        dX[..., 4 + j] = (local[..., j] * dims[:, None, j])[:, :, None] * R[:, None, :, j]
-    if basis is not None and len(basis):
-        moved = (basis * dims[:, None, None, :]) @ Rt[:, None]  # (B, N, n, 3)
-        dX[..., 7:] = moved.transpose(0, 2, 3, 1)
-    return X, dX
-
-
-def _project(block: MeasurementBlock, X, dX):
-    """Pixels (B, n, 2), their derivatives (B, n, 2, D) and a (B,) mask of
-    instances with a point at Z <= EPS_Z, whose values are meaningless.
-
-    The derivatives are written over dX (u and v rows), which saves a
-    (B, n, 2, D) temporary per evaluation.
-    """
-    fx, fy, cx, cy = (block.cam[:, i, None] for i in range(4))
-    z = X[..., 2]
-    uv = np.empty(X.shape[:2] + (2,))
-    uv[..., 0] = fx * X[..., 0] / z + cx
-    uv[..., 1] = fy * X[..., 1] / z + cy
-    # duv/dX rows: (fx/z, 0, -fx x/z^2), (0, fy/z, -fy y/z^2).
-    dX[:, :, 0] *= (fx / z)[..., None]
-    dX[:, :, 0] -= (fx * X[..., 0] / z**2)[..., None] * dX[:, :, 2]
-    dX[:, :, 1] *= (fy / z)[..., None]
-    dX[:, :, 1] -= (fy * X[..., 1] / z**2)[..., None] * dX[:, :, 2]
-    return uv, dX[:, :, :2], np.any(z <= EPS_Z, axis=1)
-
-
-def _box_term(x, block):
-    """Measured minus projected 2D box (B, 4), its Jacobian, and the behind mask."""
-    X, dX = _camera_points(x, UNIT_CORNERS)
-    uv, duv, behind = _project(block, X, dX)
-    # hull extremes: left/top are argmins, right/bottom argmaxes of (u, v)
-    i_l, i_t = np.argmin(uv, axis=1).T
-    i_r, i_b = np.argmax(uv, axis=1).T
-    rows = np.arange(len(x))
-    left, right = uv[rows, i_l, 0], uv[rows, i_r, 0]
-    top, bottom = uv[rows, i_t, 1], uv[rows, i_b, 1]
-    proj = np.stack([0.5 * (left + right), 0.5 * (top + bottom),
-                     np.log(right - left), np.log(bottom - top)], axis=1)
-    r = block.box - proj
-    # d log(right-left) = (duv_r - duv_l) / width; residual sign flips it.
-    J = np.stack(
-        [
-            -0.5 * (duv[rows, i_l, 0] + duv[rows, i_r, 0]),
-            -0.5 * (duv[rows, i_t, 1] + duv[rows, i_b, 1]),
-            -(duv[rows, i_r, 0] - duv[rows, i_l, 0]) / np.exp(proj[:, 2, None]),
-            -(duv[rows, i_b, 1] - duv[rows, i_t, 1]) / np.exp(proj[:, 3, None]),
-        ],
-        axis=1,
-    )
-    return r, J, behind
-
-
-def _landmark_term(x, block, model: MorphableModel):
-    """Landmark reprojection residuals (B, 2K), interleaved u, v; occluded
-    entries are zero.  Returns the Jacobian and the behind mask too."""
-    B = len(x)
-    N = x.shape[1] - 7
-    if N != model.n_basis:
+    box, lp = rows.get("2d3d"), rows.get("lp")
+    nb, K = (8 if box else 0), (model.K if lp else 0)
+    if lp and D - 7 != model.n_basis:
         raise ValueError("basis count does not match coefficient count")
-    pts = model.mean_points() + (
-        0.0 if N == 0 else (x[:, None, 7:] @ model.basis).reshape(B, model.K, 3)
-    )
-    X, dX = _camera_points(x, pts, model.basis_points())
-    uv, duv, behind = _project(block, X, dX)
-    vis = block.visible[..., None]
-    r = np.where(vis, block.uv - uv, 0.0).reshape(B, 2 * model.K)
-    J = np.where(vis[..., None], np.negative(duv, out=duv), 0.0).reshape(B, 2 * model.K, x.shape[1])
-    return r, J, behind
+    dims = np.exp(x[:, 4:7])
+    a = np.empty((3, B, nb + K))
+    a[:, :, :nb] = UNIT_CORNERS.T[:, None, :]
+    if lp:
+        basis = model.basis_points().transpose(0, 2, 1)  # (N, 3, K)
+        a[:, :, nb:] = model.mean_points().T[:, None, :]
+        for k in range(D - 7):
+            a[:, :, nb:] += x[:, 7 + k, None] * basis[k][:, None, :]
+    a *= dims.T[:, :, None]
+    c, s = np.cos(x[:, :1]), np.sin(x[:, :1])
+    px, pz = c * a[0] + s * a[2], c * a[2] - s * a[0]
+    XY, Z = np.stack([px + x[:, 1:2], a[1] + x[:, 2:3]]), pz + x[:, 3:4]
+    f = block.cam.T[:2, :, None]  # (fx, fy)
+    uv = f * XY / Z + block.cam.T[2:, :, None]  # (u, v), each (B, n)
+    # d(u, v) = g d(X, Y) - gz dZ with g = (fx, fy) / Z and gz = g (X, Y) / Z.
+    # Yaw moves (X, Z) by (pz, -px), T moves the point by itself, and
+    # sigma_j and alpha move a_j along column j of the rotation:
+    # (c, 0, -s), (0, 1, 0), (s, 0, c).
+    g = f / Z
+    gz = g * (XY / Z)
+    behind = np.any(np.isfinite(Z) & (Z <= EPS_Z), axis=1)
 
+    def columns(pts, gain, out):
+        """Write gain times d(u, v)/dx of the points `pts` into out, (2, B, D', n)."""
+        G, GZ = g[:, :, pts] * gain, gz[:, :, pts] * gain
+        k0, k2 = GZ * s, GZ * -c  # the sigma_0 and sigma_2 columns per unit of a_j
+        k0[0] += G[0] * c
+        k2[0] += G[0] * s
+        out[:, :, 0] = GZ * px[:, pts]
+        out[0, :, 0] += G[0] * pz[:, pts]
+        out[0, :, 1], out[1, :, 2], out[:, :, 3] = G[0], G[1], -GZ
+        out[:, :, 4], out[:, :, 6] = k0 * a[0, :, pts], k2 * a[2, :, pts]
+        out[1, :, 5] = G[1] * a[1, :, pts]
+        if out.shape[2] > 7:  # alpha columns: landmarks of a model with a basis
+            np.multiply((k0 * dims[:, :1])[:, :, None], basis[:, 0], out=out[:, :, 7:])
+            out[:, :, 7:] += (k2 * dims[:, 2:])[:, :, None] * basis[:, 2]
+            out[1, :, 7:] += (G[1] * dims[:, 1:2])[:, None] * basis[:, 1]
 
-def _depth_term(x, block):
-    """Signed depth innovation T_z - Z_b (B, 1); zero without a measured depth."""
-    r = np.where(block.has_depth, x[:, 3] - block.depth, 0.0)[:, None]
-    J = np.zeros((len(x), 1, x.shape[1]))
-    J[:, 0, 3] = block.has_depth
-    return r, J
-
-
-def _ground_term(x, block):
-    """Ground-plane incidence N.T - 1 (B, 1); affine in T with gradient exactly N."""
-    r = (block.ground[:, None, :] @ x[:, 1:4, None])[:, 0] - 1.0
-    J = np.zeros((len(x), 1, x.shape[1]))
-    J[:, 0, 1:4] = block.ground
-    return r, J
-
-
-def _shape_term(x):
-    """Coefficient deviation from the learning prior's zero (B, N)."""
-    N = x.shape[1] - 7
-    J = np.zeros((len(x), N, x.shape[1]))
-    J[:, :, 7:] = np.eye(N)
-    return x[:, 7:].copy(), J
+    if box:
+        w, sl = box
+        hull = np.zeros((2, B, 7, 8))  # the u and v columns of every corner
+        columns(slice(0, 8), 1.0, hull)
+        # hull extremes of the corners: (left, top) at lo, (right, bottom) at hi
+        lo, hi = np.argmin(uv[:, :, :8], axis=2), np.argmax(uv[:, :, :8], axis=2)  # (2, B)
+        axis, i = np.arange(2)[:, None], np.arange(B)
+        near, far = uv[axis, i, lo], uv[axis, i, hi]
+        extent = far - near
+        unweighted[:, sl] = _BOX_COMPONENT_SCALE * (
+            block.box - np.concatenate([0.5 * (near + far), np.log(extent)]).T)
+        # d log(right - left) = (du_r - du_l) / width; the residual sign flips every row
+        g_near, g_far = hull[axis, i, :, lo], hull[axis, i, :, hi]  # (2, B, 7)
+        d_proj = np.concatenate([0.5 * (g_near + g_far), (g_far - g_near) / extent[..., None]])
+        JT[:, :7, sl] = -w * _BOX_COMPONENT_SCALE * d_proj.transpose(1, 2, 0)
+    if lp:
+        w, sl = lp
+        columns(slice(nb, None), np.where(block.visible, -w, 0.0),
+                JT[:, :, sl].reshape(B, D, K, 2).transpose(3, 0, 1, 2))
+        r_lp = block.uv - uv[:, :, nb:].transpose(1, 2, 0)  # measured minus projected
+        unweighted[:, sl] = np.where(block.visible[..., None], r_lp, 0.0).reshape(B, -1)
+    return behind
 
 
 def term_rows(cfg: EnergyConfig, n_landmarks: int, n_alpha: int) -> list:
@@ -337,7 +305,7 @@ def term_rows(cfg: EnergyConfig, n_landmarks: int, n_alpha: int) -> list:
 
 class BlockResiduals(NamedTuple):
     r: np.ndarray  # (B, m) residuals scaled by sqrt(weight)
-    J: np.ndarray  # (B, m, D) their Jacobian
+    JT: np.ndarray  # (B, D, m) the transpose of their Jacobian
     unweighted: np.ndarray  # (B, m) the same rows before the sqrt(weight) scaling
     behind: np.ndarray  # (B,) a projected point lies behind the camera
 
@@ -346,36 +314,38 @@ def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
                     cfg: EnergyConfig) -> BlockResiduals:
     """Weighted residual stacks of B instances at the (B, D) points x.
 
-    Row layout follows term_rows.  Rows of an instance flagged `behind`, or
-    of a point far enough out to overflow, are not meaningful; callers
-    mask them out rather than stop the block.
+    Row layout follows term_rows.  Beside the projection rows, the terms
+    are the signed depth innovation T_z - Z_b (zero without a measured
+    depth), ground-plane incidence N.T - 1 (affine in T with gradient
+    exactly N) and the coefficients' deviation from the learning prior's
+    zero.  Rows of an instance flagged `behind`, or of a point far enough
+    out to overflow, are not meaningful; callers mask them out rather than
+    stop the block.
     """
     B, D = x.shape
+    layout = term_rows(cfg, model.K, D - 7)
+    m = layout[-1][2].stop if layout else 0
+    unweighted, JT, sw = np.zeros((B, m)), np.zeros((B, D, m)), np.zeros(m)
+    rows = {name: (np.sqrt(weight), sl) for name, weight, sl in layout}
+    for w, sl in rows.values():
+        sw[sl] = w
     behind = np.zeros(B, dtype=bool)
-    terms = []  # (weight, residual, jacobian)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for name, weight, _ in term_rows(cfg, model.K, D - 7):
-            if name == "2d3d":
-                r, J, out = _box_term(x, block)
-                r, J = r * _BOX_COMPONENT_SCALE, J * _BOX_COMPONENT_SCALE[:, None]
-                behind |= out
-            elif name == "lp":
-                r, J, out = _landmark_term(x, block, model)
-                behind |= out
-            elif name == "md":
-                r, J = _depth_term(x, block)
-            elif name == "gp":
-                r, J = _ground_term(x, block)
-            else:
-                r, J = _shape_term(x)
-            terms.append((weight, r, J))
-        if not terms:
-            return BlockResiduals(np.zeros((B, 0)), np.zeros((B, 0, D)), np.zeros((B, 0)), behind)
-        unweighted = np.concatenate([r for _, r, _ in terms], axis=1)
-        sw = np.concatenate([np.full(r.shape[1], np.sqrt(w)) for w, r, _ in terms])
-        J = np.concatenate([J for _, _, J in terms], axis=1)
-        J *= sw[:, None]
-    return BlockResiduals(unweighted * sw, J, unweighted, behind)
+        if rows.keys() & {"2d3d", "lp"}:
+            behind = _projection_rows(x, block, model, rows, unweighted, JT)
+        if "md" in rows:
+            w, sl = rows["md"]
+            unweighted[:, sl] = np.where(block.has_depth, x[:, 3] - block.depth, 0.0)[:, None]
+            JT[:, 3, sl] = (w * block.has_depth)[:, None]
+        if "gp" in rows:
+            w, sl = rows["gp"]
+            unweighted[:, sl] = (block.ground[:, None, :] @ x[:, 1:4, None])[:, 0] - 1.0
+            JT[:, 1:4, sl] = (w * block.ground)[:, :, None]
+        if "s" in rows:
+            w, sl = rows["s"]
+            unweighted[:, sl] = x[:, 7:]
+            JT[:, 7:, sl] = w * np.eye(D - 7)
+    return BlockResiduals(unweighted * sw, JT, unweighted, behind)
 
 
 def block_energy(unweighted, cfg: EnergyConfig, n_landmarks: int, n_alpha: int):
@@ -413,7 +383,7 @@ def _stacked(vars, meas, model, cfg):
     """(r, J): the stacked weighted residuals and their Jacobian, without
     the depth row when there is no measured depth."""
     res = _evaluate_one(vars, meas, model, cfg)
-    r, J = res.r[0], res.J[0]
+    r, J = res.r[0], res.JT[0].T
     if meas.depth_zb is None:
         depth_row = [rows.start for name, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
                      if name == "md"]

@@ -114,7 +114,7 @@ def initialize(meas: Measurement, model: MorphableModel) -> Variables:
 def _usable(res) -> np.ndarray:
     """Instances whose points are all in front of the camera and whose
     residuals and Jacobian are finite."""
-    return ~res.behind & np.isfinite(res.r).all(axis=1) & np.isfinite(res.J).all(axis=(1, 2))
+    return ~res.behind & np.isfinite(res.r).all(axis=1) & np.isfinite(res.JT).all(axis=(1, 2))
 
 
 def _damped_steps(H, g, lam):
@@ -142,15 +142,15 @@ def _start(meas: Measurement, model: MorphableModel):
         return exc
 
 
-def _normal_equations(J, r):
-    """H = J^T J and g = J^T r of a (B, m, D) Jacobian stack and its (B, m)
-    residuals.  J^T is one C-contiguous copy, each instance's columns
-    contiguous: the memory layout decides how the BLAS products round, and
-    this is the layout a one-instance J^T has, at any B."""
-    JT = np.ascontiguousarray(J.transpose(0, 2, 1))
+def _normal_equations(JT, r):
+    """H = J^T J and g = J^T r of a (B, D, m) J^T stack and its (B, m)
+    residuals.  Each instance's J^T is one contiguous (D, m) block, the
+    layout a one-instance J^T has: the memory layout decides how the BLAS
+    products round, so they round alike at any B."""
     return JT @ JT.transpose(0, 2, 1), (JT @ r[:, :, None])[:, :, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def refine_batch(
     measurements,
     model: MorphableModel,
@@ -181,7 +181,9 @@ def refine_batch(
     InitializationError that stopped it: a start that cannot be computed,
     a landmark count the model does not have, or a start that projects
     behind the camera or evaluates to non-finite residuals.  Failures are
-    returned, not raised, so the other instances are unaffected.
+    returned, not raised, so the other instances are unaffected; numpy's
+    overflow and invalid-value warnings are silenced here as in the kernel,
+    since an energy or step norm that overflows is read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
     out = [_start(m, model) for m in measurements] if initial is None else list(initial)
@@ -206,7 +208,7 @@ def refine_batch(
     paths = [[e] for e in energy.tolist()]
     active = np.flatnonzero(usable & ~converged)
     H, g = np.empty((B, D, D)), np.empty((B, D))
-    H[active], g[active] = _normal_equations(res.J[active], res.r[active])
+    H[active], g[active] = _normal_equations(res.JT[active], res.r[active])
     del res
 
     while active.size:
@@ -237,7 +239,7 @@ def refine_batch(
             converged[tried[ftol_stop | xtol_stop]] = True
             # normal equations at each accepted point an instance goes on from
             go_on = accept & ~converged[tried] & (iterations[tried] < opts.max_iterations)
-            H[tried[go_on]], g[tried[go_on]] = _normal_equations(res.J[go_on], res.r[go_on])
+            H[tried[go_on]], g[tried[go_on]] = _normal_equations(res.JT[go_on], res.r[go_on])
             del res
         active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
 

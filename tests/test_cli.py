@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,6 +175,11 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     del mapping["i1.depth"]
     mapping["i1.box"] = "500.0 60.0 560.0 100.0"
     path.write_text(format_config(mapping))
+    # frame 2's i0: one extent of e^800 m, whose corners overflow to an
+    # infinite depth: non-finite, not behind the camera
+    path2 = data / "meas" / "000002.cfg"
+    path2.write_text(format_config({**parse_config_text(path2.read_text()),
+                                    "i0.sigma0": "800 0.6 0.4"}))
     # a trailing frame without instances
     empty = {key: mapping[key] for key in ("camera", "ground")}
     (data / "meas" / "000003.cfg").write_text(format_config({**empty, "instances": "0"}))
@@ -187,13 +193,15 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     assert "non-finite" in diag["i0.error"]
     assert "behind the camera" in diag["i1.error"]
     assert "i2.error" not in diag
+    diag2 = parse_config_text((out / "diag" / "000002.cfg").read_text())
+    assert diag2["failures"] == "1" and "non-finite" in diag2["i0.error"]
     # a run that exits 1 for per-instance failures still echoes its options
     assert parse_config_text((out / "manifest.cfg").read_text())["command"] == "fit"
     for meas_path in sorted((data / "meas").glob("*.cfg")):
         cam, _, measurements = parse_measurements(meas_path.read_text())
         expected = []
         for i, meas in enumerate(measurements):
-            if meas_path.stem == "000001" and i < 2:
+            if (meas_path.stem, i) in (("000001", 0), ("000001", 1), ("000002", 0)):
                 continue
             solo = refine_ablation(meas, CAR_MODEL, "v4")
             expected.append(pose_to_label(solo.vars.pose(), cam,
@@ -208,6 +216,24 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         small = tmp_path / f"blocks_of_3_jobs_{jobs}"
         assert run_cli("fit", "--data", data, "--out", small, "--jobs", jobs) == 1
         assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("i0.box", "460 166 594 1e308", 1),  # residuals that overflow their squares
+    ("i0.theta0", "1e300", 0),  # a start whose step norm overflows
+], ids=["box_overflow", "yaw_overflow"])
+def test_fit_overflow_warns_nothing(tmp_path, key, value, code):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 1, "--instances", 2) == 0
+    path = data / "meas" / "000000.cfg"
+    path.write_text(format_config({**parse_config_text(path.read_text()), key: value}))
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert run_cli("fit", "--data", data, "--out", tmp_path / "fit") == code
+    assert stderr.getvalue() == ""
+    diag = parse_config_text((tmp_path / "fit" / "diag" / "000000.cfg").read_text())
+    assert ("non-finite" in diag["i0.error"]) if code else ("i0.error" not in diag)
 
 
 @pytest.mark.parametrize("pose, error", [

@@ -30,6 +30,8 @@ from vehicle3d.geometry import (
     project,
     project_box3d,
 )
+from vehicle3d.refine import initialize
+from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, ShapeCoefficients, instantiate, place_in_camera
 
 CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
@@ -101,7 +103,7 @@ def term(name, vars, meas=BLANK, model=None):
     res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
     assert not res.behind[0]
     [rows] = [rows for n, _, rows in term_rows(cfg, model.K, vars.alpha.size) if n == name]
-    return res.unweighted[0, rows], res.J[0, rows]
+    return res.unweighted[0, rows], res.JT[0, :, rows].T
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +461,62 @@ def test_jacobian_matches_fd_per_variant():
             rel = np.abs(jacobian(vars, meas, model, cfg) - fd_jacobian(vars, meas, model, cfg))
             rel /= np.maximum(1.0, np.abs(jacobian(vars, meas, model, cfg)))
             assert rel.max() < 1e-5
+
+
+@pytest.mark.parametrize("n_basis", [0, 3])
+def test_block_jacobian_matches_finite_differences(n_basis):
+    """The J^T of a block of 8 instances, alpha columns included, against
+    central differences of the same block."""
+    rng = np.random.default_rng(18 + n_basis)
+    model = random_model(n_basis, rng)
+    starts = []
+    while len(starts) < 8:
+        vars = random_vars(rng, n_basis)
+        if hull_has_clear_extremes(vars):
+            starts.append(vars)
+    block = MeasurementBlock.stack([measurement_for(vars, model, rng, with_depth=bool(i % 2))
+                                    for i, vars in enumerate(starts)])
+    x, cfg, step = np.array([vars.to_vector() for vars in starts]), EnergyConfig(), 1e-6
+    JT = block_residuals(x, block, model, cfg).JT
+    assert JT.shape[:2] == (8, 7 + n_basis)
+    for j in range(x.shape[1]):
+        dx = np.zeros_like(x)
+        dx[:, j] = step
+        fd = (block_residuals(x + dx, block, model, cfg).r
+              - block_residuals(x - dx, block, model, cfg).r) / (2.0 * step)
+        rel = np.abs(JT[:, j] - fd) / np.maximum(1.0, np.maximum(np.abs(JT[:, j]), np.abs(fd)))
+        assert rel.max() < 1e-5, f"column {j}: worst relative disagreement {rel.max():.3e}"
+
+
+# ---------------------------------------------------------------------------
+# Batch invariance
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed7_starts():
+    """The 250 starts of `synth --seed 7` (50 frames of 5 instances) and their block."""
+    measurements = [meas for index in range(50)
+                    for meas in generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]]
+    x = np.array([initialize(meas, CAR_MODEL).to_vector() for meas in measurements])
+    return x, MeasurementBlock.stack(measurements)
+
+
+@pytest.mark.parametrize("variant", ["v2", "v3", "v4"])
+def test_rows_do_not_depend_on_the_block(seed7_starts, variant):
+    """Each instance's residual, J^T and unweighted rows are bit-identical
+    alone and inside a block of every start, in either order."""
+    x, block = seed7_starts
+    assert len(x) == 250
+    cfg = ablation_config(variant)
+    order = np.arange(len(x))[::-1]
+    together = block_residuals(x, block, CAR_MODEL, cfg)
+    reversed_ = block_residuals(x[order], block.take(order), CAR_MODEL, cfg)
+    for b in range(len(x)):
+        alone = block_residuals(x[b:b + 1], block.take([b]), CAR_MODEL, cfg)
+        for field in ("r", "JT", "unweighted", "behind"):
+            one = getattr(alone, field)[0].tobytes()
+            assert one == getattr(together, field)[b].tobytes(), (b, field)
+            assert one == getattr(reversed_, field)[len(x) - 1 - b].tobytes(), (b, field)
 
 
 # ---------------------------------------------------------------------------
