@@ -19,18 +19,27 @@ Matching protocol (shared by all metric families):
 
 A bucket with no valid ground truth yields None (absent), never zero.
 
-Match once per call: pr_curves scores every (detection, ground truth) pair
-of its frames in one vectorized pass, filling four flat tables -- 3D IoU,
-BEV IoU, 2D IoU (also ALP's gate) and center distance -- that every curve,
-threshold and difficulty of the call reads through a threshold mask.  3D
-and BEV IoU come from one geometry.box_ious call, one footprint clip per
-pair; pairs whose footprints' bounding boxes are apart score exactly 0
-without a clip, and pairs without two boxes of positive dimensions score
-NaN.  The same call stacks the frames, padded to (frame, detection rank,
-ground truth) arrays, and sorts their detections by score and content;
-pr_curve is its one-curve case.  Each curve is then one quality stack and
-one greedy pass over all frames, a step per detection rank, with no
-per-frame or per-record loop.
+ALP (average localization precision) takes its name and idea from Xiang
+et al., Data-Driven 3D Voxel Patterns for Object Category Recognition (CVPR
+2015): a pair passes when the distance between the true 3D box centers,
+half a height above each label's bottom-face location, is below the
+threshold in meters and, unless the gate is None, the pair's 2D IoU is at
+least ALP_GATE (0.7); greedy matching then prefers the closest center.  The
+center, the gate and the matching are this module's definitions; agreement
+with that paper's evaluation code is neither claimed nor tested.
+
+Match once per call: pr_curves stacks its frames once, padded to (frame,
+detection slot, ground-truth slot) arrays in matching order, from one
+lexsort of all their records, and scores every pair of that stack in one
+vectorized pass: 3D IoU, BEV IoU, 2D IoU (also ALP's gate), center
+distance and don't-care coverage.  Every curve, threshold and difficulty of
+the call reads the same stack through a threshold mask.  3D and BEV IoU
+come from one geometry.box_ious call, one footprint clip per pair; pairs
+whose footprints' bounding boxes are apart score exactly 0 without a clip,
+and pairs without two boxes of positive dimensions score NaN, as does the
+padding.  pr_curve is the one-curve case.  Each curve is then one greedy
+pass over all frames, a step per detection slot, with no per-frame or
+per-record loop.
 """
 from __future__ import annotations
 
@@ -72,24 +81,6 @@ _DONTCARE_COVERAGE = 0.5
 _APART_RTOL = 1e-9
 
 
-class PairTable(NamedTuple):
-    """Every (detection, ground truth) value of a frame list, flat: each
-    frame's pairs detection-major, one frame after another.  NaN IoU where
-    the pair lacks two boxes of positive dimensions."""
-
-    iou_3d: np.ndarray
-    iou_bev: np.ndarray
-    iou_2d: np.ndarray
-    distance: np.ndarray
-    apart: np.ndarray  # footprints apart: 3D and BEV IoU 0.0 without a clip
-
-
-def _corners(records) -> np.ndarray:
-    """(n, 4) pixel boxes through Box2D's log/exp round trip, so the 2D
-    IoU table equals iou_2d of Box2D.from_corners(*rec.bbox) bit for bit."""
-    return box2d_round_trip(np.array([rec.bbox for rec in records]).reshape(-1, 4))
-
-
 def _centers(records) -> np.ndarray:
     """(n, 3) true 3D box centers: half a height above the bottom-face anchor."""
     centers = np.array([rec.location for rec in records]).reshape(-1, 3)
@@ -106,42 +97,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def center_distance(a: LabelRecord, b: LabelRecord) -> float:
     """Distance between true 3D box centers: _distances for one pair."""
     return float(_distances(_centers([a]), _centers([b]))[0])
-
-
-def _pair_table(frames) -> PairTable:
-    """The PairTable of the (detections, ground truth) frames, in one
-    vectorized pass over their pairs and one box_ious call.
-
-    The records with positive dimensions become boxes in one
-    label_pose_fields call.  A pair whose footprints' bounding boxes are
-    apart scores 0.0 without a clip.
-    """
-    records = [rec for dets, gts in frames for rec in (*dets, *gts)]
-    i, j, start = [], [], 0  # record indices of each frame's pairs, detection-major
-    for dets, gts in frames:
-        di, gj = np.indices((len(dets), len(gts))).reshape(2, -1)
-        i.append(start + di)
-        j.append(start + len(dets) + gj)
-        start += len(dets) + len(gts)
-    i, j = np.concatenate(i), np.concatenate(j)
-    posed = np.array([min(rec.dimensions) > 0 for rec in records], dtype=bool)
-    boxes = BoxStack.of(*label_pose_fields([rec for rec, p in zip(records, posed) if p]))
-    row = np.cumsum(posed) - 1  # record index -> box row, where posed
-    two = posed[i] & posed[j]
-    a, b = row[i[two]], row[j[two]]
-    lo, hi = boxes.feet.min(axis=1), boxes.feet.max(axis=1)
-    reach = 1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
-    # per axis, the gap between the boxes (negative where they overlap)
-    gap = np.maximum(lo[b] - hi[a], lo[a] - hi[b])
-    apart = np.zeros(len(i), dtype=bool)
-    apart[two] = (gap > _APART_RTOL * np.maximum(reach[a], reach[b])[:, None]).any(axis=1)
-    iou3, iou_b = np.full(len(i), np.nan), np.full(len(i), np.nan)
-    iou3[two], iou_b[two] = 0.0, 0.0
-    clip = two & ~apart
-    iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
-    corners, centers = _corners(records), _centers(records)
-    return PairTable(iou3, iou_b, box2d_ious(corners[i], corners[j]),
-                     _distances(centers[i], centers[j]), apart)
 
 
 @dataclass(frozen=True)
@@ -174,50 +129,6 @@ def difficulty_bucket(gt: LabelRecord) -> str:
     return "ignored"
 
 
-def _score(det: LabelRecord) -> float:
-    return 1.0 if det.score is None else float(det.score)
-
-
-def _content_key(rec: LabelRecord):
-    """Deterministic order for records, independent of input position.
-
-    Records identical under this key are interchangeable for matching,
-    so any consistent resolution yields the same metric values.
-    """
-    return (rec.bbox, rec.location, rec.dimensions, rec.rotation_y,
-            rec.alpha, rec.type)
-
-
-# metric -> the PairTable field its IoU criterion reads
-_IOU_FIELD = {"ap3d": "iou_3d", "apbev": "iou_bev", "ap2d": "iou_2d"}
-
-
-def _quality(table: PairTable, metric: str, threshold: float, gate_iou: float | None):
-    """Match quality of every pair (higher is better), NaN where the pair
-    fails the metric's criterion: for ALP the negated center distance below
-    `threshold` meters with 2D IoU at least `gate_iou`, else the IoU at
-    least `threshold`."""
-    if metric == "alp":
-        passes = table.distance < threshold
-        if gate_iou is not None:
-            passes &= table.iou_2d >= gate_iou
-        return np.where(passes, -table.distance, np.nan)  # closer is better
-    iou = getattr(table, _IOU_FIELD[metric])
-    return np.where(iou >= threshold, iou, np.nan)
-
-
-def _cover_fractions(boxes: np.ndarray, regions: np.ndarray) -> np.ndarray:
-    """(n, m) fraction of each pixel box (n, 4) inside each region (m, 4).
-
-    Raw corner arithmetic, so exact half coverage is exactly 0.5.
-    """
-    dl, dt, dr, db = boxes.T[:, :, None]
-    rl, rt, rr, rb = regions.T[:, None, :]
-    w = np.minimum(dr, rr) - np.maximum(dl, rl)
-    h = np.minimum(db, rb) - np.maximum(dt, rt)
-    return np.maximum(w, 0.0) * np.maximum(h, 0.0) / ((dr - dl) * (db - dt))
-
-
 def _interpolated_ap(recall, values, points: int) -> float:
     """Mean over `points` evenly spaced recall levels from 0 to 1 inclusive
     of the best value at or above each level, in percent.
@@ -237,85 +148,134 @@ def _interpolated_ap(recall, values, points: int) -> float:
     return 100.0 * total / points
 
 
-def _padded(rows, real: np.ndarray, fill) -> np.ndarray:
-    """The arrays rows[f] of shape (n_f, ...) stacked as (F, width, ...):
-    row f's entries fill the slots where real (F, width) holds, in order,
-    and fill the rest."""
-    flat = np.concatenate(rows)
-    out = np.full(real.shape + flat.shape[1:], fill, dtype=flat.dtype)
-    out[real] = flat
-    return out
-
-
-def _frame_fields(detections, ground_truth) -> tuple:
-    """What matching reads of one frame: the indices of its OBJECT_TYPE
-    detections (the only ones matched) by descending score, ties by
-    content; their (n, 13) sort keys, -score then the content key's numeric
-    fields (their type never breaks a tie); whether don't-care regions cover
-    each by at least _DONTCARE_COVERAGE, which drops it if unmatched; the
-    indices of its ground truth in content order; and their difficulty
-    ranks ("ignored" for other types, _DONT_CARE_RANK for a don't-care
-    region) and observation angles."""
-    matched = [i for i, det in enumerate(detections) if det.type == OBJECT_TYPE]
-    det_order = np.array(sorted(matched, key=lambda i: (-_score(detections[i]),
-                                                        *_content_key(detections[i]))), dtype=int)
-    dets = [detections[i] for i in det_order]
-    keys = np.array([(-_score(det), *det.bbox, *det.location, *det.dimensions, det.rotation_y,
-                      det.alpha) for det in dets], dtype=float).reshape(-1, 13)
-    regions = [gt.bbox for gt in ground_truth if gt.type == DONT_CARE_TYPE]
-    covered = np.zeros(len(dets), dtype=bool)
-    if regions:
-        fractions = _cover_fractions(np.reshape([det.bbox for det in dets], (-1, 4)),
-                                     np.reshape(regions, (-1, 4)))
-        covered = (fractions >= _DONTCARE_COVERAGE).any(axis=1)
-    gt_order = np.array(sorted(range(len(ground_truth)),
-                               key=lambda j: _content_key(ground_truth[j])), dtype=int)
-    gts = [ground_truth[j] for j in gt_order]
-    rank = np.array([_DONT_CARE_RANK if gt.type == DONT_CARE_TYPE else
-                     _RANK[difficulty_bucket(gt) if gt.type == OBJECT_TYPE else "ignored"]
-                     for gt in gts], dtype=int)
-    return det_order, keys, covered, gt_order, rank, np.array([gt.alpha for gt in gts], dtype=float)
-
-
 class _Stack(NamedTuple):
     """What every curve of one pr_curves call reads, built once for all of
-    them: each frame's detections padded to D slots in matching order, its
-    ground truth to G slots in content order (see _frame_fields)."""
+    them: each frame's OBJECT_TYPE detections (the only ones matched) in
+    D slots by descending score, ties by content, and its ground truth in G
+    slots by content, then type.  Pair values are NaN in the padding and
+    where the pair lacks two boxes of positive dimensions."""
 
-    table: PairTable  # the frames' _pair_table
-    index: np.ndarray  # (F, D, G) each pair's place in table; -1 in the padding
+    iou_3d: np.ndarray  # (F, D, G)
+    iou_bev: np.ndarray  # (F, D, G)
+    iou_2d: np.ndarray  # (F, D, G), also ALP's gate
+    distance: np.ndarray  # (F, D, G) between true 3D box centers
+    apart: np.ndarray  # (F, D, G) footprints apart: 3D and BEV IoU 0.0 without a clip
     dets: np.ndarray  # (F, D) slots holding a detection
     covered: np.ndarray  # (F, D) covered by a don't-care region
-    keys: np.ndarray  # (F, D, 13) sort keys
+    score: np.ndarray  # (F, D)
+    alpha: np.ndarray  # (F, D)
     order: np.ndarray  # the flat detection slots by descending score, ties by content
     gt_rank: np.ndarray  # (F, G) difficulty rank, _DONT_CARE_RANK in the padding
     gt_alpha: np.ndarray  # (F, G)
 
     @classmethod
     def of(cls, frames) -> "_Stack":
-        det_order, keys, covered, gt_order, gt_rank, gt_alpha = zip(
-            *(_frame_fields(*frame) for frame in frames))
-        n_det = np.array([len(order) for order in det_order])
-        n_gt = np.array([len(order) for order in gt_order])
-        dets = np.arange(n_det.max()) < n_det[:, None]
-        gts = np.arange(n_gt.max()) < n_gt[:, None]
-        # each frame's first pair in the table
-        start = np.cumsum([0] + [len(d) * len(g) for d, g in frames])[:-1]
-        rows = _padded(det_order, dets, 0)
-        cols = _padded(gt_order, gts, 0)
-        index = start[:, None, None] + rows[:, :, None] * n_gt[:, None, None] + cols[:, None, :]
-        keys = _padded(keys, dets, 0.0)
-        slots = np.flatnonzero(dets)  # (frame, rank) order; lexsort is stable
+        """The stack of (detections, ground truth) frames: one sort of their
+        records, one label_pose_fields call for those with positive
+        dimensions, and one vectorized pass over their pairs."""
+        tagged = [(f, rec) for f, (dets, _) in enumerate(frames)
+                  for rec in dets if rec.type == OBJECT_TYPE]
+        n_det = len(tagged)
+        tagged += [(f, rec) for f, (_, gts) in enumerate(frames) for rec in gts]
+        records = [rec for _, rec in tagged]
+        frame = np.array([f for f, _ in tagged], dtype=int)
+        score = np.array([1.0 if rec.score is None else rec.score for rec in records], dtype=float)
+        content = np.array([(*rec.bbox, *rec.location, *rec.dimensions, rec.rotation_y, rec.alpha)
+                            for rec in records], dtype=float).reshape(-1, 12)
+        type_code = np.unique([rec.type for rec in records], return_inverse=True)[1]
+        is_gt = np.arange(len(records)) >= n_det
+        # detections, then ground truth; each by frame, then -score (detections
+        # only), content and type; lexsort's last key is its first
+        order = np.lexsort((type_code, *content.T[::-1], np.where(is_gt, 0.0, -score),
+                            frame, is_gt))
+
+        def slots(rows):
+            """The (F, width) slots the records of rows fill, each frame's
+            in order, and the record in each slot (0 in the padding)."""
+            count = np.bincount(frame[rows], minlength=len(frames))
+            real = np.arange(count.max()) < count[:, None]
+            at = np.zeros(real.shape, dtype=int)
+            at[real] = rows
+            return real, at
+
+        dets, det_at = slots(order[:n_det])
+        gts, gt_at = slots(order[n_det:])
+        pairs = dets[:, :, None] & gts[:, None, :]
+        i = np.broadcast_to(det_at[:, :, None], pairs.shape)[pairs]
+        j = np.broadcast_to(gt_at[:, None, :], pairs.shape)[pairs]
+
+        def spread(values, fill=np.nan):
+            """Pair values (P,) in their (F, D, G) slots, fill in the padding."""
+            out = np.full(pairs.shape, fill, dtype=values.dtype)
+            out[pairs] = values
+            return out
+
+        posed = content[:, 7:10].min(axis=1) > 0
+        boxes = BoxStack.of(*label_pose_fields([rec for rec, p in zip(records, posed) if p]))
+        row = np.cumsum(posed) - 1  # record index -> box row, where posed
+        two = posed[i] & posed[j]
+        a, b = row[i[two]], row[j[two]]
+        lo, hi = boxes.feet.min(axis=1), boxes.feet.max(axis=1)
+        reach = 1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
+        # per axis, the gap between the boxes (negative where they overlap)
+        gap = np.maximum(lo[b] - hi[a], lo[a] - hi[b])
+        apart = np.zeros(len(i), dtype=bool)
+        apart[two] = (gap > _APART_RTOL * np.maximum(reach[a], reach[b])[:, None]).any(axis=1)
+        iou3, iou_b = np.where(two, 0.0, np.nan), np.where(two, 0.0, np.nan)
+        clip = two & ~apart
+        iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
+        # through Box2D's log/exp round trip, so 2D IoU equals iou_2d of
+        # Box2D.from_corners(*rec.bbox) bit for bit
+        corners = box2d_round_trip(content[:, :4])
+        centers = _centers(records)
+
+        # the fraction of each detection box inside each region, from raw
+        # corner arithmetic, so exact half coverage is exactly 0.5
+        dl, dt, dr, db = content[i, :4].T
+        rl, rt, rr, rb = content[j, :4].T
+        w = np.minimum(dr, rr) - np.maximum(dl, rl)
+        h = np.minimum(db, rb) - np.maximum(dt, rt)
+        inside = np.maximum(w, 0.0) * np.maximum(h, 0.0) / ((dr - dl) * (db - dt))
+        dont_care = np.array([rec.type == DONT_CARE_TYPE for rec in records], dtype=bool)
+        covers = dont_care[j] & (inside >= _DONTCARE_COVERAGE)
+
+        rank = np.full(len(records), _DONT_CARE_RANK)
+        rank[n_det:] = [_DONT_CARE_RANK if rec.type == DONT_CARE_TYPE else
+                        _RANK[difficulty_bucket(rec) if rec.type == OBJECT_TYPE else "ignored"]
+                        for rec in records[n_det:]]
+        keys = np.column_stack([-score, content])[order[:n_det]]  # in slot order
         return cls(
-            table=_pair_table(frames),
-            index=np.where(dets[:, :, None] & gts[:, None, :], index, -1),
+            iou_3d=spread(iou3),
+            iou_bev=spread(iou_b),
+            iou_2d=spread(box2d_ious(corners[i], corners[j])),
+            distance=spread(_distances(centers[i], centers[j])),
+            apart=spread(apart, False),
             dets=dets,
-            covered=_padded(covered, dets, False),
-            keys=keys,
-            order=slots[np.lexsort(keys.reshape(-1, 13)[slots].T[::-1])],
-            gt_rank=_padded(gt_rank, gts, _DONT_CARE_RANK),
-            gt_alpha=_padded(gt_alpha, gts, 0.0),
+            covered=spread(covers, False).any(axis=2),
+            score=np.where(dets, score[det_at], 0.0),
+            alpha=np.where(dets, content[det_at, 11], 0.0),
+            order=np.flatnonzero(dets)[np.lexsort(keys.T[::-1])],  # lexsort is stable
+            gt_rank=np.where(gts, rank[gt_at], _DONT_CARE_RANK),
+            gt_alpha=np.where(gts, content[gt_at, 11], 0.0),
         )
+
+
+# metric -> the _Stack field its IoU criterion reads
+_IOU_FIELD = {"ap3d": "iou_3d", "apbev": "iou_bev", "ap2d": "iou_2d"}
+
+
+def _quality(stack: _Stack, metric: str, threshold: float, gate_iou: float | None):
+    """Match quality of every pair (higher is better), NaN where the pair
+    fails the metric's criterion: for ALP the negated center distance below
+    `threshold` meters with 2D IoU at least `gate_iou`, else the IoU at
+    least `threshold`."""
+    if metric == "alp":
+        passes = stack.distance < threshold
+        if gate_iou is not None:
+            passes &= stack.iou_2d >= gate_iou
+        return np.where(passes, -stack.distance, np.nan)  # closer is better
+    iou = getattr(stack, _IOU_FIELD[metric])
+    return np.where(iou >= threshold, iou, np.nan)
 
 
 def _curve(stack: _Stack, metric: str, threshold: float, difficulty: str,
@@ -330,7 +290,7 @@ def _curve(stack: _Stack, metric: str, threshold: float, difficulty: str,
     if n_valid == 0:
         return None
     ignored = (stack.gt_rank > rank) & (stack.gt_rank <= _RANK["ignored"])  # costs and earns nothing
-    quality = np.append(_quality(stack.table, metric, threshold, gate_iou), np.nan)[stack.index]
+    quality = _quality(stack, metric, threshold, gate_iou)
 
     F, D, G = quality.shape
     frame = np.arange(F)
@@ -353,11 +313,11 @@ def _curve(stack: _Stack, metric: str, threshold: float, difficulty: str,
         taken[frame, took[:, k]] |= hit[:, k] | absorbed[:, k]
     matched_sim = np.zeros((F, D))  # orientation similarity of each true positive
     f, k = np.nonzero(hit)
-    matched_sim[f, k] = (1.0 + np.cos(stack.gt_alpha[f, took[f, k]] - stack.keys[f, k, 12])) / 2.0
+    matched_sim[f, k] = (1.0 + np.cos(stack.gt_alpha[f, took[f, k]] - stack.alpha[f, k])) / 2.0
 
     kept = (stack.dets & (hit | ~(absorbed | stack.covered))).reshape(-1)
     flags = stack.order[kept[stack.order]]  # kept detections by descending score, ties by content
-    scores = -stack.keys.reshape(-1, 13)[flags, 0]
+    scores = stack.score.reshape(-1)[flags]
     hit = hit.reshape(-1)[flags]
     keep = np.flatnonzero(np.diff(scores, append=-np.inf))  # the last point of each score group
     tp, fp = np.cumsum(hit)[keep], np.cumsum(~hit)[keep]
@@ -372,6 +332,8 @@ def pr_curves(frames, jobs, points: int) -> list:
     """pr_curve of each job (metric, threshold, difficulty, gate_iou) over
     the same (detections, ground truth) frames, any iterable of them, which
     are scored and stacked once for all jobs."""
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points!r}")
     for metric, _, difficulty, _ in jobs:
         if difficulty not in _RANK or difficulty == "ignored":
             raise ValueError(f"unknown difficulty {difficulty!r}")

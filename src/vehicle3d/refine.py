@@ -111,10 +111,12 @@ def initialize(meas: Measurement, model: MorphableModel) -> Variables:
     )
 
 
-def _usable(res) -> np.ndarray:
+def _usable(res, energy) -> np.ndarray:
     """Instances whose points are all in front of the camera and whose
-    residuals and Jacobian are finite."""
-    return ~res.behind & np.isfinite(res.r).all(axis=1) & np.isfinite(res.JT).all(axis=(1, 2))
+    residuals, Jacobian and energy are finite: finite residuals can still
+    square to an infinite energy."""
+    return (~res.behind & np.isfinite(res.r).all(axis=1) & np.isfinite(res.JT).all(axis=(1, 2))
+            & np.isfinite(energy))
 
 
 def _damped_steps(H, g, lam):
@@ -180,10 +182,11 @@ def refine_batch(
     Entry i of the result is instance i's RefineResult, or the
     InitializationError that stopped it: a start that cannot be computed,
     a landmark count the model does not have, or a start that projects
-    behind the camera or evaluates to non-finite residuals.  Failures are
-    returned, not raised, so the other instances are unaffected; numpy's
-    overflow and invalid-value warnings are silenced here as in the kernel,
-    since an energy or step norm that overflows is read as inf.
+    behind the camera or evaluates to non-finite residuals or to an energy
+    that overflows.  Failures are returned, not raised, so the other
+    instances are unaffected; numpy's overflow and invalid-value warnings
+    are silenced here as in the kernel, since an energy or step norm that
+    overflows is read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
     out = [_start(m, model) for m in measurements] if initial is None else list(initial)
@@ -198,8 +201,9 @@ def refine_batch(
     x = np.array([out[i].to_vector() for i in live])
     B, D = x.shape
     res = block_residuals(x, block, model, cfg)
-    usable, behind = _usable(res), res.behind
     unweighted, energy = res.unweighted, rowdot(res.r)
+    usable, behind = _usable(res, energy), res.behind
+    overflows = np.isfinite(res.r).all(axis=1) & ~np.isfinite(energy)
     no_rows = unweighted.shape[1] == 0  # every start stops where it is
     converged = np.full(B, no_rows)
     reasons = np.full(B, "initialization only" if no_rows else "max_iterations", dtype=object)
@@ -223,7 +227,7 @@ def refine_batch(
             x_trial += dx
             res = block_residuals(x_trial, block.take(tried), model, cfg)
             trial_energy = rowdot(res.r)
-            accept = _usable(res) & (trial_energy < energy[tried])
+            accept = _usable(res, trial_energy) & (trial_energy < energy[tried])
             ftol_stop = accept & (energy[tried] - trial_energy
                                   <= _FTOL * np.maximum(trial_energy, 1.0))
             up, down = tried[accept], tried[~accept]
@@ -248,6 +252,8 @@ def refine_batch(
         if not usable[b]:
             out[i] = InitializationError(
                 "initial point projects behind the camera" if behind[b] else
+                "initial point's energy overflows: its residuals are finite, but "
+                "their squares sum to inf" if overflows[b] else
                 "initial point has non-finite residuals (NaN or inf in the measurement or start)")
             continue
         out[i] = RefineResult(

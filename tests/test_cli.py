@@ -176,10 +176,12 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     mapping["i1.box"] = "500.0 60.0 560.0 100.0"
     path.write_text(format_config(mapping))
     # frame 2's i0: one extent of e^800 m, whose corners overflow to an
-    # infinite depth: non-finite, not behind the camera
+    # infinite depth: non-finite, not behind the camera; its i1: a finite,
+    # absurd box whose finite residuals square to an infinite energy
     path2 = data / "meas" / "000002.cfg"
     path2.write_text(format_config({**parse_config_text(path2.read_text()),
-                                    "i0.sigma0": "800 0.6 0.4"}))
+                                    "i0.sigma0": "800 0.6 0.4",
+                                    "i1.box": "460 166 594 1e300"}))
     # a trailing frame without instances
     empty = {key: mapping[key] for key in ("camera", "ground")}
     (data / "meas" / "000003.cfg").write_text(format_config({**empty, "instances": "0"}))
@@ -194,14 +196,16 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
     assert "behind the camera" in diag["i1.error"]
     assert "i2.error" not in diag
     diag2 = parse_config_text((out / "diag" / "000002.cfg").read_text())
-    assert diag2["failures"] == "1" and "non-finite" in diag2["i0.error"]
+    assert diag2["failures"] == "2" and "non-finite" in diag2["i0.error"]
+    assert "energy overflows" in diag2["i1.error"] and "i1.energy" not in diag2
     # a run that exits 1 for per-instance failures still echoes its options
     assert parse_config_text((out / "manifest.cfg").read_text())["command"] == "fit"
     for meas_path in sorted((data / "meas").glob("*.cfg")):
         cam, _, measurements = parse_measurements(meas_path.read_text())
         expected = []
         for i, meas in enumerate(measurements):
-            if (meas_path.stem, i) in (("000001", 0), ("000001", 1), ("000002", 0)):
+            if (meas_path.stem, i) in (("000001", 0), ("000001", 1), ("000002", 0),
+                                       ("000002", 1)):
                 continue
             solo = refine_ablation(meas, CAR_MODEL, "v4")
             expected.append(pose_to_label(solo.vars.pose(), cam,

@@ -14,6 +14,7 @@ from vehicle3d.geometry import Box2D, iou_2d, iou_3d, iou_bev
 from vehicle3d.metrics import (
     ALP_GATE,
     DIFFICULTIES,
+    OBJECT_TYPE,
     POINTS,
     _Stack,
     alp,
@@ -427,6 +428,9 @@ def test_validation_errors():
         pr_curve([((), (rec(),))], "nope", 0.5)
     with pytest.raises(ValueError):
         pr_curve([((), (rec(),))], "ap2d", 0.5, difficulty="trivial")
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="points"):
+            pr_curve([((), (rec(),))], "ap2d", 0.5, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +645,17 @@ def test_ground_truth_self_evaluation_is_perfect():
 
 
 # ---------------------------------------------------------------------------
-# Match once per call: the pair table every curve of a pr_curves call reads.
+# Match once per call: the pair values every curve of a pr_curves call reads,
+# in the padded (frame, detection slot, ground-truth slot) stack.
 # ---------------------------------------------------------------------------
 
-# PairTable field -> the scalar kernel behind its entries
+# _Stack field -> the scalar kernel behind its entries
 TABLE_KERNELS = (("iou_3d", "iou_3d"), ("iou_bev", "iou_bev"),
                  ("iou_2d", "iou_2d"), ("distance", "center_distance"))
 
 
 def scalar_pair_value(kind, det, gt):
-    """The scalar kernel behind one pair table entry."""
+    """The scalar kernel behind one pair value."""
     if kind == "iou_2d":
         return iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
     if kind == "center_distance":
@@ -661,28 +666,58 @@ def scalar_pair_value(kind, det, gt):
     return fn(label_to_pose(det), label_to_pose(gt))
 
 
+def stack_layout(frames):
+    """Each frame's records in their stack slots, as documented: the
+    OBJECT_TYPE detections by descending score, ties by content; the ground
+    truth by content, then type."""
+    def content(r):
+        return (r.bbox, r.location, r.dimensions, r.rotation_y, r.alpha)
+
+    return [(sorted((det for det in dets if det.type == OBJECT_TYPE),
+                    key=lambda det: (-(1.0 if det.score is None else det.score), *content(det))),
+             sorted(gts, key=lambda gt: (*content(gt), gt.type)))
+            for dets, gts in frames]
+
+
+def real_pairs(layout):
+    """(F, D, G) mask of the stack slots that hold a (detection, ground truth)
+    pair, from a stack_layout."""
+    n_det = np.array([len(dets) for dets, _ in layout])
+    n_gt = np.array([len(gts) for _, gts in layout])
+    dets = np.arange(n_det.max()) < n_det[:, None]
+    gts = np.arange(n_gt.max()) < n_gt[:, None]
+    return dets[:, :, None] & gts[:, None, :]
+
+
 def check_reused_tables(frames) -> int:
-    """Run every curve over the frames, then require every entry of the
-    four flat tables their stack reads to equal its scalar kernel exactly,
-    NaN where the kernel gives None.  Returns how many 3D or BEV entries
-    came from the apart-footprints shortcut."""
+    """Run every curve over the frames, then require every real (frame,
+    detection, ground truth) slot of the four pair-value stacks to equal its
+    scalar kernel exactly, NaN where the kernel gives None, and the padding
+    to read NaN.  Returns how many 3D or BEV entries came from the
+    apart-footprints shortcut."""
     compare_with_oracle(frames)
-    table = _Stack.of(frames).table
-    pairs = [(det, gt) for dets, gts in frames for det in dets for gt in gts]  # detection-major
-    assert table.apart.shape == (len(pairs),)
+    stack = _Stack.of(frames)
+    layout = stack_layout(frames)
+    real = real_pairs(layout)
+    assert stack.apart.shape == real.shape and not stack.apart[~real].any()
+    assert stack.dets.sum(axis=1).tolist() == [len(dets) for dets, _ in layout]
     shortcuts = 0
     for field, kind in TABLE_KERNELS:
-        values = getattr(table, field)
-        assert values.shape == (len(pairs),) and values.dtype == np.float64, field
-        for p, ((det, gt), value) in enumerate(zip(pairs, values.tolist())):
-            want = scalar_pair_value(kind, det, gt)
-            if want is None:
-                assert math.isnan(value), (field, p, value)
-            else:
-                assert value == want, (field, p, value, want)
-            if field in ("iou_3d", "iou_bev") and table.apart[p]:
-                assert value == 0.0
-                shortcuts += 1
+        values = getattr(stack, field)
+        assert values.shape == real.shape and values.dtype == np.float64, field
+        assert np.isnan(values[~real]).all(), field
+        for f, (dets, gts) in enumerate(layout):
+            for k, det in enumerate(dets):
+                for g, gt in enumerate(gts):
+                    value = float(values[f, k, g])
+                    want = scalar_pair_value(kind, det, gt)
+                    if want is None:
+                        assert math.isnan(value), (field, f, k, g, value)
+                    else:
+                        assert value == want, (field, f, k, g, value, want)
+                    if field in ("iou_3d", "iou_bev") and stack.apart[f, k, g]:
+                        assert value == 0.0
+                        shortcuts += 1
     return shortcuts
 
 
@@ -737,7 +772,7 @@ def count_metric_calls(monkeypatch, names):
 
 def test_each_pair_value_is_computed_once(monkeypatch):
     frames = random_frames(np.random.default_rng(7))
-    table = _Stack.of(frames).table  # read before the kernels are counted
+    stack = _Stack.of(frames)  # read before the kernels are counted
     log = count_metric_calls(monkeypatch, (
         "box_ious", "box2d_ious", "_distances", "iou_3d", "iou_bev", "iou_2d",
         "center_distance", "label_pose_fields"))
@@ -750,14 +785,16 @@ def test_each_pair_value_is_computed_once(monkeypatch):
 
     assert len(pr_curves(frames, SWEEP_JOBS, POINTS)) == len(SWEEP_JOBS) == 24
     # 3D/BEV entries of two boxes whose footprints are not apart, in one call
-    clipped = int((~np.isnan(table.iou_bev) & ~table.apart).sum())
+    clipped = int((~np.isnan(stack.iou_bev) & ~stack.apart).sum())
     assert sizes("box_ious") == [clipped] and clipped > 0
-    n_pairs = sum(len(dets) * len(gts) for dets, gts in frames)
-    for kernel in ("box2d_ious", "_distances"):  # every pair, in one call
+    # every pair of a matched (OBJECT_TYPE) detection, in one call
+    n_pairs = sum(len(dets) * len(gts) for dets, gts in stack_layout(frames))
+    for kernel in ("box2d_ious", "_distances"):
         assert sizes(kernel) == [n_pairs] and n_pairs > 0, kernel
     for kind in ("iou_2d", "center_distance", "iou_3d", "iou_bev"):
         assert count(kind) == 0, kind  # the batched kernels score every pair
-    posed = sum(1 for dets, gts in frames for rec in (*dets, *gts) if min(rec.dimensions) > 0)
+    posed = sum(1 for dets, gts in stack_layout(frames) for rec in (*dets, *gts)
+                if min(rec.dimensions) > 0)
     # every posed record becomes a box row in one array conversion
     assert [len(args[0]) for called, args in log if called == "label_pose_fields"] == [posed]
 
@@ -769,11 +806,12 @@ def test_alp_sweep_fills_every_table(monkeypatch):
     stacks = [args[0] for called, args in log if called == "_curve"]
     assert len(stacks) == 6 and all(stack is stacks[0] for stack in stacks)  # one stack per call
     assert [called for called, _ in log if called != "_curve"] == []  # no scalar 2D IoU or distance
-    table = stacks[0].table
-    n_pairs = sum(len(dets) * len(gts) for dets, gts in frames)
+    stack = stacks[0]
+    real = real_pairs(stack_layout(frames))
+    assert real.any()
     for field, _ in TABLE_KERNELS:
-        assert getattr(table, field).shape == (n_pairs,), field
-    assert not np.isnan(table.iou_2d).any()
-    assert not np.isnan(table.distance).any()
-    # the 3D and BEV tables were filled by the same pass
-    assert (~np.isnan(table.iou_3d)).any()
+        assert getattr(stack, field).shape == real.shape, field
+    assert not np.isnan(stack.iou_2d[real]).any()
+    assert not np.isnan(stack.distance[real]).any()
+    # the 3D and BEV stacks were filled by the same pass
+    assert (~np.isnan(stack.iou_3d)).any()

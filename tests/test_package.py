@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import vehicle3d
@@ -84,3 +85,20 @@ def test_every_config_field_is_a_command_line_option():
              for field in fields(cls) if f"{config}.{field.name}" not in set_by_options]
     # acceptance criterion 2 draws noise-free shapes with alpha_sigma = 0
     assert unset == ["scene.alpha_sigma"]
+
+
+def test_readme_module_references_resolve():
+    """Every backticked `module.name` in README.md whose module is one of
+    the package's names an attribute of that module, so a refactor that
+    deletes a documented name fails here instead of leaving stale docs."""
+    package = Path(vehicle3d.__file__).parent
+    modules = "|".join(path.stem for path in sorted(package.glob("*.py"))
+                       if not path.stem.startswith("__"))
+    readme = (package.parents[1] / "README.md").read_text()
+    refs = re.findall(rf"`(?:vehicle3d\.)?({modules})\.([A-Za-z_][\w.]*)`", readme)
+    assert len(refs) >= 10  # the check reads the references it is about
+    for module, name in refs:
+        target = importlib.import_module(f"vehicle3d.{module}")
+        for part in name.split("."):
+            assert hasattr(target, part), f"{module}.{name}"
+            target = getattr(target, part)
