@@ -57,6 +57,8 @@ from .refine import InitializationError, SolverOptions, refine_ladder
 from .refine import refine_ablation  # noqa: F401
 from .scene_io import (
     CAR_MODEL,
+    FLAT_GROUND,
+    KITTI_CAMERA,
     STANDARD_NOISE,
     GenerationError,
     LabelFormatError,
@@ -275,7 +277,7 @@ def render_table(title: str, headers, rows) -> str:
 def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneParams) -> int:
     for index in range(effective["frames"]):
         try:
-            frame, measurements, labels = generate_scene(
+            _, measurements, labels = generate_scene(
                 scene, noise, [effective["seed"], index]
             )
         except GenerationError as exc:
@@ -284,7 +286,7 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
         _atomic_write(out_dir / "labels" / (name + ".txt"), emit_labels(labels))
         _atomic_write(
             out_dir / "meas" / (name + ".cfg"),
-            emit_measurements(frame.camera, frame.ground, measurements),
+            emit_measurements(KITTI_CAMERA, FLAT_GROUND, measurements),
         )
     print(f"wrote {effective['frames']} frames to {out_dir}")
     return 0

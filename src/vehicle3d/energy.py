@@ -24,6 +24,7 @@ slice of block_residuals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -77,8 +78,9 @@ class EnergyConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.variant not in RUNG_TERMS:
             raise ValueError(f"unknown variant {self.variant!r}")
 

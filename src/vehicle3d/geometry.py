@@ -141,24 +141,22 @@ class GroundPlane:
         object.__setattr__(self, "N", n)
 
 
-def rot_y(theta: float) -> np.ndarray:
-    """Rotation by theta about the +Y (gravity) axis."""
+def rot_y(theta) -> np.ndarray:
+    """Rotation by theta about the +Y (gravity) axis; a stack (..., 3, 3)
+    for an array of angles (...)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return np.stack([c, zero, s, zero, one, zero, -s, zero, c], axis=-1).reshape(*np.shape(c), 3, 3)
 
 
-def project(cam: CameraIntrinsics, X: np.ndarray) -> np.ndarray:
-    """Central perspective map; accepts a single point or an (n, 3) stack."""
+def project(cam: CameraIntrinsics, X) -> np.ndarray:
+    """Central perspective map of points X (..., 3), any leading shape, to
+    pixels (..., 2); raises BehindCameraError if any point has Z <= EPS_Z."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    pts = np.atleast_2d(X)
-    z = pts[:, 2]
+    z = X[..., 2]
     if np.any(z <= EPS_Z):
         raise BehindCameraError(f"point behind camera: min Z = {z.min():.3g}")
-    uv = np.empty((pts.shape[0], 2))
-    uv[:, 0] = cam.fx * pts[:, 0] / z + cam.cx
-    uv[:, 1] = cam.fy * pts[:, 1] / z + cam.cy
-    return uv[0] if single else uv
+    return np.stack([cam.fx * X[..., 0] / z + cam.cx, cam.fy * X[..., 1] / z + cam.cy], axis=-1)
 
 
 # Unit-box corners for extents (1, 1, 1): bottom face counterclockwise
@@ -178,15 +176,21 @@ UNIT_CORNERS = np.array(
 )
 
 
-def box_corners(theta, T, sigma) -> np.ndarray:
-    """The 8 corners (n, 8, 3) in camera coordinates, UNIT_CORNERS' order,
-    of the n boxes with PoseBox3D fields theta (n,), T and sigma (n, 3)."""
+def place_points(points, theta, T, sigma) -> np.ndarray:
+    """Unit-box points, (k, 3) shared or (n, k, 3) one set per box, in
+    camera coordinates (n, k, 3) for the n boxes with PoseBox3D fields
+    theta (n,), T and sigma (n, 3): scaled per axis by the extents, turned
+    by the yaw, then moved by T."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
     dims = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3))
-    c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
-    rot_t = np.stack([c, zero, -s, zero, zero + 1.0, zero, s, zero, c], axis=1)  # rot_y(theta).T
-    return (UNIT_CORNERS * dims[:, None]) @ rot_t.reshape(-1, 3, 3) + T[:, None]
+    return (points * dims[:, None]) @ np.swapaxes(rot_y(theta), 1, 2) + T[:, None]
+
+
+def box_corners(theta, T, sigma) -> np.ndarray:
+    """The 8 corners (n, 8, 3) in camera coordinates, UNIT_CORNERS' order,
+    of the n boxes with PoseBox3D fields theta (n,), T and sigma (n, 3)."""
+    return place_points(UNIT_CORNERS, theta, T, sigma)
 
 
 def box3d_corners(pose: PoseBox3D) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Synthetic scenes, label-file text I/O, and run configuration.
 
 The generator stands in for learned detectors: it samples ground-truth
-poses on the ground plane, renders exact pseudo-measurements by forward
-projection, and perturbs them per a noise specification.  Noise variates
-are always drawn and then scaled, so a fixed seed yields the same
-underlying scene realization at every noise level.
+poses on the ground plane one at a time, then renders exact
+pseudo-measurements by forward projection and perturbs them per a noise
+specification in one array pass over the frame's instances.  Each
+instance's noise variates are drawn in a fixed order and always drawn,
+then scaled, so a fixed seed yields the same underlying scene realization
+at every noise level.
 
 Labels use the standard 15/16-token object text format (type, truncation,
 occlusion, observation angle, 2D box, dimensions, location, yaw, optional
@@ -14,6 +16,7 @@ pseudo-measurements as `key = value` lines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,13 +31,14 @@ from .geometry import (
     PoseBox3D,
     box2d_round_trip,
     box_corners,
+    place_points,
     project,
     project_box3d,
     require_finite,
     rot_y,
     wrap_pi,
 )
-from .shape import LANDMARK_COUNT, MorphableModel, ShapeCoefficients, instantiate, place_in_camera
+from .shape import LANDMARK_COUNT, MorphableModel, ShapeCoefficients, instantiate
 
 KITTI_CAMERA = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 FLAT_GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
@@ -84,51 +88,52 @@ CAR_MODEL = MorphableModel(
     mean=_TEMPLATE_POINTS.reshape(-1), basis=_TEMPLATE_BASIS.reshape(2, -1)
 )
 
-# Per-landmark visibility as open intervals of the camera azimuth in the
-# object frame (psi = atan2 of the object-to-camera direction, measured
-# from the forward axis toward the left).  Side points see half the
-# circle, lights see their side plus their end, roof corners always.
-_FULL = ((-np.pi, np.pi),)
-_LEFT = ((0.0, np.pi),)
-_RIGHT = ((-np.pi, 0.0),)
-VISIBILITY_INTERVALS = (
-    _LEFT,                               # front-left wheel
-    _RIGHT,                              # front-right wheel
-    _LEFT,                               # rear-left wheel
-    _RIGHT,                              # rear-right wheel
-    ((-np.pi / 2, np.pi),),              # left headlight: front or left
-    ((-np.pi, np.pi / 2),),              # right headlight: front or right
+# Per-landmark visibility as open intervals (lo, hi) of the camera azimuth
+# in the object frame (psi = atan2 of the object-to-camera direction,
+# measured from the forward axis toward the left), two per landmark with
+# the empty (0, 0) as padding.  Side points see half the circle, lights
+# see their side plus their end, roof corners always.
+_NONE = (0.0, 0.0)
+_FULL = ((-np.pi, np.pi), _NONE)
+_LEFT = ((0.0, np.pi), _NONE)
+_RIGHT = ((-np.pi, 0.0), _NONE)
+VISIBILITY_INTERVALS = np.array([
+    _LEFT,                                 # front-left wheel
+    _RIGHT,                                # front-right wheel
+    _LEFT,                                 # rear-left wheel
+    _RIGHT,                                # rear-right wheel
+    ((-np.pi / 2, np.pi), _NONE),          # left headlight: front or left
+    ((-np.pi, np.pi / 2), _NONE),          # right headlight: front or right
     ((0.0, np.pi), (-np.pi, -np.pi / 2)),  # left taillight: rear or left
     ((-np.pi, 0.0), (np.pi / 2, np.pi)),   # right taillight: rear or right
-    _FULL,                               # windshield top left
-    _FULL,                               # windshield top right
-    _FULL,                               # rear-window top left
-    _FULL,                               # rear-window top right
-    _LEFT,                               # left mirror
-    _RIGHT,                              # right mirror
-)
+    _FULL,                                 # windshield top left
+    _FULL,                                 # windshield top right
+    _FULL,                                 # rear-window top left
+    _FULL,                                 # rear-window top right
+    _LEFT,                                 # left mirror
+    _RIGHT,                                # right mirror
+])  # (LANDMARK_COUNT, 2, 2)
+# At the branch cut psi = +-pi a landmark faces the camera when its arcs
+# wrap through it: one interval ends at pi and another starts at -pi.
+_SEEN_AT_BRANCH_CUT = ((VISIBILITY_INTERVALS[..., 1] == np.pi).any(axis=1)
+                       & (VISIBILITY_INTERVALS[..., 0] == -np.pi).any(axis=1))
 
 
-def camera_azimuth_in_object(theta: float, T: np.ndarray) -> float:
-    """Azimuth of the camera as seen from the object, in its local frame."""
-    d = rot_y(theta).T @ (-np.asarray(T, dtype=float))
-    return float(np.arctan2(d[2], d[0]))
+def self_occlusion_masks(theta, T) -> np.ndarray:
+    """(n, LANDMARK_COUNT) flags, True for the landmarks that face the
+    camera per VISIBILITY_INTERVALS, of the n poses with yaw theta (n,) and
+    location T (n, 3)."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    d = -np.asarray(T, dtype=float).reshape(-1, 1, 3) @ rot_y(theta)  # camera in the object frame
+    psi = np.arctan2(d[..., 2], d[..., 0])  # (n, 1)
+    lo, hi = VISIBILITY_INTERVALS[..., 0], VISIBILITY_INTERVALS[..., 1]
+    inside = ((lo < psi[..., None]) & (psi[..., None] < hi)).any(axis=2)
+    return np.where(np.abs(psi) == np.pi, _SEEN_AT_BRANCH_CUT, inside)
 
 
 def self_occlusion_mask(theta: float, T: np.ndarray) -> np.ndarray:
-    """True for landmarks facing the camera per the yaw-interval table."""
-    psi = camera_azimuth_in_object(theta, T)
-    out = np.zeros(LANDMARK_COUNT, dtype=bool)
-    for k, intervals in enumerate(VISIBILITY_INTERVALS):
-        if abs(psi) == np.pi:
-            # the branch cut: psi belongs to an arc wrapping through +-pi,
-            # present when one interval ends at pi and another starts at -pi
-            out[k] = any(hi == np.pi for _, hi in intervals) and any(
-                lo == -np.pi for lo, _ in intervals
-            )
-        else:
-            out[k] = any(lo < psi < hi for lo, hi in intervals)
-    return out
+    """The facing landmarks of one pose: self_occlusion_masks for n = 1."""
+    return self_occlusion_masks([theta], [T])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +440,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.landmark_occlusion_rate > 1:
             raise ValueError("landmark_occlusion_rate must be at most 1")
 
@@ -470,31 +475,26 @@ class SceneParams:
     def __post_init__(self):
         if self.n_instances < 1:
             raise ValueError("need at least one instance")
+        if not (math.isfinite(self.alpha_sigma) and self.alpha_sigma >= 0):
+            raise ValueError("alpha_sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    camera: CameraIntrinsics
-    ground: GroundPlane
     instances: list  # (PoseBox3D, ShapeCoefficients) ground truth
-    seed: object
 
 
 class GenerationError(RuntimeError):
     """No in-view instance could be sampled within the retry budget."""
 
 
-def _ground_height(x: float, z: float) -> float:
-    N = FLAT_GROUND.N
-    return (1.0 - N[0] * x - N[2] * z) / N[1]
-
-
 def _sample_pose(params: SceneParams, rng) -> tuple | None:
-    """One in-view ground-truth draw (pose, shape coefficients, image box),
-    or None when rejected."""
+    """One in-view ground-truth draw (pose, shape coefficients), or None
+    when the projected box center falls outside the image margin."""
     z = rng.uniform(*_Z_RANGE)
     x = rng.uniform(-0.45, 0.45) * z
-    y = _ground_height(x, z)
+    N = FLAT_GROUND.N
+    y = (1.0 - N[0] * x - N[2] * z) / N[1]  # on the ground
     theta = rng.uniform(0.0, 2.0 * np.pi)
     sigma = np.log(_DIMS_MEAN) + _DIMS_LOG_SIGMA * rng.standard_normal(3)
     alpha = params.alpha_sigma * rng.standard_normal(CAR_MODEL.n_basis)
@@ -504,24 +504,7 @@ def _sample_pose(params: SceneParams, rng) -> tuple | None:
     m = _MARGIN_PX
     if not (m <= box.tx <= width_px - m and m <= box.ty <= height_px - m):
         return None
-    return pose, alpha, box
-
-
-def _truncation_fraction(box: Box2D) -> float:
-    left, top, right, bottom = box.corners()
-    w, h = IMAGE_SIZE
-    inter_w = max(0.0, min(right, w) - max(left, 0.0))
-    inter_h = max(0.0, min(bottom, h) - max(top, 0.0))
-    area = (right - left) * (bottom - top)
-    return float(np.clip(1.0 - inter_w * inter_h / area, 0.0, 1.0))
-
-
-def _occlusion_class(visible_fraction: float) -> int:
-    if visible_fraction >= 0.65:
-        return 0
-    if visible_fraction >= 0.4:
-        return 1
-    return 2
+    return pose, alpha
 
 
 def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
@@ -531,84 +514,70 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     image, with CAR_MODEL shapes; depths, extents, the image margin and
     the retry budget are the module's private generator constants.
 
-    Returns (SyntheticScene, [Measurement], [LabelRecord]).  The pose
-    stream and the noise stream are separate child generators, and noise
-    variates are drawn unconditionally, so datasets generated from the
-    same seed differ only by the configured noise scales.
+    Returns (SyntheticScene, [Measurement], [LabelRecord]).  Poses are
+    drawn one at a time until n_instances are in view or the retry budget
+    runs out; the rest is one array pass over the frame's instances.  The
+    pose stream and the noise stream are separate child generators, each
+    instance's noise variates are drawn in a fixed order, and all of them
+    are drawn unconditionally, so datasets generated from the same seed
+    differ only by the configured noise scales.
     """
     root = np.random.default_rng(seed)
     pose_rng, noise_rng = root.spawn(2)
-    width_px, height_px = IMAGE_SIZE
 
-    instances = []
+    drawn = []
     attempts = 0
-    while len(instances) < params.n_instances:
+    while len(drawn) < params.n_instances:
         if attempts >= _RETRY_BUDGET:
-            if instances:
+            if drawn:
                 break
             raise GenerationError(f"no in-view instance after {_RETRY_BUDGET} draws")
         attempts += 1
-        drawn = _sample_pose(params, pose_rng)
-        if drawn is not None:
-            instances.append(drawn)
+        instance = _sample_pose(params, pose_rng)
+        if instance is not None:
+            drawn.append(instance)
 
-    measurements = []
-    labels = []
-    gt_pairs = []
-    poses = [pose for pose, _, _ in instances]
+    theta = np.array([pose.theta for pose, _ in drawn])
+    T = np.array([pose.T for pose, _ in drawn])
+    sigma = np.array([pose.sigma for pose, _ in drawn])
     # each drawn pose projected in view, so none fails to convert
-    records = poses_to_labels([p.theta for p in poses], [p.T for p in poses],
-                              [p.sigma for p in poses], [KITTI_CAMERA] * len(poses))
-    for (pose, alpha, box), record in zip(instances, records):
-        gt_pairs.append((pose, ShapeCoefficients(alpha=alpha)))
-        points = place_in_camera(instantiate(CAR_MODEL, alpha), pose)
-        uv = project(KITTI_CAMERA, points)
+    records = poses_to_labels(theta, T, sigma, [KITTI_CAMERA] * len(drawn))
+    bbox = np.array([record.bbox for record in records])
+    shapes = instantiate(CAR_MODEL, np.array([alpha for _, alpha in drawn]))
+    uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
 
-        # noise variates are always drawn, then scaled
-        box_jitter = noise.box_px_sigma * noise_rng.standard_normal(4)
-        uv_jitter = noise.landmark_px_sigma * noise_rng.standard_normal(uv.shape)
-        drop_draws = noise_rng.random(len(uv))
-        theta_jitter = np.deg2rad(noise.theta_sigma_deg) * noise_rng.standard_normal()
-        sigma_jitter = noise.sigma_log_sigma * noise_rng.standard_normal(3)
-        depth_jitter = noise.depth_rel_sigma * noise_rng.standard_normal()
+    # each instance's noise variates, always drawn, in this order, then scaled
+    box_z, uv_z, drop_draws, theta_z, sigma_z, depth_z = map(np.array, zip(*[
+        (noise_rng.standard_normal(4), noise_rng.standard_normal(uv.shape[1:]),
+         noise_rng.random(uv.shape[1]), noise_rng.standard_normal(),
+         noise_rng.standard_normal(3), noise_rng.standard_normal())
+        for _ in drawn]))
 
-        in_image = (
-            (uv[:, 0] >= 0)
-            & (uv[:, 0] <= width_px)
-            & (uv[:, 1] >= 0)
-            & (uv[:, 1] <= height_px)
-        )
-        facing = self_occlusion_mask(pose.theta, pose.T)
-        visible = facing & in_image & (drop_draws >= noise.landmark_occlusion_rate)
+    in_image = ((uv >= 0) & (uv <= IMAGE_SIZE)).all(axis=2)
+    visible = (self_occlusion_masks(theta, T) & in_image
+               & (drop_draws >= noise.landmark_occlusion_rate))
+    corners = bbox + noise.box_px_sigma * box_z
+    # at least 2 px wide and tall
+    corners[:, 2:] = np.where(corners[:, 2:] - corners[:, :2] < 2.0, corners[:, :2] + 2.0, corners[:, 2:])
+    theta0 = theta + np.deg2rad(noise.theta_sigma_deg) * theta_z
+    sigma0 = sigma + noise.sigma_log_sigma * sigma_z
+    depth = np.maximum(T[:, 2] * (1.0 + noise.depth_rel_sigma * depth_z), 0.5)
+    measurements = [
+        Measurement(box2d=Box2D.from_corners(*box), landmarks_uv=landmarks, landmarks_visible=seen,
+                    theta0=yaw, sigma0=extents, ground=FLAT_GROUND, cam=KITTI_CAMERA,
+                    depth_zb=depth_zb if params.with_depth else None)
+        for box, landmarks, seen, yaw, extents, depth_zb in zip(
+            corners.tolist(), uv + noise.landmark_px_sigma * uv_z, visible, theta0.tolist(),
+            sigma0, depth.tolist())]
 
-        corners = np.array(box.corners()) + box_jitter
-        if corners[2] - corners[0] < 2.0:
-            corners[2] = corners[0] + 2.0
-        if corners[3] - corners[1] < 2.0:
-            corners[3] = corners[1] + 2.0
-
-        measurements.append(
-            Measurement(
-                box2d=Box2D.from_corners(*corners),
-                landmarks_uv=uv + uv_jitter,
-                landmarks_visible=visible,
-                theta0=pose.theta + theta_jitter,
-                sigma0=pose.sigma + sigma_jitter,
-                ground=FLAT_GROUND,
-                cam=KITTI_CAMERA,
-                depth_zb=max(float(pose.T[2]) * (1.0 + depth_jitter), 0.5)
-                if params.with_depth
-                else None,
-            )
-        )
-        labels.append(
-            replace(
-                record,
-                truncated=_truncation_fraction(box),
-                occluded=_occlusion_class(float(visible.mean())),
-            )
-        )
-    scene = SyntheticScene(camera=KITTI_CAMERA, ground=FLAT_GROUND, instances=gt_pairs, seed=seed)
+    low, high = bbox[:, :2], bbox[:, 2:]  # (left, top), (right, bottom)
+    in_view = np.maximum(0.0, np.minimum(high, IMAGE_SIZE) - np.maximum(low, 0.0)).prod(axis=1)
+    truncated = np.clip(1.0 - in_view / (high - low).prod(axis=1), 0.0, 1.0)
+    # 0 when at least 0.65 of the landmarks are visible, 1 when at least 0.4, else 2
+    occluded = 2 - np.digitize(visible.mean(axis=1), (0.4, 0.65))
+    labels = [replace(record, truncated=t, occluded=o)
+              for record, t, o in zip(records, truncated.tolist(), occluded.tolist())]
+    scene = SyntheticScene(instances=[(pose, ShapeCoefficients(alpha=a)) for pose, a in drawn])
     return scene, measurements, labels
 
 

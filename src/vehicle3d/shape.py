@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PoseBox3D, rot_y
+from .geometry import PoseBox3D, place_points
 
 # Landmarks per vehicle in the packaged template.
 LANDMARK_COUNT = 14
@@ -144,22 +144,19 @@ class OrthoCamPose:
 
 
 def instantiate(model: MorphableModel, alpha) -> np.ndarray:
-    """Shape instance S = mean + sum(alpha_n basis_n), as (K, 3) points."""
+    """Shape instance S = mean + sum(alpha_n basis_n) as (K, 3) points, of
+    one coefficient row (N,) or ShapeCoefficients; (n, K, 3) of rows (n, N)."""
     if isinstance(alpha, ShapeCoefficients):
         alpha = alpha.alpha
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    if alpha.size != model.n_basis:
-        raise ValueError(
-            f"expected {model.n_basis} coefficients, got {alpha.size}"
-        )
-    flat = model.mean if alpha.size == 0 else model.mean + alpha @ model.basis
-    return flat.reshape(-1, 3)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape[-1:] != (model.n_basis,):
+        raise ValueError(f"expected rows of {model.n_basis} coefficients, got shape {alpha.shape}")
+    return (model.mean + alpha @ model.basis).reshape(*alpha.shape[:-1], -1, 3)
 
 
 def place_in_camera(points: np.ndarray, pose: PoseBox3D) -> np.ndarray:
-    """Scale model points per-axis by the box extents, rotate, translate."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return (pts * pose.dims) @ rot_y(pose.theta).T + pose.T
+    """Model points (K, 3) placed by one pose: place_points for n = 1."""
+    return place_points(points, pose.theta, pose.T, pose.sigma)[0]
 
 
 def ortho_project(pose: OrthoCamPose, points: np.ndarray) -> np.ndarray:

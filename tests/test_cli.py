@@ -797,7 +797,13 @@ def test_config_rejected_before_any_output(dataset, tmp_path, capsys, text, mess
     (("synth", "--seed", 1, "--instances", 0), "need at least one instance"),
     (("synth", "--seed", 1, "--frames", 0), "frames must be at least 1"),
     (("synth", "--seed", 1, "--landmark-px", -1), "landmark_px_sigma must be non-negative"),
+    (("synth", "--seed", 1, "--box-px", "nan"), "box_px_sigma must be non-negative"),
+    (("synth", "--seed", 1, "--theta-deg", "inf"), "theta_sigma_deg must be non-negative"),
+    (("synth", "--seed", 1, "--occlusion-rate", "nan"),
+     "landmark_occlusion_rate must be non-negative"),
     (("fit", "--data", "d", "--lambda1", -1), "lambda1 must be non-negative"),
+    (("fit", "--data", "d", "--lambda1", "nan"), "lambda1 must be non-negative"),
+    (("ablate", "--data", "d", "--lambda3", "inf"), "lambda3 must be non-negative"),
     (("fit", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
     (("fit", "--data", "d", "--jobs", 0), "jobs must be at least 1"),
     (("fit", "--data", "d", "--variant", "v9"), "unknown variant 'v9'"),

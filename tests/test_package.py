@@ -2,8 +2,12 @@
 import ast
 import importlib
 import importlib.util
+import math
 import re
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+
+import pytest
 
 import vehicle3d
 
@@ -35,32 +39,32 @@ def test_trace_patch_points_resolve():
 
 
 def test_unused_imports_are_trace_patch_points():
-    """A name on a `# noqa: F401` import in the package is used in its
-    module or is one the tracer wraps there, so no import stays for
-    nothing once the trace stops wrapping it."""
+    """Every name a package module imports (the package's own export table
+    aside) is used in that module or is one the tracer wraps there, so no
+    import stays for nothing once its last use or the trace's wrap goes."""
     patched = {(module, attr) for module, attr, _ in _trace_patches()}
     checked = []
     for path in sorted(Path(vehicle3d.__file__).parent.glob("*.py")):
-        module = "vehicle3d" if path.stem == "__init__" else f"vehicle3d.{path.stem}"
-        lines = path.read_text().splitlines()
-        tree = ast.parse("\n".join(lines))
+        if path.stem == "__init__":
+            continue
+        module = f"vehicle3d.{path.stem}"
+        tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
-                    name = alias.asname or alias.name
+                    name = alias.asname or alias.name.split(".")[0]
                     assert name in used or (module, name) in patched, (module, name)
                     checked.append((module, name))
-    assert checked  # the check reads the imports it is about
+    assert ("vehicle3d.cli", "refine_ablation") in checked  # a trace patch point
+    assert len(checked) > 50  # the check reads the imports it is about
 
 
 def test_option_configs_are_frozen():
     """cli._CONFIGS holds module-level defaults shared by every run: each is
     a frozen dataclass, so no run can change one in place for the next."""
-    from dataclasses import is_dataclass
-
     from vehicle3d import cli
 
     for name, config in cli._CONFIGS.items():
@@ -70,8 +74,6 @@ def test_option_configs_are_frozen():
 def test_every_config_field_is_a_command_line_option():
     """Each field of the option-backed config dataclasses is set by some
     command's option: no knob exists for tests alone."""
-    from dataclasses import fields
-
     from vehicle3d import cli
 
     set_by_options = {opt.field for command in cli._COMMANDS.values()
@@ -85,6 +87,22 @@ def test_every_config_field_is_a_command_line_option():
              for field in fields(cls) if f"{config}.{field.name}" not in set_by_options]
     # acceptance criterion 2 draws noise-free shapes with alpha_sigma = 0
     assert unset == ["scene.alpha_sigma"]
+
+
+def test_every_float_config_field_rejects_nan():
+    """A NaN in a float field of an option-backed config dataclass fails
+    that dataclass's own check, naming the field, before any run starts:
+    NaN passes every `value < 0` range check."""
+    from vehicle3d import cli
+
+    checked = []
+    for config in cli._CONFIGS.values():
+        for field in fields(config):
+            if isinstance(getattr(config, field.name), float):
+                with pytest.raises(ValueError, match=field.name):
+                    replace(config, **{field.name: math.nan})
+                checked.append(field.name)
+    assert len(checked) == 12  # lambda1-4, tol, six noise scales, alpha_sigma
 
 
 def test_readme_module_references_resolve():

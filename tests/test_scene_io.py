@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from vehicle3d import scene_io
 from vehicle3d.geometry import (
     BehindCameraError,
+    Box2D,
     BoxStack,
     PoseBox3D,
     project,
     project_box3d,
+    rot_y,
     wrap_angle,
     wrap_pi,
 )
@@ -21,7 +23,9 @@ from vehicle3d.refine import RefineResult, initialize, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
     FLAT_GROUND,
+    IMAGE_SIZE,
     KITTI_CAMERA,
+    VISIBILITY_INTERVALS,
     GenerationError,
     LabelFormatError,
     LabelRecord,
@@ -41,6 +45,7 @@ from vehicle3d.scene_io import (
     emit_measurements,
     parse_measurements,
     self_occlusion_mask,
+    self_occlusion_masks,
 )
 from vehicle3d.shape import instantiate, place_in_camera
 
@@ -291,12 +296,12 @@ def test_measurement_text_roundtrip():
     scene, measurements, _ = generate_scene(
         SceneParams(n_instances=3), NoiseSpec(landmark_px_sigma=1.0), seed=11
     )
-    text = emit_measurements(scene.camera, scene.ground, measurements)
+    text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, measurements)
     cam, ground, back = parse_measurements(text)
     assert (cam.fx, cam.fy, cam.cx, cam.cy) == (
-        scene.camera.fx, scene.camera.fy, scene.camera.cx, scene.camera.cy
+        KITTI_CAMERA.fx, KITTI_CAMERA.fy, KITTI_CAMERA.cx, KITTI_CAMERA.cy
     )
-    np.testing.assert_array_equal(ground.N, scene.ground.N)
+    np.testing.assert_array_equal(ground.N, FLAT_GROUND.N)
     assert len(back) == 3
     for orig, copy in zip(measurements, back):
         # repr floats round-trip exactly
@@ -328,7 +333,7 @@ def test_measurement_text_roundtrip():
 ])
 def test_malformed_measurements_name_the_key(key, value, message):
     scene, measurements, _ = generate_scene(SceneParams(n_instances=2), STANDARD_NOISE, seed=5)
-    mapping = parse_config_text(emit_measurements(scene.camera, scene.ground, measurements))
+    mapping = parse_config_text(emit_measurements(KITTI_CAMERA, FLAT_GROUND, measurements))
     if value is None:
         del mapping[key]
     else:
@@ -361,8 +366,7 @@ _SEED_FRAME = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_mutations(emit_measurements(_SEED_FRAME[0].camera, _SEED_FRAME[0].ground,
-                                    _SEED_FRAME[1])))
+@given(_mutations(emit_measurements(KITTI_CAMERA, FLAT_GROUND, _SEED_FRAME[1])))
 def test_mutated_measurement_file_raises_only_its_format_error(text):
     try:
         parse_measurements(text)
@@ -419,22 +423,66 @@ def test_self_occlusion_always_at_least_one_roof_point():
         assert mask.sum() >= 6
 
 
+def _facing_one_arc_at_a_time(theta, T):
+    """The visibility table read as a loop over landmarks and their arcs,
+    with the camera azimuth of one pose from its rotation matrix."""
+    d = rot_y(theta).T @ -np.asarray(T, dtype=float)
+    psi = float(np.arctan2(d[2], d[0]))
+    if abs(psi) == np.pi:  # the branch cut: seen by arcs that wrap through it
+        return np.array([any(hi == np.pi for _, hi in arcs) and any(lo == -np.pi for lo, _ in arcs)
+                         for arcs in VISIBILITY_INTERVALS])
+    return np.array([any(lo < psi < hi for lo, hi in arcs) for arcs in VISIBILITY_INTERVALS])
+
+
+def test_stacked_self_occlusion_is_each_poses_mask():
+    rng = np.random.default_rng(8)
+    n = 400
+    theta = rng.uniform(0, 2 * np.pi, n)
+    T = np.column_stack([rng.uniform(-20, 20, n), np.full(n, 1.65), rng.uniform(5, 60, n)])
+    # the dead-rear branch cut and the quadrant poses of the tests above
+    theta[[3, 150, 397]] = [3 * np.pi / 2, np.pi / 4, 5 * np.pi / 4]
+    T[[3, 150, 397]] = [0.0, 1.65, 10.0]
+    masks = self_occlusion_masks(theta, T)
+    assert masks.shape == (n, 14)
+    for mask, yaw, location in zip(masks, theta, T):
+        np.testing.assert_array_equal(mask, self_occlusion_mask(yaw, location))
+        np.testing.assert_array_equal(mask, _facing_one_arc_at_a_time(yaw, location))
+    assert np.flatnonzero(masks[3]).tolist() == [6, 7, 8, 9, 10, 11]  # taillights, roof
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+def _noise_free_frames():
+    for seed in (2, 7, 19):
+        for n in (1, 5, 8):
+            scene, measurements, labels = generate_scene(SceneParams(n_instances=n), NoiseSpec(), seed)
+            assert len(scene.instances) == len(measurements) == len(labels) == n
+            yield from zip(scene.instances, measurements, labels)
+
+
 def test_generate_noise_free_measurements_exact():
-    params = SceneParams(n_instances=4)
-    scene, measurements, labels = generate_scene(params, NoiseSpec(), seed=7)
-    assert len(scene.instances) == len(measurements) == len(labels) == 4
-    for (pose, coeffs), meas, label in zip(scene.instances, measurements, labels):
+    """The frame's array pass equals the one-pose definitions bit for bit,
+    for several seeds and frame sizes."""
+    for (pose, coeffs), meas, label in _noise_free_frames():
         box = project_box3d(KITTI_CAMERA, pose)
-        np.testing.assert_allclose(meas.box2d.corners(), box.corners(), atol=1e-10)
+        np.testing.assert_array_equal(meas.box2d.corners(), Box2D.from_corners(*box.corners()).corners())
         uv = project(KITTI_CAMERA, place_in_camera(instantiate(CAR_MODEL, coeffs), pose))
-        np.testing.assert_allclose(meas.landmarks_uv, uv, atol=1e-10)
+        np.testing.assert_array_equal(meas.landmarks_uv, uv)
+        width_px, height_px = IMAGE_SIZE
+        in_image = (uv[:, 0] >= 0) & (uv[:, 0] <= width_px) & (uv[:, 1] >= 0) & (uv[:, 1] <= height_px)
+        np.testing.assert_array_equal(meas.landmarks_visible,
+                                      self_occlusion_mask(pose.theta, pose.T) & in_image)
+        left, top, right, bottom = label.bbox
+        in_view = (max(0.0, min(right, width_px) - max(left, 0.0))
+                   * max(0.0, min(bottom, height_px) - max(top, 0.0)))
+        assert label.truncated == float(np.clip(1.0 - in_view / ((right - left) * (bottom - top)), 0, 1))
+        share = meas.landmarks_visible.mean()
+        assert label.occluded == (0 if share >= 0.65 else 1 if share >= 0.4 else 2)
         assert meas.theta0 == pose.theta
         np.testing.assert_array_equal(meas.sigma0, pose.sigma)
-        assert meas.depth_zb == pytest.approx(pose.T[2], abs=1e-12)
+        assert meas.depth_zb == pose.T[2]
         assert label.location == pytest.approx(tuple(pose.T))
 
 
