@@ -2,9 +2,9 @@
 
 v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Every
-rung is solved from the same initialization: refine_ladder initializes a
-frame's instances once, solves each rung of them in one batch and returns
-the rungs as a dict, and poses_to_labels converts each rung's poses as
+rung is solved from the same initialization: refine_ladder solves each
+rung of a frame's instances in one batch, whose starts come from one array
+pass over the stacked hypotheses, and returns the rungs as a dict, and poses_to_labels converts each rung's poses as
 one stack.  Expect each metric to improve down the ladder; small per-seed
 wobble on the last link is normal at this sample size.
 """

@@ -20,17 +20,15 @@ from vehicle3d.shape import LandmarkObservations
 noise = NoiseSpec(landmark_px_sigma=0.5, landmark_occlusion_rate=0.1)
 params = SceneParams(n_instances=4)
 
-observations = []
-for index in range(40):
-    _, measurements, _ = generate_scene(params, noise, [424, index])
-    for meas in measurements:
-        observations.append(
-            LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
-        )
+measurements = [meas for index in range(40)
+                for meas in generate_scene(params, noise, [424, index])[1]]
+# every instance's landmarks stacked: uv (M, 14, 2), visible (M, 14)
+observations = LandmarkObservations(uv=[meas.landmarks_uv for meas in measurements],
+                                    visible=[meas.landmarks_visible for meas in measurements])
 
 result = learn_em(observations, n_basis=2)
 
-print(f"{len(observations)} instances, {int(result.used_mask.sum())} usable")
+print(f"{len(measurements)} instances, {int(result.used_mask.sum())} usable")
 print(f"converged = {result.converged} after {result.iterations} EM iterations, "
       f"then {result.polish_iterations} polish steps")
 # the generator projects with a full perspective camera, so the

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy import ABLATION_VARIANTS, EnergyConfig
+from .energy import ABLATION_VARIANTS, EnergyConfig, MeasurementBlock
 from .geometry import BehindCameraError, BoxStack
 from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
 from .refine import InitializationError, SolverOptions, refine_ladder
@@ -575,17 +575,17 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 # ---------------------------------------------------------------------------
 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
-    observations = [
-        LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
-        for _, measurements in _read_dataset(effective["data"]) for meas in measurements
-    ]
+    measurements = [meas for _, frame in _read_dataset(effective["data"]) for meas in frame]
+    if len({meas.K for meas in measurements}) > 1:
+        raise CLIError("inconsistent landmark counts")
+    block = MeasurementBlock.stack(measurements)
     try:
-        result = learn_em(observations, effective["basis"], learn)
+        result = learn_em(LandmarkObservations(block.uv, block.visible), effective["basis"], learn)
     except ValueError as exc:  # too few usable instances
         raise CLIError(str(exc))
     _atomic_write(out_dir / "model.txt", format_model(result.model))
     report = {
-        "instances_total": str(len(observations)),
+        "instances_total": str(len(measurements)),
         "instances_used": str(int(result.used_mask.sum())),
         "converged": _fmt_value(bool(result.converged)),
         "iterations": str(result.iterations),

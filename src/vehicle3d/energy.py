@@ -156,10 +156,12 @@ class MeasurementBlock(NamedTuple):
     has_depth: np.ndarray  # (B,) bool
     ground: np.ndarray  # (B, 3) ground-plane normals
     cam: np.ndarray  # (B, 4) fx, fy, cx, cy
+    theta0: np.ndarray  # (B,) yaw hypotheses
+    sigma0: np.ndarray  # (B, 3) log-extent hypotheses
 
     @staticmethod
     def stack(measurements) -> "MeasurementBlock":
-        """Stack measurements that share one landmark count."""
+        """Stack measurements of one landmark count: the solver's one reader of them."""
         ms = list(measurements)
         B, K = len(ms), (ms[0].K if ms else 0)
         return MeasurementBlock(
@@ -172,6 +174,8 @@ class MeasurementBlock(NamedTuple):
             ground=np.array([m.ground.N for m in ms], dtype=float).reshape(B, 3),
             cam=np.array([[m.cam.fx, m.cam.fy, m.cam.cx, m.cam.cy] for m in ms],
                          dtype=float).reshape(B, 4),
+            theta0=np.array([m.theta0 for m in ms], dtype=float),
+            sigma0=np.array([m.sigma0 for m in ms], dtype=float).reshape(B, 3),
         )
 
     def take(self, index) -> "MeasurementBlock":

@@ -15,9 +15,9 @@ Damping, acceptance, stop reason and iteration count are kept per instance,
 with the normal equations J^T J and J^T r of its current point in place of
 the Jacobian.  No quantity is reduced across instances, so each result is
 bit-identical whether the instance is solved alone or among any others.
-Every rung is solved from the initialization: refine_ladder computes the
-starts of a list of instances once and makes one such solve per rung, and
-`refine`/`refine_ablation` are the one-instance case.
+Every rung is solved from the initialization, the starts of the whole
+block computed in one array pass: refine_ladder makes one such solve per
+rung, and `refine`/`refine_ablation` are the one-instance case.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -77,38 +77,37 @@ class RefineResult:
     energy_path: np.ndarray  # accepted energies, starting at the initial one
 
 
-def initialize(meas: Measurement, model: MorphableModel) -> Variables:
-    """Starting point from hypotheses: the translation is back-projected
+def _starts(block: MeasurementBlock, n_basis: int):
+    """Starting points (B, 7 + n_basis) of a block from its hypotheses, and
+    each row's failure message or None.  The translation is back-projected
     through the 2D box center, at the measured depth when available and
-    otherwise at the ground-plane intersection of that ray."""
-    cam = meas.cam
-    direction = np.array(
-        [
-            (meas.box2d.tx - cam.cx) / cam.fx,
-            (meas.box2d.ty - cam.cy) / cam.fy,
-            1.0,
-        ]
-    )
-    if meas.depth_zb is not None:
-        T = direction * meas.depth_zb
-    else:
-        slope = float(meas.ground.N @ direction)
-        if abs(slope) < 1e-12:
-            raise InitializationError(
-                "box-center ray is parallel to the ground plane and no depth is available"
-            )
-        s = 1.0 / slope
-        if s <= 0:
-            raise InitializationError(
-                "box-center ray meets the ground plane behind the camera"
-            )
-        T = direction * s
-    return Variables(
-        theta=meas.theta0,
-        T=T,
-        sigma=meas.sigma0.copy(),
-        alpha=np.zeros(model.n_basis),
-    )
+    otherwise at the ground-plane intersection of that ray; a row with no
+    such intersection is NaN.  Only rows that need the intersection divide."""
+    fx, fy, cx, cy = block.cam.T
+    B = len(fx)
+    direction = np.stack([(block.box[:, 0] - cx) / fx, (block.box[:, 1] - cy) / fy,
+                          np.ones(B)], axis=1)
+    slope = (block.ground[:, None, :] @ direction[:, :, None])[:, 0, 0]
+    parallel = ~block.has_depth & (np.abs(slope) < 1e-12)
+    s = np.divide(1.0, slope, out=np.full(B, np.nan), where=~block.has_depth & ~parallel)
+    away = s <= 0  # NaN wherever the depth is measured or the ray is parallel
+    failures = np.full(B, None, dtype=object)
+    failures[parallel] = "box-center ray is parallel to the ground plane and no depth is available"
+    failures[away] = "box-center ray meets the ground plane behind the camera"
+    x = np.zeros((B, 7 + n_basis))
+    x[:, 0], x[:, 4:7] = block.theta0, block.sigma0
+    x[:, 1:4] = direction * np.where(block.has_depth, block.depth, s)[:, None]
+    x[parallel | away] = np.nan
+    return x, failures
+
+
+def initialize(meas: Measurement, model: MorphableModel) -> Variables:
+    """_starts for one measurement; a start it cannot compute raises
+    InitializationError with that row's message."""
+    x, failures = _starts(MeasurementBlock.stack([meas]), model.n_basis)
+    if failures[0] is not None:
+        raise InitializationError(failures[0])
+    return Variables(theta=float(x[0, 0]), T=x[0, 1:4], sigma=x[0, 4:7], alpha=x[0, 7:])
 
 
 def _usable(res, energy) -> np.ndarray:
@@ -137,13 +136,6 @@ def _damped_steps(H, g, lam):
     return dx, solved
 
 
-def _start(meas: Measurement, model: MorphableModel):
-    try:
-        return initialize(meas, model)
-    except InitializationError as exc:
-        return exc
-
-
 def _normal_equations(JT, r):
     """H = J^T J and g = J^T r of a (B, D, m) J^T stack and its (B, m)
     residuals.  Each instance's J^T is one contiguous (D, m) block, the
@@ -158,7 +150,6 @@ def refine_batch(
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
-    initial=None,
 ) -> list:
     """Levenberg-Marquardt minimization of the energy terms enabled at
     cfg.variant for any number of instances, all of them in one batch.  A
@@ -167,11 +158,11 @@ def refine_batch(
 
     Trial steps solve the damped normal equations; an instance's damping
     is multiplied by 10 when its trial fails to decrease its energy and
-    halved on acceptance.  `initial`, when given, holds one start per
-    measurement; an InitializationError in place of a start is passed
-    through.
+    halved on acceptance.
 
-    One block_residuals call evaluates every start; each iteration then
+    The instances are stacked once into a MeasurementBlock, and _starts
+    computes their starts in one array pass.  One block_residuals call
+    evaluates every start, a failed one as a NaN row; each iteration then
     solves one damped step for every instance still iterating and evaluates
     the trial points in one block_residuals call.  Per instance the state
     is its point, the normal equations H = J^T J and g = J^T r built once
@@ -189,20 +180,19 @@ def refine_batch(
     overflows is read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
-    out = [_start(m, model) for m in measurements] if initial is None else list(initial)
-    for i, meas in enumerate(measurements):
-        if isinstance(out[i], Variables) and meas.K != model.K:
-            out[i] = InitializationError(f"measurement has {meas.K} landmarks, the model {model.K}")
-    live = [i for i, start in enumerate(out) if isinstance(start, Variables)]
+    out = [InitializationError(f"measurement has {meas.K} landmarks, the model {model.K}")
+           if meas.K != model.K else None for meas in measurements]
+    live = [i for i, outcome in enumerate(out) if outcome is None]
     if not live:
         return out
     # per-instance state, indexed by position in `live`
     block = MeasurementBlock.stack([measurements[i] for i in live])
-    x = np.array([out[i].to_vector() for i in live])
+    x, failures = _starts(block, model.n_basis)
     B, D = x.shape
     res = block_residuals(x, block, model, cfg)
     unweighted, energy = res.unweighted, rowdot(res.r)
-    usable, behind = _usable(res, energy), res.behind
+    # a rung without rows (v1) passes a start's NaN row as usable
+    usable, behind = _usable(res, energy) & np.equal(failures, None), res.behind
     overflows = np.isfinite(res.r).all(axis=1) & ~np.isfinite(energy)
     no_rows = unweighted.shape[1] == 0  # every start stops where it is
     converged = np.full(B, no_rows)
@@ -223,7 +213,9 @@ def refine_batch(
         tried, dx = active[solved], dx[solved]
         if tried.size:
             x_trial = x[tried]
-            small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(x_trial)) + _XTOL)
+            size = x_trial.copy()
+            size[:, 0] = np.mod(size[:, 0], 2.0 * np.pi)  # |x| with the yaw wrapped
+            small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(size)) + _XTOL)
             x_trial += dx
             res = block_residuals(x_trial, block.take(tried), model, cfg)
             trial_energy = rowdot(res.r)
@@ -251,6 +243,7 @@ def refine_batch(
     for b, i in enumerate(live):
         if not usable[b]:
             out[i] = InitializationError(
+                failures[b] if failures[b] is not None else
                 "initial point projects behind the camera" if behind[b] else
                 "initial point's energy overflows: its residuals are finite, but "
                 "their squares sum to inf" if overflows[b] else
@@ -294,15 +287,14 @@ def refine_ladder(
     cfg's weights: {variant: list of per-instance outcomes as in
     refine_batch}, for `variants` (by default every rung v1..cfg.variant).
 
-    Every rung is one refine_batch call from the same starts, initialized
-    once per instance, so each equals
+    Every rung is one refine_batch call, whose starts are the same array
+    pass over the same measurements, so each equals
     refine(meas, model, ablation_config(variant, cfg), opts) bit for bit.
     """
     cfg, measurements = cfg or EnergyConfig(), list(measurements)
     if variants is None:
         variants = ABLATION_VARIANTS[: ABLATION_VARIANTS.index(cfg.variant) + 1]
-    starts = [_start(m, model) for m in measurements]
-    return {v: refine_batch(measurements, model, ablation_config(v, cfg), opts, starts)
+    return {v: refine_batch(measurements, model, ablation_config(v, cfg), opts)
             for v in variants}
 
 

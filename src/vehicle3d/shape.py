@@ -103,26 +103,17 @@ class ShapeCoefficients:
 
 @dataclass(frozen=True)
 class LandmarkObservations:
-    """One instance's annotated landmarks: pixel positions + visibility."""
+    """M instances' annotated landmarks, stacked: pixel positions + visibility."""
 
-    uv: np.ndarray  # (K, 2)
-    visible: np.ndarray  # (K,) bool
+    uv: np.ndarray  # (M, K, 2)
+    visible: np.ndarray  # (M, K) bool
 
     def __post_init__(self):
-        uv = np.asarray(self.uv, dtype=float).reshape(-1, 2)
-        vis = np.asarray(self.visible, dtype=bool).reshape(-1)
-        if len(uv) != len(vis):
-            raise ValueError("uv and visibility lengths differ")
+        uv, vis = np.asarray(self.uv, dtype=float), np.asarray(self.visible, dtype=bool)
+        if vis.ndim != 2 or uv.shape != (*vis.shape, 2):
+            raise ValueError("uv must be an (M, K, 2) array and visibility (M, K)")
         object.__setattr__(self, "uv", uv)
         object.__setattr__(self, "visible", vis)
-
-    @property
-    def K(self) -> int:
-        return len(self.visible)
-
-    @property
-    def n_visible(self) -> int:
-        return int(np.count_nonzero(self.visible))
 
 
 @dataclass(frozen=True)
@@ -173,8 +164,8 @@ class LearnOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.tol >= 0:  # a NaN or negative tol never stops EM
-            raise ValueError("tol must be a non-negative number")
+        if not (np.isfinite(self.tol) and self.tol >= 0):  # NaN, inf or < 0: EM misjudges
+            raise ValueError("tol must be a non-negative number and finite")
 
 
 @dataclass
@@ -533,7 +524,7 @@ def learn_em(
     n_basis: int,
     opts: LearnOptions | None = None,
 ) -> LearnResult:
-    """Fit the morphable model to 2D landmark annotations by EM.
+    """Fit the morphable model to stacked 2D landmark annotations by EM.
 
     Instances with fewer than 6 visible landmarks (_MIN_VISIBLE) are
     excluded (reported via used_mask).  Raises InsufficientDataError when
@@ -548,25 +539,22 @@ def learn_em(
     opts = opts or LearnOptions()
     if n_basis < 0:
         raise ValueError("basis count must be non-negative")
-    obs = list(observations)
-    if not obs:
+    uv, visible = observations.uv, observations.visible
+    if not len(uv):
         raise InsufficientDataError("no instances supplied")
-    K = obs[0].K
-    for o in obs:
-        if o.K != K:
-            raise InsufficientDataError("inconsistent landmark counts")
-    for i, o in enumerate(obs):
-        if not np.all(np.isfinite(o.uv[o.visible])):
-            raise ValueError(f"instance {i}: non-finite visible landmark")
-    used = np.array([o.n_visible >= _MIN_VISIBLE for o in obs])
+    K = visible.shape[1]
+    bad = np.flatnonzero((visible & ~np.isfinite(uv).all(axis=2)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"instance {bad[0]}: non-finite visible landmark")
+    used = visible.sum(axis=1) >= _MIN_VISIBLE
     needed = max(3, 10 * n_basis)
     if int(used.sum()) < needed:
         raise InsufficientDataError(
             f"need at least {needed} instances with >= {_MIN_VISIBLE} "
             f"visible landmarks, have {int(used.sum())}"
         )
-    vis = np.array([o.visible for o in obs])[used]
-    P = np.where(vis[..., None], np.array([o.uv for o in obs])[used], 0.0)
+    vis = visible[used]
+    P = np.where(vis[..., None], uv[used], 0.0)
     M = len(P)
     observed = _observe(P, vis)
 

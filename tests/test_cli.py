@@ -222,6 +222,20 @@ def test_fit_failures_stay_with_their_instance(tmp_path, monkeypatch):
         assert tree_bytes(small, skip=("manifest.cfg",)) == tree_bytes(out, skip=("manifest.cfg",))
 
 
+def test_an_unwrapped_yaw_does_not_stop_its_solve(tmp_path):
+    """The relative step test measures the yaw wrapped into [0, 2 pi), so a
+    yaw hypothesis of 1e300 rad does not make the first step look small."""
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 1) == 0
+    path = data / "meas" / "000000.cfg"
+    path.write_text(format_config({**parse_config_text(path.read_text()), "i0.theta0": "1e300"}))
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--out", out) == 0
+    diag = parse_config_text((out / "diag" / "000000.cfg").read_text())
+    assert (diag["i0.converged"], diag["i0.reason"], diag["i0.iterations"]) == (
+        "false", "max_iterations", "50")
+
+
 @pytest.mark.parametrize("key, value, code", [
     ("i0.box", "460 166 594 1e308", 1),  # residuals that overflow their squares
     ("i0.theta0", "1e300", 0),  # a start whose step norm overflows
@@ -343,6 +357,22 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     err = capfd.readouterr().err
     assert err == f"error: {bad}: i1.landmarks: non-finite value\n"
     assert not (tmp_path / "bad" / "model.txt").exists()
+
+
+def test_shape_learn_rejects_inconsistent_landmark_counts(dataset, tmp_path, capfd):
+    data = tmp_path / "data"
+    (data / "meas").mkdir(parents=True)
+    for path in (dataset / "meas").glob("*.cfg"):
+        (data / "meas" / path.name).write_bytes(path.read_bytes())
+    bad = data / "meas" / "000002.cfg"
+    mapping = parse_config_text(bad.read_text())
+    mapping["i0.landmarks"] = " ".join(mapping["i0.landmarks"].split()[:26])
+    mapping["i0.visible"] = " ".join(mapping["i0.visible"].split()[:13])
+    bad.write_text(format_config(mapping))
+    out = tmp_path / "learned"
+    assert run_cli("shape-learn", "--data", data, "--out", out, "--basis", 0) == 1
+    assert capfd.readouterr().err == "error: inconsistent landmark counts\n"
+    assert not out.exists()
 
 
 def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
@@ -811,6 +841,7 @@ def test_config_rejected_before_any_output(dataset, tmp_path, capsys, text, mess
     (("shape-learn", "--data", "d", "--max-iterations", 0), "max_iterations must be at least 1"),
     (("shape-learn", "--data", "d", "--tol", "nan"), "tol = nan: tol must be a non-negative number"),
     (("shape-learn", "--data", "d", "--tol", -1), "tol = -1.0: tol must be a non-negative number"),
+    (("shape-learn", "--data", "d", "--tol", "inf"), "tol = inf: tol must be a non-negative number"),
     (("ablate", "--data", "d", "--points", 0), "points must be at least 2"),
     (("eval", "--pred", "d", "--gt", "d", "--iou3d-thresholds", "nan"),
      "iou3d_thresholds = nan: must be in (0, 1]"),

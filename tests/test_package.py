@@ -90,19 +90,53 @@ def test_every_config_field_is_a_command_line_option():
 
 
 def test_every_float_config_field_rejects_nan():
-    """A NaN in a float field of an option-backed config dataclass fails
-    that dataclass's own check, naming the field, before any run starts:
-    NaN passes every `value < 0` range check."""
+    """A NaN or an infinity in a float field of an option-backed config
+    dataclass fails that dataclass's own check, naming the field, before
+    any run starts: NaN passes every `value < 0` range check, and inf every
+    `value >= 0` one."""
     from vehicle3d import cli
 
     checked = []
     for config in cli._CONFIGS.values():
         for field in fields(config):
             if isinstance(getattr(config, field.name), float):
-                with pytest.raises(ValueError, match=field.name):
-                    replace(config, **{field.name: math.nan})
+                for value in (math.nan, math.inf):
+                    with pytest.raises(ValueError, match=field.name):
+                        replace(config, **{field.name: value})
                 checked.append(field.name)
     assert len(checked) == 12  # lambda1-4, tol, six noise scales, alpha_sigma
+
+
+def test_every_private_name_has_a_caller():
+    """Every top-level `_name` of a package module (function, class or
+    constant) and every `_method` of a class is referenced in the package
+    outside its own definition, so no private helper outlives its last
+    caller."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(Path(vehicle3d.__file__).parent.glob("*.py"))}
+    defined = []  # (path, name, definition node)
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path, item.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path, t.id, node) for t in targets if isinstance(t, ast.Name)]
+    references = [(path, node.lineno, name) for path, tree in trees.items()
+                  for node in ast.walk(tree)
+                  for name in ([node.id] if isinstance(node, ast.Name) else
+                               [node.attr] if isinstance(node, ast.Attribute) else
+                               [alias.name for alias in node.names]
+                               if isinstance(node, ast.ImportFrom) else [])]
+    private = [(path, name, node) for path, name, node in defined
+               if name.startswith("_") and not name.startswith("__")]
+    assert len(private) > 30  # the check reads the names it is about
+    for path, name, node in private:
+        assert any(ref == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                   for where, line, ref in references), f"{path.name}: {name}"
 
 
 def test_readme_module_references_resolve():

@@ -1,6 +1,7 @@
 """Solver tests: initialization geometry, convergence on synthetic
 instances, monotonicity, determinism, and the ablation ladder."""
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vehicle3d.energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
     Measurement,
+    MeasurementBlock,
     Variables,
     ablation_config,
 )
@@ -25,6 +27,7 @@ from vehicle3d.refine import (
     RefineResult,
     SolverOptions,
     _damped_steps,
+    _starts,
     initialize,
     refine,
     refine_ablation,
@@ -33,6 +36,7 @@ from vehicle3d.refine import (
 )
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate, place_in_camera
+from tests.oracles import back_projected_start
 
 # the module, not the package's `refine` function of the same name
 REFINE = importlib.import_module("vehicle3d.refine")
@@ -179,11 +183,13 @@ def test_refine_noise_free_recovery():
         assert result.final_energy < 1e-8
 
 
-def test_refine_fixed_point():
+def test_refine_fixed_point(monkeypatch):
     rng = np.random.default_rng(21)
     model = toy_model(rng)
     truth, meas = make_instance(rng, model)
-    result = refine_batch([meas], model, initial=[truth])[0]
+    monkeypatch.setattr(REFINE, "_starts", lambda block, n_basis: (
+        truth.to_vector()[None, :], np.array([None])))
+    result = refine(meas, model)
     assert result.iterations <= 1
     np.testing.assert_allclose(result.vars.T, truth.T, atol=1e-10)
     np.testing.assert_allclose(result.vars.sigma, truth.sigma, atol=1e-10)
@@ -307,12 +313,10 @@ def test_unusable_initial_point_raises():
     rng = np.random.default_rng(32)
     model = toy_model(rng)
     _, meas = standard_noisy(rng, model)
-    behind = Variables(
-        theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3), alpha=np.zeros(2)
-    )
-    outcome = refine_batch([meas], model, initial=[behind])[0]
+    # a crop depth of 1 cm puts the start's far corners behind the camera
+    outcome = refine_batch([replace(meas, depth_zb=0.01)], model)[0]
     assert isinstance(outcome, InitializationError)
-    assert "behind the camera" in str(outcome)
+    assert str(outcome) == "initial point projects behind the camera"
     # a NaN in a visible landmark is reported as such, not as a camera problem
     uv = meas.landmarks_uv.copy()
     uv[np.flatnonzero(meas.landmarks_visible)[0], 0] = np.nan
@@ -386,13 +390,10 @@ def test_results_do_not_depend_on_the_block(grouping):
 def test_failing_instance_leaves_its_block_alone():
     frame = _seed7_frames(1)[0]
     good = refine_batch(frame, CAR_MODEL)
-    behind = Variables(theta=0.0, T=np.array([0.0, 1.65, -5.0]), sigma=np.zeros(3),
-                       alpha=np.zeros(CAR_MODEL.n_basis))
-    starts = [initialize(meas, CAR_MODEL) for meas in frame]
-    starts[2] = behind
-    mixed = refine_batch(frame, CAR_MODEL, initial=starts)
+    frame[2] = replace(frame[2], depth_zb=0.01)  # a start behind the camera
+    mixed = refine_batch(frame, CAR_MODEL)
     assert isinstance(mixed[2], InitializationError)
-    assert "behind the camera" in str(mixed[2])
+    assert str(mixed[2]) == "initial point projects behind the camera"
     for i in (0, 1, 3, 4):
         assert _fingerprint(mixed[i]) == _fingerprint(good[i])
 
@@ -409,15 +410,27 @@ def test_singular_system_fails_only_its_own_instance():
         np.testing.assert_array_equal(dx[i], np.linalg.solve(H[i], -g[i]))
 
 
+def _parallel_ray(meas):
+    """meas without a crop depth and with its box center on the principal
+    row, so on flat ground its box-center ray never meets the ground."""
+    box = meas.box2d
+    return replace(meas, depth_zb=None, box2d=Box2D(tx=box.tx, ty=meas.cam.cy, w=box.w, h=box.h))
+
+
+PARALLEL = "box-center ray is parallel to the ground plane and no depth is available"
+
+
 def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
-    """The first evaluation carries every live start, in input order; then
-    one evaluation per iteration, over the instances still iterating, so no
-    later evaluation carries more rows than the one before it."""
+    """The first evaluation carries every start, in input order, a failed
+    one as its NaN row; then one evaluation per iteration, over the
+    instances still iterating, so no later evaluation carries more rows
+    than the one before it."""
     measurements = [meas for frame in _seed7_frames(15) for meas in frame]
-    starts = [initialize(meas, CAR_MODEL) for meas in measurements]
-    starts[3] = InitializationError("no start")
-    live = np.array([start.to_vector() for start in starts if isinstance(start, Variables)])
-    assert len(live) > 64
+    measurements[3] = _parallel_ray(measurements[3])
+    starts = np.array([np.full(7 + CAR_MODEL.n_basis, np.nan) if i == 3 else
+                       initialize(meas, CAR_MODEL).to_vector()
+                       for i, meas in enumerate(measurements)])
+    assert len(starts) > 64
     calls = []
     evaluate = REFINE.block_residuals
 
@@ -426,14 +439,15 @@ def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
         return evaluate(x, block, model, cfg)
 
     monkeypatch.setattr(REFINE, "block_residuals", recorded)
-    outcomes = refine_batch(measurements, CAR_MODEL, initial=starts)
-    np.testing.assert_array_equal(calls[0], live)
+    outcomes = refine_batch(measurements, CAR_MODEL)
+    assert calls[0].tobytes() == starts.tobytes()
+    assert str(outcomes[3]) == PARALLEL
     rows = [len(x) for x in calls]
     assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
     iterations = [o.iterations for o in outcomes if isinstance(o, RefineResult)]
-    assert len(iterations) == len(live)
+    assert len(iterations) == len(starts) - 1
     assert len(calls) == 1 + max(iterations)
-    assert sum(rows) == len(live) + sum(iterations)
+    assert sum(rows) == len(starts) + sum(iterations)
 
 
 def test_each_evaluation_carries_one_rung(monkeypatch):
@@ -459,18 +473,71 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
     assert len(calls) == sum(1 + max(o.iterations for o in outcomes) for outcomes in rungs.values())
 
 
-def test_a_ladder_initializes_each_instance_once(monkeypatch):
-    """Every rung starts from the same initialization, computed once per
-    instance rather than once per rung."""
+def test_each_solve_starts_its_block_in_one_pass(monkeypatch):
+    """Each refine_batch call computes the starts of its whole block in one
+    _starts call, so every rung of a ladder starts from bit-identical rows;
+    an instance without a start fails at every rung, v1 included, whose
+    empty residual stack alone would pass its NaN row."""
     frame = _seed7_frames(1)[0]
+    frame[1] = _parallel_ray(frame[1])
     calls = []
-    start = REFINE.initialize
+    starts = REFINE._starts
 
-    def counted(meas, model):
-        calls.append(id(meas))
-        return start(meas, model)
+    def recorded(block, n_basis):
+        x, failures = starts(block, n_basis)
+        calls.append(x.copy())
+        return x, failures
 
-    monkeypatch.setattr(REFINE, "initialize", counted)
+    monkeypatch.setattr(REFINE, "_starts", recorded)
     rungs = refine_ladder(frame, CAR_MODEL, variants=list(ABLATION_VARIANTS))
     assert list(rungs) == list(ABLATION_VARIANTS)
-    assert calls == [id(meas) for meas in frame]
+    assert len(calls) == len(ABLATION_VARIANTS)
+    assert all(x.shape[0] == len(frame) and x.tobytes() == calls[0].tobytes() for x in calls)
+    for outcomes in rungs.values():
+        assert isinstance(outcomes[1], InitializationError) and str(outcomes[1]) == PARALLEL
+        assert all(isinstance(o, RefineResult) for i, o in enumerate(outcomes) if i != 1)
+    for i in (0, 2, 3, 4):
+        assert rungs["v1"][i].vars.to_vector()[1:].tobytes() == calls[0][i, 1:].tobytes()
+
+
+def _random_measurements(rng, n):
+    """n measurements of random cameras, ground normals, box centers and
+    hypotheses, a third of them without a crop depth, and some on the
+    principal row of a flat ground or with a ray above the horizon."""
+    out = []
+    for i in range(n):
+        cam = CameraIntrinsics(fx=rng.uniform(200.0, 1500.0), fy=rng.uniform(200.0, 1500.0),
+                               cx=rng.uniform(0.0, 1200.0), cy=rng.uniform(0.0, 400.0))
+        tilt = rng.normal(scale=0.05, size=3) if i % 4 else np.zeros(3)
+        normal = np.array([0.0, 1.0, 0.0]) + tilt
+        ground = GroundPlane(N=normal / np.linalg.norm(normal) / rng.uniform(1.0, 2.5))
+        ty = cam.cy if i % 7 == 0 else cam.cy + rng.uniform(-200.0, 250.0)
+        out.append(Measurement(
+            box2d=Box2D(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
+                        h=rng.uniform(1.0, 6.0)),
+            landmarks_uv=np.zeros((0, 2)), landmarks_visible=np.zeros(0, dtype=bool),
+            theta0=rng.uniform(-7.0, 7.0), sigma0=rng.normal(size=3), ground=ground, cam=cam,
+            depth_zb=rng.uniform(0.5, 80.0) if i % 3 else None))
+    return out
+
+
+@pytest.mark.parametrize("n_basis", [0, 2])
+def test_array_starts_equal_the_scalar_back_projection(n_basis):
+    """_starts over a block equals the scalar back-projection bit for bit in
+    every row, and each row its one-row block; a failed row is NaN, with
+    the scalar path's message."""
+    ms = _random_measurements(np.random.default_rng(36), 600)
+    ms.append(empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0))  # slope 0
+    x, failures = _starts(MeasurementBlock.stack(ms), n_basis)
+    assert x.shape == (len(ms), 7 + n_basis)
+    for i, meas in enumerate(ms):
+        want = back_projected_start(meas, n_basis)
+        one_x, one_failure = _starts(MeasurementBlock.stack([meas]), n_basis)
+        assert one_x.tobytes() == x[i].tobytes() and one_failure[0] == failures[i]
+        if isinstance(want, str):
+            assert failures[i] == want and np.isnan(x[i]).all()
+        else:
+            assert failures[i] is None and x[i].tobytes() == want.tobytes()
+    assert set(failures) == {None, PARALLEL,
+                             "box-center ray meets the ground plane behind the camera"}
+    assert x[-1, 1:4].tolist() == [0.0, 0.0, 10.0]

@@ -44,7 +44,9 @@ def toy_true_model(n_basis, rng, K=14):
 
 
 def obs_list(raw):
-    return [LandmarkObservations(uv=uv, visible=vis) for uv, vis in raw]
+    """The (uv, visible) pairs of make_ortho_dataset, stacked."""
+    raw = list(raw)
+    return LandmarkObservations(uv=[uv for uv, _ in raw], visible=[vis for _, vis in raw])
 
 
 class TestInstantiate:
@@ -176,23 +178,22 @@ class TestLearnEM:
         assert main(["synth", "--out", str(data), "--seed", "7", "--frames", "8"]) == 0
         assert main(["shape-learn", "--data", str(data), "--out", str(out),
                      "--basis", "2", "--max-iterations", "40"]) == 0
-        observations = [
-            LandmarkObservations(uv=meas.landmarks_uv, visible=meas.landmarks_visible)
+        observations = obs_list(
+            (meas.landmarks_uv, meas.landmarks_visible)
             for path in sorted((data / "meas").glob("*.cfg"))
             for meas in parse_measurements(path.read_text())[2]
-        ]
+        )
         result = learn_em(observations, 2, LearnOptions(max_iterations=40))
         report = parse_config_text((out / "report.cfg").read_text())
         assert report["final_loglik"] == repr(result.loglik)
         # loglik is the marginal log-likelihood of the used observations
         # under the returned model, poses and noise (alpha ~ N(0, I)):
         # p ~ N(cR(mean + B alpha) + c R t, noise_var I), per instance.
-        used = [o for o, u in zip(observations, result.used_mask) if u]
+        used = result.used_mask
         mean, basis = result.model.mean_points(), result.model.basis_points()
         want = 0.0
-        for obs, pose in zip(used, result.poses):
-            vis = obs.visible
-            r = (obs.uv[vis] - ortho_project(pose, mean[vis])).reshape(-1)
+        for uv, vis, pose in zip(observations.uv[used], observations.visible[used], result.poses):
+            r = (uv[vis] - ortho_project(pose, mean[vis])).reshape(-1)
             design = np.stack([(b[vis] @ (pose.c * pose.R).T).reshape(-1) for b in basis], axis=1)
             cov = result.noise_var * np.eye(r.size) + design @ design.T
             _, logdet = np.linalg.slogdet(cov)
@@ -302,6 +303,16 @@ def test_invisible_landmarks_never_reach_the_result():
     assert clean.noise_var == dirty.noise_var
     assert clean.reproj_rmse == dirty.reproj_rmse
     assert np.array_equal(clean.used_mask, dirty.used_mask) and not clean.used_mask[4]
+
+
+def test_observations_are_one_stack():
+    with pytest.raises(ValueError, match="uv must be an"):
+        LandmarkObservations(uv=np.zeros((3, 14, 2)), visible=np.ones((3, 13), dtype=bool))
+    with pytest.raises(ValueError, match="uv must be an"):
+        LandmarkObservations(uv=np.zeros((14, 2)), visible=np.ones(14, dtype=bool))
+    with pytest.raises(InsufficientDataError, match="no instances supplied"):
+        learn_em(LandmarkObservations(uv=np.zeros((0, 14, 2)),
+                                      visible=np.zeros((0, 14), dtype=bool)), n_basis=0)
 
 
 def test_non_finite_visible_landmark_is_named():
