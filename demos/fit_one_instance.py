@@ -44,6 +44,6 @@ for term, value in sorted(result.breakdown.items()):
 path = result.energy_path
 print(f"energy path: {path[0]:.1f} -> {path[min(2, len(path) - 1)]:.1f} -> ... -> {path[-1]:.4f}")
 print(f"fitted shape coefficients: {np.round(result.vars.alpha, 3)} "
-      f"(truth {np.round(true_coeffs.alpha, 3)})")
+      f"(truth {np.round(true_coeffs, 3)})")
 print("shape stays near the prior mean: a single distant view constrains pose and "
       "size far better than intra-class shape")

@@ -576,12 +576,10 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
     measurements = [meas for _, frame in _read_dataset(effective["data"]) for meas in frame]
-    if len({meas.K for meas in measurements}) > 1:
-        raise CLIError("inconsistent landmark counts")
-    block = MeasurementBlock.stack(measurements)
     try:
+        block = MeasurementBlock.stack(measurements)
         result = learn_em(LandmarkObservations(block.uv, block.visible), effective["basis"], learn)
-    except ValueError as exc:  # too few usable instances
+    except ValueError as exc:  # mixed landmark counts or too few usable instances
         raise CLIError(str(exc))
     _atomic_write(out_dir / "model.txt", format_model(result.model))
     report = {

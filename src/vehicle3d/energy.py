@@ -38,7 +38,6 @@ from .geometry import (
     GroundPlane,
     PoseBox3D,
     require_finite,
-    wrap_angle,
     UNIT_CORNERS,
 )
 from .shape import MorphableModel
@@ -139,7 +138,7 @@ class Variables:
         return np.concatenate([[self.theta], self.T, self.sigma, self.alpha])
 
     def pose(self) -> PoseBox3D:
-        return PoseBox3D(theta=wrap_angle(self.theta), T=self.T, sigma=self.sigma)
+        return PoseBox3D(theta=self.theta, T=self.T, sigma=self.sigma)
 
 
 class MeasurementBlock(NamedTuple):
@@ -161,9 +160,12 @@ class MeasurementBlock(NamedTuple):
 
     @staticmethod
     def stack(measurements) -> "MeasurementBlock":
-        """Stack measurements of one landmark count: the solver's one reader of them."""
+        """Stack measurements of one landmark count: the solver's one reader of
+        them.  Raises ValueError("inconsistent landmark counts") on a mix."""
         ms = list(measurements)
         B, K = len(ms), (ms[0].K if ms else 0)
+        if any(m.K != K for m in ms):
+            raise ValueError("inconsistent landmark counts")
         return MeasurementBlock(
             box=np.array([[m.box2d.tx, m.box2d.ty, m.box2d.w, m.box2d.h] for m in ms],
                          dtype=float).reshape(B, 4),

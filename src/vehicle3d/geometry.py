@@ -92,9 +92,11 @@ def box2d_round_trip(corners: np.ndarray) -> np.ndarray:
     return np.stack([tx - hw, ty - hh, tx + hw, ty + hh], axis=1)
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle into [0, 2*pi)."""
-    return float(np.mod(theta, 2.0 * np.pi))
+def wrap_angle(theta):
+    """Wrap an angle into [0, 2*pi); each angle of an array into an array.
+    Twice: one mod rounds a tiny negative angle up to 2*pi itself."""
+    wrapped = np.mod(np.mod(theta, 2.0 * np.pi), 2.0 * np.pi)
+    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 
 
 def wrap_pi(theta):
@@ -193,14 +195,9 @@ def box_corners(theta, T, sigma) -> np.ndarray:
     return place_points(UNIT_CORNERS, theta, T, sigma)
 
 
-def box3d_corners(pose: PoseBox3D) -> np.ndarray:
-    """The 8 corners of the box in camera coordinates: box_corners for n = 1."""
-    return box_corners(pose.theta, pose.T, pose.sigma)[0]
-
-
 def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> Box2D:
     """Tight axis-aligned hull of the 8 projected corners, in center/log form."""
-    uv = project(cam, box3d_corners(pose))
+    uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
     left, top = uv.min(axis=0)
     right, bottom = uv.max(axis=0)
     return Box2D.from_corners(left, top, right, bottom)
@@ -227,9 +224,9 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
 
 class BoxStack(NamedTuple):
     """Stacked gravity-aligned boxes, built by of() from the PoseBox3D
-    fields of n boxes: ground footprints (n, 4, 2) as footprint() gives
-    them, and vertical spans [top, bottom] = [T_y - e^H, T_y] (n,) each (Y
-    points down, the box extends upward)."""
+    fields of n boxes: ground footprints (n, 4, 2), the (x, z) columns of
+    the bottom corners, counterclockwise, and vertical spans [top, bottom]
+    = [T_y - e^H, T_y] (n,) each (Y points down, the box extends upward)."""
 
     feet: np.ndarray
     top: np.ndarray
@@ -241,11 +238,6 @@ class BoxStack(NamedTuple):
         T = np.asarray(T, dtype=float).reshape(-1, 3)
         height = np.exp(np.asarray(sigma, dtype=float).reshape(-1, 3)[:, 1])
         return cls(feet[:, :, [0, 2]], T[:, 1] - height, T[:, 1])
-
-
-def footprint(pose: PoseBox3D) -> np.ndarray:
-    """Ground-plane rectangle of the box as 4 (x, z) vertices, counterclockwise."""
-    return BoxStack.of(pose.theta, pose.T, pose.sigma).feet[0]
 
 
 def _clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:

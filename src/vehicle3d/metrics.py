@@ -94,11 +94,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None] @ d[:, :, None])[:, 0, 0])
 
 
-def center_distance(a: LabelRecord, b: LabelRecord) -> float:
-    """Distance between true 3D box centers: _distances for one pair."""
-    return float(_distances(_centers([a]), _centers([b]))[0])
-
-
 @dataclass(frozen=True)
 class PRCurve:
     """Operating points at distinct score thresholds, plus the
@@ -169,10 +164,13 @@ class _Stack(NamedTuple):
     gt_alpha: np.ndarray  # (F, G)
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def of(cls, frames) -> "_Stack":
         """The stack of (detections, ground truth) frames: one sort of their
         records, one label_pose_fields call for those with positive
-        dimensions, and one vectorized pass over their pairs."""
+        dimensions, and one vectorized pass over their pairs.  A finite
+        extreme value (a 1e308 edge, say) overflows, silently, to IoU 0 or
+        distance inf, so its pair never matches."""
         tagged = [(f, rec) for f, (dets, _) in enumerate(frames)
                   for rec in dets if rec.type == OBJECT_TYPE]
         n_det = len(tagged)

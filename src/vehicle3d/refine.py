@@ -214,7 +214,7 @@ def refine_batch(
         if tried.size:
             x_trial = x[tried]
             size = x_trial.copy()
-            size[:, 0] = np.mod(size[:, 0], 2.0 * np.pi)  # |x| with the yaw wrapped
+            size[:, 0] = wrap_angle(size[:, 0])  # |x| with the yaw wrapped
             small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(size)) + _XTOL)
             x_trial += dx
             res = block_residuals(x_trial, block.take(tried), model, cfg)

@@ -36,9 +36,10 @@ from .geometry import (
     project_box3d,
     require_finite,
     rot_y,
+    wrap_angle,
     wrap_pi,
 )
-from .shape import LANDMARK_COUNT, MorphableModel, ShapeCoefficients, instantiate
+from .shape import LANDMARK_COUNT, MorphableModel, instantiate
 
 KITTI_CAMERA = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 FLAT_GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
@@ -129,11 +130,6 @@ def self_occlusion_masks(theta, T) -> np.ndarray:
     lo, hi = VISIBILITY_INTERVALS[..., 0], VISIBILITY_INTERVALS[..., 1]
     inside = ((lo < psi[..., None]) & (psi[..., None] < hi)).any(axis=2)
     return np.where(np.abs(psi) == np.pi, _SEEN_AT_BRANCH_CUT, inside)
-
-
-def self_occlusion_mask(theta: float, T: np.ndarray) -> np.ndarray:
-    """The facing landmarks of one pose: self_occlusion_masks for n = 1."""
-    return self_occlusion_masks([theta], [T])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +247,13 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
     else the ValueError of a projected hull that is no valid Box2D.
 
     theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
-    wrapped twice as PoseBox3D(theta=wrap_angle(theta)) does; cams holds
-    each pose's camera and scores each record's score (all None when
-    scores is None).  Yaw maps to rotation_y with no offset, the stored box
-    is the projected hull through Box2D's log/exp round trip, and the
-    observation angle folds out the bearing.
+    wrapped as PoseBox3D wraps it; cams holds each pose's camera and scores
+    each record's score (all None when scores is None).  Yaw maps to
+    rotation_y with no offset, the stored box is the projected hull through
+    Box2D's log/exp round trip, and the observation angle folds out the
+    bearing.
     """
-    theta = np.mod(np.mod(np.asarray(theta, dtype=float).reshape(-1), 2.0 * np.pi), 2.0 * np.pi)
+    theta = wrap_angle(np.asarray(theta, dtype=float).reshape(-1))
     T = np.asarray(T, dtype=float).reshape(-1, 3)
     sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
     dims = np.exp(sigma)  # (length, height, width)
@@ -300,14 +296,13 @@ def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = 
 
 def label_pose_fields(records) -> tuple:
     """PoseBox3D fields of n records: yaw (n,), location and log extents
-    (n, 3).  Yaw is wrapped twice, as PoseBox3D(theta=wrap_angle(ry)) does:
-    -1e-17 wraps to 2*pi, and that to 0."""
+    (n, 3), yaw wrapped as PoseBox3D wraps it."""
     dims = np.array([rec.dimensions for rec in records], dtype=float).reshape(-1, 3)
     if (dims <= 0).any():
         raise ValueError("dimensions must be positive to form a pose")
-    theta = np.mod(np.array([rec.rotation_y for rec in records], dtype=float), 2.0 * np.pi)
+    theta = wrap_angle(np.array([rec.rotation_y for rec in records], dtype=float))
     T = np.array([rec.location for rec in records], dtype=float).reshape(-1, 3)
-    return np.mod(theta, 2.0 * np.pi), T, np.log(dims[:, [2, 0, 1]])
+    return theta, T, np.log(dims[:, [2, 0, 1]])
 
 
 def label_to_pose(record: LabelRecord) -> PoseBox3D:
@@ -481,7 +476,7 @@ class SceneParams:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    instances: list  # (PoseBox3D, ShapeCoefficients) ground truth
+    instances: list  # (PoseBox3D, (N,) shape coefficients) ground truth
 
 
 class GenerationError(RuntimeError):
@@ -577,7 +572,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     occluded = 2 - np.digitize(visible.mean(axis=1), (0.4, 0.65))
     labels = [replace(record, truncated=t, occluded=o)
               for record, t, o in zip(records, truncated.tolist(), occluded.tolist())]
-    scene = SyntheticScene(instances=[(pose, ShapeCoefficients(alpha=a)) for pose, a in drawn])
+    scene = SyntheticScene(instances=drawn)
     return scene, measurements, labels
 
 

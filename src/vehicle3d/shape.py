@@ -30,8 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PoseBox3D, place_points
-
 # Landmarks per vehicle in the packaged template.
 LANDMARK_COUNT = 14
 
@@ -91,17 +89,6 @@ class MorphableModel:
 
 
 @dataclass(frozen=True)
-class ShapeCoefficients:
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("shape coefficients must be finite")
-        object.__setattr__(self, "alpha", a)
-
-
-@dataclass(frozen=True)
 class LandmarkObservations:
     """M instances' annotated landmarks, stacked: pixel positions + visibility."""
 
@@ -136,18 +123,11 @@ class OrthoCamPose:
 
 def instantiate(model: MorphableModel, alpha) -> np.ndarray:
     """Shape instance S = mean + sum(alpha_n basis_n) as (K, 3) points, of
-    one coefficient row (N,) or ShapeCoefficients; (n, K, 3) of rows (n, N)."""
-    if isinstance(alpha, ShapeCoefficients):
-        alpha = alpha.alpha
+    one coefficient row (N,); (n, K, 3) of rows (n, N)."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-1:] != (model.n_basis,):
         raise ValueError(f"expected rows of {model.n_basis} coefficients, got shape {alpha.shape}")
     return (model.mean + alpha @ model.basis).reshape(*alpha.shape[:-1], -1, 3)
-
-
-def place_in_camera(points: np.ndarray, pose: PoseBox3D) -> np.ndarray:
-    """Model points (K, 3) placed by one pose: place_points for n = 1."""
-    return place_points(points, pose.theta, pose.T, pose.sigma)[0]
 
 
 def ortho_project(pose: OrthoCamPose, points: np.ndarray) -> np.ndarray:
@@ -172,7 +152,7 @@ class LearnOptions:
 class LearnResult:
     model: MorphableModel
     poses: list  # OrthoCamPose per instance
-    coeffs: list  # ShapeCoefficients per instance (posterior means)
+    coeffs: np.ndarray  # (M, N) posterior-mean coefficients, a row per used instance
     loglik_path: np.ndarray  # per EM-loop iteration
     converged: bool
     iterations: int  # EM-loop iterations
@@ -704,7 +684,7 @@ def learn_em(
     return LearnResult(
         model=model,
         poses=[OrthoCamPose(c=float(cm), R=Rm, t=Rm.T @ dm / cm) for cm, Rm, dm in zip(*pose)],
-        coeffs=[ShapeCoefficients(alpha=a) for a in mu],
+        coeffs=mu,
         loglik_path=np.array(logliks),
         converged=converged,
         iterations=it,

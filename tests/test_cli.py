@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import vehicle3d.cli
 import vehicle3d.metrics
 from vehicle3d.cli import main, render_table
-from vehicle3d.geometry import footprint, wrap_pi
+from vehicle3d.geometry import BoxStack, wrap_pi
 from vehicle3d.metrics import alp
 from vehicle3d.refine import initialize, refine_ablation
 from vehicle3d.scene_io import (
@@ -546,7 +546,8 @@ def test_eval_optional_artifacts(dataset, tmp_path):
     for path in sorted((dataset / "labels").glob("*.txt")):
         plot = parse_config_text((out / "plot" / (path.stem + ".cfg")).read_text())
         for i, record in enumerate(parse_labels(path.read_text())):
-            feet = footprint(label_to_pose(record))
+            pose = label_to_pose(record)
+            feet = BoxStack.of(pose.theta, pose.T, pose.sigma).feet[0]
             for side in ("pred", "gt"):
                 ring = [float(v) for v in plot[f"{side}{i}.bev"].split()]
                 assert ring == np.vstack([feet, feet[:1]]).reshape(-1).tolist()

@@ -4,6 +4,8 @@ The Jacobian is checked against central finite differences; box-hull
 configurations with near-tied extreme corners are resampled because the
 analytic form differentiates through the active corner only.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,13 +28,14 @@ from vehicle3d.geometry import (
     Box2D,
     CameraIntrinsics,
     GroundPlane,
-    box3d_corners,
+    box_corners,
+    place_points,
     project,
     project_box3d,
 )
 from vehicle3d.refine import initialize
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
-from vehicle3d.shape import MorphableModel, ShapeCoefficients, instantiate, place_in_camera
+from vehicle3d.shape import MorphableModel, instantiate
 
 CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
@@ -66,7 +69,7 @@ def measurement_for(vars, model, rng, with_depth=True, exact=False):
     pose = vars.pose()
     box = project_box3d(CAM, pose)
     pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
-    uv = project(CAM, place_in_camera(pts, pose))
+    uv = project(CAM, place_points(pts, pose.theta, pose.T, pose.sigma)[0])
     vis = np.ones(len(pts), dtype=bool)
     zb = float(vars.T[2])
     if not exact:
@@ -207,7 +210,8 @@ def test_landmark_energy_matches_loop():
         vars = random_vars(rng, 3)
         meas = measurement_for(vars, model, rng)
         r = term("lp", vars, meas, model)[0]
-        placed = place_in_camera(instantiate(model, ShapeCoefficients(alpha=vars.alpha)), vars.pose())
+        pose = vars.pose()
+        placed = place_points(instantiate(model, vars.alpha), pose.theta, pose.T, pose.sigma)[0]
         total = 0.0
         for k in range(meas.K):
             if meas.landmarks_visible[k]:
@@ -299,7 +303,7 @@ def brute_energy(vars, meas, model, cfg):
         E += float(d @ d)
     if "lp" in terms:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
-        placed = place_in_camera(pts, pose)
+        placed = place_points(pts, pose.theta, pose.T, pose.sigma)[0]
         for k in range(meas.K):
             if meas.landmarks_visible[k]:
                 uv_k = project(meas.cam, placed[k : k + 1])[0]
@@ -413,7 +417,8 @@ def hull_has_clear_extremes(vars, min_gap=HULL_GAP_PX):
     for a y-rotated box and depend on the variables identically, so that tie is
     benign; u competition is between the four distinct edges.
     """
-    uv = project(CAM, box3d_corners(vars.pose()))
+    pose = vars.pose()
+    uv = project(CAM, box_corners(pose.theta, pose.T, pose.sigma)[0])
     us = np.sort(uv[:4, 0])
     vs = np.sort(uv[:, 1])
     for s in (us, vs):
@@ -486,6 +491,16 @@ def test_block_jacobian_matches_finite_differences(n_basis):
               - block_residuals(x - dx, block, model, cfg).r) / (2.0 * step)
         rel = np.abs(JT[:, j] - fd) / np.maximum(1.0, np.maximum(np.abs(JT[:, j]), np.abs(fd)))
         assert rel.max() < 1e-5, f"column {j}: worst relative disagreement {rel.max():.3e}"
+
+
+def test_stack_rejects_mixed_landmark_counts():
+    meas = generate_scene(SceneParams(n_instances=1), STANDARD_NOISE, 7)[1][0]
+    short = replace(meas, landmarks_uv=meas.landmarks_uv[:13],
+                    landmarks_visible=meas.landmarks_visible[:13])
+    assert (meas.K, short.K) == (14, 13)
+    for measurements in ([meas, short], [short, meas]):
+        with pytest.raises(ValueError, match="^inconsistent landmark counts$"):
+            MeasurementBlock.stack(measurements)
 
 
 # ---------------------------------------------------------------------------

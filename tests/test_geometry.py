@@ -9,9 +9,8 @@ from vehicle3d.geometry import (
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
-    box3d_corners,
+    box_corners,
     box_ious,
-    footprint,
     iou_2d,
     iou_3d,
     iou_bev,
@@ -109,7 +108,7 @@ class TestBox2D:
 class TestBox3DCorners:
     def test_unit_box(self):
         pose = make_pose(0.0, [0, 0, 10], np.ones(3))
-        corners = box3d_corners(pose)
+        corners = box_corners(pose.theta, pose.T, pose.sigma)[0]
         assert np.allclose(sorted(corners[:, 0]), [-0.5] * 4 + [0.5] * 4)
         # Bottom face at T_y, body extends upward (Y points down).
         assert np.allclose(sorted(corners[:, 1]), [-1.0] * 4 + [0.0] * 4)
@@ -118,7 +117,7 @@ class TestBox3DCorners:
     def test_quarter_turn_swaps_extents(self):
         pose0 = make_pose(0.0, [0, 0, 10], np.array([4.0, 1.5, 2.0]))
         pose90 = make_pose(np.pi / 2, [0, 0, 10], np.array([4.0, 1.5, 2.0]))
-        c0, c90 = box3d_corners(pose0), box3d_corners(pose90)
+        c0, c90 = (box_corners(p.theta, p.T, p.sigma)[0] for p in (pose0, pose90))
         assert np.isclose(np.ptp(c0[:, 0]), 4.0) and np.isclose(np.ptp(c0[:, 2]), 2.0)
         assert np.isclose(np.ptp(c90[:, 0]), 2.0) and np.isclose(np.ptp(c90[:, 2]), 4.0)
 
@@ -130,7 +129,7 @@ class TestBox3DCorners:
                 rng.uniform([-10, 0, 5], [10, 3, 50]),
                 rng.uniform(0.5, 5.0, size=3),
             )
-            for corner in box3d_corners(pose):
+            for corner in box_corners(pose.theta, pose.T, pose.sigma)[0]:
                 assert inside_box(pose, corner)
 
     def test_random_interior_points_contained(self):
@@ -354,8 +353,9 @@ class TestBoxIous:
 
     def test_footprint_matches_the_box_corners(self):
         for a, b in random_pose_pairs(50, np.random.default_rng(13)):
-            assert np.array_equal(footprint(a), box3d_corners(a)[:4][:, [0, 2]])
-            assert np.array_equal(stack([b, a]).feet[1], footprint(a))
+            feet = stack([a]).feet[0]
+            assert np.array_equal(feet, box_corners(a.theta, a.T, a.sigma)[0, :4][:, [0, 2]])
+            assert np.array_equal(stack([b, a]).feet[1], feet)
 
     def test_empty_batch(self):
         empty = np.zeros(0, dtype=int)
@@ -366,15 +366,22 @@ class TestBoxIous:
 class TestWrap:
     def test_wrap_range(self):
         rng = np.random.default_rng(12)
-        for theta in rng.uniform(-50, 50, size=1000):
+        # tiny negative angles, which one mod rounds up to 2*pi itself
+        for theta in [*rng.uniform(-50, 50, size=1000), -1e-17, -1e-300, -4e-16]:
             w = wrap_angle(theta)
-            assert 0.0 <= w < 2 * np.pi
+            assert type(w) is float and 0.0 <= w < 2 * np.pi
             assert np.isclose(np.cos(w), np.cos(theta), atol=1e-12)
             assert np.isclose(np.sin(w), np.sin(theta), atol=1e-12)
+        thetas = np.array([-1e-17, -4e-16, -np.pi / 2, 0.0, 7.0])
+        w = wrap_angle(thetas)
+        assert isinstance(w, np.ndarray) and w.shape == thetas.shape
+        assert ((0.0 <= w) & (w < 2 * np.pi)).all()
+        assert w.tolist() == [wrap_angle(t) for t in thetas]
 
     def test_pose_wraps_theta(self):
         p = PoseBox3D(theta=-np.pi / 2, T=np.zeros(3), sigma=np.zeros(3))
         assert np.isclose(p.theta, 1.5 * np.pi)
+        assert PoseBox3D(theta=-1e-17, T=np.zeros(3), sigma=np.zeros(3)).theta == 0.0
 
 
 class TestGroundPlane:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from vehicle3d import metrics
 from vehicle3d.geometry import Box2D, iou_2d, iou_3d, iou_bev
 from vehicle3d.metrics import (
     ALP_GATE,
@@ -20,7 +21,6 @@ from vehicle3d.metrics import (
     alp,
     ap_3d,
     ap_bev,
-    center_distance,
     difficulty_bucket,
     pr_curve,
     pr_curves,
@@ -568,6 +568,38 @@ SWEEP_JOBS = [(metric, threshold, difficulty, ALP_GATE if metric == "alp" else N
               for threshold in thresholds for difficulty in DIFFICULTIES]
 
 
+def test_finite_extreme_labels_score_without_warnings():
+    """A finite but extreme label value (a 1e308 box edge, extent or
+    location coordinate) overflows its pair's arithmetic: the pair scores
+    IoU 0 or distance inf, so it never matches, and no RuntimeWarning is
+    raised, on either side of the pair.  Every other value of the pair is
+    that of two equal records."""
+    big = 1e308
+    cases = [({"bbox": (-big, 100.0, 200.0, 160.0)}, {"iou_2d": 0.0}),
+             ({"bbox": (100.0, 100.0, big, 160.0)}, {"iou_2d": 0.0}),
+             ({"bbox": (100.0, -big, 200.0, 160.0)}, {"iou_2d": 0.0}),
+             ({"bbox": (100.0, 100.0, 200.0, big)}, {"iou_2d": 0.0}),
+             ({"dimensions": (big, 1.7, 4.0)}, {"iou_3d": 0.0, "distance": math.inf}),
+             ({"dimensions": (1.5, big, 4.0)}, {"iou_3d": 0.0, "iou_bev": 0.0}),
+             ({"dimensions": (1.5, 1.7, big)}, {"iou_3d": 0.0, "iou_bev": 0.0})]
+    for axis in range(3):
+        for value in (big, -big):
+            location = [0.0, 1.65, 12.0]
+            location[axis] = value
+            moved = {"iou_3d": 0.0, "distance": math.inf}
+            cases.append(({"location": tuple(location)},
+                          moved if axis == 1 else {**moved, "iou_bev": 0.0}))
+    for extreme, want in cases:
+        for det, gt in ((rec(score=0.9, **extreme), rec()), (rec(score=0.9), rec(**extreme))):
+            frames = [([det], [gt])]
+            assert len(pr_curves(frames, SWEEP_JOBS, POINTS)) == len(SWEEP_JOBS)
+            stack = _Stack.of(frames)
+            got = {field: float(getattr(stack, field)[0, 0, 0])
+                   for field in ("iou_3d", "iou_bev", "iou_2d", "distance")}
+            assert got == {"iou_3d": 1.0, "iou_bev": 1.0, "iou_2d": 1.0, "distance": 0.0,
+                           **want}, extreme
+
+
 def test_frames_may_be_any_iterable_of_pairs():
     frames = random_frames(np.random.default_rng(7))
     want = pr_curves(frames, SWEEP_JOBS, POINTS)
@@ -651,15 +683,15 @@ def test_ground_truth_self_evaluation_is_perfect():
 
 # _Stack field -> the scalar kernel behind its entries
 TABLE_KERNELS = (("iou_3d", "iou_3d"), ("iou_bev", "iou_bev"),
-                 ("iou_2d", "iou_2d"), ("distance", "center_distance"))
+                 ("iou_2d", "iou_2d"), ("distance", "distance"))
 
 
 def scalar_pair_value(kind, det, gt):
     """The scalar kernel behind one pair value."""
     if kind == "iou_2d":
         return iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
-    if kind == "center_distance":
-        return center_distance(det, gt)
+    if kind == "distance":  # the batched kernel for one pair
+        return float(metrics._distances(metrics._centers([det]), metrics._centers([gt]))[0])
     if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
         return None
     fn = iou_3d if kind == "iou_3d" else iou_bev
@@ -752,8 +784,6 @@ def test_reused_tables_equal_the_scalar_kernels():
 
 def count_metric_calls(monkeypatch, names):
     """Wrap each named metrics global; returns the list of (name, args) calls."""
-    import vehicle3d.metrics as metrics
-
     calls = []
 
     def counted(name):
@@ -775,7 +805,7 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     stack = _Stack.of(frames)  # read before the kernels are counted
     log = count_metric_calls(monkeypatch, (
         "box_ious", "box2d_ious", "_distances", "iou_3d", "iou_bev", "iou_2d",
-        "center_distance", "label_pose_fields"))
+        "label_pose_fields"))
 
     def count(name):
         return sum(1 for called, _ in log if called == name)
@@ -791,7 +821,7 @@ def test_each_pair_value_is_computed_once(monkeypatch):
     n_pairs = sum(len(dets) * len(gts) for dets, gts in stack_layout(frames))
     for kernel in ("box2d_ious", "_distances"):
         assert sizes(kernel) == [n_pairs] and n_pairs > 0, kernel
-    for kind in ("iou_2d", "center_distance", "iou_3d", "iou_bev"):
+    for kind in ("iou_2d", "iou_3d", "iou_bev"):
         assert count(kind) == 0, kind  # the batched kernels score every pair
     posed = sum(1 for dets, gts in stack_layout(frames) for rec in (*dets, *gts)
                 if min(rec.dimensions) > 0)
@@ -800,12 +830,12 @@ def test_each_pair_value_is_computed_once(monkeypatch):
 
 
 def test_alp_sweep_fills_every_table(monkeypatch):
-    log = count_metric_calls(monkeypatch, ("iou_2d", "center_distance", "_curve"))
+    log = count_metric_calls(monkeypatch, ("iou_2d", "_curve"))
     frames = random_frames(np.random.default_rng(7))
     pr_curves(frames, [job for job in SWEEP_JOBS if job[0] == "alp"], POINTS)
     stacks = [args[0] for called, args in log if called == "_curve"]
     assert len(stacks) == 6 and all(stack is stacks[0] for stack in stacks)  # one stack per call
-    assert [called for called, _ in log if called != "_curve"] == []  # no scalar 2D IoU or distance
+    assert [called for called, _ in log if called != "_curve"] == []  # no scalar 2D IoU
     stack = stacks[0]
     real = real_pairs(stack_layout(frames))
     assert real.any()

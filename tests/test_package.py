@@ -107,14 +107,12 @@ def test_every_float_config_field_rejects_nan():
     assert len(checked) == 12  # lambda1-4, tol, six noise scales, alpha_sigma
 
 
-def test_every_private_name_has_a_caller():
-    """Every top-level `_name` of a package module (function, class or
-    constant) and every `_method` of a class is referenced in the package
-    outside its own definition, so no private helper outlives its last
-    caller."""
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(Path(vehicle3d.__file__).parent.glob("*.py"))}
-    defined = []  # (path, name, definition node)
+def _package_names(trees) -> tuple:
+    """The names the package modules in trees define, (path, name,
+    definition node), from top-level functions, classes and assignments and
+    the methods of classes; and the names they reference, (path, line,
+    name), from Name and Attribute nodes and `from ... import` aliases."""
+    defined = []
     for path, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -131,12 +129,50 @@ def test_every_private_name_has_a_caller():
                                [node.attr] if isinstance(node, ast.Attribute) else
                                [alias.name for alias in node.names]
                                if isinstance(node, ast.ImportFrom) else [])]
+    return defined, references
+
+
+def _referenced_outside(name, path, node, references) -> bool:
+    return any(ref == name and not (where == path and node.lineno <= line <= node.end_lineno)
+               for where, line, ref in references)
+
+
+def test_every_private_name_has_a_caller():
+    """Every top-level `_name` of a package module (function, class or
+    constant) and every `_method` of a class is referenced in the package
+    outside its own definition, so no private helper outlives its last
+    caller."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(Path(vehicle3d.__file__).parent.glob("*.py"))}
+    defined, references = _package_names(trees)
     private = [(path, name, node) for path, name, node in defined
                if name.startswith("_") and not name.startswith("__")]
     assert len(private) > 30  # the check reads the names it is about
     for path, name, node in private:
-        assert any(ref == name and not (where == path and node.lineno <= line <= node.end_lineno)
-                   for where, line, ref in references), f"{path.name}: {name}"
+        assert _referenced_outside(name, path, node, references), f"{path.name}: {name}"
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level name of a package module (function, class or
+    constant) and every public method or property of a class has a caller
+    outside the tests: a reference in the package outside its own
+    definition, re-exports in __init__.py aside; or a whole word in a code
+    span or block of README.md, in a demo, in the acceptance suite or in
+    the benchmark.  So no export outlives its last user."""
+    package = Path(vehicle3d.__file__).parent
+    root = package.parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    defined, references = _package_names(trees)
+    code = re.findall(r"```.*?```|`[^`]*`", (root / "README.md").read_text(), flags=re.S)
+    users = [*sorted((root / "demos").glob("*.py")), root / "tests" / "test_acceptance.py",
+             *sorted((root / "perfbench").glob("*.py"))]
+    outside = "\n".join([*code, *(path.read_text() for path in users)])
+    public = [(path, name, node) for path, name, node in defined if not name.startswith("_")]
+    assert len(public) > 100  # the check reads the names it is about
+    for path, name, node in public:
+        assert (_referenced_outside(name, path, node, references)
+                or re.search(rf"\b{name}\b", outside)), f"{path.name}: {name}"
 
 
 def test_readme_module_references_resolve():

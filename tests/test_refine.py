@@ -18,6 +18,7 @@ from vehicle3d.geometry import (
     Box2D,
     CameraIntrinsics,
     GroundPlane,
+    place_points,
     project,
     project_box3d,
     wrap_pi,
@@ -35,7 +36,7 @@ from vehicle3d.refine import (
     refine_ladder,
 )
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
-from vehicle3d.shape import MorphableModel, instantiate, place_in_camera
+from vehicle3d.shape import MorphableModel, instantiate
 from tests.oracles import back_projected_start
 
 # the module, not the package's `refine` function of the same name
@@ -79,7 +80,7 @@ def make_instance(
         corners[2] = corners[0] + 2.0
     if corners[3] - corners[1] < 2.0:
         corners[3] = corners[1] + 2.0
-    uv = project(CAM, place_in_camera(instantiate(model, truth.alpha), pose))
+    uv = project(CAM, place_points(instantiate(model, truth.alpha), pose.theta, pose.T, pose.sigma)[0])
     uv = uv + lm_noise * rng.standard_normal(uv.shape)
     vis = rng.random(len(uv)) >= occlusion
     while vis.sum() < 6:

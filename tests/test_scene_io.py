@@ -13,6 +13,7 @@ from vehicle3d.geometry import (
     Box2D,
     BoxStack,
     PoseBox3D,
+    place_points,
     project,
     project_box3d,
     rot_y,
@@ -44,10 +45,9 @@ from vehicle3d.scene_io import (
     emit_labels,
     emit_measurements,
     parse_measurements,
-    self_occlusion_mask,
     self_occlusion_masks,
 )
-from vehicle3d.shape import instantiate, place_in_camera
+from vehicle3d.shape import instantiate
 
 SAMPLE = "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
 
@@ -390,7 +390,7 @@ def test_mutated_label_file_raises_only_its_format_error(text):
 def test_self_occlusion_front_right_quadrant():
     # theta = pi/4 with the object straight ahead puts the camera azimuth
     # at -pi/4: right flank plus both headlights plus roof corners
-    mask = self_occlusion_mask(np.pi / 4, np.array([0.0, 1.65, 10.0]))
+    mask = self_occlusion_masks([np.pi / 4], [[0.0, 1.65, 10.0]])[0]
     expected = np.zeros(14, dtype=bool)
     expected[[1, 3, 4, 5, 7, 8, 9, 10, 11, 13]] = True
     np.testing.assert_array_equal(mask, expected)
@@ -398,7 +398,7 @@ def test_self_occlusion_front_right_quadrant():
 
 def test_self_occlusion_dead_rear_branch_cut():
     # azimuth exactly at +-pi: taillights and roof corners only
-    mask = self_occlusion_mask(3 * np.pi / 2, np.array([0.0, 1.65, 10.0]))
+    mask = self_occlusion_masks([3 * np.pi / 2], [[0.0, 1.65, 10.0]])[0]
     expected = np.zeros(14, dtype=bool)
     expected[[6, 7, 8, 9, 10, 11]] = True
     np.testing.assert_array_equal(mask, expected)
@@ -406,7 +406,7 @@ def test_self_occlusion_dead_rear_branch_cut():
 
 def test_self_occlusion_rear_left_quadrant():
     # azimuth 3*pi/4: left flank, left and right taillights, roof corners
-    mask = self_occlusion_mask(5 * np.pi / 4, np.array([0.0, 1.65, 10.0]))
+    mask = self_occlusion_masks([5 * np.pi / 4], [[0.0, 1.65, 10.0]])[0]
     expected = np.zeros(14, dtype=bool)
     expected[[0, 2, 4, 6, 7, 8, 9, 10, 11, 12]] = True
     np.testing.assert_array_equal(mask, expected)
@@ -415,10 +415,10 @@ def test_self_occlusion_rear_left_quadrant():
 def test_self_occlusion_always_at_least_one_roof_point():
     rng = np.random.default_rng(42)
     for _ in range(500):
-        mask = self_occlusion_mask(
-            rng.uniform(0, 2 * np.pi),
-            np.array([rng.uniform(-20, 20), 1.65, rng.uniform(5, 60)]),
-        )
+        mask = self_occlusion_masks(
+            [rng.uniform(0, 2 * np.pi)],
+            [[rng.uniform(-20, 20), 1.65, rng.uniform(5, 60)]],
+        )[0]
         assert mask[8:12].all()
         assert mask.sum() >= 6
 
@@ -445,7 +445,7 @@ def test_stacked_self_occlusion_is_each_poses_mask():
     masks = self_occlusion_masks(theta, T)
     assert masks.shape == (n, 14)
     for mask, yaw, location in zip(masks, theta, T):
-        np.testing.assert_array_equal(mask, self_occlusion_mask(yaw, location))
+        np.testing.assert_array_equal(mask, self_occlusion_masks([yaw], [location])[0])
         np.testing.assert_array_equal(mask, _facing_one_arc_at_a_time(yaw, location))
     assert np.flatnonzero(masks[3]).tolist() == [6, 7, 8, 9, 10, 11]  # taillights, roof
 
@@ -468,12 +468,13 @@ def test_generate_noise_free_measurements_exact():
     for (pose, coeffs), meas, label in _noise_free_frames():
         box = project_box3d(KITTI_CAMERA, pose)
         np.testing.assert_array_equal(meas.box2d.corners(), Box2D.from_corners(*box.corners()).corners())
-        uv = project(KITTI_CAMERA, place_in_camera(instantiate(CAR_MODEL, coeffs), pose))
+        uv = project(KITTI_CAMERA, place_points(instantiate(CAR_MODEL, coeffs), pose.theta, pose.T,
+                                                pose.sigma)[0])
         np.testing.assert_array_equal(meas.landmarks_uv, uv)
         width_px, height_px = IMAGE_SIZE
         in_image = (uv[:, 0] >= 0) & (uv[:, 0] <= width_px) & (uv[:, 1] >= 0) & (uv[:, 1] <= height_px)
         np.testing.assert_array_equal(meas.landmarks_visible,
-                                      self_occlusion_mask(pose.theta, pose.T) & in_image)
+                                      self_occlusion_masks([pose.theta], [pose.T])[0] & in_image)
         left, top, right, bottom = label.bbox
         in_view = (max(0.0, min(right, width_px) - max(left, 0.0))
                    * max(0.0, min(bottom, height_px) - max(top, 0.0)))
@@ -492,7 +493,7 @@ def test_generate_deterministic():
     b = generate_scene(params, STANDARD_NOISE, seed=123)
     for (pa, ca), (pb, cb) in zip(a[0].instances, b[0].instances):
         assert np.array_equal(pa.T, pb.T) and pa.theta == pb.theta
-        assert np.array_equal(ca.alpha, cb.alpha)
+        assert np.array_equal(ca, cb)
     for ma, mb in zip(a[1], b[1]):
         assert np.array_equal(ma.landmarks_uv, mb.landmarks_uv)
         assert np.array_equal(ma.landmarks_visible, mb.landmarks_visible)
@@ -510,7 +511,7 @@ def test_generate_gt_invariants():
         for pose, coeffs in scene.instances:
             assert abs(N @ pose.T - 1.0) < 1e-12
             assert scene_io._Z_RANGE[0] <= pose.T[2] <= scene_io._Z_RANGE[1]
-            assert np.all(np.isfinite(coeffs.alpha))
+            assert np.all(np.isfinite(coeffs))
         for rec in labels:
             assert rec.bbox[2] > rec.bbox[0] and rec.bbox[3] > rec.bbox[1]
             assert 0.0 <= rec.truncated <= 1.0

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from vehicle3d.geometry import PoseBox3D, rot_y
+from vehicle3d.geometry import PoseBox3D, place_points, rot_y
 from vehicle3d.shape import (
     InsufficientDataError,
     LandmarkObservations,
     LearnOptions,
     MorphableModel,
     OrthoCamPose,
-    ShapeCoefficients,
     format_model,
     instantiate,
     learn_em,
     load_model,
     ortho_project,
-    place_in_camera,
 )
 from vehicle3d.shape import _SOLVE_CUTOFF, _affine_optimum, _cofactors, _observe, _orthonormalize_rows
 from vehicle3d.shape import _pose_noise_step
@@ -75,9 +73,12 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate(self.model, np.zeros(5))
 
-    def test_accepts_coefficients_type(self):
-        pts = instantiate(self.model, ShapeCoefficients(alpha=np.zeros(3)))
-        assert np.allclose(pts, self.model.mean_points())
+    def test_rows_give_one_instance_each(self):
+        rows = np.random.default_rng(21).normal(size=(4, 3))
+        pts = instantiate(self.model, rows)
+        assert pts.shape == (4, self.model.K, 3)
+        for row, instance in zip(rows, pts):
+            assert np.allclose(instance, instantiate(self.model, row), rtol=0.0, atol=1e-15)
 
 
 class TestPlaceInCamera:
@@ -85,7 +86,7 @@ class TestPlaceInCamera:
         rng = np.random.default_rng(22)
         pts = rng.normal(size=(14, 3))
         pose = PoseBox3D(theta=0.0, T=np.zeros(3), sigma=np.zeros(3))
-        assert np.allclose(place_in_camera(pts, pose), pts)
+        assert np.allclose(place_points(pts, pose.theta, pose.T, pose.sigma)[0], pts)
 
     def test_round_trip(self):
         rng = np.random.default_rng(23)
@@ -93,7 +94,7 @@ class TestPlaceInCamera:
         pose = PoseBox3D(
             theta=1.1, T=np.array([2.0, 1.65, 14.0]), sigma=np.log([3.9, 1.6, 1.6])
         )
-        placed = place_in_camera(pts, pose)
+        placed = place_points(pts, pose.theta, pose.T, pose.sigma)[0]
         back = ((placed - pose.T) @ rot_y(pose.theta)) / pose.dims
         assert np.allclose(back, pts, atol=1e-10)
 
@@ -112,7 +113,7 @@ class TestPlaceInCamera:
             if np.all(np.abs(pts[:, 0]) <= 0.5) and np.all(
                 (-1 <= pts[:, 1]) & (pts[:, 1] <= 0)
             ) and np.all(np.abs(pts[:, 2]) <= 0.5):
-                for p in place_in_camera(pts, pose):
+                for p in place_points(pts, pose.theta, pose.T, pose.sigma)[0]:
                     assert inside_box(pose, p)
 
 
@@ -294,8 +295,7 @@ def test_invisible_landmarks_never_reach_the_result():
     assert np.array_equal(clean.model.basis, dirty.model.basis)
     for a, b in zip(clean.poses, dirty.poses):
         assert a.c == b.c and np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
-    for a, b in zip(clean.coeffs, dirty.coeffs):
-        assert np.array_equal(a.alpha, b.alpha)
+    assert np.array_equal(clean.coeffs, dirty.coeffs)
     assert np.array_equal(clean.loglik_path, dirty.loglik_path)
     assert clean.loglik == dirty.loglik
     assert clean.iterations == dirty.iterations
@@ -482,7 +482,7 @@ class TestSmallKernels:
         assert np.isfinite([result.loglik, result.noise_var, result.reproj_rmse]).all()
         for pose, coef in zip(result.poses, result.coeffs):
             OrthoCamPose(c=pose.c, R=pose.R, t=pose.t)  # raises unless c > 0 and R R^T = I
-            assert np.isfinite(pose.t).all() and np.isfinite(coef.alpha).all()
+            assert np.isfinite(pose.t).all() and np.isfinite(coef).all()
             assert np.abs(pose.R @ pose.R.T - np.eye(2)).max() <= 1e-12
 
 
