@@ -3,15 +3,15 @@
 v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Every
 rung is solved from the same initialization: refine_ladder solves each
-rung of a frame's instances in one batch, whose starts come from one array
-pass over the stacked hypotheses, and returns the rungs as a dict, and poses_to_labels converts each rung's poses as
-one stack.  Expect each metric to improve down the ladder; small per-seed
-wobble on the last link is normal at this sample size.
+rung of a frame's measurement block in one batch, whose starts come from
+one array pass over the block's hypotheses, and returns the rungs as a
+dict, and poses_to_labels converts each rung's poses as one stack, seen by
+the block's camera rows.  Expect each metric to improve down the ladder;
+small per-seed wobble on the last link is normal at this sample size.
 """
 from vehicle3d import (
     ABLATION_VARIANTS,
     CAR_MODEL,
-    KITTI_CAMERA,
     STANDARD_NOISE,
     SceneParams,
     alp,
@@ -34,7 +34,7 @@ for index in range(frames):
         solved = [result.vars for result in rungs[variant]]
         dets = poses_to_labels(
             [v.theta for v in solved], [v.T for v in solved], [v.sigma for v in solved],
-            [KITTI_CAMERA] * len(solved), [1.0 / (1.0 + r.final_energy) for r in rungs[variant]],
+            measurements.cam, [1.0 / (1.0 + r.final_energy) for r in rungs[variant]],
         )
         for det in dets:  # a pose with no valid label comes back as its error
             if isinstance(det, ValueError):

@@ -27,7 +27,7 @@ scene, measurements, _ = generate_scene(
     SceneParams(n_instances=1), STANDARD_NOISE, seed=7
 )
 truth, true_coeffs = scene.instances[0]
-meas = measurements[0]
+meas = measurements[0]  # the frame's block of one row: the one-instance input
 
 start = initialize(meas, CAR_MODEL)
 result = refine(meas, CAR_MODEL)

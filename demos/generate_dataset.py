@@ -26,7 +26,7 @@ for index in range(frames):
     for record, meas in zip(labels, measurements):
         buckets[difficulty_bucket(record)] += 1
         depths.append(record.location[2])
-        visible_fractions.append(meas.landmarks_visible.mean())
+        visible_fractions.append(meas.visible.mean())
     if index == 0:
         print("frame 0 ground-truth labels:")
         print(emit_labels(labels))

@@ -10,6 +10,7 @@ model up to the pose-absorbable gauge directions.
 import numpy as np
 
 from vehicle3d import (
+    MeasurementBlock,
     NoiseSpec,
     SceneParams,
     generate_scene,
@@ -20,11 +21,11 @@ from vehicle3d.shape import LandmarkObservations
 noise = NoiseSpec(landmark_px_sigma=0.5, landmark_occlusion_rate=0.1)
 params = SceneParams(n_instances=4)
 
-measurements = [meas for index in range(40)
-                for meas in generate_scene(params, noise, [424, index])[1]]
-# every instance's landmarks stacked: uv (M, 14, 2), visible (M, 14)
-observations = LandmarkObservations(uv=[meas.landmarks_uv for meas in measurements],
-                                    visible=[meas.landmarks_visible for meas in measurements])
+# every frame's instances in one block, whose landmarks are already
+# stacked: uv (M, 14, 2), visible (M, 14)
+measurements = MeasurementBlock.concat(generate_scene(params, noise, [424, index])[1]
+                                       for index in range(40))
+observations = LandmarkObservations(measurements.uv, measurements.visible)
 
 result = learn_em(observations, n_basis=2)
 

@@ -277,16 +277,14 @@ def render_table(title: str, headers, rows) -> str:
 def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneParams) -> int:
     for index in range(effective["frames"]):
         try:
-            _, measurements, labels = generate_scene(
-                scene, noise, [effective["seed"], index]
-            )
+            _, block, labels = generate_scene(scene, noise, [effective["seed"], index])
         except GenerationError as exc:
             raise CLIError(f"frame {index}: {exc}")
         name = f"{index:06d}"
         _atomic_write(out_dir / "labels" / (name + ".txt"), emit_labels(labels))
         _atomic_write(
             out_dir / "meas" / (name + ".cfg"),
-            emit_measurements(KITTI_CAMERA, FLAT_GROUND, measurements),
+            emit_measurements(KITTI_CAMERA, FLAT_GROUND, block),
         )
     print(f"wrote {effective['frames']} frames to {out_dir}")
     return 0
@@ -304,16 +302,15 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 _FIT_BLOCK = 256
 
 
-def _rung_outcomes(measurements, outcomes) -> list:
+def _rung_outcomes(block: MeasurementBlock, outcomes) -> list:
     """(label record or None, diag entries without the instance prefix) of
-    each instance of one rung.  Its solved poses become labels in one
-    poses_to_labels call, each scored 1 / (1 + final energy)."""
-    solved = [(meas, outcome) for meas, outcome in zip(measurements, outcomes)
-              if not isinstance(outcome, InitializationError)]
+    each instance of one rung of block.  Its solved poses become labels in
+    one poses_to_labels call, each scored 1 / (1 + final energy)."""
+    ok = np.array([not isinstance(outcome, InitializationError) for outcome in outcomes], bool)
+    solved = [outcome for outcome, good in zip(outcomes, ok) if good]
     records = iter(poses_to_labels(
-        [o.vars.theta for _, o in solved], [o.vars.T for _, o in solved],
-        [o.vars.sigma for _, o in solved], [meas.cam for meas, _ in solved],
-        [1.0 / (1.0 + o.final_energy) for _, o in solved]))
+        [o.vars.theta for o in solved], [o.vars.T for o in solved], [o.vars.sigma for o in solved],
+        block.cam[ok], [1.0 / (1.0 + o.final_energy) for o in solved]))
 
     def entry(outcome):
         if isinstance(outcome, InitializationError):
@@ -338,9 +335,9 @@ def _rung_outcomes(measurements, outcomes) -> list:
 
 def _fit_block_task(task):
     """{variant: _rung_outcomes entry} of each instance of one task."""
-    measurements, variants, model, energy, solver = task
-    rungs = {variant: _rung_outcomes(measurements, outcomes) for variant, outcomes
-             in refine_ladder(measurements, model, energy, solver, variants).items()}
+    block, variants, model, energy, solver = task
+    rungs = {variant: _rung_outcomes(block, outcomes) for variant, outcomes
+             in refine_ladder(block, model, energy, solver, variants).items()}
     return [dict(zip(rungs, entries)) for entries in zip(*rungs.values())]
 
 
@@ -354,12 +351,20 @@ def _parallel_map(fn, tasks, jobs: int):
 
 
 def _read_dataset(data_text: str) -> list:
-    """(frame id, [Measurement]) of each file under <data>/meas, in name order."""
+    """(frame id, MeasurementBlock) of each file under <data>/meas, in name order."""
     meas_dir = Path(data_text) / "meas"
     paths = sorted(meas_dir.glob("*.cfg"))
     if not paths:
         raise CLIError(f"no measurement files under {meas_dir}")
     return [(path.stem, _read_data_file(path, parse_measurements)[2]) for path in paths]
+
+
+def _pooled(dataset: list) -> MeasurementBlock:
+    """The parsed dataset's frames as one block; a landmark-count mix is a CLIError."""
+    try:
+        return MeasurementBlock.concat(block for _, block in dataset)
+    except ValueError as exc:
+        raise CLIError(str(exc))
 
 
 # fit scales model points by each instance's extents, so a model lives in
@@ -411,13 +416,13 @@ def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfi
     outcomes, in that order.
     """
     settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
-    instances = [meas for _, measurements in dataset for meas in measurements]
-    size = min(_FIT_BLOCK, max(1, -(-len(instances) // effective["jobs"])))
-    tasks = [(instances[i:i + size], *settings) for i in range(0, len(instances), size)]
+    block = _pooled(dataset)
+    size = min(_FIT_BLOCK, max(1, -(-len(block) // effective["jobs"])))
+    tasks = [(block[i:i + size], *settings) for i in range(0, len(block), size)]
     jobs = min(effective["jobs"], len(tasks))
     outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, jobs))
-    return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(measurements))))
-               for frame_id, measurements in dataset)
+    return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(frame))))
+               for frame_id, frame in dataset)
 
 
 def cmd_fit(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: SolverOptions) -> int:
@@ -575,15 +580,14 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
 # ---------------------------------------------------------------------------
 
 def cmd_shape_learn(effective: dict, out_dir: Path, *, learn: LearnOptions) -> int:
-    measurements = [meas for _, frame in _read_dataset(effective["data"]) for meas in frame]
+    block = _pooled(_read_dataset(effective["data"]))
     try:
-        block = MeasurementBlock.stack(measurements)
         result = learn_em(LandmarkObservations(block.uv, block.visible), effective["basis"], learn)
-    except ValueError as exc:  # mixed landmark counts or too few usable instances
+    except ValueError as exc:  # too few usable instances
         raise CLIError(str(exc))
     _atomic_write(out_dir / "model.txt", format_model(result.model))
     report = {
-        "instances_total": str(len(measurements)),
+        "instances_total": str(len(block)),
         "instances_used": str(int(result.used_mask.sum())),
         "converged": _fmt_value(bool(result.converged)),
         "iterations": str(result.iterations),

@@ -12,20 +12,21 @@ center, log box extents, and shape coefficients.  The parameter vector
 layout is [theta, T(3), sigma(3), alpha(N)].
 
 The kernel evaluates a block of B instances at once (block_residuals):
-parameters are a (B, D) array; the 8 box corners and K model landmarks of
-each instance are one point set, projected once in closed form; residuals
-are a (B, m) stack and the Jacobian's transpose a (B, D, m) stack J^T,
-each written once, whose row layout depends only on the config and model
-sizes (term_rows).  No value is reduced across instances, so an
-instance's rows are bit-identical whatever block it is evaluated in.  The
-single-instance functions (total_energy, stacked_residuals, jacobian) are
-the B=1 case of the same kernel; a single term's rows are a term_rows
-slice of block_residuals.
+measurements are one MeasurementBlock, the type the file parser and the
+generator build; parameters are a (B, D) array; the 8 box corners and K
+model landmarks of each instance are one point set, projected once in
+closed form; residuals are a (B, m) stack and the Jacobian's transpose a
+(B, D, m) stack J^T, each written once, whose row layout depends only on
+the config and model sizes (term_rows).  No value is reduced across
+instances, so an instance's rows are bit-identical whatever block it is
+evaluated in.  The single-instance functions (total_energy,
+stacked_residuals, jacobian) take a one-row block, the B=1 case of the
+same kernel; a single term's rows are a term_rows slice of block_residuals.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,11 +34,7 @@ import numpy as np
 from .geometry import (
     EPS_Z,
     BehindCameraError,
-    Box2D,
-    CameraIntrinsics,
-    GroundPlane,
     PoseBox3D,
-    require_finite,
     UNIT_CORNERS,
 )
 from .shape import MorphableModel
@@ -90,37 +87,6 @@ def ablation_config(variant: str, base: EnergyConfig | None = None) -> EnergyCon
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """Per-instance 2D pseudo-measurements and hypotheses."""
-
-    box2d: Box2D
-    landmarks_uv: np.ndarray  # (K, 2) pixels
-    landmarks_visible: np.ndarray  # (K,) bool
-    theta0: float
-    sigma0: np.ndarray  # (3,) log extents hypothesis
-    ground: GroundPlane
-    cam: CameraIntrinsics
-    depth_zb: float | None = None  # crop average depth, meters
-
-    def __post_init__(self):
-        uv = np.asarray(self.landmarks_uv, dtype=float).reshape(-1, 2)
-        vis = np.asarray(self.landmarks_visible, dtype=bool).reshape(-1)
-        if len(uv) != len(vis):
-            raise ValueError("landmark uv/visibility length mismatch")
-        object.__setattr__(self, "landmarks_uv", uv)
-        object.__setattr__(self, "landmarks_visible", vis)
-        object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float).reshape(3))
-        if self.depth_zb is not None:
-            require_finite(self.depth_zb)
-            if not self.depth_zb > 0:
-                raise ValueError("depth hypothesis must be positive")
-
-    @property
-    def K(self) -> int:
-        return len(self.landmarks_visible)
-
-
-@dataclass(frozen=True)
 class Variables:
     """Optimization state; theta is wrapped on read-out, free inside."""
 
@@ -141,14 +107,18 @@ class Variables:
         return PoseBox3D(theta=self.theta, T=self.T, sigma=self.sigma)
 
 
-class MeasurementBlock(NamedTuple):
-    """B measurements stacked into arrays for the batched kernel.
+@dataclass(frozen=True, eq=False)
+class MeasurementBlock:
+    """The 2D pseudo-measurements and hypotheses of B instances of one
+    landmark count K, stacked into the arrays the batched kernel reads.
 
     Instances without a crop depth carry depth 0 and has_depth False; their
     depth row stays in the residual stack with value and gradient zero.
+    block[i] is instance i as a one-row block, block[index] the sub-block a
+    slice, mask or index array selects; iterating yields the one-row blocks.
     """
 
-    box: np.ndarray  # (B, 4) measured tx, ty, w, h
+    box: np.ndarray  # (B, 4) measured tx, ty, log width, log height
     uv: np.ndarray  # (B, K, 2) landmark pixels
     visible: np.ndarray  # (B, K) bool
     depth: np.ndarray  # (B,) crop depth, 0 where none was measured
@@ -158,31 +128,52 @@ class MeasurementBlock(NamedTuple):
     theta0: np.ndarray  # (B,) yaw hypotheses
     sigma0: np.ndarray  # (B, 3) log-extent hypotheses
 
-    @staticmethod
-    def stack(measurements) -> "MeasurementBlock":
-        """Stack measurements of one landmark count: the solver's one reader of
-        them.  Raises ValueError("inconsistent landmark counts") on a mix."""
-        ms = list(measurements)
-        B, K = len(ms), (ms[0].K if ms else 0)
-        if any(m.K != K for m in ms):
-            raise ValueError("inconsistent landmark counts")
-        return MeasurementBlock(
-            box=np.array([[m.box2d.tx, m.box2d.ty, m.box2d.w, m.box2d.h] for m in ms],
-                         dtype=float).reshape(B, 4),
-            uv=np.array([m.landmarks_uv for m in ms], dtype=float).reshape(B, K, 2),
-            visible=np.array([m.landmarks_visible for m in ms], dtype=bool).reshape(B, K),
-            depth=np.array([0.0 if m.depth_zb is None else m.depth_zb for m in ms], dtype=float),
-            has_depth=np.array([m.depth_zb is not None for m in ms], dtype=bool),
-            ground=np.array([m.ground.N for m in ms], dtype=float).reshape(B, 3),
-            cam=np.array([[m.cam.fx, m.cam.fy, m.cam.cx, m.cam.cy] for m in ms],
-                         dtype=float).reshape(B, 4),
-            theta0=np.array([m.theta0 for m in ms], dtype=float),
-            sigma0=np.array([m.sigma0 for m in ms], dtype=float).reshape(B, 3),
-        )
+    def __post_init__(self):
+        B, K = len(self.box), np.shape(self.visible)[-1]
+        for name, dtype, shape in (
+            ("box", float, (B, 4)), ("uv", float, (B, K, 2)), ("visible", bool, (B, K)),
+            ("depth", float, (B,)), ("has_depth", bool, (B,)), ("ground", float, (B, 3)),
+            ("cam", float, (B, 4)), ("theta0", float, (B,)), ("sigma0", float, (B, 3)),
+        ):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, not {shape}")
+            object.__setattr__(self, name, value)
+        shallow = np.flatnonzero(self.has_depth & ~(self.depth > 0))
+        if shallow.size:
+            raise ValueError(f"i{shallow[0]}: depth hypothesis must be positive")
 
-    def take(self, index) -> "MeasurementBlock":
-        """The sub-block of the instances selected by `index`."""
-        return MeasurementBlock(*(a[index] for a in self))
+    def __len__(self) -> int:
+        return len(self.box)
+
+    @property
+    def K(self) -> int:
+        return self.visible.shape[1]
+
+    def __getitem__(self, index) -> "MeasurementBlock":
+        rows = [index] if isinstance(index, (int, np.integer)) else index  # an int keeps its axis
+        return MeasurementBlock(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def concat(cls, blocks) -> "MeasurementBlock":
+        """One block of the rows of one or more blocks, in order.  Empty
+        blocks are skipped, since an empty frame has no landmark count;
+        raises ValueError("inconsistent landmark counts") on a mix."""
+        blocks = list(blocks)
+        full = [block for block in blocks if len(block)] or blocks[:1]
+        if len({block.K for block in full}) > 1:
+            raise ValueError("inconsistent landmark counts")
+        return cls(*(np.concatenate([getattr(block, f.name) for block in full])
+                     for f in fields(cls)))
+
+    def one_row(self, name: str) -> "MeasurementBlock":
+        """self, checked to be the one-row block the one-instance function `name` reads."""
+        if len(self) != 1:
+            raise ValueError(f"{name} takes a one-row MeasurementBlock, not {len(self)} rows")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -371,49 +362,49 @@ def block_energy(unweighted, cfg: EnergyConfig, n_landmarks: int, n_alpha: int):
 # Single-instance API: each function is the B=1 case of the kernel above.
 # ---------------------------------------------------------------------------
 
-def _evaluate_one(vars, meas, model, cfg):
-    res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
+def _evaluate_one(name, vars, meas, model, cfg):
+    res = block_residuals(vars.to_vector()[None, :], meas.one_row(name), model, cfg)
     if res.behind[0]:
         raise BehindCameraError("point behind camera")
     return res
 
 
-def total_energy(vars: Variables, meas: Measurement, model: MorphableModel, cfg: EnergyConfig):
+def total_energy(vars: Variables, meas: MeasurementBlock, model: MorphableModel, cfg):
     """Weighted sum of squared residual norms, with a per-term breakdown."""
-    res = _evaluate_one(vars, meas, model, cfg)
+    res = _evaluate_one("total_energy", vars, meas, model, cfg)
     total, parts = block_energy(res.unweighted, cfg, meas.K, vars.alpha.size)
-    if meas.depth_zb is None:
+    if not meas.has_depth[0]:
         parts.pop("md", None)
     return float(total[0]), {name: float(value[0]) for name, value in parts.items()}
 
 
-def _stacked(vars, meas, model, cfg):
+def _stacked(name, vars, meas, model, cfg):
     """(r, J): the stacked weighted residuals and their Jacobian, without
     the depth row when there is no measured depth."""
-    res = _evaluate_one(vars, meas, model, cfg)
+    res = _evaluate_one(name, vars, meas, model, cfg)
     r, J = res.r[0], res.JT[0].T
-    if meas.depth_zb is None:
-        depth_row = [rows.start for name, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
-                     if name == "md"]
+    if not meas.has_depth[0]:
+        depth_row = [rows.start for term, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
+                     if term == "md"]
         r, J = np.delete(r, depth_row), np.delete(J, depth_row, axis=0)
     return r, J
 
 
 def stacked_residuals(vars, meas, model, cfg) -> np.ndarray:
-    """All enabled residuals scaled by sqrt(weight).
+    """All enabled residuals of one instance scaled by sqrt(weight).
 
     The stacked vector r satisfies total_energy = r.r, so a least-squares
     step on r minimizes the energy directly.  Without a measured depth the
     depth row is left out.
     """
-    return _stacked(vars, meas, model, cfg)[0]
+    return _stacked("stacked_residuals", vars, meas, model, cfg)[0]
 
 
 def jacobian(vars, meas, model, cfg) -> np.ndarray:
-    """Analytic Jacobian of the stacked weighted residuals.
+    """Analytic Jacobian of the stacked weighted residuals of one instance.
 
     The 2D-box hull is piecewise smooth in the corner positions; at a
     hull-argmax tie this returns the subgradient of the currently active
     corners.
     """
-    return _stacked(vars, meas, model, cfg)[1]
+    return _stacked("jacobian", vars, meas, model, cfg)[1]

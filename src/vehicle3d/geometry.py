@@ -100,9 +100,9 @@ def wrap_angle(theta):
 
 
 def wrap_pi(theta):
-    """Wrap an angle into [-pi, pi); each angle of an array into an array."""
-    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
+    """Wrap an angle into [-pi, pi); each angle of an array into an array.
+    Through wrap_angle, whose second mod keeps -pi - eps off +pi."""
+    return wrap_angle(theta + np.pi) - np.pi
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class GroundPlane:
     def __post_init__(self):
         n = np.asarray(self.N, dtype=float).reshape(3)
         require_finite(*n)
-        if not np.linalg.norm(n) > 0:
+        if not np.any(n != 0):  # no squares, which overflow or underflow
             raise ValueError("ground plane normal must be nonzero")
         object.__setattr__(self, "N", n)
 

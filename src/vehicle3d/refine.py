@@ -17,7 +17,9 @@ the Jacobian.  No quantity is reduced across instances, so each result is
 bit-identical whether the instance is solved alone or among any others.
 Every rung is solved from the initialization, the starts of the whole
 block computed in one array pass: refine_ladder makes one such solve per
-rung, and `refine`/`refine_ablation` are the one-instance case.
+rung.  Instances come as one MeasurementBlock, as the parser and the
+generator build them; `refine`/`refine_ablation`/`initialize` are the
+one-instance case and take a one-row block.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -32,7 +34,6 @@ import numpy as np
 from .energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
-    Measurement,
     MeasurementBlock,
     Variables,
     ablation_config,
@@ -101,10 +102,10 @@ def _starts(block: MeasurementBlock, n_basis: int):
     return x, failures
 
 
-def initialize(meas: Measurement, model: MorphableModel) -> Variables:
-    """_starts for one measurement; a start it cannot compute raises
+def initialize(meas: MeasurementBlock, model: MorphableModel) -> Variables:
+    """_starts for a one-row block; a start it cannot compute raises
     InitializationError with that row's message."""
-    x, failures = _starts(MeasurementBlock.stack([meas]), model.n_basis)
+    x, failures = _starts(meas.one_row("initialize"), model.n_basis)
     if failures[0] is not None:
         raise InitializationError(failures[0])
     return Variables(theta=float(x[0, 0]), T=x[0, 1:4], sigma=x[0, 4:7], alpha=x[0, 7:])
@@ -146,13 +147,13 @@ def _normal_equations(JT, r):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def refine_batch(
-    measurements,
+    block: MeasurementBlock,
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
 ) -> list:
     """Levenberg-Marquardt minimization of the energy terms enabled at
-    cfg.variant for any number of instances, all of them in one batch.  A
+    cfg.variant for the instances of a block, all of them in one batch.  A
     rung without terms (v1) returns each start, converged after 0
     iterations with reason "initialization only".
 
@@ -160,33 +161,29 @@ def refine_batch(
     is multiplied by 10 when its trial fails to decrease its energy and
     halved on acceptance.
 
-    The instances are stacked once into a MeasurementBlock, and _starts
-    computes their starts in one array pass.  One block_residuals call
-    evaluates every start, a failed one as a NaN row; each iteration then
-    solves one damped step for every instance still iterating and evaluates
-    the trial points in one block_residuals call.  Per instance the state
-    is its point, the normal equations H = J^T J and g = J^T r built once
-    at each accepted point (a rejected step re-solves from them), its
-    unweighted residual rows, energy, damping and counters; no Jacobian
-    outlives the evaluation that produced it.
+    _starts computes the block's starts in one array pass.  One
+    block_residuals call evaluates every start, a failed one as a NaN row;
+    each iteration then solves one damped step for every instance still
+    iterating and evaluates the trial points, with those instances'
+    sub-block, in one block_residuals call.  Per instance the state is its
+    point, the normal equations H = J^T J and g = J^T r built once at each
+    accepted point (a rejected step re-solves from them), its unweighted
+    residual rows, energy, damping and counters; no Jacobian outlives the
+    evaluation that produced it.
 
     Entry i of the result is instance i's RefineResult, or the
     InitializationError that stopped it: a start that cannot be computed,
-    a landmark count the model does not have, or a start that projects
-    behind the camera or evaluates to non-finite residuals or to an energy
-    that overflows.  Failures are returned, not raised, so the other
-    instances are unaffected; numpy's overflow and invalid-value warnings
-    are silenced here as in the kernel, since an energy or step norm that
-    overflows is read as inf.
+    a landmark count the model does not have (one check per block), or a
+    start that projects behind the camera or evaluates to non-finite
+    residuals or to an energy that overflows.  Failures are returned, not
+    raised, so the other instances are unaffected; numpy's overflow and
+    invalid-value warnings are silenced here as in the kernel, since an
+    energy or step norm that overflows is read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
-    out = [InitializationError(f"measurement has {meas.K} landmarks, the model {model.K}")
-           if meas.K != model.K else None for meas in measurements]
-    live = [i for i, outcome in enumerate(out) if outcome is None]
-    if not live:
-        return out
-    # per-instance state, indexed by position in `live`
-    block = MeasurementBlock.stack([measurements[i] for i in live])
+    if block.K != model.K or not len(block):
+        return [InitializationError(f"measurement has {block.K} landmarks, the model {model.K}")
+                for _ in range(len(block))]
     x, failures = _starts(block, model.n_basis)
     B, D = x.shape
     res = block_residuals(x, block, model, cfg)
@@ -217,7 +214,7 @@ def refine_batch(
             size[:, 0] = wrap_angle(size[:, 0])  # |x| with the yaw wrapped
             small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(size)) + _XTOL)
             x_trial += dx
-            res = block_residuals(x_trial, block.take(tried), model, cfg)
+            res = block_residuals(x_trial, block[tried], model, cfg)
             trial_energy = rowdot(res.r)
             accept = _usable(res, trial_energy) & (trial_energy < energy[tried])
             ftol_stop = accept & (energy[tried] - trial_energy
@@ -240,16 +237,17 @@ def refine_batch(
         active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
 
     total, parts = block_energy(unweighted, cfg, model.K, D - 7)
-    for b, i in enumerate(live):
+    out = []
+    for b in range(B):
         if not usable[b]:
-            out[i] = InitializationError(
+            out.append(InitializationError(
                 failures[b] if failures[b] is not None else
                 "initial point projects behind the camera" if behind[b] else
                 "initial point's energy overflows: its residuals are finite, but "
                 "their squares sum to inf" if overflows[b] else
-                "initial point has non-finite residuals (NaN or inf in the measurement or start)")
+                "initial point has non-finite residuals (NaN or inf in the measurement or start)"))
             continue
-        out[i] = RefineResult(
+        out.append(RefineResult(
             vars=Variables(theta=wrap_angle(x[b, 0]), T=x[b, 1:4], sigma=x[b, 4:7],
                            alpha=x[b, 7:]),
             converged=bool(converged[b]),
@@ -259,46 +257,45 @@ def refine_batch(
                        if name != "md" or block.has_depth[b]},
             reason=reasons[b],
             energy_path=np.asarray(paths[b]),
-        )
+        ))
     return out
 
 
 def refine(
-    meas: Measurement,
+    meas: MeasurementBlock,
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
 ) -> RefineResult:
-    """refine_batch for one instance; a failure raises InitializationError."""
-    outcome = refine_batch([meas], model, cfg, opts)[0]
+    """refine_batch for a one-row block; a failure raises InitializationError."""
+    outcome = refine_batch(meas.one_row("refine"), model, cfg, opts)[0]
     if isinstance(outcome, InitializationError):
         raise outcome
     return outcome
 
 
 def refine_ladder(
-    measurements,
+    block: MeasurementBlock,
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
     variants=None,
 ) -> dict:
-    """Rungs of the term-ablation ladder for a list of instances, each at
-    cfg's weights: {variant: list of per-instance outcomes as in
+    """Rungs of the term-ablation ladder for the instances of a block, each
+    at cfg's weights: {variant: list of per-instance outcomes as in
     refine_batch}, for `variants` (by default every rung v1..cfg.variant).
 
     Every rung is one refine_batch call, whose starts are the same array
-    pass over the same measurements, so each equals
-    refine(meas, model, ablation_config(variant, cfg), opts) bit for bit.
+    pass over the same block, so the outcome of instance i equals
+    refine(block[i], model, ablation_config(variant, cfg), opts) bit for bit.
     """
-    cfg, measurements = cfg or EnergyConfig(), list(measurements)
+    cfg = cfg or EnergyConfig()
     if variants is None:
         variants = ABLATION_VARIANTS[: ABLATION_VARIANTS.index(cfg.variant) + 1]
-    return {v: refine_batch(measurements, model, ablation_config(v, cfg), opts)
-            for v in variants}
+    return {v: refine_batch(block, model, ablation_config(v, cfg), opts) for v in variants}
 
 
-def refine_ablation(meas: Measurement, model: MorphableModel, variant: str) -> RefineResult:
-    """One rung of the term-ablation ladder for one instance, at the default
-    weights and solver options; v1 skips optimization."""
-    return refine(meas, model, ablation_config(variant))
+def refine_ablation(meas: MeasurementBlock, model: MorphableModel, variant: str) -> RefineResult:
+    """One rung of the term-ablation ladder for a one-row block, at the
+    default weights and solver options; v1 skips optimization."""
+    return refine(meas.one_row("refine_ablation"), model, ablation_config(variant))

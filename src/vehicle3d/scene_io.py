@@ -12,16 +12,17 @@ Labels use the standard 15/16-token object text format (type, truncation,
 occlusion, observation angle, 2D box, dimensions, location, yaw, optional
 score), one object per line.
 Measurement files hold one frame's camera, ground plane and per-instance
-pseudo-measurements as `key = value` lines.
+pseudo-measurements as `key = value` lines, read and written, like the
+generator's output, as one MeasurementBlock per frame.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .energy import Measurement
+from .energy import MeasurementBlock
 from .geometry import (
     EPS_Z,
     BehindCameraError,
@@ -247,28 +248,28 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
     else the ValueError of a projected hull that is no valid Box2D.
 
     theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
-    wrapped as PoseBox3D wraps it; cams holds each pose's camera and scores
-    each record's score (all None when scores is None).  Yaw maps to
-    rotation_y with no offset, the stored box is the projected hull through
-    Box2D's log/exp round trip, and the observation angle folds out the
-    bearing.
+    wrapped as PoseBox3D wraps it; cams holds each pose's camera as a row
+    (fx, fy, cx, cy), the form a MeasurementBlock holds, and scores each
+    record's score (all None when scores is None).  Yaw maps to rotation_y
+    with no offset, the stored box is the projected hull through Box2D's
+    log/exp round trip, and the observation angle folds out the bearing.
     """
-    theta = wrap_angle(np.asarray(theta, dtype=float).reshape(-1))
-    T = np.asarray(T, dtype=float).reshape(-1, 3)
-    sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
-    dims = np.exp(sigma)  # (length, height, width)
-    X = box_corners(theta, T, sigma)
-    fx, fy, cx, cy = np.array([(c.fx, c.fy, c.cx, c.cy) for c in cams], dtype=float).reshape(-1, 4).T
-    z = X[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):  # values of failed poses go unread
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed poses go unread
+        theta = wrap_angle(np.asarray(theta, dtype=float).reshape(-1))
+        T = np.asarray(T, dtype=float).reshape(-1, 3)
+        sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
+        dims = np.exp(sigma)  # (length, height, width)
+        X = box_corners(theta, T, sigma)
+        fx, fy, cx, cy = np.asarray(cams, dtype=float).reshape(-1, 4).T
+        z = X[..., 2]
         uv = np.stack([fx[:, None] * X[..., 0] / z + cx[:, None],
                        fy[:, None] * X[..., 1] / z + cy[:, None]], axis=2)
         lo, hi = uv.min(axis=1), uv.max(axis=1)  # (left, top), (right, bottom)
         boxes = box2d_round_trip(np.hstack([lo, hi]))
-    behind = (z <= EPS_Z).any(axis=1)
-    boxed = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (hi > lo).all(axis=1)
-    ry = wrap_pi(theta)
-    alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
+        behind = (z <= EPS_Z).any(axis=1)
+        boxed = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (hi > lo).all(axis=1)
+        ry = wrap_pi(theta)
+        alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
     fields = zip(boxes.tolist(), dims[:, [1, 2, 0]].tolist(), T.tolist(), ry.tolist(),
                  alpha.tolist(), [None] * len(theta) if scores is None else scores)
     out = []
@@ -288,7 +289,7 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
 
 def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = None) -> LabelRecord:
     """The record of one pose: poses_to_labels for n = 1, its error raised."""
-    record = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [cam], [score])[0]
+    record = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [astuple(cam)], [score])[0]
     if isinstance(record, ValueError):
         raise record
     return record
@@ -320,27 +321,22 @@ class MeasurementFormatError(ValueError):
     """Malformed measurement text; the message names the offending key."""
 
 
-def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, measurements) -> str:
-    """One frame's measurement file; floats in shortest round-trip form."""
+def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, block: MeasurementBlock) -> str:
+    """One frame's measurement file of `block`; floats in shortest round-trip form."""
     payload = {
         "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
         "ground": " ".join(repr(float(v)) for v in ground.N),
-        "instances": str(len(measurements)),
+        "instances": str(len(block)),
     }
-    for i, meas in enumerate(measurements):
+    for i, box in enumerate(block.box.tolist()):
         prefix = f"i{i}."
-        corners = meas.box2d.corners()
-        payload[prefix + "box"] = " ".join(repr(float(v)) for v in corners)
-        payload[prefix + "theta0"] = repr(float(meas.theta0))
-        payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in meas.sigma0)
-        payload[prefix + "landmarks"] = " ".join(
-            repr(float(v)) for v in meas.landmarks_uv.reshape(-1)
-        )
-        payload[prefix + "visible"] = " ".join(
-            "1" if v else "0" for v in meas.landmarks_visible
-        )
-        if meas.depth_zb is not None:
-            payload[prefix + "depth"] = repr(float(meas.depth_zb))
+        payload[prefix + "box"] = " ".join(repr(float(v)) for v in Box2D(*box).corners())
+        payload[prefix + "theta0"] = repr(float(block.theta0[i]))
+        payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in block.sigma0[i])
+        payload[prefix + "landmarks"] = " ".join(repr(float(v)) for v in block.uv[i].reshape(-1))
+        payload[prefix + "visible"] = " ".join("1" if v else "0" for v in block.visible[i])
+        if block.has_depth[i]:
+            payload[prefix + "depth"] = repr(float(block.depth[i]))
     return format_config(payload)
 
 
@@ -376,11 +372,12 @@ _INSTANCE_FIELDS = ("box", "theta0", "sigma0", "landmarks", "visible", "depth")
 
 
 def parse_measurements(text: str):
-    """(camera, ground, [Measurement]) from one frame's measurement file.
+    """(camera, ground, MeasurementBlock) from one frame's measurement file.
 
-    Raises MeasurementFormatError naming the missing or malformed key, or
-    an unknown one: any key but the frame keys and the i<n>.<field> keys
-    of the instances the count covers.
+    Raises MeasurementFormatError naming the missing or malformed key, an
+    instance whose landmark count is not instance 0's, or an unknown key:
+    any key but the frame keys and the i<n>.<field> keys of the instances
+    the count covers.
     """
     try:
         mapping = parse_config_text(text)
@@ -391,32 +388,39 @@ def parse_measurements(text: str):
         raise MeasurementFormatError(f"instances: negative count {count}")
     cam = _field(mapping, "camera", 4, lambda v: CameraIntrinsics(*v))
     ground = _field(mapping, "ground", 3, lambda v: GroundPlane(N=np.array(v)))
-    measurements = []
+    box, uv, visible, theta0, sigma0, depth = ([] for _ in range(6))  # one entry per instance
     for i in range(count):
         prefix = f"i{i}."
-        visible = _field(mapping, prefix + "visible", None, lambda v: np.array(v, dtype=bool), _flag)
-        landmarks = _field(mapping, prefix + "landmarks", 2 * len(visible), np.array)
+        seen = _field(mapping, prefix + "visible", None, lambda v: np.array(v, dtype=bool), _flag)
+        if visible and len(seen) != len(visible[0]):
+            raise MeasurementFormatError(f"inconsistent landmark counts: i0 has {len(visible[0])}, "
+                                         f"i{i} has {len(seen)}")
+        landmarks = _field(mapping, prefix + "landmarks", 2 * len(seen), np.array)
         # an invisible landmark's value is never read
-        if not np.isfinite(landmarks.reshape(-1, 2)[visible]).all():
+        if not np.isfinite(landmarks.reshape(-1, 2)[seen]).all():
             raise MeasurementFormatError(f"{prefix}landmarks: non-finite value")
-        depth = prefix + "depth"
-        fields = dict(
-            box2d=_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v)),
-            landmarks_uv=landmarks,
-            landmarks_visible=visible,
-            theta0=_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0],
-            sigma0=_field(mapping, prefix + "sigma0", 3, np.array, _finite_float),
-            depth_zb=_field(mapping, depth, 1, conv=_finite_float)[0] if depth in mapping else None,
-        )
-        try:
-            measurements.append(Measurement(ground=ground, cam=cam, **fields))
-        except ValueError as err:
-            raise MeasurementFormatError(f"i{i}: {err}") from None
+        visible.append(seen)
+        uv.append(landmarks)
+        box.append(astuple(_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v))))
+        theta0.append(_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0])
+        sigma0.append(_field(mapping, prefix + "sigma0", 3, conv=_finite_float))
+        key = prefix + "depth"
+        depth.append(_field(mapping, key, 1, conv=_finite_float)[0] if key in mapping else None)
+    K = len(visible[0]) if count else 0
+    try:  # the block checks that each given depth is positive
+        block = MeasurementBlock(
+            box=np.array(box).reshape(count, 4), uv=np.array(uv).reshape(count, K, 2),
+            visible=np.array(visible).reshape(count, K),
+            depth=[0.0 if d is None else d for d in depth], has_depth=[d is not None for d in depth],
+            ground=np.tile(ground.N, (count, 1)), cam=np.tile(astuple(cam), (count, 1)),
+            theta0=theta0, sigma0=np.array(sigma0).reshape(count, 3))
+    except ValueError as err:
+        raise MeasurementFormatError(str(err)) from None
     known = {*_FRAME_KEYS, *(f"i{i}.{name}" for i in range(count) for name in _INSTANCE_FIELDS)}
     unknown = [key for key in mapping if key not in known]
     if unknown:
         raise MeasurementFormatError(f"unknown key {unknown[0]}")
-    return cam, ground, measurements
+    return cam, ground, block
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +513,10 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     image, with CAR_MODEL shapes; depths, extents, the image margin and
     the retry budget are the module's private generator constants.
 
-    Returns (SyntheticScene, [Measurement], [LabelRecord]).  Poses are
-    drawn one at a time until n_instances are in view or the retry budget
-    runs out; the rest is one array pass over the frame's instances.  The
+    Returns (SyntheticScene, MeasurementBlock, [LabelRecord]), row i of
+    the block and record i instance i of the scene.  Poses are drawn one
+    at a time until n_instances are in view or the retry budget runs out;
+    the rest is one array pass over the frame's instances.  The
     pose stream and the noise stream are separate child generators, each
     instance's noise variates are drawn in a fixed order, and all of them
     are drawn unconditionally, so datasets generated from the same seed
@@ -535,8 +540,9 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     theta = np.array([pose.theta for pose, _ in drawn])
     T = np.array([pose.T for pose, _ in drawn])
     sigma = np.array([pose.sigma for pose, _ in drawn])
+    n, cam = len(drawn), astuple(KITTI_CAMERA)
     # each drawn pose projected in view, so none fails to convert
-    records = poses_to_labels(theta, T, sigma, [KITTI_CAMERA] * len(drawn))
+    records = poses_to_labels(theta, T, sigma, np.tile(cam, (n, 1)))
     bbox = np.array([record.bbox for record in records])
     shapes = instantiate(CAR_MODEL, np.array([alpha for _, alpha in drawn]))
     uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
@@ -557,13 +563,12 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     theta0 = theta + np.deg2rad(noise.theta_sigma_deg) * theta_z
     sigma0 = sigma + noise.sigma_log_sigma * sigma_z
     depth = np.maximum(T[:, 2] * (1.0 + noise.depth_rel_sigma * depth_z), 0.5)
-    measurements = [
-        Measurement(box2d=Box2D.from_corners(*box), landmarks_uv=landmarks, landmarks_visible=seen,
-                    theta0=yaw, sigma0=extents, ground=FLAT_GROUND, cam=KITTI_CAMERA,
-                    depth_zb=depth_zb if params.with_depth else None)
-        for box, landmarks, seen, yaw, extents, depth_zb in zip(
-            corners.tolist(), uv + noise.landmark_px_sigma * uv_z, visible, theta0.tolist(),
-            sigma0, depth.tolist())]
+    block = MeasurementBlock(
+        box=[astuple(Box2D.from_corners(*box)) for box in corners.tolist()],
+        uv=uv + noise.landmark_px_sigma * uv_z, visible=visible,
+        depth=depth if params.with_depth else np.zeros(n), has_depth=np.full(n, params.with_depth),
+        ground=np.tile(FLAT_GROUND.N, (n, 1)), cam=np.tile(cam, (n, 1)), theta0=theta0,
+        sigma0=sigma0)
 
     low, high = bbox[:, :2], bbox[:, 2:]  # (left, top), (right, bottom)
     in_view = np.maximum(0.0, np.minimum(high, IMAGE_SIZE) - np.maximum(low, 0.0)).prod(axis=1)
@@ -573,7 +578,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     labels = [replace(record, truncated=t, occluded=o)
               for record, t, o in zip(records, truncated.tolist(), occluded.tolist())]
     scene = SyntheticScene(instances=drawn)
-    return scene, measurements, labels
+    return scene, block, labels
 
 
 # ---------------------------------------------------------------------------

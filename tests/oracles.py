@@ -126,23 +126,24 @@ def loop_clip_ious(a, b) -> tuple:
 
 def back_projected_start(meas, n_basis: int):
     """The solver's starting vector [theta0, T, sigma0, 0 (n_basis)] for one
-    measurement, back-projected one scalar at a time: T lies on the 2D box
-    center's ray at the crop depth, or else where the ray meets the ground
-    plane.  Without such a point the failure message is returned instead."""
-    cam = meas.cam
-    direction = np.array([(meas.box2d.tx - cam.cx) / cam.fx,
-                          (meas.box2d.ty - cam.cy) / cam.fy, 1.0])
-    if meas.depth_zb is not None:
-        T = direction * meas.depth_zb
+    measurement, a one-row block, back-projected one scalar at a time: T
+    lies on the 2D box center's ray at the crop depth, or else where the ray
+    meets the ground plane.  Without such a point the failure message is
+    returned instead."""
+    fx, fy, cx, cy = meas.cam[0].tolist()
+    tx, ty = meas.box[0, :2].tolist()
+    direction = np.array([(tx - cx) / fx, (ty - cy) / fy, 1.0])
+    if meas.has_depth[0]:
+        T = direction * float(meas.depth[0])
     else:
-        slope = float(meas.ground.N @ direction)
+        slope = float(meas.ground[0] @ direction)
         if abs(slope) < 1e-12:
             return "box-center ray is parallel to the ground plane and no depth is available"
         s = 1.0 / slope
         if s <= 0:
             return "box-center ray meets the ground plane behind the camera"
         T = direction * s
-    return np.concatenate([[meas.theta0], T, meas.sigma0, np.zeros(n_basis)])
+    return np.concatenate([[float(meas.theta0[0])], T, meas.sigma0[0], np.zeros(n_basis)])
 
 
 # ---------------------------------------------------------------------------

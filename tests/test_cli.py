@@ -254,6 +254,39 @@ def test_fit_overflow_warns_nothing(tmp_path, key, value, code):
     assert ("non-finite" in diag["i0.error"]) if code else ("i0.error" not in diag)
 
 
+@pytest.mark.parametrize("key, index, value", [
+    ("camera", 0, "1e308"), ("camera", 3, "1e308"), ("camera", 3, "-1e308"),
+    ("i0.box", 0, "-1e308"), ("i0.box", 1, "-1e308"), ("i0.box", 2, "1e308"),
+    ("i0.box", 3, "1e308"), ("i0.depth", 0, "1e308"),
+    *(("i0.sigma0", j, v) for j in range(3) for v in ("1e20", "1e308")),
+    ("ground", None, "1e308 0 0"), ("ground", None, "1e-200 0 0"),
+    ("ground", None, "0 1e-200 0"), ("ground", None, "0 5e-324 0"),
+], ids=lambda v: "all" if v is None else str(v))
+@pytest.mark.parametrize("command", ["fit", "ablate"])
+def test_extreme_finite_measurements_warn_nothing(tmp_path, command, key, index, value):
+    """A finite but extreme value in a measurement file is an accepted
+    input: the run ends with exit 0 or 1, every instance of every rung
+    written has a label or an error, and nothing reaches stderr."""
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 1, "--instances", 2) == 0
+    path = data / "meas" / "000000.cfg"
+    mapping = parse_config_text(path.read_text())
+    tokens = mapping[key].split()
+    tokens[slice(None) if index is None else slice(index, index + 1)] = value.split()
+    path.write_text(format_config({**mapping, key: " ".join(tokens)}))
+    out, stderr = tmp_path / "out", io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert run_cli(command, "--data", data, "--out", out) in (0, 1)
+    assert stderr.getvalue() == ""
+    rungs = [out] if command == "fit" else [out / f"fit_{v}" for v in ("v1", "v2", "v3", "v4")]
+    for rung in rungs:
+        labels = parse_labels((rung / "labels" / "000000.txt").read_text())
+        diag = parse_config_text((rung / "diag" / "000000.cfg").read_text())
+        errors = [i for i in (0, 1) if f"i{i}.error" in diag]
+        assert len(labels) + len(errors) == 2 and diag["failures"] == str(len(errors))
+
+
 @pytest.mark.parametrize("pose, error", [
     ({"T": [0.0, 1.65, -5.0]}, "refined box projects behind the camera"),
     # extents that underflow to 0 project every corner to one pixel
@@ -359,20 +392,62 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     assert not (tmp_path / "bad" / "model.txt").exists()
 
 
+def _cut_landmarks(path, instances):
+    """Rewrite the measurement file at path with the given instances cut
+    to their first 13 landmarks."""
+    mapping = parse_config_text(path.read_text())
+    for i in instances:
+        mapping[f"i{i}.landmarks"] = " ".join(mapping[f"i{i}.landmarks"].split()[:26])
+        mapping[f"i{i}.visible"] = " ".join(mapping[f"i{i}.visible"].split()[:13])
+    path.write_text(format_config(mapping))
+
+
 def test_shape_learn_rejects_inconsistent_landmark_counts(dataset, tmp_path, capfd):
     data = tmp_path / "data"
     (data / "meas").mkdir(parents=True)
     for path in (dataset / "meas").glob("*.cfg"):
         (data / "meas" / path.name).write_bytes(path.read_bytes())
     bad = data / "meas" / "000002.cfg"
-    mapping = parse_config_text(bad.read_text())
-    mapping["i0.landmarks"] = " ".join(mapping["i0.landmarks"].split()[:26])
-    mapping["i0.visible"] = " ".join(mapping["i0.visible"].split()[:13])
-    bad.write_text(format_config(mapping))
+    _cut_landmarks(bad, [0])
     out = tmp_path / "learned"
     assert run_cli("shape-learn", "--data", data, "--out", out, "--basis", 0) == 1
-    assert capfd.readouterr().err == "error: inconsistent landmark counts\n"
+    assert capfd.readouterr().err == (
+        f"error: {bad}: inconsistent landmark counts: i0 has 13, i1 has 14\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "ablate", "shape-learn"])
+@pytest.mark.parametrize("within", [True, False], ids=["within_a_file", "across_files"])
+def test_landmark_counts_must_agree(dataset, tmp_path, capfd, command, within):
+    """Every instance of a file has instance 0's landmark count, and every
+    file of a dataset one count: a mix is a data error before any output."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    bad = data / "meas" / "000001.cfg"
+    _cut_landmarks(bad, [1] if within else [0, 1])
+    out = tmp_path / "out"
+    capfd.readouterr()
+    assert run_cli(command, "--data", data, "--out", out) == 1
+    assert capfd.readouterr().err == (
+        f"error: {bad}: inconsistent landmark counts: i0 has 14, i1 has 13\n" if within else
+        "error: inconsistent landmark counts\n")
+    assert not out.exists()
+
+
+def test_a_model_of_another_landmark_count_fails_each_instance(dataset, tmp_path, capfd):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    for path in (data / "meas").glob("*.cfg"):
+        _cut_landmarks(path, [0, 1])
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--out", out) == 1
+    assert capfd.readouterr().err == ""
+    for path in sorted((out / "diag").glob("*.cfg")):
+        diag = parse_config_text(path.read_text())
+        assert diag["failures"] == "2"
+        for i in (0, 1):
+            assert diag[f"i{i}.error"] == "measurement has 13 landmarks, the model 14"
+        assert (out / "labels" / (path.stem + ".txt")).read_text() == ""
 
 
 def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):

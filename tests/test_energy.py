@@ -4,7 +4,7 @@ The Jacobian is checked against central finite differences; box-hull
 configurations with near-tied extreme corners are resampled because the
 analytic form differentiates through the active corner only.
 """
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from vehicle3d.energy import (
     ABLATION_VARIANTS,
     RUNG_TERMS,
     EnergyConfig,
-    Measurement,
     MeasurementBlock,
     Variables,
     ablation_config,
@@ -41,12 +40,20 @@ CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
 GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
 HULL_GAP_PX = 1e-2  # min spacing between hull-extreme corner competitors
 BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's component scale
+
+
+def one_block(box, uv, visible, theta0, sigma0, ground=GROUND, cam=CAM, depth=None):
+    """The one-row MeasurementBlock of one instance: box a Box2D, ground a
+    GroundPlane, cam a CameraIntrinsics, depth None without a crop depth."""
+    return MeasurementBlock(
+        box=[astuple(box)], uv=[uv], visible=[visible], depth=[0.0 if depth is None else depth],
+        has_depth=[depth is not None], ground=[ground.N], cam=[astuple(cam)], theta0=[theta0],
+        sigma0=[sigma0])
+
+
 # A measurement with every landmark hidden, for the terms that do not read them.
-BLANK = Measurement(
-    box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((14, 2)),
-    landmarks_visible=np.zeros(14, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
-    ground=GROUND, cam=CAM,
-)
+BLANK = one_block(Box2D(tx=0, ty=0, w=0, h=0), np.zeros((14, 2)), np.zeros(14, dtype=bool),
+                  0.0, np.zeros(3))
 
 
 def random_model(n_basis, rng, K=14):
@@ -65,7 +72,7 @@ def random_vars(rng, n_alpha):
 
 
 def measurement_for(vars, model, rng, with_depth=True, exact=False):
-    """Measurement near (or exactly at) the forward projection of vars."""
+    """One-row block near (or exactly at) the forward projection of vars."""
     pose = vars.pose()
     box = project_box3d(CAM, pose)
     pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
@@ -83,16 +90,7 @@ def measurement_for(vars, model, rng, with_depth=True, exact=False):
         vis = rng.random(len(pts)) > 0.25
         zb += rng.normal(0.0, 2.0)
         zb = max(zb, 1.0)
-    return Measurement(
-        box2d=box,
-        landmarks_uv=uv,
-        landmarks_visible=vis,
-        theta0=vars.theta,
-        sigma0=vars.sigma,
-        ground=GROUND,
-        cam=CAM,
-        depth_zb=zb if with_depth else None,
-    )
+    return one_block(box, uv, vis, vars.theta, vars.sigma, depth=zb if with_depth else None)
 
 
 def term(name, vars, meas=BLANK, model=None):
@@ -103,7 +101,7 @@ def term(name, vars, meas=BLANK, model=None):
     be in front of the camera."""
     cfg = EnergyConfig(lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=1.0)
     model = model or random_model(vars.alpha.size, np.random.default_rng(0))
-    res = block_residuals(vars.to_vector()[None, :], MeasurementBlock.stack([meas]), model, cfg)
+    res = block_residuals(vars.to_vector()[None, :], meas, model, cfg)
     assert not res.behind[0]
     [rows] = [rows for n, _, rows in term_rows(cfg, model.K, vars.alpha.size) if n == name]
     return res.unweighted[0, rows], res.JT[0, :, rows].T
@@ -125,17 +123,7 @@ def test_box_residual_pure_translation():
     vars = random_vars(rng, 0)
     model = random_model(0, rng)
     meas = measurement_for(vars, model, rng, exact=True)
-    shifted = Box2D(tx=meas.box2d.tx + 5.0, ty=meas.box2d.ty, w=meas.box2d.w, h=meas.box2d.h)
-    meas2 = Measurement(
-        box2d=shifted,
-        landmarks_uv=meas.landmarks_uv,
-        landmarks_visible=meas.landmarks_visible,
-        theta0=meas.theta0,
-        sigma0=meas.sigma0,
-        ground=meas.ground,
-        cam=meas.cam,
-        depth_zb=meas.depth_zb,
-    )
+    meas2 = replace(meas, box=meas.box + [5.0, 0.0, 0.0, 0.0])
     # residual convention is measured minus projected
     np.testing.assert_allclose(term("2d3d", vars, meas2)[0], [5.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -146,14 +134,7 @@ def test_box_residual_matches_geometry_recompute():
         vars = random_vars(rng, 0)
         meas = measurement_for(vars, random_model(0, rng), rng)
         proj = project_box3d(CAM, vars.pose())
-        expected = np.array(
-            [
-                meas.box2d.tx - proj.tx,
-                meas.box2d.ty - proj.ty,
-                meas.box2d.w - proj.w,
-                meas.box2d.h - proj.h,
-            ]
-        )
+        expected = meas.box[0] - astuple(proj)
         np.testing.assert_allclose(term("2d3d", vars, meas)[0], expected * BOX_SCALE, atol=1e-10)
 
 
@@ -184,19 +165,9 @@ def test_landmark_residual_visibility_gating():
     model = random_model(2, rng)
     vars = random_vars(rng, 2)
     meas = measurement_for(vars, model, rng)
-    vis = meas.landmarks_visible.copy()
-    vis[3] = False
-    vis[7] = False
-    gated = Measurement(
-        box2d=meas.box2d,
-        landmarks_uv=meas.landmarks_uv,
-        landmarks_visible=vis,
-        theta0=meas.theta0,
-        sigma0=meas.sigma0,
-        ground=meas.ground,
-        cam=meas.cam,
-        depth_zb=meas.depth_zb,
-    )
+    vis = meas.visible.copy()
+    vis[0, [3, 7]] = False
+    gated = replace(meas, visible=vis)
     r, J = term("lp", vars, gated, model)
     for k in (3, 7):
         assert r[2 * k] == 0.0 and r[2 * k + 1] == 0.0
@@ -214,9 +185,9 @@ def test_landmark_energy_matches_loop():
         placed = place_points(instantiate(model, vars.alpha), pose.theta, pose.T, pose.sigma)[0]
         total = 0.0
         for k in range(meas.K):
-            if meas.landmarks_visible[k]:
+            if meas.visible[0, k]:
                 uv_k = project(CAM, placed[k : k + 1])[0]
-                total += float(np.sum((meas.landmarks_uv[k] - uv_k) ** 2))
+                total += float(np.sum((meas.uv[0, k] - uv_k) ** 2))
         np.testing.assert_allclose(float(r @ r), total, rtol=1e-12)
 
 
@@ -229,15 +200,9 @@ def test_depth_residual_values():
     vars = Variables(theta=0.3, T=np.array([1.0, 1.6, 10.0]), sigma=np.zeros(3), alpha=np.zeros(0))
     model = random_model(0, rng)
     meas = measurement_for(vars, model, rng)
-    m12 = Measurement(
-        box2d=meas.box2d, landmarks_uv=meas.landmarks_uv, landmarks_visible=meas.landmarks_visible,
-        theta0=0.0, sigma0=np.zeros(3), ground=GROUND, cam=CAM, depth_zb=12.0,
-    )
+    m12 = replace(meas, theta0=[0.0], sigma0=np.zeros((1, 3)), depth=[12.0])
     assert term("md", vars, m12)[0] == [-2.0]
-    m10 = Measurement(
-        box2d=meas.box2d, landmarks_uv=meas.landmarks_uv, landmarks_visible=meas.landmarks_visible,
-        theta0=0.0, sigma0=np.zeros(3), ground=GROUND, cam=CAM, depth_zb=10.0,
-    )
+    m10 = replace(m12, depth=[10.0])
     assert term("md", vars, m10)[0] == [0.0]
     r, J = term("md", vars, m12)
     np.testing.assert_array_equal(J, [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
@@ -295,23 +260,21 @@ def brute_energy(vars, meas, model, cfg):
     pose = vars.pose()
     terms = RUNG_TERMS[cfg.variant]
     E = 0.0
+    cam = CameraIntrinsics(*meas.cam[0])
     if "2d3d" in terms:
-        p = project_box3d(meas.cam, pose)
-        d = np.array(
-            [meas.box2d.tx - p.tx, meas.box2d.ty - p.ty, meas.box2d.w - p.w, meas.box2d.h - p.h]
-        ) * BOX_SCALE
+        d = (meas.box[0] - astuple(project_box3d(cam, pose))) * BOX_SCALE
         E += float(d @ d)
     if "lp" in terms:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
         placed = place_points(pts, pose.theta, pose.T, pose.sigma)[0]
         for k in range(meas.K):
-            if meas.landmarks_visible[k]:
-                uv_k = project(meas.cam, placed[k : k + 1])[0]
-                E += cfg.lambda1 * float(np.sum((meas.landmarks_uv[k] - uv_k) ** 2))
-    if "md" in terms and meas.depth_zb is not None:
-        E += cfg.lambda2 * (vars.T[2] - meas.depth_zb) ** 2
+            if meas.visible[0, k]:
+                uv_k = project(cam, placed[k : k + 1])[0]
+                E += cfg.lambda1 * float(np.sum((meas.uv[0, k] - uv_k) ** 2))
+    if "md" in terms and meas.has_depth[0]:
+        E += cfg.lambda2 * (vars.T[2] - meas.depth[0]) ** 2
     if "gp" in terms:
-        E += cfg.lambda3 * float(meas.ground.N @ vars.T - 1.0) ** 2
+        E += cfg.lambda3 * float(meas.ground[0] @ vars.T - 1.0) ** 2
     if "s" in terms:
         E += cfg.lambda4 * float(vars.alpha @ vars.alpha)
     return E
@@ -479,8 +442,8 @@ def test_block_jacobian_matches_finite_differences(n_basis):
         vars = random_vars(rng, n_basis)
         if hull_has_clear_extremes(vars):
             starts.append(vars)
-    block = MeasurementBlock.stack([measurement_for(vars, model, rng, with_depth=bool(i % 2))
-                                    for i, vars in enumerate(starts)])
+    block = MeasurementBlock.concat(measurement_for(vars, model, rng, with_depth=bool(i % 2))
+                                    for i, vars in enumerate(starts))
     x, cfg, step = np.array([vars.to_vector() for vars in starts]), EnergyConfig(), 1e-6
     JT = block_residuals(x, block, model, cfg).JT
     assert JT.shape[:2] == (8, 7 + n_basis)
@@ -493,14 +456,64 @@ def test_block_jacobian_matches_finite_differences(n_basis):
         assert rel.max() < 1e-5, f"column {j}: worst relative disagreement {rel.max():.3e}"
 
 
-def test_stack_rejects_mixed_landmark_counts():
-    meas = generate_scene(SceneParams(n_instances=1), STANDARD_NOISE, 7)[1][0]
-    short = replace(meas, landmarks_uv=meas.landmarks_uv[:13],
-                    landmarks_visible=meas.landmarks_visible[:13])
+def test_concat_rejects_mixed_landmark_counts():
+    meas = generate_scene(SceneParams(n_instances=1), STANDARD_NOISE, 7)[1]
+    short = replace(meas, uv=meas.uv[:, :13], visible=meas.visible[:, :13])
     assert (meas.K, short.K) == (14, 13)
-    for measurements in ([meas, short], [short, meas]):
+    for blocks in ([meas, short], [short, meas]):
         with pytest.raises(ValueError, match="^inconsistent landmark counts$"):
-            MeasurementBlock.stack(measurements)
+            MeasurementBlock.concat(blocks)
+
+
+def same_block(a, b) -> bool:
+    """The two blocks hold the same arrays, bit for bit."""
+    return all(getattr(a, f.name).dtype == getattr(b, f.name).dtype
+               and getattr(a, f.name).shape == getattr(b, f.name).shape
+               and getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+               for f in fields(MeasurementBlock))
+
+
+def test_block_rows_and_sub_blocks():
+    block = MeasurementBlock.concat(generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]
+                                    for index in range(3))
+    assert (len(block), block.K) == (15, 14)
+    rows = list(block)
+    assert len(rows) == 15
+    for i, row in enumerate(rows):
+        assert len(row) == 1
+        assert same_block(row, block[i]) and same_block(row, block[i - 15])
+        for f in fields(MeasurementBlock):
+            assert getattr(row, f.name)[0].tobytes() == getattr(block, f.name)[i].tobytes()
+    assert same_block(MeasurementBlock.concat(rows), block)
+    mask = np.arange(15) % 3 == 1
+    assert same_block(block[mask], MeasurementBlock.concat(rows[1::3]))
+    assert same_block(block[4:9], MeasurementBlock.concat(rows[4:9]))
+    assert same_block(block[np.array([6, 2])], MeasurementBlock.concat([rows[6], rows[2]]))
+    with pytest.raises(IndexError):
+        block[15]
+
+
+def test_concat_skips_empty_blocks():
+    frame = generate_scene(SceneParams(n_instances=2), STANDARD_NOISE, 3)[1]
+    empty = frame[:0]
+    assert (len(empty), empty.K) == (0, 14)
+    no_landmarks = replace(empty, uv=np.zeros((0, 0, 2)), visible=np.zeros((0, 0)))
+    assert no_landmarks.K == 0  # an empty frame's block, whose count is unknown
+    joined = MeasurementBlock.concat([no_landmarks, frame, empty, frame[:1], no_landmarks])
+    assert same_block(joined, MeasurementBlock.concat([*frame, frame[0]]))
+    assert same_block(MeasurementBlock.concat([no_landmarks, no_landmarks]), no_landmarks)
+
+
+@pytest.mark.parametrize("function", [total_energy, stacked_residuals, jacobian])
+def test_one_instance_functions_reject_other_lengths(function):
+    rng = np.random.default_rng(19)
+    model = random_model(0, rng)
+    vars = random_vars(rng, 0)
+    meas = measurement_for(vars, model, rng)
+    for block in (MeasurementBlock.concat([meas, meas]), meas[:0]):
+        with pytest.raises(ValueError, match=rf"^{function.__name__} takes a one-row "
+                                             rf"MeasurementBlock, not {len(block)} rows$"):
+            function(vars, block, model, EnergyConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +523,10 @@ def test_stack_rejects_mixed_landmark_counts():
 @pytest.fixture(scope="module")
 def seed7_starts():
     """The 250 starts of `synth --seed 7` (50 frames of 5 instances) and their block."""
-    measurements = [meas for index in range(50)
-                    for meas in generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]]
-    x = np.array([initialize(meas, CAR_MODEL).to_vector() for meas in measurements])
-    return x, MeasurementBlock.stack(measurements)
+    block = MeasurementBlock.concat(generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]
+                                    for index in range(50))
+    x = np.array([initialize(meas, CAR_MODEL).to_vector() for meas in block])
+    return x, block
 
 
 @pytest.mark.parametrize("variant", ["v2", "v3", "v4"])
@@ -525,9 +538,9 @@ def test_rows_do_not_depend_on_the_block(seed7_starts, variant):
     cfg = ablation_config(variant)
     order = np.arange(len(x))[::-1]
     together = block_residuals(x, block, CAR_MODEL, cfg)
-    reversed_ = block_residuals(x[order], block.take(order), CAR_MODEL, cfg)
+    reversed_ = block_residuals(x[order], block[order], CAR_MODEL, cfg)
     for b in range(len(x)):
-        alone = block_residuals(x[b:b + 1], block.take([b]), CAR_MODEL, cfg)
+        alone = block_residuals(x[b:b + 1], block[b], CAR_MODEL, cfg)
         for field in ("r", "JT", "unweighted", "behind"):
             one = getattr(alone, field)[0].tobytes()
             assert one == getattr(together, field)[b].tobytes(), (b, field)
@@ -559,18 +572,11 @@ def test_config_validation():
         EnergyConfig(lambda2=-0.1)
     with pytest.raises(ValueError):
         EnergyConfig(variant="v9")
-    with pytest.raises(ValueError):
-        Measurement(
-            box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((3, 2)),
-            landmarks_visible=np.zeros(2, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
-            ground=GROUND, cam=CAM,
-        )
-    with pytest.raises(ValueError):
-        Measurement(
-            box2d=Box2D(tx=0, ty=0, w=0, h=0), landmarks_uv=np.zeros((3, 2)),
-            landmarks_visible=np.zeros(3, dtype=bool), theta0=0.0, sigma0=np.zeros(3),
-            ground=GROUND, cam=CAM, depth_zb=-4.0,
-        )
+    box = Box2D(tx=0, ty=0, w=0, h=0)
+    with pytest.raises(ValueError, match=r"^uv has shape \(1, 3, 2\), not \(1, 2, 2\)$"):
+        one_block(box, np.zeros((3, 2)), np.zeros(2, dtype=bool), 0.0, np.zeros(3))
+    with pytest.raises(ValueError, match="^i0: depth hypothesis must be positive$"):
+        one_block(box, np.zeros((3, 2)), np.zeros(3, dtype=bool), 0.0, np.zeros(3), depth=-4.0)
 
 
 def test_variables_vector_layout():

@@ -18,6 +18,7 @@ from vehicle3d.geometry import (
     project_box3d,
     rot_y,
     wrap_angle,
+    wrap_pi,
 )
 from tests.oracles import loop_clip_ious, mc_iou_3d, mc_iou_bev, random_pose_pairs
 
@@ -378,6 +379,23 @@ class TestWrap:
         assert ((0.0 <= w) & (w < 2 * np.pi)).all()
         assert w.tolist() == [wrap_angle(t) for t in thetas]
 
+    def test_wrap_pi_range(self):
+        # just below -pi, where one mod of theta + pi rounds up to 2*pi: +pi
+        edge = float(np.nextafter(-np.pi, -np.inf))
+        rng = np.random.default_rng(13)
+        for theta in [*rng.uniform(-50, 50, size=1000), edge, -np.pi, np.pi, 0.0]:
+            w = wrap_pi(theta)
+            assert type(w) is float and -np.pi <= w < np.pi
+            assert np.isclose(np.cos(w), np.cos(theta), atol=1e-12)
+            assert np.isclose(np.sin(w), np.sin(theta), atol=1e-12)
+        assert wrap_pi(edge) == -np.pi
+        thetas = np.array([edge, -np.pi, np.pi, 0.5, -7.0])
+        w = wrap_pi(thetas)
+        assert isinstance(w, np.ndarray) and w.shape == thetas.shape
+        assert ((-np.pi <= w) & (w < np.pi)).all()
+        assert w.tolist() == [wrap_pi(t) for t in thetas] == [-np.pi, -np.pi, -np.pi, 0.5,
+                                                              wrap_pi(-7.0)]
+
     def test_pose_wraps_theta(self):
         p = PoseBox3D(theta=-np.pi / 2, T=np.zeros(3), sigma=np.zeros(3))
         assert np.isclose(p.theta, 1.5 * np.pi)
@@ -386,8 +404,14 @@ class TestWrap:
 
 class TestGroundPlane:
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ground plane normal must be nonzero$"):
             GroundPlane(N=np.zeros(3))
+
+    @pytest.mark.parametrize("N", [(1e-200, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e308, 0.0, 0.0),
+                                   (-1e308, 1e308, 1e308)])
+    def test_extreme_finite_normals_accepted(self, N):
+        # no squared norm: it underflows to 0 or overflows with a warning
+        np.testing.assert_array_equal(GroundPlane(N=np.array(N)).N, N)
 
     def test_locus(self):
         g = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))

@@ -9,7 +9,6 @@ import pytest
 from vehicle3d.energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
-    Measurement,
     MeasurementBlock,
     Variables,
     ablation_config,
@@ -38,6 +37,7 @@ from vehicle3d.refine import (
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate
 from tests.oracles import back_projected_start
+from tests.test_energy import one_block
 
 # the module, not the package's `refine` function of the same name
 REFINE = importlib.import_module("vehicle3d.refine")
@@ -86,16 +86,10 @@ def make_instance(
     while vis.sum() < 6:
         vis[rng.integers(0, len(uv))] = True
     zb = float(truth.T[2]) * (1.0 + depth_rel_noise * rng.standard_normal())
-    meas = Measurement(
-        box2d=Box2D.from_corners(*corners),
-        landmarks_uv=uv,
-        landmarks_visible=vis,
-        theta0=truth.theta + theta_noise * rng.standard_normal(),
-        sigma0=truth.sigma + sigma_noise * rng.standard_normal(3),
-        ground=GROUND,
-        cam=CAM,
-        depth_zb=max(zb, 1.0) if with_depth else None,
-    )
+    meas = one_block(Box2D.from_corners(*corners), uv, vis,
+                     truth.theta + theta_noise * rng.standard_normal(),
+                     truth.sigma + sigma_noise * rng.standard_normal(3), GROUND, CAM,
+                     depth=max(zb, 1.0) if with_depth else None)
     return truth, meas
 
 
@@ -125,16 +119,8 @@ def pose_errors(truth, vars):
 # ---------------------------------------------------------------------------
 
 def empty_meas(box, depth=None):
-    return Measurement(
-        box2d=box,
-        landmarks_uv=np.zeros((0, 2)),
-        landmarks_visible=np.zeros(0, dtype=bool),
-        theta0=0.4,
-        sigma0=np.array([1.0, 0.5, 0.4]),
-        ground=GROUND,
-        cam=CAM,
-        depth_zb=depth,
-    )
+    return one_block(box, np.zeros((0, 2)), np.zeros(0, dtype=bool), 0.4,
+                     np.array([1.0, 0.5, 0.4]), GROUND, CAM, depth=depth)
 
 
 def test_initialize_axial_ray():
@@ -143,7 +129,7 @@ def test_initialize_axial_ray():
     vars = initialize(meas, model)
     np.testing.assert_array_equal(vars.T, [0.0, 0.0, 10.0])
     assert vars.theta == 0.4
-    np.testing.assert_array_equal(vars.sigma, meas.sigma0)
+    np.testing.assert_array_equal(vars.sigma, meas.sigma0[0])
     np.testing.assert_array_equal(vars.alpha, np.zeros(2))
 
 
@@ -315,19 +301,20 @@ def test_unusable_initial_point_raises():
     model = toy_model(rng)
     _, meas = standard_noisy(rng, model)
     # a crop depth of 1 cm puts the start's far corners behind the camera
-    outcome = refine_batch([replace(meas, depth_zb=0.01)], model)[0]
+    outcome = refine_batch(replace(meas, depth=[0.01]), model)[0]
     assert isinstance(outcome, InitializationError)
     assert str(outcome) == "initial point projects behind the camera"
     # a NaN in a visible landmark is reported as such, not as a camera problem
-    uv = meas.landmarks_uv.copy()
-    uv[np.flatnonzero(meas.landmarks_visible)[0], 0] = np.nan
-    nan_meas = Measurement(
-        box2d=meas.box2d, landmarks_uv=uv, landmarks_visible=meas.landmarks_visible,
-        theta0=meas.theta0, sigma0=meas.sigma0, ground=GROUND, cam=CAM,
-        depth_zb=meas.depth_zb,
-    )
+    uv = meas.uv.copy()
+    uv[0, np.flatnonzero(meas.visible[0])[0], 0] = np.nan
     with pytest.raises(InitializationError, match="non-finite"):
-        refine(nan_meas, model)
+        refine(replace(meas, uv=uv), model)
+
+
+def test_an_empty_block_solves_to_nothing():
+    empty = _seed7_frames(1)[0][:0]
+    assert (len(empty), empty.K) == (0, 14)
+    assert refine_ladder(empty, CAR_MODEL) == {v: [] for v in ABLATION_VARIANTS}
 
 
 def test_a_model_of_another_landmark_count_fails_every_rung():
@@ -340,6 +327,17 @@ def test_a_model_of_another_landmark_count_fails_every_rung():
         for outcome in outcomes:
             assert isinstance(outcome, InitializationError)
             assert str(outcome) == "measurement has 14 landmarks, the model 10"
+
+
+@pytest.mark.parametrize("function, args", [
+    (initialize, ()), (refine, ()), (refine_ablation, ("v4",)),
+], ids=["initialize", "refine", "refine_ablation"])
+def test_one_instance_functions_reject_other_lengths(function, args):
+    frame = _seed7_frames(1)[0]
+    for block in (frame[:2], frame[:0]):
+        with pytest.raises(ValueError, match=rf"^{function.__name__} takes a one-row "
+                                             rf"MeasurementBlock, not {len(block)} rows$"):
+            function(block, CAR_MODEL, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ def _ladder_in_blocks(blocks):
     (instance id, measurement) pairs."""
     out = {}
     for block in blocks:
-        rungs = refine_ladder([meas for _, meas in block], CAR_MODEL)
+        rungs = refine_ladder(MeasurementBlock.concat(meas for _, meas in block), CAR_MODEL)
         for variant, outcomes in rungs.items():
             for (key, _), outcome in zip(block, outcomes):
                 out[variant, key] = _fingerprint(outcome)
@@ -391,8 +389,9 @@ def test_results_do_not_depend_on_the_block(grouping):
 def test_failing_instance_leaves_its_block_alone():
     frame = _seed7_frames(1)[0]
     good = refine_batch(frame, CAR_MODEL)
-    frame[2] = replace(frame[2], depth_zb=0.01)  # a start behind the camera
-    mixed = refine_batch(frame, CAR_MODEL)
+    depth = frame.depth.copy()
+    depth[2] = 0.01  # a start behind the camera
+    mixed = refine_batch(replace(frame, depth=depth), CAR_MODEL)
     assert isinstance(mixed[2], InitializationError)
     assert str(mixed[2]) == "initial point projects behind the camera"
     for i in (0, 1, 3, 4):
@@ -411,11 +410,13 @@ def test_singular_system_fails_only_its_own_instance():
         np.testing.assert_array_equal(dx[i], np.linalg.solve(H[i], -g[i]))
 
 
-def _parallel_ray(meas):
-    """meas without a crop depth and with its box center on the principal
-    row, so on flat ground its box-center ray never meets the ground."""
-    box = meas.box2d
-    return replace(meas, depth_zb=None, box2d=Box2D(tx=box.tx, ty=meas.cam.cy, w=box.w, h=box.h))
+def _parallel_ray(block, i):
+    """block with its instance i without a crop depth and with its box
+    center on the principal row, so on flat ground its box-center ray never
+    meets the ground."""
+    box, depth, has_depth = block.box.copy(), block.depth.copy(), block.has_depth.copy()
+    box[i, 1], depth[i], has_depth[i] = block.cam[i, 3], 0.0, False
+    return replace(block, box=box, depth=depth, has_depth=has_depth)
 
 
 PARALLEL = "box-center ray is parallel to the ground plane and no depth is available"
@@ -426,8 +427,7 @@ def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
     one as its NaN row; then one evaluation per iteration, over the
     instances still iterating, so no later evaluation carries more rows
     than the one before it."""
-    measurements = [meas for frame in _seed7_frames(15) for meas in frame]
-    measurements[3] = _parallel_ray(measurements[3])
+    measurements = _parallel_ray(MeasurementBlock.concat(_seed7_frames(15)), 3)
     starts = np.array([np.full(7 + CAR_MODEL.n_basis, np.nan) if i == 3 else
                        initialize(meas, CAR_MODEL).to_vector()
                        for i, meas in enumerate(measurements)])
@@ -455,7 +455,7 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
     """A ladder evaluates each rung apart, at that rung's row layout: one
     evaluation of every start, then one per iteration over the rung's
     instances still iterating."""
-    measurements = [meas for frame in _seed7_frames(4) for meas in frame]
+    measurements = MeasurementBlock.concat(_seed7_frames(4))
     calls = []
     evaluate = REFINE.block_residuals
 
@@ -479,8 +479,7 @@ def test_each_solve_starts_its_block_in_one_pass(monkeypatch):
     _starts call, so every rung of a ladder starts from bit-identical rows;
     an instance without a start fails at every rung, v1 included, whose
     empty residual stack alone would pass its NaN row."""
-    frame = _seed7_frames(1)[0]
-    frame[1] = _parallel_ray(frame[1])
+    frame = _parallel_ray(_seed7_frames(1)[0], 1)
     calls = []
     starts = REFINE._starts
 
@@ -502,7 +501,7 @@ def test_each_solve_starts_its_block_in_one_pass(monkeypatch):
 
 
 def _random_measurements(rng, n):
-    """n measurements of random cameras, ground normals, box centers and
+    """n one-row blocks of random cameras, ground normals, box centers and
     hypotheses, a third of them without a crop depth, and some on the
     principal row of a flat ground or with a ray above the horizon."""
     out = []
@@ -513,12 +512,11 @@ def _random_measurements(rng, n):
         normal = np.array([0.0, 1.0, 0.0]) + tilt
         ground = GroundPlane(N=normal / np.linalg.norm(normal) / rng.uniform(1.0, 2.5))
         ty = cam.cy if i % 7 == 0 else cam.cy + rng.uniform(-200.0, 250.0)
-        out.append(Measurement(
-            box2d=Box2D(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
-                        h=rng.uniform(1.0, 6.0)),
-            landmarks_uv=np.zeros((0, 2)), landmarks_visible=np.zeros(0, dtype=bool),
-            theta0=rng.uniform(-7.0, 7.0), sigma0=rng.normal(size=3), ground=ground, cam=cam,
-            depth_zb=rng.uniform(0.5, 80.0) if i % 3 else None))
+        out.append(one_block(
+            Box2D(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
+                  h=rng.uniform(1.0, 6.0)),
+            np.zeros((0, 2)), np.zeros(0, dtype=bool), rng.uniform(-7.0, 7.0),
+            rng.normal(size=3), ground, cam, depth=rng.uniform(0.5, 80.0) if i % 3 else None))
     return out
 
 
@@ -529,11 +527,11 @@ def test_array_starts_equal_the_scalar_back_projection(n_basis):
     the scalar path's message."""
     ms = _random_measurements(np.random.default_rng(36), 600)
     ms.append(empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0))  # slope 0
-    x, failures = _starts(MeasurementBlock.stack(ms), n_basis)
+    x, failures = _starts(MeasurementBlock.concat(ms), n_basis)
     assert x.shape == (len(ms), 7 + n_basis)
     for i, meas in enumerate(ms):
         want = back_projected_start(meas, n_basis)
-        one_x, one_failure = _starts(MeasurementBlock.stack([meas]), n_basis)
+        one_x, one_failure = _starts(meas, n_basis)
         assert one_x.tobytes() == x[i].tobytes() and one_failure[0] == failures[i]
         if isinstance(want, str):
             assert failures[i] == want and np.isnan(x[i]).all()

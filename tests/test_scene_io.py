@@ -1,7 +1,7 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from vehicle3d.geometry import (
     BehindCameraError,
     Box2D,
     BoxStack,
+    CameraIntrinsics,
     PoseBox3D,
     place_points,
     project,
@@ -20,6 +21,7 @@ from vehicle3d.geometry import (
     wrap_angle,
     wrap_pi,
 )
+from vehicle3d.energy import MeasurementBlock
 from vehicle3d.refine import RefineResult, initialize, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
@@ -48,6 +50,8 @@ from vehicle3d.scene_io import (
     self_occlusion_masks,
 )
 from vehicle3d.shape import instantiate
+
+from tests.test_energy import same_block
 
 SAMPLE = "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
 
@@ -237,10 +241,10 @@ def test_batched_pose_fields_are_each_records_pose(n):
 def seed_fit():
     """(v4 result, camera) of every instance of the seed-7 dataset `synth
     --seed 7` writes, refined as `fit` refines it."""
-    measurements = [meas for index in range(50)
-                    for meas in generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]]
-    results = refine_ladder(measurements, CAR_MODEL, variants=["v4"])["v4"]
-    return [(result, meas.cam) for result, meas in zip(results, measurements)
+    block = MeasurementBlock.concat(generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]
+                                    for index in range(50))
+    results = refine_ladder(block, CAR_MODEL, variants=["v4"])["v4"]
+    return [(result, CameraIntrinsics(*cam)) for result, cam in zip(results, block.cam)
             if isinstance(result, RefineResult)]
 
 
@@ -261,8 +265,8 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
     if n > 1:  # each failure kind amid the solved poses
         for k, (fields, _, _) in enumerate(_FAILING_POSES):
             poses.insert(60 * k + 7, (*fields, KITTI_CAMERA, 0.5))
-    columns = list(zip(*poses)) or [[]] * 5
-    batched = poses_to_labels(*columns)
+    theta, T, sigma, cams, scores = list(zip(*poses)) or [[]] * 5
+    batched = poses_to_labels(theta, T, sigma, [astuple(cam) for cam in cams], scores)
     assert len(batched) == len(poses)
     alone = []
     for (theta, T, sigma, cam, score), got in zip(poses, batched):
@@ -282,7 +286,7 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
 @pytest.mark.parametrize("fields, kind, message", _FAILING_POSES)
 def test_pose_conversion_failures_name_their_kind(fields, kind, message):
     theta, T, sigma = fields
-    got = poses_to_labels([theta], [T], [sigma], [KITTI_CAMERA])
+    got = poses_to_labels([theta], [T], [sigma], [astuple(KITTI_CAMERA)])
     assert type(got[0]) is kind and str(got[0]) == message
     with pytest.raises(kind, match=re.escape(message)):
         pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA)
@@ -293,24 +297,26 @@ def test_pose_conversion_failures_name_their_kind(fields, kind, message):
 # ---------------------------------------------------------------------------
 
 def test_measurement_text_roundtrip():
-    scene, measurements, _ = generate_scene(
-        SceneParams(n_instances=3), NoiseSpec(landmark_px_sigma=1.0), seed=11
-    )
-    text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, measurements)
-    cam, ground, back = parse_measurements(text)
-    assert (cam.fx, cam.fy, cam.cx, cam.cy) == (
-        KITTI_CAMERA.fx, KITTI_CAMERA.fy, KITTI_CAMERA.cx, KITTI_CAMERA.cy
-    )
-    np.testing.assert_array_equal(ground.N, FLAT_GROUND.N)
-    assert len(back) == 3
-    for orig, copy in zip(measurements, back):
-        # repr floats round-trip exactly
-        np.testing.assert_array_equal(copy.box2d.corners(), orig.box2d.corners())
-        np.testing.assert_array_equal(copy.landmarks_uv, orig.landmarks_uv)
-        np.testing.assert_array_equal(copy.landmarks_visible, orig.landmarks_visible)
-        assert copy.theta0 == orig.theta0
-        np.testing.assert_array_equal(copy.sigma0, orig.sigma0)
-        assert copy.depth_zb == orig.depth_zb
+    """A generated block comes back from its file bit for bit.  The file
+    holds each box as its corners, so the box comes back as the corners'
+    Box2D; the log/exp round trip does not make them a fixed point."""
+    for with_depth, index in [(with_depth, index) for with_depth in (True, False)
+                              for index in range(20)]:
+        _, block, _ = generate_scene(SceneParams(with_depth=with_depth), STANDARD_NOISE, [7, index])
+        cam, ground, back = parse_measurements(emit_measurements(KITTI_CAMERA, FLAT_GROUND, block))
+        assert cam == KITTI_CAMERA
+        np.testing.assert_array_equal(ground.N, FLAT_GROUND.N)
+        written = [astuple(Box2D.from_corners(*Box2D(*box).corners())) for box in block.box.tolist()]
+        assert same_block(back, replace(block, box=written))
+        assert back.has_depth.all() == with_depth
+
+
+def test_a_frame_without_instances_round_trips():
+    empty = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])[1][:0]
+    text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, empty)
+    assert parse_config_text(text)["instances"] == "0"
+    _, _, back = parse_measurements(text)
+    assert (len(back), back.K) == (0, 0)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -322,6 +328,8 @@ def test_measurement_text_roundtrip():
     ("i0.landmarks", "1.0 2.0 3.0", "i0.landmarks: expected 28 values, found 3"),
     ("i0.box", "10 10 5 20", "i0.box: degenerate 2D box"),
     ("i1.depth", "-2.0", "i1: depth hypothesis must be positive"),
+    ("i1.visible", "1 0 1", "inconsistent landmark counts: i0 has 14, i1 has 3$"),
+    ("ground", "0 0 0", "ground: ground plane normal must be nonzero"),
     ("camera", "0 700 600 170", "camera: focal lengths must be positive"),
     # a count below the blocks present leaves the last block unread
     ("instances", "1", r"unknown key i1\.box$"),
@@ -467,23 +475,23 @@ def test_generate_noise_free_measurements_exact():
     for several seeds and frame sizes."""
     for (pose, coeffs), meas, label in _noise_free_frames():
         box = project_box3d(KITTI_CAMERA, pose)
-        np.testing.assert_array_equal(meas.box2d.corners(), Box2D.from_corners(*box.corners()).corners())
+        np.testing.assert_array_equal(meas.box[0], astuple(Box2D.from_corners(*box.corners())))
         uv = project(KITTI_CAMERA, place_points(instantiate(CAR_MODEL, coeffs), pose.theta, pose.T,
                                                 pose.sigma)[0])
-        np.testing.assert_array_equal(meas.landmarks_uv, uv)
+        np.testing.assert_array_equal(meas.uv[0], uv)
         width_px, height_px = IMAGE_SIZE
         in_image = (uv[:, 0] >= 0) & (uv[:, 0] <= width_px) & (uv[:, 1] >= 0) & (uv[:, 1] <= height_px)
-        np.testing.assert_array_equal(meas.landmarks_visible,
+        np.testing.assert_array_equal(meas.visible[0],
                                       self_occlusion_masks([pose.theta], [pose.T])[0] & in_image)
         left, top, right, bottom = label.bbox
         in_view = (max(0.0, min(right, width_px) - max(left, 0.0))
                    * max(0.0, min(bottom, height_px) - max(top, 0.0)))
         assert label.truncated == float(np.clip(1.0 - in_view / ((right - left) * (bottom - top)), 0, 1))
-        share = meas.landmarks_visible.mean()
+        share = meas.visible.mean()
         assert label.occluded == (0 if share >= 0.65 else 1 if share >= 0.4 else 2)
-        assert meas.theta0 == pose.theta
-        np.testing.assert_array_equal(meas.sigma0, pose.sigma)
-        assert meas.depth_zb == pose.T[2]
+        assert meas.theta0[0] == pose.theta
+        np.testing.assert_array_equal(meas.sigma0[0], pose.sigma)
+        assert meas.has_depth[0] and meas.depth[0] == pose.T[2]
         assert label.location == pytest.approx(tuple(pose.T))
 
 
@@ -494,10 +502,7 @@ def test_generate_deterministic():
     for (pa, ca), (pb, cb) in zip(a[0].instances, b[0].instances):
         assert np.array_equal(pa.T, pb.T) and pa.theta == pb.theta
         assert np.array_equal(ca, cb)
-    for ma, mb in zip(a[1], b[1]):
-        assert np.array_equal(ma.landmarks_uv, mb.landmarks_uv)
-        assert np.array_equal(ma.landmarks_visible, mb.landmarks_visible)
-        assert ma.box2d == mb.box2d and ma.depth_zb == mb.depth_zb
+    assert same_block(a[1], b[1])
     assert a[2] == b[2]
     c = generate_scene(params, STANDARD_NOISE, seed=124)
     assert not np.array_equal(a[0].instances[0][0].T, c[0].instances[0][0].T)
@@ -528,9 +533,9 @@ def test_generate_occlusion_rate_binomial():
         _, meas_off, _ = generate_scene(params, noise_off, seed=seed)
         _, meas_on, _ = generate_scene(params, noise_on, seed=seed)
         for m0, m1 in zip(meas_off, meas_on):
-            base = m0.landmarks_visible  # facing and in-image
+            base = m0.visible  # facing and in-image
             candidates += int(base.sum())
-            dropped += int((base & ~m1.landmarks_visible).sum())
+            dropped += int((base & ~m1.visible).sum())
     assert candidates > 10_000
     rate = dropped / candidates
     assert abs(rate - 0.2) < 0.02

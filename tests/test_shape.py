@@ -180,7 +180,7 @@ class TestLearnEM:
         assert main(["shape-learn", "--data", str(data), "--out", str(out),
                      "--basis", "2", "--max-iterations", "40"]) == 0
         observations = obs_list(
-            (meas.landmarks_uv, meas.landmarks_visible)
+            (meas.uv[0], meas.visible[0])
             for path in sorted((data / "meas").glob("*.cfg"))
             for meas in parse_measurements(path.read_text())[2]
         )
