@@ -114,11 +114,13 @@ class MeasurementBlock:
 
     Instances without a crop depth carry depth 0 and has_depth False; their
     depth row stays in the residual stack with value and gradient zero.
+    Boxes are not checked here: an inverted box (right <= left or bottom <=
+    top) gives non-finite box rows, so the solver fails that instance.
     block[i] is instance i as a one-row block, block[index] the sub-block a
     slice, mask or index array selects; iterating yields the one-row blocks.
     """
 
-    box: np.ndarray  # (B, 4) measured tx, ty, log width, log height
+    box: np.ndarray  # (B, 4) measured left, top, right, bottom, as the file holds them
     uv: np.ndarray  # (B, K, 2) landmark pixels
     visible: np.ndarray  # (B, K) bool
     depth: np.ndarray  # (B,) crop depth, 0 where none was measured
@@ -188,8 +190,8 @@ class MeasurementBlock:
 # across the instance axis.
 # ---------------------------------------------------------------------------
 
-# Scale of the four 2D-box residual components (tx, ty in pixels, then log
-# width and height).  The log-extent components get a smaller scale: the 2D
+# Scale of the four 2D-box residual components (center u, v in pixels, then
+# log width and height).  The log-extent components get a smaller scale: the 2D
 # box constrains far-side size only weakly, and full weight lets the solver
 # absorb box noise with large size moves.
 _BOX_COMPONENT_SCALE = np.array([1.0, 1.0, 0.3, 0.3])
@@ -210,10 +212,10 @@ def _projection_rows(x, block: MeasurementBlock, model: MorphableModel, rows: di
     behind the camera; its non-finite values speak for it.
 
     Both terms read one point set, projected once: the 8 corners for the
-    box rows (measured minus projected box, the latter from the hull
-    extremes: left/top argmins, right/bottom argmaxes) and the K landmarks
-    for the landmark rows (measured minus projected pixels, interleaved
-    u, v; the rows of occluded landmarks are zero).
+    box rows (measured minus projected box as center and log extents, the
+    latter from the hull extremes: left/top argmins, right/bottom argmaxes)
+    and the K landmarks for the landmark rows (measured minus projected
+    pixels, interleaved u, v; the rows of occluded landmarks are zero).
     """
     B, D = x.shape
     box, lp = rows.get("2d3d"), rows.get("lp")
@@ -267,8 +269,9 @@ def _projection_rows(x, block: MeasurementBlock, model: MorphableModel, rows: di
         axis, i = np.arange(2)[:, None], np.arange(B)
         near, far = uv[axis, i, lo], uv[axis, i, hi]
         extent = far - near
-        unweighted[:, sl] = _BOX_COMPONENT_SCALE * (
-            block.box - np.concatenate([0.5 * (near + far), np.log(extent)]).T)
+        m_near, m_far = block.box.T.reshape(2, 2, B)  # measured (left, top), (right, bottom)
+        unweighted[:, sl] = _BOX_COMPONENT_SCALE * np.concatenate(
+            [0.5 * (m_near + m_far) - 0.5 * (near + far), np.log(m_far - m_near) - np.log(extent)]).T
         # d log(right - left) = (du_r - du_l) / width; the residual sign flips every row
         g_near, g_far = hull[axis, i, :, lo], hull[axis, i, :, hi]  # (2, B, 7)
         d_proj = np.concatenate([0.5 * (g_near + g_far), (g_far - g_near) / extent[..., None]])

@@ -2,10 +2,11 @@
 
 Boxes live in a camera frame with X right, Y down, Z forward, so the
 gravity axis is camera Y and a ground-resting box has a single yaw
-degree of freedom about it.  Scales are kept in log space throughout:
-a 2D box stores (w, h) with pixel extents e^w, e^h and a 3D box stores
-sigma = (L, H, W) with metric extents e^L, e^H, e^W.  Positivity is
-then free and optimizers can treat every variable as unconstrained.
+degree of freedom about it.  A 3D box keeps its scales in log space,
+sigma = (L, H, W) with metric extents e^L, e^H, e^W, so positivity is
+free and optimizers can treat every variable as unconstrained.  A 2D
+box is its pixel corners (left, top, right, bottom), as label and
+measurement files write them; require_box checks that they span a box.
 """
 from __future__ import annotations
 
@@ -47,45 +48,19 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned 2D box as center translation plus log-scales."""
-
-    tx: float
-    ty: float
-    w: float  # log of pixel width
-    h: float  # log of pixel height
-
-    @property
-    def width(self) -> float:
-        return float(np.exp(self.w))
-
-    @property
-    def height(self) -> float:
-        return float(np.exp(self.h))
-
-    def corners(self) -> np.ndarray:
-        """(left, top, right, bottom) of the box."""
-        hw, hh = 0.5 * self.width, 0.5 * self.height
-        return np.array([self.tx - hw, self.ty - hh, self.tx + hw, self.ty + hh])
-
-    @staticmethod
-    def from_corners(left: float, top: float, right: float, bottom: float) -> "Box2D":
-        require_finite(left, top, right, bottom)
-        if not (right > left and bottom > top):
-            raise ValueError("degenerate 2D box: need right > left and bottom > top")
-        return Box2D(
-            tx=0.5 * (left + right),
-            ty=0.5 * (top + bottom),
-            w=float(np.log(right - left)),
-            h=float(np.log(bottom - top)),
-        )
+def require_box(left: float, top: float, right: float, bottom: float) -> np.ndarray:
+    """The corners as a (4,) array; raises ValueError unless they are
+    finite and span a box: right > left and bottom > top."""
+    require_finite(left, top, right, bottom)
+    if not (right > left and bottom > top):
+        raise ValueError("degenerate 2D box: need right > left and bottom > top")
+    return np.array([left, top, right, bottom], dtype=float)
 
 
 def box2d_round_trip(corners: np.ndarray) -> np.ndarray:
-    """(n, 4) rows (left, top, right, bottom) as Box2D.from_corners(*row)
-    .corners() gives them, bit for bit: through the log of the extents and
-    back."""
+    """(n, 4) rows (left, top, right, bottom) rebuilt from their center and
+    the log of their extents: the corners a box gets on its way through
+    the center/log-extent form and back."""
     left, top, right, bottom = corners.T
     tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
     hw, hh = 0.5 * np.exp(np.log(right - left)), 0.5 * np.exp(np.log(bottom - top))
@@ -195,12 +170,11 @@ def box_corners(theta, T, sigma) -> np.ndarray:
     return place_points(UNIT_CORNERS, theta, T, sigma)
 
 
-def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> Box2D:
-    """Tight axis-aligned hull of the 8 projected corners, in center/log form."""
+def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> np.ndarray:
+    """Tight axis-aligned hull (left, top, right, bottom) of the 8 projected
+    corners; raises require_box's ValueError on a hull that is no box."""
     uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
-    left, top = uv.min(axis=0)
-    right, bottom = uv.max(axis=0)
-    return Box2D.from_corners(left, top, right, bottom)
+    return require_box(*uv.min(axis=0), *uv.max(axis=0))
 
 
 def box2d_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,9 +191,10 @@ def box2d_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(overlap, inter / np.where(overlap, union, 1.0), 0.0)
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two axis-aligned boxes: box2d_ious for one pair."""
-    return float(box2d_ious(a.corners()[None], b.corners()[None])[0])
+def iou_2d(a, b) -> float:
+    """Intersection over union of two axis-aligned boxes, each (left, top,
+    right, bottom): box2d_ious for one pair."""
+    return float(box2d_ious(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None])[0])
 
 
 class BoxStack(NamedTuple):

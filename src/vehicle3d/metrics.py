@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BoxStack, box2d_ious, box2d_round_trip, box_ious
+from .geometry import BoxStack, box2d_ious, box_ious
 from .scene_io import LabelRecord, label_pose_fields
 # Unused here; kept importable as vehicle3d.metrics.<name>, the names
 # external profilers wrap.
@@ -222,9 +222,6 @@ class _Stack(NamedTuple):
         iou3, iou_b = np.where(two, 0.0, np.nan), np.where(two, 0.0, np.nan)
         clip = two & ~apart
         iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
-        # through Box2D's log/exp round trip, so 2D IoU equals iou_2d of
-        # Box2D.from_corners(*rec.bbox) bit for bit
-        corners = box2d_round_trip(content[:, :4])
         centers = _centers(records)
 
         # the fraction of each detection box inside each region, from raw
@@ -245,7 +242,9 @@ class _Stack(NamedTuple):
         return cls(
             iou_3d=spread(iou3),
             iou_bev=spread(iou_b),
-            iou_2d=spread(box2d_ious(corners[i], corners[j])),
+            # on each record's corners as parsed, the raw corners the KITTI
+            # devkit scores 2D boxes on
+            iou_2d=spread(box2d_ious(content[i, :4], content[j, :4])),
             distance=spread(_distances(centers[i], centers[j])),
             apart=spread(apart, False),
             dets=dets,

@@ -2,7 +2,7 @@
 at a time.
 
 The optimization state is initialized from the measurement hypotheses
-(yaw and log-extent guesses, 2D box, optional crop depth) and polished
+(yaw and log-extent guesses, 2D box center, optional crop depth) and polished
 with Levenberg-Marquardt on the stacked weighted residuals.  Energy is
 monotone over accepted steps by construction; rejected trial steps only
 raise the damping.
@@ -86,8 +86,8 @@ def _starts(block: MeasurementBlock, n_basis: int):
     such intersection is NaN.  Only rows that need the intersection divide."""
     fx, fy, cx, cy = block.cam.T
     B = len(fx)
-    direction = np.stack([(block.box[:, 0] - cx) / fx, (block.box[:, 1] - cy) / fy,
-                          np.ones(B)], axis=1)
+    tx, ty = 0.5 * (block.box[:, :2] + block.box[:, 2:]).T  # the 2D box center
+    direction = np.stack([(tx - cx) / fx, (ty - cy) / fy, np.ones(B)], axis=1)
     slope = (block.ground[:, None, :] @ direction[:, :, None])[:, 0, 0]
     parallel = ~block.has_depth & (np.abs(slope) < 1e-12)
     s = np.divide(1.0, slope, out=np.full(B, np.nan), where=~block.has_depth & ~parallel)

@@ -13,7 +13,8 @@ occlusion, observation angle, 2D box, dimensions, location, yaw, optional
 score), one object per line.
 Measurement files hold one frame's camera, ground plane and per-instance
 pseudo-measurements as `key = value` lines, read and written, like the
-generator's output, as one MeasurementBlock per frame.
+generator's output, as one MeasurementBlock per frame; the block holds
+each 2D box as the corners the file writes, so parse and emit are exact.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .energy import MeasurementBlock
 from .geometry import (
     EPS_Z,
     BehindCameraError,
-    Box2D,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
@@ -35,6 +35,7 @@ from .geometry import (
     place_points,
     project,
     project_box3d,
+    require_box,
     require_finite,
     rot_y,
     wrap_angle,
@@ -164,11 +165,9 @@ class LabelRecord:
         object.__setattr__(self, "location", tuple(float(v) for v in self.location))
         if len(self.bbox) != 4 or len(self.dimensions) != 3 or len(self.location) != 3:
             raise ValueError("bbox/dimensions/location arity is 4/3/3")
-        left, top, right, bottom = self.bbox
         require_finite(*self.bbox, *self.dimensions, *self.location, self.rotation_y,
                        self.alpha, self.truncated, 0.0 if self.score is None else self.score)
-        if not (right > left and bottom > top):
-            raise ValueError("degenerate 2D box: need right > left and bottom > top")
+        require_box(*self.bbox)
         if self.occluded not in _OCCLUSION_CODES:
             raise ValueError(f"occlusion code {self.occluded} outside {-1}..3")
         if not (self.truncated == -1.0 or 0.0 <= self.truncated <= 1.0):
@@ -245,14 +244,14 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
     """The label records of n poses, each a "Car" with unknown truncation
     and occlusion, or in its place the error that stops it, returned rather
     than raised: a BehindCameraError when a box corner lies at Z <= EPS_Z,
-    else the ValueError of a projected hull that is no valid Box2D.
+    else require_box's ValueError for a projected hull that is no box.
 
     theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
     wrapped as PoseBox3D wraps it; cams holds each pose's camera as a row
     (fx, fy, cx, cy), the form a MeasurementBlock holds, and scores each
     record's score (all None when scores is None).  Yaw maps to rotation_y
-    with no offset, the stored box is the projected hull through Box2D's
-    log/exp round trip, and the observation angle folds out the bearing.
+    with no offset, the stored box is the projected hull through
+    box2d_round_trip, and the observation angle folds out the bearing.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed poses go unread
         theta = wrap_angle(np.asarray(theta, dtype=float).reshape(-1))
@@ -278,7 +277,7 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
             if behind[i]:
                 raise BehindCameraError(f"point behind camera: min Z = {z[i].min():.3g}")
             if not boxed[i]:
-                Box2D.from_corners(*lo[i], *hi[i])  # raises the hull's fault
+                require_box(*lo[i], *hi[i])  # raises the hull's fault
             out.append(LabelRecord(type="Car", truncated=-1.0, occluded=-1, alpha=obs, bbox=bbox,
                                    dimensions=dimensions, location=location,
                                    rotation_y=rotation_y, score=score))
@@ -322,7 +321,8 @@ class MeasurementFormatError(ValueError):
 
 
 def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, block: MeasurementBlock) -> str:
-    """One frame's measurement file of `block`; floats in shortest round-trip form."""
+    """One frame's measurement file of `block`; floats in shortest round-trip
+    form, so parse_measurements gives the block back bit for bit."""
     payload = {
         "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
         "ground": " ".join(repr(float(v)) for v in ground.N),
@@ -330,7 +330,7 @@ def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, block: Measure
     }
     for i, box in enumerate(block.box.tolist()):
         prefix = f"i{i}."
-        payload[prefix + "box"] = " ".join(repr(float(v)) for v in Box2D(*box).corners())
+        payload[prefix + "box"] = " ".join(repr(v) for v in box)
         payload[prefix + "theta0"] = repr(float(block.theta0[i]))
         payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in block.sigma0[i])
         payload[prefix + "landmarks"] = " ".join(repr(float(v)) for v in block.uv[i].reshape(-1))
@@ -401,7 +401,7 @@ def parse_measurements(text: str):
             raise MeasurementFormatError(f"{prefix}landmarks: non-finite value")
         visible.append(seen)
         uv.append(landmarks)
-        box.append(astuple(_field(mapping, prefix + "box", 4, lambda v: Box2D.from_corners(*v))))
+        box.append(_field(mapping, prefix + "box", 4, lambda v: require_box(*v)))
         theta0.append(_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0])
         sigma0.append(_field(mapping, prefix + "sigma0", 3, conv=_finite_float))
         key = prefix + "depth"
@@ -498,10 +498,11 @@ def _sample_pose(params: SceneParams, rng) -> tuple | None:
     sigma = np.log(_DIMS_MEAN) + _DIMS_LOG_SIGMA * rng.standard_normal(3)
     alpha = params.alpha_sigma * rng.standard_normal(CAR_MODEL.n_basis)
     pose = PoseBox3D(theta=theta, T=np.array([x, y, z]), sigma=sigma)
-    box = project_box3d(KITTI_CAMERA, pose)
+    left, top, right, bottom = project_box3d(KITTI_CAMERA, pose)
+    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
     width_px, height_px = IMAGE_SIZE
     m = _MARGIN_PX
-    if not (m <= box.tx <= width_px - m and m <= box.ty <= height_px - m):
+    if not (m <= tx <= width_px - m and m <= ty <= height_px - m):
         return None
     return pose, alpha
 
@@ -564,7 +565,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     sigma0 = sigma + noise.sigma_log_sigma * sigma_z
     depth = np.maximum(T[:, 2] * (1.0 + noise.depth_rel_sigma * depth_z), 0.5)
     block = MeasurementBlock(
-        box=[astuple(Box2D.from_corners(*box)) for box in corners.tolist()],
+        box=box2d_round_trip(corners),  # through center/log extents, as datasets hold them
         uv=uv + noise.landmark_px_sigma * uv_z, visible=visible,
         depth=depth if params.with_depth else np.zeros(n), has_depth=np.full(n, params.with_depth),
         ground=np.tile(FLAT_GROUND.N, (n, 1)), cam=np.tile(cam, (n, 1)), theta0=theta0,

@@ -509,7 +509,8 @@ def learn_em(
     Instances with fewer than 6 visible landmarks (_MIN_VISIBLE) are
     excluded (reported via used_mask).  Raises InsufficientDataError when
     fewer than max(3, 10 * n_basis) instances remain, and ValueError when a
-    visible landmark is not finite.
+    visible landmark is not finite or the fit becomes numerically singular
+    (a LAPACK failure or a non-finite result); a returned model is finite.
 
     The EM loop alternates the E-step with a shape M-step, a pose update
     and a noise update.  A polish phase with the shape frozen then
@@ -522,7 +523,6 @@ def learn_em(
     uv, visible = observations.uv, observations.visible
     if not len(uv):
         raise InsufficientDataError("no instances supplied")
-    K = visible.shape[1]
     bad = np.flatnonzero((visible & ~np.isfinite(uv).all(axis=2)).any(axis=1))
     if bad.size:
         raise ValueError(f"instance {bad[0]}: non-finite visible landmark")
@@ -534,8 +534,17 @@ def learn_em(
             f"visible landmarks, have {int(used.sum())}"
         )
     vis = visible[used]
-    P = np.where(vis[..., None], uv[used], 0.0)
-    M = len(P)
+    try:  # an extreme but finite landmark can make LAPACK fail or the fit overflow
+        return _fit(np.where(vis[..., None], uv[used], 0.0), vis, used, n_basis, opts)
+    except np.linalg.LinAlgError:
+        raise ValueError("landmark fit became numerically singular") from None
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflow is read as inf
+def _fit(P, vis, used, n_basis: int, opts: LearnOptions) -> LearnResult:
+    """learn_em on the zero-filled observations P (M, K, 2) of the used
+    instances; a non-finite fit raises LinAlgError as LAPACK's failures do."""
+    M, K = vis.shape
     observed = _observe(P, vis)
 
     n_coords = int(observed.n_coords.sum())
@@ -681,6 +690,8 @@ def learn_em(
         _affine(pose), pose[2], _expected_points(mean_pts, basis_pts, mu), P, observed.hidden_uv,
     )
 
+    if not all(np.isfinite(a).all() for a in (*pose, mean_pts, basis, mu, r, noise_var, loglik)):
+        raise np.linalg.LinAlgError("non-finite fit")
     return LearnResult(
         model=model,
         poses=[OrthoCamPose(c=float(cm), R=Rm, t=Rm.T @ dm / cm) for cm, Rm, dm in zip(*pose)],

@@ -127,11 +127,12 @@ def loop_clip_ious(a, b) -> tuple:
 def back_projected_start(meas, n_basis: int):
     """The solver's starting vector [theta0, T, sigma0, 0 (n_basis)] for one
     measurement, a one-row block, back-projected one scalar at a time: T
-    lies on the 2D box center's ray at the crop depth, or else where the ray
-    meets the ground plane.  Without such a point the failure message is
-    returned instead."""
+    lies on the ray through the center of the 2D box's corners at the crop
+    depth, or else where the ray meets the ground plane.  Without such a
+    point the failure message is returned instead."""
     fx, fy, cx, cy = meas.cam[0].tolist()
-    tx, ty = meas.box[0, :2].tolist()
+    left, top, right, bottom = meas.box[0].tolist()
+    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
     direction = np.array([(tx - cx) / fx, (ty - cy) / fy, 1.0])
     if meas.has_depth[0]:
         T = direction * float(meas.depth[0])

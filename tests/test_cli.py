@@ -20,11 +20,14 @@ import vehicle3d.metrics
 from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import BoxStack, wrap_pi
 from vehicle3d.metrics import alp
-from vehicle3d.refine import initialize, refine_ablation
+from vehicle3d.refine import initialize, refine_ablation, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
+    STANDARD_NOISE,
+    SceneParams,
     emit_labels,
     format_config,
+    generate_scene,
     label_to_pose,
     parse_config_text,
     parse_labels,
@@ -392,6 +395,42 @@ def test_shape_learn_names_a_non_finite_visible_landmark(dataset, tmp_path, capf
     assert not (tmp_path / "bad" / "model.txt").exists()
 
 
+@pytest.fixture(scope="module")
+def ten_frames(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ten")
+    assert run_cli("synth", "--out", root, "--seed", 7, "--frames", 10) == 0
+    return root
+
+
+@pytest.mark.parametrize("value", ["1e15", "1e16", "1e60", "1e100", "1e300"])
+def test_shape_learn_names_a_numerically_singular_fit(ten_frames, tmp_path, capfd, value):
+    """One extreme but finite visible landmark: up to 1e15 px the model is
+    learned; beyond, the landmark fit turns singular and the run ends with
+    one named error line, no file and no warning."""
+    data = tmp_path / "data"
+    shutil.copytree(ten_frames, data)
+    path = data / "meas" / "000000.cfg"
+    mapping = parse_config_text(path.read_text())
+    landmarks = mapping["i0.landmarks"].split()
+    landmarks[2 * mapping["i0.visible"].split().index("1")] = value
+    mapping["i0.landmarks"] = " ".join(landmarks)
+    path.write_text(format_config(mapping))
+    out = tmp_path / "learned"
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("shape-learn", "--data", data, "--out", out)
+    err = capfd.readouterr().err
+    assert not caught
+    if value == "1e15":
+        assert (code, err) == (0, "")
+        assert (out / "model.txt").exists()
+    else:
+        assert code == 1
+        assert err == "error: landmark fit became numerically singular\n"
+        assert not out.exists()
+
+
 def _cut_landmarks(path, instances):
     """Rewrite the measurement file at path with the given instances cut
     to their first 13 landmarks."""
@@ -671,6 +710,25 @@ def test_ablate_table_matches_direct_evaluation(dataset, tmp_path, capsys):
     header = table[1].split()
     column = header.index("moderate")
     assert v4_row.split()[1 + column] == (f"{expected:.4f}" if expected is not None else "-")
+
+
+def test_ablate_equals_the_ladder_in_process(tmp_path):
+    """The generator's blocks are the blocks synth writes: every label file
+    and diag entry of ablate equals, as text, refine_ladder and
+    _rung_outcomes on the frames generate_scene gives in process."""
+    data, out = tmp_path / "data", tmp_path / "ablate"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 3) == 0
+    assert run_cli("ablate", "--data", data, "--out", out) == 0
+    for i in range(3):
+        block = generate_scene(SceneParams(), STANDARD_NOISE, [7, i])[1]
+        for variant, outcomes in refine_ladder(block, CAR_MODEL).items():
+            entries = vehicle3d.cli._rung_outcomes(block, outcomes)
+            fit = out / f"fit_{variant}"
+            labels = emit_labels([record for record, _ in entries if record is not None])
+            assert (fit / "labels" / f"{i:06d}.txt").read_text() == labels, (variant, i)
+            diag = parse_config_text((fit / "diag" / f"{i:06d}.cfg").read_text())
+            for n, (_, entry) in enumerate(entries):
+                assert {key: diag[f"i{n}.{key}"] for key in entry} == entry, (variant, i, n)
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -24,7 +24,6 @@ from vehicle3d.energy import (
 )
 from vehicle3d.geometry import (
     BehindCameraError,
-    Box2D,
     CameraIntrinsics,
     GroundPlane,
     box_corners,
@@ -42,17 +41,26 @@ HULL_GAP_PX = 1e-2  # min spacing between hull-extreme corner competitors
 BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's component scale
 
 
+def center_log(box):
+    """A box (left, top, right, bottom) as the box residual reads it:
+    center, then log width and height."""
+    left, top, right, bottom = box
+    return np.array([0.5 * (left + right), 0.5 * (top + bottom),
+                     np.log(right - left), np.log(bottom - top)])
+
+
 def one_block(box, uv, visible, theta0, sigma0, ground=GROUND, cam=CAM, depth=None):
-    """The one-row MeasurementBlock of one instance: box a Box2D, ground a
-    GroundPlane, cam a CameraIntrinsics, depth None without a crop depth."""
+    """The one-row MeasurementBlock of one instance: box its corners (left,
+    top, right, bottom), ground a GroundPlane, cam a CameraIntrinsics, depth
+    None without a crop depth."""
     return MeasurementBlock(
-        box=[astuple(box)], uv=[uv], visible=[visible], depth=[0.0 if depth is None else depth],
+        box=[box], uv=[uv], visible=[visible], depth=[0.0 if depth is None else depth],
         has_depth=[depth is not None], ground=[ground.N], cam=[astuple(cam)], theta0=[theta0],
         sigma0=[sigma0])
 
 
 # A measurement with every landmark hidden, for the terms that do not read them.
-BLANK = one_block(Box2D(tx=0, ty=0, w=0, h=0), np.zeros((14, 2)), np.zeros(14, dtype=bool),
+BLANK = one_block((-0.5, -0.5, 0.5, 0.5), np.zeros((14, 2)), np.zeros(14, dtype=bool),
                   0.0, np.zeros(3))
 
 
@@ -79,13 +87,11 @@ def measurement_for(vars, model, rng, with_depth=True, exact=False):
     uv = project(CAM, place_points(pts, pose.theta, pose.T, pose.sigma)[0])
     vis = np.ones(len(pts), dtype=bool)
     zb = float(vars.T[2])
-    if not exact:
-        box = Box2D(
-            tx=box.tx + rng.uniform(-20, 20),
-            ty=box.ty + rng.uniform(-20, 20),
-            w=box.w + rng.uniform(-0.3, 0.3),
-            h=box.h + rng.uniform(-0.3, 0.3),
-        )
+    if not exact:  # center moved by up to 20 px, extents scaled by up to e^0.3
+        tx, ty, w, h = center_log(box)
+        tx, ty = tx + rng.uniform(-20, 20), ty + rng.uniform(-20, 20)
+        hw, hh = 0.5 * np.exp(w + rng.uniform(-0.3, 0.3)), 0.5 * np.exp(h + rng.uniform(-0.3, 0.3))
+        box = np.array([tx - hw, ty - hh, tx + hw, ty + hh])
         uv = uv + rng.normal(0.0, 5.0, size=uv.shape)
         vis = rng.random(len(pts)) > 0.25
         zb += rng.normal(0.0, 2.0)
@@ -123,7 +129,7 @@ def test_box_residual_pure_translation():
     vars = random_vars(rng, 0)
     model = random_model(0, rng)
     meas = measurement_for(vars, model, rng, exact=True)
-    meas2 = replace(meas, box=meas.box + [5.0, 0.0, 0.0, 0.0])
+    meas2 = replace(meas, box=meas.box + [5.0, 0.0, 5.0, 0.0])
     # residual convention is measured minus projected
     np.testing.assert_allclose(term("2d3d", vars, meas2)[0], [5.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -134,7 +140,7 @@ def test_box_residual_matches_geometry_recompute():
         vars = random_vars(rng, 0)
         meas = measurement_for(vars, random_model(0, rng), rng)
         proj = project_box3d(CAM, vars.pose())
-        expected = meas.box[0] - astuple(proj)
+        expected = center_log(meas.box[0]) - center_log(proj)
         np.testing.assert_allclose(term("2d3d", vars, meas)[0], expected * BOX_SCALE, atol=1e-10)
 
 
@@ -262,7 +268,7 @@ def brute_energy(vars, meas, model, cfg):
     E = 0.0
     cam = CameraIntrinsics(*meas.cam[0])
     if "2d3d" in terms:
-        d = (meas.box[0] - astuple(project_box3d(cam, pose))) * BOX_SCALE
+        d = (center_log(meas.box[0]) - center_log(project_box3d(cam, pose))) * BOX_SCALE
         E += float(d @ d)
     if "lp" in terms:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
@@ -572,7 +578,7 @@ def test_config_validation():
         EnergyConfig(lambda2=-0.1)
     with pytest.raises(ValueError):
         EnergyConfig(variant="v9")
-    box = Box2D(tx=0, ty=0, w=0, h=0)
+    box = (-0.5, -0.5, 0.5, 0.5)
     with pytest.raises(ValueError, match=r"^uv has shape \(1, 3, 2\), not \(1, 2, 2\)$"):
         one_block(box, np.zeros((3, 2)), np.zeros(2, dtype=bool), 0.0, np.zeros(3))
     with pytest.raises(ValueError, match="^i0: depth hypothesis must be positive$"):

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from vehicle3d.geometry import (
     BehindCameraError,
-    Box2D,
     BoxStack,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
+    box2d_round_trip,
     box_corners,
     box_ious,
     iou_2d,
@@ -16,6 +16,7 @@ from vehicle3d.geometry import (
     iou_bev,
     project,
     project_box3d,
+    require_box,
     rot_y,
     wrap_angle,
     wrap_pi,
@@ -97,13 +98,20 @@ class TestProject:
 
 class TestBox2D:
     def test_corner_round_trip(self):
-        b = Box2D.from_corners(10.0, 20.0, 110.0, 70.0)
-        assert np.allclose(b.corners(), [10, 20, 110, 70])
-        assert np.isclose(b.width, 100.0) and np.isclose(b.height, 50.0)
+        back = box2d_round_trip(np.array([[10.0, 20.0, 110.0, 70.0]]))
+        assert np.allclose(back, [[10, 20, 110, 70]])
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            Box2D.from_corners(10.0, 20.0, 10.0, 70.0)
+        require_box(10.0, 20.0, 110.0, 70.0)
+        for corners in ((10.0, 20.0, 10.0, 70.0), (10.0, 20.0, 110.0, 20.0),
+                        (10.0, 20.0, 5.0, 70.0)):
+            with pytest.raises(ValueError, match="^degenerate 2D box: need right > left and "
+                                                 "bottom > top$"):
+                require_box(*corners)
+        # finiteness is checked first: a NaN fails every comparison
+        for corners in ((np.nan, 20.0, 10.0, 70.0), (10.0, 20.0, np.inf, 70.0)):
+            with pytest.raises(ValueError, match="^non-finite value$"):
+                require_box(*corners)
 
 
 class TestBox3DCorners:
@@ -150,20 +158,20 @@ class TestProjectBox3D:
         # the near corners at 100/9 px and spans 200/9 each way.
         cam = CameraIntrinsics(100, 100, 0, 0)
         pose = make_pose(0.0, [0, 1.0, 10.0], np.array([2.0, 2.0, 2.0]))
-        box = project_box3d(cam, pose)
-        assert np.isclose(box.tx, 0.0, atol=1e-12)
-        assert np.isclose(box.ty, 0.0, atol=1e-12)
-        assert np.isclose(box.width, 200.0 / 9.0, atol=1e-9)
-        assert np.isclose(box.height, 200.0 / 9.0, atol=1e-9)
+        left, top, right, bottom = project_box3d(cam, pose)
+        np.testing.assert_allclose([left, top, right, bottom], np.array([-1, -1, 1, 1]) * 100.0 / 9.0,
+                                   atol=1e-9)
 
     def test_translate_x_moves_center_right(self):
         cam = CameraIntrinsics(721.5, 721.5, 609.6, 172.9)
         base = make_pose(0.3, [0, 1.65, 15], np.array([3.9, 1.6, 1.6]))
-        prev = project_box3d(cam, base).tx
+        def center(pose):
+            left, _, right, _ = project_box3d(cam, pose)
+            return 0.5 * (left + right)
+
+        prev = center(base)
         for dx in [0.5, 1.0, 2.0, 4.0]:
-            cur = project_box3d(
-                cam, make_pose(0.3, [dx, 1.65, 15], np.array([3.9, 1.6, 1.6]))
-            ).tx
+            cur = center(make_pose(0.3, [dx, 1.65, 15], np.array([3.9, 1.6, 1.6])))
             assert cur > prev
             prev = cur
 
@@ -176,8 +184,9 @@ class TestProjectBox3D:
                 rng.uniform(0, 2 * np.pi), [rng.uniform(-5, 5), 1.65, 30], dims
             )
             bigger = PoseBox3D(pose.theta, pose.T, pose.sigma + np.log(2.0))
-            b0, b1 = project_box3d(cam, pose), project_box3d(cam, bigger)
-            assert b1.width > b0.width and b1.height > b0.height
+            size0, size1 = (np.diff(project_box3d(cam, p).reshape(2, 2), axis=0)
+                            for p in (pose, bigger))  # (width, height)
+            assert (size1 > size0).all()
 
     def test_behind_camera_propagates(self):
         cam = CameraIntrinsics(100, 100, 0, 0)
@@ -187,17 +196,15 @@ class TestProjectBox3D:
 
 class TestIoU2D:
     def test_identical(self):
-        b = Box2D.from_corners(0, 0, 10, 10)
+        b = (0, 0, 10, 10)
         assert iou_2d(b, b) == 1.0
 
     def test_disjoint(self):
-        a = Box2D.from_corners(0, 0, 1, 1)
-        b = Box2D.from_corners(5, 5, 6, 6)
+        a, b = (0, 0, 1, 1), (5, 5, 6, 6)
         assert iou_2d(a, b) == 0.0
 
     def test_half_offset_unit_squares(self):
-        a = Box2D.from_corners(0, 0, 1, 1)
-        b = Box2D.from_corners(0.5, 0, 1.5, 1)
+        a, b = (0, 0, 1, 1), (0.5, 0, 1.5, 1)
         assert np.isclose(iou_2d(a, b), 1.0 / 3.0)
 
     def test_symmetry_and_bounds(self):
@@ -205,8 +212,8 @@ class TestIoU2D:
         for _ in range(200):
             l1, t1 = rng.uniform(-5, 5, size=2)
             l2, t2 = rng.uniform(-5, 5, size=2)
-            a = Box2D.from_corners(l1, t1, l1 + rng.uniform(0.1, 8), t1 + rng.uniform(0.1, 8))
-            b = Box2D.from_corners(l2, t2, l2 + rng.uniform(0.1, 8), t2 + rng.uniform(0.1, 8))
+            a = (l1, t1, l1 + rng.uniform(0.1, 8), t1 + rng.uniform(0.1, 8))
+            b = (l2, t2, l2 + rng.uniform(0.1, 8), t2 + rng.uniform(0.1, 8))
             v = iou_2d(a, b)
             assert v == iou_2d(b, a)
             assert 0.0 <= v <= 1.0

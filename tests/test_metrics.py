@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vehicle3d import metrics
-from vehicle3d.geometry import Box2D, iou_2d, iou_3d, iou_bev
+from vehicle3d.geometry import iou_2d, iou_3d, iou_bev
 from vehicle3d.metrics import (
     ALP_GATE,
     DIFFICULTIES,
@@ -94,8 +94,7 @@ def rect_iou(a, b):
 def oracle_alp_criterion(threshold_m, gate_iou):
     def passes(det, gt):
         if gate_iou is not None:
-            boxes = (Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
-            if iou_2d(*boxes) < gate_iou:
+            if iou_2d(det.bbox, gt.bbox) < gate_iou:
                 return None
         dx = det.location[0] - gt.location[0]
         dy = (det.location[1] - det.dimensions[0] / 2.0) - (
@@ -111,7 +110,7 @@ def oracle_alp_criterion(threshold_m, gate_iou):
 def oracle_iou_criterion(kind, threshold):
     def passes(det, gt):
         if kind == "2d":
-            value = iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
+            value = iou_2d(det.bbox, gt.bbox)
         else:
             if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
                 return None
@@ -689,7 +688,7 @@ TABLE_KERNELS = (("iou_3d", "iou_3d"), ("iou_bev", "iou_bev"),
 def scalar_pair_value(kind, det, gt):
     """The scalar kernel behind one pair value."""
     if kind == "iou_2d":
-        return iou_2d(Box2D.from_corners(*det.bbox), Box2D.from_corners(*gt.bbox))
+        return iou_2d(det.bbox, gt.bbox)
     if kind == "distance":  # the batched kernel for one pair
         return float(metrics._distances(metrics._centers([det]), metrics._centers([gt]))[0])
     if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:

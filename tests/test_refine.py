@@ -1,6 +1,7 @@
 """Solver tests: initialization geometry, convergence on synthetic
 instances, monotonicity, determinism, and the ablation ladder."""
 import importlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from vehicle3d.energy import (
     ablation_config,
 )
 from vehicle3d.geometry import (
-    Box2D,
     CameraIntrinsics,
     GroundPlane,
     place_points,
@@ -74,8 +74,7 @@ def make_instance(
         alpha=alpha_sigma * rng.standard_normal(model.n_basis),
     )
     pose = truth.pose()
-    box = project_box3d(CAM, pose)
-    corners = np.array(box.corners()) + box_noise * rng.standard_normal(4)
+    corners = project_box3d(CAM, pose) + box_noise * rng.standard_normal(4)
     if corners[2] - corners[0] < 2.0:
         corners[2] = corners[0] + 2.0
     if corners[3] - corners[1] < 2.0:
@@ -86,7 +85,7 @@ def make_instance(
     while vis.sum() < 6:
         vis[rng.integers(0, len(uv))] = True
     zb = float(truth.T[2]) * (1.0 + depth_rel_noise * rng.standard_normal())
-    meas = one_block(Box2D.from_corners(*corners), uv, vis,
+    meas = one_block(corners, uv, vis,
                      truth.theta + theta_noise * rng.standard_normal(),
                      truth.sigma + sigma_noise * rng.standard_normal(3), GROUND, CAM,
                      depth=max(zb, 1.0) if with_depth else None)
@@ -118,13 +117,19 @@ def pose_errors(truth, vars):
 # Initialization
 # ---------------------------------------------------------------------------
 
+def box_at(tx, ty, w, h):
+    """The corners of the box of center (tx, ty) and extents (e^w, e^h)."""
+    hw, hh = 0.5 * np.exp(w), 0.5 * np.exp(h)
+    return (tx - hw, ty - hh, tx + hw, ty + hh)
+
+
 def empty_meas(box, depth=None):
     return one_block(box, np.zeros((0, 2)), np.zeros(0, dtype=bool), 0.4,
                      np.array([1.0, 0.5, 0.4]), GROUND, CAM, depth=depth)
 
 
 def test_initialize_axial_ray():
-    meas = empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0)
+    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0)
     model = MorphableModel(mean=np.zeros(42), basis=np.zeros((2, 42)))
     vars = initialize(meas, model)
     np.testing.assert_array_equal(vars.T, [0.0, 0.0, 10.0])
@@ -135,20 +140,20 @@ def test_initialize_axial_ray():
 
 def test_initialize_ground_intersection():
     # ray direction (0, 0.165, 1) meets N.T = 1 at depth 10, height 1.65
-    meas = empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy + 0.165 * CAM.fy, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy + 0.165 * CAM.fy, w=4.0, h=3.5))
     vars = initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
     np.testing.assert_allclose(vars.T, [0.0, 1.65, 10.0], atol=1e-12)
     assert vars.alpha.size == 0
 
 
 def test_initialize_parallel_ray_raises():
-    meas = empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5))
     with pytest.raises(InitializationError):
         initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
 
 
 def test_initialize_ray_away_from_plane_raises():
-    meas = empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy - 50.0, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy - 50.0, w=4.0, h=3.5))
     with pytest.raises(InitializationError):
         initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
 
@@ -398,6 +403,32 @@ def test_failing_instance_leaves_its_block_alone():
         assert _fingerprint(mixed[i]) == _fingerprint(good[i])
 
 
+@pytest.mark.parametrize("right", ["left", "left - 5"])
+def test_an_inverted_box_fails_only_its_own_instance(right):
+    """The block does not check its boxes: a row with right <= left, from a
+    direct caller, has non-finite box rows, so it fails by name at v2-v4
+    and v1 returns its start; every other row equals its solve alone, and
+    nothing is warned."""
+    frame = _seed7_frames(1)[0]
+    box = frame.box.copy()
+    box[2, 2] = box[2, 0] - (5.0 if right == "left - 5" else 0.0)
+    inverted = replace(frame, box=box)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rungs = {variant: refine_batch(inverted, CAR_MODEL, ablation_config(variant))
+                 for variant in ABLATION_VARIANTS}
+    assert not caught
+    assert isinstance(rungs["v1"][2], RefineResult)
+    for variant, outcomes in rungs.items():
+        if variant != "v1":
+            assert isinstance(outcomes[2], InitializationError)
+            assert str(outcomes[2]) == ("initial point has non-finite residuals "
+                                        "(NaN or inf in the measurement or start)")
+        for i in (0, 1, 3, 4):
+            alone = refine_ablation(frame[i], CAR_MODEL, variant)
+            assert _fingerprint(outcomes[i]) == _fingerprint(alone), (variant, i)
+
+
 def test_singular_system_fails_only_its_own_instance():
     rng = np.random.default_rng(34)
     A = rng.standard_normal((3, 4, 4))
@@ -415,7 +446,8 @@ def _parallel_ray(block, i):
     center on the principal row, so on flat ground its box-center ray never
     meets the ground."""
     box, depth, has_depth = block.box.copy(), block.depth.copy(), block.has_depth.copy()
-    box[i, 1], depth[i], has_depth[i] = block.cam[i, 3], 0.0, False
+    box[i, [1, 3]] = block.cam[i, 3] + [-10.0, 10.0]  # center row cy
+    depth[i], has_depth[i] = 0.0, False
     return replace(block, box=box, depth=depth, has_depth=has_depth)
 
 
@@ -513,7 +545,7 @@ def _random_measurements(rng, n):
         ground = GroundPlane(N=normal / np.linalg.norm(normal) / rng.uniform(1.0, 2.5))
         ty = cam.cy if i % 7 == 0 else cam.cy + rng.uniform(-200.0, 250.0)
         out.append(one_block(
-            Box2D(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
+            box_at(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
                   h=rng.uniform(1.0, 6.0)),
             np.zeros((0, 2)), np.zeros(0, dtype=bool), rng.uniform(-7.0, 7.0),
             rng.normal(size=3), ground, cam, depth=rng.uniform(0.5, 80.0) if i % 3 else None))
@@ -526,7 +558,7 @@ def test_array_starts_equal_the_scalar_back_projection(n_basis):
     every row, and each row its one-row block; a failed row is NaN, with
     the scalar path's message."""
     ms = _random_measurements(np.random.default_rng(36), 600)
-    ms.append(empty_meas(Box2D(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0))  # slope 0
+    ms.append(empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0))  # slope 0
     x, failures = _starts(MeasurementBlock.concat(ms), n_basis)
     assert x.shape == (len(ms), 7 + n_basis)
     for i, meas in enumerate(ms):

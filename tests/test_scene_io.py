@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from vehicle3d import scene_io
 from vehicle3d.geometry import (
     BehindCameraError,
-    Box2D,
     BoxStack,
     CameraIntrinsics,
     PoseBox3D,
+    box2d_round_trip,
     place_points,
     project,
     project_box3d,
@@ -277,7 +277,7 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
             assert type(got) is type(err) and str(got) == str(err)
             continue
         assert got == want  # every field
-        assert got.bbox == tuple(project_box3d(cam, pose).corners())
+        assert got.bbox == tuple(box2d_round_trip(project_box3d(cam, pose)[None])[0])
         alone.append(want)
     assert emit_labels([rec for rec in batched if isinstance(rec, LabelRecord)]) == emit_labels(alone)
     assert len(alone) == min(n, len(seed_fit))
@@ -297,17 +297,19 @@ def test_pose_conversion_failures_name_their_kind(fields, kind, message):
 # ---------------------------------------------------------------------------
 
 def test_measurement_text_roundtrip():
-    """A generated block comes back from its file bit for bit.  The file
-    holds each box as its corners, so the box comes back as the corners'
-    Box2D; the log/exp round trip does not make them a fixed point."""
+    """Measurement files are a fixed point of parse and emit: over 200
+    seed-7 frames, with and without depth, a generated block comes back
+    from its file field for field, bit for bit, and the parsed block
+    writes the same text again."""
     for with_depth, index in [(with_depth, index) for with_depth in (True, False)
-                              for index in range(20)]:
+                              for index in range(200)]:
         _, block, _ = generate_scene(SceneParams(with_depth=with_depth), STANDARD_NOISE, [7, index])
-        cam, ground, back = parse_measurements(emit_measurements(KITTI_CAMERA, FLAT_GROUND, block))
+        text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, block)
+        cam, ground, back = parse_measurements(text)
         assert cam == KITTI_CAMERA
         np.testing.assert_array_equal(ground.N, FLAT_GROUND.N)
-        written = [astuple(Box2D.from_corners(*Box2D(*box).corners())) for box in block.box.tolist()]
-        assert same_block(back, replace(block, box=written))
+        assert same_block(back, block), (with_depth, index)
+        assert emit_measurements(cam, ground, back) == text, (with_depth, index)
         assert back.has_depth.all() == with_depth
 
 
@@ -474,8 +476,11 @@ def test_generate_noise_free_measurements_exact():
     """The frame's array pass equals the one-pose definitions bit for bit,
     for several seeds and frame sizes."""
     for (pose, coeffs), meas, label in _noise_free_frames():
-        box = project_box3d(KITTI_CAMERA, pose)
-        np.testing.assert_array_equal(meas.box[0], astuple(Box2D.from_corners(*box.corners())))
+        # the label's box is the hull through box2d_round_trip, the block's
+        # box the label's (noise-free) through it again
+        hull = project_box3d(KITTI_CAMERA, pose)
+        assert label.bbox == tuple(box2d_round_trip(hull[None])[0])
+        np.testing.assert_array_equal(meas.box[0], box2d_round_trip(np.array([label.bbox]))[0])
         uv = project(KITTI_CAMERA, place_points(instantiate(CAR_MODEL, coeffs), pose.theta, pose.T,
                                                 pose.sigma)[0])
         np.testing.assert_array_equal(meas.uv[0], uv)
