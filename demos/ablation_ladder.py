@@ -4,10 +4,11 @@ v1 keeps the initialization, v2 optimizes box + ground-plane consistency,
 v3 adds landmarks and the shape prior, v4 adds measured depth.  Every
 rung is solved from the same initialization: refine_ladder solves each
 rung of a frame's measurement block in one batch, whose starts come from
-one array pass over the block's hypotheses, and returns the rungs as a
-dict, and poses_to_labels converts each rung's poses as one stack, seen by
-the block's camera rows.  Expect each metric to improve down the ladder;
-small per-seed wobble on the last link is normal at this sample size.
+one array pass over the block's hypotheses, and returns each rung's
+outcomes as the columns of one SolveBlock; poses_to_labels converts the
+rows without an error as one stack, seen by the block's camera rows.
+Expect each metric to improve down the ladder; small per-seed wobble on
+the last link is normal at this sample size.
 """
 from vehicle3d import (
     ABLATION_VARIANTS,
@@ -30,11 +31,12 @@ for index in range(frames):
     _, measurements, labels = generate_scene(params, STANDARD_NOISE, [777, index])
     gts = tuple(labels)
     rungs = refine_ladder(measurements, CAR_MODEL)
-    for variant in ABLATION_VARIANTS:
-        solved = [result.vars for result in rungs[variant]]
+    for variant, solve in rungs.items():
+        ok = [error is None for error in solve.error]  # a failed instance has no solution
+        x = solve.x[ok]
         dets = poses_to_labels(
-            [v.theta for v in solved], [v.T for v in solved], [v.sigma for v in solved],
-            measurements.cam, [1.0 / (1.0 + r.final_energy) for r in rungs[variant]],
+            x[:, 0], x[:, 1:4], x[:, 4:7], measurements.cam[ok],
+            (1.0 / (1.0 + solve.energy[ok])).tolist(),
         )
         for det in dets:  # a pose with no valid label comes back as its error
             if isinstance(det, ValueError):

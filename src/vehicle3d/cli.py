@@ -24,8 +24,8 @@ into tasks, one batched solve per task and rung the command writes (fit
 its --variant, ablate v1..v4, each from the initialization); an
 instance's result does not depend on which task it lands in, and tasks are
 collected in dataset order, so reruns are byte-identical for a fixed seed
-at any --jobs setting.  One function turns a rung's outcomes into each
-instance's label record and diag entries.  eval and ablate hold their
+at any --jobs setting.  One function turns a rung's solution columns into
+each instance's label record and diag entries.  eval and ablate hold their
 tables as data, rows naming a curve job and the curve field they print,
 and render them all through one function.
 
@@ -51,7 +51,7 @@ import numpy as np
 from .energy import ABLATION_VARIANTS, EnergyConfig, MeasurementBlock
 from .geometry import BehindCameraError, BoxStack
 from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
-from .refine import InitializationError, SolverOptions, refine_ladder
+from .refine import SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
 # external profilers wrap.
 from .refine import refine_ablation  # noqa: F401
@@ -302,41 +302,38 @@ def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneP
 _FIT_BLOCK = 256
 
 
-def _rung_outcomes(block: MeasurementBlock, outcomes) -> list:
+def _rung_outcomes(block: MeasurementBlock, solve) -> list:
     """(label record or None, diag entries without the instance prefix) of
-    each instance of one rung of block.  Its solved poses become labels in
-    one poses_to_labels call, each scored 1 / (1 + final energy)."""
-    ok = np.array([not isinstance(outcome, InitializationError) for outcome in outcomes], bool)
-    solved = [outcome for outcome, good in zip(outcomes, ok) if good]
-    records = iter(poses_to_labels(
-        [o.vars.theta for o in solved], [o.vars.T for o in solved], [o.vars.sigma for o in solved],
-        block.cam[ok], [1.0 / (1.0 + o.final_energy) for o in solved]))
+    each row of a rung's SolveBlock.  Its solved poses become labels in one
+    poses_to_labels call, each scored 1 / (1 + final energy)."""
+    ok = np.equal(solve.error, None)
+    x = solve.x[ok]
+    records = iter(poses_to_labels(x[:, 0], x[:, 1:4], x[:, 4:7], block.cam[ok],
+                                   (1.0 / (1.0 + solve.energy[ok])).tolist()))
+    columns = zip(solve.error, solve.converged.tolist(), solve.iterations.tolist(), solve.reason,
+                  solve.energy.tolist(), *(value.tolist() for value in solve.terms.values()))
 
-    def entry(outcome):
-        if isinstance(outcome, InitializationError):
-            return None, {"error": str(outcome)}
+    def entry(error, converged, iterations, reason, energy, *terms):
+        if error is not None:
+            return None, {"error": error}
         record = next(records)
         if isinstance(record, BehindCameraError):
             return None, {"error": "refined box projects behind the camera"}
         if isinstance(record, ValueError):
             return None, {"error": f"refined box has no valid image box: {record}"}
-        diag = {
-            "converged": _fmt_value(bool(outcome.converged)),
-            "iterations": str(outcome.iterations),
-            "reason": outcome.reason,
-            "energy": repr(float(outcome.final_energy)),
-        }
-        for term, value in outcome.breakdown.items():
-            diag["energy_" + term] = repr(float(value))
+        diag = {"converged": _fmt_value(converged), "iterations": str(iterations),
+                "reason": reason, "energy": repr(energy)}
+        diag.update(("energy_" + name, repr(value))
+                    for name, value in zip(solve.terms, terms) if not math.isnan(value))
         return record, diag
 
-    return [entry(outcome) for outcome in outcomes]
+    return [entry(*row) for row in columns]
 
 
 def _fit_block_task(task):
     """{variant: _rung_outcomes entry} of each instance of one task."""
     block, variants, model, energy, solver = task
-    rungs = {variant: _rung_outcomes(block, outcomes) for variant, outcomes
+    rungs = {variant: _rung_outcomes(block, solve) for variant, solve
              in refine_ladder(block, model, energy, solver, variants).items()}
     return [dict(zip(rungs, entries)) for entries in zip(*rungs.values())]
 

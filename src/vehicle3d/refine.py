@@ -18,8 +18,8 @@ bit-identical whether the instance is solved alone or among any others.
 Every rung is solved from the initialization, the starts of the whole
 block computed in one array pass: refine_ladder makes one such solve per
 rung.  Instances come as one MeasurementBlock, as the parser and the
-generator build them; `refine`/`refine_ablation`/`initialize` are the
-one-instance case and take a one-row block.
+generator build them, and leave as one SolveBlock; `refine`, `refine_ablation`
+and `initialize` take a one-row block, and only `refine` makes a RefineResult.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -40,6 +40,7 @@ from .energy import (
     block_energy,
     block_residuals,
     rowdot,
+    term_rows,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
 # external profilers wrap.
@@ -76,6 +77,19 @@ class RefineResult:
     breakdown: dict
     reason: str
     energy_path: np.ndarray  # accepted energies, starting at the initial one
+
+
+@dataclass(frozen=True, eq=False)
+class SolveBlock:
+    """refine_batch's per-instance outcomes as columns; a row with an error holds no solution."""
+    x: np.ndarray  # (B, D) solutions, the yaw wrapped as Variables.theta reads it
+    error: np.ndarray  # (B,) object: None, or the message of the failure that stopped the row
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) int
+    reason: np.ndarray  # (B,) object: why each solve stopped
+    energy: np.ndarray  # (B,) final energy
+    terms: dict  # {name: (B,)} final energy per term in term_rows order; md NaN without a depth
+    path: np.ndarray  # (B, 1 + max iterations) accepted energies from the start's, NaN-padded
 
 
 def _starts(block: MeasurementBlock, n_basis: int):
@@ -151,7 +165,7 @@ def refine_batch(
     model: MorphableModel,
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
-) -> list:
+) -> SolveBlock:
     """Levenberg-Marquardt minimization of the energy terms enabled at
     cfg.variant for the instances of a block, all of them in one batch.  A
     rung without terms (v1) returns each start, converged after 0
@@ -171,21 +185,23 @@ def refine_batch(
     residual rows, energy, damping and counters; no Jacobian outlives the
     evaluation that produced it.
 
-    Entry i of the result is instance i's RefineResult, or the
-    InitializationError that stopped it: a start that cannot be computed,
-    a landmark count the model does not have (one check per block), or a
-    start that projects behind the camera or evaluates to non-finite
-    residuals or to an energy that overflows.  Failures are returned, not
-    raised, so the other instances are unaffected; numpy's overflow and
-    invalid-value warnings are silenced here as in the kernel, since an
-    energy or step norm that overflows is read as inf.
+    Row i of the returned SolveBlock is instance i's outcome.  Its error
+    is None, or the message of the failure that stopped it: a start that
+    cannot be computed, a landmark count the model does not have (one check
+    per block), or a start that projects behind the camera or evaluates to
+    non-finite residuals or to an energy that overflows.  Failures are
+    recorded, not raised, so the other instances are unaffected; numpy's
+    overflow and invalid-value warnings are silenced here as in the kernel,
+    since an energy or step norm that overflows is read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
-    if block.K != model.K or not len(block):
-        return [InitializationError(f"measurement has {block.K} landmarks, the model {model.K}")
-                for _ in range(len(block))]
     x, failures = _starts(block, model.n_basis)
     B, D = x.shape
+    if block.K != model.K or not B:  # the kernel evaluates neither
+        nan, error = np.full(B, np.nan), f"measurement has {block.K} landmarks, the model {model.K}"
+        return SolveBlock(x, np.full(B, error, dtype=object), np.zeros(B, bool), np.zeros(B, int),
+                          np.full(B, None), nan,
+                          {name: nan for name, _, _ in term_rows(cfg, model.K, D - 7)}, nan[:, None])
     res = block_residuals(x, block, model, cfg)
     unweighted, energy = res.unweighted, rowdot(res.r)
     # a rung without rows (v1) passes a start's NaN row as usable
@@ -195,8 +211,8 @@ def refine_batch(
     converged = np.full(B, no_rows)
     reasons = np.full(B, "initialization only" if no_rows else "max_iterations", dtype=object)
     lam = np.full(B, _DAMPING_INIT)
-    iterations = np.zeros(B, dtype=int)
-    paths = [[e] for e in energy.tolist()]
+    iterations, accepted = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    steps = [(np.arange(B), accepted.copy(), energy.copy())]  # (rows, path column, energies)
     active = np.flatnonzero(usable & ~converged)
     H, g = np.empty((B, D, D)), np.empty((B, D))
     H[active], g[active] = _normal_equations(res.JT[active], res.r[active])
@@ -222,8 +238,8 @@ def refine_batch(
             up, down = tried[accept], tried[~accept]
             x[up], unweighted[up], energy[up] = (
                 x_trial[accept], res.unweighted[accept], trial_energy[accept])
-            for i, e in zip(up.tolist(), trial_energy[accept].tolist()):
-                paths[i].append(e)
+            accepted[up] += 1
+            steps.append((up, accepted[up], trial_energy[accept]))
             lam[up] = np.maximum(lam[up] * 0.5, _DAMPING_MIN)
             lam[down] = np.minimum(lam[down] * 10.0, _DAMPING_MAX)
             # an accepted or rejected step below the resolvable size ends the solve
@@ -237,28 +253,19 @@ def refine_batch(
         active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
 
     total, parts = block_energy(unweighted, cfg, model.K, D - 7)
-    out = []
-    for b in range(B):
-        if not usable[b]:
-            out.append(InitializationError(
-                failures[b] if failures[b] is not None else
-                "initial point projects behind the camera" if behind[b] else
-                "initial point's energy overflows: its residuals are finite, but "
-                "their squares sum to inf" if overflows[b] else
-                "initial point has non-finite residuals (NaN or inf in the measurement or start)"))
-            continue
-        out.append(RefineResult(
-            vars=Variables(theta=wrap_angle(x[b, 0]), T=x[b, 1:4], sigma=x[b, 4:7],
-                           alpha=x[b, 7:]),
-            converged=bool(converged[b]),
-            iterations=int(iterations[b]),
-            final_energy=float(total[b]),
-            breakdown={name: float(value[b]) for name, value in parts.items()
-                       if name != "md" or block.has_depth[b]},
-            reason=reasons[b],
-            energy_path=np.asarray(paths[b]),
-        ))
-    return out
+    if "md" in parts:
+        parts["md"] = np.where(block.has_depth, parts["md"], np.nan)
+    error = np.full(B, None)  # each unusable row's failure, set in reverse precedence
+    error[~usable] = "initial point has non-finite residuals (NaN or inf in the measurement or start)"
+    error[~usable & overflows] = ("initial point's energy overflows: its residuals are finite, "
+                                  "but their squares sum to inf")
+    error[~usable & behind] = "initial point projects behind the camera"
+    error = np.where(np.equal(failures, None), error, failures)
+    path = np.full((B, 1 + iterations.max()), np.nan)
+    rows, columns, energies = (np.concatenate(column) for column in zip(*steps))
+    path[rows, columns] = energies
+    x[:, 0] = wrap_angle(x[:, 0])
+    return SolveBlock(x, error, converged, iterations, reasons, total, parts, path)
 
 
 def refine(
@@ -267,11 +274,16 @@ def refine(
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
 ) -> RefineResult:
-    """refine_batch for a one-row block; a failure raises InitializationError."""
-    outcome = refine_batch(meas.one_row("refine"), model, cfg, opts)[0]
-    if isinstance(outcome, InitializationError):
-        raise outcome
-    return outcome
+    """refine_batch's one-row case as a RefineResult; a failure raises InitializationError."""
+    s = refine_batch(meas.one_row("refine"), model, cfg, opts)
+    if s.error[0] is not None:
+        raise InitializationError(s.error[0])
+    return RefineResult(
+        vars=Variables(theta=float(s.x[0, 0]), T=s.x[0, 1:4], sigma=s.x[0, 4:7], alpha=s.x[0, 7:]),
+        converged=bool(s.converged[0]), iterations=int(s.iterations[0]),
+        final_energy=float(s.energy[0]), reason=s.reason[0],
+        energy_path=s.path[0, ~np.isnan(s.path[0])],
+        breakdown={name: float(v[0]) for name, v in s.terms.items() if not np.isnan(v[0])})
 
 
 def refine_ladder(
@@ -282,11 +294,11 @@ def refine_ladder(
     variants=None,
 ) -> dict:
     """Rungs of the term-ablation ladder for the instances of a block, each
-    at cfg's weights: {variant: list of per-instance outcomes as in
-    refine_batch}, for `variants` (by default every rung v1..cfg.variant).
+    at cfg's weights: {variant: SolveBlock}, for `variants` (by default
+    every rung v1..cfg.variant).
 
     Every rung is one refine_batch call, whose starts are the same array
-    pass over the same block, so the outcome of instance i equals
+    pass over the same block, so row i of each rung equals
     refine(block[i], model, ablation_config(variant, cfg), opts) bit for bit.
     """
     cfg = cfg or EnergyConfig()

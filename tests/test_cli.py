@@ -20,7 +20,7 @@ import vehicle3d.metrics
 from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import BoxStack, wrap_pi
 from vehicle3d.metrics import alp
-from vehicle3d.refine import initialize, refine_ablation, refine_ladder
+from vehicle3d.refine import initialize, refine, refine_ablation, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
     STANDARD_NOISE,
@@ -301,8 +301,11 @@ def test_a_solved_box_without_a_label_is_a_failure(dataset, tmp_path, monkeypatc
 
     def ladder(*args):  # every rung of frame 0's instance 0 solves to `pose`
         rungs = solve(*args)
-        for outcomes in rungs.values():
-            outcomes[0] = replace(outcomes[0], vars=replace(outcomes[0].vars, **pose))
+        for variant, solved in rungs.items():
+            x = solved.x.copy()
+            for name, value in pose.items():
+                x[0, {"T": slice(1, 4), "sigma": slice(4, 7)}[name]] = value
+            rungs[variant] = replace(solved, x=x)
         return rungs
 
     plain, out = tmp_path / "plain", tmp_path / "patched"
@@ -323,6 +326,25 @@ def test_a_solved_box_without_a_label_is_a_failure(dataset, tmp_path, monkeypatc
         line for line in lines if line != lost)
     skip = ("manifest.cfg", "000000.txt", "000000.cfg")
     assert tree_bytes(out, skip=skip) == tree_bytes(plain, skip=skip)
+
+
+def test_an_instance_without_a_depth_has_no_depth_energy(tmp_path):
+    """fit writes energy_md for the instances with a measured depth and not
+    for one without, whose breakdown from refine has no md key either."""
+    data, out = tmp_path / "data", tmp_path / "fit"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 1) == 0
+    path = data / "meas" / "000000.cfg"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("i2.depth ")))
+    assert run_cli("fit", "--data", data, "--out", out) == 0
+    diag = parse_config_text((out / "diag" / "000000.cfg").read_text())
+    _, _, block = parse_measurements(path.read_text())
+    assert block.has_depth.tolist() == [True, True, False, True, True]
+    for i, meas in enumerate(block):
+        breakdown = refine(meas, CAR_MODEL).breakdown
+        assert ("md" in breakdown) == (f"i{i}.energy_md" in diag) == (i != 2)
+        assert {key: diag[f"i{i}.energy_{key}"] for key in breakdown} == {
+            key: repr(value) for key, value in breakdown.items()}
 
 
 def _nan_visible_landmark(mapping):
@@ -721,8 +743,8 @@ def test_ablate_equals_the_ladder_in_process(tmp_path):
     assert run_cli("ablate", "--data", data, "--out", out) == 0
     for i in range(3):
         block = generate_scene(SceneParams(), STANDARD_NOISE, [7, i])[1]
-        for variant, outcomes in refine_ladder(block, CAR_MODEL).items():
-            entries = vehicle3d.cli._rung_outcomes(block, outcomes)
+        for variant, solve in refine_ladder(block, CAR_MODEL).items():
+            entries = vehicle3d.cli._rung_outcomes(block, solve)
             fit = out / f"fit_{variant}"
             labels = emit_labels([record for record, _ in entries if record is not None])
             assert (fit / "labels" / f"{i:06d}.txt").read_text() == labels, (variant, i)

@@ -286,14 +286,29 @@ def test_every_rung_is_solved_from_the_initialization():
     cfg, opts = EnergyConfig(lambda1=0.5, lambda3=5.0), SolverOptions(max_iterations=20)
     rungs = refine_ladder(frame, CAR_MODEL, cfg, opts)
     assert list(rungs) == ["v1", "v2", "v3", "v4"]
-    for variant, outcomes in rungs.items():
-        for meas, outcome in zip(frame, outcomes):
+    for variant, solve in rungs.items():
+        for i, meas in enumerate(frame):
             solo = refine(meas, CAR_MODEL, ablation_config(variant, cfg), opts)
-            assert _fingerprint(outcome) == _fingerprint(solo)
+            assert _row_fingerprint(solve, i) == _fingerprint(solo)
     # a ladder of one rung solves only that rung
     assert list(refine_ladder(frame, CAR_MODEL, cfg, opts, ["v3"])) == ["v3"]
-    for meas, outcome in zip(frame, refine_ladder(frame, CAR_MODEL, variants=["v3"])["v3"]):
-        assert _fingerprint(outcome) == _fingerprint(refine_ablation(meas, CAR_MODEL, "v3"))
+    solve = refine_ladder(frame, CAR_MODEL, variants=["v3"])["v3"]
+    for i, meas in enumerate(frame):
+        assert _row_fingerprint(solve, i) == _fingerprint(refine_ablation(meas, CAR_MODEL, "v3"))
+
+
+def test_the_path_is_as_wide_as_the_longest_solve():
+    """The accepted-energy path is 1 + max(iterations) columns wide, however
+    high the iteration cap, and each row is the path refine gives for that
+    instance alone, then NaN."""
+    frame = _seed7_frames(1)[0]
+    opts = SolverOptions(max_iterations=10**6)
+    solve = refine_batch(frame, CAR_MODEL, opts=opts)
+    assert solve.path.shape == (len(frame), 1 + max(solve.iterations)) == (5, 8)
+    for i, meas in enumerate(frame):
+        alone = refine(meas, CAR_MODEL, opts=opts).energy_path
+        assert solve.path[i, :len(alone)].tobytes() == alone.tobytes()
+        assert np.isnan(solve.path[i, len(alone):]).all()
 
 
 def test_options_validation():
@@ -306,9 +321,8 @@ def test_unusable_initial_point_raises():
     model = toy_model(rng)
     _, meas = standard_noisy(rng, model)
     # a crop depth of 1 cm puts the start's far corners behind the camera
-    outcome = refine_batch(replace(meas, depth=[0.01]), model)[0]
-    assert isinstance(outcome, InitializationError)
-    assert str(outcome) == "initial point projects behind the camera"
+    solve = refine_batch(replace(meas, depth=[0.01]), model)
+    assert solve.error.tolist() == ["initial point projects behind the camera"]
     # a NaN in a visible landmark is reported as such, not as a camera problem
     uv = meas.uv.copy()
     uv[0, np.flatnonzero(meas.visible[0])[0], 0] = np.nan
@@ -319,7 +333,12 @@ def test_unusable_initial_point_raises():
 def test_an_empty_block_solves_to_nothing():
     empty = _seed7_frames(1)[0][:0]
     assert (len(empty), empty.K) == (0, 14)
-    assert refine_ladder(empty, CAR_MODEL) == {v: [] for v in ABLATION_VARIANTS}
+    rungs = refine_ladder(empty, CAR_MODEL)
+    assert list(rungs) == list(ABLATION_VARIANTS)
+    for solve in rungs.values():
+        columns = (solve.x, solve.error, solve.converged, solve.iterations, solve.reason,
+                   solve.energy, solve.path, *solve.terms.values())
+        assert all(len(column) == 0 for column in columns)
 
 
 def test_a_model_of_another_landmark_count_fails_every_rung():
@@ -327,11 +346,8 @@ def test_a_model_of_another_landmark_count_fails_every_rung():
     other = toy_model(np.random.default_rng(35), K=10)
     rungs = refine_ladder(frame, other)
     assert list(rungs) == ["v1", "v2", "v3", "v4"]
-    for outcomes in rungs.values():
-        assert len(outcomes) == len(frame)
-        for outcome in outcomes:
-            assert isinstance(outcome, InitializationError)
-            assert str(outcome) == "measurement has 14 landmarks, the model 10"
+    for solve in rungs.values():
+        assert solve.error.tolist() == ["measurement has 14 landmarks, the model 10"] * len(frame)
 
 
 @pytest.mark.parametrize("function, args", [
@@ -354,11 +370,23 @@ def _seed7_frames(n_frames=4):
             for index in range(n_frames)]
 
 
-def _fingerprint(outcome):
-    if isinstance(outcome, InitializationError):
-        return str(outcome)
-    return (outcome.vars.to_vector().tobytes(), outcome.iterations, outcome.reason,
-            outcome.converged, outcome.energy_path.tobytes())
+def _fingerprint(result):
+    """The bytes of a RefineResult's solution, its iterations, reason,
+    convergence and the bytes of its accepted-energy path."""
+    return (result.vars.to_vector().tobytes(), result.iterations, result.reason,
+            result.converged, result.energy_path.tobytes())
+
+
+def _row_fingerprint(solve, i):
+    """Row i of a SolveBlock as _fingerprint reads a RefineResult, or its
+    error message; its path holds only NaN after the accepted energies."""
+    if solve.error[i] is not None:
+        return solve.error[i]
+    path = solve.path[i]
+    accepted = np.count_nonzero(~np.isnan(path))
+    assert np.isnan(path[accepted:]).all()
+    return (solve.x[i].tobytes(), int(solve.iterations[i]), solve.reason[i],
+            bool(solve.converged[i]), path[:accepted].tobytes())
 
 
 def _ladder_in_blocks(blocks):
@@ -367,9 +395,9 @@ def _ladder_in_blocks(blocks):
     out = {}
     for block in blocks:
         rungs = refine_ladder(MeasurementBlock.concat(meas for _, meas in block), CAR_MODEL)
-        for variant, outcomes in rungs.items():
-            for (key, _), outcome in zip(block, outcomes):
-                out[variant, key] = _fingerprint(outcome)
+        for variant, solve in rungs.items():
+            for i, (key, _) in enumerate(block):
+                out[variant, key] = _row_fingerprint(solve, i)
     return out
 
 
@@ -397,10 +425,10 @@ def test_failing_instance_leaves_its_block_alone():
     depth = frame.depth.copy()
     depth[2] = 0.01  # a start behind the camera
     mixed = refine_batch(replace(frame, depth=depth), CAR_MODEL)
-    assert isinstance(mixed[2], InitializationError)
-    assert str(mixed[2]) == "initial point projects behind the camera"
+    assert mixed.error[2] == "initial point projects behind the camera"
     for i in (0, 1, 3, 4):
-        assert _fingerprint(mixed[i]) == _fingerprint(good[i])
+        assert good.error[i] is None
+        assert _row_fingerprint(mixed, i) == _row_fingerprint(good, i)
 
 
 @pytest.mark.parametrize("right", ["left", "left - 5"])
@@ -418,15 +446,14 @@ def test_an_inverted_box_fails_only_its_own_instance(right):
         rungs = {variant: refine_batch(inverted, CAR_MODEL, ablation_config(variant))
                  for variant in ABLATION_VARIANTS}
     assert not caught
-    assert isinstance(rungs["v1"][2], RefineResult)
-    for variant, outcomes in rungs.items():
+    assert rungs["v1"].error[2] is None
+    for variant, solve in rungs.items():
         if variant != "v1":
-            assert isinstance(outcomes[2], InitializationError)
-            assert str(outcomes[2]) == ("initial point has non-finite residuals "
-                                        "(NaN or inf in the measurement or start)")
+            assert solve.error[2] == ("initial point has non-finite residuals "
+                                      "(NaN or inf in the measurement or start)")
         for i in (0, 1, 3, 4):
             alone = refine_ablation(frame[i], CAR_MODEL, variant)
-            assert _fingerprint(outcomes[i]) == _fingerprint(alone), (variant, i)
+            assert _row_fingerprint(solve, i) == _fingerprint(alone), (variant, i)
 
 
 def test_singular_system_fails_only_its_own_instance():
@@ -472,12 +499,12 @@ def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
         return evaluate(x, block, model, cfg)
 
     monkeypatch.setattr(REFINE, "block_residuals", recorded)
-    outcomes = refine_batch(measurements, CAR_MODEL)
+    solve = refine_batch(measurements, CAR_MODEL)
     assert calls[0].tobytes() == starts.tobytes()
-    assert str(outcomes[3]) == PARALLEL
+    assert solve.error[3] == PARALLEL
     rows = [len(x) for x in calls]
     assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
-    iterations = [o.iterations for o in outcomes if isinstance(o, RefineResult)]
+    iterations = solve.iterations[np.equal(solve.error, None)].tolist()
     assert len(iterations) == len(starts) - 1
     assert len(calls) == 1 + max(iterations)
     assert sum(rows) == len(starts) + sum(iterations)
@@ -497,13 +524,13 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
 
     monkeypatch.setattr(REFINE, "block_residuals", recorded)
     rungs = refine_ladder(measurements, CAR_MODEL)
-    for variant, outcomes in rungs.items():
+    for variant, solve in rungs.items():
         rows = [n for called, n in calls if called == variant]
-        iterations = [o.iterations for o in outcomes]
+        iterations = solve.iterations.tolist()
         assert rows[0] == len(measurements)
         assert len(rows) == 1 + max(iterations)
         assert sum(rows) == len(measurements) + sum(iterations)
-    assert len(calls) == sum(1 + max(o.iterations for o in outcomes) for outcomes in rungs.values())
+    assert len(calls) == sum(1 + max(solve.iterations) for solve in rungs.values())
 
 
 def test_each_solve_starts_its_block_in_one_pass(monkeypatch):
@@ -525,11 +552,10 @@ def test_each_solve_starts_its_block_in_one_pass(monkeypatch):
     assert list(rungs) == list(ABLATION_VARIANTS)
     assert len(calls) == len(ABLATION_VARIANTS)
     assert all(x.shape[0] == len(frame) and x.tobytes() == calls[0].tobytes() for x in calls)
-    for outcomes in rungs.values():
-        assert isinstance(outcomes[1], InitializationError) and str(outcomes[1]) == PARALLEL
-        assert all(isinstance(o, RefineResult) for i, o in enumerate(outcomes) if i != 1)
+    for solve in rungs.values():
+        assert solve.error.tolist() == [None, PARALLEL, None, None, None]
     for i in (0, 2, 3, 4):
-        assert rungs["v1"][i].vars.to_vector()[1:].tobytes() == calls[0][i, 1:].tobytes()
+        assert rungs["v1"].x[i, 1:].tobytes() == calls[0][i, 1:].tobytes()
 
 
 def _random_measurements(rng, n):

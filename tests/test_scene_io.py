@@ -22,7 +22,7 @@ from vehicle3d.geometry import (
     wrap_pi,
 )
 from vehicle3d.energy import MeasurementBlock
-from vehicle3d.refine import RefineResult, initialize, refine_ladder
+from vehicle3d.refine import initialize, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
     FLAT_GROUND,
@@ -239,13 +239,15 @@ def test_batched_pose_fields_are_each_records_pose(n):
 
 @pytest.fixture(scope="module")
 def seed_fit():
-    """(v4 result, camera) of every instance of the seed-7 dataset `synth
-    --seed 7` writes, refined as `fit` refines it."""
+    """(theta, T, sigma, camera, score) of every solved instance of the
+    seed-7 dataset `synth --seed 7` writes, refined and scored as `fit`
+    refines and scores it."""
     block = MeasurementBlock.concat(generate_scene(SceneParams(), STANDARD_NOISE, [7, index])[1]
                                     for index in range(50))
-    results = refine_ladder(block, CAR_MODEL, variants=["v4"])["v4"]
-    return [(result, CameraIntrinsics(*cam)) for result, cam in zip(results, block.cam)
-            if isinstance(result, RefineResult)]
+    solve = refine_ladder(block, CAR_MODEL, variants=["v4"])["v4"]
+    ok = np.equal(solve.error, None)
+    return [(float(x[0]), x[1:4], x[4:7], CameraIntrinsics(*cam), 1.0 / (1.0 + energy))
+            for x, cam, energy in zip(solve.x[ok], block.cam[ok], solve.energy[ok].tolist())]
 
 
 # (theta, T, sigma) of one pose per failure kind, the error type and message
@@ -260,8 +262,7 @@ _FAILING_POSES = (
 
 @pytest.mark.parametrize("n", [0, 1, 250])
 def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
-    poses = [(r.vars.theta, r.vars.T, r.vars.sigma, cam, 1.0 / (1.0 + r.final_energy))
-             for r, cam in seed_fit[:n]]
+    poses = list(seed_fit[:n])
     if n > 1:  # each failure kind amid the solved poses
         for k, (fields, _, _) in enumerate(_FAILING_POSES):
             poses.insert(60 * k + 7, (*fields, KITTI_CAMERA, 0.5))
