@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .energy import ABLATION_VARIANTS, EnergyConfig, MeasurementBlock
-from .geometry import BehindCameraError, BoxStack
+from .geometry import BoxStack
 from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
 from .refine import SolverOptions, refine_ladder
 # Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
@@ -305,27 +305,26 @@ _FIT_BLOCK = 256
 def _rung_outcomes(block: MeasurementBlock, solve) -> list:
     """(label record or None, diag entries without the instance prefix) of
     each row of a rung's SolveBlock.  Its solved poses become labels in one
-    poses_to_labels call, each scored 1 / (1 + final energy)."""
+    poses_to_labels call, each scored 1 / (1 + final energy), and the label
+    step's errors join the solve's in one column."""
     ok = np.equal(solve.error, None)
     x = solve.x[ok]
-    records = iter(poses_to_labels(x[:, 0], x[:, 1:4], x[:, 4:7], block.cam[ok],
-                                   (1.0 / (1.0 + solve.energy[ok])).tolist()))
-    columns = zip(solve.error, solve.converged.tolist(), solve.iterations.tolist(), solve.reason,
+    records, label_error = poses_to_labels(x[:, 0], x[:, 1:4], x[:, 4:7], block.cam[ok],
+                                           (1.0 / (1.0 + solve.energy[ok])).tolist())
+    error = solve.error.copy()
+    error[ok] = [None if message is None else "refined " + message for message in label_error]
+    records = iter(records)
+    columns = zip(error, solve.converged.tolist(), solve.iterations.tolist(), solve.reason,
                   solve.energy.tolist(), *(value.tolist() for value in solve.terms.values()))
 
     def entry(error, converged, iterations, reason, energy, *terms):
         if error is not None:
             return None, {"error": error}
-        record = next(records)
-        if isinstance(record, BehindCameraError):
-            return None, {"error": "refined box projects behind the camera"}
-        if isinstance(record, ValueError):
-            return None, {"error": f"refined box has no valid image box: {record}"}
         diag = {"converged": _fmt_value(converged), "iterations": str(iterations),
                 "reason": reason, "energy": repr(energy)}
         diag.update(("energy_" + name, repr(value))
                     for name, value in zip(solve.terms, terms) if not math.isnan(value))
-        return record, diag
+        return next(records), diag
 
     return [entry(*row) for row in columns]
 

@@ -5,8 +5,8 @@ gravity axis is camera Y and a ground-resting box has a single yaw
 degree of freedom about it.  A 3D box keeps its scales in log space,
 sigma = (L, H, W) with metric extents e^L, e^H, e^W, so positivity is
 free and optimizers can treat every variable as unconstrained.  A 2D
-box is its pixel corners (left, top, right, bottom), as label and
-measurement files write them; require_box checks that they span a box.
+box is its pixel corners (left, top, right, bottom) as a hull computes
+them and files write them; require_box checks that they span a box.
 """
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ import numpy as np
 
 # Points closer than this to the image plane are treated as behind the camera.
 EPS_Z = 1e-6
+# The messages of require_finite and require_box, which poses_to_labels reports too.
+NON_FINITE = "non-finite value"
+DEGENERATE_BOX = "degenerate 2D box: need right > left and bottom > top"
 
 
 class BehindCameraError(ValueError):
@@ -25,12 +28,12 @@ class BehindCameraError(ValueError):
 
 
 def require_finite(*values) -> None:
-    """Raise ValueError("non-finite value") unless every value is finite.
+    """Raise ValueError(NON_FINITE) unless every value is finite.
 
     Checked ahead of range checks, which a NaN fails with a wrong cause.
     """
     if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite value")
+        raise ValueError(NON_FINITE)
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,8 @@ def require_box(left: float, top: float, right: float, bottom: float) -> np.ndar
     finite and span a box: right > left and bottom > top."""
     require_finite(left, top, right, bottom)
     if not (right > left and bottom > top):
-        raise ValueError("degenerate 2D box: need right > left and bottom > top")
+        raise ValueError(DEGENERATE_BOX)
     return np.array([left, top, right, bottom], dtype=float)
-
-
-def box2d_round_trip(corners: np.ndarray) -> np.ndarray:
-    """(n, 4) rows (left, top, right, bottom) rebuilt from their center and
-    the log of their extents: the corners a box gets on its way through
-    the center/log-extent form and back."""
-    left, top, right, bottom = corners.T
-    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
-    hw, hh = 0.5 * np.exp(np.log(right - left)), 0.5 * np.exp(np.log(bottom - top))
-    return np.stack([tx - hw, ty - hh, tx + hw, ty + hh], axis=1)
 
 
 def wrap_angle(theta):

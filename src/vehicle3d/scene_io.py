@@ -25,12 +25,12 @@ import numpy as np
 
 from .energy import MeasurementBlock
 from .geometry import (
+    DEGENERATE_BOX,
     EPS_Z,
-    BehindCameraError,
+    NON_FINITE,
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
-    box2d_round_trip,
     box_corners,
     place_points,
     project,
@@ -240,58 +240,62 @@ def emit_labels(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def poses_to_labels(theta, T, sigma, cams, scores=None) -> list:
-    """The label records of n poses, each a "Car" with unknown truncation
-    and occlusion, or in its place the error that stops it, returned rather
-    than raised: a BehindCameraError when a box corner lies at Z <= EPS_Z,
-    else require_box's ValueError for a projected hull that is no box.
+def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
+    """(records, error) of n poses.  error (n,) holds None, or why a pose
+    has no label: "box projects behind the camera" when a box corner lies
+    at Z <= EPS_Z, else "box has no valid image box: " and require_box's
+    message for a projected hull that is no box.  records holds a "Car"
+    of unknown truncation and occlusion per None row, in row order.
 
     theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
     wrapped as PoseBox3D wraps it; cams holds each pose's camera as a row
     (fx, fy, cx, cy), the form a MeasurementBlock holds, and scores each
-    record's score (all None when scores is None).  Yaw maps to rotation_y
-    with no offset, the stored box is the projected hull through
-    box2d_round_trip, and the observation angle folds out the bearing.
+    record's score (all None when scores is None); other row counts, or a
+    non-finite score, raise ValueError.  Yaw maps to rotation_y with no
+    offset, the stored box is the projected hull as computed, and the
+    observation angle folds out the bearing.
     """
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    T = np.asarray(T, dtype=float).reshape(-1, 3)
+    sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
+    cams = np.asarray(cams, dtype=float).reshape(-1, 4)
+    n = len(theta)
+    scores = np.array([None] * n if scores is None else scores, dtype=object)
+    for name, rows in (("T", T), ("sigma", sigma), ("cams", cams), ("scores", scores)):
+        if len(rows) != n:
+            raise ValueError(f"theta has {n} rows but {name} has {len(rows)}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed poses go unread
-        theta = wrap_angle(np.asarray(theta, dtype=float).reshape(-1))
-        T = np.asarray(T, dtype=float).reshape(-1, 3)
-        sigma = np.asarray(sigma, dtype=float).reshape(-1, 3)
+        theta = wrap_angle(theta)
         dims = np.exp(sigma)  # (length, height, width)
         X = box_corners(theta, T, sigma)
-        fx, fy, cx, cy = np.asarray(cams, dtype=float).reshape(-1, 4).T
+        fx, fy, cx, cy = cams.T
         z = X[..., 2]
         uv = np.stack([fx[:, None] * X[..., 0] / z + cx[:, None],
                        fy[:, None] * X[..., 1] / z + cy[:, None]], axis=2)
         lo, hi = uv.min(axis=1), uv.max(axis=1)  # (left, top), (right, bottom)
-        boxes = box2d_round_trip(np.hstack([lo, hi]))
-        behind = (z <= EPS_Z).any(axis=1)
-        boxed = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (hi > lo).all(axis=1)
+        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        error = np.full(n, None, dtype=object)  # in reverse precedence
+        error[~(hi > lo).all(axis=1)] = "box has no valid image box: " + DEGENERATE_BOX
+        error[~finite] = "box has no valid image box: " + NON_FINITE
+        error[(z <= EPS_Z).any(axis=1)] = "box projects behind the camera"
         ry = wrap_pi(theta)
         alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
-    fields = zip(boxes.tolist(), dims[:, [1, 2, 0]].tolist(), T.tolist(), ry.tolist(),
-                 alpha.tolist(), [None] * len(theta) if scores is None else scores)
-    out = []
-    for i, (bbox, dimensions, location, rotation_y, obs, score) in enumerate(fields):
-        try:
-            if behind[i]:
-                raise BehindCameraError(f"point behind camera: min Z = {z[i].min():.3g}")
-            if not boxed[i]:
-                require_box(*lo[i], *hi[i])  # raises the hull's fault
-            out.append(LabelRecord(type="Car", truncated=-1.0, occluded=-1, alpha=obs, bbox=bbox,
-                                   dimensions=dimensions, location=location,
-                                   rotation_y=rotation_y, score=score))
-        except ValueError as err:
-            out.append(err)
-    return out
+    keep = np.equal(error, None)
+    fields = zip(np.hstack([lo, hi])[keep].tolist(), dims[keep][:, [1, 2, 0]].tolist(),
+                 T[keep].tolist(), ry[keep].tolist(), alpha[keep].tolist(), scores[keep])
+    records = [LabelRecord(type="Car", truncated=-1.0, occluded=-1, alpha=obs, bbox=bbox,
+                           dimensions=dimensions, location=location, rotation_y=rotation_y,
+                           score=score)
+               for bbox, dimensions, location, rotation_y, obs, score in fields]
+    return records, error
 
 
 def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = None) -> LabelRecord:
     """The record of one pose: poses_to_labels for n = 1, its error raised."""
-    record = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [astuple(cam)], [score])[0]
-    if isinstance(record, ValueError):
-        raise record
-    return record
+    records, error = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [astuple(cam)], [score])
+    if error[0] is not None:
+        raise ValueError(error[0])
+    return records[0]
 
 
 def label_pose_fields(records) -> tuple:
@@ -517,7 +521,8 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     Returns (SyntheticScene, MeasurementBlock, [LabelRecord]), row i of
     the block and record i instance i of the scene.  Poses are drawn one
     at a time until n_instances are in view or the retry budget runs out;
-    the rest is one array pass over the frame's instances.  The
+    the rest is one array pass over the frame's instances.  A label's box
+    is its pose's projected hull, the block's that hull plus noise.  The
     pose stream and the noise stream are separate child generators, each
     instance's noise variates are drawn in a fixed order, and all of them
     are drawn unconditionally, so datasets generated from the same seed
@@ -543,7 +548,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     sigma = np.array([pose.sigma for pose, _ in drawn])
     n, cam = len(drawn), astuple(KITTI_CAMERA)
     # each drawn pose projected in view, so none fails to convert
-    records = poses_to_labels(theta, T, sigma, np.tile(cam, (n, 1)))
+    records, _ = poses_to_labels(theta, T, sigma, np.tile(cam, (n, 1)))
     bbox = np.array([record.bbox for record in records])
     shapes = instantiate(CAR_MODEL, np.array([alpha for _, alpha in drawn]))
     uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
@@ -565,7 +570,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     sigma0 = sigma + noise.sigma_log_sigma * sigma_z
     depth = np.maximum(T[:, 2] * (1.0 + noise.depth_rel_sigma * depth_z), 0.5)
     block = MeasurementBlock(
-        box=box2d_round_trip(corners),  # through center/log extents, as datasets hold them
+        box=corners,
         uv=uv + noise.landmark_px_sigma * uv_z, visible=visible,
         depth=depth if params.with_depth else np.zeros(n), has_depth=np.full(n, params.with_depth),
         ground=np.tile(FLAT_GROUND.N, (n, 1)), cam=np.tile(cam, (n, 1)), theta0=theta0,

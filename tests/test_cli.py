@@ -2,6 +2,7 @@
 the ablation table, and the determinism/exit-status contract."""
 import contextlib
 import io
+import random
 import re
 import shutil
 import subprocess
@@ -920,6 +921,74 @@ def test_ablate_exits_cleanly_on_a_mutated_label_file(one_frame, data):
         _mutate(bad, data, 4)
         out = Path(tmp) / "out"
         _assert_clean_exit(("ablate", "--data", dataset, "--out", out), bad, out)
+
+
+# Token values the seeded fuzz writes: non-finite, extreme finite, empty,
+# a word, and counts that disagree with the file's.
+_NON_FINITE = ("nan", "inf", "-inf")
+_FUZZ_VALUES = (*_NON_FINITE, "1e308", "-1e308", "5e-324", "", "x7", "0", "3")
+
+
+def _fuzz(text: str, rng: random.Random) -> tuple:
+    """(text with one token of one line replaced, inserted before or
+    deleted, or with the line dropped; (line, token index) where the
+    mutation wrote a non-finite token, else None)."""
+    lines = text.splitlines(keepends=True)
+    i = rng.choice([i for i, line in enumerate(lines) if line.split()])
+    kind = rng.choice(("replace", "replace", "replace", "insert", "delete", "drop"))
+    if kind == "drop":
+        return "".join(lines[:i] + lines[i + 1:]), None
+    tokens = lines[i].split()
+    j, value = rng.randrange(len(tokens)), rng.choice(_FUZZ_VALUES)
+    hit = (lines[i], j) if kind != "delete" and value in _NON_FINITE else None
+    tokens[j:j + 1] = {"replace": [value], "insert": [value, tokens[j]], "delete": []}[kind]
+    return "".join(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1:]), hit
+
+
+def test_seeded_fuzz_of_every_input_kind_exits_cleanly(one_frame, tmp_path):
+    """A seeded token fuzz of each input kind through main, in process, on
+    1-frame files: every run exits 0 or 1, writes only `error:` lines to
+    stderr and records no warning.  A non-finite token written where a
+    number is read ends in one error line; the exceptions are a landmark
+    value, read only where the landmark is visible, and a label's type."""
+    wide = tmp_path / "wide"  # enough instances for shape-learn to run EM
+    assert run_cli("synth", "--out", wide, "--seed", 7, "--frames", 1, "--instances", 24) == 0
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "model.txt").write_text(format_model(CAR_MODEL))
+    (inputs / "run.cfg").write_text("variant = v4\nlambda1 = 0.3\nlambda4 = 8.0\nmax_iterations = 50\n")
+
+    def landmark(line, j):
+        return ".landmarks" in line
+
+    cases = (  # (runs, source, file under it, argv, non-finite token that may pass)
+        (120, one_frame, "meas/000000.cfg", ("fit", "--data", "{dir}"), landmark),
+        (40, one_frame, "meas/000000.cfg", ("ablate", "--data", "{dir}"), landmark),
+        (60, wide, "meas/000000.cfg", ("shape-learn", "--data", "{dir}", "--max-iterations", 3),
+         landmark),
+        (80, one_frame, "labels/000000.txt", ("eval", "--pred", "{dir}", "--gt", one_frame),
+         lambda line, j: j == 0),
+        (80, inputs, "model.txt", ("fit", "--data", one_frame, "--model", "{file}"), None),
+        (80, inputs, "run.cfg", ("fit", "--data", one_frame, "--config", "{file}"), None),
+    )
+    rng = random.Random(32)
+    for case, (runs, source, name, argv, may_pass) in enumerate(cases):
+        for run in range(runs):
+            work = shutil.copytree(source, tmp_path / f"{case}-{run}")
+            text, hit = _fuzz((work / name).read_text(), rng)
+            (work / name).write_text(text)
+            err = io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = run_cli(*(str(a).format(dir=work, file=work / name) for a in argv),
+                               "--out", work / "out")
+            where = f"{argv[0]} on {name}:\n{text}"
+            assert code in (0, 1), where
+            assert not caught, f"{caught[0].message} in {where}"
+            assert all(line.startswith("error: ") for line in err.getvalue().splitlines()), where
+            if hit is not None and not (may_pass and may_pass(*hit)):
+                assert code == 1 and re.fullmatch("error: [^\n]+\n", err.getvalue()), where
 
 
 # ---------------------------------------------------------------------------

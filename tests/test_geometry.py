@@ -8,7 +8,6 @@ from vehicle3d.geometry import (
     CameraIntrinsics,
     GroundPlane,
     PoseBox3D,
-    box2d_round_trip,
     box_corners,
     box_ious,
     iou_2d,
@@ -97,10 +96,6 @@ class TestProject:
 
 
 class TestBox2D:
-    def test_corner_round_trip(self):
-        back = box2d_round_trip(np.array([[10.0, 20.0, 110.0, 70.0]]))
-        assert np.allclose(back, [[10, 20, 110, 70]])
-
     def test_degenerate_rejected(self):
         require_box(10.0, 20.0, 110.0, 70.0)
         for corners in ((10.0, 20.0, 10.0, 70.0), (10.0, 20.0, 110.0, 20.0),

@@ -190,3 +190,34 @@ def test_readme_module_references_resolve():
         for part in name.split("."):
             assert hasattr(target, part), f"{module}.{name}"
             target = getattr(target, part)
+
+
+def _error_isinstance_calls(root: Path) -> tuple:
+    """(number of isinstance calls read, [(where, line)] of those whose
+    class, or one of whose classes, is a name ending in Error) in the
+    package modules, the demos and README.md's Python blocks under root."""
+    paths = [*sorted((root / "src" / "vehicle3d").glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+    sources = {path.name: path.read_text() for path in paths}
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    sources.update((f"README.md block {i}", block) for i, block in enumerate(blocks))
+    calls, found = 0, []
+    for where, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            calls += 1
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = [getattr(cls, "id", getattr(cls, "attr", "")) for cls in classes]
+            found += [(where, node.lineno) for name in names if name.endswith("Error")]
+    return calls, found
+
+
+def test_no_exception_is_handled_as_a_value():
+    """No `isinstance(value, <name ending in Error>)` in the package, the
+    demos or README's code: a failure is raised, or kept as the message
+    of an error column, never returned as an exception object for a
+    caller to split out again."""
+    calls, found = _error_isinstance_calls(Path(vehicle3d.__file__).resolve().parents[2])
+    assert calls > 5  # the check reads the calls it is about
+    assert found == []

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from vehicle3d import scene_io
 from vehicle3d.geometry import (
-    BehindCameraError,
     BoxStack,
     CameraIntrinsics,
     PoseBox3D,
-    box2d_round_trip,
     place_points,
     project,
     project_box3d,
@@ -250,47 +248,82 @@ def seed_fit():
             for x, cam, energy in zip(solve.x[ok], block.cam[ok], solve.energy[ok].tolist())]
 
 
-# (theta, T, sigma) of one pose per failure kind, the error type and message
+# (theta, T, sigma) of one pose per failure kind, and its message
 _FAILING_POSES = (
-    ((0.0, (0.0, 1.6, -10.0), np.log([3.9, 1.6, 1.6])), BehindCameraError,
-     "point behind camera: min Z = -10.8"),
-    ((0.3, (np.nan, 1.6, 10.0), np.log([3.9, 1.6, 1.6])), ValueError, "non-finite value"),
-    ((0.3, (0.0, 1.6, 10.0), (-800.0, -800.0, -800.0)), ValueError,
-     "degenerate 2D box: need right > left and bottom > top"),
+    ((0.0, (0.0, 1.6, -10.0), np.log([3.9, 1.6, 1.6])), "box projects behind the camera"),
+    ((0.3, (np.nan, 1.6, 10.0), np.log([3.9, 1.6, 1.6])),
+     "box has no valid image box: non-finite value"),
+    ((0.3, (0.0, 1.6, 10.0), (-800.0, -800.0, -800.0)),
+     "box has no valid image box: degenerate 2D box: need right > left and bottom > top"),
 )
+_POSE = (0.3, (0.0, 1.6, 10.0), np.log([3.9, 1.6, 1.6]))  # one that has a label
 
 
 @pytest.mark.parametrize("n", [0, 1, 250])
 def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
     poses = list(seed_fit[:n])
     if n > 1:  # each failure kind amid the solved poses
-        for k, (fields, _, _) in enumerate(_FAILING_POSES):
+        for k, (fields, _) in enumerate(_FAILING_POSES):
             poses.insert(60 * k + 7, (*fields, KITTI_CAMERA, 0.5))
     theta, T, sigma, cams, scores = list(zip(*poses)) or [[]] * 5
-    batched = poses_to_labels(theta, T, sigma, [astuple(cam) for cam in cams], scores)
-    assert len(batched) == len(poses)
-    alone = []
-    for (theta, T, sigma, cam, score), got in zip(poses, batched):
+    records, error = poses_to_labels(theta, T, sigma, [astuple(cam) for cam in cams], scores)
+    assert error.shape == (len(poses),)
+    alone, messages = [], []
+    for theta, T, sigma, cam, score in poses:
         pose = PoseBox3D(theta=theta, T=T, sigma=sigma)
         try:
             want = pose_to_label(pose, cam, score)
         except ValueError as err:
-            assert type(got) is type(err) and str(got) == str(err)
+            assert type(err) is ValueError
+            messages.append(str(err))
             continue
-        assert got == want  # every field
-        assert got.bbox == tuple(box2d_round_trip(project_box3d(cam, pose)[None])[0])
+        messages.append(None)
+        assert _same(want.bbox, project_box3d(cam, pose))  # the hull as projected
         alone.append(want)
-    assert emit_labels([rec for rec in batched if isinstance(rec, LabelRecord)]) == emit_labels(alone)
+    assert error.tolist() == messages
+    assert records == alone  # every field of the labelled rows, in row order
+    assert emit_labels(records) == emit_labels(alone)
     assert len(alone) == min(n, len(seed_fit))
 
 
-@pytest.mark.parametrize("fields, kind, message", _FAILING_POSES)
-def test_pose_conversion_failures_name_their_kind(fields, kind, message):
+@pytest.mark.parametrize("fields, message", _FAILING_POSES,
+                         ids=["behind_camera", "non_finite_hull", "degenerate_hull"])
+def test_pose_conversion_failures_name_their_kind(fields, message):
     theta, T, sigma = fields
-    got = poses_to_labels([theta], [T], [sigma], [astuple(KITTI_CAMERA)])
-    assert type(got[0]) is kind and str(got[0]) == message
-    with pytest.raises(kind, match=re.escape(message)):
+    records, error = poses_to_labels([theta, _POSE[0]], [T, _POSE[1]], [sigma, _POSE[2]],
+                                     [astuple(KITTI_CAMERA)] * 2)
+    assert error.tolist() == [message, None] and len(records) == 1
+    with pytest.raises(ValueError) as caught:
         pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA)
+    assert type(caught.value) is ValueError and str(caught.value) == message
+
+
+def test_a_non_finite_score_raises_instead_of_filling_a_slot():
+    theta, T, sigma = _POSE
+    for score in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^non-finite value$"):
+            poses_to_labels([theta] * 2, [T] * 2, [sigma] * 2, [astuple(KITTI_CAMERA)] * 2,
+                            [0.5, score])
+        with pytest.raises(ValueError, match="^non-finite value$"):
+            pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA, score)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({"scores": 1}, "theta has 3 rows but scores has 1"),
+    ({"sigma": 1, "cams": 1}, "theta has 3 rows but sigma has 1"),
+    ({"T": 2}, "theta has 3 rows but T has 2"),
+    ({"cams": 4}, "theta has 3 rows but cams has 4"),
+    ({"theta": 1}, "theta has 1 rows but T has 3"),
+], ids=["scores", "sigma_and_cams", "T", "cams", "theta"])
+def test_row_counts_that_differ_raise(rows, message):
+    """Neither zip nor broadcasting may shorten the output: 3 rows of each
+    input but the counts `rows` gives."""
+    theta, T, sigma = _POSE
+    fields = {"theta": [theta], "T": [T], "sigma": [sigma], "cams": [astuple(KITTI_CAMERA)],
+              "scores": [0.5]}
+    fields = {name: value * rows.get(name, 3) for name, value in fields.items()}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        poses_to_labels(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +510,9 @@ def test_generate_noise_free_measurements_exact():
     """The frame's array pass equals the one-pose definitions bit for bit,
     for several seeds and frame sizes."""
     for (pose, coeffs), meas, label in _noise_free_frames():
-        # the label's box is the hull through box2d_round_trip, the block's
-        # box the label's (noise-free) through it again
-        hull = project_box3d(KITTI_CAMERA, pose)
-        assert label.bbox == tuple(box2d_round_trip(hull[None])[0])
-        np.testing.assert_array_equal(meas.box[0], box2d_round_trip(np.array([label.bbox]))[0])
+        # the label's box is the hull as projected, the block's box the label's
+        assert _same(label.bbox, project_box3d(KITTI_CAMERA, pose))
+        assert _same(meas.box[0], label.bbox)
         uv = project(KITTI_CAMERA, place_points(instantiate(CAR_MODEL, coeffs), pose.theta, pose.T,
                                                 pose.sigma)[0])
         np.testing.assert_array_equal(meas.uv[0], uv)
