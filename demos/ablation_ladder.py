@@ -5,9 +5,9 @@ v3 adds landmarks and the shape prior, v4 adds measured depth.  Every
 rung is solved from the same initialization: refine_ladder solves each
 rung of a frame's measurement block in one batch, whose starts come from
 one array pass over the block's hypotheses, and returns each rung's
-outcomes as the columns of one SolveBlock; poses_to_labels converts the
-rows without an error as one stack, seen by the block's camera rows, and
-a solved box it cannot label counts as a missed detection.
+outcomes as the columns of one SolveBlock, whose detections are the
+scored label records of its solved rows (SolveBlock.detections); a solved
+box without a label counts as a missed detection.
 Expect each metric to improve down the ladder; small per-seed wobble on
 the last link is normal at this sample size.
 """
@@ -20,7 +20,6 @@ from vehicle3d import (
     ap_3d,
     ap_bev,
     generate_scene,
-    poses_to_labels,
     refine_ladder,
 )
 
@@ -31,14 +30,8 @@ per_variant = {v: [] for v in ABLATION_VARIANTS}
 for index in range(frames):
     _, measurements, labels = generate_scene(params, STANDARD_NOISE, [777, index])
     gts = tuple(labels)
-    rungs = refine_ladder(measurements, CAR_MODEL)
-    for variant, solve in rungs.items():
-        ok = [error is None for error in solve.error]  # a failed instance has no solution
-        x = solve.x[ok]
-        dets, _ = poses_to_labels(  # the labels of the poses that have one
-            x[:, 0], x[:, 1:4], x[:, 4:7], measurements.cam[ok],
-            (1.0 / (1.0 + solve.energy[ok])).tolist(),
-        )
+    for variant, solve in refine_ladder(measurements, CAR_MODEL).items():
+        dets, _ = solve.detections(measurements)
         per_variant[variant].append((tuple(dets), gts))
 
 print(f"{frames} frames x {params.n_instances} instances, moderate difficulty\n")

@@ -24,10 +24,9 @@ into tasks, one batched solve per task and rung the command writes (fit
 its --variant, ablate v1..v4, each from the initialization); an
 instance's result does not depend on which task it lands in, and tasks are
 collected in dataset order, so reruns are byte-identical for a fixed seed
-at any --jobs setting.  One function turns a rung's solution columns into
-each instance's label record and diag entries.  eval and ablate hold their
-tables as data, rows naming a curve job and the curve field they print,
-and render them all through one function.
+at any --jobs setting; labels come from each rung's SolveBlock.detections.
+eval and ablate hold their tables as data, rows naming a curve job and the
+curve field they print, and render them all through one function.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
 out-of-range option values, I/O, malformed measurement files, mismatched
@@ -73,7 +72,6 @@ from .scene_io import (
     parse_config_text,
     parse_labels,
     parse_measurements,
-    poses_to_labels,
 )
 from .shape import LandmarkObservations, LearnOptions, format_model, learn_em, load_model
 
@@ -304,15 +302,8 @@ _FIT_BLOCK = 256
 
 def _rung_outcomes(block: MeasurementBlock, solve) -> list:
     """(label record or None, diag entries without the instance prefix) of
-    each row of a rung's SolveBlock.  Its solved poses become labels in one
-    poses_to_labels call, each scored 1 / (1 + final energy), and the label
-    step's errors join the solve's in one column."""
-    ok = np.equal(solve.error, None)
-    x = solve.x[ok]
-    records, label_error = poses_to_labels(x[:, 0], x[:, 1:4], x[:, 4:7], block.cam[ok],
-                                           (1.0 / (1.0 + solve.energy[ok])).tolist())
-    error = solve.error.copy()
-    error[ok] = [None if message is None else "refined " + message for message in label_error]
+    each row of a rung's SolveBlock, its records from SolveBlock.detections."""
+    records, error = solve.detections(block)
     records = iter(records)
     columns = zip(error, solve.converged.tolist(), solve.iterations.tolist(), solve.reason,
                   solve.energy.tolist(), *(value.tolist() for value in solve.terms.values()))
@@ -364,8 +355,8 @@ def _pooled(dataset: list) -> MeasurementBlock:
 
 
 # fit scales model points by each instance's extents, so a model lives in
-# the unit box (CAR_MODEL stays within 0.94); a mean coordinate beyond this
-# bound puts it in another frame, such as shape-learn's EM gauge
+# the unit box (CAR_MODEL stays within 0.94); a mean or basis coordinate
+# beyond this bound puts it in another frame, such as shape-learn's EM gauge
 _MODEL_REACH = 2.0
 
 
@@ -376,11 +367,11 @@ def _load_fit_model(model_path):
         model = load_model(model_path)
     except (OSError, ValueError) as exc:
         raise CLIError(f"cannot load model {model_path}: {exc}")
-    reach = float(np.abs(model.mean).max())
-    if reach > _MODEL_REACH:
-        raise CLIError(f"cannot load model {model_path}: mean shape coordinate {reach:g} lies "
-                       f"outside [-{_MODEL_REACH:g}, {_MODEL_REACH:g}], the unit-box frame fit "
-                       "expects")
+    for name, values in (("mean shape", model.mean), ("basis", model.basis)):
+        reach = float(np.abs(values).max(initial=0.0))
+        if reach > _MODEL_REACH:
+            raise CLIError(f"cannot load model {model_path}: {name} coordinate {reach:g} lies outside "
+                           f"[-{_MODEL_REACH:g}, {_MODEL_REACH:g}], the unit-box frame fit expects")
     return model
 
 

@@ -46,6 +46,7 @@ from .energy import (
 # external profilers wrap.
 from .energy import stacked_residuals, total_energy  # noqa: F401
 from .geometry import wrap_angle
+from .scene_io import poses_to_labels
 from .shape import MorphableModel
 
 _FTOL = 1e-8  # relative energy decrease, against max(E, 1)
@@ -90,6 +91,16 @@ class SolveBlock:
     energy: np.ndarray  # (B,) final energy
     terms: dict  # {name: (B,)} final energy per term in term_rows order; md NaN without a depth
     path: np.ndarray  # (B, 1 + max iterations) accepted energies from the start's, NaN-padded
+
+    def detections(self, block: MeasurementBlock) -> tuple:
+        """(records, error): poses_to_labels over the rows whose error is None, by the block's
+        cams, scored 1 / (1 + energy); error (B,) is None, the solve's, or "refined " + the label's."""
+        ok = np.equal(self.error, None)
+        records, label_error = poses_to_labels(self.x[ok, 0], self.x[ok, 1:4], self.x[ok, 4:7],
+                                               block.cam[ok], 1.0 / (1.0 + self.energy[ok]))
+        error = self.error.copy()
+        error[ok] = [None if message is None else "refined " + message for message in label_error]
+        return records, error
 
 
 def _starts(block: MeasurementBlock, n_basis: int):

@@ -19,6 +19,7 @@ each 2D box as the corners the file writes, so parse and emit are exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -325,8 +326,11 @@ class MeasurementFormatError(ValueError):
 
 
 def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, block: MeasurementBlock) -> str:
-    """One frame's measurement file of `block`; floats in shortest round-trip
-    form, so parse_measurements gives the block back bit for bit."""
+    """The measurement file of `block`, every row of which holds cam and ground;
+    floats in shortest round-trip form, so parsing gives the block back exactly."""
+    for name, row in (("cam", astuple(cam)), ("ground", ground.N)):
+        if (getattr(block, name) != row).any():
+            raise ValueError(f"block.{name} has a row other than the {name} argument")
     payload = {
         "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
         "ground": " ".join(repr(float(v)) for v in ground.N),
@@ -593,22 +597,21 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
 
 
 def parse_config_text(text: str) -> dict:
-    """`key = value` per line; '#' starts a comment; blank lines ignored.
-    A key given twice is an error, not a silent override."""
+    """`key = value` per line; a '#' at a line's start or after whitespace
+    starts a comment; blank lines ignored; a key given twice is an error."""
     out = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"#(?<!\S#)", raw, maxsplit=1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
             raise ValueError(f"config line {line_number}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
         if not key:
             raise ValueError(f"config line {line_number}: empty key")
         if key in out:
             raise ValueError(f"config line {line_number}: duplicate key {key}")
-        out[key] = value.strip()
+        out[key] = value
     return out
 
 

@@ -550,6 +550,26 @@ def test_fit_rejects_a_model_outside_the_unit_box(dataset, tmp_path, capfd):
         assert not out.exists()
 
 
+def test_fit_rejects_a_model_basis_outside_the_unit_box(dataset, tmp_path, capfd):
+    """A basis coordinate beyond the unit-box reach is a model error before
+    any file is written, not a non-finite start in every diag entry."""
+    model = tmp_path / "model.txt"
+    lines = format_model(CAR_MODEL).splitlines()
+    assert lines[38].split()[0] == "0"  # a basis line
+    lines[38] = "1e308 -0.015 0"
+    model.write_text("\n".join(lines) + "\n")
+    for command in ("fit", "ablate"):
+        out = tmp_path / command
+        assert run_cli(command, "--data", dataset, "--out", out, "--model", model) == 1
+        assert capfd.readouterr().err == (
+            f"error: cannot load model {model}: basis coordinate 1e+308 lies outside [-2, 2], "
+            "the unit-box frame fit expects\n"
+        )
+        assert not out.exists()
+    model.write_text(format_model(CAR_MODEL))  # the built-in model still loads from its file
+    assert run_cli("fit", "--data", dataset, "--out", tmp_path / "car", "--model", model) == 0
+
+
 def test_fit_names_a_bad_model_header(dataset, tmp_path, capfd):
     model = tmp_path / "model.txt"
     lines = format_model(CAR_MODEL).splitlines()
@@ -1104,6 +1124,18 @@ def test_every_manifest_reruns_its_command(dataset, tmp_path):
         assert run_cli(command, "--out", first, *argv) == 0
         assert run_cli(command, "--out", again, "--config", first / "manifest.cfg") == 0
         assert tree_bytes(again) == tree_bytes(first)
+
+
+def test_a_manifest_reruns_a_dataset_path_holding_a_hash(dataset, tmp_path):
+    """A '#' inside a path is no comment, so a fit on a dataset directory
+    named run#1 reruns from its manifest into the same tree."""
+    data = tmp_path / "run#1"
+    shutil.copytree(dataset, data)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli("fit", "--data", data, "--out", first) == 0
+    assert parse_config_text((first / "manifest.cfg").read_text())["data"] == str(data)
+    assert run_cli("fit", "--out", again, "--config", first / "manifest.cfg") == 0
+    assert tree_bytes(again) == tree_bytes(first)
 
 
 def test_none_flag_beats_the_config_file(dataset, tmp_path):

@@ -10,12 +10,11 @@ BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
 
 
 def _run_examples() -> dict:
-    """The namespace after the Quickstart and the energy example, which
-    reads the Quickstart's frame.  The third block, the learn_em fragment,
-    reads observations the README never builds, so it stays out."""
+    """The namespace after the Quickstart, the energy example, which reads
+    the Quickstart's frame, and the learn_em example."""
     assert len(BLOCKS) == 3 and "learn_em(observations" in BLOCKS[2]
     namespace = {}
-    for block in BLOCKS[:2]:
+    for block in BLOCKS:
         exec(compile(block, "README.md", "exec"), namespace)
     return namespace
 
@@ -26,6 +25,8 @@ def test_the_readme_examples_run(capsys):
     assert [line.split(":")[0] for line in printed] == ["ALP @ 1 m", "AP 3D @ 0.25"]
     assert len(namespace["detections"]) == 4
     assert list(namespace["parts"]) == ["2d3d", "lp", "md", "gp", "s"]
+    assert namespace["observations"].uv.shape == (40, 14, 2)
+    assert namespace["result"].model.basis.shape == (2, 42)
 
 
 def test_the_quickstart_labels_only_the_solved_instances(monkeypatch, capsys):

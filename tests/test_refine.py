@@ -34,7 +34,7 @@ from vehicle3d.refine import (
     refine_batch,
     refine_ladder,
 )
-from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
+from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene, pose_to_label
 from vehicle3d.shape import MorphableModel, instantiate
 from tests.oracles import back_projected_start
 from tests.test_energy import one_block
@@ -429,6 +429,47 @@ def test_failing_instance_leaves_its_block_alone():
     for i in (0, 1, 3, 4):
         assert good.error[i] is None
         assert _row_fingerprint(mixed, i) == _row_fingerprint(good, i)
+
+
+def test_detections_are_each_row_refined_and_labelled_alone():
+    """At every rung, SolveBlock.detections gives the records that
+    pose_to_label makes of each row's one-row refine, scored
+    1 / (1 + final energy), in row order; its error column holds the
+    solve's message or "refined " and pose_to_label's.  Two edge rows: a
+    start behind the camera, which v2-v4 cannot solve and v1 solves to a
+    box behind the camera, and a box whose extents underflow to 0, which v1
+    solves to a box without a valid image box."""
+    frames = _seed7_frames(3)
+    behind = replace(frames[0][1], depth=np.array([0.01]))
+    flat = replace(frames[0][2], sigma0=np.full((1, 3), -800.0))
+    block = MeasurementBlock.concat([frames[0], behind, *frames[1:], flat])
+    edges = {"v1": ["refined box projects behind the camera",
+                    "refined box has no valid image box: "
+                    "degenerate 2D box: need right > left and bottom > top"],
+             "v4": ["initial point projects behind the camera",
+                    "initial point has non-finite residuals (NaN or inf in the measurement or start)"]}
+    for variant, solve in refine_ladder(block, CAR_MODEL).items():
+        records, error = solve.detections(block)
+        want, messages = [], []
+        for i, cam in enumerate(block.cam):
+            try:
+                result = refine(block[i], CAR_MODEL, ablation_config(variant))
+            except InitializationError as err:
+                messages.append(str(err))
+                continue
+            try:
+                want.append(pose_to_label(result.vars.pose(), CameraIntrinsics(*cam),
+                                          1.0 / (1.0 + result.final_energy)))
+            except ValueError as err:
+                assert type(err) is ValueError
+                messages.append("refined " + str(err))
+                continue
+            messages.append(None)
+        assert records == want, variant
+        assert error.tolist() == messages, variant
+        assert len(records) == messages.count(None) >= 15
+        if variant in edges:
+            assert [error[5], error[-1]] == edges[variant]
 
 
 @pytest.mark.parametrize("right", ["left", "left - 5"])

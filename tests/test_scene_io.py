@@ -347,6 +347,18 @@ def test_measurement_text_roundtrip():
         assert back.has_depth.all() == with_depth
 
 
+@pytest.mark.parametrize("field", ["cam", "ground"])
+def test_a_block_row_the_file_cannot_hold_raises(field):
+    """A measurement file holds one camera and one ground plane: a block
+    row that differs from them raises, naming the field, instead of being
+    written as the arguments' row."""
+    block = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])[1]
+    scaled = getattr(block, field).copy()
+    scaled[3] *= [2.0, 2.0, 1.0, 1.0][: scaled.shape[1]]
+    with pytest.raises(ValueError, match=f"^block.{field} has a row other than the {field} argument$"):
+        emit_measurements(KITTI_CAMERA, FLAT_GROUND, replace(block, **{field: scaled}))
+
+
 def test_a_frame_without_instances_round_trips():
     empty = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])[1][:0]
     text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, empty)
@@ -648,6 +660,15 @@ def test_config_parse_and_format():
     }
     again = parse_config_text(format_config(conf))
     assert again == conf
+
+
+def test_a_hash_inside_a_value_is_no_comment():
+    """Only a '#' that begins the line or follows whitespace starts a
+    comment, so a path holding one reads back whole."""
+    text = "data = runs/h#x/d\n#note\n  # note\nseed = 7\t# tab\nout = a#b # c\n"
+    assert parse_config_text(text) == {"data": "runs/h#x/d", "seed": "7", "out": "a#b"}
+    mapping = {"data": "runs/h#x/d", "out": "runs/run#1"}
+    assert parse_config_text(format_config(mapping)) == mapping
 
 
 def test_config_errors():
