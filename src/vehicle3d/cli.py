@@ -161,7 +161,9 @@ def _resolve_options(command: str, args):
 
     Each value comes from its flag, else the --config file, else the
     default.  Required options, minimums, value ranges and the config
-    objects' own checks are all applied here, before anything is written.
+    objects' own checks are all applied here, before anything is written,
+    as are the manifest's (its line reads each text value back) and eval's
+    (list values that name a table row and curve file print apart).
     """
     file_cfg = {}
     if args.config:
@@ -195,6 +197,17 @@ def _resolve_options(command: str, args):
             valid, message = opt.within
             if not all(map(valid, value if isinstance(value, tuple) else (value,))):
                 raise CLIError(f"{opt.name} = {_fmt_value(value)}: {message}")
+        if isinstance(value, str):
+            try:
+                kept = parse_config_text(format_config({opt.name: value})) == {opt.name: value}
+            except ValueError:
+                kept = False
+            if not kept:
+                raise CLIError(f"{opt.name} = {value!r}: a manifest line cannot hold this value")
+        printed = [f"{v:g}" for v in value] if isinstance(value, tuple) else []
+        twice = [text for text in printed if printed.count(text) > 1]
+        if twice:
+            raise CLIError(f"{opt.name} = {_fmt_value(value)}: two values print as {twice[0]}")
         if opt.field is not None:
             config, attr = opt.field.split(".")
             try:

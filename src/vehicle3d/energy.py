@@ -144,6 +144,9 @@ class MeasurementBlock:
         shallow = np.flatnonzero(self.has_depth & ~(self.depth > 0))
         if shallow.size:
             raise ValueError(f"i{shallow[0]}: depth hypothesis must be positive")
+        stray = np.flatnonzero(~self.has_depth & (self.depth != 0))
+        if stray.size:
+            raise ValueError(f"i{stray[0]}: depth must be 0 without has_depth")
 
     def __len__(self) -> int:
         return len(self.box)

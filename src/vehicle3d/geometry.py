@@ -1,10 +1,13 @@
 """Camera model, box parameterizations, projection, and IoU computations.
 
-Boxes live in a camera frame with X right, Y down, Z forward, so the
-gravity axis is camera Y and a ground-resting box has a single yaw
-degree of freedom about it.  A 3D box keeps its scales in log space,
-sigma = (L, H, W) with metric extents e^L, e^H, e^W, so positivity is
-free and optimizers can treat every variable as unconstrained.  A 2D
+A camera is its pinhole row (fx, fy, cx, cy) in pixels and a ground
+plane {X : N.X = 1} its scaled normal row N (1/meters): the rows a
+MeasurementBlock holds and a measurement file writes.  Boxes live in a
+camera frame with X right, Y down, Z forward, so the gravity axis is
+camera Y and a ground-resting box has a single yaw degree of freedom
+about it.  A 3D box keeps its scales in log space, sigma = (L, H, W)
+with metric extents e^L, e^H, e^W, so positivity is free and
+optimizers can treat every variable as unconstrained.  A 2D
 box is its pixel corners (left, top, right, bottom) as a hull computes
 them and files write them; require_box checks that they span a box.
 """
@@ -34,21 +37,6 @@ def require_finite(*values) -> None:
     """
     if not all(map(math.isfinite, values)):
         raise ValueError(NON_FINITE)
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole camera: focal lengths and principal point, all in pixels."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-    def __post_init__(self):
-        require_finite(self.fx, self.fy, self.cx, self.cy)
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
 
 
 def require_box(left: float, top: float, right: float, bottom: float) -> np.ndarray:
@@ -97,20 +85,6 @@ class PoseBox3D:
         return np.exp(self.sigma)
 
 
-@dataclass(frozen=True)
-class GroundPlane:
-    """Plane {X : N.X = 1} for a scaled normal N (units 1/meters)."""
-
-    N: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.N, dtype=float).reshape(3)
-        require_finite(*n)
-        if not np.any(n != 0):  # no squares, which overflow or underflow
-            raise ValueError("ground plane normal must be nonzero")
-        object.__setattr__(self, "N", n)
-
-
 def rot_y(theta) -> np.ndarray:
     """Rotation by theta about the +Y (gravity) axis; a stack (..., 3, 3)
     for an array of angles (...)."""
@@ -119,14 +93,16 @@ def rot_y(theta) -> np.ndarray:
     return np.stack([c, zero, s, zero, one, zero, -s, zero, c], axis=-1).reshape(*np.shape(c), 3, 3)
 
 
-def project(cam: CameraIntrinsics, X) -> np.ndarray:
-    """Central perspective map of points X (..., 3), any leading shape, to
-    pixels (..., 2); raises BehindCameraError if any point has Z <= EPS_Z."""
+def project(cam, X) -> np.ndarray:
+    """Central perspective map through the camera row (fx, fy, cx, cy) of
+    points X (..., 3), any leading shape, to pixels (..., 2); raises
+    BehindCameraError if any point has Z <= EPS_Z."""
+    fx, fy, cx, cy = cam
     X = np.asarray(X, dtype=float)
     z = X[..., 2]
     if np.any(z <= EPS_Z):
         raise BehindCameraError(f"point behind camera: min Z = {z.min():.3g}")
-    return np.stack([cam.fx * X[..., 0] / z + cam.cx, cam.fy * X[..., 1] / z + cam.cy], axis=-1)
+    return np.stack([fx * X[..., 0] / z + cx, fy * X[..., 1] / z + cy], axis=-1)
 
 
 # Unit-box corners for extents (1, 1, 1): bottom face counterclockwise
@@ -163,9 +139,10 @@ def box_corners(theta, T, sigma) -> np.ndarray:
     return place_points(UNIT_CORNERS, theta, T, sigma)
 
 
-def project_box3d(cam: CameraIntrinsics, pose: PoseBox3D) -> np.ndarray:
-    """Tight axis-aligned hull (left, top, right, bottom) of the 8 projected
-    corners; raises require_box's ValueError on a hull that is no box."""
+def project_box3d(cam, pose: PoseBox3D) -> np.ndarray:
+    """Tight axis-aligned hull (left, top, right, bottom) of the 8 corners
+    projected through camera row cam; raises require_box's ValueError on a
+    hull that is no box."""
     uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
     return require_box(*uv.min(axis=0), *uv.max(axis=0))
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .geometry import (
     DEGENERATE_BOX,
     EPS_Z,
     NON_FINITE,
-    CameraIntrinsics,
-    GroundPlane,
     PoseBox3D,
     box_corners,
     place_points,
@@ -44,8 +43,8 @@ from .geometry import (
 )
 from .shape import LANDMARK_COUNT, MorphableModel, instantiate
 
-KITTI_CAMERA = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
-FLAT_GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
+KITTI_CAMERA = (721.5, 721.5, 609.6, 172.9)  # (fx, fy, cx, cy)
+FLAT_GROUND = (0.0, 1.0 / 1.65, 0.0)  # normal N of the plane {X : N.X = 1}
 IMAGE_SIZE = (1242, 375)
 
 # ---------------------------------------------------------------------------
@@ -291,9 +290,9 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
     return records, error
 
 
-def pose_to_label(pose: PoseBox3D, cam: CameraIntrinsics, score: float | None = None) -> LabelRecord:
-    """The record of one pose: poses_to_labels for n = 1, its error raised."""
-    records, error = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [astuple(cam)], [score])
+def pose_to_label(pose: PoseBox3D, cam, score: float | None = None) -> LabelRecord:
+    """One pose's record under camera row cam: poses_to_labels for n = 1, its error raised."""
+    records, error = poses_to_labels([pose.theta], [pose.T], [pose.sigma], [cam], [score])
     if error[0] is not None:
         raise ValueError(error[0])
     return records[0]
@@ -325,15 +324,15 @@ class MeasurementFormatError(ValueError):
     """Malformed measurement text; the message names the offending key."""
 
 
-def emit_measurements(cam: CameraIntrinsics, ground: GroundPlane, block: MeasurementBlock) -> str:
+def emit_measurements(cam, ground, block: MeasurementBlock) -> str:
     """The measurement file of `block`, every row of which holds cam and ground;
     floats in shortest round-trip form, so parsing gives the block back exactly."""
-    for name, row in (("cam", astuple(cam)), ("ground", ground.N)):
+    for name, row in (("cam", cam), ("ground", ground)):
         if (getattr(block, name) != row).any():
             raise ValueError(f"block.{name} has a row other than the {name} argument")
     payload = {
-        "camera": " ".join(repr(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy)),
-        "ground": " ".join(repr(float(v)) for v in ground.N),
+        "camera": " ".join(map(repr, _camera(cam))),
+        "ground": " ".join(map(repr, _ground(ground))),
         "instances": str(len(block)),
     }
     for i, box in enumerate(block.box.tolist()):
@@ -374,13 +373,27 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _camera(values) -> tuple:
+    fx, fy, cx, cy = map(_finite_float, values)
+    if not (fx > 0 and fy > 0):
+        raise ValueError("focal lengths must be positive")
+    return fx, fy, cx, cy
+
+
+def _ground(values) -> tuple:
+    normal = tuple(map(_finite_float, values))
+    if not any(normal):  # no squares, which overflow or underflow
+        raise ValueError("ground plane normal must be nonzero")
+    return normal
+
+
 # A measurement file's keys: these, and i<n>.<field> for each instance n.
 _FRAME_KEYS = ("camera", "ground", "instances")
 _INSTANCE_FIELDS = ("box", "theta0", "sigma0", "landmarks", "visible", "depth")
 
 
 def parse_measurements(text: str):
-    """(camera, ground, MeasurementBlock) from one frame's measurement file.
+    """(camera row, ground row, MeasurementBlock) from one frame's measurement file.
 
     Raises MeasurementFormatError naming the missing or malformed key, an
     instance whose landmark count is not instance 0's, or an unknown key:
@@ -394,8 +407,8 @@ def parse_measurements(text: str):
     count = _field(mapping, "instances", 1, lambda v: v[0], int)
     if count < 0:
         raise MeasurementFormatError(f"instances: negative count {count}")
-    cam = _field(mapping, "camera", 4, lambda v: CameraIntrinsics(*v))
-    ground = _field(mapping, "ground", 3, lambda v: GroundPlane(N=np.array(v)))
+    cam = _field(mapping, "camera", 4, _camera)
+    ground = _field(mapping, "ground", 3, _ground)
     box, uv, visible, theta0, sigma0, depth = ([] for _ in range(6))  # one entry per instance
     for i in range(count):
         prefix = f"i{i}."
@@ -420,7 +433,7 @@ def parse_measurements(text: str):
             box=np.array(box).reshape(count, 4), uv=np.array(uv).reshape(count, K, 2),
             visible=np.array(visible).reshape(count, K),
             depth=[0.0 if d is None else d for d in depth], has_depth=[d is not None for d in depth],
-            ground=np.tile(ground.N, (count, 1)), cam=np.tile(astuple(cam), (count, 1)),
+            ground=np.tile(ground, (count, 1)), cam=np.tile(cam, (count, 1)),
             theta0=theta0, sigma0=np.array(sigma0).reshape(count, 3))
     except ValueError as err:
         raise MeasurementFormatError(str(err)) from None
@@ -470,7 +483,7 @@ _Z_RANGE = (5.0, 45.0)
 _DIMS_MEAN = (3.9, 1.6, 1.6)  # (length, height, width) meters
 _DIMS_LOG_SIGMA = 0.1
 _MARGIN_PX = 5.0  # the projected box center stays this far inside the image
-_RETRY_BUDGET = 200  # draws per frame before a frame without instances fails
+_RETRY_BUDGET = 200  # draws per requested instance before a short frame fails
 
 
 @dataclass(frozen=True)
@@ -492,7 +505,7 @@ class SyntheticScene:
 
 
 class GenerationError(RuntimeError):
-    """No in-view instance could be sampled within the retry budget."""
+    """Fewer in-view instances than requested were sampled within the retry budget."""
 
 
 def _sample_pose(params: SceneParams, rng) -> tuple | None:
@@ -500,8 +513,7 @@ def _sample_pose(params: SceneParams, rng) -> tuple | None:
     when the projected box center falls outside the image margin."""
     z = rng.uniform(*_Z_RANGE)
     x = rng.uniform(-0.45, 0.45) * z
-    N = FLAT_GROUND.N
-    y = (1.0 - N[0] * x - N[2] * z) / N[1]  # on the ground
+    y = (1.0 - FLAT_GROUND[0] * x - FLAT_GROUND[2] * z) / FLAT_GROUND[1]  # on the ground
     theta = rng.uniform(0.0, 2.0 * np.pi)
     sigma = np.log(_DIMS_MEAN) + _DIMS_LOG_SIGMA * rng.standard_normal(3)
     alpha = params.alpha_sigma * rng.standard_normal(CAR_MODEL.n_basis)
@@ -524,8 +536,9 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
 
     Returns (SyntheticScene, MeasurementBlock, [LabelRecord]), row i of
     the block and record i instance i of the scene.  Poses are drawn one
-    at a time until n_instances are in view or the retry budget runs out;
-    the rest is one array pass over the frame's instances.  A label's box
+    at a time until n_instances are in view; a frame still short after the
+    retry budget's draws per requested instance raises GenerationError.
+    The rest is one array pass over the frame's instances.  A label's box
     is its pose's projected hull, the block's that hull plus noise.  The
     pose stream and the noise stream are separate child generators, each
     instance's noise variates are drawn in a fixed order, and all of them
@@ -535,24 +548,19 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     root = np.random.default_rng(seed)
     pose_rng, noise_rng = root.spawn(2)
 
-    drawn = []
-    attempts = 0
-    while len(drawn) < params.n_instances:
-        if attempts >= _RETRY_BUDGET:
-            if drawn:
-                break
-            raise GenerationError(f"no in-view instance after {_RETRY_BUDGET} draws")
-        attempts += 1
-        instance = _sample_pose(params, pose_rng)
-        if instance is not None:
-            drawn.append(instance)
+    budget = _RETRY_BUDGET * params.n_instances
+    draws = (_sample_pose(params, pose_rng) for _ in range(budget))
+    drawn = list(islice(filter(None, draws), params.n_instances))  # the in-view draws
+    if len(drawn) < params.n_instances:
+        raise GenerationError(f"{len(drawn)} of {params.n_instances} instances in view "
+                              f"after {budget} draws")
 
     theta = np.array([pose.theta for pose, _ in drawn])
     T = np.array([pose.T for pose, _ in drawn])
     sigma = np.array([pose.sigma for pose, _ in drawn])
-    n, cam = len(drawn), astuple(KITTI_CAMERA)
+    n = len(drawn)
     # each drawn pose projected in view, so none fails to convert
-    records, _ = poses_to_labels(theta, T, sigma, np.tile(cam, (n, 1)))
+    records, _ = poses_to_labels(theta, T, sigma, np.tile(KITTI_CAMERA, (n, 1)))
     bbox = np.array([record.bbox for record in records])
     shapes = instantiate(CAR_MODEL, np.array([alpha for _, alpha in drawn]))
     uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
@@ -577,7 +585,7 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
         box=corners,
         uv=uv + noise.landmark_px_sigma * uv_z, visible=visible,
         depth=depth if params.with_depth else np.zeros(n), has_depth=np.full(n, params.with_depth),
-        ground=np.tile(FLAT_GROUND.N, (n, 1)), cam=np.tile(cam, (n, 1)), theta0=theta0,
+        ground=np.tile(FLAT_GROUND, (n, 1)), cam=np.tile(KITTI_CAMERA, (n, 1)), theta0=theta0,
         sigma0=sigma0)
 
     low, high = bbox[:, :2], bbox[:, 2:]  # (left, top), (right, bottom)

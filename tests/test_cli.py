@@ -1,6 +1,7 @@
 """End-to-end command-line tests: dataset generation, fitting, evaluation,
 the ablation table, and the determinism/exit-status contract."""
 import contextlib
+import hashlib
 import io
 import random
 import re
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import vehicle3d.cli
 import vehicle3d.metrics
+import vehicle3d.scene_io
 from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import BoxStack, wrap_pi
 from vehicle3d.metrics import alp
@@ -86,6 +88,40 @@ def test_synth_reruns_byte_identical(dataset, tmp_path):
     other = tmp_path / "other"
     assert run_cli("synth", "--out", other, "--seed", 8, "--frames", 4, "--instances", 2) == 0
     assert tree_bytes(other) != tree_bytes(dataset)
+
+
+def test_the_seed_7_dataset_keeps_its_bytes(tmp_path):
+    """sha256 over the relative path, size and bytes of each file under
+    labels/ and meas/ of `synth --seed 7`, in sorted order: a change to the
+    default dataset shows here and is re-pinned on purpose."""
+    out = tmp_path / "data"
+    assert run_cli("synth", "--seed", 7, "--out", out) == 0
+    digest = hashlib.sha256()
+    for path in sorted(p for top in ("labels", "meas") for p in (out / top).rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(out).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    assert digest.hexdigest() == "9a4b8e15072a714c78b3077bc9f4821dc236d5530cb9b7201ec6cea3a354de7a"
+
+
+def test_a_short_frame_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """A frame that cannot place every requested instance in view within
+    its retry budget stops synth before it writes, instead of writing a
+    frame with fewer instances than the manifest states."""
+    sample, kept = vehicle3d.scene_io._sample_pose, []
+
+    def two_in_view(params, rng):
+        instance = sample(params, rng)
+        if instance is None or len(kept) == 2:
+            return None
+        kept.append(instance)
+        return instance
+
+    monkeypatch.setattr(vehicle3d.scene_io, "_sample_pose", two_in_view)
+    out = tmp_path / "out"
+    assert run_cli("synth", "--seed", 7, "--instances", 5, "--out", out) == 1
+    assert capsys.readouterr().err == "error: frame 0: 2 of 5 instances in view after 1000 draws\n"
+    assert not out.exists()
 
 
 def test_synth_requires_seed(tmp_path, capsys):
@@ -1136,6 +1172,36 @@ def test_a_manifest_reruns_a_dataset_path_holding_a_hash(dataset, tmp_path):
     assert parse_config_text((first / "manifest.cfg").read_text())["data"] == str(data)
     assert run_cli("fit", "--out", again, "--config", first / "manifest.cfg") == 0
     assert tree_bytes(again) == tree_bytes(first)
+
+
+@pytest.mark.parametrize("name", ["#run", "run #1"])
+def test_a_value_no_manifest_line_holds_fails_before_any_output(dataset, tmp_path, monkeypatch,
+                                                                capsys, name):
+    """A '#' that starts a value or follows a space would start a comment
+    in manifest.cfg, which then would not rerun its command: the run stops
+    first, naming the option."""
+    shutil.copytree(dataset, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("fit", "--data", name, "--out", "out") == 1
+    assert capsys.readouterr().err == f"error: data = {name!r}: a manifest line cannot hold this value\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, values, printed", [
+    ("iou3d_thresholds", "0.25,0.2500001", "0.25"),
+    ("bev_thresholds", "0.5,0.7,0.5", "0.5"),
+    ("alp_thresholds", "1,2,2.0000001", "2"),
+])
+def test_thresholds_that_print_alike_fail_before_any_output(dataset, tmp_path, capsys, option,
+                                                            values, printed):
+    """eval names each threshold's table row and curve file by its :g form,
+    so two thresholds that print alike would share both."""
+    out = tmp_path / "out"
+    assert run_cli("eval", "--pred", dataset, "--gt", dataset, "--curves", "true", "--out", out,
+                   "--" + option.replace("_", "-"), values) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} = ") and err.endswith(f": two values print as {printed}\n")
+    assert not out.exists()
 
 
 def test_none_flag_beats_the_config_file(dataset, tmp_path):

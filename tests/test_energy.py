@@ -4,7 +4,7 @@ The Jacobian is checked against central finite differences; box-hull
 configurations with near-tied extreme corners are resampled because the
 analytic form differentiates through the active corner only.
 """
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,8 +24,6 @@ from vehicle3d.energy import (
 )
 from vehicle3d.geometry import (
     BehindCameraError,
-    CameraIntrinsics,
-    GroundPlane,
     box_corners,
     place_points,
     project,
@@ -35,8 +33,8 @@ from vehicle3d.refine import initialize
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate
 
-CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
-GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
+CAM = (721.5, 721.5, 609.6, 172.9)  # (fx, fy, cx, cy)
+GROUND = np.array([0.0, 1.0 / 1.65, 0.0])  # the plane's normal
 HULL_GAP_PX = 1e-2  # min spacing between hull-extreme corner competitors
 BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's component scale
 
@@ -51,11 +49,11 @@ def center_log(box):
 
 def one_block(box, uv, visible, theta0, sigma0, ground=GROUND, cam=CAM, depth=None):
     """The one-row MeasurementBlock of one instance: box its corners (left,
-    top, right, bottom), ground a GroundPlane, cam a CameraIntrinsics, depth
-    None without a crop depth."""
+    top, right, bottom), ground a normal row, cam a row (fx, fy, cx, cy),
+    depth None without a crop depth."""
     return MeasurementBlock(
         box=[box], uv=[uv], visible=[visible], depth=[0.0 if depth is None else depth],
-        has_depth=[depth is not None], ground=[ground.N], cam=[astuple(cam)], theta0=[theta0],
+        has_depth=[depth is not None], ground=[ground], cam=[cam], theta0=[theta0],
         sigma0=[sigma0])
 
 
@@ -240,13 +238,13 @@ def test_ground_residual():
     level = Variables(theta=0.0, T=np.array([0.0, 0.0, 10.0]), sigma=np.zeros(3), alpha=np.zeros(0))
     assert term("gp", level)[0] == [-1.0]  # N . T = 0
     r, J = term("gp", vars)
-    np.testing.assert_array_equal(J[0, 1:4], GROUND.N)
+    np.testing.assert_array_equal(J[0, 1:4], GROUND)
     assert np.all(J[0, [0, 4, 5, 6]] == 0.0)
     # affine in T: finite displacement reproduces N . d exactly
     rng = np.random.default_rng(9)
     d = rng.normal(size=3)
     moved = Variables(theta=0.0, T=vars.T + d, sigma=np.zeros(3), alpha=np.zeros(0))
-    assert term("gp", moved)[0] - term("gp", vars)[0] == pytest.approx([GROUND.N @ d], rel=1e-12)
+    assert term("gp", moved)[0] - term("gp", vars)[0] == pytest.approx([GROUND @ d], rel=1e-12)
 
 
 def test_shape_residual_zero_center():
@@ -266,7 +264,7 @@ def brute_energy(vars, meas, model, cfg):
     pose = vars.pose()
     terms = RUNG_TERMS[cfg.variant]
     E = 0.0
-    cam = CameraIntrinsics(*meas.cam[0])
+    cam = meas.cam[0]
     if "2d3d" in terms:
         d = (center_log(meas.box[0]) - center_log(project_box3d(cam, pose))) * BOX_SCALE
         E += float(d @ d)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from vehicle3d.geometry import (
     BehindCameraError,
     BoxStack,
-    CameraIntrinsics,
-    GroundPlane,
     PoseBox3D,
     box_corners,
     box_ious,
@@ -20,6 +20,7 @@ from vehicle3d.geometry import (
     wrap_angle,
     wrap_pi,
 )
+from vehicle3d.scene_io import KITTI_CAMERA, STANDARD_NOISE, SceneParams, emit_measurements, generate_scene
 from tests.oracles import loop_clip_ious, mc_iou_3d, mc_iou_bev, random_pose_pairs
 
 
@@ -66,20 +67,20 @@ class TestRotY:
 
 class TestProject:
     def test_optical_axis(self):
-        cam = CameraIntrinsics(1, 1, 0, 0)
+        cam = (1, 1, 0, 0)
         assert np.allclose(project(cam, np.array([0.0, 0.0, 2.0])), [0, 0])
 
     def test_similar_triangles(self):
-        cam = CameraIntrinsics(100, 100, 0, 0)
+        cam = (100, 100, 0, 0)
         assert np.allclose(project(cam, np.array([1.0, 1.0, 10.0])), [10, 10])
 
     def test_behind_camera(self):
-        cam = CameraIntrinsics(100, 100, 0, 0)
+        cam = (100, 100, 0, 0)
         with pytest.raises(BehindCameraError):
             project(cam, np.array([0.0, 0.0, -1.0]))
 
     def test_scale_depth_invariance(self):
-        cam = CameraIntrinsics(721.5, 721.5, 609.6, 172.9)
+        cam = (721.5, 721.5, 609.6, 172.9)
         rng = np.random.default_rng(3)
         for _ in range(200):
             X = rng.uniform([-10, -10, 1], [10, 10, 50])
@@ -87,7 +88,7 @@ class TestProject:
             assert np.allclose(project(cam, lam * X), project(cam, X), atol=1e-9)
 
     def test_batched_matches_single(self):
-        cam = CameraIntrinsics(700, 710, 600, 170)
+        cam = (700, 710, 600, 170)
         rng = np.random.default_rng(4)
         pts = rng.uniform([-5, -5, 2], [5, 5, 40], size=(50, 3))
         uv = project(cam, pts)
@@ -151,14 +152,14 @@ class TestProjectBox3D:
         # Cube of side 2 whose geometric center sits on the optical axis at
         # depth 10: near face at z=9, far face at z=11, so the hull is set by
         # the near corners at 100/9 px and spans 200/9 each way.
-        cam = CameraIntrinsics(100, 100, 0, 0)
+        cam = (100, 100, 0, 0)
         pose = make_pose(0.0, [0, 1.0, 10.0], np.array([2.0, 2.0, 2.0]))
         left, top, right, bottom = project_box3d(cam, pose)
         np.testing.assert_allclose([left, top, right, bottom], np.array([-1, -1, 1, 1]) * 100.0 / 9.0,
                                    atol=1e-9)
 
     def test_translate_x_moves_center_right(self):
-        cam = CameraIntrinsics(721.5, 721.5, 609.6, 172.9)
+        cam = (721.5, 721.5, 609.6, 172.9)
         base = make_pose(0.3, [0, 1.65, 15], np.array([3.9, 1.6, 1.6]))
         def center(pose):
             left, _, right, _ = project_box3d(cam, pose)
@@ -171,7 +172,7 @@ class TestProjectBox3D:
             prev = cur
 
     def test_doubling_extents_enlarges(self):
-        cam = CameraIntrinsics(721.5, 721.5, 609.6, 172.9)
+        cam = (721.5, 721.5, 609.6, 172.9)
         rng = np.random.default_rng(7)
         for _ in range(50):
             dims = rng.uniform(0.5, 3.0, size=3)
@@ -184,7 +185,7 @@ class TestProjectBox3D:
             assert (size1 > size0).all()
 
     def test_behind_camera_propagates(self):
-        cam = CameraIntrinsics(100, 100, 0, 0)
+        cam = (100, 100, 0, 0)
         with pytest.raises(BehindCameraError):
             project_box3d(cam, make_pose(0.0, [0, 0, 0.4], np.ones(3)))
 
@@ -406,15 +407,9 @@ class TestWrap:
 
 class TestGroundPlane:
     def test_zero_normal_rejected(self):
+        """The ground plane is the normal row of a measurement file; writing a
+        zero one raises, as reading one does (see test_scene_io)."""
+        block = generate_scene(SceneParams(n_instances=1), STANDARD_NOISE, seed=5)[1]
+        zero = replace(block, ground=np.zeros((len(block), 3)))
         with pytest.raises(ValueError, match="^ground plane normal must be nonzero$"):
-            GroundPlane(N=np.zeros(3))
-
-    @pytest.mark.parametrize("N", [(1e-200, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e308, 0.0, 0.0),
-                                   (-1e308, 1e308, 1e308)])
-    def test_extreme_finite_normals_accepted(self, N):
-        # no squared norm: it underflows to 0 or overflows with a warning
-        np.testing.assert_array_equal(GroundPlane(N=np.array(N)).N, N)
-
-    def test_locus(self):
-        g = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
-        assert np.isclose(g.N @ np.array([4.0, 1.65, 20.0]), 1.0)
+            emit_measurements(KITTI_CAMERA, (0.0, 0.0, 0.0), zero)

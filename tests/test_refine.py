@@ -15,8 +15,6 @@ from vehicle3d.energy import (
     ablation_config,
 )
 from vehicle3d.geometry import (
-    CameraIntrinsics,
-    GroundPlane,
     place_points,
     project,
     project_box3d,
@@ -42,8 +40,9 @@ from tests.test_energy import one_block
 # the module, not the package's `refine` function of the same name
 REFINE = importlib.import_module("vehicle3d.refine")
 
-CAM = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
-GROUND = GroundPlane(N=np.array([0.0, 1.0 / 1.65, 0.0]))
+CAM = (721.5, 721.5, 609.6, 172.9)
+_, FY, CX, CY = CAM
+GROUND = np.array([0.0, 1.0 / 1.65, 0.0])
 
 
 def toy_model(rng, n_basis=2, K=14):
@@ -129,7 +128,7 @@ def empty_meas(box, depth=None):
 
 
 def test_initialize_axial_ray():
-    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0)
+    meas = empty_meas(box_at(tx=CX, ty=CY, w=4.0, h=3.5), depth=10.0)
     model = MorphableModel(mean=np.zeros(42), basis=np.zeros((2, 42)))
     vars = initialize(meas, model)
     np.testing.assert_array_equal(vars.T, [0.0, 0.0, 10.0])
@@ -140,20 +139,20 @@ def test_initialize_axial_ray():
 
 def test_initialize_ground_intersection():
     # ray direction (0, 0.165, 1) meets N.T = 1 at depth 10, height 1.65
-    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy + 0.165 * CAM.fy, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CX, ty=CY + 0.165 * FY, w=4.0, h=3.5))
     vars = initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
     np.testing.assert_allclose(vars.T, [0.0, 1.65, 10.0], atol=1e-12)
     assert vars.alpha.size == 0
 
 
 def test_initialize_parallel_ray_raises():
-    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CX, ty=CY, w=4.0, h=3.5))
     with pytest.raises(InitializationError):
         initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
 
 
 def test_initialize_ray_away_from_plane_raises():
-    meas = empty_meas(box_at(tx=CAM.cx, ty=CAM.cy - 50.0, w=4.0, h=3.5))
+    meas = empty_meas(box_at(tx=CX, ty=CY - 50.0, w=4.0, h=3.5))
     with pytest.raises(InitializationError):
         initialize(meas, MorphableModel(mean=np.zeros(42), basis=np.zeros((0, 42))))
 
@@ -458,7 +457,7 @@ def test_detections_are_each_row_refined_and_labelled_alone():
                 messages.append(str(err))
                 continue
             try:
-                want.append(pose_to_label(result.vars.pose(), CameraIntrinsics(*cam),
+                want.append(pose_to_label(result.vars.pose(), cam,
                                           1.0 / (1.0 + result.final_energy)))
             except ValueError as err:
                 assert type(err) is ValueError
@@ -605,12 +604,12 @@ def _random_measurements(rng, n):
     principal row of a flat ground or with a ray above the horizon."""
     out = []
     for i in range(n):
-        cam = CameraIntrinsics(fx=rng.uniform(200.0, 1500.0), fy=rng.uniform(200.0, 1500.0),
-                               cx=rng.uniform(0.0, 1200.0), cy=rng.uniform(0.0, 400.0))
+        cam = (rng.uniform(200.0, 1500.0), rng.uniform(200.0, 1500.0),  # fx, fy, cx, cy
+               rng.uniform(0.0, 1200.0), rng.uniform(0.0, 400.0))
         tilt = rng.normal(scale=0.05, size=3) if i % 4 else np.zeros(3)
         normal = np.array([0.0, 1.0, 0.0]) + tilt
-        ground = GroundPlane(N=normal / np.linalg.norm(normal) / rng.uniform(1.0, 2.5))
-        ty = cam.cy if i % 7 == 0 else cam.cy + rng.uniform(-200.0, 250.0)
+        ground = normal / np.linalg.norm(normal) / rng.uniform(1.0, 2.5)
+        ty = cam[3] if i % 7 == 0 else cam[3] + rng.uniform(-200.0, 250.0)
         out.append(one_block(
             box_at(tx=rng.uniform(-100.0, 1300.0), ty=ty, w=rng.uniform(1.0, 6.0),
                   h=rng.uniform(1.0, 6.0)),
@@ -625,7 +624,7 @@ def test_array_starts_equal_the_scalar_back_projection(n_basis):
     every row, and each row its one-row block; a failed row is NaN, with
     the scalar path's message."""
     ms = _random_measurements(np.random.default_rng(36), 600)
-    ms.append(empty_meas(box_at(tx=CAM.cx, ty=CAM.cy, w=4.0, h=3.5), depth=10.0))  # slope 0
+    ms.append(empty_meas(box_at(tx=CX, ty=CY, w=4.0, h=3.5), depth=10.0))  # slope 0
     x, failures = _starts(MeasurementBlock.concat(ms), n_basis)
     assert x.shape == (len(ms), 7 + n_basis)
     for i, meas in enumerate(ms):

@@ -1,7 +1,7 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
 import re
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from vehicle3d import scene_io
 from vehicle3d.geometry import (
     BoxStack,
-    CameraIntrinsics,
     PoseBox3D,
     place_points,
     project,
@@ -244,7 +243,7 @@ def seed_fit():
                                     for index in range(50))
     solve = refine_ladder(block, CAR_MODEL, variants=["v4"])["v4"]
     ok = np.equal(solve.error, None)
-    return [(float(x[0]), x[1:4], x[4:7], CameraIntrinsics(*cam), 1.0 / (1.0 + energy))
+    return [(float(x[0]), x[1:4], x[4:7], cam, 1.0 / (1.0 + energy))
             for x, cam, energy in zip(solve.x[ok], block.cam[ok], solve.energy[ok].tolist())]
 
 
@@ -266,7 +265,7 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
         for k, (fields, _) in enumerate(_FAILING_POSES):
             poses.insert(60 * k + 7, (*fields, KITTI_CAMERA, 0.5))
     theta, T, sigma, cams, scores = list(zip(*poses)) or [[]] * 5
-    records, error = poses_to_labels(theta, T, sigma, [astuple(cam) for cam in cams], scores)
+    records, error = poses_to_labels(theta, T, sigma, cams, scores)
     assert error.shape == (len(poses),)
     alone, messages = [], []
     for theta, T, sigma, cam, score in poses:
@@ -291,7 +290,7 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
 def test_pose_conversion_failures_name_their_kind(fields, message):
     theta, T, sigma = fields
     records, error = poses_to_labels([theta, _POSE[0]], [T, _POSE[1]], [sigma, _POSE[2]],
-                                     [astuple(KITTI_CAMERA)] * 2)
+                                     [KITTI_CAMERA] * 2)
     assert error.tolist() == [message, None] and len(records) == 1
     with pytest.raises(ValueError) as caught:
         pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA)
@@ -302,7 +301,7 @@ def test_a_non_finite_score_raises_instead_of_filling_a_slot():
     theta, T, sigma = _POSE
     for score in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^non-finite value$"):
-            poses_to_labels([theta] * 2, [T] * 2, [sigma] * 2, [astuple(KITTI_CAMERA)] * 2,
+            poses_to_labels([theta] * 2, [T] * 2, [sigma] * 2, [KITTI_CAMERA] * 2,
                             [0.5, score])
         with pytest.raises(ValueError, match="^non-finite value$"):
             pose_to_label(PoseBox3D(theta=theta, T=T, sigma=sigma), KITTI_CAMERA, score)
@@ -319,7 +318,7 @@ def test_row_counts_that_differ_raise(rows, message):
     """Neither zip nor broadcasting may shorten the output: 3 rows of each
     input but the counts `rows` gives."""
     theta, T, sigma = _POSE
-    fields = {"theta": [theta], "T": [T], "sigma": [sigma], "cams": [astuple(KITTI_CAMERA)],
+    fields = {"theta": [theta], "T": [T], "sigma": [sigma], "cams": [KITTI_CAMERA],
               "scores": [0.5]}
     fields = {name: value * rows.get(name, 3) for name, value in fields.items()}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -341,7 +340,7 @@ def test_measurement_text_roundtrip():
         text = emit_measurements(KITTI_CAMERA, FLAT_GROUND, block)
         cam, ground, back = parse_measurements(text)
         assert cam == KITTI_CAMERA
-        np.testing.assert_array_equal(ground.N, FLAT_GROUND.N)
+        assert ground == FLAT_GROUND
         assert same_block(back, block), (with_depth, index)
         assert emit_measurements(cam, ground, back) == text, (with_depth, index)
         assert back.has_depth.all() == with_depth
@@ -365,6 +364,27 @@ def test_a_frame_without_instances_round_trips():
     assert parse_config_text(text)["instances"] == "0"
     _, _, back = parse_measurements(text)
     assert (len(back), back.K) == (0, 0)
+
+
+def test_a_depth_without_has_depth_raises():
+    """Rows without a crop depth carry depth 0: the file writes no depth
+    for them, so another value would not parse back."""
+    block = generate_scene(SceneParams(with_depth=False), STANDARD_NOISE, [7, 0])[1]
+    depth = block.depth.copy()
+    depth[3] = 5.0
+    with pytest.raises(ValueError, match="^i3: depth must be 0 without has_depth$"):
+        replace(block, depth=depth)
+
+
+@pytest.mark.parametrize("N", [(1e-200, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e308, 0.0, 0.0),
+                               (-1e308, 1e308, 1e308)])
+def test_extreme_finite_ground_normals_round_trip(N):
+    # no squared norm: it underflows to 0 or overflows with a warning
+    block = _SEED_FRAME[1]
+    text = emit_measurements(KITTI_CAMERA, N, replace(block, ground=np.tile(N, (len(block), 1))))
+    _, ground, back = parse_measurements(text)
+    assert ground == N
+    np.testing.assert_array_equal(back.ground, np.tile(N, (len(block), 1)))
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -559,7 +579,7 @@ def test_generate_deterministic():
 
 def test_generate_gt_invariants():
     params = SceneParams(n_instances=6)
-    N = FLAT_GROUND.N
+    N = np.array(FLAT_GROUND)
     for seed in range(40):
         scene, _, labels = generate_scene(params, STANDARD_NOISE, seed=seed)
         for pose, coeffs in scene.instances:
@@ -623,6 +643,13 @@ def test_v1_error_monotone_in_noise_components():
                     errs.append(float(np.linalg.norm(init.T - pose.T)))
             medians.append(float(np.median(errs)))
         assert medians[0] <= medians[1] + 1e-12 <= medians[2] + 2e-12, (name, medians)
+
+
+def test_a_crowded_frame_meets_its_instance_count():
+    """The retry budget grows with the requested instances, so a frame of
+    400 is not cut short."""
+    scene, block, labels = generate_scene(SceneParams(n_instances=400), STANDARD_NOISE, [7, 0])
+    assert len(scene.instances) == len(block) == len(labels) == 400
 
 
 def test_generation_error_when_nothing_in_view(monkeypatch):
