@@ -168,7 +168,7 @@ def _resolve_options(command: str, args):
     file_cfg = {}
     if args.config:
         try:
-            file_cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+            file_cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise CLIError(f"cannot read config {args.config}: {exc}")
     # a manifest names the command it configured
@@ -246,10 +246,11 @@ def _labels_dir(path_text: str) -> Path:
 
 
 def _read_data_file(path: Path, parse):
-    """parse(the file's text); a malformed file is a CLIError naming it."""
+    """parse(the file's UTF-8 text, a leading BOM dropped); a file that is
+    malformed or does not decode is a CLIError naming it."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
-    except (LabelFormatError, MeasurementFormatError) as exc:
+        return parse(path.read_text(encoding="utf-8-sig"))
+    except (LabelFormatError, MeasurementFormatError, UnicodeDecodeError) as exc:
         raise CLIError(f"{path}: {exc}")
 
 
@@ -326,8 +327,7 @@ def _rung_outcomes(block: MeasurementBlock, solve) -> list:
             return None, {"error": error}
         diag = {"converged": _fmt_value(converged), "iterations": str(iterations),
                 "reason": reason, "energy": repr(energy)}
-        diag.update(("energy_" + name, repr(value))
-                    for name, value in zip(solve.terms, terms) if not math.isnan(value))
+        diag.update(("energy_" + name, repr(value)) for name, value in zip(solve.terms, terms))
         return next(records), diag
 
     return [entry(*row) for row in columns]
@@ -718,6 +718,11 @@ def main(argv=None) -> int:
     try:
         effective, configs = _resolve_options(args.command, args)
         out_dir = Path(args.out) if args.out else None
+        if out_dir is not None:  # never an input directory; each is required where present
+            for name in ("data", "pred", "gt"):
+                if name in effective and out_dir.resolve() == Path(effective[name]).resolve():
+                    raise CLIError(f"--out {args.out} is the --{name} directory; "
+                                   "writing there would overwrite its files")
         status = _COMMANDS[args.command].handler(effective, out_dir, **configs)
         if out_dir is not None:  # last, so a run stopped by an error has none
             manifest = {k: _fmt_value(v) for k, v in effective.items()}

@@ -17,11 +17,13 @@ generator build; parameters are a (B, D) array; the 8 box corners and K
 model landmarks of each instance are one point set, projected once in
 closed form; residuals are a (B, m) stack and the Jacobian's transpose a
 (B, D, m) stack J^T, each written once, whose row layout depends only on
-the config and model sizes (term_rows).  No value is reduced across
-instances, so an instance's rows are bit-identical whatever block it is
-evaluated in.  The single-instance functions (total_energy,
-stacked_residuals, jacobian) take a one-row block, the B=1 case of the
-same kernel; a single term's rows are a term_rows slice of block_residuals.
+the config and model sizes (term_rows).  An instance without a crop depth
+keeps its depth row, with value and gradient 0, so its depth energy is 0.
+No value is reduced across instances, so an instance's rows are
+bit-identical whatever block it is evaluated in.  The single-instance
+functions (total_energy, stacked_residuals, jacobian) take a one-row block
+and read the B=1 case of the same kernel, so a term_rows slice picks a
+term's rows out of their vectors as out of block_residuals.
 """
 from __future__ import annotations
 
@@ -376,34 +378,22 @@ def _evaluate_one(name, vars, meas, model, cfg):
 
 
 def total_energy(vars: Variables, meas: MeasurementBlock, model: MorphableModel, cfg):
-    """Weighted sum of squared residual norms, with a per-term breakdown."""
+    """Weighted sum of squared residual norms, with a per-term breakdown
+    holding every term of the rung (md 0.0 without a measured depth)."""
     res = _evaluate_one("total_energy", vars, meas, model, cfg)
     total, parts = block_energy(res.unweighted, cfg, meas.K, vars.alpha.size)
-    if not meas.has_depth[0]:
-        parts.pop("md", None)
     return float(total[0]), {name: float(value[0]) for name, value in parts.items()}
 
 
-def _stacked(name, vars, meas, model, cfg):
-    """(r, J): the stacked weighted residuals and their Jacobian, without
-    the depth row when there is no measured depth."""
-    res = _evaluate_one(name, vars, meas, model, cfg)
-    r, J = res.r[0], res.JT[0].T
-    if not meas.has_depth[0]:
-        depth_row = [rows.start for term, _, rows in term_rows(cfg, meas.K, vars.alpha.size)
-                     if term == "md"]
-        r, J = np.delete(r, depth_row), np.delete(J, depth_row, axis=0)
-    return r, J
-
-
 def stacked_residuals(vars, meas, model, cfg) -> np.ndarray:
-    """All enabled residuals of one instance scaled by sqrt(weight).
+    """All enabled residuals of one instance scaled by sqrt(weight), in
+    term_rows layout.
 
     The stacked vector r satisfies total_energy = r.r, so a least-squares
     step on r minimizes the energy directly.  Without a measured depth the
-    depth row is left out.
+    depth row is 0.
     """
-    return _stacked("stacked_residuals", vars, meas, model, cfg)[0]
+    return _evaluate_one("stacked_residuals", vars, meas, model, cfg).r[0]
 
 
 def jacobian(vars, meas, model, cfg) -> np.ndarray:
@@ -413,4 +403,4 @@ def jacobian(vars, meas, model, cfg) -> np.ndarray:
     hull-argmax tie this returns the subgradient of the currently active
     corners.
     """
-    return _stacked("jacobian", vars, meas, model, cfg)[1]
+    return _evaluate_one("jacobian", vars, meas, model, cfg).JT[0].T

@@ -82,14 +82,16 @@ class RefineResult:
 
 @dataclass(frozen=True, eq=False)
 class SolveBlock:
-    """refine_batch's per-instance outcomes as columns; a row with an error holds no solution."""
+    """refine_batch's per-instance outcomes as columns.  A solved row (error None) carries
+    every term of its rung, md 0.0 without a depth.  A failed row holds no solution and
+    carries no numbers: energy, terms and path NaN, converged False, iterations 0, reason None."""
     x: np.ndarray  # (B, D) solutions, the yaw wrapped as Variables.theta reads it
     error: np.ndarray  # (B,) object: None, or the message of the failure that stopped the row
     converged: np.ndarray  # (B,) bool
     iterations: np.ndarray  # (B,) int
     reason: np.ndarray  # (B,) object: why each solve stopped
     energy: np.ndarray  # (B,) final energy
-    terms: dict  # {name: (B,)} final energy per term in term_rows order; md NaN without a depth
+    terms: dict  # {name: (B,)} final energy per term in term_rows order; md 0 without a depth
     path: np.ndarray  # (B, 1 + max iterations) accepted energies from the start's, NaN-padded
 
     def detections(self, block: MeasurementBlock) -> tuple:
@@ -200,7 +202,8 @@ def refine_batch(
     is None, or the message of the failure that stopped it: a start that
     cannot be computed, a landmark count the model does not have (one check
     per block), or a start that projects behind the camera or evaluates to
-    non-finite residuals or to an energy that overflows.  Failures are
+    non-finite residuals or to an energy that overflows.  A failed row
+    carries no numbers, at any rung (see SolveBlock).  Failures are
     recorded, not raised, so the other instances are unaffected; numpy's
     overflow and invalid-value warnings are silenced here as in the kernel,
     since an energy or step norm that overflows is read as inf.
@@ -263,9 +266,6 @@ def refine_batch(
             del res
         active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
 
-    total, parts = block_energy(unweighted, cfg, model.K, D - 7)
-    if "md" in parts:
-        parts["md"] = np.where(block.has_depth, parts["md"], np.nan)
     error = np.full(B, None)  # each unusable row's failure, set in reverse precedence
     error[~usable] = "initial point has non-finite residuals (NaN or inf in the measurement or start)"
     error[~usable & overflows] = ("initial point's energy overflows: its residuals are finite, "
@@ -275,8 +275,13 @@ def refine_batch(
     path = np.full((B, 1 + iterations.max()), np.nan)
     rows, columns, energies = (np.concatenate(column) for column in zip(*steps))
     path[rows, columns] = energies
+    # a failed row, exactly an unusable one, carries no numbers
+    total, parts = block_energy(unweighted, cfg, model.K, D - 7)
+    terms = {name: np.where(usable, value, np.nan) for name, value in parts.items()}
+    path[~usable], reasons[~usable] = np.nan, None
     x[:, 0] = wrap_angle(x[:, 0])
-    return SolveBlock(x, error, converged, iterations, reasons, total, parts, path)
+    return SolveBlock(x, error, converged & usable, iterations, reasons,
+                      np.where(usable, total, np.nan), terms, path)
 
 
 def refine(
@@ -294,7 +299,7 @@ def refine(
         converged=bool(s.converged[0]), iterations=int(s.iterations[0]),
         final_energy=float(s.energy[0]), reason=s.reason[0],
         energy_path=s.path[0, ~np.isnan(s.path[0])],
-        breakdown={name: float(v[0]) for name, v in s.terms.items() if not np.isnan(v[0])})
+        breakdown={name: float(v[0]) for name, v in s.terms.items()})
 
 
 def refine_ladder(

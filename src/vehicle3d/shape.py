@@ -724,8 +724,11 @@ def format_model(model: MorphableModel) -> str:
 
 
 def load_model(path) -> MorphableModel:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(tokens) < 2:
         raise ValueError(f"{path}: truncated model file")
     header = tokens[:2]

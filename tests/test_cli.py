@@ -366,8 +366,8 @@ def test_a_solved_box_without_a_label_is_a_failure(dataset, tmp_path, monkeypatc
 
 
 def test_an_instance_without_a_depth_has_no_depth_energy(tmp_path):
-    """fit writes energy_md for the instances with a measured depth and not
-    for one without, whose breakdown from refine has no md key either."""
+    """fit writes every term of the rung for each instance, as refine's
+    breakdown reads it: energy_md is 0.0 for the one without a depth."""
     data, out = tmp_path / "data", tmp_path / "fit"
     assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 1) == 0
     path = data / "meas" / "000000.cfg"
@@ -379,9 +379,10 @@ def test_an_instance_without_a_depth_has_no_depth_energy(tmp_path):
     assert block.has_depth.tolist() == [True, True, False, True, True]
     for i, meas in enumerate(block):
         breakdown = refine(meas, CAR_MODEL).breakdown
-        assert ("md" in breakdown) == (f"i{i}.energy_md" in diag) == (i != 2)
+        assert list(breakdown) == ["2d3d", "lp", "md", "gp", "s"]
         assert {key: diag[f"i{i}.energy_{key}"] for key in breakdown} == {
             key: repr(value) for key, value in breakdown.items()}
+    assert diag["i2.energy_md"] == "0.0"
 
 
 def _nan_visible_landmark(mapping):
@@ -637,6 +638,81 @@ def test_a_missing_input_leaves_no_out(tmp_path, capsys, command, message):
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+_UNDECODABLE = b"\xff\xfe\x00bad"
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    (("fit", "--data", "{data}"), "data/meas/000001.cfg", "{bad}: "),
+    (("ablate", "--data", "{data}", "--jobs", 2), "data/meas/000001.cfg", "{bad}: "),
+    (("shape-learn", "--data", "{data}"), "data/meas/000001.cfg", "{bad}: "),
+    (("ablate", "--data", "{data}"), "data/labels/000001.txt", "{bad}: "),
+    (("eval", "--pred", "{pred}", "--gt", "{data}"), "data/labels/000001.txt", "{bad}: "),
+    (("eval", "--pred", "{pred}", "--gt", "{data}"), "pred/000001.txt", "{bad}: "),
+    (("fit", "--data", "{data}", "--config", "{bad}"), "run.cfg", "cannot read config {bad}: "),
+    (("fit", "--data", "{data}", "--model", "{bad}"), "model.txt",
+     "cannot load model {bad}: {bad}: "),
+], ids=["fit_meas", "ablate_meas", "shape_learn_meas", "ablate_gt", "eval_gt", "eval_pred",
+        "config", "model"])
+def test_an_undecodable_input_is_a_data_error(dataset, tmp_path, capfd, command, bad, message):
+    """A text input that is not UTF-8 ends the run in one error line naming
+    the file, exit 1, and no --out."""
+    shutil.copytree(dataset, tmp_path / "data")
+    shutil.copytree(dataset / "labels", tmp_path / "pred")
+    bad = tmp_path / bad
+    bad.write_bytes(_UNDECODABLE)
+    paths = {"data": tmp_path / "data", "pred": tmp_path / "pred", "bad": bad}
+    out = tmp_path / "out"
+    assert run_cli(*[str(part).format(**paths) for part in command], "--out", out) == 1
+    assert capfd.readouterr().err == f"error: {message.format(**paths)}{_DECODE_ERROR}\n"
+    assert not out.exists()
+
+
+def test_a_byte_order_mark_changes_no_output(dataset, tmp_path):
+    """Measurement, label, config and model files that begin with a UTF-8
+    BOM read as the same files without it: fit and eval write the same
+    bytes."""
+    plain = shutil.copytree(dataset, tmp_path / "plain")
+    marked = shutil.copytree(dataset, tmp_path / "bom")
+    for path in (*marked.rglob("*.cfg"), *marked.rglob("*.txt")):
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    model = format_model(CAR_MODEL)
+    (tmp_path / "model.txt").write_text(model)
+    (tmp_path / "bom_model.txt").write_text("\ufeff" + model, encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"\ufeffdata = {marked}\nmodel = {tmp_path / 'bom_model.txt'}\n",
+                      encoding="utf-8")
+    assert run_cli("fit", "--data", plain, "--model", tmp_path / "model.txt",
+                   "--out", tmp_path / "fit_plain") == 0
+    assert run_cli("fit", "--config", config, "--out", tmp_path / "fit_bom") == 0
+    for side in ("plain", "bom"):
+        assert run_cli("eval", "--pred", tmp_path / f"fit_{side}", "--gt", tmp_path / side,
+                       "--out", tmp_path / f"eval_{side}", "--curves", "true") == 0
+    for step in ("fit", "eval"):
+        plain_tree = tree_bytes(tmp_path / f"{step}_plain", skip=("manifest.cfg",))
+        assert tree_bytes(tmp_path / f"{step}_bom", skip=("manifest.cfg",)) == plain_tree
+
+
+@pytest.mark.parametrize("command, out, name", [
+    (("fit", "--data", "{data}"), "{data}", "data"),
+    (("ablate", "--data", "{data}"), "{data}/../data", "data"),
+    (("shape-learn", "--data", "{data}"), "{data}", "data"),
+    (("eval", "--pred", "{pred}", "--gt", "{data}"), "{pred}", "pred"),
+    (("eval", "--pred", "{pred}", "--gt", "{data}"), "{data}/", "gt"),
+], ids=["fit", "ablate", "shape_learn", "eval_pred", "eval_gt"])
+def test_out_may_not_be_an_input_directory(dataset, tmp_path, capfd, command, out, name):
+    """An --out that resolves to an input directory is refused before
+    anything is written, so the input keeps its bytes."""
+    paths = {"data": shutil.copytree(dataset, tmp_path / "data"),
+             "pred": shutil.copytree(dataset, tmp_path / "pred")}
+    before = tree_bytes(tmp_path)
+    out = out.format(**paths)
+    assert run_cli(*[str(part).format(**paths) for part in command], "--out", out) == 1
+    assert capfd.readouterr().err == (f"error: --out {out} is the --{name} directory; "
+                                      "writing there would overwrite its files\n")
+    assert tree_bytes(tmp_path) == before
 
 
 def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -213,16 +213,24 @@ def test_depth_residual_values():
 
 
 def test_depth_term_absent_or_disabled():
+    """Without a measured depth the depth term stays in its rung as a zero
+    row with a zero gradient, so md reads 0.0 and v4 equals v3 exactly; a
+    rung without the term (v3) has no md key and one row fewer."""
     rng = np.random.default_rng(8)
     model = random_model(2, rng)
     vars = random_vars(rng, 2)
     meas_nd = measurement_for(vars, model, rng, with_depth=False)
-    assert term("md", vars, meas_nd, model)[0] == [0.0]
-    cfg = EnergyConfig()
-    _, breakdown = total_energy(vars, meas_nd, model, cfg)
-    assert "md" not in breakdown
+    r, J = term("md", vars, meas_nd, model)
+    assert r == [0.0] and not J.any()
+    cfg, off = EnergyConfig(), ablation_config("v3")  # v3: v4 without the depth term
+    [md] = [rows for name, _, rows in term_rows(cfg, model.K, 2) if name == "md"]
+    e_nd, breakdown = total_energy(vars, meas_nd, model, cfg)
+    assert breakdown["md"] == 0.0
+    assert e_nd == total_energy(vars, meas_nd, model, off)[0]
+    assert stacked_residuals(vars, meas_nd, model, cfg)[md].tolist() == [0.0]
+    assert not jacobian(vars, meas_nd, model, cfg)[md].any()
     meas_d = measurement_for(vars, model, rng)
-    off = ablation_config("v3")  # v4 without the depth term
+    assert jacobian(vars, meas_nd, model, cfg).shape == jacobian(vars, meas_d, model, cfg).shape
     e_off, bd_off = total_energy(vars, meas_d, model, off)
     assert "md" not in bd_off
     # disabling contributes nothing to the gradient stack either

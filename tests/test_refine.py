@@ -13,6 +13,11 @@ from vehicle3d.energy import (
     MeasurementBlock,
     Variables,
     ablation_config,
+    block_residuals,
+    jacobian,
+    stacked_residuals,
+    term_rows,
+    total_energy,
 )
 from vehicle3d.geometry import (
     place_points,
@@ -638,3 +643,102 @@ def test_array_starts_equal_the_scalar_back_projection(n_basis):
     assert set(failures) == {None, PARALLEL,
                              "box-center ray meets the ground plane behind the camera"}
     assert x[-1, 1:4].tolist() == [0.0, 0.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# The row rule: a solved row carries every term of its rung, a failed row no number
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+@pytest.mark.parametrize("with_depth", [True, False], ids=["depth", "no_depth"])
+def test_every_term_of_the_rung_is_reported(variant, with_depth):
+    """refine's breakdown and total_energy's parts name every term of the
+    rung, md included without a measured depth; each term_rows slice of
+    the one-instance residuals and Jacobian is that slice of
+    block_residuals bit for bit; the breakdown sums to the final energy."""
+    cfg = ablation_config(variant)
+    for meas in _seed7_frames(1)[0]:
+        if not with_depth:
+            meas = replace(meas, depth=[0.0], has_depth=[False])
+        result = refine(meas, CAR_MODEL, cfg)
+        layout = term_rows(cfg, CAR_MODEL.K, CAR_MODEL.n_basis)
+        _, parts = total_energy(result.vars, meas, CAR_MODEL, cfg)
+        assert set(result.breakdown) == set(parts) == {name for name, _, _ in layout}
+        kernel = block_residuals(result.vars.to_vector()[None], meas, CAR_MODEL, cfg)
+        r = stacked_residuals(result.vars, meas, CAR_MODEL, cfg)
+        J = jacobian(result.vars, meas, CAR_MODEL, cfg)
+        for _, _, rows in layout:
+            assert r[rows].tobytes() == kernel.r[0, rows].tobytes()
+            assert J[rows].tobytes() == kernel.JT[0, :, rows].T.tobytes()
+        assert sum(result.breakdown.values()) == pytest.approx(result.final_energy, rel=1e-12)
+
+
+def _assert_failed_row(solve, i):
+    """Row i of solve is a failed row: an error and no numbers."""
+    assert solve.error[i] is not None
+    assert np.isnan(solve.energy[i]) and np.isnan(solve.path[i]).all()
+    assert all(np.isnan(value[i]) for value in solve.terms.values())
+    assert (bool(solve.converged[i]), int(solve.iterations[i]), solve.reason[i]) == (False, 0, None)
+
+
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+def test_a_failed_row_carries_no_numbers(variant):
+    """In a block holding a start behind the camera, a box-center ray that
+    meets the ground behind the camera and solved rows, each failed row
+    reads the one failed-row rule, whatever its failure, and the solved
+    rows equal their solve in a block without the failed ones.  A rung
+    without rows (v1) evaluates no point, so only the ray fails there.  A
+    landmark count the model does not have fails every row alike."""
+    plain = MeasurementBlock.concat(_seed7_frames(2))
+    depth, has_depth, box = plain.depth.copy(), plain.has_depth.copy(), plain.box.copy()
+    depth[1] = 0.01  # a start behind the camera
+    box[6, [1, 3]] = plain.cam[6, 3] - [60.0, 20.0]  # a box center above the horizon
+    depth[6], has_depth[6] = 0.0, False
+    block = replace(plain, depth=depth, has_depth=has_depth, box=box)
+    cfg = ablation_config(variant)
+    solve = refine_batch(block, CAR_MODEL, cfg)
+    failed = {6: "box-center ray meets the ground plane behind the camera"}
+    if variant != "v1":
+        failed[1] = "initial point projects behind the camera"
+    assert {i: e for i, e in enumerate(solve.error) if e is not None} == failed
+    for i in failed:
+        _assert_failed_row(solve, i)
+    solved = [i for i in range(len(block)) if i not in failed]
+    alone = refine_batch(block[solved], CAR_MODEL, cfg)
+    for j, i in enumerate(solved):
+        assert _row_fingerprint(solve, i) == _row_fingerprint(alone, j)
+        assert solve.energy[i].tobytes() == alone.energy[j].tobytes()
+        assert all(solve.terms[name][i].tobytes() == alone.terms[name][j].tobytes()
+                   for name in alone.terms)
+    other = refine_batch(block, toy_model(np.random.default_rng(35), K=10), cfg)
+    assert list(other.terms) == list(solve.terms)
+    for i in range(len(block)):
+        _assert_failed_row(other, i)
+
+
+# ---------------------------------------------------------------------------
+# Principal-point invariance
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed7_ladder():
+    """The pooled 50 frames of `synth --seed 7` and their v2-v4 solves."""
+    block = MeasurementBlock.concat(_seed7_frames(50))
+    return block, refine_ladder(block, CAR_MODEL, variants=("v2", "v3", "v4"))
+
+
+@pytest.mark.parametrize("offset", [(0.1, -0.1), (1000.0, 1000.0), (-37.25, 12.5)])
+def test_a_principal_point_shift_moves_no_solution(seed7_ladder, offset):
+    """Shifting cx, cy, every box corner and every landmark pixel by one
+    (dx, dy) leaves every image-plane difference, so every solve, as it
+    is: the solutions agree to 1e-8 and the iterations, reasons and errors
+    exactly."""
+    block, rungs = seed7_ladder
+    shift = np.array(offset)
+    shifted = replace(block, cam=block.cam + np.r_[0.0, 0.0, shift],
+                      box=block.box + np.tile(shift, 2), uv=block.uv + shift)
+    moved = refine_ladder(shifted, CAR_MODEL, variants=tuple(rungs))
+    for variant, solve in rungs.items():
+        np.testing.assert_allclose(moved[variant].x, solve.x, rtol=0.0, atol=1e-8)
+        for column in ("iterations", "reason", "error"):
+            assert getattr(moved[variant], column).tolist() == getattr(solve, column).tolist()
