@@ -415,8 +415,10 @@ def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfi
     solved by at most one worker each; each frame is written from the
     outcomes, in that order.
     """
-    settings = (tuple(out_dirs), _load_fit_model(effective["model"]), energy, solver)
-    block = _pooled(dataset)
+    model, block = _load_fit_model(effective["model"]), _pooled(dataset)
+    if len(block) and block.K != model.K:  # refused before anything is written
+        raise CLIError(f"measurement has {block.K} landmarks, the model {model.K}")
+    settings = (tuple(out_dirs), model, energy, solver)
     size = min(_FIT_BLOCK, max(1, -(-len(block) // effective["jobs"])))
     tasks = [(block[i:i + size], *settings) for i in range(0, len(block), size)]
     jobs = min(effective["jobs"], len(tasks))
@@ -718,11 +720,15 @@ def main(argv=None) -> int:
     try:
         effective, configs = _resolve_options(args.command, args)
         out_dir = Path(args.out) if args.out else None
-        if out_dir is not None:  # never an input directory; each is required where present
-            for name in ("data", "pred", "gt"):
-                if name in effective and out_dir.resolve() == Path(effective[name]).resolve():
-                    raise CLIError(f"--out {args.out} is the --{name} directory; "
-                                   "writing there would overwrite its files")
+        # never an input directory nor its meas/ or labels/; each is required where present
+        for name in [name for name in ("data", "pred", "gt") if name in effective and out_dir]:
+            target, given = out_dir.resolve(), Path(effective[name]).resolve()
+            if target == given:
+                raise CLIError(f"--out {args.out} is the --{name} directory; "
+                               "writing there would overwrite its files")
+            if target in (given / "meas", given / "labels"):
+                raise CLIError(f"--out {args.out} is the --{name} directory's {target.name}/; "
+                               "writing there would mix outputs into its files")
         status = _COMMANDS[args.command].handler(effective, out_dir, **configs)
         if out_dir is not None:  # last, so a run stopped by an error has none
             manifest = {k: _fmt_value(v) for k, v in effective.items()}

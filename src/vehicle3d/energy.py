@@ -327,9 +327,12 @@ def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
     exactly N) and the coefficients' deviation from the learning prior's
     zero.  Rows of an instance flagged `behind`, or of a point far enough
     out to overflow, are not meaningful; callers mask them out rather than
-    stop the block.
+    stop the block.  A non-empty block of another landmark count than the
+    model's raises ValueError at every rung; an empty block projects nothing.
     """
     B, D = x.shape
+    if B and block.K != model.K:
+        raise ValueError(f"measurement has {block.K} landmarks, the model {model.K}")
     layout = term_rows(cfg, model.K, D - 7)
     m = layout[-1][2].stop if layout else 0
     unweighted, JT, sw = np.zeros((B, m)), np.zeros((B, D, m)), np.zeros(m)
@@ -338,7 +341,7 @@ def block_residuals(x, block: MeasurementBlock, model: MorphableModel,
         sw[sl] = w
     behind = np.zeros(B, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if rows.keys() & {"2d3d", "lp"}:
+        if B and rows.keys() & {"2d3d", "lp"}:
             behind = _projection_rows(x, block, model, rows, unweighted, JT)
         if "md" in rows:
             w, sl = rows["md"]

@@ -81,13 +81,6 @@ _DONTCARE_COVERAGE = 0.5
 _APART_RTOL = 1e-9
 
 
-def _centers(records) -> np.ndarray:
-    """(n, 3) true 3D box centers: half a height above the bottom-face anchor."""
-    centers = np.array([rec.location for rec in records]).reshape(-1, 3)
-    centers[:, 1] -= np.array([rec.dimensions[0] for rec in records]) / 2.0
-    return centers
-
-
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance of each pair of rows (P, 3)."""
     d = a - b
@@ -147,8 +140,8 @@ class _Stack(NamedTuple):
     """What every curve of one pr_curves call reads, built once for all of
     them: each frame's OBJECT_TYPE detections (the only ones matched) in
     D slots by descending score, ties by content, and its ground truth in G
-    slots by content, then type.  Pair values are NaN in the padding and
-    where the pair lacks two boxes of positive dimensions."""
+    slots by content, then type.  Pair values are NaN in the padding, and
+    the 3D and BEV IoUs also where a pair lacks two positive-dimension boxes."""
 
     iou_3d: np.ndarray  # (F, D, G)
     iou_bev: np.ndarray  # (F, D, G)
@@ -222,7 +215,8 @@ class _Stack(NamedTuple):
         iou3, iou_b = np.where(two, 0.0, np.nan), np.where(two, 0.0, np.nan)
         clip = two & ~apart
         iou3[clip], iou_b[clip] = box_ious(boxes, row[i[clip]], row[j[clip]])
-        centers = _centers(records)
+        centers = content[:, 4:7].copy()  # true 3D box centers: half a height above the anchor
+        centers[:, 1] -= content[:, 7] / 2.0
 
         # the fraction of each detection box inside each region, from raw
         # corner arithmetic, so exact half coverage is exactly 0.5

@@ -18,8 +18,9 @@ bit-identical whether the instance is solved alone or among any others.
 Every rung is solved from the initialization, the starts of the whole
 block computed in one array pass: refine_ladder makes one such solve per
 rung.  Instances come as one MeasurementBlock, as the parser and the
-generator build them, and leave as one SolveBlock; `refine`, `refine_ablation`
-and `initialize` take a one-row block, and only `refine` makes a RefineResult.
+generator build them, of the model's landmark count (the kernel raises on
+another), and leave as one SolveBlock; `refine`, `refine_ablation` and
+`initialize` take a one-row block, and only `refine` makes a RefineResult.
 
 The stopping tolerances and initial damping are the usual textbook
 constants (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least
@@ -40,7 +41,6 @@ from .energy import (
     block_energy,
     block_residuals,
     rowdot,
-    term_rows,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
 # external profilers wrap.
@@ -200,22 +200,18 @@ def refine_batch(
 
     Row i of the returned SolveBlock is instance i's outcome.  Its error
     is None, or the message of the failure that stopped it: a start that
-    cannot be computed, a landmark count the model does not have (one check
-    per block), or a start that projects behind the camera or evaluates to
-    non-finite residuals or to an energy that overflows.  A failed row
+    cannot be computed, or one that projects behind the camera or evaluates
+    to non-finite residuals or to an energy that overflows.  A failed row
     carries no numbers, at any rung (see SolveBlock).  Failures are
-    recorded, not raised, so the other instances are unaffected; numpy's
-    overflow and invalid-value warnings are silenced here as in the kernel,
-    since an energy or step norm that overflows is read as inf.
+    recorded, not raised, so the other instances are unaffected; a block of
+    another landmark count than the model's raises block_residuals'
+    ValueError.  numpy's overflow and invalid-value warnings are silenced
+    here as in the kernel, since an energy or step norm that overflows is
+    read as inf.
     """
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
     x, failures = _starts(block, model.n_basis)
     B, D = x.shape
-    if block.K != model.K or not B:  # the kernel evaluates neither
-        nan, error = np.full(B, np.nan), f"measurement has {block.K} landmarks, the model {model.K}"
-        return SolveBlock(x, np.full(B, error, dtype=object), np.zeros(B, bool), np.zeros(B, int),
-                          np.full(B, None), nan,
-                          {name: nan for name, _, _ in term_rows(cfg, model.K, D - 7)}, nan[:, None])
     res = block_residuals(x, block, model, cfg)
     unweighted, energy = res.unweighted, rowdot(res.r)
     # a rung without rows (v1) passes a start's NaN row as usable
@@ -272,7 +268,7 @@ def refine_batch(
                                   "but their squares sum to inf")
     error[~usable & behind] = "initial point projects behind the camera"
     error = np.where(np.equal(failures, None), error, failures)
-    path = np.full((B, 1 + iterations.max()), np.nan)
+    path = np.full((B, 1 + iterations.max(initial=0)), np.nan)
     rows, columns, energies = (np.concatenate(column) for column in zip(*steps))
     path[rows, columns] = energies
     # a failed row, exactly an unusable one, carries no numbers
@@ -290,7 +286,7 @@ def refine(
     cfg: EnergyConfig | None = None,
     opts: SolverOptions | None = None,
 ) -> RefineResult:
-    """refine_batch's one-row case as a RefineResult; a failure raises InitializationError."""
+    """refine_batch's one-row case as a RefineResult; a failed row raises InitializationError."""
     s = refine_batch(meas.one_row("refine"), model, cfg, opts)
     if s.error[0] is not None:
         raise InitializationError(s.error[0])

@@ -533,20 +533,20 @@ def test_landmark_counts_must_agree(dataset, tmp_path, capfd, command, within):
     assert not out.exists()
 
 
-def test_a_model_of_another_landmark_count_fails_each_instance(dataset, tmp_path, capfd):
+@pytest.mark.parametrize("command", ["fit", "ablate"])
+def test_a_model_of_another_landmark_count_is_refused_before_any_output(
+        dataset, tmp_path, capfd, command):
+    """The landmark count is a contract between model and data: a dataset of
+    one count that is not the model's is a data error before any output."""
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
     for path in (data / "meas").glob("*.cfg"):
         _cut_landmarks(path, [0, 1])
     out = tmp_path / "fit"
-    assert run_cli("fit", "--data", data, "--out", out) == 1
-    assert capfd.readouterr().err == ""
-    for path in sorted((out / "diag").glob("*.cfg")):
-        diag = parse_config_text(path.read_text())
-        assert diag["failures"] == "2"
-        for i in (0, 1):
-            assert diag[f"i{i}.error"] == "measurement has 13 landmarks, the model 14"
-        assert (out / "labels" / (path.stem + ".txt")).read_text() == ""
+    capfd.readouterr()
+    assert run_cli(command, "--data", data, "--out", out) == 1
+    assert capfd.readouterr().err == "error: measurement has 13 landmarks, the model 14\n"
+    assert not out.exists()
 
 
 def test_fit_rejects_a_non_finite_model(dataset, tmp_path, capfd):
@@ -712,6 +712,30 @@ def test_out_may_not_be_an_input_directory(dataset, tmp_path, capfd, command, ou
     assert run_cli(*[str(part).format(**paths) for part in command], "--out", out) == 1
     assert capfd.readouterr().err == (f"error: --out {out} is the --{name} directory; "
                                       "writing there would overwrite its files\n")
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, out, name", [
+    (("fit", "--data", "{data}"), "{data}/meas", "data"),
+    (("fit", "--data", "{data}"), "{data}/labels", "data"),
+    (("shape-learn", "--data", "{data}"), "{data}/meas", "data"),
+    (("eval", "--pred", "{data}", "--gt", "{data}"), "{data}/labels", "pred"),
+    (("eval", "--pred", "{pred}", "--gt", "{data}"), "{pred}/labels", "pred"),
+], ids=["fit_meas", "fit_labels", "shape_learn_meas", "eval_labels", "eval_fit_labels"])
+def test_out_may_not_be_an_input_directorys_meas_or_labels(
+        dataset, tmp_path, capfd, command, out, name):
+    """An --out that resolves to the meas/ or labels/ an input directory is
+    read through is refused before anything is written: its files would
+    join the input's, so the input keeps its bytes."""
+    paths = {"data": shutil.copytree(dataset, tmp_path / "data"), "pred": tmp_path / "pred"}
+    assert run_cli("fit", "--data", paths["data"], "--out", paths["pred"]) == 0
+    before = tree_bytes(tmp_path)
+    out = out.format(**paths)
+    capfd.readouterr()
+    assert run_cli(*[str(part).format(**paths) for part in command], "--out", out) == 1
+    assert capfd.readouterr().err == (
+        f"error: --out {out} is the --{name} directory's {Path(out).name}/; "
+        "writing there would mix outputs into its files\n")
     assert tree_bytes(tmp_path) == before
 
 

@@ -62,6 +62,19 @@ BLANK = one_block((-0.5, -0.5, 0.5, 0.5), np.zeros((14, 2)), np.zeros(14, dtype=
                   0.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+def test_an_empty_block_evaluates_to_empty_stacks(variant):
+    """An empty block projects nothing: its stacks have 0 rows and the
+    rung's row count, at every rung."""
+    empty = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])[1][:0]
+    cfg = ablation_config(variant)
+    layout = term_rows(cfg, CAR_MODEL.K, CAR_MODEL.n_basis)
+    m, D = layout[-1][2].stop if layout else 0, 7 + CAR_MODEL.n_basis
+    res = block_residuals(np.zeros((0, D)), empty, CAR_MODEL, cfg)
+    assert (res.r.shape, res.unweighted.shape, res.JT.shape, res.behind.shape) == (
+        (0, m), (0, m), (0, D, m), (0,))
+
+
 def random_model(n_basis, rng, K=14):
     mean = rng.uniform([-0.45, -0.9, -0.45], [0.45, -0.05, 0.45], size=(K, 3))
     basis = 0.05 * rng.standard_normal((n_basis, 3 * K))

@@ -689,8 +689,10 @@ def scalar_pair_value(kind, det, gt):
     """The scalar kernel behind one pair value."""
     if kind == "iou_2d":
         return iou_2d(det.bbox, gt.bbox)
-    if kind == "distance":  # the batched kernel for one pair
-        return float(metrics._distances(metrics._centers([det]), metrics._centers([gt]))[0])
+    if kind == "distance":  # the batched kernel for one pair, between true 3D box centers
+        centers = np.array([rec.location for rec in (det, gt)])
+        centers[:, 1] -= np.array([rec.dimensions[0] for rec in (det, gt)]) / 2.0
+        return float(metrics._distances(centers[:1], centers[1:])[0])
     if min(det.dimensions) <= 0 or min(gt.dimensions) <= 0:
         return None
     fn = iou_3d if kind == "iou_3d" else iou_bev

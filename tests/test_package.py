@@ -4,12 +4,15 @@ import importlib
 import importlib.util
 import math
 import re
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 import vehicle3d
+from vehicle3d import cli
+from vehicle3d.scene_io import format_config, parse_config_text
 
 
 def test_export_table_resolves():
@@ -19,14 +22,20 @@ def test_export_table_resolves():
     assert set(vehicle3d.__all__) <= set(namespace)
 
 
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from its file as the benchmark runs it and
+    registered, since a dataclass looks its module up by name."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _trace_patches() -> tuple:
     """perfbench/tracing.py's PATCHES: (module, attribute, span name) of
     every name the benchmark's tracer wraps."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.PATCHES
+    return _perfbench_module("tracing").PATCHES
 
 
 def test_trace_patch_points_resolve():
@@ -36,6 +45,25 @@ def test_trace_patch_points_resolve():
     assert patches
     for module_name, attr, _ in patches:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_fit_diag_failures_are_what_the_benchmark_counts(tmp_path, capsys):
+    """The benchmark reconciles fit's output as predictions + failures =
+    instances, its failures counted as `iN.error` keys in diag/*.cfg: on a
+    dataset with one failing instance, that count is the failures fit
+    reports and the reconciliation finds no problem."""
+    workloads = _perfbench_module("workloads")
+    data, out = tmp_path / "data", tmp_path / "fit"
+    assert cli.main(["synth", "--out", str(data), "--seed", "7", "--frames", "2"]) == 0
+    frame = data / "meas" / "000000.cfg"
+    mapping = parse_config_text(frame.read_text())
+    mapping["i1.depth"] = "0.01"  # a start behind the camera
+    frame.write_text(format_config(mapping))
+    capsys.readouterr()
+    assert cli.main(["fit", "--data", str(data), "--out", str(out)]) == 1
+    reported = int(re.match(r"fit complete: (\d+) instance failure", capsys.readouterr().out)[1])
+    assert reported == workloads.error_count(out) == 1
+    assert workloads.score_output(workloads.WORKLOADS["fit"], out, data)[1] == []
 
 
 def test_unused_imports_are_trace_patch_points():

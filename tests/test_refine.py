@@ -37,7 +37,15 @@ from vehicle3d.refine import (
     refine_batch,
     refine_ladder,
 )
-from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene, pose_to_label
+from vehicle3d.scene_io import (
+    CAR_MODEL,
+    STANDARD_NOISE,
+    SceneParams,
+    emit_measurements,
+    generate_scene,
+    parse_measurements,
+    pose_to_label,
+)
 from vehicle3d.shape import MorphableModel, instantiate
 from tests.oracles import back_projected_start
 from tests.test_energy import one_block
@@ -335,23 +343,50 @@ def test_unusable_initial_point_raises():
 
 
 def test_an_empty_block_solves_to_nothing():
-    empty = _seed7_frames(1)[0][:0]
-    assert (len(empty), empty.K) == (0, 14)
-    rungs = refine_ladder(empty, CAR_MODEL)
-    assert list(rungs) == list(ABLATION_VARIANTS)
-    for solve in rungs.values():
-        columns = (solve.x, solve.error, solve.converged, solve.iterations, solve.reason,
-                   solve.energy, solve.path, *solve.terms.values())
-        assert all(len(column) == 0 for column in columns)
+    """An empty slice of a frame and a parsed frame without instances (whose
+    landmark count is 0) each solve, through the kernel like any block, to
+    a 0-row SolveBlock carrying its rung's terms."""
+    sliced = _seed7_frames(1)[0][:0]
+    parsed = parse_measurements(emit_measurements(CAM, (0.0, 1 / 1.65, 0.0), sliced))[2]
+    assert [(len(empty), empty.K) for empty in (sliced, parsed)] == [(0, 14), (0, 0)]
+    for empty in (sliced, parsed):
+        rungs = refine_ladder(empty, CAR_MODEL)
+        assert list(rungs) == list(ABLATION_VARIANTS)
+        for variant, solve in rungs.items():
+            assert list(solve.terms) == [name for name, _, _ in term_rows(
+                ablation_config(variant), CAR_MODEL.K, CAR_MODEL.n_basis)]
+            assert solve.x.shape == (0, 7 + CAR_MODEL.n_basis) and solve.path.shape == (0, 1)
+            columns = (solve.error, solve.converged, solve.iterations, solve.reason,
+                       solve.energy, *solve.terms.values())
+            assert all(len(column) == 0 for column in columns)
 
 
-def test_a_model_of_another_landmark_count_fails_every_rung():
+def test_a_model_of_another_landmark_count_raises_at_every_rung():
+    """The landmark count is a contract between the block and the model, so a
+    mismatch is raised, at every rung v1 included, and fails no row."""
     frame = _seed7_frames(1)[0]
     other = toy_model(np.random.default_rng(35), K=10)
-    rungs = refine_ladder(frame, other)
-    assert list(rungs) == ["v1", "v2", "v3", "v4"]
-    for solve in rungs.values():
-        assert solve.error.tolist() == ["measurement has 14 landmarks, the model 10"] * len(frame)
+    for variant in ABLATION_VARIANTS:
+        with pytest.raises(ValueError, match="^measurement has 14 landmarks, the model 10$"):
+            refine_ladder(frame, other, variants=[variant])
+
+
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+def test_every_reader_of_landmarks_names_a_count_mismatch(variant):
+    """The kernel and each function built on it raise the one named error for
+    a block of 13 landmarks against a 14-landmark model, not numpy's text."""
+    frame = _seed7_frames(1)[0]
+    cut = replace(frame, uv=frame.uv[:, :13], visible=frame.visible[:, :13])
+    cfg, x = ablation_config(variant), _starts(frame, CAR_MODEL.n_basis)[0]
+    vars = Variables(theta=x[0, 0], T=x[0, 1:4], sigma=x[0, 4:7], alpha=x[0, 7:])
+    for call in (lambda: block_residuals(x, cut, CAR_MODEL, cfg),
+                 lambda: total_energy(vars, cut[0], CAR_MODEL, cfg),
+                 lambda: stacked_residuals(vars, cut[0], CAR_MODEL, cfg),
+                 lambda: jacobian(vars, cut[0], CAR_MODEL, cfg),
+                 lambda: refine_batch(cut, CAR_MODEL, cfg),
+                 lambda: refine(cut[0], CAR_MODEL, cfg)):
+        with pytest.raises(ValueError, match="^measurement has 13 landmarks, the model 14$"):
+            call()
 
 
 @pytest.mark.parametrize("function, args", [
@@ -688,7 +723,7 @@ def test_a_failed_row_carries_no_numbers(variant):
     reads the one failed-row rule, whatever its failure, and the solved
     rows equal their solve in a block without the failed ones.  A rung
     without rows (v1) evaluates no point, so only the ray fails there.  A
-    landmark count the model does not have fails every row alike."""
+    landmark count the model does not have fails no row: it raises."""
     plain = MeasurementBlock.concat(_seed7_frames(2))
     depth, has_depth, box = plain.depth.copy(), plain.has_depth.copy(), plain.box.copy()
     depth[1] = 0.01  # a start behind the camera
@@ -710,10 +745,8 @@ def test_a_failed_row_carries_no_numbers(variant):
         assert solve.energy[i].tobytes() == alone.energy[j].tobytes()
         assert all(solve.terms[name][i].tobytes() == alone.terms[name][j].tobytes()
                    for name in alone.terms)
-    other = refine_batch(block, toy_model(np.random.default_rng(35), K=10), cfg)
-    assert list(other.terms) == list(solve.terms)
-    for i in range(len(block)):
-        _assert_failed_row(other, i)
+    with pytest.raises(ValueError, match="^measurement has 14 landmarks, the model 10$"):
+        refine_batch(block, toy_model(np.random.default_rng(35), K=10), cfg)
 
 
 # ---------------------------------------------------------------------------
