@@ -36,6 +36,7 @@ records what it can); 2 for command-line usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import multiprocessing
 import os
@@ -690,7 +691,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on its first call and reused by every
+    later one: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="vehicle3d",
         description="synthetic 3D vehicle pose benchmark: generate, fit, evaluate",

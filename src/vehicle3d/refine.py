@@ -35,11 +35,11 @@ import numpy as np
 from .energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
+    KernelPlan,
     MeasurementBlock,
     Variables,
     ablation_config,
     block_energy,
-    block_residuals,
     rowdot,
 )
 # Unused here; kept importable as vehicle3d.refine.<name>, the names
@@ -140,17 +140,19 @@ def initialize(meas: MeasurementBlock, model: MorphableModel) -> Variables:
 
 def _usable(res, energy) -> np.ndarray:
     """Instances whose points are all in front of the camera and whose
-    residuals, Jacobian and energy are finite: finite residuals can still
-    square to an infinite energy."""
-    return (~res.behind & np.isfinite(res.r).all(axis=1) & np.isfinite(res.JT).all(axis=(1, 2))
-            & np.isfinite(energy))
+    residuals, Jacobian and energy (their sum of squares) are finite.  A
+    non-finite residual squares to a non-finite energy, so the energy's
+    check covers the residuals; finite residuals can still square to an
+    infinite energy."""
+    return ~res.behind & np.isfinite(res.JT).all(axis=(1, 2)) & np.isfinite(energy)
 
 
 def _damped_steps(H, g, lam):
     """Solutions of (H + lam I) dx = -g for a stack of systems, and a mask
     of those that were solvable.  A singular system only fails its own
     instance: when the batched solve raises, each system is retried alone."""
-    A = H + lam[:, None, None] * np.eye(H.shape[-1])
+    A = lam[:, None, None] * np.eye(H.shape[-1])
+    A += H
     try:
         return np.linalg.solve(A, -g[:, :, None])[:, :, 0], np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
@@ -185,18 +187,22 @@ def refine_batch(
     iterations with reason "initialization only".
 
     Trial steps solve the damped normal equations; an instance's damping
-    is multiplied by 10 when its trial fails to decrease its energy and
-    halved on acceptance.
+    is multiplied by 10 when its trial fails to decrease its energy, or its
+    system is singular, and halved on acceptance.
 
-    _starts computes the block's starts in one array pass.  One
-    block_residuals call evaluates every start, a failed one as a NaN row;
-    each iteration then solves one damped step for every instance still
-    iterating and evaluates the trial points, with those instances'
-    sub-block, in one block_residuals call.  Per instance the state is its
-    point, the normal equations H = J^T J and g = J^T r built once at each
-    accepted point (a rejected step re-solves from them), its unweighted
-    residual rows, energy, damping and counters; no Jacobian outlives the
-    evaluation that produced it.
+    _starts computes the block's starts in one array pass, and one
+    KernelPlan serves the whole solve: its measure reads the block once,
+    and one evaluation takes every start, a failed one as a NaN row.  Each
+    iteration then solves one damped step for every instance still
+    iterating and evaluates the trial points of all of them, in one
+    evaluation; a singular system's trial is its own point, never
+    accepted.  The iterating instances keep their state in compact arrays
+    of their own rows, gathered again only when one of them stops: point,
+    the normal equations H = J^T J and g = J^T r built at each accepted
+    point (a rejected step re-solves from them), unweighted residual rows,
+    energy, damping, accepted-step count and measured rows.  Every
+    instance of the loop has made the same number of iterations.  No
+    Jacobian outlives the evaluation that produced it.
 
     Row i of the returned SolveBlock is instance i's outcome.  Its error
     is None, or the message of the failure that stopped it: a start that
@@ -204,7 +210,7 @@ def refine_batch(
     to non-finite residuals or to an energy that overflows.  A failed row
     carries no numbers, at any rung (see SolveBlock).  Failures are
     recorded, not raised, so the other instances are unaffected; a block of
-    another landmark count than the model's raises block_residuals'
+    another landmark count than the model's raises KernelPlan.measure's
     ValueError.  numpy's overflow and invalid-value warnings are silenced
     here as in the kernel, since an energy or step norm that overflows is
     read as inf.
@@ -212,55 +218,64 @@ def refine_batch(
     cfg, opts = cfg or EnergyConfig(), opts or SolverOptions()
     x, failures = _starts(block, model.n_basis)
     B, D = x.shape
-    res = block_residuals(x, block, model, cfg)
-    unweighted, energy = res.unweighted, rowdot(res.r)
+    plan = KernelPlan(cfg, model, D)
+    measured = plan.measure(block)
+    res = plan.evaluate(x, measured)
+    energy = rowdot(res.r)
     # a rung without rows (v1) passes a start's NaN row as usable
     usable, behind = _usable(res, energy) & np.equal(failures, None), res.behind
     overflows = np.isfinite(res.r).all(axis=1) & ~np.isfinite(energy)
-    no_rows = unweighted.shape[1] == 0  # every start stops where it is
+    no_rows = plan.m == 0  # every start stops where it is
     converged = np.full(B, no_rows)
     reasons = np.full(B, "initialization only" if no_rows else "max_iterations", dtype=object)
-    lam = np.full(B, _DAMPING_INIT)
-    iterations, accepted = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
-    steps = [(np.arange(B), accepted.copy(), energy.copy())]  # (rows, path column, energies)
-    active = np.flatnonzero(usable & ~converged)
-    H, g = np.empty((B, D, D)), np.empty((B, D))
-    H[active], g[active] = _normal_equations(res.JT[active], res.r[active])
+    iterations = np.zeros(B, dtype=int)
+    # (rows, path column, energies, kept) of the start and of every trial
+    steps = [(np.arange(B), np.zeros(B, dtype=int), energy.copy(), np.ones(B, dtype=bool))]
+    unweighted = res.unweighted.copy()  # the plan's next evaluation overwrites res
+    # the compact state of the instances still iterating, index i in the block
+    i = np.flatnonzero(usable & ~converged)
+    xi, Ei, Ui, live = x[i], energy[i], unweighted[i], measured.take(i)
+    H, g = (equations[i] for equations in _normal_equations(res.JT, res.r))
+    lam, accepted = np.full(i.size, _DAMPING_INIT), np.zeros(i.size, dtype=int)
+    k = 0
     del res
 
-    while active.size:
-        iterations[active] += 1
-        dx, solved = _damped_steps(H[active], g[active], lam[active])
-        # a singular system skips its trial and only raises its damping
-        lam[active[~solved]] = np.minimum(lam[active[~solved]] * 10.0, _DAMPING_MAX)
-        tried, dx = active[solved], dx[solved]
-        if tried.size:
-            x_trial = x[tried]
-            size = x_trial.copy()
-            size[:, 0] = wrap_angle(size[:, 0])  # |x| with the yaw wrapped
-            small_step = np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(size)) + _XTOL)
-            x_trial += dx
-            res = block_residuals(x_trial, block[tried], model, cfg)
-            trial_energy = rowdot(res.r)
-            accept = _usable(res, trial_energy) & (trial_energy < energy[tried])
-            ftol_stop = accept & (energy[tried] - trial_energy
-                                  <= _FTOL * np.maximum(trial_energy, 1.0))
-            up, down = tried[accept], tried[~accept]
-            x[up], unweighted[up], energy[up] = (
-                x_trial[accept], res.unweighted[accept], trial_energy[accept])
-            accepted[up] += 1
-            steps.append((up, accepted[up], trial_energy[accept]))
-            lam[up] = np.maximum(lam[up] * 0.5, _DAMPING_MIN)
-            lam[down] = np.minimum(lam[down] * 10.0, _DAMPING_MAX)
-            # an accepted or rejected step below the resolvable size ends the solve
-            xtol_stop = small_step & ~ftol_stop
-            reasons[tried[ftol_stop]], reasons[tried[xtol_stop]] = "ftol", "xtol"
-            converged[tried[ftol_stop | xtol_stop]] = True
-            # normal equations at each accepted point an instance goes on from
-            go_on = accept & ~converged[tried] & (iterations[tried] < opts.max_iterations)
-            H[tried[go_on]], g[tried[go_on]] = _normal_equations(res.JT[go_on], res.r[go_on])
-            del res
-        active = active[~converged[active] & (iterations[active] < opts.max_iterations)]
+    while i.size:
+        k += 1
+        dx, solved = _damped_steps(H, g, lam)
+        size = xi.copy()
+        size[:, 0] = wrap_angle(size[:, 0])  # |x| with the yaw wrapped
+        small_step = solved & (np.sqrt(rowdot(dx)) <= _XTOL * (np.sqrt(rowdot(size)) + _XTOL))
+        x_trial = xi + dx
+        res = plan.evaluate(x_trial, live)
+        trial = rowdot(res.r)
+        accept = solved & _usable(res, trial) & (trial < Ei)
+        ftol_stop = accept & (Ei - trial <= _FTOL * np.maximum(trial, 1.0))
+        accepted = accepted + accept  # a new array: steps keeps each iteration's
+        steps.append((i, accepted, trial, accept))
+        lam = np.where(accept, np.maximum(lam * 0.5, _DAMPING_MIN),
+                       np.minimum(lam * 10.0, _DAMPING_MAX))
+        xi, Ei = np.where(accept[:, None], x_trial, xi), np.where(accept, trial, Ei)
+        Ui = np.where(accept[:, None], res.unweighted, Ui)
+        # an accepted or rejected step below the resolvable size ends the solve
+        stop = ftol_stop | small_step | (k >= opts.max_iterations)
+        go_on = accept & ~stop
+        if go_on.any():  # normal equations at each accepted point an instance goes on from
+            H_new, g_new = _normal_equations(res.JT, res.r)
+            np.copyto(H, H_new, where=go_on[:, None, None])
+            np.copyto(g, g_new, where=go_on[:, None])
+        del res
+        if stop.any():
+            done = i[stop]
+            x[done], energy[done], unweighted[done] = xi[stop], Ei[stop], Ui[stop]
+            iterations[done] = k
+            converged[done] = (ftol_stop | small_step)[stop]
+            reasons[done] = np.where(ftol_stop, "ftol",
+                                     np.where(small_step, "xtol", "max_iterations"))[stop]
+            keep = np.flatnonzero(~stop)
+            i, xi, Ei, Ui, H, g, lam, accepted = (
+                a[keep] for a in (i, xi, Ei, Ui, H, g, lam, accepted))
+            live = live.take(keep)
 
     error = np.full(B, None)  # each unusable row's failure, set in reverse precedence
     error[~usable] = "initial point has non-finite residuals (NaN or inf in the measurement or start)"
@@ -269,8 +284,8 @@ def refine_batch(
     error[~usable & behind] = "initial point projects behind the camera"
     error = np.where(np.equal(failures, None), error, failures)
     path = np.full((B, 1 + iterations.max(initial=0)), np.nan)
-    rows, columns, energies = (np.concatenate(column) for column in zip(*steps))
-    path[rows, columns] = energies
+    rows, columns, energies, kept = (np.concatenate(column) for column in zip(*steps))
+    path[rows[kept], columns[kept]] = energies[kept]
     # a failed row, exactly an unusable one, carries no numbers
     total, parts = block_energy(unweighted, cfg, model.K, D - 7)
     terms = {name: np.where(usable, value, np.nan) for name, value in parts.items()}

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -347,12 +348,6 @@ def emit_measurements(cam, ground, block: MeasurementBlock) -> str:
     return format_config(payload)
 
 
-def _flag(token: str) -> bool:
-    if token not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {token!r}")
-    return token == "1"
-
-
 def _field(mapping: dict, key: str, count: int | None = None, make=list, conv=float):
     """make([conv(token), ...]) over the tokens of one key; any failure
     raises MeasurementFormatError naming the key."""
@@ -390,6 +385,114 @@ def _ground(values) -> tuple:
 # A measurement file's keys: these, and i<n>.<field> for each instance n.
 _FRAME_KEYS = ("camera", "ground", "instances")
 _INSTANCE_FIELDS = ("box", "theta0", "sigma0", "landmarks", "visible", "depth")
+_REQUIRED_FIELDS = len(_INSTANCE_FIELDS) - 1  # every instance field but depth
+
+
+class _FirstFault:
+    """The first fault of a measurement file by (instance, field), for reading
+    its instance fields one field at a time: a field needs reading only for
+    the instances below `limit`, the instance of the first fault found so
+    far (at first, the instances the file can hold).  Each call records a
+    fault of an instance below the limit."""
+
+    def __init__(self, limit: int):
+        self.limit, self.message = limit, None
+
+    def __call__(self, i: int, message: str) -> None:
+        self.limit, self.message = i, message
+
+
+def _split(mapping: dict, name: str, instances, fault: _FirstFault,
+           size: int | None = None) -> tuple:
+    """(tokens, counts): the tokens of field `name` of `instances`, all
+    below fault.limit, in one list, and each instance's token count, from
+    one pass that stops at the first instance whose key is missing or whose
+    token count is not `size` (any count when None): a fault."""
+    tokens, counts = [], []
+    for i in instances:
+        text = mapping.get(f"i{i}.{name}")
+        if text is None:
+            fault(i, f"missing key i{i}.{name}")
+            break
+        split = text.split()
+        if size is not None and len(split) != size:
+            fault(i, f"i{i}.{name}: expected {size} values, found {len(split)}")
+            break
+        tokens += split
+        counts.append(len(split))
+    return tokens, counts
+
+
+def _floats(mapping: dict, name: str, instances, size: int, fault: _FirstFault,
+            finite: bool = False) -> np.ndarray:
+    """Field `name` of `instances`, all below fault.limit, as (n, size)
+    floats: the tokens _split reads, then float() of all of them in one
+    call, which stops at the first token that float() rejects or, when
+    finite, that is not finite: a fault of that token's instance, with
+    float()'s or require_finite's message.  n counts the instances before
+    the first fault."""
+    tokens, counts = _split(mapping, name, instances, fault, size)
+    values, error = [], None
+    try:
+        values.extend(map(float, tokens))
+    except ValueError as err:
+        error = str(err)
+    if finite and not all(map(math.isfinite, values)):
+        values = values[:next(t for t, value in enumerate(values) if not math.isfinite(value))]
+        error = NON_FINITE
+    if error is None:
+        return np.array(values).reshape(len(counts), size)
+    n = len(values) // size
+    fault(instances[n], f"i{instances[n]}.{name}: {error}")
+    return np.array(values[:n * size]).reshape(n, size)
+
+
+def _instance_fields(mapping: dict, count: int) -> tuple:
+    """(box, uv, visible, theta0, sigma0, depth, has_depth) of the `count`
+    instances of a parsed measurement file, each field read in one pass
+    over the instances and converted in one call.  The first fault in
+    (instance, field) order raises MeasurementFormatError with the message
+    of a per-key reading that checks each instance's visible, landmarks,
+    box, theta0, sigma0 and depth in turn: a missing key, a token count, a
+    token float() rejects, a non-finite value or a degenerate box.  A file
+    of fewer keys than `count` instances need stops within the instances
+    its keys could hold, so a huge count costs nothing per instance."""
+    fault = _FirstFault(min(count, len(mapping) // _REQUIRED_FIELDS + 1))
+    tokens, counts = _split(mapping, "visible", range(fault.limit), fault)
+    K = counts[0] if counts else 0
+    flags = "".join(tokens)
+    if len(flags) != len(tokens) or flags.strip("01"):  # a token other than 0 or 1
+        t = next(t for t, token in enumerate(tokens) if token not in ("0", "1"))
+        i = bisect_right(list(accumulate(counts)), t)
+        fault(i, f"i{i}.visible: expected 0 or 1, got {tokens[t]!r}")
+    other = next((i for i, n in enumerate(counts) if n != K), None)
+    if other is not None and other < fault.limit:  # read after the instance's own flags
+        fault(other, f"inconsistent landmark counts: i0 has {K}, i{other} has {counts[other]}")
+    visible = (np.frombuffer(flags[:fault.limit * K].encode(), dtype=np.uint8)
+               == ord("1")).reshape(fault.limit, K)
+
+    uv = _floats(mapping, "landmarks", range(fault.limit), 2 * K, fault)
+    uv = uv.reshape(len(uv), K, 2)
+    # an invisible landmark's value is never read
+    ok = (np.isfinite(uv) | ~visible[:len(uv), :, None]).all(axis=(1, 2))
+    if not ok.all():
+        i = int(ok.argmin())
+        fault(i, f"i{i}.landmarks: {NON_FINITE}")
+    box = _floats(mapping, "box", range(fault.limit), 4, fault)
+    finite = np.isfinite(box).all(axis=1)
+    ok = finite & (box[:, 2] > box[:, 0]) & (box[:, 3] > box[:, 1])
+    if not ok.all():
+        i = int(ok.argmin())
+        fault(i, f"i{i}.box: {DEGENERATE_BOX if finite[i] else NON_FINITE}")
+    theta0 = _floats(mapping, "theta0", range(fault.limit), 1, fault, finite=True)
+    sigma0 = _floats(mapping, "sigma0", range(fault.limit), 3, fault, finite=True)
+    measured = [i for i in range(fault.limit) if f"i{i}.depth" in mapping]
+    depth = _floats(mapping, "depth", measured, 1, fault, finite=True)
+    if fault.message is not None:
+        raise MeasurementFormatError(fault.message)
+    depths, has_depth = np.zeros(count), np.zeros(count, dtype=bool)
+    depths[measured], has_depth[measured] = depth[:, 0], True
+    return box, uv, visible, theta0[:, 0], sigma0, depths, has_depth
 
 
 def parse_measurements(text: str):
@@ -398,7 +501,8 @@ def parse_measurements(text: str):
     Raises MeasurementFormatError naming the missing or malformed key, an
     instance whose landmark count is not instance 0's, or an unknown key:
     any key but the frame keys and the i<n>.<field> keys of the instances
-    the count covers.
+    the count covers.  The frame keys are checked first, then the instance
+    fields (_instance_fields), then the block's own checks, then the keys.
     """
     try:
         mapping = parse_config_text(text)
@@ -409,38 +513,18 @@ def parse_measurements(text: str):
         raise MeasurementFormatError(f"instances: negative count {count}")
     cam = _field(mapping, "camera", 4, _camera)
     ground = _field(mapping, "ground", 3, _ground)
-    box, uv, visible, theta0, sigma0, depth = ([] for _ in range(6))  # one entry per instance
-    for i in range(count):
-        prefix = f"i{i}."
-        seen = _field(mapping, prefix + "visible", None, lambda v: np.array(v, dtype=bool), _flag)
-        if visible and len(seen) != len(visible[0]):
-            raise MeasurementFormatError(f"inconsistent landmark counts: i0 has {len(visible[0])}, "
-                                         f"i{i} has {len(seen)}")
-        landmarks = _field(mapping, prefix + "landmarks", 2 * len(seen), np.array)
-        # an invisible landmark's value is never read
-        if not np.isfinite(landmarks.reshape(-1, 2)[seen]).all():
-            raise MeasurementFormatError(f"{prefix}landmarks: non-finite value")
-        visible.append(seen)
-        uv.append(landmarks)
-        box.append(_field(mapping, prefix + "box", 4, lambda v: require_box(*v)))
-        theta0.append(_field(mapping, prefix + "theta0", 1, conv=_finite_float)[0])
-        sigma0.append(_field(mapping, prefix + "sigma0", 3, conv=_finite_float))
-        key = prefix + "depth"
-        depth.append(_field(mapping, key, 1, conv=_finite_float)[0] if key in mapping else None)
-    K = len(visible[0]) if count else 0
+    box, uv, visible, theta0, sigma0, depth, has_depth = _instance_fields(mapping, count)
     try:  # the block checks that each given depth is positive
-        block = MeasurementBlock(
-            box=np.array(box).reshape(count, 4), uv=np.array(uv).reshape(count, K, 2),
-            visible=np.array(visible).reshape(count, K),
-            depth=[0.0 if d is None else d for d in depth], has_depth=[d is not None for d in depth],
-            ground=np.tile(ground, (count, 1)), cam=np.tile(cam, (count, 1)),
-            theta0=theta0, sigma0=np.array(sigma0).reshape(count, 3))
+        block = MeasurementBlock(box=box, uv=uv, visible=visible, depth=depth, has_depth=has_depth,
+                                 ground=np.full((count, 3), ground), cam=np.full((count, 4), cam),
+                                 theta0=theta0, sigma0=sigma0)
     except ValueError as err:
         raise MeasurementFormatError(str(err)) from None
-    known = {*_FRAME_KEYS, *(f"i{i}.{name}" for i in range(count) for name in _INSTANCE_FIELDS)}
-    unknown = [key for key in mapping if key not in known]
-    if unknown:
-        raise MeasurementFormatError(f"unknown key {unknown[0]}")
+    # every frame key and instance key is present: any other key is one too many
+    if len(mapping) != len(_FRAME_KEYS) + _REQUIRED_FIELDS * count + int(has_depth.sum()):
+        known = {*_FRAME_KEYS, *(f"i{i}.{name}" for i in range(count) for name in _INSTANCE_FIELDS)}
+        unknown = next(key for key in mapping if key not in known)
+        raise MeasurementFormatError(f"unknown key {unknown}")
     return cam, ground, block
 
 
@@ -604,15 +688,19 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
 # ---------------------------------------------------------------------------
 
 
+_COMMENT = re.compile(r"#(?<!\S#)")  # a '#' at a line's start or after whitespace
+
+
 def parse_config_text(text: str) -> dict:
     """`key = value` per line; a '#' at a line's start or after whitespace
     starts a comment; blank lines ignored; a key given twice is an error."""
     out = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"#(?<!\S#)", raw, maxsplit=1)[0].strip()
+        line = (_COMMENT.split(raw, maxsplit=1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        key, equals, value = (part.strip() for part in line.partition("="))
+        key, equals, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if not equals:
             raise ValueError(f"config line {line_number}: expected 'key = value'")
         if not key:

@@ -1325,6 +1325,23 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once_and_parses_each_command_apart(capsys):
+    """main's parser is built on the first call and reused; parsing keeps no
+    state, so two different commands parsed in turn, and a parse that
+    fails between them, give independent namespaces."""
+    parser = vehicle3d.cli.build_parser()
+    assert vehicle3d.cli.build_parser() is parser
+    fit = parser.parse_args(["fit", "--data", "d", "--out", "o", "--variant", "v2"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fit", "--data", "e"])  # --out is required
+    synth = parser.parse_args(["synth", "--out", "s", "--seed", "3"])
+    again = parser.parse_args(["fit", "--out", "p", "--jobs", "2"])
+    assert vars(fit) == {"command": "fit", "config": None, "out": "o", "data": "d", "variant": "v2"}
+    assert vars(synth) == {"command": "synth", "config": None, "out": "s", "seed": 3}
+    assert vars(again) == {"command": "fit", "config": None, "out": "p", "jobs": 2}
+    capsys.readouterr()
+
+
 def test_module_entry_point(tmp_path, child_env):
     out = tmp_path / "cli"
     proc = subprocess.run(

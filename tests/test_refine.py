@@ -10,6 +10,7 @@ import pytest
 from vehicle3d.energy import (
     ABLATION_VARIANTS,
     EnergyConfig,
+    KernelPlan,
     MeasurementBlock,
     Variables,
     ablation_config,
@@ -572,13 +573,13 @@ def test_every_live_start_is_evaluated_in_one_batch(monkeypatch):
                        for i, meas in enumerate(measurements)])
     assert len(starts) > 64
     calls = []
-    evaluate = REFINE.block_residuals
+    evaluate = KernelPlan.evaluate
 
-    def recorded(x, block, model, cfg):
+    def recorded(plan, x, rows):
         calls.append(x.copy())
-        return evaluate(x, block, model, cfg)
+        return evaluate(plan, x, rows)
 
-    monkeypatch.setattr(REFINE, "block_residuals", recorded)
+    monkeypatch.setattr(KernelPlan, "evaluate", recorded)
     solve = refine_batch(measurements, CAR_MODEL)
     assert calls[0].tobytes() == starts.tobytes()
     assert solve.error[3] == PARALLEL
@@ -596,13 +597,13 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
     instances still iterating."""
     measurements = MeasurementBlock.concat(_seed7_frames(4))
     calls = []
-    evaluate = REFINE.block_residuals
+    evaluate = KernelPlan.evaluate
 
-    def recorded(x, block, model, cfg):
-        calls.append((cfg.variant, len(x)))
-        return evaluate(x, block, model, cfg)
+    def recorded(plan, x, rows):
+        calls.append((plan.cfg.variant, len(x)))
+        return evaluate(plan, x, rows)
 
-    monkeypatch.setattr(REFINE, "block_residuals", recorded)
+    monkeypatch.setattr(KernelPlan, "evaluate", recorded)
     rungs = refine_ladder(measurements, CAR_MODEL)
     for variant, solve in rungs.items():
         rows = [n for called, n in calls if called == variant]
@@ -611,6 +612,66 @@ def test_each_evaluation_carries_one_rung(monkeypatch):
         assert len(rows) == 1 + max(iterations)
         assert sum(rows) == len(measurements) + sum(iterations)
     assert len(calls) == sum(1 + max(solve.iterations) for solve in rungs.values())
+
+
+def test_each_solve_builds_one_plan(monkeypatch):
+    """Each refine_batch call builds one KernelPlan, for its rung and the
+    model's coefficient count, and reads its block through it once; every
+    evaluation of the solve is that plan's."""
+    measurements = _parallel_ray(MeasurementBlock.concat(_seed7_frames(4)), 2)
+    plans, measured, evaluated = [], [], []
+    build, measure, evaluate = KernelPlan.__init__, KernelPlan.measure, KernelPlan.evaluate
+
+    def built(plan, cfg, model, D):
+        plans.append((plan, cfg.variant, D))
+        build(plan, cfg, model, D)
+
+    def read(plan, block):
+        measured.append((plan, len(block)))
+        return measure(plan, block)
+
+    def recorded(plan, x, rows):
+        evaluated.append(plan)
+        return evaluate(plan, x, rows)
+
+    monkeypatch.setattr(KernelPlan, "__init__", built)
+    monkeypatch.setattr(KernelPlan, "measure", read)
+    monkeypatch.setattr(KernelPlan, "evaluate", recorded)
+    for variant in ABLATION_VARIANTS:
+        plans.clear(), measured.clear(), evaluated.clear()
+        solve = refine_batch(measurements, CAR_MODEL, ablation_config(variant))
+        assert [(v, D) for _, v, D in plans] == [(variant, 7 + CAR_MODEL.n_basis)]
+        assert measured == [(plans[0][0], len(measurements))]
+        assert evaluated and all(plan is plans[0][0] for plan in evaluated)
+        assert len(evaluated) == 1 + solve.iterations.max()
+
+
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+def test_no_returned_array_aliases_a_workspace(variant):
+    """A plan's evaluation returns views of its workspaces, so what a caller
+    keeps must be copied: the arrays of one block_residuals call are not
+    changed by a later call, and the rows a solve returns equal those of
+    a fresh one-row solve of the same instance, failed rows included, at
+    every rung (v1's rows never iterate)."""
+    plain = MeasurementBlock.concat(_seed7_frames(2))
+    depth = plain.depth.copy()
+    depth[1] = 0.01  # a start behind the camera
+    block = _parallel_ray(replace(plain, depth=depth), 6)
+    cfg = ablation_config(variant)
+    x = _starts(block, CAR_MODEL.n_basis)[0]
+    first = block_residuals(x[:4], block[:4], CAR_MODEL, cfg)
+    kept = [array.copy() for array in first]
+    block_residuals(x[4:], block[4:], CAR_MODEL, cfg)
+    assert all(array.tobytes() == copy.tobytes() for array, copy in zip(first, kept))
+    solve = refine_batch(block, CAR_MODEL, cfg)
+    assert solve.error[6] == PARALLEL
+    assert (solve.error[1] is None) == (variant == "v1")
+    for i in range(len(block)):
+        alone = refine_batch(block[i], CAR_MODEL, cfg)
+        assert _row_fingerprint(solve, i) == _row_fingerprint(alone, 0), (variant, i)
+        assert solve.energy[i].tobytes() == alone.energy[0].tobytes(), (variant, i)
+        assert all(solve.terms[name][i].tobytes() == alone.terms[name][0].tobytes()
+                   for name in alone.terms), (variant, i)
 
 
 def test_each_solve_starts_its_block_in_one_pass(monkeypatch):

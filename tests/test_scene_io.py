@@ -1,6 +1,7 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,6 +416,90 @@ def test_malformed_measurements_name_the_key(key, value, message):
     else:
         mapping[key] = value
     with pytest.raises(MeasurementFormatError, match=message):
+        parse_measurements(format_config(mapping))
+
+
+def _seed_frame_mapping() -> dict:
+    """The key = value mapping of the seed-7 frame 0 file: 5 instances with depths."""
+    return parse_config_text(emit_measurements(KITTI_CAMERA, FLAT_GROUND, _SEED_FRAME[1]))
+
+
+@pytest.mark.parametrize("faults, message", [
+    # the earlier instance wins, whatever its field
+    ({"i1.box": "10 10 5 20", "i0.depth": "x"}, "i0.depth: could not convert string to float: 'x'"),
+    ({"i3.visible": "1 2", "i2.theta0": "nan"}, "i2.theta0: non-finite value"),
+    ({"i4.landmarks": None, "i1.sigma0": "1 2"}, "i1.sigma0: expected 3 values, found 2"),
+    # within an instance: visible, landmarks, box, theta0, sigma0, depth
+    ({"i2.visible": "1 2", "i2.landmarks": None}, "i2.visible: expected 0 or 1, got '2'"),
+    ({"i3.sigma0": "0 0 y", "i3.box": "nan 0 1 1"}, "i3.box: non-finite value"),
+    ({"i1.depth": "inf", "i1.theta0": None}, "missing key i1.theta0"),
+    ({"i2.box": "1 2", "i2.landmarks": "7"}, "i2.landmarks: expected 28 values, found 1"),
+    ({"i1.visible": "1 0 1", "i3.visible": "x"}, "inconsistent landmark counts: i0 has 14, i1 has 3"),
+    # a depth the block finds not positive is checked after every instance field
+    ({"i0.depth": "-2.0", "i4.sigma0": "0 0"}, "i4.sigma0: expected 3 values, found 2"),
+], ids=lambda value: "" if isinstance(value, str) else "+".join(value))
+def test_the_first_fault_by_instance_then_field_is_reported(faults, message):
+    """Of two faults in different instances, or in different fields of one
+    instance, the file reports the one a reading of each instance's fields
+    in turn meets first, with its message."""
+    mapping = _seed_frame_mapping()
+    for key, value in faults.items():
+        if value is None:
+            del mapping[key]
+        else:
+            mapping[key] = value
+    with pytest.raises(MeasurementFormatError, match=f"^{re.escape(message)}$"):
+        parse_measurements(format_config(mapping))
+
+
+def test_a_huge_instance_count_fails_at_once():
+    """A count no file could hold ends at the first missing key, without a
+    step or an allocation per declared instance."""
+    mapping = _seed_frame_mapping()
+    mapping["instances"] = "1000000000000"
+    text = format_config(mapping)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeasurementFormatError, match=r"^missing key i5\.visible$"):
+            parse_measurements(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    empty = {key: mapping[key] for key in ("camera", "ground", "instances")}
+    with pytest.raises(MeasurementFormatError, match=r"^missing key i0\.visible$"):
+        parse_measurements(format_config(empty))
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("i0.theta0", "1_000", ("theta0", 0, 1000.0)),
+    ("i2.box", "1_0 2_0 3_00 4_00", ("box", 2, [10.0, 20.0, 300.0, 400.0])),
+    ("i1.depth", "1_2.5", ("depth", 1, 12.5)),
+])
+def test_numeric_tokens_read_as_float_reads_them(key, value, expected):
+    """Every numeric token reads as float() reads it: digit separators
+    are accepted where a number is expected."""
+    mapping = _seed_frame_mapping()
+    mapping[key] = value
+    field, i, read = expected
+    _, _, block = parse_measurements(format_config(mapping))
+    assert getattr(block, field)[i].tolist() == read
+
+
+def test_a_hidden_landmark_may_be_infinity_but_not_hex():
+    """A hidden landmark's value is never read, so "Infinity" passes there as
+    float() reads it; a token float() rejects fails with float()'s text."""
+    mapping = _seed_frame_mapping()
+    hidden = _SEED_FRAME[1].visible[0].tolist().index(False)
+    tokens = mapping["i0.landmarks"].split()
+    tokens[2 * hidden] = "Infinity"
+    mapping["i0.landmarks"] = " ".join(tokens)
+    _, _, block = parse_measurements(format_config(mapping))
+    assert block.uv[0, hidden, 0] == np.inf
+    tokens[2 * hidden] = "0x10"
+    mapping["i0.landmarks"] = " ".join(tokens)
+    with pytest.raises(MeasurementFormatError,
+                       match=r"^i0\.landmarks: could not convert string to float: '0x10'$"):
         parse_measurements(format_config(mapping))
 
 
