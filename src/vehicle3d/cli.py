@@ -17,7 +17,10 @@ directory under --out, nor --out itself, exists before the run writes its
 first file there.
 
 All outputs are plain text.  Floats use shortest round-trip formatting,
-every file is written to a temp name and renamed into place.  fit, ablate
+every file is written to a temp name and renamed into place.  synth makes
+its frames in dataset order, in chunks of whole frames of at most 256
+instances, each chunk's pose draws, rendering and noise one array pass
+(scene_io.generate_scenes), and writes each frame as it comes.  fit, ablate
 and shape-learn parse the whole dataset (ablate its ground truth too)
 before anything is solved or written.  fit and ablate cut its instances
 into tasks, one batched solve per task and rung the command writes (fit
@@ -38,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -52,9 +54,10 @@ from .energy import ABLATION_VARIANTS, EnergyConfig, MeasurementBlock
 from .geometry import BoxStack
 from .metrics import ALP_GATE, DIFFICULTIES, POINTS, pr_curves
 from .refine import SolverOptions, refine_ladder
-# Unused here; kept importable as vehicle3d.cli.refine_ablation, the name
-# external profilers wrap.
+# Unused here; kept importable as vehicle3d.cli.refine_ablation and
+# vehicle3d.cli.generate_scene, the names external profilers wrap.
 from .refine import refine_ablation  # noqa: F401
+from .scene_io import generate_scene  # noqa: F401
 from .scene_io import (
     CAR_MODEL,
     FLAT_GROUND,
@@ -68,7 +71,7 @@ from .scene_io import (
     emit_labels,
     emit_measurements,
     format_config,
-    generate_scene,
+    generate_scenes,
     label_pose_fields,
     parse_config_text,
     parse_labels,
@@ -288,9 +291,10 @@ def render_table(title: str, headers, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(effective: dict, out_dir: Path, *, noise: NoiseSpec, scene: SceneParams) -> int:
+    frames = generate_scenes(scene, noise, ([effective["seed"], i] for i in range(effective["frames"])))
     for index in range(effective["frames"]):
         try:
-            _, block, labels = generate_scene(scene, noise, [effective["seed"], index])
+            _, block, labels = next(frames)
         except GenerationError as exc:
             raise CLIError(f"frame {index}: {exc}")
         name = f"{index:06d}"
@@ -345,6 +349,7 @@ def _fit_block_task(task):
 def _parallel_map(fn, tasks, jobs: int):
     """fn over an iterable of tasks, results yielded in task order."""
     if jobs > 1:
+        import multiprocessing  # here, so importing the CLI does not pay for it
         with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
             yield from pool.imap(fn, tasks, chunksize=1)
     else:

@@ -139,14 +139,6 @@ def box_corners(theta, T, sigma) -> np.ndarray:
     return place_points(UNIT_CORNERS, theta, T, sigma)
 
 
-def project_box3d(cam, pose: PoseBox3D) -> np.ndarray:
-    """Tight axis-aligned hull (left, top, right, bottom) of the 8 corners
-    projected through camera row cam; raises require_box's ValueError on a
-    hull that is no box."""
-    uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
-    return require_box(*uv.min(axis=0), *uv.max(axis=0))
-
-
 def box2d_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of each pair of axis-aligned boxes (a[p], b[p]), rows (P, 4) of
     (left, top, right, bottom); 0 where the boxes do not overlap."""

@@ -1,12 +1,11 @@
 """Synthetic scenes, label-file text I/O, and run configuration.
 
 The generator stands in for learned detectors: it samples ground-truth
-poses on the ground plane one at a time, then renders exact
-pseudo-measurements by forward projection and perturbs them per a noise
-specification in one array pass over the frame's instances.  Each
-instance's noise variates are drawn in a fixed order and always drawn,
-then scaled, so a fixed seed yields the same underlying scene realization
-at every noise level.
+poses on the ground plane, then renders exact pseudo-measurements by
+forward projection and perturbs them per a noise specification, in array
+passes over a chunk of frames.  Each instance's noise variates are drawn
+in a fixed order and always drawn, then scaled, so a fixed seed yields
+the same underlying scene realization at every noise level.
 
 Labels use the standard 15/16-token object text format (type, truncation,
 occlusion, observation angle, 2D box, dimensions, location, yaw, optional
@@ -35,7 +34,6 @@ from .geometry import (
     box_corners,
     place_points,
     project,
-    project_box3d,
     require_box,
     require_finite,
     rot_y,
@@ -241,6 +239,25 @@ def emit_labels(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # failed poses go unread
+def _hulls(theta, T, sigma, cams) -> tuple:
+    """(lo, hi, error) of n poses, the package's one hull rule: the (left,
+    top) and (right, bottom) corners (n, 2) of each box's projected hull
+    through its camera row, and error (n,) as poses_to_labels reports it."""
+    X = box_corners(theta, T, sigma)
+    fx, fy, cx, cy = cams.T
+    z = X[..., 2]
+    uv = np.stack([fx[:, None] * X[..., 0] / z + cx[:, None],
+                   fy[:, None] * X[..., 1] / z + cy[:, None]], axis=2)
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    error = np.full(len(z), None, dtype=object)  # in reverse precedence
+    error[~(hi > lo).all(axis=1)] = "box has no valid image box: " + DEGENERATE_BOX
+    error[~finite] = "box has no valid image box: " + NON_FINITE
+    error[(z <= EPS_Z).any(axis=1)] = "box projects behind the camera"
+    return lo, hi, error
+
+
 def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
     """(records, error) of n poses.  error (n,) holds None, or why a pose
     has no label: "box projects behind the camera" when a box corner lies
@@ -268,17 +285,7 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed poses go unread
         theta = wrap_angle(theta)
         dims = np.exp(sigma)  # (length, height, width)
-        X = box_corners(theta, T, sigma)
-        fx, fy, cx, cy = cams.T
-        z = X[..., 2]
-        uv = np.stack([fx[:, None] * X[..., 0] / z + cx[:, None],
-                       fy[:, None] * X[..., 1] / z + cy[:, None]], axis=2)
-        lo, hi = uv.min(axis=1), uv.max(axis=1)  # (left, top), (right, bottom)
-        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
-        error = np.full(n, None, dtype=object)  # in reverse precedence
-        error[~(hi > lo).all(axis=1)] = "box has no valid image box: " + DEGENERATE_BOX
-        error[~finite] = "box has no valid image box: " + NON_FINITE
-        error[(z <= EPS_Z).any(axis=1)] = "box projects behind the camera"
+        lo, hi, error = _hulls(theta, T, sigma, cams)
         ry = wrap_pi(theta)
         alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
     keep = np.equal(error, None)
@@ -336,15 +343,17 @@ def emit_measurements(cam, ground, block: MeasurementBlock) -> str:
         "ground": " ".join(map(repr, _ground(ground))),
         "instances": str(len(block)),
     }
-    for i, box in enumerate(block.box.tolist()):
+    rows = zip(*(column.tolist() for column in (block.box, block.theta0, block.sigma0, block.depth,
+                                                block.uv.reshape(len(block), 2 * block.K), block.visible)))
+    for i, (box, theta0, sigma0, depth, uv, visible) in enumerate(rows):
         prefix = f"i{i}."
-        payload[prefix + "box"] = " ".join(repr(v) for v in box)
-        payload[prefix + "theta0"] = repr(float(block.theta0[i]))
-        payload[prefix + "sigma0"] = " ".join(repr(float(v)) for v in block.sigma0[i])
-        payload[prefix + "landmarks"] = " ".join(repr(float(v)) for v in block.uv[i].reshape(-1))
-        payload[prefix + "visible"] = " ".join("1" if v else "0" for v in block.visible[i])
+        payload[prefix + "box"] = " ".join(map(repr, box))
+        payload[prefix + "theta0"] = repr(theta0)
+        payload[prefix + "sigma0"] = " ".join(map(repr, sigma0))
+        payload[prefix + "landmarks"] = " ".join(map(repr, uv))
+        payload[prefix + "visible"] = " ".join("1" if v else "0" for v in visible)
         if block.has_depth[i]:
-            payload[prefix + "depth"] = repr(float(block.depth[i]))
+            payload[prefix + "depth"] = repr(depth)
     return format_config(payload)
 
 
@@ -568,6 +577,9 @@ _DIMS_MEAN = (3.9, 1.6, 1.6)  # (length, height, width) meters
 _DIMS_LOG_SIGMA = 0.1
 _MARGIN_PX = 5.0  # the projected box center stays this far inside the image
 _RETRY_BUDGET = 200  # draws per requested instance before a short frame fails
+# Most instances generate_scenes renders in one array pass; a frame of
+# more instances is a chunk of its own.  No output depends on it.
+_SYNTH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -592,69 +604,89 @@ class GenerationError(RuntimeError):
     """Fewer in-view instances than requested were sampled within the retry budget."""
 
 
-def _sample_pose(params: SceneParams, rng) -> tuple | None:
-    """One in-view ground-truth draw (pose, shape coefficients), or None
-    when the projected box center falls outside the image margin."""
+def _sample_pose(params: SceneParams, rng) -> tuple:
+    """One ground-truth draw (pose, shape coefficients), its variates in a fixed order."""
     z = rng.uniform(*_Z_RANGE)
     x = rng.uniform(-0.45, 0.45) * z
     y = (1.0 - FLAT_GROUND[0] * x - FLAT_GROUND[2] * z) / FLAT_GROUND[1]  # on the ground
     theta = rng.uniform(0.0, 2.0 * np.pi)
     sigma = np.log(_DIMS_MEAN) + _DIMS_LOG_SIGMA * rng.standard_normal(3)
     alpha = params.alpha_sigma * rng.standard_normal(CAR_MODEL.n_basis)
-    pose = PoseBox3D(theta=theta, T=np.array([x, y, z]), sigma=sigma)
-    left, top, right, bottom = project_box3d(KITTI_CAMERA, pose)
-    tx, ty = 0.5 * (left + right), 0.5 * (top + bottom)
-    width_px, height_px = IMAGE_SIZE
-    m = _MARGIN_PX
-    if not (m <= tx <= width_px - m and m <= ty <= height_px - m):
-        return None
-    return pose, alpha
+    return PoseBox3D(theta=theta, T=np.array([x, y, z]), sigma=sigma), alpha
+
+
+def _in_view(poses) -> np.ndarray:
+    """(n,) True for each of n poses whose projected hull through
+    KITTI_CAMERA is a box with its center at least _MARGIN_PX inside the image."""
+    fields = (np.array([getattr(pose, name) for pose in poses]) for name in ("theta", "T", "sigma"))
+    lo, hi, error = _hulls(*fields, np.tile(KITTI_CAMERA, (len(poses), 1)))
+    center = 0.5 * (lo + hi)
+    inside = (_MARGIN_PX <= center) & (center <= np.subtract(IMAGE_SIZE, _MARGIN_PX))
+    return np.equal(error, None) & inside.all(axis=1)
+
+
+def _draw_in_view(params: SceneParams, rngs) -> tuple:
+    """(drawn, short): each pose stream's first n_instances in-view draws
+    and the first stream still short after its retry budget, or None.  Each
+    round draws every short stream's missing count, within its budget, and
+    tests all of the round's draws for view in one array pass."""
+    n, budget = params.n_instances, _RETRY_BUDGET * params.n_instances
+    drawn, count = [[] for _ in rngs], [0] * len(rngs)
+    while short := [f for f, frame in enumerate(drawn) if len(frame) < n and count[f] < budget]:
+        draws = [(f, _sample_pose(params, rngs[f])) for f in short
+                 for _ in range(min(n - len(drawn[f]), budget - count[f]))]
+        for (f, draw), seen in zip(draws, _in_view([pose for _, (pose, _) in draws]).tolist()):
+            count[f] += 1
+            drawn[f] += [draw] if seen else []
+    return drawn, next((f for f, frame in enumerate(drawn) if len(frame) < n), None)
+
+
+def generate_scenes(params: SceneParams, noise: NoiseSpec, seeds):
+    """Sample ground truth, render measurements, perturb, annotate: yields
+    (SyntheticScene, MeasurementBlock, [LabelRecord]) for each seed in
+    turn, row i of the block and record i instance i.
+
+    KITTI_CAMERA sees CAR_MODEL shapes over FLAT_GROUND in an IMAGE_SIZE
+    image.  Each seed spawns its frame's pose and noise streams.  Chunks of
+    frames of at most _SYNTH_BLOCK instances (a larger frame alone) draw
+    their poses (_draw_in_view), then render in one array pass: a label's
+    box is the pose's projected hull, the block's that hull plus noise.  No
+    frame depends on its chunk.  A frame still short raises
+    GenerationError once the frames before it are yielded.
+    """
+    n, seeds = params.n_instances, iter(seeds)
+    while chunk := [np.random.default_rng(seed).spawn(2)
+                    for seed in islice(seeds, max(1, _SYNTH_BLOCK // n))]:
+        drawn, short = _draw_in_view(params, [pose_rng for pose_rng, _ in chunk])
+        if short != 0:
+            yield from _render(params, noise, drawn[:short], [rng for _, rng in chunk])
+        if short is not None:
+            raise GenerationError(f"{len(drawn[short])} of {n} instances in view "
+                                  f"after {_RETRY_BUDGET * n} draws")
 
 
 def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
-    """Sample ground truth, render measurements, perturb, annotate.
+    """generate_scenes' one-frame case: the frame of seed."""
+    return next(generate_scenes(params, noise, [seed]))
 
-    Every scene is seen by KITTI_CAMERA over FLAT_GROUND in an IMAGE_SIZE
-    image, with CAR_MODEL shapes; depths, extents, the image margin and
-    the retry budget are the module's private generator constants.
 
-    Returns (SyntheticScene, MeasurementBlock, [LabelRecord]), row i of
-    the block and record i instance i of the scene.  Poses are drawn one
-    at a time until n_instances are in view; a frame still short after the
-    retry budget's draws per requested instance raises GenerationError.
-    The rest is one array pass over the frame's instances.  A label's box
-    is its pose's projected hull, the block's that hull plus noise.  The
-    pose stream and the noise stream are separate child generators, each
-    instance's noise variates are drawn in a fixed order, and all of them
-    are drawn unconditionally, so datasets generated from the same seed
-    differ only by the configured noise scales.
-    """
-    root = np.random.default_rng(seed)
-    pose_rng, noise_rng = root.spawn(2)
-
-    budget = _RETRY_BUDGET * params.n_instances
-    draws = (_sample_pose(params, pose_rng) for _ in range(budget))
-    drawn = list(islice(filter(None, draws), params.n_instances))  # the in-view draws
-    if len(drawn) < params.n_instances:
-        raise GenerationError(f"{len(drawn)} of {params.n_instances} instances in view "
-                              f"after {budget} draws")
-
-    theta = np.array([pose.theta for pose, _ in drawn])
-    T = np.array([pose.T for pose, _ in drawn])
-    sigma = np.array([pose.sigma for pose, _ in drawn])
-    n = len(drawn)
+def _render(params: SceneParams, noise: NoiseSpec, drawn: list, noise_rngs: list):
+    """generate_scenes' frames of drawn, the in-view draws of each frame,
+    in one array pass; frame f's noise variates come from noise_rngs[f]."""
+    poses = [pose for frame in drawn for pose, _ in frame]
+    theta, T, sigma = (np.array([getattr(pose, name) for pose in poses]) for name in ("theta", "T", "sigma"))
+    n = len(poses)
     # each drawn pose projected in view, so none fails to convert
     records, _ = poses_to_labels(theta, T, sigma, np.tile(KITTI_CAMERA, (n, 1)))
     bbox = np.array([record.bbox for record in records])
-    shapes = instantiate(CAR_MODEL, np.array([alpha for _, alpha in drawn]))
+    shapes = instantiate(CAR_MODEL, np.array([alpha for frame in drawn for _, alpha in frame]))
     uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
 
     # each instance's noise variates, always drawn, in this order, then scaled
     box_z, uv_z, drop_draws, theta_z, sigma_z, depth_z = map(np.array, zip(*[
-        (noise_rng.standard_normal(4), noise_rng.standard_normal(uv.shape[1:]),
-         noise_rng.random(uv.shape[1]), noise_rng.standard_normal(),
-         noise_rng.standard_normal(3), noise_rng.standard_normal())
-        for _ in drawn]))
+        (rng.standard_normal(4), rng.standard_normal(uv.shape[1:]), rng.random(uv.shape[1]),
+         rng.standard_normal(), rng.standard_normal(3), rng.standard_normal())
+        for rng, frame in zip(noise_rngs, drawn) for _ in frame]))
 
     in_image = ((uv >= 0) & (uv <= IMAGE_SIZE)).all(axis=2)
     visible = (self_occlusion_masks(theta, T) & in_image
@@ -679,8 +711,8 @@ def generate_scene(params: SceneParams, noise: NoiseSpec, seed):
     occluded = 2 - np.digitize(visible.mean(axis=1), (0.4, 0.65))
     labels = [replace(record, truncated=t, occluded=o)
               for record, t, o in zip(records, truncated.tolist(), occluded.tolist())]
-    scene = SyntheticScene(instances=drawn)
-    return scene, block, labels
+    for frame, stop in zip(drawn, accumulate(map(len, drawn))):
+        yield SyntheticScene(instances=frame), block[stop - len(frame):stop], labels[stop - len(frame):stop]
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,137 @@ def loop_clip_ious(a, b) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Plain geometry: images of one pose from the package's geometric primitives.
+# ---------------------------------------------------------------------------
+
+def projected_hull(cam, pose) -> np.ndarray:
+    """The tight axis-aligned hull (left, top, right, bottom) of a pose's 8
+    box corners projected through camera row cam, from geometry.box_corners
+    and geometry.project (BehindCameraError behind the camera); require_box's
+    ValueError for a hull that is no box."""
+    from vehicle3d.geometry import box_corners, project, require_box
+
+    uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
+    return require_box(*uv.min(axis=0), *uv.max(axis=0))
+
+
+_BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's (u, v, log w, log h) scale
+
+
+def _center_log(box) -> np.ndarray:
+    """A box (left, top, right, bottom) as its center, log width and log height."""
+    left, top, right, bottom = box
+    return np.array([0.5 * (left + right), 0.5 * (top + bottom),
+                     np.log(right - left), np.log(bottom - top)])
+
+
+def geometry_residuals(vars, meas, model, cfg) -> np.ndarray:
+    """One instance's stacked weighted residuals at vars, meas a one-row
+    block, rebuilt from plain geometry (geometry.project, box_corners,
+    place_points, shape.instantiate): the measured box against the
+    projected hull, each as (center, log size) and scaled per component;
+    each visible landmark's measured pixel against its projection (0 for a
+    hidden one), u before v; the depth row (0 without a depth); the ground
+    incidence N.T - 1; the shape coefficients.  Each term's rows are scaled
+    by sqrt(its weight), the terms of cfg's rung in that order."""
+    from vehicle3d.energy import RUNG_TERMS
+    from vehicle3d.geometry import place_points, project
+    from vehicle3d.shape import instantiate
+
+    pose, cam = vars.pose(), meas.cam[0]
+    placed = place_points(instantiate(model, vars.alpha), pose.theta, pose.T, pose.sigma)[0]
+    landmarks = np.where(meas.visible[0, :, None], meas.uv[0] - project(cam, placed), 0.0)
+    terms = {
+        "2d3d": (1.0, (_center_log(meas.box[0]) - _center_log(projected_hull(cam, pose))) * _BOX_SCALE),
+        "lp": (cfg.lambda1, landmarks.reshape(-1)),
+        "md": (cfg.lambda2, [vars.T[2] - meas.depth[0] if meas.has_depth[0] else 0.0]),
+        "gp": (cfg.lambda3, [meas.ground[0] @ vars.T - 1.0]),
+        "s": (cfg.lambda4, vars.alpha),
+    }
+    return np.concatenate([np.sqrt(weight) * np.asarray(rows, dtype=float)
+                           for name, (weight, rows) in terms.items() if name in RUNG_TERMS[cfg.variant]])
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt, one instance at a time.
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflow reads as inf
+def reference_solve(meas, model, cfg, max_iterations: int = 50) -> dict:
+    """One instance's solve, meas a one-row block, written from the
+    textbook method (Madsen, Nielsen & Tingleff, 2004) as refine documents
+    it: start at initialize's point, with residuals r and Jacobian J from
+    stacked_residuals and jacobian and energy E = r.r; solve (H + lam I) dx
+    = -g with H = J^T J and g = J^T r at the last accepted point, lam from
+    1e-3, halved (to at least 1e-12) on a step that lowers E and is finite,
+    else multiplied by 10 (to at most 1e12), a singular system counting as
+    rejected; stop on an accepted decrease of at most 1e-8 max(E, 1), on a
+    step of at most 1e-10 (|x| + 1e-10) with the yaw wrapped, or at the
+    iteration cap.  A rung without rows stops at its start.
+
+    Returns {"error": None or the failure's message, and for a solve:
+    "x" (yaw wrapped), "converged", "iterations", "reason", "energy" and
+    "terms" (total_energy at the solution), "path" (accepted energies)}.
+    """
+    from vehicle3d.energy import Variables, jacobian, stacked_residuals, total_energy
+    from vehicle3d.geometry import BehindCameraError, wrap_angle
+    from vehicle3d.refine import InitializationError, initialize
+
+    def variables(x):
+        return Variables(theta=x[0], T=x[1:4], sigma=x[4:7], alpha=x[7:])
+
+    def evaluate(x):
+        """(r, J, E, usable): E and usable None behind the camera."""
+        try:
+            r = stacked_residuals(variables(x), meas, model, cfg)
+        except BehindCameraError:
+            return None, None, None, False
+        J = jacobian(variables(x), meas, model, cfg)
+        E = r @ r
+        return r, J, E, bool(np.isfinite(J).all() and np.isfinite(E))
+
+    try:
+        x = initialize(meas, model).to_vector()
+    except InitializationError as err:
+        return {"error": str(err)}
+    r, J, E, usable = evaluate(x)
+    if E is None:
+        return {"error": "initial point projects behind the camera"}
+    if not usable:
+        return {"error": "initial point's energy overflows: its residuals are finite, but their "
+                         "squares sum to inf" if np.isfinite(r).all() else
+                         "initial point has non-finite residuals (NaN or inf in the measurement or start)"}
+    path, k, converged, reason = [E], 0, True, "initialization only"
+    lam, H, g = 1e-3, J.T @ J, J.T @ r
+    while r.size:
+        k += 1
+        try:
+            dx, solved = np.linalg.solve(H + lam * np.eye(len(x)), -g), True
+        except np.linalg.LinAlgError:
+            dx, solved = np.zeros(len(x)), False
+        size = x.copy()
+        size[0] = wrap_angle(size[0])
+        small_step = solved and np.sqrt(dx @ dx) <= 1e-10 * (np.sqrt(size @ size) + 1e-10)
+        r_trial, J_trial, trial, usable = evaluate(x + dx)
+        accept = solved and usable and trial < E
+        ftol = accept and E - trial <= 1e-8 * max(trial, 1.0)
+        lam = max(lam * 0.5, 1e-12) if accept else min(lam * 10.0, 1e12)
+        if accept:
+            x, E, r, J = x + dx, trial, r_trial, J_trial
+            H, g = J.T @ J, J.T @ r
+            path.append(E)
+        if ftol or small_step or k >= max_iterations:
+            converged = bool(ftol or small_step)
+            reason = "ftol" if ftol else "xtol" if small_step else "max_iterations"
+            break
+    energy, terms = total_energy(variables(x), meas, model, cfg)
+    x = x.copy()
+    x[0] = wrap_angle(x[0])
+    return {"error": None, "x": x, "converged": converged, "iterations": k, "reason": reason,
+            "energy": energy, "terms": terms, "path": np.array(path)}
+
+
+# ---------------------------------------------------------------------------
 # The solver's starting point, one instance at a time.
 # ---------------------------------------------------------------------------
 

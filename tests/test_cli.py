@@ -104,24 +104,47 @@ def test_the_seed_7_dataset_keeps_its_bytes(tmp_path):
     assert digest.hexdigest() == "9a4b8e15072a714c78b3077bc9f4821dc236d5530cb9b7201ec6cea3a354de7a"
 
 
+def _first_in_view(monkeypatch, limit: int) -> None:
+    """Patch synth's in-view test so that only the first `limit` draws it
+    finds in view, over all its calls, stay in view."""
+    in_view, kept = vehicle3d.scene_io._in_view, []
+
+    def capped(poses):
+        seen = in_view(poses)
+        seen &= np.cumsum(seen) <= limit - len(kept)
+        kept.extend(np.flatnonzero(seen))
+        return seen
+
+    monkeypatch.setattr(vehicle3d.scene_io, "_in_view", capped)
+
+
 def test_a_short_frame_is_a_named_error(tmp_path, monkeypatch, capsys):
     """A frame that cannot place every requested instance in view within
     its retry budget stops synth before it writes, instead of writing a
     frame with fewer instances than the manifest states."""
-    sample, kept = vehicle3d.scene_io._sample_pose, []
-
-    def two_in_view(params, rng):
-        instance = sample(params, rng)
-        if instance is None or len(kept) == 2:
-            return None
-        kept.append(instance)
-        return instance
-
-    monkeypatch.setattr(vehicle3d.scene_io, "_sample_pose", two_in_view)
+    _first_in_view(monkeypatch, 2)  # frame 0's first two draws, in view
     out = tmp_path / "out"
     assert run_cli("synth", "--seed", 7, "--instances", 5, "--out", out) == 1
     assert capsys.readouterr().err == "error: frame 0: 2 of 5 instances in view after 1000 draws\n"
     assert not out.exists()
+
+
+def test_a_short_frame_stops_synth_after_the_frames_before_it(tmp_path, monkeypatch, capsys):
+    """Frame 2 of 3 short: the error names frame 2, and synth has written
+    frames 0 and 1, each as a run without the fault writes it, and nothing
+    else, no manifest either."""
+    full = tmp_path / "full"
+    assert run_cli("synth", "--seed", 7, "--frames", 3, "--out", full) == 0
+    # seed 7's first 15 draws are in view: frames 0 and 1 keep all 10 of theirs
+    _first_in_view(monkeypatch, 10)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("synth", "--seed", 7, "--frames", 3, "--out", out) == 1
+    assert capsys.readouterr().err == "error: frame 2: 0 of 5 instances in view after 1000 draws\n"
+    written = tree_bytes(out)
+    assert sorted(written) == ["labels/000000.txt", "labels/000001.txt",
+                               "meas/000000.cfg", "meas/000001.cfg"]
+    assert written == {name: data for name, data in tree_bytes(full).items() if name in written}
 
 
 def test_synth_requires_seed(tmp_path, capsys):
@@ -1351,6 +1374,17 @@ def test_module_entry_point(tmp_path, child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "labels" / "000000.txt").is_file()
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded(child_env):
+    """multiprocessing is imported where a pool is started, so a run with
+    --jobs 1, or an import of the CLI, does not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vehicle3d.cli; print('multiprocessing' in sys.modules)"],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_render_table_alignment():

@@ -27,11 +27,12 @@ from vehicle3d.geometry import (
     box_corners,
     place_points,
     project,
-    project_box3d,
 )
 from vehicle3d.refine import initialize
 from vehicle3d.scene_io import CAR_MODEL, STANDARD_NOISE, SceneParams, generate_scene
 from vehicle3d.shape import MorphableModel, instantiate
+
+from tests.oracles import projected_hull
 
 CAM = (721.5, 721.5, 609.6, 172.9)  # (fx, fy, cx, cy)
 GROUND = np.array([0.0, 1.0 / 1.65, 0.0])  # the plane's normal
@@ -93,7 +94,7 @@ def random_vars(rng, n_alpha):
 def measurement_for(vars, model, rng, with_depth=True, exact=False):
     """One-row block near (or exactly at) the forward projection of vars."""
     pose = vars.pose()
-    box = project_box3d(CAM, pose)
+    box = projected_hull(CAM, pose)
     pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()
     uv = project(CAM, place_points(pts, pose.theta, pose.T, pose.sigma)[0])
     vis = np.ones(len(pts), dtype=bool)
@@ -150,7 +151,7 @@ def test_box_residual_matches_geometry_recompute():
     for _ in range(50):
         vars = random_vars(rng, 0)
         meas = measurement_for(vars, random_model(0, rng), rng)
-        proj = project_box3d(CAM, vars.pose())
+        proj = projected_hull(CAM, vars.pose())
         expected = center_log(meas.box[0]) - center_log(proj)
         np.testing.assert_allclose(term("2d3d", vars, meas)[0], expected * BOX_SCALE, atol=1e-10)
 
@@ -287,7 +288,7 @@ def brute_energy(vars, meas, model, cfg):
     E = 0.0
     cam = meas.cam[0]
     if "2d3d" in terms:
-        d = (center_log(meas.box[0]) - center_log(project_box3d(cam, pose))) * BOX_SCALE
+        d = (center_log(meas.box[0]) - center_log(projected_hull(cam, pose))) * BOX_SCALE
         E += float(d @ d)
     if "lp" in terms:
         pts = instantiate(model, vars.alpha) if model.n_basis else model.mean_points()

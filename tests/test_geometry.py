@@ -14,13 +14,19 @@ from vehicle3d.geometry import (
     iou_3d,
     iou_bev,
     project,
-    project_box3d,
     require_box,
     rot_y,
     wrap_angle,
     wrap_pi,
 )
-from vehicle3d.scene_io import KITTI_CAMERA, STANDARD_NOISE, SceneParams, emit_measurements, generate_scene
+from vehicle3d.scene_io import (
+    KITTI_CAMERA,
+    STANDARD_NOISE,
+    SceneParams,
+    emit_measurements,
+    generate_scene,
+    pose_to_label,
+)
 from tests.oracles import loop_clip_ious, mc_iou_3d, mc_iou_bev, random_pose_pairs
 
 
@@ -147,6 +153,11 @@ class TestBox3DCorners:
         assert not inside_box(pose, pose.T + np.array([0, -5.0, 0]))
 
 
+def hull(cam, pose) -> np.ndarray:
+    """The package's projected hull of one pose: pose_to_label's box."""
+    return np.array(pose_to_label(pose, cam).bbox)
+
+
 class TestProjectBox3D:
     def test_centered_cube(self):
         # Cube of side 2 whose geometric center sits on the optical axis at
@@ -154,7 +165,7 @@ class TestProjectBox3D:
         # the near corners at 100/9 px and spans 200/9 each way.
         cam = (100, 100, 0, 0)
         pose = make_pose(0.0, [0, 1.0, 10.0], np.array([2.0, 2.0, 2.0]))
-        left, top, right, bottom = project_box3d(cam, pose)
+        left, top, right, bottom = hull(cam, pose)
         np.testing.assert_allclose([left, top, right, bottom], np.array([-1, -1, 1, 1]) * 100.0 / 9.0,
                                    atol=1e-9)
 
@@ -162,7 +173,7 @@ class TestProjectBox3D:
         cam = (721.5, 721.5, 609.6, 172.9)
         base = make_pose(0.3, [0, 1.65, 15], np.array([3.9, 1.6, 1.6]))
         def center(pose):
-            left, _, right, _ = project_box3d(cam, pose)
+            left, _, right, _ = hull(cam, pose)
             return 0.5 * (left + right)
 
         prev = center(base)
@@ -180,14 +191,14 @@ class TestProjectBox3D:
                 rng.uniform(0, 2 * np.pi), [rng.uniform(-5, 5), 1.65, 30], dims
             )
             bigger = PoseBox3D(pose.theta, pose.T, pose.sigma + np.log(2.0))
-            size0, size1 = (np.diff(project_box3d(cam, p).reshape(2, 2), axis=0)
+            size0, size1 = (np.diff(hull(cam, p).reshape(2, 2), axis=0)
                             for p in (pose, bigger))  # (width, height)
             assert (size1 > size0).all()
 
     def test_behind_camera_propagates(self):
         cam = (100, 100, 0, 0)
-        with pytest.raises(BehindCameraError):
-            project_box3d(cam, make_pose(0.0, [0, 0, 0.4], np.ones(3)))
+        with pytest.raises(ValueError, match="^box projects behind the camera$"):
+            hull(cam, make_pose(0.0, [0, 0, 0.4], np.ones(3)))
 
 
 class TestIoU2D:

@@ -23,7 +23,6 @@ from vehicle3d.energy import (
 from vehicle3d.geometry import (
     place_points,
     project,
-    project_box3d,
     wrap_pi,
 )
 from vehicle3d.refine import (
@@ -46,9 +45,10 @@ from vehicle3d.scene_io import (
     generate_scene,
     parse_measurements,
     pose_to_label,
+    self_occlusion_masks,
 )
 from vehicle3d.shape import MorphableModel, instantiate
-from tests.oracles import back_projected_start
+from tests.oracles import back_projected_start, projected_hull
 from tests.test_energy import one_block
 
 # the module, not the package's `refine` function of the same name
@@ -87,7 +87,7 @@ def make_instance(
         alpha=alpha_sigma * rng.standard_normal(model.n_basis),
     )
     pose = truth.pose()
-    corners = project_box3d(CAM, pose) + box_noise * rng.standard_normal(4)
+    corners = projected_hull(CAM, pose) + box_noise * rng.standard_normal(4)
     if corners[2] - corners[0] < 2.0:
         corners[2] = corners[0] + 2.0
     if corners[3] - corners[1] < 2.0:
@@ -836,3 +836,51 @@ def test_a_principal_point_shift_moves_no_solution(seed7_ladder, offset):
         np.testing.assert_allclose(moved[variant].x, solve.x, rtol=0.0, atol=1e-8)
         for column in ("iterations", "reason", "error"):
             assert getattr(moved[variant], column).tolist() == getattr(solve, column).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Mirror symmetry
+# ---------------------------------------------------------------------------
+
+# Each landmark's mirror image: CAR_MODEL lists left before right in each pair.
+_MIRRORED_LANDMARKS = np.arange(CAR_MODEL.K).reshape(-1, 2)[:, ::-1].reshape(-1)
+
+
+def test_a_mirrored_block_solves_to_the_mirrored_solutions(seed7_ladder):
+    """CAR_MODEL is left-right symmetric, so reflecting every frame about
+    its principal column (u -> 2 cx - u on boxes and landmarks, each
+    landmark swapped with its mirror image, yaw hypotheses theta0 -> pi -
+    theta0, the ground normal's x negated) reflects every solution: theta
+    -> pi - theta and T_x -> -T_x, the rest as it is, to 1e-8, with the
+    same iterations, reasons and errors at v1-v4."""
+    block, rungs = seed7_ladder
+    rungs = {"v1": refine_batch(block, CAR_MODEL, ablation_config("v1")), **rungs}
+    cx = block.cam[:, 2:3]
+    uv = block.uv[:, _MIRRORED_LANDMARKS].copy()
+    uv[..., 0] = 2.0 * cx - uv[..., 0]
+    mirrored = replace(block, box=np.hstack([2.0 * cx - block.box[:, 2:3], block.box[:, 1:2],
+                                             2.0 * cx - block.box[:, 0:1], block.box[:, 3:4]]),
+                       uv=uv, visible=block.visible[:, _MIRRORED_LANDMARKS],
+                       theta0=np.pi - block.theta0, ground=block.ground * [-1.0, 1.0, 1.0])
+    reflected = refine_ladder(mirrored, CAR_MODEL, variants=tuple(rungs))
+    for variant, solve in rungs.items():
+        x, y = solve.x, reflected[variant].x
+        np.testing.assert_allclose(wrap_pi(y[:, 0] - (np.pi - x[:, 0])), 0.0, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(y[:, 1], -x[:, 1], rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(y[:, 2:], x[:, 2:], rtol=0.0, atol=1e-8)
+        for column in ("iterations", "reason", "error"):
+            assert getattr(reflected[variant], column).tolist() == getattr(solve, column).tolist()
+
+
+def test_self_occlusion_masks_mirror_exactly():
+    """The pose reflected in the camera's x = 0 plane (yaw pi - theta, T_x
+    -> -T_x) sees each landmark's mirror image exactly when the pose sees
+    the landmark."""
+    rng = np.random.default_rng(18)
+    n = 20_000
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    T = np.column_stack([rng.uniform(-20, 20, n), rng.uniform(0.5, 2.5, n), rng.uniform(1, 60, n)])
+    masks = self_occlusion_masks(theta, T)
+    np.testing.assert_array_equal(self_occlusion_masks(np.pi - theta, T * [-1.0, 1.0, 1.0]),
+                                  masks[:, _MIRRORED_LANDMARKS])
+    assert masks.any(axis=0).all() and not masks.all()  # every landmark seen, some hidden

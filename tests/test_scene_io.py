@@ -1,5 +1,6 @@
 """Label and measurement text round-trips, pose/label conversion, synthetic
 generation, and the key-value config format."""
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +15,6 @@ from vehicle3d.geometry import (
     PoseBox3D,
     place_points,
     project,
-    project_box3d,
     rot_y,
     wrap_angle,
     wrap_pi,
@@ -36,6 +36,7 @@ from vehicle3d.scene_io import (
     STANDARD_NOISE,
     format_config,
     generate_scene,
+    generate_scenes,
     label_pose_fields,
     label_to_pose,
     parse_config_text,
@@ -49,6 +50,7 @@ from vehicle3d.scene_io import (
 )
 from vehicle3d.shape import instantiate
 
+from tests.oracles import projected_hull
 from tests.test_energy import same_block
 
 SAMPLE = "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -278,7 +280,7 @@ def test_batched_labels_equal_their_one_pose_calls(seed_fit, n):
             messages.append(str(err))
             continue
         messages.append(None)
-        assert _same(want.bbox, project_box3d(cam, pose))  # the hull as projected
+        assert _same(want.bbox, projected_hull(cam, pose))  # the hull as projected
         alone.append(want)
     assert error.tolist() == messages
     assert records == alone  # every field of the labelled rows, in row order
@@ -628,7 +630,7 @@ def test_generate_noise_free_measurements_exact():
     for several seeds and frame sizes."""
     for (pose, coeffs), meas, label in _noise_free_frames():
         # the label's box is the hull as projected, the block's box the label's
-        assert _same(label.bbox, project_box3d(KITTI_CAMERA, pose))
+        assert _same(label.bbox, projected_hull(KITTI_CAMERA, pose))
         assert _same(meas.box[0], label.bbox)
         uv = project(KITTI_CAMERA, place_points(instantiate(CAR_MODEL, coeffs), pose.theta, pose.T,
                                                 pose.sigma)[0])
@@ -647,6 +649,32 @@ def test_generate_noise_free_measurements_exact():
         np.testing.assert_array_equal(meas.sigma0[0], pose.sigma)
         assert meas.has_depth[0] and meas.depth[0] == pose.T[2]
         assert label.location == pytest.approx(tuple(pose.T))
+
+
+@pytest.mark.parametrize("params, noise", [
+    (SceneParams(), STANDARD_NOISE),
+    (SceneParams(with_depth=False), STANDARD_NOISE),
+    (SceneParams(n_instances=1), STANDARD_NOISE),
+    (SceneParams(), NoiseSpec()),
+    (SceneParams(alpha_sigma=0.0), STANDARD_NOISE),
+    (SceneParams(n_instances=60), STANDARD_NOISE),  # 4 frames a chunk, so 5 chunks
+], ids=["default", "no_depth", "one_instance", "no_noise", "mean_shape", "chunked"])
+def test_generate_scene_is_its_frame_of_the_batched_call(params, noise):
+    """Each frame generate_scenes yields is generate_scene's frame of its
+    seed, bit for bit: block, labels and the scene's poses and shape
+    coefficients, whatever chunk the frame lands in."""
+    seeds = [[seed, index] for seed in (1, 7, 11) for index in range(6)] + [123]
+    frames = list(generate_scenes(params, noise, iter(seeds)))
+    assert len(frames) == len(seeds)
+    for seed, (scene, block, labels) in zip(seeds, frames):
+        alone, alone_block, alone_labels = generate_scene(params, noise, seed)
+        assert len(block) == len(labels) == len(scene.instances) == params.n_instances
+        assert same_block(block, alone_block)
+        assert labels == alone_labels
+        for (pose, coeffs), (want, want_coeffs) in zip(scene.instances, alone.instances, strict=True):
+            assert pose.theta == want.theta
+            assert pose.T.tobytes() == want.T.tobytes() and pose.sigma.tobytes() == want.sigma.tobytes()
+            assert coeffs.tobytes() == want_coeffs.tobytes()
 
 
 def test_generate_deterministic():
@@ -728,6 +756,25 @@ def test_v1_error_monotone_in_noise_components():
                     errs.append(float(np.linalg.norm(init.T - pose.T)))
             medians.append(float(np.median(errs)))
         assert medians[0] <= medians[1] + 1e-12 <= medians[2] + 2e-12, (name, medians)
+
+
+@pytest.mark.parametrize("n_instances, frames_per_chunk", [(5, 51), (60, 4), (300, 1)])
+def test_generation_reads_one_chunk_of_seeds_at_a_time(n_instances, frames_per_chunk):
+    """generate_scenes reads its seeds a chunk of whole frames of at most
+    256 instances at a time (a larger frame alone), so an endless seed
+    iterable yields frames and memory does not grow with the seeds."""
+    read = []
+
+    def seeds():
+        for index in itertools.count():
+            read.append(index)
+            yield [3, index]
+
+    frames = generate_scenes(SceneParams(n_instances=n_instances), NoiseSpec(), seeds())
+    for chunk in (1, 2):
+        for _ in range(frames_per_chunk):
+            next(frames)
+        assert len(read) == chunk * frames_per_chunk
 
 
 def test_a_crowded_frame_meets_its_instance_count():
