@@ -28,8 +28,9 @@ its --variant, ablate v1..v4, each from the initialization); an
 instance's result does not depend on which task it lands in, and tasks are
 collected in dataset order, so reruns are byte-identical for a fixed seed
 at any --jobs setting; labels come from each rung's SolveBlock.detections.
-eval and ablate hold their tables as data, rows naming a curve job and the
-curve field they print, and render them all through one function.
+ablate scores the label text it writes, parsed in memory as eval parses the
+file.  eval and ablate hold their tables as data, rows naming a curve job
+and the curve field they print, and render them all through one function.
 
 Exit status: 0 on full success; 1 on any failure (bad configuration or
 out-of-range option values, I/O, malformed measurement files, mismatched
@@ -227,13 +228,21 @@ def _resolve_options(command: str, args):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write to <name>.tmp and rename into place, creating the directory
-    first: the one place a run's output directories appear.  A failed write
-    or rename removes the temp file and re-raises."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write UTF-8 to <name>.tmp (mode 0o666 less the umask, as open() makes
+    it; os.write until every byte is out, as a signal may cut one short) and
+    rename it into place, making the directory only if it is missing: the one
+    place output directories appear.  A failure removes the temp file and re-raises."""
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        data = memoryview(text.encode("utf-8"))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -249,11 +258,11 @@ def _labels_dir(path_text: str) -> Path:
     raise CLIError(f"no label directory at {path}")
 
 
-def _read_data_file(path: Path, parse):
-    """parse(the file's UTF-8 text, a leading BOM dropped); a file that is
-    malformed or does not decode is a CLIError naming it."""
+def _read_data_file(path: Path, parse, text: str | None = None):
+    """parse(text, or if None the file's UTF-8 text, a leading BOM dropped);
+    malformed text or an undecodable file is a CLIError naming the file."""
     try:
-        return parse(path.read_text(encoding="utf-8-sig"))
+        return parse(path.read_text(encoding="utf-8-sig") if text is None else text)
     except (LabelFormatError, MeasurementFormatError, UnicodeDecodeError) as exc:
         raise CLIError(f"{path}: {exc}")
 
@@ -394,8 +403,9 @@ def _load_fit_model(model_path):
     return model
 
 
-def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
-    """Write one frame's labels and diag for every rung; returns its failures."""
+def _write_frame(out_dirs: dict, frame_id: str, outcomes, labels: dict | None) -> int:
+    """Write one frame's labels and diag for every rung, each label text also
+    to labels[variant][frame_id] when labels is given; returns its failures."""
     failures = 0
     for variant, out_dir in out_dirs.items():
         records, diag = [], {"variant": variant}
@@ -406,16 +416,19 @@ def _write_frame(out_dirs: dict, frame_id: str, outcomes) -> int:
             diag.update({f"i{i}.{key}": value for key, value in entries.items()})
         diag["failures"] = str(len(outcomes) - len(records))
         failures += len(outcomes) - len(records)
-        _atomic_write(out_dir / "labels" / (frame_id + ".txt"), emit_labels(records))
+        text = emit_labels(records)
+        _atomic_write(out_dir / "labels" / (frame_id + ".txt"), text)
+        if labels is not None:
+            labels[variant][frame_id] = text
         _atomic_write(out_dir / "diag" / (frame_id + ".cfg"), format_config(diag))
     return failures
 
 
 def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfig,
-             solver: SolverOptions) -> int:
+             solver: SolverOptions, labels: dict | None = None) -> int:
     """Fit every instance of the parsed dataset at each rung in out_dirs,
     from its initialization and at energy's weights, and write labels/ and
-    diag/ of each rung into out_dirs[variant].
+    diag/ of each rung into out_dirs[variant], the label texts into labels.
 
     Instances are pooled across frames in dataset order and cut into tasks,
     solved by at most one worker each; each frame is written from the
@@ -429,7 +442,7 @@ def _run_fit(effective: dict, dataset: list, out_dirs: dict, energy: EnergyConfi
     tasks = [(block[i:i + size], *settings) for i in range(0, len(block), size)]
     jobs = min(effective["jobs"], len(tasks))
     outcomes = chain.from_iterable(_parallel_map(_fit_block_task, tasks, jobs))
-    return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(frame))))
+    return sum(_write_frame(out_dirs, frame_id, list(islice(outcomes, len(frame))), labels)
                for frame_id, frame in dataset)
 
 
@@ -461,10 +474,11 @@ def _read_ground_truth(gt_dir: Path, pred_ids) -> dict:
             for frame_id in sorted(gt_paths)}
 
 
-def _paired_frames(pred_dir: Path, ground_truth: dict) -> list:
+def _paired_frames(pred_dir: Path, ground_truth: dict, texts: dict | None = None) -> list:
     """One (detections, ground truth) pair per frame of ground_truth, in its
-    order: pred_dir's label file of that frame against its ground truth."""
-    return [(_read_data_file(pred_dir / (frame_id + ".txt"), parse_labels), records)
+    order: pred_dir's label file of that frame (its text in texts if given)."""
+    return [(_read_data_file(pred_dir / (frame_id + ".txt"), parse_labels,
+                             None if texts is None else texts[frame_id]), records)
             for frame_id, records in ground_truth.items()]
 
 
@@ -567,14 +581,15 @@ def cmd_ablate(effective: dict, out_dir: Path, *, energy: EnergyConfig, solver: 
     dataset = _read_dataset(effective["data"])
     ground_truth = _read_ground_truth(gt_dir, [frame_id for frame_id, _ in dataset])
     out_dirs = {variant: out_dir / f"fit_{variant}" for variant in ABLATION_VARIANTS}
-    total_failures = _run_fit(effective, dataset, out_dirs, energy, solver)
+    labels = {variant: {} for variant in ABLATION_VARIANTS}
+    total_failures = _run_fit(effective, dataset, out_dirs, energy, solver, labels)
     alp_m, iou3d, bev = (effective[f"{k}_threshold"] for k in ("alp", "iou3d", "bev"))
     jobs = {f"ALP @ {alp_m:g} m": ("alp", alp_m, ALP_GATE),  # title -> curve job
             f"AP 3D IoU @ {iou3d:g}": ("ap3d", iou3d, None),
             f"AP bird's-eye IoU @ {bev:g}": ("apbev", bev, None)}
-    curves = {variant: _eval_curves(_paired_frames(out_dirs[variant] / "labels", ground_truth),
+    curves = {variant: _eval_curves(_paired_frames(out_dirs[variant] / "labels", ground_truth, texts),
                                     jobs.values(), effective["points"])
-              for variant in ABLATION_VARIANTS}
+              for variant, texts in labels.items()}
     text = _render_tables((title, [(variant, curves[variant], job, "ap")
                                    for variant in ABLATION_VARIANTS])
                           for title, job in jobs.items())

@@ -9,7 +9,7 @@ about it.  A 3D box keeps its scales in log space, sigma = (L, H, W)
 with metric extents e^L, e^H, e^W, so positivity is free and
 optimizers can treat every variable as unconstrained.  A 2D
 box is its pixel corners (left, top, right, bottom) as a hull computes
-them and files write them; require_box checks that they span a box.
+them and files write them; require_span checks that they span a box.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 # Points closer than this to the image plane are treated as behind the camera.
 EPS_Z = 1e-6
-# The messages of require_finite and require_box, which poses_to_labels reports too.
+# The messages of require_finite and require_span, which poses_to_labels reports too.
 NON_FINITE = "non-finite value"
 DEGENERATE_BOX = "degenerate 2D box: need right > left and bottom > top"
 
@@ -39,12 +39,16 @@ def require_finite(*values) -> None:
         raise ValueError(NON_FINITE)
 
 
-def require_box(left: float, top: float, right: float, bottom: float) -> np.ndarray:
-    """The corners as a (4,) array; raises ValueError unless they are
-    finite and span a box: right > left and bottom > top."""
-    require_finite(left, top, right, bottom)
+def require_span(left: float, top: float, right: float, bottom: float) -> None:
+    """Raise ValueError(DEGENERATE_BOX) unless right > left and bottom > top."""
     if not (right > left and bottom > top):
         raise ValueError(DEGENERATE_BOX)
+
+
+def require_box(left: float, top: float, right: float, bottom: float) -> np.ndarray:
+    """The corners as a (4,) array, once require_finite and require_span pass."""
+    require_finite(left, top, right, bottom)
+    require_span(left, top, right, bottom)
     return np.array([left, top, right, bottom], dtype=float)
 
 

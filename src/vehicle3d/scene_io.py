@@ -34,8 +34,8 @@ from .geometry import (
     box_corners,
     place_points,
     project,
-    require_box,
     require_finite,
+    require_span,
     rot_y,
     wrap_angle,
     wrap_pi,
@@ -144,8 +144,9 @@ _OCCLUSION_CODES = (-1, 0, 1, 2, 3)
 class LabelRecord:
     """One object line: geometry in camera coordinates, box in pixels.
 
-    `-1` marks unknown truncation/occlusion (used by detections and
-    don't-care regions, following the standard format).
+    `-1` marks unknown truncation/occlusion (detections, don't-care regions).
+    Construction checks, in this order: arity, every value finite (one pass),
+    the box's span (require_span), the occlusion code and the truncation.
     """
 
     type: str
@@ -159,14 +160,14 @@ class LabelRecord:
     score: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
-        object.__setattr__(self, "dimensions", tuple(float(v) for v in self.dimensions))
-        object.__setattr__(self, "location", tuple(float(v) for v in self.location))
+        object.__setattr__(self, "bbox", tuple(map(float, self.bbox)))
+        object.__setattr__(self, "dimensions", tuple(map(float, self.dimensions)))
+        object.__setattr__(self, "location", tuple(map(float, self.location)))
         if len(self.bbox) != 4 or len(self.dimensions) != 3 or len(self.location) != 3:
             raise ValueError("bbox/dimensions/location arity is 4/3/3")
         require_finite(*self.bbox, *self.dimensions, *self.location, self.rotation_y,
                        self.alpha, self.truncated, 0.0 if self.score is None else self.score)
-        require_box(*self.bbox)
+        require_span(*self.bbox)
         if self.occluded not in _OCCLUSION_CODES:
             raise ValueError(f"occlusion code {self.occluded} outside {-1}..3")
         if not (self.truncated == -1.0 or 0.0 <= self.truncated <= 1.0):
@@ -194,7 +195,7 @@ def parse_labels(text: str) -> list:
                 line_number, f"expected 15 or 16 fields, found {len(tokens)}"
             )
         try:
-            values = [float(t) for t in tokens[1:]]
+            values = list(map(float, tokens[1:]))
         except ValueError as err:
             raise LabelFormatError(line_number, f"non-numeric field: {err}") from None
         occ_f = values[1]
@@ -220,6 +221,11 @@ def parse_labels(text: str) -> list:
     return records
 
 
+# A label line: type, truncation, occlusion code, 12 fixed-point fields, score.
+_LINE = "%s %.6f %d" + " %.6f" * 12
+_SCORED_LINE = _LINE + " %.6f"
+
+
 def emit_labels(records) -> str:
     """Fixed-point text with 6 decimals; score-sorted when all records
     carry scores (descending, stable)."""
@@ -228,14 +234,9 @@ def emit_labels(records) -> str:
         records.sort(key=lambda r: -r.score)
     lines = []
     for r in records:
-        fields = [r.type, f"{r.truncated:.6f}", str(int(r.occluded)), f"{r.alpha:.6f}"]
-        fields += [f"{v:.6f}" for v in r.bbox]
-        fields += [f"{v:.6f}" for v in r.dimensions]
-        fields += [f"{v:.6f}" for v in r.location]
-        fields.append(f"{r.rotation_y:.6f}")
-        if r.score is not None:
-            fields.append(f"{r.score:.6f}")
-        lines.append(" ".join(fields))
+        fields = (r.type, r.truncated, r.occluded, r.alpha, *r.bbox, *r.dimensions, *r.location,
+                  r.rotation_y)
+        lines.append(_LINE % fields if r.score is None else _SCORED_LINE % (*fields, r.score))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -3,7 +3,9 @@ the ablation table, and the determinism/exit-status contract."""
 import contextlib
 import hashlib
 import io
+import os
 import random
+import stat
 import re
 import shutil
 import subprocess
@@ -22,7 +24,7 @@ import vehicle3d.metrics
 import vehicle3d.scene_io
 from vehicle3d.cli import main, render_table
 from vehicle3d.geometry import BoxStack, wrap_pi
-from vehicle3d.metrics import alp
+from vehicle3d.metrics import DIFFICULTIES, alp, ap_3d, ap_bev
 from vehicle3d.refine import initialize, refine, refine_ablation, refine_ladder
 from vehicle3d.scene_io import (
     CAR_MODEL,
@@ -772,6 +774,51 @@ def test_interrupted_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(vehicle3d.cli.os, "write", fail)
+    with pytest.raises(OSError, match="no space left"):
+        vehicle3d.cli._atomic_write(tmp_path / "000000.txt", "Car\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_written_file_has_the_mode_open_gives_it(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        vehicle3d.cli._atomic_write(tmp_path / "new" / "written.txt", "Car\n")
+        with open(tmp_path / "opened.txt", "w") as handle:
+            handle.write("Car\n")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("new/written.txt", "opened.txt")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def test_a_written_file_holds_its_text_as_utf8(tmp_path):
+    text = "Café 0.5 — ±1e-9 東京 \U0001F697\n"
+    vehicle3d.cli._atomic_write(tmp_path / "000000.txt", text)
+    assert (tmp_path / "000000.txt").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [None, 4093])
+def test_a_large_text_is_written_in_full(tmp_path, monkeypatch, chunk):
+    """A 1 MB text lands whole; a write a signal cuts short (here each
+    os.write takes at most chunk bytes) goes on from the first byte not yet
+    written."""
+    if chunk is not None:
+        write = os.write
+        monkeypatch.setattr(vehicle3d.cli.os, "write", lambda fd, data: write(fd, data[:chunk]))
+    text = "".join(f"{i:07d} Car ä\n" for i in range(70_000))
+    assert len(text.encode("utf-8")) > 1_000_000
+    vehicle3d.cli._atomic_write(tmp_path / "000000.txt", text)
+    assert (tmp_path / "000000.txt").read_bytes() == text.encode("utf-8")
+    assert [path.name for path in tmp_path.iterdir()] == ["000000.txt"]
+
+
 @pytest.mark.parametrize("case", ["synth_under_a_file", "shape_learn_onto_a_directory"])
 def test_output_io_error_is_a_message(dataset, tmp_path, child_env, case):
     if case == "synth_under_a_file":
@@ -912,6 +959,82 @@ def test_ablate_table_matches_direct_evaluation(dataset, tmp_path, capsys):
     header = table[1].split()
     column = header.index("moderate")
     assert v4_row.split()[1 + column] == (f"{expected:.4f}" if expected is not None else "-")
+
+    # so does every cell: each rung's label files on disk, read as eval reads
+    # them, scored at each table's metric and each difficulty
+    def read(path):
+        return tuple(parse_labels(path.read_text(encoding="utf-8-sig")))
+
+    stems = sorted(p.stem for p in (dataset / "labels").glob("*.txt"))
+    truth = [read(dataset / "labels" / (stem + ".txt")) for stem in stems]
+    metrics = (lambda frames, d: alp(frames, 1.0, d), lambda frames, d: ap_3d(frames, 0.25, d),
+               lambda frames, d: ap_bev(frames, 0.5, d))
+    tables = text.split("\n\n")
+    assert len(tables) == len(metrics)
+    cells = 0
+    for table, metric in zip(tables, metrics):
+        lines = table.splitlines()
+        assert lines[1].split() == list(DIFFICULTIES)
+        for variant in ("v1", "v2", "v3", "v4"):
+            detections = [read(out / f"fit_{variant}" / "labels" / (stem + ".txt")) for stem in stems]
+            frames = list(zip(detections, truth))
+            row = next(line.split() for line in lines if line.startswith(variant))
+            assert row[1:] == [("-" if value is None else f"{value:.4f}")
+                               for value in (metric(frames, d) for d in DIFFICULTIES)], variant
+            cells += len(row) - 1
+    assert cells == 3 * 4 * len(DIFFICULTIES)
+
+
+def test_ablate_reads_nothing_under_its_out(dataset, tmp_path, monkeypatch):
+    """ablate scores the label text it writes as it holds it: no file under
+    --out is opened for reading, by open() or os.open()."""
+    out = tmp_path / "ablate"
+    reads = []
+
+    def under_out(file) -> bool:
+        return isinstance(file, (str, os.PathLike)) and (
+            Path(os.fspath(file)).resolve().is_relative_to(out.resolve()))
+
+    def watched_open(file, mode="r", *args, opener=io.open, **kwargs):
+        if under_out(file) and ("r" in mode or "+" in mode):
+            reads.append((os.fspath(file), mode))
+        return opener(file, mode, *args, **kwargs)
+
+    def watched_os_open(path, flags, *args, opener=os.open, **kwargs):
+        if under_out(path) and flags & os.O_ACCMODE != os.O_WRONLY:
+            reads.append((os.fspath(path), flags))
+        return opener(path, flags, *args, **kwargs)
+
+    for module, name, watcher in ((io, "open", watched_open), (os, "open", watched_os_open)):
+        monkeypatch.setattr(module, name, watcher)
+    monkeypatch.setattr("builtins.open", watched_open)
+    assert run_cli("ablate", "--data", dataset, "--out", out) == 0
+    monkeypatch.undo()
+    assert len(list(out.rglob("*.txt"))) == 4 * 4 + 1  # it wrote each rung's labels
+    assert reads == []
+
+
+def test_ablate_names_the_label_file_whose_text_does_not_parse_back(tmp_path, capfd):
+    """Boxes 1e-9 px wide fit to hulls narrower than the label print's
+    resolution: poses_to_labels keeps such a row, and its printed box is
+    degenerate.  ablate scores the printed text, so it stops where eval
+    would, naming the rung's label file and the line."""
+    data, out = tmp_path / "data", tmp_path / "ablate"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--frames", 4) == 0
+    for path in (data / "meas").glob("*.cfg"):
+        mapping = parse_config_text(path.read_text())
+        for key in [key for key in mapping if key.endswith(".box")]:
+            left, top, _, bottom = mapping[key].split()
+            mapping[key] = " ".join((left, top, repr(float(left) + 1e-9), bottom))
+        path.write_text(format_config(mapping))
+    capfd.readouterr()
+    assert run_cli("ablate", "--data", data, "--out", out) == 1
+    expected = (f"error: {out}/fit_v2/labels/000000.txt: line 1: "
+                "degenerate 2D box: need right > left and bottom > top\n")
+    assert capfd.readouterr().err == expected
+    assert not (out / "ablation.txt").exists() and not (out / "manifest.cfg").exists()
+    assert run_cli("eval", "--pred", out / "fit_v2", "--gt", data) == 1
+    assert capfd.readouterr().err == expected
 
 
 def test_ablate_equals_the_ladder_in_process(tmp_path):
