@@ -45,13 +45,6 @@ def require_span(left: float, top: float, right: float, bottom: float) -> None:
         raise ValueError(DEGENERATE_BOX)
 
 
-def require_box(left: float, top: float, right: float, bottom: float) -> np.ndarray:
-    """The corners as a (4,) array, once require_finite and require_span pass."""
-    require_finite(left, top, right, bottom)
-    require_span(left, top, right, bottom)
-    return np.array([left, top, right, bottom], dtype=float)
-
-
 def wrap_angle(theta):
     """Wrap an angle into [0, 2*pi); each angle of an array into an array.
     Twice: one mod rounds a tiny negative angle up to 2*pi itself."""

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -259,20 +258,22 @@ def _hulls(theta, T, sigma, cams) -> tuple:
     return lo, hi, error
 
 
-def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
+def poses_to_labels(theta, T, sigma, cams, scores=None, truncated=None, occluded=None) -> tuple:
     """(records, error) of n poses.  error (n,) holds None, or why a pose
     has no label: "box projects behind the camera" when a box corner lies
-    at Z <= EPS_Z, else "box has no valid image box: " and require_box's
-    message for a projected hull that is no box.  records holds a "Car"
-    of unknown truncation and occlusion per None row, in row order.
+    at Z <= EPS_Z, else "box has no valid image box: " and the
+    require_finite or require_span message of a projected hull that is no
+    box.  records holds a "Car" per None row, in row order.
 
     theta (n,), T (n, 3) and sigma (n, 3) are PoseBox3D fields, theta
     wrapped as PoseBox3D wraps it; cams holds each pose's camera as a row
-    (fx, fy, cx, cy), the form a MeasurementBlock holds, and scores each
-    record's score (all None when scores is None); other row counts, or a
-    non-finite score, raise ValueError.  Yaw maps to rotation_y with no
-    offset, the stored box is the projected hull as computed, and the
-    observation angle folds out the bearing.
+    (fx, fy, cx, cy), the form a MeasurementBlock holds, scores each
+    record's score (all None when scores is None), and truncated and
+    occluded each record's truncation and occlusion code (all the unknown
+    -1 when None); other row counts, or a value LabelRecord refuses, raise
+    ValueError.  Yaw maps to rotation_y with no offset, the stored box is
+    the projected hull as computed, and the observation angle folds out
+    the bearing.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
@@ -280,7 +281,10 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
     cams = np.asarray(cams, dtype=float).reshape(-1, 4)
     n = len(theta)
     scores = np.array([None] * n if scores is None else scores, dtype=object)
-    for name, rows in (("T", T), ("sigma", sigma), ("cams", cams), ("scores", scores)):
+    truncated = np.array([-1.0] * n if truncated is None else truncated, dtype=object)
+    occluded = np.array([-1] * n if occluded is None else occluded, dtype=object)
+    for name, rows in (("T", T), ("sigma", sigma), ("cams", cams), ("scores", scores),
+                       ("truncated", truncated), ("occluded", occluded)):
         if len(rows) != n:
             raise ValueError(f"theta has {n} rows but {name} has {len(rows)}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed poses go unread
@@ -291,11 +295,12 @@ def poses_to_labels(theta, T, sigma, cams, scores=None) -> tuple:
         alpha = wrap_pi(ry - np.arctan2(T[:, 0], T[:, 2]))
     keep = np.equal(error, None)
     fields = zip(np.hstack([lo, hi])[keep].tolist(), dims[keep][:, [1, 2, 0]].tolist(),
-                 T[keep].tolist(), ry[keep].tolist(), alpha[keep].tolist(), scores[keep])
-    records = [LabelRecord(type="Car", truncated=-1.0, occluded=-1, alpha=obs, bbox=bbox,
+                 T[keep].tolist(), ry[keep].tolist(), alpha[keep].tolist(), scores[keep],
+                 truncated[keep], occluded[keep])
+    records = [LabelRecord(type="Car", truncated=trunc, occluded=occ, alpha=obs, bbox=bbox,
                            dimensions=dimensions, location=location, rotation_y=rotation_y,
                            score=score)
-               for bbox, dimensions, location, rotation_y, obs, score in fields]
+               for bbox, dimensions, location, rotation_y, obs, score, trunc, occ in fields]
     return records, error
 
 
@@ -358,38 +363,64 @@ def emit_measurements(cam, ground, block: MeasurementBlock) -> str:
     return format_config(payload)
 
 
-def _field(mapping: dict, key: str, count: int | None = None, make=list, conv=float):
-    """make([conv(token), ...]) over the tokens of one key; any failure
+def _field(mapping: dict, key: str, count: int | None = None, make=None, conv=float,
+           finite: bool = False):
+    """The tokens of one key through conv, as a list, or make(list) when make
+    is given.  When finite, the values are checked finite as well, and a
+    non-finite one ahead of a token conv rejects is the fault.  Any failure
     raises MeasurementFormatError naming the key."""
-    if key not in mapping:
+    text = mapping.get(key)
+    if text is None:
         raise MeasurementFormatError(f"missing key {key}")
-    tokens = mapping[key].split()
+    tokens = text.split()
     if count is not None and len(tokens) != count:
         raise MeasurementFormatError(f"{key}: expected {count} values, found {len(tokens)}")
+    values = []
     try:
-        return make([conv(token) for token in tokens])
+        try:
+            values.extend(map(conv, tokens))  # the values up to a token conv rejects
+        finally:
+            if finite:
+                require_finite(*values)
+        return values if make is None else make(values)
     except ValueError as err:
         raise MeasurementFormatError(f"{key}: {err}") from None
 
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    require_finite(value)
-    return value
-
-
 def _camera(values) -> tuple:
-    fx, fy, cx, cy = map(_finite_float, values)
+    values = tuple(map(float, values))
+    require_finite(*values)
+    fx, fy, cx, cy = values
     if not (fx > 0 and fy > 0):
         raise ValueError("focal lengths must be positive")
-    return fx, fy, cx, cy
+    return values
 
 
 def _ground(values) -> tuple:
-    normal = tuple(map(_finite_float, values))
+    normal = tuple(map(float, values))
+    require_finite(*normal)
     if not any(normal):  # no squares, which overflow or underflow
         raise ValueError("ground plane normal must be nonzero")
     return normal
+
+
+def _flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {token!r}")
+    return token == "1"
+
+
+def _box(values: list) -> list:
+    require_finite(*values)
+    require_span(*values)
+    return values
+
+
+def _landmarks(xy: list, seen: list) -> list:
+    """xy, checked finite at each seen landmark: a hidden one's value is never read."""
+    if not all(map(math.isfinite, xy)):
+        require_finite(*compress(xy[0::2], seen), *compress(xy[1::2], seen))
+    return xy
 
 
 # A measurement file's keys: these, and i<n>.<field> for each instance n.
@@ -398,111 +429,33 @@ _INSTANCE_FIELDS = ("box", "theta0", "sigma0", "landmarks", "visible", "depth")
 _REQUIRED_FIELDS = len(_INSTANCE_FIELDS) - 1  # every instance field but depth
 
 
-class _FirstFault:
-    """The first fault of a measurement file by (instance, field), for reading
-    its instance fields one field at a time: a field needs reading only for
-    the instances below `limit`, the instance of the first fault found so
-    far (at first, the instances the file can hold).  Each call records a
-    fault of an instance below the limit."""
-
-    def __init__(self, limit: int):
-        self.limit, self.message = limit, None
-
-    def __call__(self, i: int, message: str) -> None:
-        self.limit, self.message = i, message
-
-
-def _split(mapping: dict, name: str, instances, fault: _FirstFault,
-           size: int | None = None) -> tuple:
-    """(tokens, counts): the tokens of field `name` of `instances`, all
-    below fault.limit, in one list, and each instance's token count, from
-    one pass that stops at the first instance whose key is missing or whose
-    token count is not `size` (any count when None): a fault."""
-    tokens, counts = [], []
-    for i in instances:
-        text = mapping.get(f"i{i}.{name}")
-        if text is None:
-            fault(i, f"missing key i{i}.{name}")
-            break
-        split = text.split()
-        if size is not None and len(split) != size:
-            fault(i, f"i{i}.{name}: expected {size} values, found {len(split)}")
-            break
-        tokens += split
-        counts.append(len(split))
-    return tokens, counts
-
-
-def _floats(mapping: dict, name: str, instances, size: int, fault: _FirstFault,
-            finite: bool = False) -> np.ndarray:
-    """Field `name` of `instances`, all below fault.limit, as (n, size)
-    floats: the tokens _split reads, then float() of all of them in one
-    call, which stops at the first token that float() rejects or, when
-    finite, that is not finite: a fault of that token's instance, with
-    float()'s or require_finite's message.  n counts the instances before
-    the first fault."""
-    tokens, counts = _split(mapping, name, instances, fault, size)
-    values, error = [], None
-    try:
-        values.extend(map(float, tokens))
-    except ValueError as err:
-        error = str(err)
-    if finite and not all(map(math.isfinite, values)):
-        values = values[:next(t for t, value in enumerate(values) if not math.isfinite(value))]
-        error = NON_FINITE
-    if error is None:
-        return np.array(values).reshape(len(counts), size)
-    n = len(values) // size
-    fault(instances[n], f"i{instances[n]}.{name}: {error}")
-    return np.array(values[:n * size]).reshape(n, size)
-
-
 def _instance_fields(mapping: dict, count: int) -> tuple:
-    """(box, uv, visible, theta0, sigma0, depth, has_depth) of the `count`
-    instances of a parsed measurement file, each field read in one pass
-    over the instances and converted in one call.  The first fault in
-    (instance, field) order raises MeasurementFormatError with the message
-    of a per-key reading that checks each instance's visible, landmarks,
-    box, theta0, sigma0 and depth in turn: a missing key, a token count, a
-    token float() rejects, a non-finite value or a degenerate box.  A file
-    of fewer keys than `count` instances need stops within the instances
-    its keys could hold, so a huge count costs nothing per instance."""
-    fault = _FirstFault(min(count, len(mapping) // _REQUIRED_FIELDS + 1))
-    tokens, counts = _split(mapping, "visible", range(fault.limit), fault)
-    K = counts[0] if counts else 0
-    flags = "".join(tokens)
-    if len(flags) != len(tokens) or flags.strip("01"):  # a token other than 0 or 1
-        t = next(t for t, token in enumerate(tokens) if token not in ("0", "1"))
-        i = bisect_right(list(accumulate(counts)), t)
-        fault(i, f"i{i}.visible: expected 0 or 1, got {tokens[t]!r}")
-    other = next((i for i, n in enumerate(counts) if n != K), None)
-    if other is not None and other < fault.limit:  # read after the instance's own flags
-        fault(other, f"inconsistent landmark counts: i0 has {K}, i{other} has {counts[other]}")
-    visible = (np.frombuffer(flags[:fault.limit * K].encode(), dtype=np.uint8)
-               == ord("1")).reshape(fault.limit, K)
-
-    uv = _floats(mapping, "landmarks", range(fault.limit), 2 * K, fault)
-    uv = uv.reshape(len(uv), K, 2)
-    # an invisible landmark's value is never read
-    ok = (np.isfinite(uv) | ~visible[:len(uv), :, None]).all(axis=(1, 2))
-    if not ok.all():
-        i = int(ok.argmin())
-        fault(i, f"i{i}.landmarks: {NON_FINITE}")
-    box = _floats(mapping, "box", range(fault.limit), 4, fault)
-    finite = np.isfinite(box).all(axis=1)
-    ok = finite & (box[:, 2] > box[:, 0]) & (box[:, 3] > box[:, 1])
-    if not ok.all():
-        i = int(ok.argmin())
-        fault(i, f"i{i}.box: {DEGENERATE_BOX if finite[i] else NON_FINITE}")
-    theta0 = _floats(mapping, "theta0", range(fault.limit), 1, fault, finite=True)
-    sigma0 = _floats(mapping, "sigma0", range(fault.limit), 3, fault, finite=True)
-    measured = [i for i in range(fault.limit) if f"i{i}.depth" in mapping]
-    depth = _floats(mapping, "depth", measured, 1, fault, finite=True)
-    if fault.message is not None:
-        raise MeasurementFormatError(fault.message)
-    depths, has_depth = np.zeros(count), np.zeros(count, dtype=bool)
-    depths[measured], has_depth[measured] = depth[:, 0], True
-    return box, uv, visible, theta0[:, 0], sigma0, depths, has_depth
+    """(box, uv, visible, theta0, sigma0, depth, has_depth) arrays of the
+    `count` instances of a parsed measurement file, read one instance at a
+    time: its visible, its landmark count against i0's, then its landmarks,
+    box, theta0, sigma0 and depth (when given).  The first fault raises
+    MeasurementFormatError, so a count beyond the file's keys stops at the
+    first missing key."""
+    box, uv, visible, theta0, sigma0, depth, has_depth = ([] for _ in range(7))
+    for i in range(count):
+        prefix = f"i{i}."
+        seen = _field(mapping, prefix + "visible", conv=_flag)
+        if visible and len(seen) != len(visible[0]):
+            raise MeasurementFormatError(f"inconsistent landmark counts: i0 has {len(visible[0])}, "
+                                         f"i{i} has {len(seen)}")
+        visible.append(seen)
+        uv.append(_field(mapping, prefix + "landmarks", 2 * len(seen), lambda xy: _landmarks(xy, seen)))
+        box.append(_field(mapping, prefix + "box", 4, _box))
+        theta0 += _field(mapping, prefix + "theta0", 1, finite=True)
+        sigma0.append(_field(mapping, prefix + "sigma0", 3, finite=True))
+        measured = prefix + "depth" in mapping
+        depth += _field(mapping, prefix + "depth", 1, finite=True) if measured else [0.0]
+        has_depth.append(measured)
+    K = len(visible[0]) if count else 0
+    return (np.array(box).reshape(count, 4), np.array(uv).reshape(count, K, 2),
+            np.array(visible, dtype=bool).reshape(count, K), np.array(theta0, dtype=float),
+            np.array(sigma0).reshape(count, 3), np.array(depth, dtype=float),
+            np.array(has_depth, dtype=bool))
 
 
 def parse_measurements(text: str):
@@ -518,7 +471,7 @@ def parse_measurements(text: str):
         mapping = parse_config_text(text)
     except ValueError as err:
         raise MeasurementFormatError(str(err)) from None
-    count = _field(mapping, "instances", 1, lambda v: v[0], int)
+    count = _field(mapping, "instances", 1, conv=int)[0]
     if count < 0:
         raise MeasurementFormatError(f"instances: negative count {count}")
     cam = _field(mapping, "camera", 4, _camera)
@@ -677,9 +630,8 @@ def _render(params: SceneParams, noise: NoiseSpec, drawn: list, noise_rngs: list
     poses = [pose for frame in drawn for pose, _ in frame]
     theta, T, sigma = (np.array([getattr(pose, name) for pose in poses]) for name in ("theta", "T", "sigma"))
     n = len(poses)
-    # each drawn pose projected in view, so none fails to convert
-    records, _ = poses_to_labels(theta, T, sigma, np.tile(KITTI_CAMERA, (n, 1)))
-    bbox = np.array([record.bbox for record in records])
+    cams = np.tile(KITTI_CAMERA, (n, 1))
+    bbox = np.hstack(_hulls(theta, T, sigma, cams)[:2])  # each drawn pose projected in view
     shapes = instantiate(CAR_MODEL, np.array([alpha for frame in drawn for _, alpha in frame]))
     uv = project(KITTI_CAMERA, place_points(shapes, theta, T, sigma))  # (n, K, 2)
 
@@ -710,8 +662,7 @@ def _render(params: SceneParams, noise: NoiseSpec, drawn: list, noise_rngs: list
     truncated = np.clip(1.0 - in_view / (high - low).prod(axis=1), 0.0, 1.0)
     # 0 when at least 0.65 of the landmarks are visible, 1 when at least 0.4, else 2
     occluded = 2 - np.digitize(visible.mean(axis=1), (0.4, 0.65))
-    labels = [replace(record, truncated=t, occluded=o)
-              for record, t, o in zip(records, truncated.tolist(), occluded.tolist())]
+    labels, _ = poses_to_labels(theta, T, sigma, cams, truncated=truncated, occluded=occluded)
     for frame, stop in zip(drawn, accumulate(map(len, drawn))):
         yield SyntheticScene(instances=frame), block[stop - len(frame):stop], labels[stop - len(frame):stop]
 

@@ -127,12 +127,16 @@ def loop_clip_ious(a, b) -> tuple:
 def projected_hull(cam, pose) -> np.ndarray:
     """The tight axis-aligned hull (left, top, right, bottom) of a pose's 8
     box corners projected through camera row cam, from geometry.box_corners
-    and geometry.project (BehindCameraError behind the camera); require_box's
-    ValueError for a hull that is no box."""
-    from vehicle3d.geometry import box_corners, project, require_box
+    and geometry.project (BehindCameraError behind the camera); the
+    ValueError of require_finite, then of require_span, for a hull that is
+    no box."""
+    from vehicle3d.geometry import box_corners, project, require_finite, require_span
 
     uv = project(cam, box_corners(pose.theta, pose.T, pose.sigma)[0])
-    return require_box(*uv.min(axis=0), *uv.max(axis=0))
+    hull = np.concatenate([uv.min(axis=0), uv.max(axis=0)])
+    require_finite(*hull)
+    require_span(*hull)
+    return hull
 
 
 _BOX_SCALE = np.array([1.0, 1.0, 0.3, 0.3])  # the box residual's (u, v, log w, log h) scale

@@ -14,7 +14,8 @@ from vehicle3d.geometry import (
     iou_3d,
     iou_bev,
     project,
-    require_box,
+    require_finite,
+    require_span,
     rot_y,
     wrap_angle,
     wrap_pi,
@@ -103,17 +104,23 @@ class TestProject:
 
 
 class TestBox2D:
+    @staticmethod
+    def check(*corners):
+        """The box rule of every reader: finiteness first, then the span."""
+        require_finite(*corners)
+        require_span(*corners)
+
     def test_degenerate_rejected(self):
-        require_box(10.0, 20.0, 110.0, 70.0)
+        self.check(10.0, 20.0, 110.0, 70.0)
         for corners in ((10.0, 20.0, 10.0, 70.0), (10.0, 20.0, 110.0, 20.0),
                         (10.0, 20.0, 5.0, 70.0)):
             with pytest.raises(ValueError, match="^degenerate 2D box: need right > left and "
                                                  "bottom > top$"):
-                require_box(*corners)
+                self.check(*corners)
         # finiteness is checked first: a NaN fails every comparison
         for corners in ((np.nan, 20.0, 10.0, 70.0), (10.0, 20.0, np.inf, 70.0)):
             with pytest.raises(ValueError, match="^non-finite value$"):
-                require_box(*corners)
+                self.check(*corners)
 
 
 class TestBox3DCorners:

@@ -316,16 +316,34 @@ def test_a_non_finite_score_raises_instead_of_filling_a_slot():
     ({"T": 2}, "theta has 3 rows but T has 2"),
     ({"cams": 4}, "theta has 3 rows but cams has 4"),
     ({"theta": 1}, "theta has 1 rows but T has 3"),
-], ids=["scores", "sigma_and_cams", "T", "cams", "theta"])
+    ({"truncated": 2}, "theta has 3 rows but truncated has 2"),
+    ({"occluded": 4}, "theta has 3 rows but occluded has 4"),
+], ids=["scores", "sigma_and_cams", "T", "cams", "theta", "truncated", "occluded"])
 def test_row_counts_that_differ_raise(rows, message):
     """Neither zip nor broadcasting may shorten the output: 3 rows of each
     input but the counts `rows` gives."""
     theta, T, sigma = _POSE
     fields = {"theta": [theta], "T": [T], "sigma": [sigma], "cams": [KITTI_CAMERA],
-              "scores": [0.5]}
+              "scores": [0.5], "truncated": [0.25], "occluded": [1]}
     fields = {name: value * rows.get(name, 3) for name, value in fields.items()}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         poses_to_labels(**fields)
+
+
+def test_truncation_and_occlusion_columns_fill_each_record():
+    """Each record carries its row's truncation and occlusion code, the
+    unknown -1 when a column is not given, and LabelRecord's checks apply."""
+    theta, T, sigma = _POSE
+    poses = ([theta] * 2, [T] * 2, [sigma] * 2, [KITTI_CAMERA] * 2)
+    records, _ = poses_to_labels(*poses)
+    assert [(r.truncated, r.occluded) for r in records] == [(-1.0, -1)] * 2
+    records, _ = poses_to_labels(*poses, truncated=np.array([0.25, 0.0]), occluded=np.array([2, 0]))
+    assert [(r.truncated, r.occluded) for r in records] == [(0.25, 2), (0.0, 0)]
+    assert [(type(r.truncated), type(r.occluded)) for r in records] == [(float, int)] * 2
+    with pytest.raises(ValueError, match=r"^occlusion code 4 outside -1\.\.3$"):
+        poses_to_labels(*poses, occluded=[4, 0])
+    with pytest.raises(ValueError, match=r"^truncation must be in \[0, 1\]"):
+        poses_to_labels(*poses, truncated=[0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +525,8 @@ def test_a_hidden_landmark_may_be_infinity_but_not_hex():
 
 def _mutations(text):
     """text cut at any character, with one line dropped or duplicated, or
-    with one whitespace-separated token swapped for a non-finite, empty or
-    non-numeric one."""
+    with one whitespace-separated token swapped for a non-finite, empty,
+    non-numeric or underscore-separated one."""
     lines = text.splitlines(keepends=True)
     parts = re.split(r"(\s+)", text)  # tokens at the even positions
 
@@ -520,7 +538,7 @@ def _mutations(text):
         st.integers(0, len(lines) - 1).map(lambda i: "".join(lines[:i] + lines[i + 1:])),
         st.integers(0, len(lines) - 1).map(lambda i: "".join(lines[:i + 1] + lines[i:])),
         st.builds(swapped, st.sampled_from(range(0, len(parts), 2)),
-                  st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x7"])),
+                  st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x7", "1_0", "Infinity"])),
     )
 
 
@@ -531,10 +549,15 @@ _SEED_FRAME = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])
 @settings(max_examples=300, deadline=None)
 @given(_mutations(emit_measurements(KITTI_CAMERA, FLAT_GROUND, _SEED_FRAME[1])))
 def test_mutated_measurement_file_raises_only_its_format_error(text):
+    """A mutated file raises MeasurementFormatError, or parses to what its
+    emitted text parses back to: that text is a fixed point of emit and
+    parse, whatever spelling float() accepted in the mutated one."""
     try:
-        parse_measurements(text)
+        parsed = parse_measurements(text)
     except MeasurementFormatError:
-        pass
+        return
+    emitted = emit_measurements(*parsed)
+    assert emit_measurements(*parse_measurements(emitted)) == emitted
 
 
 @settings(max_examples=300, deadline=None)
@@ -703,6 +726,22 @@ def test_generate_gt_invariants():
             assert rec.bbox[2] > rec.bbox[0] and rec.bbox[3] > rec.bbox[1]
             assert 0.0 <= rec.truncated <= 1.0
             assert rec.occluded in (0, 1, 2)
+
+
+def test_generation_builds_each_label_record_once(monkeypatch):
+    """A frame's records are built with their truncation and occlusion,
+    so one generated frame constructs (and checks) one record per instance."""
+    built = []
+    post_init = LabelRecord.__post_init__
+
+    def counted(record):
+        built.append(record)
+        post_init(record)
+
+    monkeypatch.setattr(LabelRecord, "__post_init__", counted)
+    _, block, labels = generate_scene(SceneParams(), STANDARD_NOISE, [7, 0])
+    assert len(built) == len(labels) == len(block) == 5
+    assert built == labels
 
 
 def test_generate_occlusion_rate_binomial():
